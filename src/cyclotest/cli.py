@@ -1,11 +1,12 @@
 """Command-line entry point.
 
-Subcommands: ``run`` (full campaign against a subject), ``enumerate-states``
-(upper bound and reachable temporal flag states), ``reduce`` (test cases,
-rewritten conditions, projections, state partition), ``dot`` (explored
-automaton export).  Exit codes: 0 ok, 2 model/parse problem, 3 mediator or
-protocol failure, 4 failed verdicts or traversal diagnostics, 5 unmet
-coverage requirement.  ``CYCLOTEST_LOG`` sets the log level.
+Subcommands: ``run`` (full campaign against a subject, optionally exporting
+the explored automaton as DOT), ``enumerate-states`` (upper bound and
+reachable temporal flag states), ``reduce`` (test cases, rewritten
+conditions, projections, state partition).  Exit codes: 0 ok, 2 model/parse
+problem, 3 mediator or protocol failure, 4 failed verdicts or traversal
+diagnostics, 5 unmet coverage requirement.  ``CYCLOTEST_LOG`` sets the log
+level.
 """
 from __future__ import annotations
 
@@ -66,8 +67,6 @@ class RunConfig:
     budget: int = 10_000
     seed: Optional[int] = None
     strict_held: bool = False
-    deterministic: bool = False
-    stop_on_failure: bool = True
     timeout_s: float = 5.0
     required: tuple = ()  # ((criterion, ratio), ...)
     jobs: int = 1
@@ -138,24 +137,6 @@ def _held_durations(ast):
                 yield dec.node_id, e.duration_ms
 
 
-class _RecordingSpec:
-    """Feed every reference trace into the coverage report as it happens."""
-
-    def __init__(self, spec: Specification, report: CoverageReport):
-        self._spec = spec
-        self.report = report
-
-    @property
-    def state(self):
-        return self._spec.state
-
-    def apply_stimulus(self, inputs):
-        verdict = self._spec.apply_stimulus(inputs)
-        if verdict.trace is not None:
-            self.report.accumulate(verdict.trace)
-        return verdict
-
-
 def build_link(model, extraction, config: RunConfig, period_ms: int):
     spec_str = config.sut
     kind, _, rest = spec_str.partition(":")
@@ -195,14 +176,13 @@ def run_campaign(config: RunConfig) -> CampaignResult:
 
         rng = random.Random(config.seed)
     spec = Specification(extraction, link, strict_held=config.strict_held)
-    recording = _RecordingSpec(spec, CoverageReport.for_model(extraction.model))
     if config.scenario == "full":
-        scenario = build_coverage_scenario(recording, extraction, projections, period,
+        scenario = build_coverage_scenario(spec, extraction, projections, period,
                                            strict=config.strict_held)
     elif config.scenario.startswith("piece:"):
         part_id = config.scenario.split(":", 1)[1]
         part = make_piecemeal(ast, [part_id])[0]
-        scenario = build_piecemeal_scenario(recording, extraction, projections, part, period,
+        scenario = build_piecemeal_scenario(spec, extraction, projections, part, period,
                                             strict=config.strict_held)
     else:
         raise CliError("unknown scenario %r" % config.scenario, EXIT_PARSE)
@@ -211,10 +191,7 @@ def run_campaign(config: RunConfig) -> CampaignResult:
     error = None
     code = EXIT_OK
     try:
-        testlog, automaton = traverse(
-            scenario, recording, budget=config.budget,
-            stop_on_failure=config.stop_on_failure, rng=rng,
-        )
+        testlog, automaton = traverse(scenario, spec, budget=config.budget, rng=rng)
         log.info("explored %d state(s), %d transition(s), %d stimuli",
                  len(automaton.states), len(automaton.transitions), len(testlog.entries))
     except TraversalError as exc:
@@ -223,7 +200,7 @@ def run_campaign(config: RunConfig) -> CampaignResult:
     finally:
         link.close()
     records = tuple(link.kernel.records) if isinstance(link, InProcessLink) else ()
-    return CampaignResult(testlog, recording.report, automaton, error, code, records)
+    return CampaignResult(testlog, spec.coverage, automaton, error, code, records)
 
 
 def _piece_worker(config_args: dict, part_id: str):
@@ -408,22 +385,6 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def cmd_dot(args) -> int:
-    config = _config_from_args(args)
-    try:
-        result = run_campaign(config)
-    except CliError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return exc.code
-    text = export_dot(result.automaton)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
-    return result.exit_code(())
-
-
 # ---------------------------------------------------------------------------
 # Argument plumbing
 
@@ -467,7 +428,6 @@ def _config_from_args(args) -> RunConfig:
         budget=getattr(args, "budget", 10_000),
         seed=getattr(args, "seed", None),
         strict_held=getattr(args, "strict_held", False),
-        deterministic=getattr(args, "deterministic", False),
         timeout_s=getattr(args, "timeout", 5.0),
         required=_parse_required(getattr(args, "require", ())),
         jobs=getattr(args, "jobs", 1),
@@ -522,15 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     red = subs.add_parser("reduce", help="coverage-targeted reduction listing")
     _add_model_options(red)
     red.set_defaults(func=cmd_reduce)
-
-    dot = subs.add_parser("dot", help="run and export the explored automaton")
-    _add_model_options(dot)
-    dot.add_argument("--sut", default="inproc:iron")
-    dot.add_argument("--scenario", default="full")
-    dot.add_argument("--budget", type=int, default=10_000)
-    dot.add_argument("--seed", type=int)
-    dot.add_argument("--output", help="output file (default: stdout)")
-    dot.set_defaults(func=cmd_dot)
 
     return parser
 

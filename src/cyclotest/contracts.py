@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Union
 
 from . import mediator, temporal
+from .coverage import CoverageReport
 from .dsl import (
     ExtractionResult,
     Held,
@@ -112,7 +113,8 @@ class Specification:
     The default precondition is the declared input domain; scenario authors
     may strengthen it with a callable.  Invariants are registered as
     callables over an :class:`InvariantContext` or as expression strings over
-    state variables, predicate ids, inputs and observed outputs.
+    state variables, predicate ids, inputs and observed outputs.  Every
+    reference run's decision trace accumulates into ``coverage``.
     """
 
     def __init__(self, extraction: ExtractionResult, link: MediatorLink,
@@ -123,18 +125,13 @@ class Specification:
         self.precondition = precondition
         self.strict_held = strict_held
         self._invariants: dict = {}
-        self.state = self._initial_state()
-
-    def _initial_state(self) -> SpecificationState:
-        states = temporal.initial_states(self.extraction.predicates)
-        return SpecificationState(
+        self.coverage = CoverageReport.for_model(self.model)
+        states = temporal.initial_states(extraction.predicates)
+        self.state = SpecificationState(
             state_vars=self.model.initial_state(),
             predicate_states=states,
             flags={pid: False for pid in states},
         )
-
-    def reset(self) -> None:
-        self.state = self._initial_state()
 
     # invariants ------------------------------------------------------------
 
@@ -187,11 +184,9 @@ class Specification:
             return Verdict(VerdictKind.MEDIATOR_FAILURE, str(exc), self.link.next_cycle)
 
         stepped = mediator.step_predicates(pre, obs, inputs, self.strict_held)
-        _, flags = stepped
-        ref_outputs, ref_post, trace = eval_model(self.model, inputs, pre.state_vars, flags)
-        self.state = mediator.sync_state(
-            pre, obs, inputs, self.model, ref_post, self.strict_held, stepped=stepped
-        )
+        ref_outputs, ref_post, trace = eval_model(self.model, inputs, pre.state_vars, stepped[1])
+        self.coverage.accumulate(trace)
+        self.state = mediator.sync_state(pre, obs, self.model, ref_post, stepped)
 
         ctx = InvariantContext(self.state, inputs, dict(obs.outputs), obs)
         for name, check in self._invariants.items():

@@ -164,10 +164,3 @@ class CoverageReport:
                 lines.append("    missing: %s" % desc)
         return "\n".join(lines)
 
-
-def accumulate(report: CoverageReport, trace: DecisionTrace) -> CoverageReport:
-    return report.accumulate(trace)
-
-
-def mcdc_pairs(report: CoverageReport) -> dict:
-    return report.mcdc_pairs()

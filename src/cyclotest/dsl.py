@@ -157,14 +157,8 @@ class ModelAst:
     def output_names(self) -> tuple:
         return tuple(d.name for d in self.outputs)
 
-    def state_names(self) -> tuple:
-        return tuple(d.name for d in self.state_vars)
-
     def readable_state(self) -> tuple:
         return tuple(d for d in self.state_vars if d.visibility == "readable")
-
-    def hidden_state(self) -> tuple:
-        return tuple(d for d in self.state_vars if d.visibility == "hidden")
 
     def initial_state(self) -> dict:
         return {d.name: d.init for d in self.state_vars}
@@ -174,12 +168,6 @@ class ModelAst:
 
     def decisions(self) -> list:
         return [n for n in walk_nodes(self.body) if isinstance(n, Decision)]
-
-    def node(self, node_id: str) -> Node:
-        for n in walk_nodes(self.body):
-            if n.node_id == node_id:
-                return n
-        raise KeyError(node_id)
 
 
 @dataclass(frozen=True)
@@ -217,10 +205,6 @@ def walk_exprs(expr: Expr) -> Iterator[Expr]:
 def free_vars(expr: Expr) -> frozenset:
     """Variable identifiers referenced by ``expr`` (predicate ids excluded)."""
     return frozenset(e.ident for e in walk_exprs(expr) if isinstance(e, Name))
-
-
-def pred_refs(expr: Expr) -> frozenset:
-    return frozenset(e.ident for e in walk_exprs(expr) if isinstance(e, PredRef))
 
 
 # ---------------------------------------------------------------------------
@@ -745,20 +729,14 @@ def check_model(ast: ModelAst) -> list:
                                "assigning %s value to bool '%s'" % (vtype, a.target),
                                a.line, a.col, leaf.node_id)
                 )
-            elif target.type == "int":
-                if vtype != "int" and not (vtype == "bool"):
-                    diags.append(
-                        Diagnostic("error", "TypeError",
-                                   "assigning %s value to int '%s'" % (vtype, a.target),
-                                   a.line, a.col, leaf.node_id)
-                    )
-                elif isinstance(a.value, Const) and not target.lo <= a.value.value <= target.hi:
-                    diags.append(
-                        Diagnostic("error", "ValueOutOfRange",
-                                   "%d outside %d..%d for '%s'"
-                                   % (a.value.value, target.lo, target.hi, a.target),
-                                   a.line, a.col, leaf.node_id)
-                    )
+            elif (target.type == "int" and isinstance(a.value, Const)
+                  and not target.lo <= a.value.value <= target.hi):
+                diags.append(
+                    Diagnostic("error", "ValueOutOfRange",
+                               "%d outside %d..%d for '%s'"
+                               % (a.value.value, target.lo, target.hi, a.target),
+                               a.line, a.col, leaf.node_id)
+                )
     for dec in ast.decisions():
         ctype = _expr_type(dec.condition, decls, diags)
         if ctype is not None and not _bool_compatible(dec.condition, ctype):
@@ -838,7 +816,7 @@ def _unreachable_leaves(ast: ModelAst) -> list:
         return [Diagnostic("note", "ReachabilitySkipped",
                            "atom space too large (%d valuations)" % size)]
 
-    paths = _leaf_paths(ast)
+    paths = leaf_paths(ast)
     reached = {leaf.node_id: False for leaf, _ in paths}
     for var_vals in itertools.product(*(dom for _, dom in var_domains)):
         env = {name: val for (name, _), val in zip(var_domains, var_vals)}
@@ -864,16 +842,17 @@ def _unreachable_leaves(ast: ModelAst) -> list:
     ]
 
 
-def _leaf_paths(ast: ModelAst) -> list:
-    """(leaf, [(condition, required outcome), ...]) per root-to-leaf path."""
+def leaf_paths(ast: ModelAst) -> list:
+    """(leaf, [(condition, required outcome), ...]) per root-to-leaf path, in
+    pre-order."""
     paths = []
 
     def visit(node: Node, factors: list) -> None:
         if isinstance(node, Leaf):
-            paths.append((node, list(factors)))
+            paths.append((node, factors))
             return
-        visit(node.then_branch, factors + [(node.condition, 1)])
-        visit(node.else_branch, factors + [(node.condition, 0)])
+        visit(node.then_branch, factors + [(node.condition, True)])
+        visit(node.else_branch, factors + [(node.condition, False)])
 
     visit(ast.body, [])
     return paths
@@ -889,12 +868,9 @@ class ExtractionResult:
     model: ModelAst  # rewritten: held() replaced by predicate references
     predicates: tuple
 
-    def by_id(self) -> dict:
-        return {p.id: p for p in self.predicates}
-
     def rewrite_expr(self, expr: Expr) -> Expr:
         index = {(p.var, p.expected, p.duration_ms): p.id for p in self.predicates}
-        return _rewrite(expr, index)
+        return _map_held(expr, lambda held: _predicate_conjunction(held, index))
 
 
 def _held_literals(formula: Expr) -> list:
@@ -977,9 +953,7 @@ def extract_predicates(ast: ModelAst) -> ExtractionResult:
         predicates.append(TemporalPredicateDecl(pid, var, expected, dur))
 
     index = {(p.var, p.expected, p.duration_ms): p.id for p in predicates}
-    rewritten = ModelAst(
-        ast.name, ast.inputs, ast.outputs, ast.state_vars, _rewrite_node(ast.body, index)
-    )
+    rewritten = _map_held(ast, lambda held: _predicate_conjunction(held, index))
     return ExtractionResult(ast, rewritten, tuple(predicates))
 
 
@@ -987,41 +961,38 @@ def _first_occurrence(occurrences: list, key) -> int:
     return occurrences.index(key)
 
 
-def _rewrite(expr: Expr, index: Mapping) -> Expr:
-    if isinstance(expr, Held):
-        refs = [
-            PredRef(index[(var, expected, expr.duration_ms)])
-            for var, expected, _ in _held_literals(expr.formula)
-        ]
-        out = refs[0]
-        for ref in refs[1:]:
-            out = And(out, ref)
-        return out
-    if isinstance(expr, Not):
-        return Not(_rewrite(expr.operand, index), line=expr.line, col=expr.col)
-    if isinstance(expr, And):
-        return And(_rewrite(expr.left, index), _rewrite(expr.right, index),
-                   line=expr.line, col=expr.col)
-    if isinstance(expr, Or):
-        return Or(_rewrite(expr.left, index), _rewrite(expr.right, index),
-                  line=expr.line, col=expr.col)
-    if isinstance(expr, Cmp):
-        return Cmp(expr.op, _rewrite(expr.left, index), _rewrite(expr.right, index),
-                   line=expr.line, col=expr.col)
-    return expr
+def _predicate_conjunction(held: Held, index: Mapping) -> Expr:
+    refs = [
+        PredRef(index[(var, expected, held.duration_ms)])
+        for var, expected, _ in _held_literals(held.formula)
+    ]
+    out = refs[0]
+    for ref in refs[1:]:
+        out = And(out, ref)
+    return out
 
 
-def _rewrite_node(node: Node, index: Mapping) -> Node:
-    if isinstance(node, Leaf):
-        return node
-    return Decision(
-        node.node_id,
-        _rewrite(node.condition, index),
-        _rewrite_node(node.then_branch, index),
-        _rewrite_node(node.else_branch, index),
-        node.line,
-        node.col,
-    )
+def _map_held(item, fn: Callable[[Held], Expr]):
+    """Copy of a model, decision tree or expression with every held() node
+    replaced by ``fn(node)``; everything else, positions included, is kept."""
+    if isinstance(item, Held):
+        return fn(item)
+    if isinstance(item, Not):
+        return Not(_map_held(item.operand, fn), line=item.line, col=item.col)
+    if isinstance(item, (And, Or)):
+        return type(item)(_map_held(item.left, fn), _map_held(item.right, fn),
+                          line=item.line, col=item.col)
+    if isinstance(item, Cmp):
+        return Cmp(item.op, _map_held(item.left, fn), _map_held(item.right, fn),
+                   line=item.line, col=item.col)
+    if isinstance(item, Decision):
+        return Decision(item.node_id, _map_held(item.condition, fn),
+                        _map_held(item.then_branch, fn), _map_held(item.else_branch, fn),
+                        item.line, item.col)
+    if isinstance(item, ModelAst):
+        return ModelAst(item.name, item.inputs, item.outputs, item.state_vars,
+                        _map_held(item.body, fn))
+    return item
 
 
 def rescale_durations(ast: ModelAst, mapping: Mapping) -> ModelAst:
@@ -1030,25 +1001,8 @@ def rescale_durations(ast: ModelAst, mapping: Mapping) -> ModelAst:
     Durations not in ``mapping`` are kept; used to shrink long conditions to
     desk-scale cycle counts for exhaustive checks.
     """
+    def rescale(held: Held) -> Held:
+        return Held(held.formula, mapping.get(held.duration_ms, held.duration_ms),
+                    line=held.line, col=held.col)
 
-    def rx(expr: Expr) -> Expr:
-        if isinstance(expr, Held):
-            return Held(rx(expr.formula), mapping.get(expr.duration_ms, expr.duration_ms),
-                        line=expr.line, col=expr.col)
-        if isinstance(expr, Not):
-            return Not(rx(expr.operand), line=expr.line, col=expr.col)
-        if isinstance(expr, And):
-            return And(rx(expr.left), rx(expr.right), line=expr.line, col=expr.col)
-        if isinstance(expr, Or):
-            return Or(rx(expr.left), rx(expr.right), line=expr.line, col=expr.col)
-        if isinstance(expr, Cmp):
-            return Cmp(expr.op, rx(expr.left), rx(expr.right), line=expr.line, col=expr.col)
-        return expr
-
-    def rn(node: Node) -> Node:
-        if isinstance(node, Leaf):
-            return node
-        return Decision(node.node_id, rx(node.condition), rn(node.then_branch),
-                        rn(node.else_branch), node.line, node.col)
-
-    return ModelAst(ast.name, ast.inputs, ast.outputs, ast.state_vars, rn(ast.body))
+    return _map_held(ast, rescale)

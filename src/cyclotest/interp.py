@@ -36,17 +36,6 @@ class DecisionTrace:
     leaf_id: str
 
 
-@dataclass(frozen=True)
-class ModelIo:
-    """One evaluation of the model interface function."""
-
-    inputs: dict
-    state_pre: dict
-    time_flags: dict
-    outputs: dict
-    state_post: dict
-
-
 def eval_model(ast: ModelAst, inputs: Mapping, state_pre: Mapping, time_flags: Mapping):
     """Evaluate the rewritten model; returns (outputs, state_post, trace)."""
     for decl in ast.inputs:

@@ -56,10 +56,6 @@ class IronSut:
         self._t_short = -1  # since when (!move && !position) has held, else -1
         self._t_long = -1  # since when (!move && position) has held, else -1
 
-    def reset(self) -> None:
-        self._t_short = -1
-        self._t_long = -1
-
     def visible_state(self) -> dict:
         return {}
 

@@ -1,8 +1,9 @@
 """Standalone iron shut-off subject speaking the NDJSON mediator protocol.
 
-Runs the iron step function inside its own simulation kernel and serves one
-test session over stdio or a single TCP connection: hello first, then a
-strict set_inputs/observation alternation until shutdown or EOF.
+Runs the iron step function behind an in-process mediator link, in its own
+simulation kernel, and serves one test session over stdio or a single TCP
+connection: hello first, then a strict set_inputs/observation alternation
+until shutdown or EOF.
 """
 from __future__ import annotations
 
@@ -11,43 +12,9 @@ import json
 import socket
 import sys
 
-from .iron import DESK_DURATIONS_MS, FULL_DURATIONS_MS, IronSut, MUTANT_IDS
-from .kernel import Kernel, KernelConfig
-
-SIGNATURE = {"inputs": ["move", "position"], "outputs": ["heating"], "state": []}
-
-
-class _Session:
-    def __init__(self, sut: IronSut, period_ms: int):
-        self.sut = sut
-        self.kernel = Kernel(KernelConfig(cycle_period_ms=period_ms))
-        self._staged = {}
-        self._inputs = {}
-        self._outputs = {}
-        self._obs = None
-        self.kernel.register_subsystem("set-mediator", self._set_mediator)
-        self.kernel.register_subsystem("iron", self._step)
-        self.kernel.register_subsystem("get-mediator", self._get_mediator)
-
-    def _set_mediator(self, ctx) -> None:
-        self._inputs = dict(self._staged)
-
-    def _step(self, ctx) -> None:
-        self._outputs = self.sut.step(self._inputs, ctx.sys_time_ms)
-
-    def _get_mediator(self, ctx) -> None:
-        self._obs = {
-            "type": "observation",
-            "cycle": ctx.cycle_index,
-            "sys_time_ms": ctx.sys_time_ms,
-            "outputs": dict(self._outputs),
-            "state": self.sut.visible_state(),
-        }
-
-    def cycle(self, values: dict) -> dict:
-        self._staged = values
-        self.kernel.run_cycle()
-        return self._obs
+from .iron import DESK_DURATIONS_MS, FULL_DURATIONS_MS, IronSut, MUTANT_IDS, iron_model
+from .kernel import KernelConfig
+from .mediator import InProcessLink, ProtocolError, WireMessage
 
 
 def serve(reader, writer, sut: IronSut, period_ms: int) -> int:
@@ -55,36 +22,39 @@ def serve(reader, writer, sut: IronSut, period_ms: int) -> int:
         writer.write((json.dumps(data, sort_keys=True) + "\n").encode("utf-8"))
         writer.flush()
 
-    session = _Session(sut, period_ms)
-    send({"type": "hello", "model": "iron", "cycle_period_ms": period_ms, **SIGNATURE})
-    expected_cycle = 0
+    def fail(message: str) -> int:
+        send({"type": "error", "message": message})
+        return 1
+
+    link = InProcessLink(iron_model(), sut, KernelConfig(cycle_period_ms=period_ms))
+    send(link.hello)
     while True:
         line = reader.readline()
         if not line:
             return 0
         try:
-            msg = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            send({"type": "error", "message": "bad message: %s" % exc})
-            return 1
-        mtype = msg.get("type")
-        if mtype == "shutdown":
+            msg = WireMessage.decode(line)
+        except ProtocolError as exc:
+            return fail("bad message: %s" % exc)
+        if msg.type == "shutdown":
             return 0
-        if mtype != "set_inputs":
-            send({"type": "error", "message": "unexpected message type %r" % mtype})
-            return 1
-        if msg.get("cycle") != expected_cycle:
-            send({"type": "error",
-                  "message": "cycle %r out of order, expected %d" % (msg.get("cycle"),
-                                                                     expected_cycle)})
-            return 1
-        values = msg.get("values") or {}
-        missing = [k for k in SIGNATURE["inputs"] if k not in values]
-        if missing:
-            send({"type": "error", "message": "missing input(s): %s" % ", ".join(missing)})
-            return 1
-        send(session.cycle(values))
-        expected_cycle += 1
+        if msg.type != "set_inputs":
+            return fail("unexpected message type %r" % msg.type)
+        if msg.cycle != link.next_cycle:
+            return fail("cycle %r out of order, expected %d" % (msg.cycle, link.next_cycle))
+        values = msg.payload.get("values")
+        if not isinstance(values, dict):
+            return fail("set_inputs without a values object")
+        for decl in link.model.inputs:
+            if decl.name not in values:
+                return fail("missing input '%s'" % decl.name)
+            value = values[decl.name]
+            if type(value) is not int or value not in decl.domain():
+                return fail("input '%s' = %r is not an integer in its domain"
+                            % (decl.name, value))
+        obs = link.exchange({d.name: values[d.name] for d in link.model.inputs})
+        send({"type": "observation", "cycle": obs.cycle, "sys_time_ms": obs.sys_time_ms,
+              "outputs": obs.outputs, "state": obs.visible_state})
 
 
 def main(argv=None) -> int:

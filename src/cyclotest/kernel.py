@@ -2,18 +2,18 @@
 
 A kernel drives registered subsystems once per cycle in registration order,
 with the system time fixed at cycle start and constant for the whole cycle.
-With ``streaming`` and ``writable_sys_time`` (the default test
-configuration) the next cycle starts immediately and the system time is
-simulated, advancing by exactly one cycle period per cycle, which makes runs
-bit-for-bit reproducible.  Without streaming the kernel paces cycles against
-the wall clock and flags overruns.
+The system time is simulated: it advances by exactly one cycle period per
+cycle, which makes runs bit-for-bit reproducible.  With ``streaming`` (the
+default test configuration) the next cycle starts immediately; without it
+the kernel sleeps out the rest of each period and flags cycles that overran
+it.
 """
 from __future__ import annotations
 
 import json
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 
 class KernelError(Exception):
@@ -21,10 +21,6 @@ class KernelError(Exception):
 
 
 class DuplicateId(KernelError):
-    pass
-
-
-class OverrunError(KernelError):
     pass
 
 
@@ -39,8 +35,6 @@ class SubsystemPanic(KernelError):
 class KernelConfig:
     cycle_period_ms: int = 1000
     streaming: bool = True
-    writable_sys_time: bool = True
-    fail_on_overrun: bool = False
 
 
 @dataclass(frozen=True)
@@ -76,19 +70,9 @@ class Kernel:
         self._subsystems = []  # (id, step) in registration order
         self._ids = set()
         self._started = False
-        self._start_wall: Optional[float] = None
         self._sys_time_ms = 0
         self._cycle_index = 0
         self.records = []
-        self.overrun_any = False
-
-    @property
-    def subsystem_order(self) -> tuple:
-        return tuple(sid for sid, _ in self._subsystems)
-
-    @property
-    def sys_time_ms(self) -> int:
-        return self._sys_time_ms
 
     def register_subsystem(self, subsystem_id: str, step: Callable[[CycleContext], None]) -> None:
         if self._started:
@@ -98,18 +82,10 @@ class Kernel:
         self._ids.add(subsystem_id)
         self._subsystems.append((subsystem_id, step))
 
-    def set_streaming(self, on: bool) -> None:
-        self.config.streaming = on
-
     def run_cycle(self) -> CycleRecord:
-        if not self._started:
-            self._started = True
-            self._start_wall = self._monotonic()
+        self._started = True
         period = self.config.cycle_period_ms
-        if self.config.writable_sys_time:
-            self._sys_time_ms += period
-        else:
-            self._sys_time_ms = int((self._monotonic() - self._start_wall) * 1000)
+        self._sys_time_ms += period
         ctx = CycleContext(self._cycle_index, self._sys_time_ms)
 
         begin = self._monotonic()
@@ -121,13 +97,6 @@ class Kernel:
         exec_time_us = int((self._monotonic() - begin) * 1_000_000)
 
         overrun = (not self.config.streaming) and exec_time_us > period * 1000
-        if overrun:
-            self.overrun_any = True
-            if self.config.fail_on_overrun:
-                raise OverrunError(
-                    "cycle %d ran %d us against a %d ms period"
-                    % (ctx.cycle_index, exec_time_us, period)
-                )
         if not self.config.streaming:
             remainder = period / 1000.0 - (self._monotonic() - begin)
             if remainder > 0:

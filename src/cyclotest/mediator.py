@@ -119,6 +119,9 @@ class MediatorLink:
         self.model = model
         self.next_cycle = 0
         self.hello: dict = {}
+        self._last_sys_time_ms: Optional[int] = None
+        self._names = {"outputs": set(model.output_names()),
+                       "state": {d.name for d in model.readable_state()}}
 
     def exchange(self, inputs: Mapping) -> CycleObservation:
         raise NotImplementedError
@@ -131,12 +134,20 @@ class MediatorLink:
             raise ProtocolError(
                 "observation for cycle %s after set_inputs %d" % (cycle, self.next_cycle)
             )
-        if set(outputs) != set(self.model.output_names()):
-            raise ProtocolError("observation outputs %r do not match the model" % sorted(outputs))
-        readable = {d.name for d in self.model.readable_state()}
-        if set(state) != readable:
-            raise ProtocolError("observation state %r does not match the model" % sorted(state))
-        obs = CycleObservation(cycle, int(sys_time_ms), dict(outputs), dict(state))
+        if type(sys_time_ms) is not int:
+            raise ProtocolError("observation sys_time_ms %r is not an integer" % (sys_time_ms,))
+        if self._last_sys_time_ms is not None and sys_time_ms < self._last_sys_time_ms:
+            raise ProtocolError("system time went back from %d ms to %d ms"
+                                % (self._last_sys_time_ms, sys_time_ms))
+        for part, values in (("outputs", outputs), ("state", state)):
+            if not isinstance(values, dict) or values.keys() != self._names[part]:
+                raise ProtocolError("observation %s %r do not match the model" % (part, values))
+            for name, value in values.items():
+                if type(value) is not int:
+                    raise ProtocolError("observation %s '%s' = %r is not an integer"
+                                        % (part, name, value))
+        obs = CycleObservation(cycle, sys_time_ms, dict(outputs), dict(state))
+        self._last_sys_time_ms = sys_time_ms
         self.next_cycle += 1
         return obs
 
@@ -329,18 +340,16 @@ def step_predicates(spec_state, obs: CycleObservation, inputs: Mapping, strict: 
     return stepped, flags
 
 
-def sync_state(spec_state, obs: CycleObservation, inputs: Mapping, ast: ModelAst,
-               model_state_post: Mapping, strict: bool = False, stepped=None):
+def sync_state(spec_state, obs: CycleObservation, ast: ModelAst, model_state_post: Mapping,
+               stepped: tuple):
     """Synchronize the specification state after one exchange.
 
     Readable state variables are copied from the observation; hidden ones are
     taken from the model's computed post-state (assuming an error-free
     subject, their model representation is the reference value).  Predicate
-    states are stepped unless ``stepped`` carries the already-stepped
-    (states, flags) pair.
+    states and flags are the (states, flags) pair that
+    :func:`step_predicates` returned for this exchange.
     """
-    if stepped is None:
-        stepped = step_predicates(spec_state, obs, inputs, strict)
     predicate_states, flags = stepped
 
     readable = {d.name for d in ast.readable_state()}

@@ -1,4 +1,4 @@
-"""Coverage-targeted reduction of a model and the test-sequence shrinking kit.
+"""Coverage-targeted reduction of a model.
 
 The four-step derivation of generalized states: (1) one path condition per
 leaf (together they give branch coverage), (2) temporal conditions rewritten
@@ -10,26 +10,23 @@ states, piecemeal scenario skeletons, and enlargement of state partitions.
 from __future__ import annotations
 
 import itertools
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 from .dsl import (
     Const,
-    Decision,
     ExtractionResult,
     Expr,
     Held,
-    Leaf,
     ModelAst,
     Name,
     PredRef,
     eval_expr,
     free_vars,
+    leaf_paths,
     print_expr,
     walk_exprs as _walk,
-    walk_nodes,
 )
 from .interp import eval_model
 
@@ -93,19 +90,10 @@ class PathCondition:
 def enumerate_test_cases(ast: ModelAst) -> list:
     """One path condition per leaf, in pre-order; covering all of them covers
     every branch of the model."""
-    cases = []
-
-    def visit(node, factors):
-        if isinstance(node, Leaf):
-            cases.append(
-                PathCondition("case%d" % (len(cases) + 1), node.node_id, tuple(factors))
-            )
-            return
-        visit(node.then_branch, factors + [PathFactor(node.condition, True)])
-        visit(node.else_branch, factors + [PathFactor(node.condition, False)])
-
-    visit(ast.body, [])
-    return cases
+    return [
+        PathCondition("case%d" % i, leaf.node_id, tuple(PathFactor(*f) for f in factors))
+        for i, (leaf, factors) in enumerate(leaf_paths(ast), 1)
+    ]
 
 
 def rewrite_to_predicates(pc: PathCondition, extraction: ExtractionResult) -> PathCondition:
@@ -172,10 +160,6 @@ def project_to_state(pc: PathCondition, model: ModelAst) -> Projection:
         inputs,
         tuple(tuple(sorted(v.items())) for v in _input_valuations(model)) or ((),),
     )
-
-
-def _valuation_dicts(projection: Projection) -> list:
-    return [dict(v) for v in projection._valuations]
 
 
 # ---------------------------------------------------------------------------
@@ -363,14 +347,16 @@ class PiecemealPart:
     case_ids: tuple  # test cases inside the part
 
 
-def make_piecemeal(ast: ModelAst, parts: Sequence, target_criterion: Optional[str] = None) -> list:
+def make_piecemeal(ast: ModelAst, parts: Sequence) -> list:
     """Split a model into per-subtree scenario skeletons."""
-    if target_criterion == "mcc":
-        warnings.warn("multiple condition coverage is not decomposable across parts; "
-                      "piecemeal scenarios cannot guarantee it", stacklevel=2)
-    known = {n.node_id for n in _all_nodes(ast)}
+    # a node's id is its t/e path from the root, so the factors on the way to
+    # it are the first len(id) factors of any leaf path below it
+    prefixes = {}
+    for leaf, factors in leaf_paths(ast):
+        for k in range(len(leaf.node_id) + 1):
+            prefixes.setdefault(leaf.node_id[:k], factors[:k])
     for part in parts:
-        if part not in known:
+        if part not in prefixes:
             raise ReductionError("unknown node id %r" % part)
     for a, b in itertools.combinations(parts, 2):
         if a.startswith(b) or b.startswith(a):
@@ -388,7 +374,7 @@ def make_piecemeal(ast: ModelAst, parts: Sequence, target_criterion: Optional[st
 
     skeletons = []
     for part in parts:
-        prefix_factors = _path_prefix(ast, part)
+        prefix_factors = [PathFactor(*f) for f in prefixes[part]]
         input_factors = [f for f in prefix_factors if pinnable(f)]
         other_factors = [f for f in prefix_factors if not pinnable(f)]
         satisfying = [
@@ -411,17 +397,3 @@ def make_piecemeal(ast: ModelAst, parts: Sequence, target_criterion: Optional[st
         )
     return skeletons
 
-
-def _all_nodes(ast: ModelAst):
-    return walk_nodes(ast.body)
-
-
-def _path_prefix(ast: ModelAst, node_id: str) -> list:
-    factors = []
-    node = ast.body
-    for choice in node_id:
-        if not isinstance(node, Decision):
-            raise ReductionError("node id %r leaves the tree" % node_id)
-        factors.append(PathFactor(node.condition, choice == "t"))
-        node = node.then_branch if choice == "t" else node.else_branch
-    return factors

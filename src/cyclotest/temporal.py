@@ -29,11 +29,6 @@ class PredicateState:
     since_ms: Optional[int] = None
     last_step_ms: Optional[int] = None
 
-    def elapsed_ms(self, sys_time_ms: int) -> Optional[int]:
-        if self.since_ms is None:
-            return None
-        return sys_time_ms - self.since_ms
-
 
 def step_predicate(ps: PredicateState, holds: bool, sys_time_ms: int) -> PredicateState:
     """Advance one cycle: reset on a broken literal, latch the start time on

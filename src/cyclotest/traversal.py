@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .contracts import Verdict, VerdictKind
+from .contracts import Verdict
 
 
 class TraversalError(Exception):
@@ -103,8 +103,6 @@ class Scenario:
     name: str
     state_fn: Callable[[], object]
     functions: list
-    init: Optional[Callable[[], None]] = None
-    finalize: Optional[Callable[[], None]] = None
 
     def enabled_actions(self, state) -> list:
         actions = []
@@ -146,9 +144,6 @@ class TestLog:
             counts[e.verdict] = counts.get(e.verdict, 0) + 1
         return counts
 
-    def failures(self) -> list:
-        return [e for e in self.entries if e.verdict != VerdictKind.PASS.value]
-
     def to_json_lines(self) -> str:
         return "\n".join(e.to_json() for e in self.entries) + ("\n" if self.entries else "")
 
@@ -171,69 +166,62 @@ def _state_key(state) -> str:
     return repr(state)
 
 
-def traverse(scenario: Scenario, spec, budget: int = 10_000,
-             stop_on_failure: bool = True, rng=None):
+def traverse(scenario: Scenario, spec, budget: int = 10_000, rng=None):
     """Drive the subject until every reached state has no pending actions.
 
     ``spec`` needs only ``apply_stimulus(inputs) -> Verdict``.  Every applied
-    action, replayed or fresh, counts against ``budget``.  With
-    ``stop_on_failure`` the walk ends at the first non-passing verdict (the
-    synchronized specification state is unreliable afterwards).
+    action, replayed or fresh, counts against ``budget``.  The walk ends at
+    the first non-passing verdict, since the synchronized specification
+    state is unreliable afterwards.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
     log = TestLog(scenario.name)
     automaton = ExploredAutomaton()
-    if scenario.init is not None:
-        scenario.init()
-    try:
-        current = scenario.state_fn()
-        automaton.initial = current
-        _discover(automaton, scenario, current, rng)
-        applied = 0
+    current = scenario.state_fn()
+    automaton.initial = current
+    _discover(automaton, scenario, current, rng)
+    applied = 0
 
-        while True:
-            failure = None
-            if automaton.pending[current]:
+    while True:
+        if automaton.pending[current]:
+            applied += 1
+            if applied > budget:
+                raise BudgetExceeded(_budget_message(automaton, budget), log, automaton)
+            action = automaton.pending[current].pop(0)
+            end_state, failure = _apply(action, spec, scenario, log, current, replay=False)
+            if failure is not None:
+                break
+            _discover(automaton, scenario, end_state, rng)
+            recorded = automaton.transitions.get((current, action.label))
+            if recorded is not None and recorded[0] != end_state:
+                raise NondeterminismDetected(
+                    current, action.label, recorded[0], end_state, log, automaton
+                )
+            automaton.transitions[(current, action.label)] = (end_state, action)
+            current = end_state
+        else:
+            path = _path_to_pending(automaton, current)
+            if path is None:
+                stranded = automaton.pending_states()
+                if stranded:
+                    raise StrandedPendingActions(stranded, log, automaton)
+                return log, automaton  # every action applied in every reached state
+            for state, label, expected_end, action in path:
                 applied += 1
                 if applied > budget:
                     raise BudgetExceeded(_budget_message(automaton, budget), log, automaton)
-                action = automaton.pending[current].pop(0)
-                end_state, failure = _apply(action, spec, scenario, log, current, replay=False)
-                if failure is None or not stop_on_failure:
-                    _discover(automaton, scenario, end_state, rng)
-                    recorded = automaton.transitions.get((current, action.label))
-                    if recorded is not None and recorded[0] != end_state:
-                        raise NondeterminismDetected(
-                            current, action.label, recorded[0], end_state, log, automaton
-                        )
-                    automaton.transitions[(current, action.label)] = (end_state, action)
-                    current = end_state
-            else:
-                path = _path_to_pending(automaton, current)
-                if path is None:
-                    stranded = automaton.pending_states()
-                    if stranded:
-                        raise StrandedPendingActions(stranded, log, automaton)
-                    break  # every action applied in every reached state
-                for state, label, expected_end, action in path:
-                    applied += 1
-                    if applied > budget:
-                        raise BudgetExceeded(_budget_message(automaton, budget), log, automaton)
-                    observed, failure = _apply(action, spec, scenario, log, state, replay=True)
-                    if failure is not None and stop_on_failure:
-                        break
-                    if observed != expected_end:
-                        raise NondeterminismDetected(
-                            state, label, expected_end, observed, log, automaton
-                        )
-                    current = observed
-            if failure is not None and stop_on_failure:
-                log.outcome = "verdict_failure"
+                observed, failure = _apply(action, spec, scenario, log, state, replay=True)
+                if failure is not None:
+                    break
+                if observed != expected_end:
+                    raise NondeterminismDetected(
+                        state, label, expected_end, observed, log, automaton
+                    )
+                current = observed
+            if failure is not None:
                 break
-    finally:
-        if scenario.finalize is not None:
-            scenario.finalize()
+    log.outcome = "verdict_failure"
     return log, automaton
 
 

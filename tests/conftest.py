@@ -45,7 +45,7 @@ def desk_projections(desk_extraction):
 
 
 def desk_config(**overrides) -> RunConfig:
-    base = dict(model_path=MODEL_PATH, remap=dict(IRON_DESK_REMAP), deterministic=True)
+    base = dict(model_path=MODEL_PATH, remap=dict(IRON_DESK_REMAP))
     base.update(overrides)
     return RunConfig(**base)
 

@@ -304,7 +304,7 @@ def test_c08_mcdc_against_bruteforce(capsys):
 
 def test_c09_transport_equivalence(capsys):
     logs = {}
-    base = dict(model_path=MODEL_PATH, remap=dict(IRON_DESK_REMAP), deterministic=True)
+    base = dict(model_path=MODEL_PATH, remap=dict(IRON_DESK_REMAP))
     logs["inproc"] = run_campaign(RunConfig(**base)).log.to_json_lines()
 
     proc = subprocess.Popen(

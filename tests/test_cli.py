@@ -1,7 +1,14 @@
 import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 from conftest import MODEL_PATH
 
+import cyclotest
 from cyclotest.cli import main
 
 DESK = ["--remap-duration", "60s=3", "--remap-duration", "900s=5"]
@@ -131,12 +138,22 @@ class TestRun:
         assert json.loads(outputs[0])["coverage"]["branch"] == 1.0
 
 
-class TestDot:
-    def test_dot_to_stdout(self, capsys):
-        code, out, _ = _run(capsys, ["dot", "--model", MODEL_PATH] + DESK)
-        assert code == 0
-        assert out.startswith("digraph automaton {")
-        assert out.count("->") == 24
+class TestMisbehavingSubject:
+    @pytest.mark.parametrize("fault", ["no-time", "bad-output", "time-back"])
+    def test_stdio_fault_exit_3_without_traceback(self, fault):
+        fake = Path(__file__).resolve().parent / "fake_subject.py"
+        sut = "stdio:%s %s %s" % (shlex.quote(sys.executable), shlex.quote(str(fake)), fault)
+        src = str(Path(cyclotest.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cyclotest.cli", "run", "--model", MODEL_PATH, "--sut", sut,
+             "--json", "--deterministic"] + DESK,
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["verdicts"]["MediatorFailure"] == 1
 
 
 class TestTimeScale:

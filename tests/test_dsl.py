@@ -27,7 +27,7 @@ class TestParse:
         assert iron_ast.name == "iron"
         assert iron_ast.input_names() == ("move", "position")
         assert iron_ast.output_names() == ("heating",)
-        assert iron_ast.state_names() == ()
+        assert iron_ast.state_vars == ()
         assert len(iron_ast.decisions()) == 3
         assert len(iron_ast.leaves()) == 4
 

@@ -1,4 +1,6 @@
+import io
 import itertools
+import json
 import random
 
 import pytest
@@ -16,6 +18,7 @@ from cyclotest.iron import (
     make_mutant,
     make_sut,
 )
+from cyclotest.iron_sut import serve
 from oracles import WindowOracle
 
 PERIOD = 1000
@@ -143,3 +146,42 @@ class TestMutants:
         # ...and the inclusive implementation is distinguishable from it
         result = run_campaign(desk_config(strict_held=True))
         assert any(e.verdict != VerdictKind.PASS.value for e in result.log.entries)
+
+
+def _serve(*messages):
+    reader = io.BytesIO(b"".join((json.dumps(m) + "\n").encode() for m in messages))
+    writer = io.BytesIO()
+    code = serve(reader, writer, IronSut(DESK_DURATIONS_MS, PERIOD), PERIOD)
+    return code, writer.getvalue()
+
+
+class TestIronSutServe:
+    def test_session_bytes(self):
+        rest = {"move": 0, "position": 0}
+        code, out = _serve({"type": "set_inputs", "cycle": 0, "values": rest},
+                           {"type": "set_inputs", "cycle": 1, "values": dict(rest, extra=5)},
+                           {"type": "shutdown"})
+        assert code == 0
+        assert out.decode().splitlines() == [
+            '{"cycle_period_ms": 1000, "inputs": ["move", "position"], "model": "iron", '
+            '"outputs": ["heating"], "state": [], "type": "hello"}',
+            '{"cycle": 0, "outputs": {"heating": 1}, "state": {}, "sys_time_ms": 1000, '
+            '"type": "observation"}',
+            '{"cycle": 1, "outputs": {"heating": 1}, "state": {}, "sys_time_ms": 2000, '
+            '"type": "observation"}',
+        ]
+
+    @pytest.mark.parametrize("values", [
+        {"move": "x", "position": 0},
+        {"move": 2, "position": 0},
+        {"move": 0, "position": 1.0},
+        {"move": 0, "position": True},
+        {"move": 0, "position": None},
+        {"move": 0},
+    ], ids=["string", "out-of-domain", "float", "bool", "null", "missing"])
+    def test_bad_input_value_gets_error(self, values):
+        code, out = _serve({"type": "set_inputs", "cycle": 0, "values": values})
+        replies = [json.loads(line) for line in out.splitlines()]
+        assert code == 1
+        assert [r["type"] for r in replies] == ["hello", "error"]
+        assert "input" in replies[1]["message"]

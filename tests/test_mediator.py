@@ -1,9 +1,10 @@
 import json
+import re
 import sys
 
 import pytest
 
-from cyclotest.contracts import SpecificationState
+from cyclotest.contracts import Specification, SpecificationState, VerdictKind
 from cyclotest.dsl import extract_predicates, parse_model
 from cyclotest.iron import IronSut, DESK_DURATIONS_MS
 from cyclotest.kernel import KernelConfig
@@ -80,11 +81,24 @@ class TestInProcessLink:
         assert cycles == [0, 1, 2, 3, 4]
 
     def test_mediators_bracket_the_subject(self, iron_desk):
-        link = self._link(iron_desk)
-        order = link.kernel.subsystem_order
-        assert order[0] == "set-mediator"
-        assert order[-1] == "get-mediator"
-        assert "iron" in order
+        calls = []
+
+        class RecordingSut:
+            def step(self, inputs, sys_time_ms):
+                calls.append(("step", dict(inputs)))
+                return {"heating": len(calls)}
+
+            def visible_state(self):
+                calls.append(("read",))
+                return {}
+
+        link = InProcessLink(iron_desk, RecordingSut(), KernelConfig(cycle_period_ms=1000))
+        for move in (1, 0):
+            obs = link.exchange({"move": move, "position": 1})
+            # the subject steps on this exchange's inputs (set-mediator ran
+            # first), and the observation is read after the step (get-mediator)
+            assert calls[-2:] == [("step", {"move": move, "position": 1}), ("read",)]
+            assert obs.outputs == {"heating": len(calls) - 1}
 
 
 class ScriptedLink(_StreamLink):
@@ -142,6 +156,40 @@ class TestStreamProtocol:
         with pytest.raises(ProtocolError, match="outputs"):
             link.exchange({"move": 0, "position": 0})
 
+    @pytest.mark.parametrize("fields, reason", [
+        pytest.param({"outputs": {"heating": 1}}, "sys_time_ms None", id="no-time"),
+        pytest.param({"sys_time_ms": "1000", "outputs": {"heating": 1}}, "sys_time_ms '1000'",
+                     id="string-time"),
+        pytest.param({"sys_time_ms": 1000.5, "outputs": {"heating": 1}}, "sys_time_ms 1000.5",
+                     id="float-time"),
+        pytest.param({"sys_time_ms": 1000, "outputs": {"heating": "x"}}, "'heating' = 'x'",
+                     id="string-output"),
+        pytest.param({"sys_time_ms": 1000, "outputs": {"heating": True}}, "'heating' = True",
+                     id="bool-output"),
+        pytest.param({"sys_time_ms": 1000, "outputs": ["heating"]}, r"outputs \['heating'\]",
+                     id="outputs-not-object"),
+    ])
+    def test_malformed_observation_is_mediator_failure(self, iron_extraction, fields, reason):
+        model = iron_extraction.model
+        obs = dict({"type": "observation", "cycle": 0, "state": {}}, **fields)
+        link = ScriptedLink(model, [_hello_line(model), (json.dumps(obs) + "\n").encode()])
+        verdict = Specification(iron_extraction, link).apply_stimulus({"move": 0, "position": 0})
+        assert verdict.kind is VerdictKind.MEDIATOR_FAILURE
+        assert re.search(reason, verdict.detail)
+        assert "\n" not in verdict.detail
+
+    def test_system_time_going_back_is_protocol_error(self, iron_ast):
+        lines = [_hello_line(iron_ast)]
+        for cycle, sys_time_ms in ((0, 2000), (1, 2000), (2, 1000)):
+            obs = {"type": "observation", "cycle": cycle, "sys_time_ms": sys_time_ms,
+                   "outputs": {"heating": 1}, "state": {}}
+            lines.append((json.dumps(obs) + "\n").encode())
+        link = ScriptedLink(iron_ast, lines)
+        link.exchange({"move": 0, "position": 0})
+        link.exchange({"move": 0, "position": 0})  # an unchanged time is allowed
+        with pytest.raises(ProtocolError, match="went back from 2000 ms to 1000 ms"):
+            link.exchange({"move": 0, "position": 0})
+
 
 STATEFUL_SRC = """
 model gauge {
@@ -175,7 +223,8 @@ class TestSyncState:
         model = iron_extraction.model
         state = self._state(iron_extraction, model)
         obs = CycleObservation(0, 1000, {"heating": 1}, {})
-        new = sync_state(state, obs, {"move": 0, "position": 0}, model, {})
+        stepped = step_predicates(state, obs, {"move": 0, "position": 0})
+        new = sync_state(state, obs, model, {}, stepped)
         assert new.state_vars == {}
         assert new.predicate_states["move_eq_f_t1"].since_ms == 1000
         assert new.predicate_states["position_eq_t_t2"].since_ms is None
@@ -186,7 +235,8 @@ class TestSyncState:
         ex = extract_predicates(ast)
         state = self._state(ex, ex.model)
         obs = CycleObservation(0, 1000, {"level_out": 1}, {"level": 3})
-        new = sync_state(state, obs, {"tick": 1}, ex.model, {"level": 1, "armed": 1})
+        stepped = step_predicates(state, obs, {"tick": 1})
+        new = sync_state(state, obs, ex.model, {"level": 1, "armed": 1}, stepped)
         assert new.state_vars["armed"] == 1  # hidden: model value
         assert new.state_vars["level"] == 3  # readable: observation wins
 
@@ -195,17 +245,19 @@ class TestSyncState:
         ex = extract_predicates(ast)
         state = self._state(ex, ex.model)
         obs = CycleObservation(0, 1000, {"level_out": 1}, {})
+        stepped = step_predicates(state, obs, {"tick": 1})
         with pytest.raises(UnknownStateVar):
-            sync_state(state, obs, {"tick": 1}, ex.model, {"level": 1, "armed": 1})
+            sync_state(state, obs, ex.model, {"level": 1, "armed": 1}, stepped)
 
     def test_predicates_step_at_observed_time(self, iron_extraction):
         model = iron_extraction.model
         state = self._state(iron_extraction, model)
         obs = CycleObservation(0, 123_456, {"heating": 1}, {})
-        _, flags = step_predicates(state, obs, {"move": 0, "position": 1})
-        new = sync_state(state, obs, {"move": 0, "position": 1}, model, {})
+        stepped = step_predicates(state, obs, {"move": 0, "position": 1})
+        new = sync_state(state, obs, model, {}, stepped)
         assert new.predicate_states["position_eq_t_t2"].since_ms == 123_456
-        assert new.flags == flags
+        assert new.flags == stepped[1]
+        assert new.sys_time_ms == 123_456
 
 
 class TestStdioTransport:

@@ -236,10 +236,6 @@ class TestPiecemeal:
         with pytest.raises(Exception, match="unknown node id"):
             make_piecemeal(iron_ast, ["x"])
 
-    def test_mcc_target_warns(self, iron_ast):
-        with pytest.warns(UserWarning, match="not decomposable"):
-            make_piecemeal(iron_ast, ["t", "e"], target_criterion="mcc")
-
     def test_temporal_prefix_reported_as_establish_goal(self, iron_ast):
         part = make_piecemeal(iron_ast, ["tt"])[0]
         assert part.pinned == {"position": 1}
