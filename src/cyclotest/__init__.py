@@ -43,7 +43,7 @@ from .reduction import (
     project_to_state,
     rewrite_to_predicates,
 )
-from .temporal import PredicateState, compute_time_flags, is_satisfied, step_predicate
+from .temporal import HoldTable
 from .traversal import (
     BudgetExceeded,
     ExploredAutomaton,

@@ -33,6 +33,7 @@ from .reduction import (
     derive_projections,
     enumerate_reachable_flag_states,
     enumerate_test_cases,
+    generalized_state,
     make_piecemeal,
     rewrite_to_predicates,
 )
@@ -150,6 +151,8 @@ def build_link(model, extraction, config: RunConfig, period_ms: int):
             raise CliError("in-process iron needs a model with two distinct durations",
                            EXIT_PARSE)
         if mutant:
+            if mutant not in iron.MUTANT_IDS:
+                raise CliError("unknown iron mutant %r" % mutant, EXIT_PARSE)
             sut = iron.make_mutant(mutant, tuple(durations), period_ms)
         else:
             sut = iron.make_sut(tuple(durations), period_ms)
@@ -157,6 +160,8 @@ def build_link(model, extraction, config: RunConfig, period_ms: int):
     try:
         if kind == "tcp":
             host, _, port = rest.rpartition(":")
+            if not port.isdigit():
+                raise CliError("bad TCP port in %r" % spec_str, EXIT_PARSE)
             return TcpLink(model, host, int(port), config.timeout_s)
         if kind == "stdio":
             return StdioLink(model, shlex.split(rest), config.timeout_s)
@@ -343,8 +348,6 @@ def cmd_reduce(args) -> int:
     for state_vars, vec in reach.states:
         env = dict(state_vars)
         env.update(zip(reach.predicate_ids, vec))
-        from .reduction import generalized_state
-
         member = generalized_state(env, projections)
         cells.setdefault(member, []).append(
             (dict(state_vars), vec, sorted(coverable_cases(env, rewritten, extraction.model)))
@@ -389,30 +392,40 @@ def cmd_reduce(args) -> int:
 # Argument plumbing
 
 
-def _parse_duration(text: str) -> int:
-    if text.endswith("ms"):
-        return int(text[:-2])
-    if text.endswith("s"):
-        return int(text[:-1]) * 1000
-    return int(text)
+# argparse converters: argparse turns a ValueError into a one-line
+# "invalid <converter> value" error and exit 2
 
 
-def _parse_remap(pairs) -> dict:
-    remap = {}
-    for pair in pairs or ():
-        left, _, right = pair.partition("=")
-        remap[_parse_duration(left)] = int(right)
-    return remap
+def duration_cycles(text: str) -> tuple:
+    duration, _, cycles = text.partition("=")
+    if duration.endswith("ms"):
+        duration_ms = int(duration[:-2])
+    elif duration.endswith("s"):
+        duration_ms = int(duration[:-1]) * 1000
+    else:
+        duration_ms = int(duration)
+    return duration_ms, int(cycles)
 
 
-def _parse_required(pairs) -> tuple:
-    out = []
-    for pair in pairs or ():
-        criterion, _, ratio = pair.partition("=")
-        if criterion not in CRITERIA:
-            raise SystemExit("unknown coverage criterion %r" % criterion)
-        out.append((criterion, float(ratio)))
-    return tuple(out)
+def criterion_ratio(text: str) -> tuple:
+    criterion, _, ratio = text.partition("=")
+    if criterion not in CRITERIA:
+        raise argparse.ArgumentTypeError("unknown coverage criterion %r" % criterion)
+    return criterion, float(ratio)
+
+
+def fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(text) from exc
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise ValueError(text)
+    return value
 
 
 def _config_from_args(args) -> RunConfig:
@@ -423,13 +436,13 @@ def _config_from_args(args) -> RunConfig:
         parts=tuple(getattr(args, "parts", ()) or ()),
         cycle_period_ms=args.period_ms,
         streaming=not getattr(args, "no_streaming", False),
-        time_scale=Fraction(getattr(args, "time_scale", "1")),
-        remap=_parse_remap(getattr(args, "remap_duration", ())),
+        time_scale=args.time_scale,
+        remap=dict(args.remap_duration or ()),
         budget=getattr(args, "budget", 10_000),
         seed=getattr(args, "seed", None),
-        strict_held=getattr(args, "strict_held", False),
+        strict_held=args.strict_held,
         timeout_s=getattr(args, "timeout", 5.0),
-        required=_parse_required(getattr(args, "require", ())),
+        required=tuple(getattr(args, "require", None) or ()),
         jobs=getattr(args, "jobs", 1),
     )
 
@@ -437,9 +450,10 @@ def _config_from_args(args) -> RunConfig:
 def _add_model_options(sub) -> None:
     sub.add_argument("--model", required=True, help="path to the .ctl model")
     sub.add_argument("--period-ms", type=int, default=1000, help="cycle period in ms")
-    sub.add_argument("--time-scale", default="1",
+    sub.add_argument("--time-scale", type=fraction, default="1",
                      help="uniform rational scale for durations and period, e.g. 1/10")
-    sub.add_argument("--remap-duration", action="append", metavar="DUR=CYCLES",
+    sub.add_argument("--remap-duration", type=duration_cycles, action="append",
+                     metavar="DUR=CYCLES",
                      help="map one held() duration to a cycle count, e.g. 60s=3")
     sub.add_argument("--strict-held", action="store_true",
                      help="temporal predicates fire strictly after their duration")
@@ -460,12 +474,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scenario", default="full",
                      help="full | piecemeal | piece:<node-id>")
     run.add_argument("--parts", nargs="*", help="piecemeal part node ids (default: t e)")
-    run.add_argument("--budget", type=int, default=10_000, help="max test actions")
+    run.add_argument("--budget", type=positive_int, default=10_000, help="max test actions")
     run.add_argument("--seed", type=int, help="shuffle action order (default: declaration order)")
     run.add_argument("--no-streaming", action="store_true",
                      help="pace cycles against the wall clock")
     run.add_argument("--timeout", type=float, default=5.0, help="per-exchange timeout, seconds")
-    run.add_argument("--require", action="append", metavar="CRITERION=RATIO",
+    run.add_argument("--require", type=criterion_ratio, action="append",
+                     metavar="CRITERION=RATIO",
                      help="fail with exit 5 below this coverage, e.g. branch=1.0")
     run.add_argument("--deterministic", action="store_true",
                      help="omit timestamps so reports are byte-identical")

@@ -10,7 +10,7 @@ reference values.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Optional, Union
 
 from . import mediator, temporal
@@ -68,19 +68,13 @@ class Verdict:
 @dataclass
 class SpecificationState:
     state_vars: dict
-    predicate_states: dict
+    holds: tuple  # hold record of the specification's temporal.HoldTable
     flags: dict
     sys_time_ms: Optional[int] = None
     observation: Optional[CycleObservation] = None
 
     def copy(self) -> "SpecificationState":
-        return SpecificationState(
-            dict(self.state_vars),
-            dict(self.predicate_states),
-            dict(self.flags),
-            self.sys_time_ms,
-            self.observation,
-        )
+        return replace(self, state_vars=dict(self.state_vars), flags=dict(self.flags))
 
     def env(self) -> dict:
         """State variables and time flags in one namespace (flags as 0/1)."""
@@ -123,14 +117,13 @@ class Specification:
         self.model: ModelAst = extraction.model
         self.link = link
         self.precondition = precondition
-        self.strict_held = strict_held
+        self.hold_table = temporal.HoldTable(extraction.predicates, strict_held)
         self._invariants: dict = {}
         self.coverage = CoverageReport.for_model(self.model)
-        states = temporal.initial_states(extraction.predicates)
         self.state = SpecificationState(
             state_vars=self.model.initial_state(),
-            predicate_states=states,
-            flags={pid: False for pid in states},
+            holds=self.hold_table.initial,
+            flags=self.hold_table.flags(self.hold_table.initial),
         )
 
     # invariants ------------------------------------------------------------
@@ -183,7 +176,7 @@ class Specification:
         except MediatorError as exc:
             return Verdict(VerdictKind.MEDIATOR_FAILURE, str(exc), self.link.next_cycle)
 
-        stepped = mediator.step_predicates(pre, obs, inputs, self.strict_held)
+        stepped = mediator.step_predicates(self.hold_table, pre, obs, inputs)
         ref_outputs, ref_post, trace = eval_model(self.model, inputs, pre.state_vars, stepped[1])
         self.coverage.accumulate(trace)
         self.state = mediator.sync_state(pre, obs, self.model, ref_post, stepped)

@@ -12,7 +12,7 @@ import json
 import socket
 import sys
 
-from .iron import DESK_DURATIONS_MS, FULL_DURATIONS_MS, IronSut, MUTANT_IDS, iron_model
+from .iron import FULL_DURATIONS_MS, IronSut, MUTANT_IDS, iron_model
 from .kernel import KernelConfig
 from .mediator import InProcessLink, ProtocolError, WireMessage
 
@@ -57,27 +57,24 @@ def serve(reader, writer, sut: IronSut, period_ms: int) -> int:
               "outputs": obs.outputs, "state": obs.visible_state})
 
 
+def duration_pair(text: str) -> tuple:
+    """``SHORT_MS,LONG_MS``; argparse reports a ValueError as a usage error."""
+    short, long_ = text.split(",")
+    return int(short), int(long_)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="iron-sut",
                                      description="iron shut-off subject (NDJSON protocol)")
     parser.add_argument("--mutant", choices=MUTANT_IDS, help="serve a seeded fault")
     parser.add_argument("--listen", metavar="tcp:HOST:PORT",
                         help="serve one TCP connection instead of stdio")
-    parser.add_argument("--stdio", action="store_true", help="serve on stdin/stdout (default)")
     parser.add_argument("--period-ms", type=int, default=1000)
-    parser.add_argument("--desk-scale", action="store_true",
-                        help="3/5-cycle durations instead of 60 s/900 s")
-    parser.add_argument("--durations", metavar="SHORT_MS,LONG_MS",
-                        help="explicit condition durations in ms")
+    parser.add_argument("--durations", type=duration_pair, default=FULL_DURATIONS_MS,
+                        metavar="SHORT_MS,LONG_MS",
+                        help="condition durations in ms (default: 60 s and 900 s)")
     args = parser.parse_args(argv)
-
-    durations = FULL_DURATIONS_MS
-    if args.desk_scale:
-        durations = DESK_DURATIONS_MS
-    if args.durations:
-        short, long_ = args.durations.split(",")
-        durations = (int(short), int(long_))
-    sut = IronSut(durations, args.period_ms, mutant=args.mutant)
+    sut = IronSut(args.durations, args.period_ms, mutant=args.mutant)
 
     if args.listen:
         kind, _, addr = args.listen.partition(":")

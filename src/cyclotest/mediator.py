@@ -27,7 +27,7 @@ from typing import Mapping, Optional
 
 from . import temporal
 from .dsl import ModelAst
-from .kernel import Kernel, KernelConfig
+from .kernel import Kernel, KernelConfig, SubsystemPanic
 
 
 class MediatorError(Exception):
@@ -185,7 +185,10 @@ class InProcessLink(MediatorLink):
 
     def exchange(self, inputs: Mapping) -> CycleObservation:
         self._staged = {k: int(v) for k, v in inputs.items()}
-        self.kernel.run_cycle()
+        try:
+            self.kernel.run_cycle()
+        except SubsystemPanic as exc:
+            raise MediatorError(str(exc)) from exc
         obs = self._captured
         return self._check_observation(obs.cycle, obs.sys_time_ms, obs.outputs, obs.visible_state)
 
@@ -296,8 +299,7 @@ class StdioLink(_StreamLink):
             self._handshake()
         except MediatorError:
             self.proc.kill()
-            self.proc.wait()
-            self._selector.close()
+            self._release()
             raise
 
     def _send(self, message: WireMessage) -> None:
@@ -314,6 +316,10 @@ class StdioLink(_StreamLink):
 
     def close(self) -> None:
         self._send_shutdown()
+        self._release()
+
+    def _release(self) -> None:
+        """Close both pipes and reap the child, killing it if it lingers."""
         try:
             self.proc.stdin.close()
         except OSError:
@@ -322,22 +328,26 @@ class StdioLink(_StreamLink):
             self.proc.wait(timeout=self.timeout_s)
         except subprocess.TimeoutExpired:
             self.proc.kill()
+            self.proc.wait()
         self._selector.close()
+        self.proc.stdout.close()
 
 
 # ---------------------------------------------------------------------------
 # Specification-state synchronization
 
 
-def step_predicates(spec_state, obs: CycleObservation, inputs: Mapping, strict: bool = False):
-    """Step every predicate with this cycle's literal values (inputs plus the
-    pre-cycle state) at the system time the subject saw; returns the new
-    predicate states and the cycle's time flags."""
+def step_predicates(table: temporal.HoldTable, spec_state, obs: CycleObservation,
+                    inputs: Mapping):
+    """Step the hold record with this cycle's literal values (inputs plus the
+    pre-cycle state) by the system time elapsed since the previous
+    observation (0 on the first cycle); returns the new record and the
+    cycle's time flags."""
     env = dict(spec_state.state_vars)
-    env.update({k: int(v) for k, v in inputs.items()})
-    stepped = temporal.step_all(spec_state.predicate_states, env, obs.sys_time_ms)
-    flags = temporal.compute_time_flags(stepped, obs.sys_time_ms, strict)
-    return stepped, flags
+    env.update(inputs)
+    last = spec_state.sys_time_ms
+    holds = table.step(spec_state.holds, env, 0 if last is None else obs.sys_time_ms - last)
+    return holds, table.flags(holds)
 
 
 def sync_state(spec_state, obs: CycleObservation, ast: ModelAst, model_state_post: Mapping,
@@ -346,11 +356,11 @@ def sync_state(spec_state, obs: CycleObservation, ast: ModelAst, model_state_pos
 
     Readable state variables are copied from the observation; hidden ones are
     taken from the model's computed post-state (assuming an error-free
-    subject, their model representation is the reference value).  Predicate
-    states and flags are the (states, flags) pair that
-    :func:`step_predicates` returned for this exchange.
+    subject, their model representation is the reference value).  The hold
+    record and flags are the pair that :func:`step_predicates` returned for
+    this exchange.
     """
-    predicate_states, flags = stepped
+    holds, flags = stepped
 
     readable = {d.name for d in ast.readable_state()}
     for name in obs.visible_state:
@@ -369,7 +379,7 @@ def sync_state(spec_state, obs: CycleObservation, ast: ModelAst, model_state_pos
 
     return type(spec_state)(
         state_vars=state_vars,
-        predicate_states=predicate_states,
+        holds=holds,
         flags=flags,
         sys_time_ms=obs.sys_time_ms,
         observation=obs,

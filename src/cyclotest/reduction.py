@@ -29,6 +29,7 @@ from .dsl import (
     walk_exprs as _walk,
 )
 from .interp import eval_model
+from .temporal import HoldTable
 
 
 class ReductionError(Exception):
@@ -200,58 +201,24 @@ def enumerate_reachable_flag_states(extraction: ExtractionResult, cycle_period_m
     """Breadth-first reachability over the temporal-predicate transition
     system under all input sequences.
 
-    Predicates sharing a literal share one hold counter; counters cap at the
-    largest threshold in their group, which keeps the space finite without
-    changing any flag.
+    A node is the state variables plus the hold record of a
+    :class:`~.temporal.HoldTable`, stepped by one cycle period per cycle.
     """
     model = extraction.model
-    preds = extraction.predicates
-    period = cycle_period_ms
-
-    groups: list = []  # (var, expected, cap)
-    group_of = {}
-    thresholds = []
-    for p in preds:
-        n = -(-p.duration_ms // period)  # ceil; satisfied when counter >= n
-        key = (p.var, p.expected)
-        if key not in group_of:
-            group_of[key] = len(groups)
-            groups.append([p.var, p.expected, n])
-        else:
-            groups[group_of[key]][2] = max(groups[group_of[key]][2], n)
-        thresholds.append(n)
-
-    def flags_of(counters) -> tuple:
-        out = []
-        for p, n in zip(preds, thresholds):
-            c = counters[group_of[(p.var, p.expected)]]
-            if c is None:
-                out.append(0)
-            elif strict:
-                out.append(1 if c > n else 0)
-            else:
-                out.append(1 if c >= n else 0)
-        return tuple(out)
-
+    table = HoldTable(extraction.predicates, strict)
     init_vars = tuple(sorted(model.initial_state().items()))
-    init_counters = tuple(None for _ in groups)
-    initial = (init_vars, init_counters)
+    initial = (init_vars, table.initial)
 
     valuations = _input_valuations(model)
-    seen = {initial}
     frontier = deque([initial])
-    vectors: list = []
-    vector_set = set()
-    witnesses: dict = {}
+    witnesses: dict = {}  # vector -> trail, in discovery order
     state_pairs = set()
-    parents = {initial: None}
+    parents = {initial: None}  # every node seen, with its BFS parent
 
-    def record(state, counters):
-        vec = flags_of(counters)
+    def record(state, flags):
+        vec = tuple(map(int, flags.values()))
         state_pairs.add((state[0], vec))
-        if vec not in vector_set:
-            vector_set.add(vec)
-            vectors.append(vec)
+        if vec not in witnesses:
             trail = []
             node = state
             while parents[node] is not None:
@@ -259,33 +226,26 @@ def enumerate_reachable_flag_states(extraction: ExtractionResult, cycle_period_m
                 trail.append(inputs)
             witnesses[vec] = list(reversed(trail))
 
-    record(initial, init_counters)
+    record(initial, table.flags(table.initial))
     while frontier:
         state = frontier.popleft()
-        state_vars, counters = state
+        state_vars, holds = state
         for inputs in valuations:
             env = dict(state_vars)
             env.update(inputs)
-            stepped = []
-            for (var, expected, cap), c in zip(groups, counters):
-                if int(env[var]) == expected:
-                    stepped.append(0 if c is None else min(c + 1, cap))
-                else:
-                    stepped.append(None)
-            stepped = tuple(stepped)
-            flags = dict(zip((p.id for p in preds), flags_of(stepped)))
+            stepped = table.step(holds, env, cycle_period_ms)
+            flags = table.flags(stepped)
             _, state_post, _ = eval_model(model, inputs, dict(state_vars), flags)
             nxt = (tuple(sorted(state_post.items())), stepped)
-            if nxt not in seen:
-                seen.add(nxt)
+            if nxt not in parents:
                 parents[nxt] = (state, dict(inputs))
-                record(nxt, stepped)
+                record(nxt, flags)
                 frontier.append(nxt)
 
     return ReachabilityReport(
-        tuple(p.id for p in preds),
-        2 ** len(preds),
-        tuple(vectors),
+        table.predicate_ids,
+        2 ** len(table.predicate_ids),
+        tuple(witnesses),
         witnesses,
         tuple(sorted(state_pairs)),
     )

@@ -2,13 +2,21 @@
 
 A predicate ``(var == expected, T)`` is satisfied at a cycle when the literal
 has held continuously and the system time elapsed since the first holding
-cycle reaches ``T``.  Tracking state is immutable; each step returns a new
-record.
+cycle reaches ``T`` (inclusive; strictly exceeds ``T`` under strict
+semantics).
+
+A :class:`HoldTable` fixes the layout of a hold record for one set of
+predicates: a plain tuple with one entry per distinct literal, so predicates
+sharing a literal share one entry.  An entry is ``None`` while the literal
+does not hold, else the milliseconds since its first holding cycle, capped at
+the literal's largest duration (plus 1 ms under strict), which keeps the
+record space finite without changing any flag.  The contract oracle steps a
+table by the system time the subject saw; the reachability search steps the
+same table by one cycle period.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, Sequence
 
 from .dsl import TemporalPredicateDecl
 
@@ -17,66 +25,33 @@ class TimeRegression(Exception):
     """System time moved backwards between successive predicate steps."""
 
 
-@dataclass(frozen=True)
-class PredicateState:
-    """Per-predicate tracking record.
+class HoldTable:
+    def __init__(self, predicates: Sequence[TemporalPredicateDecl], strict: bool = False):
+        # on whole milliseconds, "held > T" is "held >= T + 1"
+        need = [p.duration_ms + int(strict) for p in predicates]
+        caps: dict = {}  # (var, expected) -> largest need among its predicates
+        for p, n in zip(predicates, need):
+            key = (p.var, p.expected)
+            caps[key] = max(caps.get(key, 0), n)
+        index = {key: i for i, key in enumerate(caps)}
+        self.predicate_ids = tuple(p.id for p in predicates)
+        self._literals = tuple((var, expected, cap) for (var, expected), cap in caps.items())
+        self._thresholds = tuple((p.id, index[(p.var, p.expected)], n)
+                                 for p, n in zip(predicates, need))
+        self.initial = (None,) * len(caps)
 
-    ``since_ms`` is the system time at which the literal began to hold, or
-    ``None`` while it does not hold.
-    """
+    def step(self, record: tuple, env: Mapping, elapsed_ms: int) -> tuple:
+        """Advance one cycle ``elapsed_ms`` after the previous one: reset a
+        broken literal, start a fresh hold at 0, extend a persisting one."""
+        if elapsed_ms < 0:
+            raise TimeRegression("predicates stepped %d ms back in time" % -elapsed_ms)
+        return tuple([
+            None if env[var] != expected
+            else 0 if held is None
+            else min(held + elapsed_ms, cap)
+            for (var, expected, cap), held in zip(self._literals, record)
+        ])
 
-    predicate: TemporalPredicateDecl
-    since_ms: Optional[int] = None
-    last_step_ms: Optional[int] = None
-
-
-def step_predicate(ps: PredicateState, holds: bool, sys_time_ms: int) -> PredicateState:
-    """Advance one cycle: reset on a broken literal, latch the start time on
-    a fresh hold, keep it while the hold persists."""
-    if ps.last_step_ms is not None and sys_time_ms < ps.last_step_ms:
-        raise TimeRegression(
-            "predicate %s stepped at %d ms after %d ms"
-            % (ps.predicate.id, sys_time_ms, ps.last_step_ms)
-        )
-    if not holds:
-        since = None
-    elif ps.since_ms is None:
-        since = sys_time_ms
-    else:
-        since = ps.since_ms
-    return PredicateState(ps.predicate, since, sys_time_ms)
-
-
-def is_satisfied(ps: PredicateState, sys_time_ms: int, strict: bool = False) -> bool:
-    """True when the literal has held for the predicate's duration.
-
-    The comparison is inclusive (fires on the boundary cycle) unless
-    ``strict`` is set.
-    """
-    if ps.since_ms is None:
-        return False
-    elapsed = sys_time_ms - ps.since_ms
-    if strict:
-        return elapsed > ps.predicate.duration_ms
-    return elapsed >= ps.predicate.duration_ms
-
-
-def literal_holds(pred: TemporalPredicateDecl, env: Mapping) -> bool:
-    return int(env[pred.var]) == pred.expected
-
-
-def initial_states(predicates) -> dict:
-    return {p.id: PredicateState(p) for p in predicates}
-
-
-def step_all(states: Mapping, env: Mapping, sys_time_ms: int) -> dict:
-    """Step every predicate with the literal values drawn from ``env``."""
-    return {
-        pid: step_predicate(ps, literal_holds(ps.predicate, env), sys_time_ms)
-        for pid, ps in states.items()
-    }
-
-
-def compute_time_flags(states: Mapping, sys_time_ms: int, strict: bool = False) -> dict:
-    """Per-predicate satisfaction map for the current cycle."""
-    return {pid: is_satisfied(ps, sys_time_ms, strict) for pid, ps in states.items()}
+    def flags(self, record: tuple) -> dict:
+        """Per-predicate satisfaction of a record."""
+        return {pid: record[i] is not None and record[i] >= n for pid, i, n in self._thresholds}

@@ -20,16 +20,24 @@ def cycles_for(duration_ms: int, period_ms: int) -> int:
     return -(-duration_ms // period_ms)
 
 
+def window_size(duration_ms: int, period_ms: int, strict: bool = False) -> int:
+    """Holding samples a predicate needs: k samples span (k-1)*P ms, which
+    must reach D, or exceed it when strict."""
+    if strict:
+        return duration_ms // period_ms + 2
+    return cycles_for(duration_ms, period_ms) + 1
+
+
 class WindowOracle:
     """Temporal predicates by brute force: a predicate with duration D at
     period P is satisfied exactly when the literal held in each of the last
-    ceil(D/P)+1 samples (the first holding cycle contributes zero elapsed
-    time)."""
+    ceil(D/P)+1 samples, or floor(D/P)+2 when ``strict`` (the first holding
+    cycle contributes zero elapsed time)."""
 
-    def __init__(self, predicates, period_ms: int):
+    def __init__(self, predicates, period_ms: int, strict: bool = False):
         self.period_ms = period_ms
         self.preds = list(predicates)
-        self.need = {p.id: cycles_for(p.duration_ms, period_ms) + 1 for p in self.preds}
+        self.need = {p.id: window_size(p.duration_ms, period_ms, strict) for p in self.preds}
         self.history = {p.id: deque(maxlen=self.need[p.id]) for p in self.preds}
 
     def step(self, env) -> dict:
@@ -45,6 +53,38 @@ class WindowOracle:
 
     def state_key(self) -> tuple:
         return tuple(tuple(self.history[p.id]) for p in self.preds)
+
+
+def reachable_flag_vectors(extraction, period_ms: int, strict: bool = False) -> set:
+    """Every flag vector some input sequence reaches, by breadth-first search
+    over state variables and the window of recent literal samples of each
+    predicate, kept no longer than that predicate needs."""
+    from cyclotest.interp import eval_model
+    from cyclotest.reduction import _input_valuations
+
+    model = extraction.model
+    preds = extraction.predicates
+    need = [window_size(p.duration_ms, period_ms, strict) for p in preds]
+
+    def flags_of(windows) -> tuple:
+        return tuple(int(len(w) == n and all(w)) for w, n in zip(windows, need))
+
+    initial = (tuple(sorted(model.initial_state().items())), tuple(() for _ in preds))
+    seen = {initial}
+    frontier = deque([initial])
+    while frontier:
+        state_vars, windows = frontier.popleft()
+        for inputs in _input_valuations(model):
+            env = dict(state_vars, **inputs)
+            stepped = tuple((w + (int(env[p.var]) == p.expected,))[-n:]
+                            for w, p, n in zip(windows, preds, need))
+            flags = dict(zip((p.id for p in preds), flags_of(stepped)))
+            _, post, _ = eval_model(model, inputs, dict(state_vars), flags)
+            node = (tuple(sorted(post.items())), stepped)
+            if node not in seen:
+                seen.add(node)
+                frontier.append(node)
+    return {flags_of(windows) for _, windows in seen}
 
 
 class CompoundWindowOracle:

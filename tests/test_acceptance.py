@@ -27,7 +27,7 @@ from cyclotest.reduction import (
     generalized_state,
     rewrite_to_predicates,
 )
-from cyclotest.temporal import compute_time_flags, initial_states, step_all
+from cyclotest.temporal import HoldTable
 from cyclotest.traversal import NondeterminismDetected, traverse
 from oracles import (
     ExplicitSystem,
@@ -212,11 +212,9 @@ def test_c07_temporal_semantics_exhaustive(desk_extraction, capsys):
     exactly without replaying each one.
     """
     preds = desk_extraction.predicates
+    table = HoldTable(preds)
     need = {p.id: cycles_for(p.duration_ms, PERIOD) + 1 for p in preds}
     combos = [{"move": m, "position": p} for m in (0, 1) for p in (0, 1)]
-
-    def real_key(states):
-        return tuple(states[p.id].since_ms for p in preds)
 
     def window_advance(hists, env):
         new = {}
@@ -229,20 +227,19 @@ def test_c07_temporal_semantics_exhaustive(desk_extraction, capsys):
         return new, flags
 
     init_hists = {p.id: () for p in preds}
-    configs = {(real_key(initial_states(preds)), tuple(sorted(init_hists.items()))):
-               (initial_states(preds), init_hists, 1)}
+    configs = {(table.initial, tuple(sorted(init_hists.items()))):
+               (table.initial, init_hists, 1)}
     checked = 0
     for depth in range(1, 13):
-        t = depth * PERIOD
         nxt = {}
         for real, hists, count in configs.values():
             for inputs in combos:
-                stepped = step_all(real, inputs, t)
-                flags_real = compute_time_flags(stepped, t)
+                stepped = table.step(real, inputs, PERIOD)
+                flags_real = table.flags(stepped)
                 hists2, flags_oracle = window_advance(hists, inputs)
                 assert flags_real == flags_oracle, (depth, inputs)
                 checked += 1
-                key = (real_key(stepped), tuple(sorted(hists2.items())))
+                key = (stepped, tuple(sorted(hists2.items())))
                 if key in nxt:
                     nxt[key] = (stepped, hists2, nxt[key][2] + count)
                 else:

@@ -138,22 +138,55 @@ class TestRun:
         assert json.loads(outputs[0])["coverage"]["branch"] == 1.0
 
 
+def _subprocess(module, argv):
+    """Run ``python -m module argv`` on this checkout's sources."""
+    src = str(Path(cyclotest.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", module] + argv,
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 class TestMisbehavingSubject:
     @pytest.mark.parametrize("fault", ["no-time", "bad-output", "time-back"])
     def test_stdio_fault_exit_3_without_traceback(self, fault):
         fake = Path(__file__).resolve().parent / "fake_subject.py"
         sut = "stdio:%s %s %s" % (shlex.quote(sys.executable), shlex.quote(str(fake)), fault)
-        src = str(Path(cyclotest.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run(
-            [sys.executable, "-m", "cyclotest.cli", "run", "--model", MODEL_PATH, "--sut", sut,
-             "--json", "--deterministic"] + DESK,
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = _subprocess("cyclotest.cli", ["run", "--model", MODEL_PATH, "--sut", sut,
+                                             "--json", "--deterministic"] + DESK)
         assert proc.returncode == 3, proc.stderr
         assert "Traceback" not in proc.stderr
         assert json.loads(proc.stdout)["verdicts"]["MediatorFailure"] == 1
+
+    def test_raising_inproc_subject_exit_3(self, capsys, monkeypatch):
+        class Raising:
+            def step(self, inputs, sys_time_ms):
+                raise RuntimeError("actuator fault")
+
+        monkeypatch.setattr(cyclotest.iron, "make_sut", lambda *args: Raising())
+        code, out, _ = _run(capsys, ["run", "--model", MODEL_PATH, "--json",
+                                     "--deterministic"] + DESK)
+        assert code == 3
+        assert json.loads(out)["verdicts"] == {"MediatorFailure": 1}
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize("module, argv", [
+        ("cyclotest.cli", ["--remap-duration", "60x=3"]),
+        ("cyclotest.cli", ["--require", "branch=abc"]),
+        ("cyclotest.cli", ["--time-scale", "abc"]),
+        ("cyclotest.cli", ["--sut", "tcp:127.0.0.1:notaport"]),
+        ("cyclotest.cli", ["--sut", "inproc:iron:M9"]),
+        ("cyclotest.cli", ["--budget", "0"]),
+        ("cyclotest.iron_sut", ["--durations", "3,x"]),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v.split(".")[-1])
+    def test_exit_2_without_traceback(self, module, argv):
+        if module == "cyclotest.cli":
+            argv = ["run", "--model", MODEL_PATH] + argv
+        proc = _subprocess(module, argv)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "error" in proc.stderr.splitlines()[-1]
 
 
 class TestTimeScale:

@@ -75,10 +75,12 @@ class TestApplyStimulus:
         spec.apply_stimulus({"move": 0, "position": 1})
         snapshot = spec.state.copy()
         before_vars = dict(snapshot.state_vars)
-        before_preds = dict(snapshot.predicate_states)
+        before_holds, before_flags = snapshot.holds, dict(snapshot.flags)
         spec.apply_stimulus({"move": 1, "position": 0})
+        assert spec.state.holds != before_holds
         assert snapshot.state_vars == before_vars
-        assert snapshot.predicate_states == before_preds
+        assert snapshot.holds == before_holds
+        assert snapshot.flags == before_flags
 
     def test_disconnect_becomes_mediator_failure(self, desk_extraction):
         spec = _spec(desk_extraction)

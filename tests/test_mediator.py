@@ -22,7 +22,7 @@ from cyclotest.mediator import (
     sync_state,
     validate_hello,
 )
-from cyclotest.temporal import initial_states
+from cyclotest.temporal import HoldTable
 
 
 class TestWireFormat:
@@ -211,31 +211,46 @@ model gauge {
 """
 
 
+class TestRaisingSubject:
+    def test_panic_is_mediator_failure(self, desk_extraction, iron_desk):
+        class Raising:
+            def step(self, inputs, sys_time_ms):
+                raise RuntimeError("actuator fault")
+
+        spec = Specification(desk_extraction, InProcessLink(iron_desk, Raising()))
+        verdict = spec.apply_stimulus({"move": 0, "position": 0})
+        assert verdict.kind is VerdictKind.MEDIATOR_FAILURE
+        assert verdict.detail == "subsystem 'iron' failed: actuator fault"
+
+
 class TestSyncState:
-    def _state(self, extraction, model):
+    def _state(self, table, model, sys_time_ms=None):
         return SpecificationState(
             state_vars=model.initial_state(),
-            predicate_states=initial_states(extraction.predicates),
-            flags={p.id: False for p in extraction.predicates},
+            holds=table.initial,
+            flags=table.flags(table.initial),
+            sys_time_ms=sys_time_ms,
         )
 
     def test_iron_only_predicates_updated(self, iron_extraction):
+        # hold entries: !move, !position, position
         model = iron_extraction.model
-        state = self._state(iron_extraction, model)
+        table = HoldTable(iron_extraction.predicates)
+        state = self._state(table, model)
         obs = CycleObservation(0, 1000, {"heating": 1}, {})
-        stepped = step_predicates(state, obs, {"move": 0, "position": 0})
+        stepped = step_predicates(table, state, obs, {"move": 0, "position": 0})
         new = sync_state(state, obs, model, {}, stepped)
         assert new.state_vars == {}
-        assert new.predicate_states["move_eq_f_t1"].since_ms == 1000
-        assert new.predicate_states["position_eq_t_t2"].since_ms is None
+        assert new.holds == (0, 0, None)
         assert new.flags["move_eq_f_t1"] is False
 
     def test_hidden_var_from_model_post_readable_from_observation(self):
         ast = parse_model(STATEFUL_SRC)
         ex = extract_predicates(ast)
-        state = self._state(ex, ex.model)
+        table = HoldTable(ex.predicates)
+        state = self._state(table, ex.model)
         obs = CycleObservation(0, 1000, {"level_out": 1}, {"level": 3})
-        stepped = step_predicates(state, obs, {"tick": 1})
+        stepped = step_predicates(table, state, obs, {"tick": 1})
         new = sync_state(state, obs, ex.model, {"level": 1, "armed": 1}, stepped)
         assert new.state_vars["armed"] == 1  # hidden: model value
         assert new.state_vars["level"] == 3  # readable: observation wins
@@ -243,19 +258,24 @@ class TestSyncState:
     def test_missing_readable_var_rejected(self):
         ast = parse_model(STATEFUL_SRC)
         ex = extract_predicates(ast)
-        state = self._state(ex, ex.model)
+        table = HoldTable(ex.predicates)
+        state = self._state(table, ex.model)
         obs = CycleObservation(0, 1000, {"level_out": 1}, {})
-        stepped = step_predicates(state, obs, {"tick": 1})
+        stepped = step_predicates(table, state, obs, {"tick": 1})
         with pytest.raises(UnknownStateVar):
             sync_state(state, obs, ex.model, {"level": 1, "armed": 1}, stepped)
 
     def test_predicates_step_at_observed_time(self, iron_extraction):
+        # the hold advances by the system time elapsed since the last
+        # observation, whatever the nominal period
         model = iron_extraction.model
-        state = self._state(iron_extraction, model)
+        table = HoldTable(iron_extraction.predicates)
+        state = self._state(table, model, sys_time_ms=100_000)
+        state.holds = (0, None, 0)
         obs = CycleObservation(0, 123_456, {"heating": 1}, {})
-        stepped = step_predicates(state, obs, {"move": 0, "position": 1})
+        stepped = step_predicates(table, state, obs, {"move": 0, "position": 1})
         new = sync_state(state, obs, model, {}, stepped)
-        assert new.predicate_states["position_eq_t_t2"].since_ms == 123_456
+        assert new.holds == (23_456, None, 23_456)
         assert new.flags == stepped[1]
         assert new.sys_time_ms == 123_456
 
@@ -267,6 +287,29 @@ class TestStdioTransport:
         with pytest.raises(ExchangeTimeout):
             StdioLink(iron_desk, [sys.executable, "-c", "import time; time.sleep(30)"],
                       timeout_s=0.3)
+
+    def test_pipes_closed_after_close_and_failed_handshake(self, iron_desk, monkeypatch):
+        import subprocess
+
+        from cyclotest.mediator import ExchangeTimeout, StdioLink
+
+        children = []
+
+        def popen(*args, **kwargs):
+            children.append(real_popen(*args, **kwargs))
+            return children[-1]
+
+        real_popen = subprocess.Popen
+        monkeypatch.setattr(subprocess, "Popen", popen)
+        with pytest.raises(ExchangeTimeout):
+            StdioLink(iron_desk, [sys.executable, "-c", "import time; time.sleep(30)"],
+                      timeout_s=0.3)
+        StdioLink(iron_desk, [sys.executable, "-m", "cyclotest.iron_sut"],
+                  timeout_s=10.0).close()
+        assert len(children) == 2
+        for child in children:
+            assert child.stdin.closed and child.stdout.closed
+            assert child.returncode is not None
 
     def test_short_session_against_real_subject(self, iron_desk):
         from cyclotest.mediator import StdioLink

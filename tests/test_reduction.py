@@ -15,8 +15,27 @@ from cyclotest.reduction import (
     project_to_state,
     rewrite_to_predicates,
 )
+from cyclotest.temporal import HoldTable
+from oracles import WindowOracle, reachable_flag_vectors
 
 FLAG_IDS = ("move_eq_f_t1", "position_eq_f_t1", "move_eq_f_t2", "position_eq_t_t2")
+
+
+# three literals, one shared by two predicates, and an int input
+TWO_INPUTS = """
+model two {
+  input a: bool;
+  input b: int 0..2;
+  output o: int 0..3;
+  logic {
+    if (held(a && b == 2, 1500ms)) { o = 1; } else {
+      if (held(!a, 2s)) { o = 2; } else {
+        if (held(b == 2, 2500ms)) { o = 3; } else { o = 0; }
+      }
+    }
+  }
+}
+"""
 
 
 def _env(bits):
@@ -139,17 +158,31 @@ class TestReachability:
         assert set(report.vectors) == expected
 
     def test_witnesses_replay_to_their_vectors(self, desk_extraction):
-        from cyclotest.temporal import compute_time_flags, initial_states, step_all
-
+        # replayed as the contract oracle steps the table (0 ms on the first
+        # cycle) and through the window oracle
+        table = HoldTable(desk_extraction.predicates)
         report = enumerate_reachable_flag_states(desk_extraction, 1000)
         for vector in report.vectors:
-            states = initial_states(desk_extraction.predicates)
-            t = 0
-            for inputs in report.witnesses[vector]:
-                t += 1000
-                states = step_all(states, inputs, t)
-            flags = compute_time_flags(states, t)
+            record, oracle = table.initial, WindowOracle(desk_extraction.predicates, 1000)
+            window = oracle.flags()
+            for i, inputs in enumerate(report.witnesses[vector]):
+                record = table.step(record, inputs, 1000 if i else 0)
+                window = oracle.step(inputs)
+            flags = table.flags(record)
             assert tuple(int(flags[p]) for p in report.predicate_ids) == vector
+            assert flags == window
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("model, period", [
+        pytest.param("iron", 1000, id="iron-1000ms"),
+        pytest.param(TWO_INPUTS, 1000, id="two-1000ms"),
+        pytest.param(TWO_INPUTS, 700, id="two-700ms"),
+    ])
+    def test_vectors_match_bruteforce_windows(self, desk_extraction, model, period, strict):
+        extraction = desk_extraction if model == "iron" else extract_predicates(parse_model(model))
+        report = enumerate_reachable_flag_states(extraction, period, strict)
+        assert len(set(report.vectors)) == len(report.vectors)
+        assert set(report.vectors) == reachable_flag_vectors(extraction, period, strict)
 
     def test_single_predicate_two_states(self):
         ast = parse_model(

@@ -3,43 +3,40 @@ import random
 import pytest
 
 from cyclotest.dsl import TemporalPredicateDecl
-from cyclotest.temporal import (
-    PredicateState,
-    TimeRegression,
-    compute_time_flags,
-    initial_states,
-    is_satisfied,
-    step_all,
-    step_predicate,
-)
+from cyclotest.temporal import HoldTable, TimeRegression
 from oracles import WindowOracle
 
 MOVE_60 = TemporalPredicateDecl("move_eq_f_t1", "move", 0, 60_000)
+MOVE = HoldTable([MOVE_60])
+STILL, MOVING = {"move": 0}, {"move": 1}
 
 
 class TestStepPredicate:
     def test_idle_stays_idle(self):
-        ps = step_predicate(PredicateState(MOVE_60), holds=False, sys_time_ms=5000)
-        assert ps.since_ms is None
+        assert MOVE.step(MOVE.initial, MOVING, 0) == (None,)
 
     def test_fresh_hold_latches_start_time(self):
-        ps = step_predicate(PredicateState(MOVE_60), holds=True, sys_time_ms=5000)
-        assert ps.since_ms == 5000
+        assert MOVE.step(MOVE.initial, STILL, 5000) == (0,)
 
     def test_persisting_hold_keeps_start_time(self):
-        ps = PredicateState(MOVE_60, since_ms=5000, last_step_ms=5000)
-        ps = step_predicate(ps, holds=True, sys_time_ms=6000)
-        assert ps.since_ms == 5000
+        assert MOVE.step((0,), STILL, 1000) == (1000,)
 
     def test_break_resets(self):
-        ps = PredicateState(MOVE_60, since_ms=5000, last_step_ms=5000)
-        ps = step_predicate(ps, holds=False, sys_time_ms=6000)
-        assert ps.since_ms is None
+        assert MOVE.step((1000,), MOVING, 1000) == (None,)
 
     def test_time_regression_rejected(self):
-        ps = step_predicate(PredicateState(MOVE_60), holds=True, sys_time_ms=5000)
         with pytest.raises(TimeRegression):
-            step_predicate(ps, holds=True, sys_time_ms=4000)
+            MOVE.step((0,), STILL, -1000)
+
+    def test_hold_caps_at_longest_duration(self):
+        assert MOVE.step((59_500,), STILL, 1000) == (60_000,)
+        assert HoldTable([MOVE_60], strict=True).step((59_500,), STILL, 1000) == (60_001,)
+
+    def test_predicates_sharing_a_literal_share_an_entry(self, iron_extraction):
+        # four predicates over three literals: !move, !position, position
+        table = HoldTable(iron_extraction.predicates)
+        assert len(table.initial) == 3
+        assert table.step(table.initial, {"move": 0, "position": 1}, 0) == (0, None, 0)
 
 
 class TestIsSatisfied:
@@ -47,36 +44,33 @@ class TestIsSatisfied:
         # hold !move from sys_time 0 at a 1 s period; the window oracle gives
         # the reference satisfaction per cycle
         oracle = WindowOracle([MOVE_60], 1000)
-        ps = PredicateState(MOVE_60)
+        record = MOVE.initial
         for cycle in range(65):
-            t = cycle * 1000
-            ps = step_predicate(ps, holds=True, sys_time_ms=t)
-            expected = oracle.step({"move": 0})["move_eq_f_t1"]
-            assert is_satisfied(ps, t) == expected
-        assert ps.since_ms == 0
+            record = MOVE.step(record, STILL, 0 if cycle == 0 else 1000)
+            expected = oracle.step(STILL)["move_eq_f_t1"]
+            assert MOVE.flags(record)["move_eq_f_t1"] == expected
+        assert record == (60_000,)
 
     def test_inclusive_threshold(self):
-        ps = PredicateState(MOVE_60, since_ms=0, last_step_ms=60_000)
-        assert is_satisfied(ps, 60_000) is True
-        assert is_satisfied(ps, 59_999) is False
+        assert MOVE.flags((60_000,)) == {"move_eq_f_t1": True}
+        assert MOVE.flags((59_999,)) == {"move_eq_f_t1": False}
 
     def test_strict_variant(self):
-        ps = PredicateState(MOVE_60, since_ms=0, last_step_ms=60_000)
-        assert is_satisfied(ps, 60_000, strict=True) is False
-        assert is_satisfied(ps, 61_000, strict=True) is True
+        strict = HoldTable([MOVE_60], strict=True)
+        assert strict.flags((60_000,)) == {"move_eq_f_t1": False}
+        assert strict.flags(strict.step((60_000,), STILL, 1000)) == {"move_eq_f_t1": True}
 
     def test_absent_never_satisfied(self):
-        assert is_satisfied(PredicateState(MOVE_60), 10**9) is False
+        assert MOVE.flags((None,)) == {"move_eq_f_t1": False}
 
 
 class TestTimeFlags:
     def _run(self, extraction, seq, period=1000):
-        states = initial_states(extraction.predicates)
-        t = 0
-        for inputs in seq:
-            t += period
-            states = step_all(states, inputs, t)
-        return compute_time_flags(states, t)
+        table = HoldTable(extraction.predicates)
+        record = table.initial
+        for i, inputs in enumerate(seq):
+            record = table.step(record, inputs, period if i else 0)
+        return table.flags(record)
 
     def test_first_cycle_all_false(self, iron_extraction):
         flags = self._run(iron_extraction, [{"move": 0, "position": 0}])
@@ -113,14 +107,13 @@ class TestProperties:
                 {"move": rng.randint(0, 1), "position": rng.randint(0, 1)}
                 for _ in range(rng.randint(1, 40))
             ]
-            states = initial_states(desk_extraction.predicates)
+            table = HoldTable(desk_extraction.predicates)
+            record = table.initial
             oracle = WindowOracle(desk_extraction.predicates, 1000)
             history = {p.id: [] for p in desk_extraction.predicates}
-            t = 0
-            for inputs in seq:
-                t += 1000
-                states = step_all(states, inputs, t)
-                flags = compute_time_flags(states, t)
+            for i, inputs in enumerate(seq):
+                record = table.step(record, inputs, 1000 if i else 0)
+                flags = table.flags(record)
                 assert flags == oracle.step(inputs)
                 for pid, value in flags.items():
                     history[pid].append(value)
@@ -144,11 +137,10 @@ class TestProperties:
         assert short.duration_ms <= long_.duration_ms
         for _ in range(200):
             seq = [{"move": rng.randint(0, 1), "position": 0} for _ in range(rng.randint(1, 30))]
-            states = initial_states(desk_extraction.predicates)
-            t = 0
+            table = HoldTable(desk_extraction.predicates)
+            record = table.initial
             for inputs in seq:
-                t += 1000
-                states = step_all(states, inputs, t)
-                flags = compute_time_flags(states, t)
+                record = table.step(record, inputs, 1000)
+                flags = table.flags(record)
                 if flags["move_eq_f_t2"]:
                     assert flags["move_eq_f_t1"]
