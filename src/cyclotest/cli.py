@@ -428,6 +428,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise ValueError(text)
+    return value
+
+
 def _config_from_args(args) -> RunConfig:
     return RunConfig(
         model_path=args.model,
@@ -478,7 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, help="shuffle action order (default: declaration order)")
     run.add_argument("--no-streaming", action="store_true",
                      help="pace cycles against the wall clock")
-    run.add_argument("--timeout", type=float, default=5.0, help="per-exchange timeout, seconds")
+    run.add_argument("--timeout", type=positive_float, default=5.0,
+                     help="per-exchange timeout, seconds")
     run.add_argument("--require", type=criterion_ratio, action="append",
                      metavar="CRITERION=RATIO",
                      help="fail with exit 5 below this coverage, e.g. branch=1.0")

@@ -150,15 +150,15 @@ class Specification:
     # stimulus --------------------------------------------------------------
 
     def check_precondition(self, inputs: Mapping) -> Optional[str]:
-        declared = {d.name: d for d in self.model.inputs}
-        extra = set(inputs) - set(declared)
+        extra = set(inputs).difference(self.model.input_names)
         if extra:
             return "undeclared input(s): %s" % ", ".join(sorted(extra))
-        for name, decl in declared.items():
+        domains = self.model.domains
+        for name in self.model.input_names:
             if name not in inputs:
                 return "missing input '%s'" % name
             value = int(inputs[name])
-            if value not in decl.domain():
+            if value not in domains[name]:
                 return "input '%s' = %d outside its domain" % (name, value)
         if self.precondition is not None and not self.precondition(self.state, inputs):
             return "scenario precondition rejected the call"
@@ -179,7 +179,7 @@ class Specification:
         stepped = mediator.step_predicates(self.hold_table, pre, obs, inputs)
         ref_outputs, ref_post, trace = eval_model(self.model, inputs, pre.state_vars, stepped[1])
         self.coverage.accumulate(trace)
-        self.state = mediator.sync_state(pre, obs, self.model, ref_post, stepped)
+        self.state = mediator.sync_state(pre, obs, ref_post, stepped)
 
         ctx = InvariantContext(self.state, inputs, dict(obs.outputs), obs)
         for name, check in self._invariants.items():
@@ -189,14 +189,12 @@ class Specification:
                                trace=trace, observation=obs)
 
         mismatches = []
-        for name in self.model.output_names():
-            expected, actual = int(ref_outputs[name]), int(obs.outputs[name])
-            if expected != actual:
-                mismatches.append(Mismatch(name, expected, actual))
-        for decl in self.model.readable_state():
-            expected, actual = int(ref_post[decl.name]), int(obs.visible_state[decl.name])
-            if expected != actual:
-                mismatches.append(Mismatch(decl.name, expected, actual))
+        for name in self.model.output_names:
+            if ref_outputs[name] != obs.outputs[name]:
+                mismatches.append(Mismatch(name, ref_outputs[name], obs.outputs[name]))
+        for name in self.model.readable_names:
+            if ref_post[name] != obs.visible_state[name]:
+                mismatches.append(Mismatch(name, ref_post[name], obs.visible_state[name]))
         if mismatches:
             detail = "; ".join(
                 "%s: expected %d, actual %d" % (m.name, m.expected, m.actual) for m in mismatches

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .dsl import ModelAst, condition_atoms
+from .dsl import ModelAst
 from .interp import DecisionTrace
 
 CRITERIA = ("branch", "decision", "condition", "mcdc")
@@ -35,7 +35,7 @@ class CoverageReport:
     def for_model(ast: ModelAst) -> "CoverageReport":
         report = CoverageReport(ast.name)
         for dec in ast.decisions():
-            report.decisions[dec.node_id] = [a for a, _ in condition_atoms(dec.condition)]
+            report.decisions[dec.node_id] = [a for a, _ in dec.atoms]
             report.outcomes_seen[dec.node_id] = set()
             report.vectors_seen[dec.node_id] = {}
         return report

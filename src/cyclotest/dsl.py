@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Mapping, Optional, Union
 
 
@@ -136,12 +137,20 @@ class Decision:
     line: int = field(default=0, compare=False)
     col: int = field(default=0, compare=False)
 
+    @cached_property
+    def atoms(self) -> tuple:
+        """``(atom id, atom)`` pairs of the condition, see :func:`condition_atoms`."""
+        return tuple(condition_atoms(self.condition))
+
 
 Node = Union[Leaf, Decision]
 
 
 @dataclass(frozen=True)
 class ModelAst:
+    """A model.  The cached properties are derived on first use and stored
+    on the instance; they are not fields, so equality and hashing ignore them."""
+
     name: str
     inputs: tuple
     outputs: tuple
@@ -151,14 +160,30 @@ class ModelAst:
     def decls(self) -> dict:
         return {d.name: d for d in self.inputs + self.outputs + self.state_vars}
 
+    @cached_property
     def input_names(self) -> tuple:
         return tuple(d.name for d in self.inputs)
 
+    @cached_property
     def output_names(self) -> tuple:
         return tuple(d.name for d in self.outputs)
 
-    def readable_state(self) -> tuple:
-        return tuple(d for d in self.state_vars if d.visibility == "readable")
+    @cached_property
+    def readable_names(self) -> tuple:
+        return tuple(d.name for d in self.state_vars if d.visibility == "readable")
+
+    @cached_property
+    def domains(self) -> dict:
+        """Declared values of every input, output and state variable."""
+        return {name: decl.domain() for name, decl in self.decls().items()}
+
+    @cached_property
+    def input_valuations(self) -> tuple:
+        """Every input valuation as a dict, in ``itertools.product`` order
+        over the input domains.  Shared: callers must not mutate them."""
+        names = self.input_names
+        return tuple(dict(zip(names, values))
+                     for values in itertools.product(*(self.domains[n] for n in names)))
 
     def initial_state(self) -> dict:
         return {d.name: d.init for d in self.state_vars}
@@ -489,7 +514,7 @@ def _validate(ast: ModelAst) -> None:
                 decl.line,
                 decl.col,
             )
-    inputs = set(ast.input_names())
+    inputs = set(ast.input_names)
     assigned = set()
     for node in walk_nodes(ast.body):
         if isinstance(node, Decision):
@@ -502,7 +527,7 @@ def _validate(ast: ModelAst) -> None:
                     raise SemanticError("cannot assign to input '%s'" % a.target, a.line, a.col)
                 _check_refs(a.value, seen, in_condition=False)
                 assigned.add(a.target)
-    for out in ast.output_names():
+    for out in ast.output_names:
         if out not in assigned:
             raise SemanticError("output never assigned: '%s'" % out)
 
@@ -708,7 +733,7 @@ def check_model(ast: ModelAst) -> list:
     decls = ast.decls()
     for leaf in ast.leaves():
         assigned = {a.target for a in leaf.assigns}
-        for out in ast.output_names():
+        for out in ast.output_names:
             if out not in assigned:
                 diags.append(
                     Diagnostic(

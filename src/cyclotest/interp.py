@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .dsl import Decision, ModelAst, condition_atoms, eval_expr
+from .dsl import Decision, ModelAst, eval_expr
 
 
 class MissingBinding(Exception):
@@ -38,9 +38,9 @@ class DecisionTrace:
 
 def eval_model(ast: ModelAst, inputs: Mapping, state_pre: Mapping, time_flags: Mapping):
     """Evaluate the rewritten model; returns (outputs, state_post, trace)."""
-    for decl in ast.inputs:
-        if decl.name not in inputs:
-            raise MissingBinding("input '%s' not supplied" % decl.name)
+    for name in ast.input_names:
+        if name not in inputs:
+            raise MissingBinding("input '%s' not supplied" % name)
     for decl in ast.state_vars:
         if decl.name not in state_pre:
             raise MissingBinding("state variable '%s' not supplied" % decl.name)
@@ -50,11 +50,10 @@ def eval_model(ast: ModelAst, inputs: Mapping, state_pre: Mapping, time_flags: M
     records = []
     node = ast.body
     while isinstance(node, Decision):
-        vector = []
-        for atom_id, atom in condition_atoms(node.condition):
-            vector.append((atom_id, bool(_eval(atom, env, time_flags))))
+        vector = tuple([(atom_id, bool(_eval(atom, env, time_flags)))
+                        for atom_id, atom in node.atoms])
         outcome = bool(_eval(node.condition, env, time_flags))
-        records.append(DecisionRecord(node.node_id, outcome, tuple(vector)))
+        records.append(DecisionRecord(node.node_id, outcome, vector))
         node = node.then_branch if outcome else node.else_branch
 
     outputs = {}
@@ -65,7 +64,7 @@ def eval_model(ast: ModelAst, inputs: Mapping, state_pre: Mapping, time_flags: M
             state_post[assign.target] = value
         else:
             outputs[assign.target] = value
-    for name in ast.output_names():
+    for name in ast.output_names:
         if name not in outputs:
             raise EvalError("leaf '%s' left output '%s' unassigned" % (node.node_id, name))
     trace = DecisionTrace(ast.name, tuple(records), node.node_id)

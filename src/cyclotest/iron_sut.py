@@ -45,14 +45,13 @@ def serve(reader, writer, sut: IronSut, period_ms: int) -> int:
         values = msg.payload.get("values")
         if not isinstance(values, dict):
             return fail("set_inputs without a values object")
-        for decl in link.model.inputs:
-            if decl.name not in values:
-                return fail("missing input '%s'" % decl.name)
-            value = values[decl.name]
-            if type(value) is not int or value not in decl.domain():
-                return fail("input '%s' = %r is not an integer in its domain"
-                            % (decl.name, value))
-        obs = link.exchange({d.name: values[d.name] for d in link.model.inputs})
+        for name in link.model.input_names:
+            if name not in values:
+                return fail("missing input '%s'" % name)
+            value = values[name]
+            if type(value) is not int or value not in link.model.domains[name]:
+                return fail("input '%s' = %r is not an integer in its domain" % (name, value))
+        obs = link.exchange({name: values[name] for name in link.model.input_names})
         send({"type": "observation", "cycle": obs.cycle, "sys_time_ms": obs.sys_time_ms,
               "outputs": obs.outputs, "state": obs.visible_state})
 
@@ -63,11 +62,20 @@ def duration_pair(text: str) -> tuple:
     return int(short), int(long_)
 
 
+def tcp_address(text: str) -> tuple:
+    """``tcp:HOST:PORT`` as ``(host, port)``; a ValueError is a usage error."""
+    kind, _, address = text.partition(":")
+    host, _, port = address.rpartition(":")
+    if kind != "tcp" or not 0 <= int(port) <= 65535:
+        raise ValueError(text)
+    return host, int(port)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="iron-sut",
                                      description="iron shut-off subject (NDJSON protocol)")
     parser.add_argument("--mutant", choices=MUTANT_IDS, help="serve a seeded fault")
-    parser.add_argument("--listen", metavar="tcp:HOST:PORT",
+    parser.add_argument("--listen", type=tcp_address, metavar="tcp:HOST:PORT",
                         help="serve one TCP connection instead of stdio")
     parser.add_argument("--period-ms", type=int, default=1000)
     parser.add_argument("--durations", type=duration_pair, default=FULL_DURATIONS_MS,
@@ -77,11 +85,7 @@ def main(argv=None) -> int:
     sut = IronSut(args.durations, args.period_ms, mutant=args.mutant)
 
     if args.listen:
-        kind, _, addr = args.listen.partition(":")
-        if kind != "tcp":
-            parser.error("--listen expects tcp:HOST:PORT")
-        host, _, port = addr.rpartition(":")
-        server = socket.create_server((host, int(port)))
+        server = socket.create_server(args.listen)
         host, port = server.getsockname()[:2]
         print("listening on %s:%d" % (host, port), flush=True)
         conn, _ = server.accept()

@@ -23,7 +23,9 @@ import selectors
 import socket
 import subprocess
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Mapping, Optional
+from weakref import proxy
 
 from . import temporal
 from .dsl import ModelAst
@@ -47,10 +49,6 @@ class ExchangeTimeout(MediatorError):
 
 
 class Disconnect(MediatorError):
-    pass
-
-
-class UnknownStateVar(MediatorError):
     pass
 
 
@@ -95,9 +93,9 @@ def hello_for_model(model: ModelAst, cycle_period_ms: int) -> dict:
     return {
         "type": "hello",
         "model": model.name,
-        "inputs": list(model.input_names()),
-        "outputs": list(model.output_names()),
-        "state": [d.name for d in model.readable_state()],
+        "inputs": list(model.input_names),
+        "outputs": list(model.output_names),
+        "state": list(model.readable_names),
         "cycle_period_ms": cycle_period_ms,
     }
 
@@ -113,15 +111,15 @@ def validate_hello(hello: dict, model: ModelAst) -> None:
 
 
 class MediatorLink:
-    """Shared per-cycle bookkeeping: alternation, payload validation."""
+    """Shared per-cycle bookkeeping: alternation, payload validation.  An
+    observation is checked here once; later stages trust it."""
 
     def __init__(self, model: ModelAst):
         self.model = model
         self.next_cycle = 0
         self.hello: dict = {}
         self._last_sys_time_ms: Optional[int] = None
-        self._names = {"outputs": set(model.output_names()),
-                       "state": {d.name for d in model.readable_state()}}
+        self._names = {"outputs": set(model.output_names), "state": set(model.readable_names)}
 
     def exchange(self, inputs: Mapping) -> CycleObservation:
         raise NotImplementedError
@@ -139,12 +137,16 @@ class MediatorLink:
         if self._last_sys_time_ms is not None and sys_time_ms < self._last_sys_time_ms:
             raise ProtocolError("system time went back from %d ms to %d ms"
                                 % (self._last_sys_time_ms, sys_time_ms))
+        domains = self.model.domains
         for part, values in (("outputs", outputs), ("state", state)):
             if not isinstance(values, dict) or values.keys() != self._names[part]:
                 raise ProtocolError("observation %s %r do not match the model" % (part, values))
             for name, value in values.items():
                 if type(value) is not int:
                     raise ProtocolError("observation %s '%s' = %r is not an integer"
+                                        % (part, name, value))
+                if value not in domains[name]:
+                    raise ProtocolError("observation %s '%s' = %d is outside its domain"
                                         % (part, name, value))
         obs = CycleObservation(cycle, sys_time_ms, dict(outputs), dict(state))
         self._last_sys_time_ms = sys_time_ms
@@ -153,35 +155,23 @@ class MediatorLink:
 
 
 class InProcessLink(MediatorLink):
-    """Run the subject inside a local kernel: set-mediator writes the staged
-    inputs before the subject's step, get-mediator reads everything after."""
+    """Run the subject inside a local kernel, as its one subsystem: each cycle
+    steps the subject on the staged inputs, then reads its outputs and state."""
 
     def __init__(self, model: ModelAst, sut, config: Optional[KernelConfig] = None):
         super().__init__(model)
         self.sut = sut
         self.kernel = Kernel(config or KernelConfig())
         self.hello = hello_for_model(model, self.kernel.config.cycle_period_ms)
-        self._staged: Optional[dict] = None
-        self._sut_inputs: dict = {}
-        self._captured: Optional[CycleObservation] = None
-        self.kernel.register_subsystem("set-mediator", self._set_mediator)
-        self.kernel.register_subsystem(model.name, self._run_sut)
-        self.kernel.register_subsystem("get-mediator", self._get_mediator)
-
-    def _set_mediator(self, ctx) -> None:
-        if self._staged is None:
-            raise ProtocolError("cycle %d ran without staged inputs" % ctx.cycle_index)
-        self._sut_inputs = dict(self._staged)
-        self._staged = None
+        self._visible_state = getattr(sut, "visible_state", dict)
+        self._staged: dict = {}
+        self._captured: tuple = ()  # (cycle, sys_time_ms, outputs, state)
+        # weakly bound: no link-kernel reference cycle keeps spent cycle records alive
+        self.kernel.register_subsystem(model.name, partial(InProcessLink._run_sut, proxy(self)))
 
     def _run_sut(self, ctx) -> None:
-        self._sut_outputs = self.sut.step(self._sut_inputs, ctx.sys_time_ms)
-
-    def _get_mediator(self, ctx) -> None:
-        state = self.sut.visible_state() if hasattr(self.sut, "visible_state") else {}
-        self._captured = CycleObservation(
-            ctx.cycle_index, ctx.sys_time_ms, dict(self._sut_outputs), dict(state)
-        )
+        outputs = self.sut.step(self._staged, ctx.sys_time_ms)
+        self._captured = (ctx.cycle_index, ctx.sys_time_ms, outputs, self._visible_state())
 
     def exchange(self, inputs: Mapping) -> CycleObservation:
         self._staged = {k: int(v) for k, v in inputs.items()}
@@ -189,8 +179,7 @@ class InProcessLink(MediatorLink):
             self.kernel.run_cycle()
         except SubsystemPanic as exc:
             raise MediatorError(str(exc)) from exc
-        obs = self._captured
-        return self._check_observation(obs.cycle, obs.sys_time_ms, obs.outputs, obs.visible_state)
+        return self._check_observation(*self._captured)
 
 
 class _StreamLink(MediatorLink):
@@ -350,33 +339,18 @@ def step_predicates(table: temporal.HoldTable, spec_state, obs: CycleObservation
     return holds, table.flags(holds)
 
 
-def sync_state(spec_state, obs: CycleObservation, ast: ModelAst, model_state_post: Mapping,
-               stepped: tuple):
+def sync_state(spec_state, obs: CycleObservation, model_state_post: Mapping, stepped: tuple):
     """Synchronize the specification state after one exchange.
 
-    Readable state variables are copied from the observation; hidden ones are
-    taken from the model's computed post-state (assuming an error-free
-    subject, their model representation is the reference value).  The hold
-    record and flags are the pair that :func:`step_predicates` returned for
-    this exchange.
+    Readable state variables are copied from the observation, which the link
+    has already checked against the model; hidden ones are taken from the
+    model's computed post-state (assuming an error-free subject, their model
+    representation is the reference value).  The hold record and flags are
+    the pair that :func:`step_predicates` returned for this exchange.
     """
     holds, flags = stepped
-
-    readable = {d.name for d in ast.readable_state()}
-    for name in obs.visible_state:
-        if name not in readable:
-            raise UnknownStateVar(name)
-    state_vars = {}
-    for decl in ast.state_vars:
-        if decl.visibility == "readable":
-            if decl.name not in obs.visible_state:
-                raise UnknownStateVar(decl.name)
-            state_vars[decl.name] = int(obs.visible_state[decl.name])
-        else:
-            if decl.name not in model_state_post:
-                raise UnknownStateVar(decl.name)
-            state_vars[decl.name] = int(model_state_post[decl.name])
-
+    state_vars = dict(model_state_post)
+    state_vars.update(obs.visible_state)
     return type(spec_state)(
         state_vars=state_vars,
         holds=holds,

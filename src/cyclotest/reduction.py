@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 from .dsl import (
@@ -38,16 +38,6 @@ class ReductionError(Exception):
 
 class OverlappingParts(ReductionError):
     pass
-
-
-def input_domains(model: ModelAst) -> dict:
-    return {d.name: d.domain() for d in model.inputs}
-
-
-def _input_valuations(model: ModelAst) -> list:
-    domains = input_domains(model)
-    names = list(domains)
-    return [dict(zip(names, combo)) for combo in itertools.product(*domains.values())]
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +111,7 @@ class Projection:
     factors: tuple  # full rewritten path factors
     state_factors: tuple  # factors kept after dropping pure-input ones
     input_names: frozenset
-    _valuations: tuple  # input valuations, for the existential check
+    _valuations: tuple = field(compare=False, repr=False)  # model.input_valuations: dicts
 
     def __str__(self) -> str:
         if self.mixes_inputs_and_state():
@@ -151,7 +141,7 @@ class Projection:
 def project_to_state(pc: PathCondition, model: ModelAst) -> Projection:
     """Project a rewritten path condition onto the state space (predicate ids
     and state variables only)."""
-    inputs = frozenset(model.input_names())
+    inputs = frozenset(model.input_names)
     kept = tuple(f for f in pc.factors if not (free_vars(f.expr) and free_vars(f.expr) <= inputs))
     return Projection(
         "P%s" % pc.id.removeprefix("case"),
@@ -159,7 +149,7 @@ def project_to_state(pc: PathCondition, model: ModelAst) -> Projection:
         pc.factors,
         kept,
         inputs,
-        tuple(tuple(sorted(v.items())) for v in _input_valuations(model)) or ((),),
+        model.input_valuations,
     )
 
 
@@ -209,7 +199,6 @@ def enumerate_reachable_flag_states(extraction: ExtractionResult, cycle_period_m
     init_vars = tuple(sorted(model.initial_state().items()))
     initial = (init_vars, table.initial)
 
-    valuations = _input_valuations(model)
     frontier = deque([initial])
     witnesses: dict = {}  # vector -> trail, in discovery order
     state_pairs = set()
@@ -230,7 +219,7 @@ def enumerate_reachable_flag_states(extraction: ExtractionResult, cycle_period_m
     while frontier:
         state = frontier.popleft()
         state_vars, holds = state
-        for inputs in valuations:
+        for inputs in model.input_valuations:
             env = dict(state_vars)
             env.update(inputs)
             stepped = table.step(holds, env, cycle_period_ms)
@@ -256,16 +245,10 @@ def enumerate_reachable_flag_states(extraction: ExtractionResult, cycle_period_m
 
 
 def coverable_cases(state_env: Mapping, rewritten_cases: Sequence, model: ModelAst) -> frozenset:
-    """Test cases coverable from a state by some input valuation."""
-    out = set()
-    for pc in rewritten_cases:
-        for valuation in _input_valuations(model):
-            env = dict(state_env)
-            env.update(valuation)
-            if pc.evaluate(env, env):
-                out.add(pc.id)
-                break
-    return frozenset(out)
+    """Test cases coverable from a state by some input valuation: those whose
+    projection holds there."""
+    return frozenset(pc.id for pc in rewritten_cases
+                     if project_to_state(pc, model).evaluate(state_env))
 
 
 def enlarge_states(partition: Sequence, coverable: Callable) -> list:
@@ -323,7 +306,7 @@ def make_piecemeal(ast: ModelAst, parts: Sequence) -> list:
             raise OverlappingParts("parts %r and %r overlap" % (a, b))
 
     cases = enumerate_test_cases(ast)
-    inputs = frozenset(ast.input_names())
+    inputs = frozenset(ast.input_names)
 
     def pinnable(factor: PathFactor) -> bool:
         # held() cannot be pinned cycle-by-cycle even over pure inputs
@@ -339,13 +322,13 @@ def make_piecemeal(ast: ModelAst, parts: Sequence) -> list:
         other_factors = [f for f in prefix_factors if not pinnable(f)]
         satisfying = [
             v
-            for v in _input_valuations(ast)
+            for v in ast.input_valuations
             if all(bool(eval_expr(f.expr, v)) == f.value for f in input_factors)
         ]
         if not satisfying:
             raise ReductionError("no input valuation reaches part %r" % part)
         pinned, iterated = {}, {}
-        for name in ast.input_names():
+        for name in ast.input_names:
             values = sorted({v[name] for v in satisfying})
             if len(values) == 1:
                 pinned[name] = values[0]

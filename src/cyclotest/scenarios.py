@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .dsl import ExtractionResult
-from .reduction import PiecemealPart, generalized_state, input_domains
+from .reduction import PiecemealPart, generalized_state
 from .traversal import Scenario, ScenarioFunction
 
 
@@ -44,11 +44,10 @@ def build_coverage_scenario(spec, extraction: ExtractionResult, projections: Seq
     """Settle+probe scenario for ``spec`` (anything with ``apply_stimulus``
     and a ``state`` exposing ``env()``)."""
     model = extraction.model
-    domains = input_domains(model)
     pinned = dict(pinned or {})
     if iterated is None:
-        iterated = {k: v for k, v in domains.items() if k not in pinned}
-    iteration_vars = tuple((k, tuple(iterated[k])) for k in model.input_names() if k in iterated)
+        iterated = {k: model.domains[k] for k in model.input_names if k not in pinned}
+    iteration_vars = tuple((k, tuple(iterated[k])) for k in model.input_names if k in iterated)
     hold = saturation_cycles(extraction, cycle_period_ms, strict)
     # re-saturation valuation: pinned values, iterated inputs at their maxima
     renorm = dict(pinned)

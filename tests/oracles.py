@@ -60,10 +60,12 @@ def reachable_flag_vectors(extraction, period_ms: int, strict: bool = False) -> 
     over state variables and the window of recent literal samples of each
     predicate, kept no longer than that predicate needs."""
     from cyclotest.interp import eval_model
-    from cyclotest.reduction import _input_valuations
 
     model = extraction.model
     preds = extraction.predicates
+    names = [d.name for d in model.inputs]
+    valuations = [dict(zip(names, values))
+                  for values in itertools.product(*(d.domain() for d in model.inputs))]
     need = [window_size(p.duration_ms, period_ms, strict) for p in preds]
 
     def flags_of(windows) -> tuple:
@@ -74,7 +76,7 @@ def reachable_flag_vectors(extraction, period_ms: int, strict: bool = False) -> 
     frontier = deque([initial])
     while frontier:
         state_vars, windows = frontier.popleft()
-        for inputs in _input_valuations(model):
+        for inputs in valuations:
             env = dict(state_vars, **inputs)
             stepped = tuple((w + (int(env[p.var]) == p.expected,))[-n:]
                             for w, p, n in zip(windows, preds, need))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shlex
@@ -105,6 +106,18 @@ class TestRun:
         outputs = [_run(capsys, argv)[1] for _ in range(2)]
         assert outputs[0] == outputs[1]
 
+    def test_desk_output_pinned(self, capsys, tmp_path):
+        # sha256 of the desk-scale test log and JSON report; a change to
+        # either is a change of observable behaviour
+        log = tmp_path / "log.jsonl"
+        code, out, _ = _run(capsys, ["run", "--model", MODEL_PATH, "--json", "--deterministic",
+                                     "--log", str(log)] + DESK)
+        assert code == 0
+        assert hashlib.sha256(log.read_bytes()).hexdigest() == (
+            "2f93ba03921d0dfe609976da8e528245e7682b840fdc38d203369bc1cf39ddec")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "828f7ae44ffab2ab800d1698a704a025ff270901e903cfead0dbb1cf79ea9a62")
+
     def test_artifacts_written(self, capsys, tmp_path):
         log = tmp_path / "log.jsonl"
         dot = tmp_path / "automaton.dot"
@@ -178,7 +191,10 @@ class TestBadArguments:
         ("cyclotest.cli", ["--sut", "tcp:127.0.0.1:notaport"]),
         ("cyclotest.cli", ["--sut", "inproc:iron:M9"]),
         ("cyclotest.cli", ["--budget", "0"]),
+        ("cyclotest.cli", ["--timeout", "0"]),
+        ("cyclotest.cli", ["--timeout", "-1"]),
         ("cyclotest.iron_sut", ["--durations", "3,x"]),
+        ("cyclotest.iron_sut", ["--listen", "tcp:127.0.0.1:notaport"]),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else v.split(".")[-1])
     def test_exit_2_without_traceback(self, module, argv):
         if module == "cyclotest.cli":

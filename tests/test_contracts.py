@@ -105,6 +105,33 @@ class TestApplyStimulus:
         assert verdict.trace.leaf_id == "ee"
 
 
+class TestDerivedOnce:
+    def test_atoms_not_rederived_per_stimulus(self, monkeypatch):
+        from conftest import desk_config
+
+        from cyclotest import cli, contracts, dsl
+
+        calls = []
+        for name in ("print_expr", "condition_atoms"):
+            real = getattr(dsl, name)
+            monkeypatch.setattr(dsl, name, lambda expr, real=real, name=name:
+                                calls.append(name) or real(expr))
+        after_first = []
+        real_apply = contracts.Specification.apply_stimulus
+
+        def apply(spec, inputs):
+            verdict = real_apply(spec, inputs)
+            if not after_first:
+                after_first.append(len(calls))
+            return verdict
+
+        monkeypatch.setattr(contracts.Specification, "apply_stimulus", apply)
+        result = cli.run_campaign(desk_config())
+        assert len(result.log.entries) == 216
+        assert calls  # the wrappers see the derivation
+        assert len(calls) == after_first[0]
+
+
 class TestInvariants:
     INVARIANT = "!(move_eq_f_t2 && position_eq_t_t2) || heating == 0"
 

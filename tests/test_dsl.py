@@ -25,11 +25,26 @@ from oracles import CompoundWindowOracle, WindowOracle
 class TestParse:
     def test_iron_shape(self, iron_ast):
         assert iron_ast.name == "iron"
-        assert iron_ast.input_names() == ("move", "position")
-        assert iron_ast.output_names() == ("heating",)
+        assert iron_ast.input_names == ("move", "position")
+        assert iron_ast.output_names == ("heating",)
         assert iron_ast.state_vars == ()
         assert len(iron_ast.decisions()) == 3
         assert len(iron_ast.leaves()) == 4
+
+    def test_derived_facts_are_cached_outside_equality(self, iron_src):
+        ast, fresh = parse_model(iron_src), parse_model(iron_src)
+        assert ast.input_valuations == (
+            {"move": 0, "position": 0}, {"move": 0, "position": 1},
+            {"move": 1, "position": 0}, {"move": 1, "position": 1},
+        )
+        assert ast.domains == {"move": (0, 1), "position": (0, 1), "heating": (0, 1)}
+        assert ast.readable_names == ()
+        assert ast.input_valuations is ast.input_valuations
+        root = ast.body
+        assert [a for a, _ in root.atoms] == ["position"]
+        assert root.atoms is root.atoms
+        # the cache lives in the instance dict: equality and hashing ignore it
+        assert ast == fresh and hash(ast) == hash(fresh)
 
     def test_held_condition_ast(self):
         expr = parse_expression("held(!move && !position, 60s)")

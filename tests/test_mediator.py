@@ -14,7 +14,6 @@ from cyclotest.mediator import (
     HandshakeMismatch,
     InProcessLink,
     ProtocolError,
-    UnknownStateVar,
     WireMessage,
     _StreamLink,
     hello_for_model,
@@ -86,7 +85,7 @@ class TestInProcessLink:
         class RecordingSut:
             def step(self, inputs, sys_time_ms):
                 calls.append(("step", dict(inputs)))
-                return {"heating": len(calls)}
+                return {"heating": inputs["move"]}
 
             def visible_state(self):
                 calls.append(("read",))
@@ -95,10 +94,30 @@ class TestInProcessLink:
         link = InProcessLink(iron_desk, RecordingSut(), KernelConfig(cycle_period_ms=1000))
         for move in (1, 0):
             obs = link.exchange({"move": move, "position": 1})
-            # the subject steps on this exchange's inputs (set-mediator ran
-            # first), and the observation is read after the step (get-mediator)
+            # the subject steps on this exchange's inputs, and the
+            # observation is read after the step
             assert calls[-2:] == [("step", {"move": move, "position": 1}), ("read",)]
-            assert obs.outputs == {"heating": len(calls) - 1}
+            assert obs.outputs == {"heating": move}
+
+
+STATEFUL_SRC = """
+model gauge {
+  input tick: bool;
+  output level_out: int 0..3;
+  state level: int 0..3 readable = 0;
+  state armed: bool hidden = 0;
+
+  logic {
+    if (tick) {
+      level = 1;
+      armed = 1;
+      level_out = 1;
+    } else {
+      level_out = 0;
+    }
+  }
+}
+"""
 
 
 class ScriptedLink(_StreamLink):
@@ -156,24 +175,34 @@ class TestStreamProtocol:
         with pytest.raises(ProtocolError, match="outputs"):
             link.exchange({"move": 0, "position": 0})
 
-    @pytest.mark.parametrize("fields, reason", [
-        pytest.param({"outputs": {"heating": 1}}, "sys_time_ms None", id="no-time"),
-        pytest.param({"sys_time_ms": "1000", "outputs": {"heating": 1}}, "sys_time_ms '1000'",
-                     id="string-time"),
-        pytest.param({"sys_time_ms": 1000.5, "outputs": {"heating": 1}}, "sys_time_ms 1000.5",
-                     id="float-time"),
-        pytest.param({"sys_time_ms": 1000, "outputs": {"heating": "x"}}, "'heating' = 'x'",
+    @pytest.mark.parametrize("source, fields, reason", [
+        pytest.param(None, {"outputs": {"heating": 1}}, "sys_time_ms None", id="no-time"),
+        pytest.param(None, {"sys_time_ms": "1000", "outputs": {"heating": 1}},
+                     "sys_time_ms '1000'", id="string-time"),
+        pytest.param(None, {"sys_time_ms": 1000.5, "outputs": {"heating": 1}},
+                     "sys_time_ms 1000.5", id="float-time"),
+        pytest.param(None, {"sys_time_ms": 1000, "outputs": {"heating": "x"}}, "'heating' = 'x'",
                      id="string-output"),
-        pytest.param({"sys_time_ms": 1000, "outputs": {"heating": True}}, "'heating' = True",
-                     id="bool-output"),
-        pytest.param({"sys_time_ms": 1000, "outputs": ["heating"]}, r"outputs \['heating'\]",
-                     id="outputs-not-object"),
+        pytest.param(None, {"sys_time_ms": 1000, "outputs": {"heating": True}},
+                     "'heating' = True", id="bool-output"),
+        pytest.param(None, {"sys_time_ms": 1000, "outputs": ["heating"]},
+                     r"outputs \['heating'\]", id="outputs-not-object"),
+        pytest.param(None, {"sys_time_ms": 1000, "outputs": {"heating": 7}},
+                     "outputs 'heating' = 7 is outside its domain", id="output-above-domain"),
+        pytest.param(None, {"sys_time_ms": 1000, "outputs": {"heating": -1}},
+                     "outputs 'heating' = -1 is outside its domain", id="output-below-domain"),
+        pytest.param(STATEFUL_SRC, {"sys_time_ms": 1000, "outputs": {"level_out": 0},
+                                    "state": {"level": 5}},
+                     "state 'level' = 5 is outside its domain", id="state-outside-domain"),
     ])
-    def test_malformed_observation_is_mediator_failure(self, iron_extraction, fields, reason):
-        model = iron_extraction.model
+    def test_malformed_observation_is_mediator_failure(self, iron_extraction, source, fields,
+                                                       reason):
+        extraction = iron_extraction if source is None else extract_predicates(parse_model(source))
+        model = extraction.model
         obs = dict({"type": "observation", "cycle": 0, "state": {}}, **fields)
         link = ScriptedLink(model, [_hello_line(model), (json.dumps(obs) + "\n").encode()])
-        verdict = Specification(iron_extraction, link).apply_stimulus({"move": 0, "position": 0})
+        inputs = dict.fromkeys(model.input_names, 0)
+        verdict = Specification(extraction, link).apply_stimulus(inputs)
         assert verdict.kind is VerdictKind.MEDIATOR_FAILURE
         assert re.search(reason, verdict.detail)
         assert "\n" not in verdict.detail
@@ -189,26 +218,6 @@ class TestStreamProtocol:
         link.exchange({"move": 0, "position": 0})  # an unchanged time is allowed
         with pytest.raises(ProtocolError, match="went back from 2000 ms to 1000 ms"):
             link.exchange({"move": 0, "position": 0})
-
-
-STATEFUL_SRC = """
-model gauge {
-  input tick: bool;
-  output level_out: int 0..3;
-  state level: int 0..3 readable = 0;
-  state armed: bool hidden = 0;
-
-  logic {
-    if (tick) {
-      level = 1;
-      armed = 1;
-      level_out = 1;
-    } else {
-      level_out = 0;
-    }
-  }
-}
-"""
 
 
 class TestRaisingSubject:
@@ -239,7 +248,7 @@ class TestSyncState:
         state = self._state(table, model)
         obs = CycleObservation(0, 1000, {"heating": 1}, {})
         stepped = step_predicates(table, state, obs, {"move": 0, "position": 0})
-        new = sync_state(state, obs, model, {}, stepped)
+        new = sync_state(state, obs, {}, stepped)
         assert new.state_vars == {}
         assert new.holds == (0, 0, None)
         assert new.flags["move_eq_f_t1"] is False
@@ -251,19 +260,21 @@ class TestSyncState:
         state = self._state(table, ex.model)
         obs = CycleObservation(0, 1000, {"level_out": 1}, {"level": 3})
         stepped = step_predicates(table, state, obs, {"tick": 1})
-        new = sync_state(state, obs, ex.model, {"level": 1, "armed": 1}, stepped)
+        new = sync_state(state, obs, {"level": 1, "armed": 1}, stepped)
         assert new.state_vars["armed"] == 1  # hidden: model value
         assert new.state_vars["level"] == 3  # readable: observation wins
 
     def test_missing_readable_var_rejected(self):
-        ast = parse_model(STATEFUL_SRC)
-        ex = extract_predicates(ast)
-        table = HoldTable(ex.predicates)
-        state = self._state(table, ex.model)
-        obs = CycleObservation(0, 1000, {"level_out": 1}, {})
-        stepped = step_predicates(table, state, obs, {"tick": 1})
-        with pytest.raises(UnknownStateVar):
-            sync_state(state, obs, ex.model, {"level": 1, "armed": 1}, stepped)
+        # the link rejects the observation before the state is synchronized
+        ex = extract_predicates(parse_model(STATEFUL_SRC))
+        obs = {"type": "observation", "cycle": 0, "sys_time_ms": 1000,
+               "outputs": {"level_out": 1}, "state": {}}
+        link = ScriptedLink(ex.model, [_hello_line(ex.model), (json.dumps(obs) + "\n").encode()])
+        spec = Specification(ex, link)
+        verdict = spec.apply_stimulus({"tick": 1})
+        assert verdict.kind is VerdictKind.MEDIATOR_FAILURE
+        assert re.search(r"observation state \{\} do not match the model", verdict.detail)
+        assert spec.state.state_vars == {"level": 0, "armed": 0}
 
     def test_predicates_step_at_observed_time(self, iron_extraction):
         # the hold advances by the system time elapsed since the last
@@ -274,7 +285,7 @@ class TestSyncState:
         state.holds = (0, None, 0)
         obs = CycleObservation(0, 123_456, {"heating": 1}, {})
         stepped = step_predicates(table, state, obs, {"move": 0, "position": 1})
-        new = sync_state(state, obs, model, {}, stepped)
+        new = sync_state(state, obs, {}, stepped)
         assert new.holds == (23_456, None, 23_456)
         assert new.flags == stepped[1]
         assert new.sys_time_ms == 123_456
