@@ -103,6 +103,8 @@ class CampaignResult:
 
 
 def load_model(config: RunConfig):
+    """The checked model with its temporal predicates extracted, and the
+    scaled cycle period; any model problem is a ``CliError`` with exit 2."""
     try:
         with open(config.model_path, encoding="utf-8") as fh:
             source = fh.read()
@@ -126,7 +128,10 @@ def load_model(config: RunConfig):
         print(diag.format(config.model_path), file=sys.stderr)
     if any(d.severity == "error" for d in diagnostics):
         raise CliError("model has errors", EXIT_PARSE)
-    return ast, period
+    try:
+        return extract_predicates(ast), period
+    except ModelError as exc:
+        raise CliError("%s: %s" % (config.model_path, exc), EXIT_PARSE) from exc
 
 
 def _held_durations(ast):
@@ -171,8 +176,8 @@ def build_link(model, extraction, config: RunConfig, period_ms: int):
 
 
 def run_campaign(config: RunConfig) -> CampaignResult:
-    ast, period = load_model(config)
-    extraction = extract_predicates(ast)
+    extraction, period = load_model(config)
+    ast = extraction.source
     projections = derive_projections(extraction)
     link = build_link(ast, extraction, config, period)
     rng = None
@@ -216,7 +221,7 @@ def _piece_worker(config_args: dict, part_id: str):
 
 
 def run_piecemeal(config: RunConfig):
-    ast, _ = load_model(config)
+    ast = load_model(config)[0].source
     parts = list(config.parts)
     if not parts:
         root = ast.body
@@ -298,15 +303,14 @@ def cmd_run(args) -> int:
 def cmd_enumerate_states(args) -> int:
     config = _config_from_args(args)
     try:
-        ast, period = load_model(config)
+        extraction, period = load_model(config)
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code
-    extraction = extract_predicates(ast)
     report = enumerate_reachable_flag_states(extraction, period, config.strict_held)
     if args.json:
         payload = {
-            "model": ast.name,
+            "model": extraction.source.name,
             "predicates": list(report.predicate_ids),
             "upper_bound": report.upper_bound,
             "reachable": report.reachable_count,
@@ -317,7 +321,7 @@ def cmd_enumerate_states(args) -> int:
         }
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        print("model: %s" % ast.name)
+        print("model: %s" % extraction.source.name)
         print("temporal predicates: %d (%s)" % (len(report.predicate_ids),
                                                 ", ".join(report.predicate_ids)))
         print("upper bound: %d" % report.upper_bound)
@@ -334,11 +338,11 @@ def cmd_enumerate_states(args) -> int:
 def cmd_reduce(args) -> int:
     config = _config_from_args(args)
     try:
-        ast, period = load_model(config)
+        extraction, period = load_model(config)
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code
-    extraction = extract_predicates(ast)
+    ast = extraction.source
     cases = enumerate_test_cases(ast)
     rewritten = [rewrite_to_predicates(pc, extraction) for pc in cases]
     projections = derive_projections(extraction)
@@ -348,9 +352,9 @@ def cmd_reduce(args) -> int:
     for state_vars, vec in reach.states:
         env = dict(state_vars)
         env.update(zip(reach.predicate_ids, vec))
-        member = generalized_state(env, projections)
+        member = generalized_state(env, projections, extraction.model)
         cells.setdefault(member, []).append(
-            (dict(state_vars), vec, sorted(coverable_cases(env, rewritten, extraction.model)))
+            (dict(state_vars), vec, sorted(coverable_cases(env, cases, extraction.model)))
         )
 
     if args.json:

@@ -9,6 +9,7 @@ dataclasses and all functions here are pure.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -684,6 +685,17 @@ def eval_expr(expr: Expr, env: Mapping, flags: Optional[Mapping] = None,
     raise TypeError("not an expression node: %r" % (expr,))
 
 
+def walk_to_leaf(node: Node, env: Mapping, flags: Optional[Mapping] = None,
+                 held_eval: Optional[HeldEval] = None) -> Leaf:
+    """The leaf the decision tree below ``node`` reaches, evaluating the
+    conditions on the way as :func:`eval_expr` does.  The path conditions
+    partition the environments, so exactly one leaf is reached."""
+    while isinstance(node, Decision):
+        taken = eval_expr(node.condition, env, flags, held_eval)
+        node = node.then_branch if taken else node.else_branch
+    return node
+
+
 def condition_atoms(expr: Expr) -> list:
     """Ordered unique atomic conditions of a decision (names, predicate
     references, comparisons, held nodes), keyed by printed form."""
@@ -821,49 +833,34 @@ def _expr_type(expr: Expr, decls: Mapping, diags: list) -> Optional[str]:
 
 
 def _unreachable_leaves(ast: ModelAst) -> list:
-    """Enumerate atom valuations; held() atoms vary independently."""
-    decls = ast.decls()
-    var_domains = []
-    for decl in ast.inputs + ast.state_vars:
-        var_domains.append((decl.name, decl.domain()))
-    held_keys = []
-    for dec in ast.decisions():
-        for e in walk_exprs(dec.condition):
-            if isinstance(e, Held):
-                key = (print_expr(e.formula), e.duration_ms)
-                if key not in held_keys:
-                    held_keys.append(key)
-    size = 1
-    for _, dom in var_domains:
-        size *= len(dom)
-    size *= 2 ** len(held_keys)
+    """Walk the tree under every atom valuation, held() atoms varying
+    independently; a leaf no valuation reaches is unreachable."""
+    var_domains = [(decl.name, decl.domain()) for decl in ast.inputs + ast.state_vars]
+    held_keys = list(dict.fromkeys((print_expr(e.formula), e.duration_ms)
+                                   for dec in ast.decisions() for e in walk_exprs(dec.condition)
+                                   if isinstance(e, Held)))
+    size = math.prod(len(dom) for _, dom in var_domains) * 2 ** len(held_keys)
     if size > _REACHABILITY_CAP:
         return [Diagnostic("note", "ReachabilitySkipped",
                            "atom space too large (%d valuations)" % size)]
 
-    paths = leaf_paths(ast)
-    reached = {leaf.node_id: False for leaf, _ in paths}
+    unreached = dict.fromkeys(leaf.node_id for leaf in ast.leaves())  # pre-order
+    held_env = {}
+
+    def he(node: Held) -> int:
+        return held_env[(print_expr(node.formula), node.duration_ms)]
+
     for var_vals in itertools.product(*(dom for _, dom in var_domains)):
         env = {name: val for (name, _), val in zip(var_domains, var_vals)}
         for held_vals in itertools.product((0, 1), repeat=len(held_keys)):
             held_env = dict(zip(held_keys, held_vals))
-
-            def he(node: Held) -> int:
-                return held_env[(print_expr(node.formula), node.duration_ms)]
-
-            for leaf, factors in paths:
-                if reached[leaf.node_id]:
-                    continue
-                ok = all(
-                    eval_expr(cond, env, None, he) == want for cond, want in factors
-                )
-                if ok:
-                    reached[leaf.node_id] = True
+            unreached.pop(walk_to_leaf(ast.body, env, None, he).node_id, None)
+            if not unreached:
+                return []
     return [
         Diagnostic("warning", "UnreachableLeaf",
                    "leaf '%s' is unreachable" % (leaf_id or "root"), node_id=leaf_id)
-        for leaf_id, ok in reached.items()
-        if not ok
+        for leaf_id in unreached
     ]
 
 
@@ -956,18 +953,10 @@ def extract_predicates(ast: ModelAst) -> ExtractionResult:
 
     durations = sorted({d for _, _, d in occurrences})
     dur_index = {d: i + 1 for i, d in enumerate(durations)}
-    ordered, seen = [], set()
-    for key in sorted(
-        dict.fromkeys(occurrences),
-        key=lambda k: (dur_index[k[2]], _first_occurrence(occurrences, k)),
-    ):
-        if key not in seen:
-            seen.add(key)
-            ordered.append(key)
-
     decls = ast.decls()
     predicates = []
-    for var, expected, dur in ordered:
+    # distinct literals by duration, then first occurrence (the sort is stable)
+    for var, expected, dur in sorted(dict.fromkeys(occurrences), key=lambda k: dur_index[k[2]]):
         if decls[var].type == "bool":
             val = "t" if expected else "f"
         else:
@@ -980,10 +969,6 @@ def extract_predicates(ast: ModelAst) -> ExtractionResult:
     index = {(p.var, p.expected, p.duration_ms): p.id for p in predicates}
     rewritten = _map_held(ast, lambda held: _predicate_conjunction(held, index))
     return ExtractionResult(ast, rewritten, tuple(predicates))
-
-
-def _first_occurrence(occurrences: list, key) -> int:
-    return occurrences.index(key)
 
 
 def _predicate_conjunction(held: Held, index: Mapping) -> Expr:

@@ -19,9 +19,11 @@ numbers, starting at 0.
 from __future__ import annotations
 
 import json
+import os
 import selectors
 import socket
 import subprocess
+import time
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Mapping, Optional
@@ -284,6 +286,7 @@ class StdioLink(_StreamLink):
         )
         self._selector = selectors.DefaultSelector()
         self._selector.register(self.proc.stdout, selectors.EVENT_READ)
+        self._pending = b""  # bytes read past the last complete line
         try:
             self._handshake()
         except MediatorError:
@@ -299,9 +302,20 @@ class StdioLink(_StreamLink):
             raise Disconnect(str(exc)) from exc
 
     def _readline(self) -> bytes:
-        if not self._selector.select(self.timeout_s):
-            raise ExchangeTimeout("no observation within %.1f s" % self.timeout_s)
-        return self.proc.stdout.readline()
+        """One line, or what is left at end of stream; the timeout bounds the
+        whole line, so a subject that stalls mid-line times out too."""
+        deadline = time.monotonic() + self.timeout_s
+        while b"\n" not in self._pending:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not self._selector.select(remaining):
+                raise ExchangeTimeout("no observation within %.1f s" % self.timeout_s)
+            chunk = os.read(self.proc.stdout.fileno(), 65536)
+            if not chunk:
+                line, self._pending = self._pending, b""
+                return line
+            self._pending += chunk
+        line, _, self._pending = self._pending.partition(b"\n")
+        return line + b"\n"
 
     def close(self) -> None:
         self._send_shutdown()

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Mapping, Sequence
 
 from .dsl import (
     Const,
@@ -27,6 +27,7 @@ from .dsl import (
     leaf_paths,
     print_expr,
     walk_exprs as _walk,
+    walk_to_leaf,
 )
 from .interp import eval_model
 from .temporal import HoldTable
@@ -74,9 +75,6 @@ class PathCondition:
     def __str__(self) -> str:
         return " && ".join(str(f) for f in self.factors) if self.factors else "true"
 
-    def evaluate(self, env: Mapping, flags: Optional[Mapping] = None) -> bool:
-        return all(bool(eval_expr(f.expr, env, flags)) == f.value for f in self.factors)
-
 
 def enumerate_test_cases(ast: ModelAst) -> list:
     """One path condition per leaf, in pre-order; covering all of them covers
@@ -104,14 +102,15 @@ def rewrite_to_predicates(pc: PathCondition, extraction: ExtractionResult) -> Pa
 @dataclass(frozen=True)
 class Projection:
     """Subspace of specification states in which a test case can be covered
-    by some input valuation."""
+    by some input valuation: the states from which some input walks the
+    rewritten model to the case's leaf (see :func:`generalized_state`)."""
 
     id: str
     case_id: str
+    leaf_id: str
     factors: tuple  # full rewritten path factors
     state_factors: tuple  # factors kept after dropping pure-input ones
     input_names: frozenset
-    _valuations: tuple = field(compare=False, repr=False)  # model.input_valuations: dicts
 
     def __str__(self) -> str:
         if self.mixes_inputs_and_state():
@@ -127,40 +126,34 @@ class Projection:
                 return True
         return False
 
-    def evaluate(self, state_env: Mapping) -> bool:
-        """Existential input elimination by enumeration: true when some input
-        valuation satisfies the whole rewritten condition in this state."""
-        for valuation in self._valuations:
-            env = dict(state_env)
-            env.update(valuation)
-            if all(bool(eval_expr(f.expr, env, env)) == f.value for f in self.factors):
-                return True
-        return False
-
 
 def project_to_state(pc: PathCondition, model: ModelAst) -> Projection:
     """Project a rewritten path condition onto the state space (predicate ids
     and state variables only)."""
     inputs = frozenset(model.input_names)
     kept = tuple(f for f in pc.factors if not (free_vars(f.expr) and free_vars(f.expr) <= inputs))
-    return Projection(
-        "P%s" % pc.id.removeprefix("case"),
-        pc.id,
-        pc.factors,
-        kept,
-        inputs,
-        model.input_valuations,
-    )
+    return Projection("P%s" % pc.id.removeprefix("case"), pc.id, pc.leaf_id, pc.factors, kept,
+                      inputs)
 
 
 # ---------------------------------------------------------------------------
 # Step 4: generalized states
 
 
-def generalized_state(state_env: Mapping, projections: Sequence) -> tuple:
-    """Projection-membership bit vector of a specification state; the state
-    env binds state variables and predicate ids."""
-    return tuple(1 if p.evaluate(state_env) else 0 for p in projections)
+def generalized_state(state_env: Mapping, projections: Sequence, model: ModelAst) -> tuple:
+    """Projection-membership bit vector of a specification state (state
+    variables and predicate ids), by existential input elimination.
+
+    Every environment walks the rewritten ``model`` to exactly one leaf, so a
+    projection holds in the state exactly when some input valuation walks it
+    to the projection's leaf.
+    """
+    env = dict(state_env)
+    reached = set()
+    for valuation in model.input_valuations:
+        env.update(valuation)
+        reached.add(walk_to_leaf(model.body, env, env).node_id)
+    return tuple(1 if p.leaf_id in reached else 0 for p in projections)
 
 
 def derive_projections(extraction: ExtractionResult) -> list:
@@ -244,11 +237,11 @@ def enumerate_reachable_flag_states(extraction: ExtractionResult, cycle_period_m
 # Coverable-case sets and enlargement
 
 
-def coverable_cases(state_env: Mapping, rewritten_cases: Sequence, model: ModelAst) -> frozenset:
+def coverable_cases(state_env: Mapping, cases: Sequence, model: ModelAst) -> frozenset:
     """Test cases coverable from a state by some input valuation: those whose
     projection holds there."""
-    return frozenset(pc.id for pc in rewritten_cases
-                     if project_to_state(pc, model).evaluate(state_env))
+    member = generalized_state(state_env, cases, model)
+    return frozenset(pc.id for pc, bit in zip(cases, member) if bit)
 
 
 def enlarge_states(partition: Sequence, coverable: Callable) -> list:

@@ -65,7 +65,7 @@ def build_coverage_scenario(spec, extraction: ExtractionResult, projections: Seq
         return [stimulus(valuation)] + [dict(renorm)] * hold
 
     def state_fn():
-        return generalized_state(spec.state.env(), projections)
+        return generalized_state(spec.state.env(), projections, model)
 
     return Scenario(
         name=name,

@@ -7,12 +7,15 @@ observation that has one fault:
 
 * ``no-time``: the observation leaves out ``sys_time_ms``;
 * ``bad-output``: ``heating`` is the string ``"x"``;
-* ``time-back``: from the second cycle on, the system time goes back.
+* ``time-back``: from the second cycle on, the system time goes back;
+* ``partial-line``: the observation stops before its end and the subject
+  stalls for 30 s without writing a newline.
 """
 import json
 import sys
+import time
 
-FAULTS = ("no-time", "bad-output", "time-back")
+FAULTS = ("no-time", "bad-output", "time-back", "partial-line")
 
 
 def main(fault: str) -> int:
@@ -35,6 +38,11 @@ def main(fault: str) -> int:
             obs["outputs"]["heating"] = "x"
         elif fault == "time-back" and cycle > 0:
             obs["sys_time_ms"] = 500
+        elif fault == "partial-line":
+            sys.stdout.write('{"type": "observation"')
+            sys.stdout.flush()
+            time.sleep(30)
+            return 0
         send(obs)
     return 0
 

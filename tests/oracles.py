@@ -12,7 +12,7 @@ import itertools
 from collections import deque
 
 from cyclotest.contracts import Verdict, VerdictKind
-from cyclotest.dsl import Held, eval_expr, print_expr, walk_exprs
+from cyclotest.dsl import Held, eval_expr, leaf_paths, print_expr, walk_exprs
 from cyclotest.traversal import Scenario, ScenarioFunction
 
 
@@ -55,6 +55,11 @@ class WindowOracle:
         return tuple(tuple(self.history[p.id]) for p in self.preds)
 
 
+def _valuations(decls) -> list:
+    names = [d.name for d in decls]
+    return [dict(zip(names, values)) for values in itertools.product(*(d.domain() for d in decls))]
+
+
 def reachable_flag_vectors(extraction, period_ms: int, strict: bool = False) -> set:
     """Every flag vector some input sequence reaches, by breadth-first search
     over state variables and the window of recent literal samples of each
@@ -63,9 +68,7 @@ def reachable_flag_vectors(extraction, period_ms: int, strict: bool = False) -> 
 
     model = extraction.model
     preds = extraction.predicates
-    names = [d.name for d in model.inputs]
-    valuations = [dict(zip(names, values))
-                  for values in itertools.product(*(d.domain() for d in model.inputs))]
+    valuations = _valuations(model.inputs)
     need = [window_size(p.duration_ms, period_ms, strict) for p in preds]
 
     def flags_of(windows) -> tuple:
@@ -87,6 +90,50 @@ def reachable_flag_vectors(extraction, period_ms: int, strict: bool = False) -> 
                 seen.add(node)
                 frontier.append(node)
     return {flags_of(windows) for _, windows in seen}
+
+
+def path_holds(factors, env) -> bool:
+    """Every (condition, outcome) factor of a path condition holds in ``env``,
+    which binds variables and predicate ids alike."""
+    return all(bool(eval_expr(f.expr, env, env)) == f.value for f in factors)
+
+
+def projection_holds(projection, state_env, model) -> bool:
+    """Existential input elimination by enumeration: some input valuation
+    satisfies the projection's whole rewritten path condition in this state.
+    A rewritten path condition works in place of its projection."""
+    return any(path_holds(projection.factors, dict(state_env, **inputs))
+               for inputs in _valuations(model.inputs))
+
+
+def generalized_state_bruteforce(state_env, projections, model) -> tuple:
+    return tuple(int(projection_holds(p, state_env, model)) for p in projections)
+
+
+def coverable_cases_bruteforce(state_env, rewritten_cases, model) -> frozenset:
+    """Cases whose rewritten path condition some input valuation satisfies."""
+    return frozenset(pc.id for pc in rewritten_cases if projection_holds(pc, state_env, model))
+
+
+def unreachable_leaves_bruteforce(ast) -> set:
+    """Leaves whose path factors no atom valuation satisfies, each leaf tested
+    on its own; held() atoms, keyed by printed formula and duration, vary
+    independently of the variables."""
+    keys = list(dict.fromkeys((print_expr(e.formula), e.duration_ms)
+                              for dec in ast.decisions() for e in walk_exprs(dec.condition)
+                              if isinstance(e, Held)))
+    atom_valuations = [(env, dict(zip(keys, bits)))
+                       for env in _valuations(ast.inputs + ast.state_vars)
+                       for bits in itertools.product((0, 1), repeat=len(keys))]
+
+    def satisfied(factors, env, held) -> bool:
+        def held_eval(node):
+            return held[(print_expr(node.formula), node.duration_ms)]
+
+        return all(eval_expr(cond, env, None, held_eval) == want for cond, want in factors)
+
+    return {leaf.node_id for leaf, factors in leaf_paths(ast)
+            if not any(satisfied(factors, env, held) for env, held in atom_valuations)}
 
 
 class CompoundWindowOracle:

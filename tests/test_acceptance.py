@@ -121,7 +121,7 @@ def test_c04_partition_soundness(desk_extraction, desk_projections, capsys):
     cells = {}
     for vector in reach.vectors:
         env = dict(zip(reach.predicate_ids, vector))
-        member = generalized_state(env, desk_projections)
+        member = generalized_state(env, desk_projections, desk_extraction.model)
         cells.setdefault(member, []).append(coverable_cases(env, rewritten,
                                                             desk_extraction.model))
     uniform = all(len(set(sets)) == 1 for sets in cells.values())

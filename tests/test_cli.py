@@ -4,10 +4,11 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
-from conftest import MODEL_PATH
+from conftest import GUARD_SRC, MODEL_PATH, TANK_SRC
 
 import cyclotest
 from cyclotest.cli import main
@@ -62,6 +63,44 @@ class TestReduce:
         assert code == 0
         for step in ("step 1", "step 2", "step 3", "step 4"):
             assert step in out
+
+
+class TestAnalysisPinned:
+    # sha256 of the JSON report and of stderr (the check_model diagnostics),
+    # taken before generalized states were read off the tree walk
+    @pytest.mark.parametrize("model, command, out_sha, err_sha", [
+        ("iron", "reduce",
+         "8fee2416cfbb7c6fae320a07dbcda1253e861fe6e93b36851ec17e728797f06a",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("iron", "enumerate-states",
+         "feb4f1164fa77757f289307435040992f06f517cfce0770e9aedbb92c08b02ac",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("tank", "reduce",
+         "6b9b4224abd6cf525e613c5f5786f90edafa55709cfcfbcf7a58ea53ab958d92",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("tank", "enumerate-states",
+         "d560b30fccffaf236ad45a19ab6f348ffc89c1e9783d1307de71e5fd19b57bd8",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("guard", "reduce",
+         "cb7d68566c9ee3af00de549acd380f2cdc8a099156e4bc1a26257b42eb40780f",
+         "55982767c0a6ee965bf149eec36e837c6b322c76f46913c048aa282ece61614f"),
+        ("guard", "enumerate-states",
+         "68b93f727dbb3ca65c984faffa673283f46e6ebe4e24aae7536a40cb5c03b739",
+         "55982767c0a6ee965bf149eec36e837c6b322c76f46913c048aa282ece61614f"),
+    ])
+    def test_json_and_diagnostics_pinned(self, capsys, tmp_path, monkeypatch, model, command,
+                                         out_sha, err_sha):
+        if model == "iron":
+            argv = ["--model", MODEL_PATH] + DESK
+        else:
+            # a relative path, so the diagnostics name the file the same way
+            monkeypatch.chdir(tmp_path)
+            Path(model + ".ctl").write_text({"tank": TANK_SRC, "guard": GUARD_SRC}[model])
+            argv = ["--model", model + ".ctl"]
+        code, out, err = _run(capsys, [command] + argv + ["--json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == out_sha
+        assert hashlib.sha256(err.encode()).hexdigest() == err_sha
 
 
 class TestRun:
@@ -161,12 +200,16 @@ def _subprocess(module, argv):
 
 
 class TestMisbehavingSubject:
-    @pytest.mark.parametrize("fault", ["no-time", "bad-output", "time-back"])
+    @pytest.mark.parametrize("fault", ["no-time", "bad-output", "time-back", "partial-line"])
     def test_stdio_fault_exit_3_without_traceback(self, fault):
         fake = Path(__file__).resolve().parent / "fake_subject.py"
         sut = "stdio:%s %s %s" % (shlex.quote(sys.executable), shlex.quote(str(fake)), fault)
+        started = time.monotonic()
         proc = _subprocess("cyclotest.cli", ["run", "--model", MODEL_PATH, "--sut", sut,
-                                             "--json", "--deterministic"] + DESK)
+                                             "--timeout", "1", "--json", "--deterministic"]
+                           + DESK)
+        # one timed-out exchange and one timed-out wait for the child at most
+        assert time.monotonic() - started < 10
         assert proc.returncode == 3, proc.stderr
         assert "Traceback" not in proc.stderr
         assert json.loads(proc.stdout)["verdicts"]["MediatorFailure"] == 1
@@ -199,10 +242,29 @@ class TestBadArguments:
     def test_exit_2_without_traceback(self, module, argv):
         if module == "cyclotest.cli":
             argv = ["run", "--model", MODEL_PATH] + argv
-        proc = _subprocess(module, argv)
-        assert proc.returncode == 2, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert "error" in proc.stderr.splitlines()[-1]
+        _assert_usage_error(_subprocess(module, argv))
+
+    @pytest.mark.parametrize("command", ["run", "enumerate-states", "reduce"])
+    @pytest.mark.parametrize("source", [
+        pytest.param("model m { input a: bool; input b: bool; output o: bool; logic { "
+                     "if (held(a || b, 3s)) { o = 1; } else { o = 0; } } }",
+                     id="held-disjunction"),
+        pytest.param("model m { input a: bool; output a_eq_t_t1: bool; logic { "
+                     "if (held(a, 2s)) { a_eq_t_t1 = 1; } else { a_eq_t_t1 = 0; } } }",
+                     id="predicate-id-collision"),
+    ])
+    def test_extraction_error_exit_2_without_traceback(self, tmp_path, command, source):
+        model = tmp_path / "bad.ctl"
+        model.write_text(source)
+        proc = _subprocess("cyclotest.cli", [command, "--model", str(model)])
+        _assert_usage_error(proc)
+        assert len(proc.stderr.splitlines()) == 1
+
+
+def _assert_usage_error(proc):
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "error" in proc.stderr.splitlines()[-1]
 
 
 class TestTimeScale:

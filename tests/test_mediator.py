@@ -322,6 +322,30 @@ class TestStdioTransport:
             assert child.stdin.closed and child.stdout.closed
             assert child.returncode is not None
 
+    def test_lines_split_across_writes_are_reassembled(self, iron_desk):
+        from cyclotest.mediator import StdioLink
+
+        # the hello and the observation each arrive in two writes, 50 ms apart
+        script = "\n".join([
+            "import json, sys, time",
+            "def halves(data):",
+            "    line = json.dumps(data) + '\\n'",
+            "    for part in (line[:9], line[9:]):",
+            "        sys.stdout.write(part); sys.stdout.flush(); time.sleep(0.05)",
+            "halves({'type': 'hello', 'model': 'iron', 'inputs': ['move', 'position'],",
+            "        'outputs': ['heating'], 'state': [], 'cycle_period_ms': 1000})",
+            "sys.stdin.readline()",
+            "halves({'type': 'observation', 'cycle': 0, 'sys_time_ms': 1000,",
+            "        'outputs': {'heating': 1}, 'state': {}})",
+            "sys.stdin.readline()",
+        ])
+        link = StdioLink(iron_desk, [sys.executable, "-c", script], timeout_s=10.0)
+        try:
+            obs = link.exchange({"move": 0, "position": 0})
+            assert (obs.cycle, obs.sys_time_ms, obs.outputs) == (0, 1000, {"heating": 1})
+        finally:
+            link.close()
+
     def test_short_session_against_real_subject(self, iron_desk):
         from cyclotest.mediator import StdioLink
 

@@ -1,8 +1,10 @@
 import itertools
 
 import pytest
+from conftest import GUARD_SRC, TANK_SRC
 
-from cyclotest.dsl import extract_predicates, parse_model
+from cyclotest.dsl import check_model, extract_predicates, parse_model
+from cyclotest.iron import iron_model
 from cyclotest.reduction import (
     OverlappingParts,
     coverable_cases,
@@ -16,7 +18,14 @@ from cyclotest.reduction import (
     rewrite_to_predicates,
 )
 from cyclotest.temporal import HoldTable
-from oracles import WindowOracle, reachable_flag_vectors
+from oracles import (
+    WindowOracle,
+    coverable_cases_bruteforce,
+    generalized_state_bruteforce,
+    projection_holds,
+    reachable_flag_vectors,
+    unreachable_leaves_bruteforce,
+)
 
 FLAG_IDS = ("move_eq_f_t1", "position_eq_f_t1", "move_eq_f_t2", "position_eq_t_t2")
 
@@ -101,7 +110,7 @@ class TestProjections:
         pc = rewrite_to_predicates(enumerate_test_cases(ast)[0], ex)
         projection = project_to_state(pc, ex.model)
         assert str(projection) == "true"
-        assert projection.evaluate({}) is True
+        assert projection_holds(projection, {}, ex.model) is True
 
     def test_dropping_input_factors_matches_existential_semantics(self, iron_extraction):
         from cyclotest.dsl import eval_expr
@@ -113,7 +122,7 @@ class TestProjections:
                 kept = all(
                     bool(eval_expr(f.expr, env, env)) == f.value for f in p.state_factors
                 )
-                assert p.evaluate(env) == kept
+                assert projection_holds(p, env, iron_extraction.model) == kept
 
     def test_projection_soundness(self, iron_extraction):
         # every state in a projection admits inputs covering the source case
@@ -123,21 +132,71 @@ class TestProjections:
         for bits in itertools.product((0, 1), repeat=4):
             env = _env(bits)
             for p, pc in zip(projections, cases):
-                if p.evaluate(env):
+                if projection_holds(p, env, iron_extraction.model):
                     assert pc.id in coverable_cases(env, [pc], iron_extraction.model)
 
 
 class TestGeneralizedState:
     def test_all_flags_false(self, iron_extraction):
         projections = derive_projections(iron_extraction)
-        assert generalized_state(_env((0, 0, 0, 0)), projections) == (0, 1, 0, 1)
+        assert generalized_state(_env((0, 0, 0, 0)), projections,
+                                 iron_extraction.model) == (0, 1, 0, 1)
 
     def test_long_vertical_rest(self, iron_extraction):
         projections = derive_projections(iron_extraction)
-        assert generalized_state(_env((1, 0, 1, 1)), projections) == (1, 0, 0, 1)
+        assert generalized_state(_env((1, 0, 1, 1)), projections,
+                                 iron_extraction.model) == (1, 0, 0, 1)
 
     def test_empty_projection_list(self, iron_extraction):
-        assert generalized_state(_env((0, 0, 0, 0)), []) == ()
+        assert generalized_state(_env((0, 0, 0, 0)), [], iron_extraction.model) == ()
+
+
+WALK_MODELS = [
+    pytest.param(lambda: iron_model(desk_scale=True), id="iron-desk"),
+    pytest.param(iron_model, id="iron-paper"),
+    pytest.param(lambda: parse_model(TANK_SRC), id="tank"),
+    pytest.param(lambda: parse_model(GUARD_SRC), id="guard"),
+    pytest.param(lambda: parse_model(TWO_INPUTS), id="two"),
+]
+
+
+def _state_envs(extraction):
+    """Every state-variable valuation crossed with every flag vector."""
+    model = extraction.model
+    names = [d.name for d in model.state_vars] + [p.id for p in extraction.predicates]
+    domains = [d.domain() for d in model.state_vars] + [(0, 1)] * len(extraction.predicates)
+    return [dict(zip(names, values)) for values in itertools.product(*domains)]
+
+
+class TestTreeWalkMatchesBruteForce:
+    """The tree walk against the per-leaf enumeration of path conditions it
+    replaces, on every state the model can name."""
+
+    @pytest.mark.parametrize("make", WALK_MODELS)
+    def test_generalized_states_and_coverable_cases(self, make):
+        extraction = extract_predicates(make())
+        projections = derive_projections(extraction)
+        rewritten = [rewrite_to_predicates(pc, extraction)
+                     for pc in enumerate_test_cases(extraction.source)]
+        envs = _state_envs(extraction)
+        members = set()
+        for env in envs:
+            member = generalized_state(env, projections, extraction.model)
+            assert member == generalized_state_bruteforce(env, projections, extraction.model)
+            assert coverable_cases(env, rewritten, extraction.model) == (
+                coverable_cases_bruteforce(env, rewritten, extraction.model))
+            members.add(member)
+        assert len(members) > 1
+
+    @pytest.mark.parametrize("make", WALK_MODELS)
+    def test_unreachable_leaves(self, make):
+        ast = make()
+        found = {d.node_id for d in check_model(ast) if d.code == "UnreachableLeaf"}
+        assert found == unreachable_leaves_bruteforce(ast)
+
+    def test_held_guard_leaf_unreachable(self):
+        diags = check_model(parse_model(GUARD_SRC))
+        assert [(d.code, d.node_id) for d in diags] == [("UnreachableLeaf", "tt")]
 
 
 class TestReachability:
@@ -224,7 +283,8 @@ class TestEnlargement:
         report = enumerate_reachable_flag_states(desk_extraction, 1000)
         cells = {}
         for vec in sorted(report.vectors):
-            cells.setdefault(generalized_state(_env(vec), desk_projections), []).append(vec)
+            member = generalized_state(_env(vec), desk_projections, desk_extraction.model)
+            cells.setdefault(member, []).append(vec)
         partition = [tuple(v) for _, v in sorted(cells.items())]
         merged = enlarge_states(partition, self._coverable(desk_extraction))
         assert [set(c) for c in merged] == [set(c) for c in partition]
