@@ -21,7 +21,7 @@ from .dsl import (
     print_model,
     rescale_durations,
 )
-from .interp import DecisionTrace, covered_test_case, eval_model
+from .interp import DecisionTrace, eval_model
 from .kernel import CycleRecord, Kernel, KernelConfig
 from .mediator import (
     CycleObservation,

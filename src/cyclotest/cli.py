@@ -29,11 +29,11 @@ from .dsl import ModelError, check_model, extract_predicates, parse_model, resca
 from .kernel import KernelConfig
 from .mediator import InProcessLink, MediatorError, StdioLink, TcpLink
 from .reduction import (
+    ReductionError,
     coverable_cases,
     derive_projections,
     enumerate_reachable_flag_states,
     enumerate_test_cases,
-    generalized_state,
     make_piecemeal,
     rewrite_to_predicates,
 )
@@ -175,10 +175,24 @@ def build_link(model, extraction, config: RunConfig, period_ms: int):
     raise CliError("unknown subject %r (use inproc:, tcp:, stdio:)" % spec_str, EXIT_PARSE)
 
 
+def piecemeal_parts(ast, parts) -> list:
+    """:func:`make_piecemeal` with a bad part list as a ``CliError`` (exit 2)."""
+    try:
+        return make_piecemeal(ast, parts)
+    except ReductionError as exc:
+        raise CliError(str(exc), EXIT_PARSE) from exc
+
+
 def run_campaign(config: RunConfig) -> CampaignResult:
     extraction, period = load_model(config)
     ast = extraction.source
     projections = derive_projections(extraction)
+    # a bad scenario is rejected before a subject is started
+    part = None
+    if config.scenario.startswith("piece:"):
+        part = piecemeal_parts(ast, [config.scenario.split(":", 1)[1]])[0]
+    elif config.scenario != "full":
+        raise CliError("unknown scenario %r" % config.scenario, EXIT_PARSE)
     link = build_link(ast, extraction, config, period)
     rng = None
     if config.seed is not None:
@@ -186,16 +200,12 @@ def run_campaign(config: RunConfig) -> CampaignResult:
 
         rng = random.Random(config.seed)
     spec = Specification(extraction, link, strict_held=config.strict_held)
-    if config.scenario == "full":
+    if part is None:
         scenario = build_coverage_scenario(spec, extraction, projections, period,
                                            strict=config.strict_held)
-    elif config.scenario.startswith("piece:"):
-        part_id = config.scenario.split(":", 1)[1]
-        part = make_piecemeal(ast, [part_id])[0]
+    else:
         scenario = build_piecemeal_scenario(spec, extraction, projections, part, period,
                                             strict=config.strict_held)
-    else:
-        raise CliError("unknown scenario %r" % config.scenario, EXIT_PARSE)
 
     log.info("running scenario %s against %s (period %d ms)", scenario.name, config.sut, period)
     error = None
@@ -226,7 +236,7 @@ def run_piecemeal(config: RunConfig):
     if not parts:
         root = ast.body
         parts = ["t", "e"] if hasattr(root, "condition") else [""]
-    make_piecemeal(ast, parts)  # validates disjointness
+    piecemeal_parts(ast, parts)  # validates the parts
     config_args = {k: getattr(config, k) for k in RunConfig.__dataclass_fields__}
     results = []
     if config.jobs > 1:
@@ -348,14 +358,14 @@ def cmd_reduce(args) -> int:
     projections = derive_projections(extraction)
     reach = enumerate_reachable_flag_states(extraction, period, config.strict_held)
 
+    # a state's membership vector holds one bit per case: whether it is coverable there
     cells: dict = {}
     for state_vars, vec in reach.states:
         env = dict(state_vars)
         env.update(zip(reach.predicate_ids, vec))
-        member = generalized_state(env, projections, extraction.model)
-        cells.setdefault(member, []).append(
-            (dict(state_vars), vec, sorted(coverable_cases(env, cases, extraction.model)))
-        )
+        coverable = coverable_cases(env, cases, extraction.model)
+        member = tuple(int(pc.id in coverable) for pc in cases)
+        cells.setdefault(member, []).append((dict(state_vars), vec, sorted(coverable)))
 
     if args.json:
         payload = {
@@ -408,7 +418,7 @@ def duration_cycles(text: str) -> tuple:
         duration_ms = int(duration[:-1]) * 1000
     else:
         duration_ms = int(duration)
-    return duration_ms, int(cycles)
+    return duration_ms, positive_int(cycles)
 
 
 def criterion_ratio(text: str) -> tuple:
@@ -490,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--no-streaming", action="store_true",
                      help="pace cycles against the wall clock")
     run.add_argument("--timeout", type=positive_float, default=5.0,
-                     help="per-exchange timeout, seconds")
+                     help="timeout for each reply line, seconds")
     run.add_argument("--require", type=criterion_ratio, action="append",
                      metavar="CRITERION=RATIO",
                      help="fail with exit 5 below this coverage, e.g. branch=1.0")

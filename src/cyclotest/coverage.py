@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .dsl import ModelAst
 from .interp import DecisionTrace
@@ -53,11 +52,6 @@ class CoverageReport:
             self.outcomes_seen[record.node_id].add(record.outcome)
             vector = tuple(value for _, value in record.conditions)
             self.vectors_seen[record.node_id][vector] = record.outcome
-        return self
-
-    def accumulate_all(self, traces: Iterable) -> "CoverageReport":
-        for trace in traces:
-            self.accumulate(trace)
         return self
 
     def merge(self, other: "CoverageReport") -> "CoverageReport":

@@ -229,8 +229,8 @@ def walk_exprs(expr: Expr) -> Iterator[Expr]:
 
 
 def free_vars(expr: Expr) -> frozenset:
-    """Variable identifiers referenced by ``expr`` (predicate ids excluded)."""
-    return frozenset(e.ident for e in walk_exprs(expr) if isinstance(e, Name))
+    """Variable and predicate identifiers referenced by ``expr``."""
+    return frozenset(e.ident for e in walk_exprs(expr) if isinstance(e, (Name, PredRef)))
 
 
 # ---------------------------------------------------------------------------
@@ -559,9 +559,13 @@ def _check_refs(expr: Expr, decls: Mapping, in_condition: bool, inside_held: boo
 _PREC = {Or: 1, And: 2, Cmp: 3, Not: 4}
 
 
-def print_expr(expr: Expr) -> str:
-    # min_prec: lowest precedence printable at this position without parens;
-    # right operands of left-associative binary ops need strictly higher.
+def print_expr(expr: Expr, min_prec: int = 0) -> str:
+    """Source text of ``expr``, which ``parse_expression`` reads back.
+
+    ``min_prec`` is the lowest ``_PREC`` precedence printable without
+    parentheses at the position the text is put in; right operands of
+    left-associative binary ops need strictly higher.
+    """
     def render(e: Expr, min_prec: int) -> str:
         if isinstance(e, Name):
             return e.ident
@@ -590,7 +594,13 @@ def print_expr(expr: Expr) -> str:
             return "(" + text + ")"
         return text
 
-    return render(expr, 0)
+    return render(expr, min_prec)
+
+
+def print_conjunction(factors) -> str:
+    """``factors`` joined by ``&&``, each printed at ``&&`` precedence so that
+    the text parses back to their conjunction; ``true`` when there are none."""
+    return " && ".join(print_expr(f, _PREC[And]) for f in factors) or "true"
 
 
 def print_model(ast: ModelAst) -> str:
@@ -862,22 +872,6 @@ def _unreachable_leaves(ast: ModelAst) -> list:
                    "leaf '%s' is unreachable" % (leaf_id or "root"), node_id=leaf_id)
         for leaf_id in unreached
     ]
-
-
-def leaf_paths(ast: ModelAst) -> list:
-    """(leaf, [(condition, required outcome), ...]) per root-to-leaf path, in
-    pre-order."""
-    paths = []
-
-    def visit(node: Node, factors: list) -> None:
-        if isinstance(node, Leaf):
-            paths.append((node, factors))
-            return
-        visit(node.then_branch, factors + [(node.condition, True)])
-        visit(node.else_branch, factors + [(node.condition, False)])
-
-    visit(ast.body, [])
-    return paths
 
 
 # ---------------------------------------------------------------------------

@@ -76,13 +76,3 @@ def _eval(expr, env, flags):
         return eval_expr(expr, env, flags)
     except KeyError as exc:
         raise MissingBinding("no binding for %s" % exc) from exc
-
-
-def covered_test_case(trace: DecisionTrace, ast: ModelAst) -> str:
-    """Identifier of the root-to-leaf path a trace took, as ``case<N>`` with
-    N the 1-based position of the leaf in pre-order (the same numbering the
-    reduction module assigns to path conditions)."""
-    for i, leaf in enumerate(ast.leaves()):
-        if leaf.node_id == trace.leaf_id:
-            return "case%d" % (i + 1)
-    raise EvalError("trace leaf '%s' is not a leaf of model '%s'" % (trace.leaf_id, ast.name))

@@ -106,6 +106,3 @@ class Kernel:
         self.records.append(record)
         self._cycle_index += 1
         return record
-
-    def run(self, cycles: int) -> list:
-        return [self.run_cycle() for _ in range(cycles)]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import os
-import selectors
+import select
 import socket
 import subprocess
 import time
@@ -185,19 +185,40 @@ class InProcessLink(MediatorLink):
 
 
 class _StreamLink(MediatorLink):
-    """NDJSON request/response over a byte stream."""
+    """NDJSON request/response over a byte stream.  A transport sends with
+    :meth:`_send` and sets ``_fd`` to the file descriptor its replies arrive
+    on before the handshake."""
 
     def __init__(self, model: ModelAst, timeout_s: float = DEFAULT_TIMEOUT_S):
         super().__init__(model)
         self.timeout_s = timeout_s
-
-    # transport primitives -------------------------------------------------
+        self._fd = -1
+        self._pending = b""  # bytes read past the last complete line
 
     def _send(self, message: WireMessage) -> None:
         raise NotImplementedError
 
     def _readline(self) -> bytes:
-        raise NotImplementedError
+        """One line, or what is left at end of stream; the timeout bounds the
+        whole line, so a subject that stalls or trickles mid-line times out
+        too."""
+        deadline = time.monotonic() + self.timeout_s
+        poll = select.poll()
+        poll.register(self._fd, select.POLLIN)
+        while b"\n" not in self._pending:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not poll.poll(remaining * 1000):
+                raise ExchangeTimeout("no observation within %.1f s" % self.timeout_s)
+            try:
+                chunk = os.read(self._fd, 65536)
+            except OSError as exc:
+                raise Disconnect(str(exc)) from exc
+            if not chunk:
+                line, self._pending = self._pending, b""
+                return line
+            self._pending += chunk
+        line, _, self._pending = self._pending.partition(b"\n")
+        return line + b"\n"
 
     # protocol --------------------------------------------------------------
 
@@ -245,36 +266,22 @@ class TcpLink(_StreamLink):
             self._sock = socket.create_connection((host, port), timeout=timeout_s)
         except OSError as exc:
             raise Disconnect("cannot connect to %s:%d: %s" % (host, port, exc)) from exc
-        self._file = self._sock.makefile("rwb")
+        self._fd = self._sock.fileno()
         try:
             self._handshake()
         except MediatorError:
-            self._file.close()
             self._sock.close()
             raise
 
     def _send(self, message: WireMessage) -> None:
         try:
-            self._file.write(message.encode())
-            self._file.flush()
-        except OSError as exc:
-            raise Disconnect(str(exc)) from exc
-
-    def _readline(self) -> bytes:
-        try:
-            return self._file.readline()
-        except socket.timeout as exc:
-            raise ExchangeTimeout("no observation within %.1f s" % self.timeout_s) from exc
+            self._sock.sendall(message.encode())
         except OSError as exc:
             raise Disconnect(str(exc)) from exc
 
     def close(self) -> None:
         self._send_shutdown()
-        try:
-            self._file.close()
-            self._sock.close()
-        except OSError:
-            pass
+        self._sock.close()
 
 
 class StdioLink(_StreamLink):
@@ -284,9 +291,7 @@ class StdioLink(_StreamLink):
         self.proc = subprocess.Popen(
             argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=stderr
         )
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(self.proc.stdout, selectors.EVENT_READ)
-        self._pending = b""  # bytes read past the last complete line
+        self._fd = self.proc.stdout.fileno()
         try:
             self._handshake()
         except MediatorError:
@@ -300,22 +305,6 @@ class StdioLink(_StreamLink):
             self.proc.stdin.flush()
         except (OSError, ValueError) as exc:
             raise Disconnect(str(exc)) from exc
-
-    def _readline(self) -> bytes:
-        """One line, or what is left at end of stream; the timeout bounds the
-        whole line, so a subject that stalls mid-line times out too."""
-        deadline = time.monotonic() + self.timeout_s
-        while b"\n" not in self._pending:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not self._selector.select(remaining):
-                raise ExchangeTimeout("no observation within %.1f s" % self.timeout_s)
-            chunk = os.read(self.proc.stdout.fileno(), 65536)
-            if not chunk:
-                line, self._pending = self._pending, b""
-                return line
-            self._pending += chunk
-        line, _, self._pending = self._pending.partition(b"\n")
-        return line + b"\n"
 
     def close(self) -> None:
         self._send_shutdown()
@@ -332,7 +321,6 @@ class StdioLink(_StreamLink):
         except subprocess.TimeoutExpired:
             self.proc.kill()
             self.proc.wait()
-        self._selector.close()
         self.proc.stdout.close()
 
 

@@ -15,16 +15,15 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .dsl import (
-    Const,
     ExtractionResult,
     Expr,
     Held,
+    Leaf,
     ModelAst,
-    Name,
-    PredRef,
+    Not,
     eval_expr,
     free_vars,
-    leaf_paths,
+    print_conjunction,
     print_expr,
     walk_exprs as _walk,
     walk_to_leaf,
@@ -46,53 +45,39 @@ class OverlappingParts(ReductionError):
 
 
 @dataclass(frozen=True)
-class PathFactor:
-    """One conjunct of a path condition: a decision condition plus the
-    outcome required to stay on the path."""
-
-    expr: Expr
-    value: bool
-
-    def __str__(self) -> str:
-        text = print_expr(self.expr)
-        if self.value:
-            return text
-        if _is_atomic(self.expr):
-            return "!" + text
-        return "!(%s)" % text
-
-
-def _is_atomic(expr: Expr) -> bool:
-    return isinstance(expr, (Name, PredRef, Const, Held))
-
-
-@dataclass(frozen=True)
 class PathCondition:
+    """Conjunction of the decisions on the way to one leaf: each factor is a
+    decision's condition, or its negation where the path takes the else
+    branch."""
+
     id: str
     leaf_id: str
     factors: tuple
 
     def __str__(self) -> str:
-        return " && ".join(str(f) for f in self.factors) if self.factors else "true"
+        return print_conjunction(self.factors)
 
 
 def enumerate_test_cases(ast: ModelAst) -> list:
     """One path condition per leaf, in pre-order; covering all of them covers
     every branch of the model."""
-    return [
-        PathCondition("case%d" % i, leaf.node_id, tuple(PathFactor(*f) for f in factors))
-        for i, (leaf, factors) in enumerate(leaf_paths(ast), 1)
-    ]
+    cases = []
+
+    def visit(node, factors: tuple) -> None:
+        if isinstance(node, Leaf):
+            cases.append(PathCondition("case%d" % (len(cases) + 1), node.node_id, factors))
+        else:
+            visit(node.then_branch, factors + (node.condition,))
+            visit(node.else_branch, factors + (Not(node.condition),))
+
+    visit(ast.body, ())
+    return cases
 
 
 def rewrite_to_predicates(pc: PathCondition, extraction: ExtractionResult) -> PathCondition:
     """Replace temporal conditions inside a path condition by conjunctions of
     predicate identifiers."""
-    return PathCondition(
-        pc.id,
-        pc.leaf_id,
-        tuple(PathFactor(extraction.rewrite_expr(f.expr), f.value) for f in pc.factors),
-    )
+    return PathCondition(pc.id, pc.leaf_id, tuple(map(extraction.rewrite_expr, pc.factors)))
 
 
 # ---------------------------------------------------------------------------
@@ -103,37 +88,34 @@ def rewrite_to_predicates(pc: PathCondition, extraction: ExtractionResult) -> Pa
 class Projection:
     """Subspace of specification states in which a test case can be covered
     by some input valuation: the states from which some input walks the
-    rewritten model to the case's leaf (see :func:`generalized_state`)."""
+    rewritten model to the case's leaf (see :func:`generalized_state`).
+
+    Printed as the conjunction of ``factors``, under ``exists inputs:`` when
+    they still name inputs.
+    """
 
     id: str
     case_id: str
     leaf_id: str
-    factors: tuple  # full rewritten path factors
-    state_factors: tuple  # factors kept after dropping pure-input ones
-    input_names: frozenset
+    factors: tuple
+    exists_inputs: bool
 
     def __str__(self) -> str:
-        if self.mixes_inputs_and_state():
-            return "exists inputs: %s" % " && ".join(str(f) for f in self.factors)
-        if not self.state_factors:
-            return "true"
-        return " && ".join(str(f) for f in self.state_factors)
-
-    def mixes_inputs_and_state(self) -> bool:
-        for f in self.factors:
-            refs = free_vars(f.expr)
-            if refs & self.input_names and refs - self.input_names:
-                return True
-        return False
+        text = print_conjunction(self.factors)
+        return "exists inputs: " + text if self.exists_inputs else text
 
 
 def project_to_state(pc: PathCondition, model: ModelAst) -> Projection:
     """Project a rewritten path condition onto the state space (predicate ids
-    and state variables only)."""
+    and state variables only).  Factors over inputs alone are dropped; a
+    factor that mixes inputs with state keeps every factor, quantified."""
     inputs = frozenset(model.input_names)
-    kept = tuple(f for f in pc.factors if not (free_vars(f.expr) and free_vars(f.expr) <= inputs))
-    return Projection("P%s" % pc.id.removeprefix("case"), pc.id, pc.leaf_id, pc.factors, kept,
-                      inputs)
+    refs = [free_vars(f) for f in pc.factors]
+    pid = "P%s" % pc.id.removeprefix("case")
+    if any(r & inputs and r - inputs for r in refs):
+        return Projection(pid, pc.id, pc.leaf_id, pc.factors, True)
+    kept = tuple(f for f, r in zip(pc.factors, refs) if not (r and r <= inputs))
+    return Projection(pid, pc.id, pc.leaf_id, kept, False)
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +267,13 @@ class PiecemealPart:
 
 def make_piecemeal(ast: ModelAst, parts: Sequence) -> list:
     """Split a model into per-subtree scenario skeletons."""
+    cases = enumerate_test_cases(ast)
     # a node's id is its t/e path from the root, so the factors on the way to
-    # it are the first len(id) factors of any leaf path below it
+    # it are the first len(id) factors of any case below it
     prefixes = {}
-    for leaf, factors in leaf_paths(ast):
-        for k in range(len(leaf.node_id) + 1):
-            prefixes.setdefault(leaf.node_id[:k], factors[:k])
+    for pc in cases:
+        for k in range(len(pc.leaf_id) + 1):
+            prefixes.setdefault(pc.leaf_id[:k], pc.factors[:k])
     for part in parts:
         if part not in prefixes:
             raise ReductionError("unknown node id %r" % part)
@@ -298,26 +281,21 @@ def make_piecemeal(ast: ModelAst, parts: Sequence) -> list:
         if a.startswith(b) or b.startswith(a):
             raise OverlappingParts("parts %r and %r overlap" % (a, b))
 
-    cases = enumerate_test_cases(ast)
     inputs = frozenset(ast.input_names)
 
-    def pinnable(factor: PathFactor) -> bool:
+    def pinnable(factor: Expr) -> bool:
         # held() cannot be pinned cycle-by-cycle even over pure inputs
-        if any(isinstance(e, Held) for e in _walk(factor.expr)):
+        if any(isinstance(e, Held) for e in _walk(factor)):
             return False
-        refs = free_vars(factor.expr)
+        refs = free_vars(factor)
         return bool(refs) and refs <= inputs
 
     skeletons = []
     for part in parts:
-        prefix_factors = [PathFactor(*f) for f in prefixes[part]]
-        input_factors = [f for f in prefix_factors if pinnable(f)]
-        other_factors = [f for f in prefix_factors if not pinnable(f)]
-        satisfying = [
-            v
-            for v in ast.input_valuations
-            if all(bool(eval_expr(f.expr, v)) == f.value for f in input_factors)
-        ]
+        input_factors = [f for f in prefixes[part] if pinnable(f)]
+        other_factors = [f for f in prefixes[part] if not pinnable(f)]
+        satisfying = [v for v in ast.input_valuations
+                      if all(eval_expr(f, v) for f in input_factors)]
         if not satisfying:
             raise ReductionError("no input valuation reaches part %r" % part)
         pinned, iterated = {}, {}
@@ -329,7 +307,6 @@ def make_piecemeal(ast: ModelAst, parts: Sequence) -> list:
                 iterated[name] = tuple(values)
         case_ids = tuple(pc.id for pc in cases if pc.leaf_id.startswith(part))
         skeletons.append(
-            PiecemealPart(part, pinned, iterated, tuple(str(f) for f in other_factors), case_ids)
+            PiecemealPart(part, pinned, iterated, tuple(map(print_expr, other_factors)), case_ids)
         )
     return skeletons
-

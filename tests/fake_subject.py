@@ -1,31 +1,35 @@
-"""Misbehaving stand-in for the iron subject, speaking the NDJSON protocol on stdio.
+"""Misbehaving stand-in for the iron subject, speaking the NDJSON protocol.
 
-    python tests/fake_subject.py FAULT
+    python tests/fake_subject.py FAULT [--tcp]
 
-It sends a correct iron hello, then answers every ``set_inputs`` with an
-observation that has one fault:
+It serves one session on stdio, or with ``--tcp`` one connection on a free
+local port that it announces as ``listening on HOST:PORT``.  It sends a
+correct iron hello, then answers every ``set_inputs`` with an observation
+that has one fault:
 
 * ``no-time``: the observation leaves out ``sys_time_ms``;
 * ``bad-output``: ``heating`` is the string ``"x"``;
 * ``time-back``: from the second cycle on, the system time goes back;
 * ``partial-line``: the observation stops before its end and the subject
-  stalls for 30 s without writing a newline.
+  stalls for 30 s without writing a newline;
+* ``trickle``: the observation is written one byte every 0.5 s.
 """
 import json
+import socket
 import sys
 import time
 
-FAULTS = ("no-time", "bad-output", "time-back", "partial-line")
+FAULTS = ("no-time", "bad-output", "time-back", "partial-line", "trickle")
 
 
-def main(fault: str) -> int:
-    def send(data: dict) -> None:
-        sys.stdout.write(json.dumps(data) + "\n")
-        sys.stdout.flush()
+def serve(fault: str, reader, writer) -> int:
+    def write(text: str) -> None:
+        writer.write(text.encode("utf-8"))
+        writer.flush()
 
-    send({"type": "hello", "model": "iron", "inputs": ["move", "position"],
-          "outputs": ["heating"], "state": [], "cycle_period_ms": 1000})
-    for line in sys.stdin:
+    write(json.dumps({"type": "hello", "model": "iron", "inputs": ["move", "position"],
+                      "outputs": ["heating"], "state": [], "cycle_period_ms": 1000}) + "\n")
+    for line in reader:
         msg = json.loads(line)
         if msg["type"] != "set_inputs":
             return 0
@@ -39,15 +43,33 @@ def main(fault: str) -> int:
         elif fault == "time-back" and cycle > 0:
             obs["sys_time_ms"] = 500
         elif fault == "partial-line":
-            sys.stdout.write('{"type": "observation"')
-            sys.stdout.flush()
+            write('{"type": "observation"')
             time.sleep(30)
             return 0
-        send(obs)
+        elif fault == "trickle":
+            for char in json.dumps(obs) + "\n":
+                write(char)
+                time.sleep(0.5)
+            continue
+        write(json.dumps(obs) + "\n")
     return 0
 
 
+def main(fault: str, tcp: bool) -> int:
+    try:
+        if not tcp:
+            return serve(fault, sys.stdin.buffer, sys.stdout.buffer)
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            print("listening on %s:%d" % server.getsockname()[:2], flush=True)
+            conn, _ = server.accept()
+            with conn, conn.makefile("rb") as reader, conn.makefile("wb") as writer:
+                return serve(fault, reader, writer)
+    except OSError:  # the engine hung up
+        return 0
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2 or sys.argv[1] not in FAULTS:
-        sys.exit("usage: fake_subject.py {%s}" % ",".join(FAULTS))
-    sys.exit(main(sys.argv[1]))
+    args = sys.argv[1:]
+    if args[:1] == [] or args[0] not in FAULTS or args[1:] not in ([], ["--tcp"]):
+        sys.exit("usage: fake_subject.py {%s} [--tcp]" % ",".join(FAULTS))
+    sys.exit(main(args[0], args[1:] == ["--tcp"]))

@@ -12,7 +12,8 @@ import itertools
 from collections import deque
 
 from cyclotest.contracts import Verdict, VerdictKind
-from cyclotest.dsl import Held, eval_expr, leaf_paths, print_expr, walk_exprs
+from cyclotest.dsl import Held, eval_expr, print_expr, walk_exprs
+from cyclotest.reduction import enumerate_test_cases
 from cyclotest.traversal import Scenario, ScenarioFunction
 
 
@@ -93,15 +94,15 @@ def reachable_flag_vectors(extraction, period_ms: int, strict: bool = False) -> 
 
 
 def path_holds(factors, env) -> bool:
-    """Every (condition, outcome) factor of a path condition holds in ``env``,
-    which binds variables and predicate ids alike."""
-    return all(bool(eval_expr(f.expr, env, env)) == f.value for f in factors)
+    """Every factor of a path condition holds in ``env``, which binds
+    variables and predicate ids alike."""
+    return all(eval_expr(f, env, env) for f in factors)
 
 
 def projection_holds(projection, state_env, model) -> bool:
     """Existential input elimination by enumeration: some input valuation
-    satisfies the projection's whole rewritten path condition in this state.
-    A rewritten path condition works in place of its projection."""
+    satisfies the projection's factors in this state.  A rewritten path
+    condition works in place of its projection."""
     return any(path_holds(projection.factors, dict(state_env, **inputs))
                for inputs in _valuations(model.inputs))
 
@@ -130,10 +131,10 @@ def unreachable_leaves_bruteforce(ast) -> set:
         def held_eval(node):
             return held[(print_expr(node.formula), node.duration_ms)]
 
-        return all(eval_expr(cond, env, None, held_eval) == want for cond, want in factors)
+        return all(eval_expr(f, env, None, held_eval) for f in factors)
 
-    return {leaf.node_id for leaf, factors in leaf_paths(ast)
-            if not any(satisfied(factors, env, held) for env, held in atom_valuations)}
+    return {pc.leaf_id for pc in enumerate_test_cases(ast)
+            if not any(satisfied(pc.factors, env, held) for env, held in atom_valuations)}
 
 
 class CompoundWindowOracle:

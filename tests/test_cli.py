@@ -67,7 +67,10 @@ class TestReduce:
 
 class TestAnalysisPinned:
     # sha256 of the JSON report and of stderr (the check_model diagnostics),
-    # taken before generalized states were read off the tree walk
+    # taken before generalized states were read off the tree walk; the tank
+    # and guard reduce reports were re-taken when the printed conditions
+    # became re-parseable (an || factor in parentheses, projections that mix
+    # inputs with predicate ids under "exists inputs:")
     @pytest.mark.parametrize("model, command, out_sha, err_sha", [
         ("iron", "reduce",
          "8fee2416cfbb7c6fae320a07dbcda1253e861fe6e93b36851ec17e728797f06a",
@@ -76,13 +79,13 @@ class TestAnalysisPinned:
          "feb4f1164fa77757f289307435040992f06f517cfce0770e9aedbb92c08b02ac",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         ("tank", "reduce",
-         "6b9b4224abd6cf525e613c5f5786f90edafa55709cfcfbcf7a58ea53ab958d92",
+         "80edbdd73565d946c183ff61eff2056e4eaaf61c8c2196fd7825e3a5a867bade",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         ("tank", "enumerate-states",
          "d560b30fccffaf236ad45a19ab6f348ffc89c1e9783d1307de71e5fd19b57bd8",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         ("guard", "reduce",
-         "cb7d68566c9ee3af00de549acd380f2cdc8a099156e4bc1a26257b42eb40780f",
+         "9d52e33110e256be9560aa7b49df4afe8b21dee98842aa9f16b0fec3dba388f9",
          "55982767c0a6ee965bf149eec36e837c6b322c76f46913c048aa282ece61614f"),
         ("guard", "enumerate-states",
          "68b93f727dbb3ca65c984faffa673283f46e6ebe4e24aae7536a40cb5c03b739",
@@ -199,16 +202,32 @@ def _subprocess(module, argv):
                           capture_output=True, text=True, env=env, timeout=60)
 
 
+FAKE_SUBJECT = [sys.executable, str(Path(__file__).resolve().parent / "fake_subject.py")]
+FAULTS = ["no-time", "bad-output", "time-back", "partial-line", "trickle"]
+
+
 class TestMisbehavingSubject:
-    @pytest.mark.parametrize("fault", ["no-time", "bad-output", "time-back", "partial-line"])
+    @pytest.mark.parametrize("fault", FAULTS)
     def test_stdio_fault_exit_3_without_traceback(self, fault):
-        fake = Path(__file__).resolve().parent / "fake_subject.py"
-        sut = "stdio:%s %s %s" % (shlex.quote(sys.executable), shlex.quote(str(fake)), fault)
+        self._assert_mediator_failure("stdio:" + shlex.join(FAKE_SUBJECT + [fault]))
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_tcp_fault_exit_3_without_traceback(self, fault):
+        with subprocess.Popen(FAKE_SUBJECT + [fault, "--tcp"], stdout=subprocess.PIPE,
+                              text=True) as server:
+            try:
+                address = server.stdout.readline().split()[-1]
+                self._assert_mediator_failure("tcp:" + address)
+            finally:
+                server.kill()
+
+    @staticmethod
+    def _assert_mediator_failure(sut):
         started = time.monotonic()
         proc = _subprocess("cyclotest.cli", ["run", "--model", MODEL_PATH, "--sut", sut,
                                              "--timeout", "1", "--json", "--deterministic"]
                            + DESK)
-        # one timed-out exchange and one timed-out wait for the child at most
+        # one timed-out reply line and one timed-out wait for a stdio child at most
         assert time.monotonic() - started < 10
         assert proc.returncode == 3, proc.stderr
         assert "Traceback" not in proc.stderr
@@ -229,6 +248,11 @@ class TestMisbehavingSubject:
 class TestBadArguments:
     @pytest.mark.parametrize("module, argv", [
         ("cyclotest.cli", ["--remap-duration", "60x=3"]),
+        ("cyclotest.cli", ["--remap-duration", "60s=0"]),
+        ("cyclotest.cli", ["--remap-duration", "60s=-1"]),
+        ("cyclotest.cli", ["--scenario", "piecemeal", "--parts", "zz"]),
+        ("cyclotest.cli", ["--scenario", "piecemeal", "--parts", "t", "t"]),
+        ("cyclotest.cli", ["--scenario", "piece:zz"]),
         ("cyclotest.cli", ["--require", "branch=abc"]),
         ("cyclotest.cli", ["--time-scale", "abc"]),
         ("cyclotest.cli", ["--sut", "tcp:127.0.0.1:notaport"]),

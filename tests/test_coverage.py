@@ -156,10 +156,13 @@ class TestMerge:
                         m2=bool(rng.randint(0, 1)), p2=bool(rng.randint(0, 1)))
             for _ in range(6)
         ]
-        r1 = CoverageReport.for_model(iron_extraction.model).accumulate_all(traces[:3])
-        r2 = CoverageReport.for_model(iron_extraction.model).accumulate_all(traces[3:])
-        whole = CoverageReport.for_model(iron_extraction.model).accumulate_all(traces)
-        return r1, r2, whole
+        def report(part):
+            report = CoverageReport.for_model(iron_extraction.model)
+            for trace in part:
+                report.accumulate(trace)
+            return report
+
+        return report(traces[:3]), report(traces[3:]), report(traces)
 
     def test_merge_commutative_and_matches_union(self, iron_extraction):
         for seed in range(5):

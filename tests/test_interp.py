@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from cyclotest.interp import MissingBinding, covered_test_case, eval_model
+from cyclotest.interp import MissingBinding, eval_model
+from cyclotest.reduction import enumerate_test_cases
 
 
 def _flags(m1=False, p1=False, m2=False, p2=False):
@@ -81,6 +82,11 @@ class TestDecisionTrace:
         path = [r.node_id for r in trace.decisions] + [trace.leaf_id]
         for parent, child in zip(path, path[1:]):
             assert child.startswith(parent) and len(child) == len(parent) + 1
+
+
+def covered_test_case(trace, ast) -> str:
+    """The test case whose leaf a trace reached."""
+    return {pc.leaf_id: pc.id for pc in enumerate_test_cases(ast)}[trace.leaf_id]
 
 
 class TestCoveredTestCase:

@@ -42,7 +42,7 @@ class TestSimulatedTime:
     def test_time_advances_by_period_regardless_of_wall_time(self):
         kernel, clock = _kernel(KernelConfig(cycle_period_ms=100))
         kernel.register_subsystem("slow", lambda ctx: clock.work(0.5))
-        records = kernel.run(5)
+        records = [kernel.run_cycle() for _ in range(5)]
         assert [r.sys_time_ms for r in records] == [100, 200, 300, 400, 500]
 
     def test_constant_within_cycle(self):
@@ -123,13 +123,14 @@ class TestDeterminism:
         for _ in range(2):
             kernel, _ = _kernel(KernelConfig(cycle_period_ms=250))
             kernel.register_subsystem("noop", lambda ctx: None)
-            kernel.run(10)
+            for _ in range(10):
+                kernel.run_cycle()
             logs.append("\n".join(r.to_json(deterministic=True) for r in kernel.records))
         assert logs[0] == logs[1]
 
     def test_monotonic_strictly_increasing(self):
         kernel, _ = _kernel(KernelConfig(cycle_period_ms=250))
-        records = kernel.run(20)
+        records = [kernel.run_cycle() for _ in range(20)]
         deltas = {
             b.sys_time_ms - a.sys_time_ms for a, b in zip(records, records[1:])
         }

@@ -1,10 +1,22 @@
+import ast as pyast
 import itertools
+from pathlib import Path
 
 import pytest
 from conftest import GUARD_SRC, TANK_SRC
 
-from cyclotest.dsl import check_model, extract_predicates, parse_model
-from cyclotest.iron import iron_model
+from cyclotest.dsl import (
+    Held,
+    ModelError,
+    check_model,
+    eval_expr,
+    extract_predicates,
+    parse_expression,
+    parse_model,
+    print_expr,
+    walk_exprs,
+)
+from cyclotest.iron import iron_model, iron_source
 from cyclotest.reduction import (
     OverlappingParts,
     coverable_cases,
@@ -115,14 +127,15 @@ class TestProjections:
     def test_dropping_input_factors_matches_existential_semantics(self, iron_extraction):
         from cyclotest.dsl import eval_expr
 
+        cases = [rewrite_to_predicates(pc, iron_extraction)
+                 for pc in enumerate_test_cases(iron_extraction.source)]
         projections = derive_projections(iron_extraction)
         for bits in itertools.product((0, 1), repeat=4):
             env = _env(bits)
-            for p in projections:
-                kept = all(
-                    bool(eval_expr(f.expr, env, env)) == f.value for f in p.state_factors
-                )
-                assert projection_holds(p, env, iron_extraction.model) == kept
+            for p, pc in zip(projections, cases):
+                assert not p.exists_inputs
+                kept = all(eval_expr(f, env, env) for f in p.factors)
+                assert projection_holds(pc, env, iron_extraction.model) == kept
 
     def test_projection_soundness(self, iron_extraction):
         # every state in a projection admits inputs covering the source case
@@ -197,6 +210,89 @@ class TestTreeWalkMatchesBruteForce:
     def test_held_guard_leaf_unreachable(self):
         diags = check_model(parse_model(GUARD_SRC))
         assert [(d.code, d.node_id) for d in diags] == [("UnreachableLeaf", "tt")]
+
+
+def _model_sources():
+    """Every string constant in the test files that is a model without
+    errors, plus iron."""
+    params = [pytest.param(iron_source(), id="iron")]
+    seen = {iron_source()}
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in pyast.walk(pyast.parse(path.read_text(encoding="utf-8"))):
+            text = node.value if isinstance(node, pyast.Constant) else None
+            if not isinstance(text, str) or "logic" not in text or text in seen:
+                continue
+            try:
+                extract_predicates(parse_model(text))
+            except ModelError:
+                continue
+            if all(d.severity != "error" for d in check_model(parse_model(text))):
+                seen.add(text)
+                params.append(pytest.param(text, id="%s:%d" % (path.name, node.lineno)))
+    return params
+
+
+class TestPrintedReduction:
+    """Every printed case, rewritten condition and projection (the body under
+    ``exists inputs:`` included) reads back with ``parse_expression`` as the
+    conjunction of its record's factors, checked on every valuation."""
+
+    def test_sources_found(self):
+        assert {"tank", "guard", "two", "latch", "gauge", "iron"} <= {
+            parse_model(p.values[0]).name for p in _model_sources()}
+
+    @pytest.mark.parametrize("source", _model_sources())
+    def test_printed_conditions_reparse_to_their_factors(self, source):
+        model = parse_model(source)
+        extraction = extract_predicates(model)
+        decls = model.inputs + model.state_vars
+        names = [d.name for d in decls]
+        var_envs = [dict(zip(names, values))
+                    for values in itertools.product(*(d.domain() for d in decls))]
+
+        # source cases: held() atoms, keyed by printed formula and duration,
+        # vary independently of the variables
+        keys = sorted({(print_expr(e.formula), e.duration_ms) for dec in model.decisions()
+                       for e in walk_exprs(dec.condition) if isinstance(e, Held)})
+        for pc in enumerate_test_cases(model):
+            parsed = parse_expression(str(pc))
+            for env in var_envs:
+                for bits in itertools.product((0, 1), repeat=len(keys)):
+                    held = dict(zip(keys, bits))
+
+                    def held_eval(node):
+                        return held[(print_expr(node.formula), node.duration_ms)]
+
+                    want = all(eval_expr(f, env, None, held_eval) for f in pc.factors)
+                    got = bool(eval_expr(parsed, env, None, held_eval))
+                    assert got == want, (pc.id, str(pc), env, held)
+
+        # rewritten cases and projections: predicate ids vary like variables
+        ids = [p.id for p in extraction.predicates]
+        envs = [dict(env, **dict(zip(ids, bits)))
+                for env in var_envs for bits in itertools.product((0, 1), repeat=len(ids))]
+        records = [rewrite_to_predicates(pc, extraction) for pc in enumerate_test_cases(model)]
+        records += derive_projections(extraction)
+        for record in records:
+            text = str(record).removeprefix("exists inputs: ")
+            parsed = parse_expression(text)
+            for env in envs:
+                want = all(eval_expr(f, env, env) for f in record.factors)
+                assert bool(eval_expr(parsed, env)) == want, (record.id, text, env)
+
+    def test_mixed_factor_projects_under_exists(self):
+        projections = derive_projections(extract_predicates(parse_model(GUARD_SRC)))
+        assert [str(p) for p in projections] == [
+            "exists inputs: a_eq_t_t1 && b == 2 && !a_eq_t_t1",
+            "exists inputs: a_eq_t_t1 && !(b == 2 && !a_eq_t_t1)",
+            "!a_eq_t_t1",
+            "!a_eq_t_t1",
+        ]
+
+    def test_disjunction_factor_parenthesised(self):
+        cases = enumerate_test_cases(parse_model(TANK_SRC))
+        assert str(cases[2]) == ("!held(drain && fill == 0, 2s) && "
+                                 "(level == 3 || held(fill == 2, 1500ms)) && drain && fill == 2")
 
 
 class TestReachability:
