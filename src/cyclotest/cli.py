@@ -11,13 +11,15 @@ level.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import functools
 import json
 import logging
 import os
+import random
 import shlex
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -25,7 +27,14 @@ from typing import Optional
 from . import iron
 from .contracts import Specification, VerdictKind
 from .coverage import CRITERIA, CoverageReport
-from .dsl import ModelError, check_model, extract_predicates, parse_model, rescale_durations
+from .dsl import (
+    Decision,
+    ModelError,
+    check_model,
+    extract_predicates,
+    parse_model,
+    rescale_durations,
+)
 from .kernel import KernelConfig
 from .mediator import InProcessLink, MediatorError, StdioLink, TcpLink
 from .reduction import (
@@ -37,7 +46,7 @@ from .reduction import (
     make_piecemeal,
     rewrite_to_predicates,
 )
-from .scenarios import build_coverage_scenario, build_piecemeal_scenario
+from .scenarios import build_coverage_scenario
 from .traversal import TraversalError, export_dot, traverse
 
 log = logging.getLogger("cyclotest.cli")
@@ -53,6 +62,10 @@ class CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
+
+    def __reduce__(self):
+        # raised in a pool worker, it is pickled back to the main process
+        return CliError, (str(self), self.code)
 
 
 @dataclass
@@ -87,6 +100,11 @@ class CampaignResult:
     error: Optional[str] = None
     error_code: int = EXIT_OK
     cycle_records: tuple = ()
+
+    def __getstate__(self):
+        # the automaton holds scenario closures, which do not pickle: a pool
+        # worker sends back the log, the report and the error
+        return dict(self.__dict__, automaton=None, cycle_records=())
 
     def exit_code(self, required) -> int:
         if self.error is not None:
@@ -175,41 +193,59 @@ def build_link(model, extraction, config: RunConfig, period_ms: int):
     raise CliError("unknown subject %r (use inproc:, tcp:, stdio:)" % spec_str, EXIT_PARSE)
 
 
-def piecemeal_parts(ast, parts) -> list:
-    """:func:`make_piecemeal` with a bad part list as a ``CliError`` (exit 2)."""
-    try:
-        return make_piecemeal(ast, parts)
-    except ReductionError as exc:
-        raise CliError(str(exc), EXIT_PARSE) from exc
-
-
 def run_campaign(config: RunConfig) -> CampaignResult:
+    """Load the model once and run the scenario as one campaign per part:
+    ``full`` and ``piece:NODE`` are one part, ``piecemeal`` is one per
+    ``--parts`` node, run serially or in a pool of at most ``--jobs``
+    processes, with the results merged."""
     extraction, period = load_model(config)
     ast = extraction.source
     projections = derive_projections(extraction)
     # a bad scenario is rejected before a subject is started
-    part = None
-    if config.scenario.startswith("piece:"):
-        part = piecemeal_parts(ast, [config.scenario.split(":", 1)[1]])[0]
-    elif config.scenario != "full":
-        raise CliError("unknown scenario %r" % config.scenario, EXIT_PARSE)
-    link = build_link(ast, extraction, config, period)
-    rng = None
-    if config.seed is not None:
-        import random
-
-        rng = random.Random(config.seed)
-    spec = Specification(extraction, link, strict_held=config.strict_held)
-    if part is None:
-        scenario = build_coverage_scenario(spec, extraction, projections, period,
-                                           strict=config.strict_held)
+    if config.scenario == "full":
+        parts = [None]
     else:
-        scenario = build_piecemeal_scenario(spec, extraction, projections, part, period,
-                                            strict=config.strict_held)
+        if config.scenario == "piecemeal":
+            ids = config.parts or (["t", "e"] if isinstance(ast.body, Decision) else [""])
+        elif config.scenario.startswith("piece:"):
+            ids = [config.scenario.split(":", 1)[1]]
+        else:
+            raise CliError("unknown scenario %r" % config.scenario, EXIT_PARSE)
+        try:
+            parts = make_piecemeal(ast, ids)
+        except ReductionError as exc:
+            raise CliError(str(exc), EXIT_PARSE) from exc
+    run = functools.partial(run_part, config, extraction, projections, period)
+    if config.scenario != "piecemeal":
+        return run(parts[0])
+    workers = min(config.jobs, len(parts))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, parts))
+    else:
+        results = list(map(run, parts))
+    merged, report = results[0].log, results[0].report
+    for result in results[1:]:
+        merged.entries.extend(result.log.entries)
+        report.merge(result.report)
+    merged.scenario = "piecemeal"
+    if any(r.log.outcome == "verdict_failure" for r in results):
+        merged.outcome = "verdict_failure"
+    failed = next((r for r in results if r.error is not None), results[0])
+    return CampaignResult(merged, report, None, failed.error, failed.error_code)
+
+
+def run_part(config: RunConfig, extraction, projections, period: int, part) -> CampaignResult:
+    """One campaign against a fresh subject: the whole model when ``part``
+    is ``None``, else one piecemeal part."""
+    link = build_link(extraction.source, extraction, config, period)
+    rng = None if config.seed is None else random.Random(config.seed)
+    spec = Specification(extraction, link, strict_held=config.strict_held)
+    scenario = build_coverage_scenario(spec, extraction, projections, period, part,
+                                       strict=config.strict_held)
 
     log.info("running scenario %s against %s (period %d ms)", scenario.name, config.sut, period)
-    error = None
-    code = EXIT_OK
+    error, code = None, EXIT_OK
     try:
         testlog, automaton = traverse(scenario, spec, budget=config.budget, rng=rng)
         log.info("explored %d state(s), %d transition(s), %d stimuli",
@@ -223,55 +259,13 @@ def run_campaign(config: RunConfig) -> CampaignResult:
     return CampaignResult(testlog, spec.coverage, automaton, error, code, records)
 
 
-def _piece_worker(config_args: dict, part_id: str):
-    config = RunConfig(**config_args)
-    config.scenario = "piece:%s" % part_id
-    result = run_campaign(config)
-    return result.log, result.report, result.error, result.error_code
-
-
-def run_piecemeal(config: RunConfig):
-    ast = load_model(config)[0].source
-    parts = list(config.parts)
-    if not parts:
-        root = ast.body
-        parts = ["t", "e"] if hasattr(root, "condition") else [""]
-    piecemeal_parts(ast, parts)  # validates the parts
-    config_args = {k: getattr(config, k) for k in RunConfig.__dataclass_fields__}
-    results = []
-    if config.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            futures = [pool.submit(_piece_worker, config_args, p) for p in parts]
-            results = [f.result() for f in futures]
-    else:
-        results = [_piece_worker(config_args, p) for p in parts]
-    merged_log, merged_report, error, code = None, None, None, EXIT_OK
-    for testlog, report, err, c in results:
-        if merged_report is None:
-            merged_log, merged_report = testlog, report
-        else:
-            merged_log.entries.extend(testlog.entries)
-            merged_report.merge(report)
-        if err and not error:
-            error, code = err, c
-    merged_log.scenario = "piecemeal"
-    return CampaignResult(merged_log, merged_report, None, error, code)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
 
 def cmd_run(args) -> int:
     config = _config_from_args(args)
-    try:
-        if config.scenario == "piecemeal":
-            result = run_piecemeal(config)
-        else:
-            result = run_campaign(config)
-    except CliError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return exc.code
+    result = run_campaign(config)
 
     if args.log:
         with open(args.log, "w", encoding="utf-8") as fh:
@@ -312,11 +306,7 @@ def cmd_run(args) -> int:
 
 def cmd_enumerate_states(args) -> int:
     config = _config_from_args(args)
-    try:
-        extraction, period = load_model(config)
-    except CliError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return exc.code
+    extraction, period = load_model(config)
     report = enumerate_reachable_flag_states(extraction, period, config.strict_held)
     if args.json:
         payload = {
@@ -347,11 +337,7 @@ def cmd_enumerate_states(args) -> int:
 
 def cmd_reduce(args) -> int:
     config = _config_from_args(args)
-    try:
-        extraction, period = load_model(config)
-    except CliError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return exc.code
+    extraction, period = load_model(config)
     ast = extraction.source
     cases = enumerate_test_cases(ast)
     rewritten = [rewrite_to_predicates(pc, extraction) for pc in cases]
@@ -506,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="fail with exit 5 below this coverage, e.g. branch=1.0")
     run.add_argument("--deterministic", action="store_true",
                      help="omit timestamps so reports are byte-identical")
-    run.add_argument("--jobs", type=int, default=1, help="parallel piecemeal processes")
+    run.add_argument("--jobs", type=positive_int, default=1,
+                     help="parallel piecemeal processes, at most one per part")
     run.add_argument("--log", help="write the test log as JSON lines")
     run.add_argument("--trace-cycles", help="write kernel cycle records as JSON lines")
     run.add_argument("--dot", help="write the explored automaton as DOT")
@@ -526,7 +513,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("CYCLOTEST_LOG", "WARNING").upper())
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CliError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return exc.code
 
 
 def entry() -> None:

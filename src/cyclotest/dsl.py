@@ -127,6 +127,8 @@ class Assign:
 class Leaf:
     node_id: str
     assigns: tuple
+    line: int = field(default=0, compare=False)
+    col: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -396,7 +398,7 @@ class _Parser:
         return self.parse_block("")
 
     def parse_block(self, path: str) -> Node:
-        self.expect("{")
+        brace = self.expect("{")
         if self.at("if"):
             node = self.parse_if(path)
             self.expect("}")
@@ -409,7 +411,7 @@ class _Parser:
             self.expect(";")
             assigns.append(Assign(target.text, value, target.line, target.col))
         self.expect("}")
-        return Leaf(path, tuple(assigns))
+        return Leaf(path, tuple(assigns), brace.line, brace.col)
 
     def parse_if(self, path: str) -> Decision:
         tok = self.expect("if")
@@ -762,7 +764,7 @@ def check_model(ast: ModelAst) -> list:
                         "error",
                         "IncompleteOutput",
                         "output '%s' not assigned on path '%s'" % (out, leaf.node_id or "root"),
-                        node_id=leaf.node_id,
+                        leaf.line, leaf.col, leaf.node_id,
                     )
                 )
         for a in leaf.assigns:
@@ -854,7 +856,7 @@ def _unreachable_leaves(ast: ModelAst) -> list:
         return [Diagnostic("note", "ReachabilitySkipped",
                            "atom space too large (%d valuations)" % size)]
 
-    unreached = dict.fromkeys(leaf.node_id for leaf in ast.leaves())  # pre-order
+    unreached = {leaf.node_id: leaf for leaf in ast.leaves()}  # pre-order
     held_env = {}
 
     def he(node: Held) -> int:
@@ -869,8 +871,9 @@ def _unreachable_leaves(ast: ModelAst) -> list:
                 return []
     return [
         Diagnostic("warning", "UnreachableLeaf",
-                   "leaf '%s' is unreachable" % (leaf_id or "root"), node_id=leaf_id)
-        for leaf_id in unreached
+                   "leaf '%s' is unreachable" % (leaf.node_id or "root"),
+                   leaf.line, leaf.col, leaf.node_id)
+        for leaf in unreached.values()
     ]
 
 

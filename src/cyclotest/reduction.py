@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .dsl import (
+    Const,
     ExtractionResult,
     Expr,
     Held,
@@ -107,13 +108,18 @@ class Projection:
 
 def project_to_state(pc: PathCondition, model: ModelAst) -> Projection:
     """Project a rewritten path condition onto the state space (predicate ids
-    and state variables only).  Factors over inputs alone are dropped; a
-    factor that mixes inputs with state keeps every factor, quantified."""
+    and state variables only).  Factors over inputs alone are dropped when
+    some input valuation satisfies them all, else the projection is
+    ``false``; a factor that mixes inputs with state keeps every factor,
+    quantified."""
     inputs = frozenset(model.input_names)
     refs = [free_vars(f) for f in pc.factors]
     pid = "P%s" % pc.id.removeprefix("case")
     if any(r & inputs and r - inputs for r in refs):
         return Projection(pid, pc.id, pc.leaf_id, pc.factors, True)
+    dropped = [f for f, r in zip(pc.factors, refs) if r and r <= inputs]
+    if not any(all(eval_expr(f, v) for f in dropped) for v in model.input_valuations):
+        return Projection(pid, pc.id, pc.leaf_id, (Const(0, True),), False)
     kept = tuple(f for f, r in zip(pc.factors, refs) if not (r and r <= inputs))
     return Projection(pid, pc.id, pc.leaf_id, kept, False)
 
@@ -139,9 +145,9 @@ def generalized_state(state_env: Mapping, projections: Sequence, model: ModelAst
 
 
 def derive_projections(extraction: ExtractionResult) -> list:
-    cases = enumerate_test_cases(extraction.source)
-    rewritten = [rewrite_to_predicates(pc, extraction) for pc in cases]
-    return [project_to_state(pc, extraction.model) for pc in rewritten]
+    # the cases of the rewritten model are the source's cases, rewritten
+    model = extraction.model
+    return [project_to_state(pc, model) for pc in enumerate_test_cases(model)]
 
 
 # ---------------------------------------------------------------------------

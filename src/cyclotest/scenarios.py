@@ -11,8 +11,8 @@ input domains:
   per-state input iteration) and then re-saturates on a fixed valuation so
   the end state is again concrete-state independent.
 
-Piecemeal variants pin some inputs to steer execution into one part of the
-model and iterate only the rest.
+A piecemeal part pins some inputs to steer execution into one subtree of
+the model and iterates only the rest.
 """
 from __future__ import annotations
 
@@ -37,16 +37,16 @@ def saturation_cycles(extraction: ExtractionResult, cycle_period_ms: int,
 
 
 def build_coverage_scenario(spec, extraction: ExtractionResult, projections: Sequence,
-                            cycle_period_ms: int = 1000, name: str = "full",
-                            pinned: Optional[dict] = None,
-                            iterated: Optional[dict] = None,
+                            cycle_period_ms: int = 1000, part: Optional[PiecemealPart] = None,
                             strict: bool = False) -> Scenario:
     """Settle+probe scenario for ``spec`` (anything with ``apply_stimulus``
-    and a ``state`` exposing ``env()``)."""
+    and a ``state`` exposing ``env()``), over the whole model or, given a
+    piecemeal ``part``, with the part's inputs pinned and the rest iterated."""
     model = extraction.model
-    pinned = dict(pinned or {})
-    if iterated is None:
-        iterated = {k: model.domains[k] for k in model.input_names if k not in pinned}
+    if part is None:
+        pinned, iterated = {}, {k: model.domains[k] for k in model.input_names}
+    else:
+        pinned, iterated = part.pinned, part.iterated
     iteration_vars = tuple((k, tuple(iterated[k])) for k in model.input_names if k in iterated)
     hold = saturation_cycles(extraction, cycle_period_ms, strict)
     # re-saturation valuation: pinned values, iterated inputs at their maxima
@@ -68,25 +68,10 @@ def build_coverage_scenario(spec, extraction: ExtractionResult, projections: Seq
         return generalized_state(spec.state.env(), projections, model)
 
     return Scenario(
-        name=name,
+        name="full" if part is None else "piece:%s" % (part.node_id or "root"),
         state_fn=state_fn,
         functions=[
             ScenarioFunction("settle", settle, iteration_vars),
             ScenarioFunction("probe", probe, iteration_vars),
         ],
-    )
-
-
-def build_piecemeal_scenario(spec, extraction: ExtractionResult, projections: Sequence,
-                             part: PiecemealPart, cycle_period_ms: int = 1000,
-                             strict: bool = False) -> Scenario:
-    return build_coverage_scenario(
-        spec,
-        extraction,
-        projections,
-        cycle_period_ms,
-        name="piece:%s" % (part.node_id or "root"),
-        pinned=part.pinned,
-        iterated=dict(part.iterated),
-        strict=strict,
     )

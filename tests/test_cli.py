@@ -70,7 +70,8 @@ class TestAnalysisPinned:
     # taken before generalized states were read off the tree walk; the tank
     # and guard reduce reports were re-taken when the printed conditions
     # became re-parseable (an || factor in parentheses, projections that mix
-    # inputs with predicate ids under "exists inputs:")
+    # inputs with predicate ids under "exists inputs:"); the guard diagnostics
+    # were re-taken when leaf warnings gained the leaf's source position
     @pytest.mark.parametrize("model, command, out_sha, err_sha", [
         ("iron", "reduce",
          "8fee2416cfbb7c6fae320a07dbcda1253e861fe6e93b36851ec17e728797f06a",
@@ -86,10 +87,10 @@ class TestAnalysisPinned:
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         ("guard", "reduce",
          "9d52e33110e256be9560aa7b49df4afe8b21dee98842aa9f16b0fec3dba388f9",
-         "55982767c0a6ee965bf149eec36e837c6b322c76f46913c048aa282ece61614f"),
+         "13e4eb26803407224f4a54a31edb53bad8307fb7834880e114364935114f1a6c"),
         ("guard", "enumerate-states",
          "68b93f727dbb3ca65c984faffa673283f46e6ebe4e24aae7536a40cb5c03b739",
-         "55982767c0a6ee965bf149eec36e837c6b322c76f46913c048aa282ece61614f"),
+         "13e4eb26803407224f4a54a31edb53bad8307fb7834880e114364935114f1a6c"),
     ])
     def test_json_and_diagnostics_pinned(self, capsys, tmp_path, monkeypatch, model, command,
                                          out_sha, err_sha):
@@ -177,20 +178,108 @@ class TestRun:
         deltas = {b["sys_time_ms"] - a["sys_time_ms"] for a, b in zip(records, records[1:])}
         assert deltas == {1000}
 
-    def test_piecemeal_with_jobs(self, capsys):
-        code, out, _ = _run(capsys, [
-            "run", "--model", MODEL_PATH, "--scenario", "piecemeal", "--jobs", "2",
-            "--require", "branch=1.0", "--json", "--deterministic",
-        ] + DESK)
-        data = json.loads(out)
-        assert code == 0
-        assert data["coverage"]["branch"] == 1.0
-
     def test_seeded_run_reproducible(self, capsys):
         argv = ["run", "--model", MODEL_PATH, "--seed", "7", "--json", "--deterministic"] + DESK
         outputs = [_run(capsys, argv)[1] for _ in range(2)]
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0])["coverage"]["branch"] == 1.0
+
+
+# iron with a redundant inner test of position: its else leaf 'te' is
+# unreachable, and the iron subject still passes every cycle
+IRON_DEAD_LEAF_SRC = """\
+model iron {
+  input move: bool;
+  input position: bool;
+  output heating: bool;
+
+  logic {
+    if (position) {
+      if (position) {
+        if (held(!move && position, 900s)) { heating = 0; } else { heating = 1; }
+      } else {
+        heating = 1;
+      }
+    } else {
+      if (held(!move && !position, 60s)) { heating = 0; } else { heating = 1; }
+    }
+  }
+}
+"""
+
+
+class _InlinePool:
+    """Stands in for the process pool: records its size and runs the work
+    in this process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+class TestPiecemeal:
+    def test_jobs_do_not_change_the_output(self, capsys, tmp_path):
+        outputs = []
+        for jobs in ("1", "2"):
+            log = tmp_path / ("log%s.jsonl" % jobs)
+            code, out, _ = _run(capsys, [
+                "run", "--model", MODEL_PATH, "--scenario", "piecemeal", "--jobs", jobs,
+                "--require", "branch=1.0", "--json", "--deterministic", "--log", str(log),
+            ] + DESK)
+            assert code == 0
+            assert json.loads(out)["coverage"]["branch"] == 1.0
+            outputs.append((out, log.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_pool_has_at_most_one_process_per_part(self, capsys, monkeypatch):
+        monkeypatch.setattr(cyclotest.cli, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(_InlinePool, "sizes", [])
+        for jobs in ("1", "10000"):
+            code, _, _ = _run(capsys, ["run", "--model", MODEL_PATH, "--scenario", "piecemeal",
+                                       "--jobs", jobs, "--json", "--deterministic"] + DESK)
+            assert code == 0
+        # two parts: one serial run, then a pool of two
+        assert _InlinePool.sizes == [2]
+
+    def test_bad_subject_in_a_worker_exit_2(self, capsys):
+        # the usage error crosses back from a pool process
+        code, _, err = _run(capsys, ["run", "--model", MODEL_PATH, "--scenario", "piecemeal",
+                                     "--jobs", "2", "--sut", "inproc:iron:M9"] + DESK)
+        assert code == 2
+        assert err == "error: unknown iron mutant 'M9'\n"
+
+    def test_a_failing_later_part_fails_the_merged_outcome(self, capsys):
+        # M3 fails only in part 'e', the second part
+        code, out, _ = _run(capsys, ["run", "--model", MODEL_PATH, "--scenario", "piecemeal",
+                                     "--sut", "inproc:iron:M3", "--json", "--deterministic"]
+                            + DESK)
+        data = json.loads(out)
+        assert code == 4
+        assert data["verdicts"]["PostconditionFailure"] == 1
+        assert data["outcome"] == "verdict_failure"
+
+    def test_model_loaded_and_diagnosed_once(self, capsys, monkeypatch, tmp_path):
+        model = tmp_path / "iron.ctl"
+        model.write_text(IRON_DEAD_LEAF_SRC)
+        loads = []
+        load_model = cyclotest.cli.load_model
+        monkeypatch.setattr(cyclotest.cli, "load_model",
+                            lambda config: loads.append(config) or load_model(config))
+        code, _, err = _run(capsys, ["run", "--model", str(model), "--scenario", "piecemeal",
+                                     "--sut", "inproc:iron", "--json", "--deterministic"] + DESK)
+        assert code == 0
+        assert len(loads) == 1
+        assert err == "%s:10:14: warning: leaf 'te' is unreachable\n" % model
 
 
 def _subprocess(module, argv):
@@ -258,6 +347,8 @@ class TestBadArguments:
         ("cyclotest.cli", ["--sut", "tcp:127.0.0.1:notaport"]),
         ("cyclotest.cli", ["--sut", "inproc:iron:M9"]),
         ("cyclotest.cli", ["--budget", "0"]),
+        ("cyclotest.cli", ["--jobs", "0"]),
+        ("cyclotest.cli", ["--jobs", "-1"]),
         ("cyclotest.cli", ["--timeout", "0"]),
         ("cyclotest.cli", ["--timeout", "-1"]),
         ("cyclotest.iron_sut", ["--durations", "3,x"]),

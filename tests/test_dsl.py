@@ -231,6 +231,8 @@ class TestCheckModel:
         diags = check_model(parse_model(src))
         assert [d.code for d in diags] == ["IncompleteOutput"]
         assert diags[0].node_id == "e"
+        # at the else block's opening brace
+        assert (diags[0].line, diags[0].col) == (1, 73)
 
     def test_unreachable_leaf(self):
         src = ("model m { input position: bool; output o: bool; logic { "
@@ -239,6 +241,7 @@ class TestCheckModel:
         diags = check_model(parse_model(src))
         assert [d.code for d in diags] == ["UnreachableLeaf"]
         assert diags[0].node_id == "tt"
+        assert (diags[0].line, diags[0].col) == (1, 88)
 
     def test_type_error_int_condition(self):
         src = ("model m { input level: int 0..3; output o: bool; "

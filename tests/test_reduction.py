@@ -59,6 +59,13 @@ model two {
 """
 
 
+# the input factors on the way to leaf 'tt' contradict each other, so its
+# projection is empty although no factor names state
+UNSATISFIABLE_INPUTS = (
+    "model u { input a: bool; output o: bool; state s: bool readable = 0; logic { "
+    "if (a) { if (!a) { o = 1; } else { o = 0; } } else { o = 0; } } }")
+
+
 def _env(bits):
     return dict(zip(FLAG_IDS, bits))
 
@@ -238,7 +245,7 @@ class TestPrintedReduction:
     conjunction of its record's factors, checked on every valuation."""
 
     def test_sources_found(self):
-        assert {"tank", "guard", "two", "latch", "gauge", "iron"} <= {
+        assert {"tank", "guard", "two", "latch", "gauge", "iron", "u"} <= {
             parse_model(p.values[0]).name for p in _model_sources()}
 
     @pytest.mark.parametrize("source", _model_sources())
@@ -279,6 +286,24 @@ class TestPrintedReduction:
             for env in envs:
                 want = all(eval_expr(f, env, env) for f in record.factors)
                 assert bool(eval_expr(parsed, env)) == want, (record.id, text, env)
+
+    @pytest.mark.parametrize("source", _model_sources())
+    def test_printed_projection_holds_where_its_bit_is_set(self, source):
+        # some input valuation satisfies the printed projection, read back,
+        # exactly in the states where generalized_state sets its bit
+        extraction = extract_predicates(parse_model(source))
+        model = extraction.model
+        projections = derive_projections(extraction)
+        parsed = [parse_expression(str(p).removeprefix("exists inputs: ")) for p in projections]
+        for env in _state_envs(extraction):
+            envs = [dict(env, **valuation) for valuation in model.input_valuations]
+            printed = tuple(int(any(eval_expr(e, full) for full in envs)) for e in parsed)
+            assert printed == generalized_state(env, projections, model), (
+                [str(p) for p in projections], env)
+
+    def test_unsatisfiable_input_factors_project_to_false(self):
+        projections = derive_projections(extract_predicates(parse_model(UNSATISFIABLE_INPUTS)))
+        assert [str(p) for p in projections] == ["false", "true", "true"]
 
     def test_mixed_factor_projects_under_exists(self):
         projections = derive_projections(extract_predicates(parse_model(GUARD_SRC)))
