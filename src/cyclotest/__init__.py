@@ -39,6 +39,7 @@ from .reduction import (
     enumerate_reachable_flag_states,
     enumerate_test_cases,
     generalized_state,
+    input_feasible_leaves,
     make_piecemeal,
     project_to_state,
     rewrite_to_predicates,

@@ -198,6 +198,8 @@ def run_campaign(config: RunConfig) -> CampaignResult:
     ``full`` and ``piece:NODE`` are one part, ``piecemeal`` is one per
     ``--parts`` node, run serially or in a pool of at most ``--jobs``
     processes, with the results merged."""
+    if config.scenario != "piecemeal" and (config.parts or config.jobs > 1):
+        raise CliError("--parts and --jobs apply only to --scenario piecemeal", EXIT_PARSE)
     extraction, period = load_model(config)
     ast = extraction.source
     projections = derive_projections(extraction)

@@ -1,16 +1,16 @@
 """Design-by-contract oracle around one subject.
 
-``apply_stimulus`` performs the fixed verdict sequence: precondition, save
-the pre-state, one mediator exchange, predicate/flag update, reference run of
-the model (state parameters get pre-values, temporal parameters get the
-post-exchange flags), state synchronization, invariants, and finally the
-postcondition comparing observed outputs and visible state against the
-reference values.
+``apply_stimulus`` performs the fixed verdict sequence: precondition, one
+mediator exchange, predicate/flag update, reference run of the model (state
+parameters get pre-values, temporal parameters get the post-exchange flags),
+state synchronization, invariants, and finally the postcondition comparing
+observed outputs and visible state against the reference values.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Union
 
 from . import mediator, temporal
@@ -26,6 +26,16 @@ from .dsl import (
 )
 from .interp import DecisionTrace, eval_model
 from .mediator import CycleObservation, MediatorError, MediatorLink
+
+# Distinct cycles, and distinct valid input tuples, a specification remembers;
+# past it, each new one is checked and evaluated afresh every time.
+MEMO_CAP = 4096
+
+
+def _values_at(names: tuple) -> Callable[[Mapping], object]:
+    """A mapping's values at ``names``, in that order: a tuple, or the value
+    itself for one name."""
+    return operator.itemgetter(*names) if names else (lambda mapping: ())
 
 
 class ContractError(Exception):
@@ -73,9 +83,6 @@ class SpecificationState:
     sys_time_ms: Optional[int] = None
     observation: Optional[CycleObservation] = None
 
-    def copy(self) -> "SpecificationState":
-        return replace(self, state_vars=dict(self.state_vars), flags=dict(self.flags))
-
     def env(self) -> dict:
         """State variables and time flags in one namespace (flags as 0/1)."""
         merged = dict(self.state_vars)
@@ -109,6 +116,12 @@ class Specification:
     callables over an :class:`InvariantContext` or as expression strings over
     state variables, predicate ids, inputs and observed outputs.  Every
     reference run's decision trace accumulates into ``coverage``.
+
+    A reference run is remembered by its cycle: the input values in
+    ``model.input_names`` order, the pre-state in ``model.state_vars`` order
+    and the flags in ``hold_table.predicate_ids`` order.  A remembered cycle
+    skips the model and coverage, whose accumulation of one trace is
+    idempotent.
     """
 
     def __init__(self, extraction: ExtractionResult, link: MediatorLink,
@@ -120,6 +133,11 @@ class Specification:
         self.hold_table = temporal.HoldTable(extraction.predicates, strict_held)
         self._invariants: dict = {}
         self.coverage = CoverageReport.for_model(self.model)
+        self._inputs_at = _values_at(self.model.input_names)
+        self._state_at = _values_at(tuple(d.name for d in self.model.state_vars))
+        self._flags_at = _values_at(self.hold_table.predicate_ids)
+        self._memo: dict = {}  # cycle -> (outputs, state_post, trace), shared
+        self._valid_inputs: set = set()  # input tuples inside the domains
         self.state = SpecificationState(
             state_vars=self.model.initial_state(),
             holds=self.hold_table.initial,
@@ -150,6 +168,24 @@ class Specification:
     # stimulus --------------------------------------------------------------
 
     def check_precondition(self, inputs: Mapping) -> Optional[str]:
+        """The reason ``inputs`` may not be applied, or None.  Input tuples
+        found inside the domains are remembered, at most ``MEMO_CAP``."""
+        try:
+            known = (len(inputs) == len(self.model.input_names)
+                     and self._inputs_at(inputs) in self._valid_inputs)
+        except KeyError:  # a missing input
+            known = False
+        if not known:
+            reason = self._domain_violation(inputs)
+            if reason is not None:
+                return reason
+            if len(self._valid_inputs) < MEMO_CAP:
+                self._valid_inputs.add(self._inputs_at(inputs))
+        if self.precondition is not None and not self.precondition(self.state, inputs):
+            return "scenario precondition rejected the call"
+        return None
+
+    def _domain_violation(self, inputs: Mapping) -> Optional[str]:
         extra = set(inputs).difference(self.model.input_names)
         if extra:
             return "undeclared input(s): %s" % ", ".join(sorted(extra))
@@ -160,16 +196,27 @@ class Specification:
             value = int(inputs[name])
             if value not in domains[name]:
                 return "input '%s' = %d outside its domain" % (name, value)
-        if self.precondition is not None and not self.precondition(self.state, inputs):
-            return "scenario precondition rejected the call"
         return None
+
+    def reference(self, inputs: Mapping, state_pre: Mapping, flags: Mapping) -> tuple:
+        """The model's ``(outputs, state_post, trace)`` for one cycle, shared
+        and read-only when the cycle is remembered.  A cycle not remembered
+        accumulates its trace into ``coverage``."""
+        key = (self._inputs_at(inputs), self._state_at(state_pre), self._flags_at(flags))
+        result = self._memo.get(key)
+        if result is None:
+            result = eval_model(self.model, inputs, state_pre, flags)
+            self.coverage.accumulate(result[2])
+            if len(self._memo) < MEMO_CAP:
+                self._memo[key] = result
+        return result
 
     def apply_stimulus(self, inputs: Mapping) -> Verdict:
         reason = self.check_precondition(inputs)
         if reason is not None:
             return Verdict(VerdictKind.PRECONDITION_VIOLATION, reason, self.link.next_cycle)
         inputs = {k: int(v) for k, v in inputs.items()}
-        pre = self.state.copy()
+        pre = self.state  # sync_state builds a new state; nothing mutates this one
 
         try:
             obs = self.link.exchange(inputs)
@@ -177,28 +224,29 @@ class Specification:
             return Verdict(VerdictKind.MEDIATOR_FAILURE, str(exc), self.link.next_cycle)
 
         stepped = mediator.step_predicates(self.hold_table, pre, obs, inputs)
-        ref_outputs, ref_post, trace = eval_model(self.model, inputs, pre.state_vars, stepped[1])
-        self.coverage.accumulate(trace)
+        ref_outputs, ref_post, trace = self.reference(inputs, pre.state_vars, stepped[1])
         self.state = mediator.sync_state(pre, obs, ref_post, stepped)
 
-        ctx = InvariantContext(self.state, inputs, dict(obs.outputs), obs)
-        for name, check in self._invariants.items():
-            if not check(ctx):
-                return Verdict(VerdictKind.INVARIANT_VIOLATION,
-                               "invariant '%s' violated" % name, obs.cycle,
-                               trace=trace, observation=obs)
+        if self._invariants:
+            ctx = InvariantContext(self.state, inputs, dict(obs.outputs), obs)
+            for name, check in self._invariants.items():
+                if not check(ctx):
+                    return Verdict(VerdictKind.INVARIANT_VIOLATION,
+                                   "invariant '%s' violated" % name, obs.cycle,
+                                   trace=trace, observation=obs)
 
-        mismatches = []
-        for name in self.model.output_names:
-            if ref_outputs[name] != obs.outputs[name]:
-                mismatches.append(Mismatch(name, ref_outputs[name], obs.outputs[name]))
-        for name in self.model.readable_names:
-            if ref_post[name] != obs.visible_state[name]:
-                mismatches.append(Mismatch(name, ref_post[name], obs.visible_state[name]))
-        if mismatches:
-            detail = "; ".join(
-                "%s: expected %d, actual %d" % (m.name, m.expected, m.actual) for m in mismatches
-            )
-            return Verdict(VerdictKind.POSTCONDITION_FAILURE, detail, obs.cycle,
-                           tuple(mismatches), trace, obs)
+        visible = obs.visible_state
+        readable = self.model.readable_names
+        if ref_outputs != obs.outputs or any(ref_post[n] != visible[n] for n in readable):
+            mismatches = [Mismatch(n, ref_outputs[n], obs.outputs[n])
+                          for n in self.model.output_names if ref_outputs[n] != obs.outputs[n]]
+            mismatches += [Mismatch(n, ref_post[n], visible[n])
+                           for n in readable if ref_post[n] != visible[n]]
+            if mismatches:
+                detail = "; ".join(
+                    "%s: expected %d, actual %d" % (m.name, m.expected, m.actual)
+                    for m in mismatches
+                )
+                return Verdict(VerdictKind.POSTCONDITION_FAILURE, detail, obs.cycle,
+                               tuple(mismatches), trace, obs)
         return Verdict(VerdictKind.PASS, "", obs.cycle, (), trace, obs)

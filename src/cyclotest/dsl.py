@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -299,7 +300,8 @@ def _duration_ms(text: str) -> int:
 # ---------------------------------------------------------------------------
 # Parser (recursive descent)
 
-_CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
+_CMP_FUNCTIONS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+                  "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 class _Parser:
@@ -444,7 +446,7 @@ class _Parser:
 
     def parse_cmp(self) -> Expr:
         left = self.parse_unary()
-        if self.at(*_CMP_OPS):
+        if self.at(*_CMP_FUNCTIONS):
             tok = self.next()
             return Cmp(tok.kind, left, self.parse_unary(), line=tok.line, col=tok.col)
         return left
@@ -681,15 +683,7 @@ def eval_expr(expr: Expr, env: Mapping, flags: Optional[Mapping] = None,
     if isinstance(expr, Cmp):
         left = eval_expr(expr.left, env, flags, held_eval)
         right = eval_expr(expr.right, env, flags, held_eval)
-        table = {
-            "==": left == right,
-            "!=": left != right,
-            "<": left < right,
-            "<=": left <= right,
-            ">": left > right,
-            ">=": left >= right,
-        }
-        return 1 if table[expr.op] else 0
+        return 1 if _CMP_FUNCTIONS[expr.op](left, right) else 0
     if isinstance(expr, Held):
         if held_eval is None:
             raise ModelError("held() reached the evaluator; extract predicates first")

@@ -106,19 +106,46 @@ class Projection:
         return "exists inputs: " + text if self.exists_inputs else text
 
 
-def project_to_state(pc: PathCondition, model: ModelAst) -> Projection:
-    """Project a rewritten path condition onto the state space (predicate ids
-    and state variables only).  Factors over inputs alone are dropped when
-    some input valuation satisfies them all, else the projection is
-    ``false``; a factor that mixes inputs with state keeps every factor,
-    quantified."""
+def input_feasible_leaves(model: ModelAst) -> frozenset:
+    """Leaves whose path factors over inputs alone some input valuation
+    satisfies together.  One walk carries the valuations down the tree: a
+    decision over inputs alone splits them, any other passes them to both
+    branches."""
+    inputs = frozenset(model.input_names)
+    feasible = set()
+
+    def visit(node, valuations) -> None:
+        if not valuations:
+            return
+        if isinstance(node, Leaf):
+            feasible.add(node.node_id)
+            return
+        refs = free_vars(node.condition)
+        if not (refs and refs <= inputs):
+            visit(node.then_branch, valuations)
+            visit(node.else_branch, valuations)
+            return
+        taken = [bool(eval_expr(node.condition, v)) for v in valuations]
+        visit(node.then_branch, [v for v, t in zip(valuations, taken) if t])
+        visit(node.else_branch, [v for v, t in zip(valuations, taken) if not t])
+
+    visit(model.body, model.input_valuations)
+    return frozenset(feasible)
+
+
+def project_to_state(pc: PathCondition, model: ModelAst, feasible_leaves: frozenset) -> Projection:
+    """Project a rewritten path condition of ``model`` onto the state space
+    (predicate ids and state variables only).  Factors over inputs alone are
+    dropped when some input valuation satisfies them all, that is when the
+    case's leaf is in ``feasible_leaves`` (see :func:`input_feasible_leaves`),
+    else the projection is ``false``; a factor that mixes inputs with state
+    keeps every factor, quantified."""
     inputs = frozenset(model.input_names)
     refs = [free_vars(f) for f in pc.factors]
     pid = "P%s" % pc.id.removeprefix("case")
     if any(r & inputs and r - inputs for r in refs):
         return Projection(pid, pc.id, pc.leaf_id, pc.factors, True)
-    dropped = [f for f, r in zip(pc.factors, refs) if r and r <= inputs]
-    if not any(all(eval_expr(f, v) for f in dropped) for v in model.input_valuations):
+    if pc.leaf_id not in feasible_leaves:
         return Projection(pid, pc.id, pc.leaf_id, (Const(0, True),), False)
     kept = tuple(f for f, r in zip(pc.factors, refs) if not (r and r <= inputs))
     return Projection(pid, pc.id, pc.leaf_id, kept, False)
@@ -147,7 +174,8 @@ def generalized_state(state_env: Mapping, projections: Sequence, model: ModelAst
 def derive_projections(extraction: ExtractionResult) -> list:
     # the cases of the rewritten model are the source's cases, rewritten
     model = extraction.model
-    return [project_to_state(pc, model) for pc in enumerate_test_cases(model)]
+    feasible = input_feasible_leaves(model)
+    return [project_to_state(pc, model, feasible) for pc in enumerate_test_cases(model)]
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,9 @@ class HoldTable:
         index = {key: i for i, key in enumerate(caps)}
         self.predicate_ids = tuple(p.id for p in predicates)
         self._literals = tuple((var, expected, cap) for (var, expected), cap in caps.items())
-        self._thresholds = tuple((p.id, index[(p.var, p.expected)], n)
+        self._thresholds = tuple((index[(p.var, p.expected)], n)
                                  for p, n in zip(predicates, need))
+        self._vectors: dict = {}  # flags in predicate order -> their shared dict
         self.initial = (None,) * len(caps)
 
     def step(self, record: tuple, env: Mapping, elapsed_ms: int) -> tuple:
@@ -53,5 +54,10 @@ class HoldTable:
         ])
 
     def flags(self, record: tuple) -> dict:
-        """Per-predicate satisfaction of a record."""
-        return {pid: record[i] is not None and record[i] >= n for pid, i, n in self._thresholds}
+        """Per-predicate satisfaction of a record, as one dict shared by every
+        record with the same flags; callers must not mutate it."""
+        bits = tuple([record[i] is not None and record[i] >= n for i, n in self._thresholds])
+        vector = self._vectors.get(bits)
+        if vector is None:
+            vector = self._vectors[bits] = dict(zip(self.predicate_ids, bits))
+        return vector

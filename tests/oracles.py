@@ -4,15 +4,17 @@ Everything here recomputes expected behavior from first principles, by
 different algorithms than the implementation: temporal satisfaction by
 scanning a window of recent samples instead of tracking start times,
 model evaluation over raw held() formulas, explicit automata with known
-transition tables, and a definitional pairwise MC/DC scan.
+transition tables, a definitional pairwise MC/DC scan, and a contract
+oracle that runs the model on every cycle.
 """
 from __future__ import annotations
 
 import itertools
 from collections import deque
 
-from cyclotest.contracts import Verdict, VerdictKind
-from cyclotest.dsl import Held, eval_expr, print_expr, walk_exprs
+from cyclotest.contracts import Specification, Verdict, VerdictKind
+from cyclotest.dsl import Held, eval_expr, free_vars, print_expr, walk_exprs
+from cyclotest.interp import eval_model
 from cyclotest.reduction import enumerate_test_cases
 from cyclotest.traversal import Scenario, ScenarioFunction
 
@@ -65,8 +67,6 @@ def reachable_flag_vectors(extraction, period_ms: int, strict: bool = False) -> 
     """Every flag vector some input sequence reaches, by breadth-first search
     over state variables and the window of recent literal samples of each
     predicate, kept no longer than that predicate needs."""
-    from cyclotest.interp import eval_model
-
     model = extraction.model
     preds = extraction.predicates
     valuations = _valuations(model.inputs)
@@ -116,6 +116,18 @@ def coverable_cases_bruteforce(state_env, rewritten_cases, model) -> frozenset:
     return frozenset(pc.id for pc in rewritten_cases if projection_holds(pc, state_env, model))
 
 
+def input_feasible_leaves_bruteforce(model) -> frozenset:
+    """Leaves of cases whose factors over inputs alone some input valuation
+    satisfies together, each case scanning every valuation on its own."""
+    inputs = frozenset(model.input_names)
+    feasible = set()
+    for pc in enumerate_test_cases(model):
+        pure = [f for f in pc.factors if free_vars(f) and free_vars(f) <= inputs]
+        if any(all(eval_expr(f, v) for f in pure) for v in _valuations(model.inputs)):
+            feasible.add(pc.leaf_id)
+    return frozenset(feasible)
+
+
 def unreachable_leaves_bruteforce(ast) -> set:
     """Leaves whose path factors no atom valuation satisfies, each leaf tested
     on its own; held() atoms, keyed by printed formula and duration, vary
@@ -163,6 +175,16 @@ class CompoundWindowOracle:
     def held_eval(self, node: Held) -> int:
         hist = self.history[(print_expr(node.formula), node.duration_ms)]
         return 1 if (len(hist) == hist.maxlen and all(hist)) else 0
+
+
+class PlainSpecification(Specification):
+    """The contract oracle without its memo: every cycle runs the model and
+    accumulates the trace into coverage."""
+
+    def reference(self, inputs, state_pre, flags) -> tuple:
+        result = eval_model(self.model, inputs, state_pre, flags)
+        self.coverage.accumulate(result[2])
+        return result
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,17 @@ class TestRun:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "828f7ae44ffab2ab800d1698a704a025ff270901e903cfead0dbb1cf79ea9a62")
 
+    def test_paper_output_pinned(self, capsys, tmp_path):
+        # the same at the model's own 60 s/900 s: 30,646 stimuli
+        log = tmp_path / "log.jsonl"
+        code, out, _ = _run(capsys, ["run", "--model", MODEL_PATH, "--json", "--deterministic",
+                                     "--log", str(log)])
+        assert code == 0
+        assert hashlib.sha256(log.read_bytes()).hexdigest() == (
+            "47e8882379ed59e57106cc2f11078ec0c5201ad71dbf49c479cda7260cf1b79b")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "8a28ed9eadfda2b638882ff705208b244b1bab6681b15a104690e2037d9f64f0")
+
     def test_artifacts_written(self, capsys, tmp_path):
         log = tmp_path / "log.jsonl"
         dot = tmp_path / "automaton.dot"
@@ -342,6 +353,8 @@ class TestBadArguments:
         ("cyclotest.cli", ["--scenario", "piecemeal", "--parts", "zz"]),
         ("cyclotest.cli", ["--scenario", "piecemeal", "--parts", "t", "t"]),
         ("cyclotest.cli", ["--scenario", "piece:zz"]),
+        ("cyclotest.cli", ["--parts", "zz"]),
+        ("cyclotest.cli", ["--jobs", "2"]),
         ("cyclotest.cli", ["--require", "branch=abc"]),
         ("cyclotest.cli", ["--time-scale", "abc"]),
         ("cyclotest.cli", ["--sut", "tcp:127.0.0.1:notaport"]),

@@ -1,5 +1,9 @@
-import pytest
+import itertools
 
+import pytest
+from conftest import GUARD_SRC, TANK_SRC, desk_config
+
+from cyclotest import cli, contracts
 from cyclotest.contracts import (
     ContractError,
     DuplicateName,
@@ -7,9 +11,25 @@ from cyclotest.contracts import (
     VerdictKind,
 )
 from cyclotest.dsl import extract_predicates, parse_model
-from cyclotest.iron import DESK_DURATIONS_MS, IronSut, make_mutant
+from cyclotest.interp import eval_model
+from cyclotest.iron import DESK_DURATIONS_MS, MUTANT_IDS, IronSut, make_mutant
 from cyclotest.kernel import KernelConfig
 from cyclotest.mediator import InProcessLink
+from oracles import PlainSpecification
+
+
+DIAL_SRC = ("model dial { input level: int 0..3; output o: bool; "
+            "logic { if (level == 3) { o = 1; } else { o = 0; } } }")
+
+
+class DialSut:
+    def step(self, inputs, sys_time_ms):
+        return {"o": 1 if int(inputs["level"]) == 3 else 0}
+
+
+def _dial_spec():
+    ex = extract_predicates(parse_model(DIAL_SRC))
+    return Specification(ex, InProcessLink(ex.model, DialSut(), KernelConfig()))
 
 
 def _spec(desk_extraction, sut=None, **kwargs):
@@ -38,15 +58,7 @@ class TestApplyStimulus:
         assert verdict.kind is VerdictKind.PRECONDITION_VIOLATION
 
     def test_int_range_domain_enforced(self):
-        src = ("model dial { input level: int 0..3; output o: bool; "
-               "logic { if (level == 3) { o = 1; } else { o = 0; } } }")
-        ex = extract_predicates(parse_model(src))
-
-        class DialSut:
-            def step(self, inputs, sys_time_ms):
-                return {"o": 1 if int(inputs["level"]) == 3 else 0}
-
-        spec = Specification(ex, InProcessLink(ex.model, DialSut(), KernelConfig()))
+        spec = _dial_spec()
         assert spec.apply_stimulus({"level": 4}).kind is VerdictKind.PRECONDITION_VIOLATION
         assert spec.apply_stimulus({"level": 3}).kind is VerdictKind.PASS
 
@@ -63,6 +75,19 @@ class TestApplyStimulus:
         verdict = spec.apply_stimulus({"move": 0, "position": 0, "tilt": 1})
         assert verdict.kind is VerdictKind.PRECONDITION_VIOLATION
 
+    def test_precondition_messages_after_valid_calls(self, desk_extraction):
+        # valid input tuples are remembered; a bad call still gets its reason
+        spec = _spec(desk_extraction)
+        for _ in range(2):
+            assert spec.check_precondition({"move": 0, "position": 1}) is None
+            assert spec.check_precondition({"position": True, "move": 0}) is None
+            assert spec.check_precondition({"move": 0}) == "missing input 'position'"
+            assert spec.check_precondition({"move": 0, "tilt": 1}) == "undeclared input(s): tilt"
+            assert spec.check_precondition({"move": 0, "position": 1, "tilt": 1}) == (
+                "undeclared input(s): tilt")
+            assert spec.check_precondition({"move": 2, "position": 1}) == (
+                "input 'move' = 2 outside its domain")
+
     def test_custom_precondition_strengthens_domain(self, desk_extraction):
         spec = _spec(desk_extraction, precondition=lambda state, inputs: inputs["move"] == 0)
         assert spec.apply_stimulus({"move": 1, "position": 0}).kind is (
@@ -73,7 +98,7 @@ class TestApplyStimulus:
     def test_pre_state_immutable_across_exchange(self, desk_extraction):
         spec = _spec(desk_extraction)
         spec.apply_stimulus({"move": 0, "position": 1})
-        snapshot = spec.state.copy()
+        snapshot = spec.state  # the pre-state of the next call, not a copy
         before_vars = dict(snapshot.state_vars)
         before_holds, before_flags = snapshot.holds, dict(snapshot.flags)
         spec.apply_stimulus({"move": 1, "position": 0})
@@ -229,3 +254,73 @@ class TestHiddenState:
         verdict = spec.apply_stimulus({"set": 0})
         assert verdict.kind is VerdictKind.POSTCONDITION_FAILURE
         assert verdict.mismatches[0].name == "out"
+
+
+def _flag_vectors(predicate_ids):
+    for bits in itertools.product((False, True), repeat=len(predicate_ids)):
+        yield dict(zip(predicate_ids, bits))
+
+
+class TestOracleMemo:
+    """The memoised oracle against the plain one of ``oracles.py``, which
+    runs the model and accumulates coverage on every cycle."""
+
+    @pytest.mark.parametrize("name", ["tank", "guard", "desk iron", "paper iron"])
+    def test_every_cycle_matches_the_model(self, name, iron_extraction, desk_extraction):
+        extraction = {"tank": extract_predicates(parse_model(TANK_SRC)),
+                      "guard": extract_predicates(parse_model(GUARD_SRC)),
+                      "desk iron": desk_extraction, "paper iron": iron_extraction}[name]
+        model = extraction.model
+        memo = Specification(extraction, None)
+        plain = PlainSpecification(extraction, None)
+        ids = memo.hold_table.predicate_ids
+        state_names = [d.name for d in model.state_vars]
+        states = [dict(zip(state_names, values))
+                  for values in itertools.product(*(d.domain() for d in model.state_vars))]
+        cycles = [(inputs, state, flags) for inputs in model.input_valuations
+                  for state in states for flags in _flag_vectors(ids)]
+        for _ in range(2):  # every cycle once unseen, once remembered
+            for inputs, state, flags in cycles:
+                assert memo.reference(inputs, state, flags) == eval_model(
+                    model, inputs, state, flags)
+                plain.reference(inputs, state, flags)
+        assert len(memo._memo) == len(cycles)
+        assert memo.coverage == plain.coverage
+
+    @pytest.mark.parametrize("sut", ["inproc:iron"] + ["inproc:iron:" + m for m in MUTANT_IDS])
+    @pytest.mark.parametrize("cap", [contracts.MEMO_CAP, 2])
+    def test_campaign_equals_the_plain_oracle(self, monkeypatch, sut, cap):
+        # the cap of 2 is far below the desk campaign's distinct cycles
+        monkeypatch.setattr(contracts, "MEMO_CAP", cap)
+        memo = cli.run_campaign(desk_config(sut=sut))
+        monkeypatch.setattr(cli, "Specification", PlainSpecification)
+        plain = cli.run_campaign(desk_config(sut=sut))
+        assert memo.log.to_json_lines() == plain.log.to_json_lines()
+        assert memo.log.outcome == plain.log.outcome
+        assert memo.report == plain.report
+        assert (memo.error, memo.exit_code(())) == (plain.error, plain.exit_code(()))
+
+    def test_each_distinct_cycle_evaluated_once(self, monkeypatch):
+        seen = []
+        real = contracts.eval_model
+
+        def counted(model, inputs, state_pre, flags):
+            seen.append((tuple(inputs.items()), tuple(state_pre.items()), tuple(flags.items())))
+            return real(model, inputs, state_pre, flags)
+
+        monkeypatch.setattr(contracts, "eval_model", counted)
+        result = cli.run_campaign(desk_config())
+        assert len(seen) == len(set(seen))
+        assert len(seen) < len(result.log.entries) == 216
+
+    def test_cycles_past_the_cap_are_evaluated_every_time(self, monkeypatch):
+        # the dial has no state and no predicates: a cycle is its input
+        monkeypatch.setattr(contracts, "MEMO_CAP", 1)
+        calls = []
+        real = contracts.eval_model
+        monkeypatch.setattr(contracts, "eval_model", lambda *args: calls.append(1) or real(*args))
+        spec = _dial_spec()
+        kinds = [spec.apply_stimulus({"level": level}).kind for level in (3, 0) * 3]
+        assert kinds == [VerdictKind.PASS] * 6
+        assert len(spec._memo) == 1
+        assert len(calls) == 4  # level 3 once, level 0 every time

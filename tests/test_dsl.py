@@ -12,6 +12,7 @@ from cyclotest.dsl import (
     SemanticError,
     UnsupportedTemporalFormula,
     check_model,
+    eval_expr,
     extract_predicates,
     parse_expression,
     parse_model,
@@ -219,6 +220,15 @@ def _eval_original(ast, inputs, state_pre, compound):
         else:
             outputs[assign.target] = value
     return outputs, state_post
+
+
+class TestEvaluation:
+    @pytest.mark.parametrize("op", ["==", "!=", "<", "<=", ">", ">="])
+    def test_comparisons_agree_with_python(self, op):
+        expr = parse_expression("a %s b" % op)
+        for a, b in itertools.product(range(-1, 3), repeat=2):
+            want = 1 if eval("%d %s %d" % (a, op, b)) else 0
+            assert eval_expr(expr, {"a": a, "b": b}) == want, (a, op, b)
 
 
 class TestCheckModel:

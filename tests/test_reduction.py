@@ -25,6 +25,7 @@ from cyclotest.reduction import (
     enumerate_reachable_flag_states,
     enumerate_test_cases,
     generalized_state,
+    input_feasible_leaves,
     make_piecemeal,
     project_to_state,
     rewrite_to_predicates,
@@ -34,6 +35,7 @@ from oracles import (
     WindowOracle,
     coverable_cases_bruteforce,
     generalized_state_bruteforce,
+    input_feasible_leaves_bruteforce,
     projection_holds,
     reachable_flag_vectors,
     unreachable_leaves_bruteforce,
@@ -127,7 +129,7 @@ class TestProjections:
         )
         ex = extract_predicates(ast)
         pc = rewrite_to_predicates(enumerate_test_cases(ast)[0], ex)
-        projection = project_to_state(pc, ex.model)
+        projection = project_to_state(pc, ex.model, input_feasible_leaves(ex.model))
         assert str(projection) == "true"
         assert projection_holds(projection, {}, ex.model) is True
 
@@ -286,6 +288,11 @@ class TestPrintedReduction:
             for env in envs:
                 want = all(eval_expr(f, env, env) for f in record.factors)
                 assert bool(eval_expr(parsed, env)) == want, (record.id, text, env)
+
+    @pytest.mark.parametrize("source", _model_sources())
+    def test_feasible_leaves_equal_a_scan_per_case(self, source):
+        model = extract_predicates(parse_model(source)).model
+        assert input_feasible_leaves(model) == input_feasible_leaves_bruteforce(model)
 
     @pytest.mark.parametrize("source", _model_sources())
     def test_printed_projection_holds_where_its_bit_is_set(self, source):

@@ -98,6 +98,14 @@ class TestTimeFlags:
         flags = self._run(iron_extraction, [{"move": 1, "position": 1}])
         assert set(flags) == {p.id for p in iron_extraction.predicates}
 
+    def test_records_with_equal_flags_share_one_vector(self, iron_extraction):
+        table = HoldTable(iron_extraction.predicates)
+        # neither literal of move has held long enough in either record
+        first = table.flags(table.step(table.initial, {"move": 0, "position": 1}, 0))
+        second = table.flags((5000, None, 5000))
+        assert first is second
+        assert first == dict.fromkeys(table.predicate_ids, False)
+
 
 class TestProperties:
     def test_monotone_single_flip_and_reset(self, desk_extraction):
