@@ -413,7 +413,10 @@ def criterion_ratio(text: str) -> tuple:
     criterion, _, ratio = text.partition("=")
     if criterion not in CRITERIA:
         raise argparse.ArgumentTypeError("unknown coverage criterion %r" % criterion)
-    return criterion, float(ratio)
+    value = float(ratio)
+    if not 0 <= value <= 1:  # NaN too
+        raise argparse.ArgumentTypeError("coverage ratio %r is not between 0 and 1" % ratio)
+    return criterion, value
 
 
 def fraction(text: str) -> Fraction:

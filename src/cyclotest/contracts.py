@@ -27,8 +27,8 @@ from .dsl import (
 from .interp import DecisionTrace, eval_model
 from .mediator import CycleObservation, MediatorError, MediatorLink
 
-# Distinct cycles, and distinct valid input tuples, a specification remembers;
-# past it, each new one is checked and evaluated afresh every time.
+# Distinct cycles a specification remembers the reference run of; past it, each
+# new cycle is evaluated and accumulated afresh every time.
 MEMO_CAP = 4096
 
 
@@ -111,11 +111,14 @@ Precondition = Callable[[SpecificationState, Mapping], bool]
 class Specification:
     """One specification function per subject, with verdicts per stimulus.
 
-    The default precondition is the declared input domain; scenario authors
-    may strengthen it with a callable.  Invariants are registered as
-    callables over an :class:`InvariantContext` or as expression strings over
-    state variables, predicate ids, inputs and observed outputs.  Every
-    reference run's decision trace accumulates into ``coverage``.
+    The default precondition admits exactly the declared inputs, each an
+    integer (a bool counts) inside its domain; scenario authors may
+    strengthen it with a callable.  An admitted call's inputs are copied as
+    ``int``s once, and that copy is what the link and the model see.
+    Invariants are registered as callables over an :class:`InvariantContext`
+    or as expression strings over state variables, predicate ids, inputs and
+    observed outputs.  Every reference run's decision trace accumulates into
+    ``coverage``.
 
     A reference run is remembered by its cycle: the input values in
     ``model.input_names`` order, the pre-state in ``model.state_vars`` order
@@ -137,7 +140,6 @@ class Specification:
         self._state_at = _values_at(tuple(d.name for d in self.model.state_vars))
         self._flags_at = _values_at(self.hold_table.predicate_ids)
         self._memo: dict = {}  # cycle -> (outputs, state_post, trace), shared
-        self._valid_inputs: set = set()  # input tuples inside the domains
         self.state = SpecificationState(
             state_vars=self.model.initial_state(),
             holds=self.hold_table.initial,
@@ -168,34 +170,31 @@ class Specification:
     # stimulus --------------------------------------------------------------
 
     def check_precondition(self, inputs: Mapping) -> Optional[str]:
-        """The reason ``inputs`` may not be applied, or None.  Input tuples
-        found inside the domains are remembered, at most ``MEMO_CAP``."""
-        try:
-            known = (len(inputs) == len(self.model.input_names)
-                     and self._inputs_at(inputs) in self._valid_inputs)
-        except KeyError:  # a missing input
-            known = False
-        if not known:
-            reason = self._domain_violation(inputs)
-            if reason is not None:
-                return reason
-            if len(self._valid_inputs) < MEMO_CAP:
-                self._valid_inputs.add(self._inputs_at(inputs))
+        """The reason ``inputs`` may not be applied, or None.  Every declared
+        input must be given, and no other name, as an integer (a bool counts)
+        inside its domain; then the scenario precondition must hold."""
+        names = self.model.input_names
+        domains = self.model.domains
+        admitted = len(inputs) == len(names)
+        for name in names:
+            value = inputs.get(name)
+            if not (isinstance(value, int) and value in domains[name]):
+                admitted = False
+                break
+        if not admitted:
+            extra = set(inputs).difference(names)
+            if extra:
+                return "undeclared input(s): %s" % ", ".join(sorted(extra))
+            for name in names:
+                if name not in inputs:
+                    return "missing input '%s'" % name
+                value = inputs[name]
+                if not isinstance(value, int):
+                    return "input '%s' = %r is not an integer" % (name, value)
+                if value not in domains[name]:
+                    return "input '%s' = %d outside its domain" % (name, value)
         if self.precondition is not None and not self.precondition(self.state, inputs):
             return "scenario precondition rejected the call"
-        return None
-
-    def _domain_violation(self, inputs: Mapping) -> Optional[str]:
-        extra = set(inputs).difference(self.model.input_names)
-        if extra:
-            return "undeclared input(s): %s" % ", ".join(sorted(extra))
-        domains = self.model.domains
-        for name in self.model.input_names:
-            if name not in inputs:
-                return "missing input '%s'" % name
-            value = int(inputs[name])
-            if value not in domains[name]:
-                return "input '%s' = %d outside its domain" % (name, value)
         return None
 
     def reference(self, inputs: Mapping, state_pre: Mapping, flags: Mapping) -> tuple:

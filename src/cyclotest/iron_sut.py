@@ -8,7 +8,6 @@ until shutdown or EOF.
 from __future__ import annotations
 
 import argparse
-import json
 import socket
 import sys
 
@@ -18,16 +17,17 @@ from .mediator import InProcessLink, ProtocolError, WireMessage
 
 
 def serve(reader, writer, sut: IronSut, period_ms: int) -> int:
-    def send(data: dict) -> None:
-        writer.write((json.dumps(data, sort_keys=True) + "\n").encode("utf-8"))
+    def send(message: WireMessage) -> None:
+        writer.write(message.encode())
         writer.flush()
 
     def fail(message: str) -> int:
-        send({"type": "error", "message": message})
+        send(WireMessage("error", payload={"message": message}))
         return 1
 
     link = InProcessLink(iron_model(), sut, KernelConfig(cycle_period_ms=period_ms))
-    send(link.hello)
+    hello = dict(link.hello)
+    send(WireMessage(hello.pop("type"), payload=hello))
     while True:
         line = reader.readline()
         if not line:
@@ -52,8 +52,8 @@ def serve(reader, writer, sut: IronSut, period_ms: int) -> int:
             if type(value) is not int or value not in link.model.domains[name]:
                 return fail("input '%s' = %r is not an integer in its domain" % (name, value))
         obs = link.exchange({name: values[name] for name in link.model.input_names})
-        send({"type": "observation", "cycle": obs.cycle, "sys_time_ms": obs.sys_time_ms,
-              "outputs": obs.outputs, "state": obs.visible_state})
+        send(WireMessage("observation", obs.cycle, {
+            "sys_time_ms": obs.sys_time_ms, "outputs": obs.outputs, "state": obs.visible_state}))
 
 
 def duration_pair(text: str) -> tuple:

@@ -124,6 +124,8 @@ class MediatorLink:
         self._names = {"outputs": set(model.output_names), "state": set(model.readable_names)}
 
     def exchange(self, inputs: Mapping) -> CycleObservation:
+        """Run one cycle on ``inputs``, the ``int`` values of every declared
+        input, and return its checked observation."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -176,7 +178,7 @@ class InProcessLink(MediatorLink):
         self._captured = (ctx.cycle_index, ctx.sys_time_ms, outputs, self._visible_state())
 
     def exchange(self, inputs: Mapping) -> CycleObservation:
-        self._staged = {k: int(v) for k, v in inputs.items()}
+        self._staged = dict(inputs)  # the subject gets its own copy
         try:
             self.kernel.run_cycle()
         except SubsystemPanic as exc:
@@ -239,8 +241,7 @@ class _StreamLink(MediatorLink):
         validate_hello(self.hello, self.model)
 
     def exchange(self, inputs: Mapping) -> CycleObservation:
-        values = {k: int(v) for k, v in inputs.items()}
-        self._send(WireMessage("set_inputs", self.next_cycle, {"values": values}))
+        self._send(WireMessage("set_inputs", self.next_cycle, {"values": inputs}))
         msg = self._recv()
         if msg.type != "observation":
             raise ProtocolError("expected observation, got %r" % msg.type)

@@ -184,45 +184,34 @@ def traverse(scenario: Scenario, spec, budget: int = 10_000, rng=None):
     applied = 0
 
     while True:
-        if automaton.pending[current]:
-            applied += 1
-            if applied > budget:
-                raise BudgetExceeded(_budget_message(automaton, budget), log, automaton)
-            action = automaton.pending[current].pop(0)
-            end_state, failure = _apply(action, spec, scenario, log, current, replay=False)
-            if failure is not None:
-                break
-            _discover(automaton, scenario, end_state, rng)
-            recorded = automaton.transitions.get((current, action.label))
-            if recorded is not None and recorded[0] != end_state:
-                raise NondeterminismDetected(
-                    current, action.label, recorded[0], end_state, log, automaton
-                )
-            automaton.transitions[(current, action.label)] = (end_state, action)
-            current = end_state
-        else:
-            path = _path_to_pending(automaton, current)
-            if path is None:
+        replay = not automaton.pending[current]
+        if replay:
+            steps = _path_to_pending(automaton, current)
+            if steps is None:
                 stranded = automaton.pending_states()
                 if stranded:
                     raise StrandedPendingActions(stranded, log, automaton)
                 return log, automaton  # every action applied in every reached state
-            for state, label, expected_end, action in path:
-                applied += 1
-                if applied > budget:
-                    raise BudgetExceeded(_budget_message(automaton, budget), log, automaton)
-                observed, failure = _apply(action, spec, scenario, log, state, replay=True)
-                if failure is not None:
-                    break
-                if observed != expected_end:
-                    raise NondeterminismDetected(
-                        state, label, expected_end, observed, log, automaton
-                    )
-                current = observed
+        else:
+            steps = [(current, automaton.pending[current][0])]
+        for state, action in steps:
+            applied += 1
+            if applied > budget:
+                raise BudgetExceeded(_budget_message(automaton, budget), log, automaton)
+            if not replay:
+                automaton.pending[state].pop(0)
+            end, failure = _apply(action, spec, scenario, log, state, replay)
             if failure is not None:
-                break
-    log.outcome = "verdict_failure"
-    return log, automaton
+                log.outcome = "verdict_failure"
+                return log, automaton
+            recorded = automaton.transitions.get((state, action.label))
+            if recorded is not None and recorded[0] != end:
+                raise NondeterminismDetected(
+                    state, action.label, recorded[0], end, log, automaton
+                )
+            _discover(automaton, scenario, end, rng)
+            automaton.transitions[(state, action.label)] = (end, action)
+            current = end
 
 
 def _apply(action: Action, spec, scenario: Scenario, log: TestLog, source, replay: bool):
@@ -248,13 +237,12 @@ def _discover(automaton: ExploredAutomaton, scenario: Scenario, state, rng) -> N
 
 
 def _path_to_pending(automaton: ExploredAutomaton, start):
-    """Shortest replay path to the nearest state with pending actions.
+    """The ``(state, action)`` steps of the shortest replay path to the
+    nearest state with pending actions, or None when none is reachable.
 
     BFS over recorded transitions; equal-distance targets resolve to the
     smallest state key, sibling edges explore in label order.
     """
-    if automaton.pending[start]:
-        return []
     adjacency: dict = {}
     for (state, label), (end, action) in automaton.transitions.items():
         adjacency.setdefault(state, []).append((label, end, action))
@@ -271,7 +259,7 @@ def _path_to_pending(automaton: ExploredAutomaton, start):
             for label, end, action in adjacency.get(state, ()):
                 if end in parents:
                     continue
-                parents[end] = (state, label, action)
+                parents[end] = (state, action)
                 next_frontier.append(end)
                 if automaton.pending.get(end):
                     found.append(end)
@@ -282,8 +270,8 @@ def _path_to_pending(automaton: ExploredAutomaton, start):
     path = []
     node = target
     while parents[node] is not None:
-        state, label, action = parents[node]
-        path.append((state, label, node, action))
+        state, action = parents[node]
+        path.append((state, action))
         node = state
     path.reverse()
     return path

@@ -356,6 +356,8 @@ class TestBadArguments:
         ("cyclotest.cli", ["--parts", "zz"]),
         ("cyclotest.cli", ["--jobs", "2"]),
         ("cyclotest.cli", ["--require", "branch=abc"]),
+        ("cyclotest.cli", ["--require", "branch=nan"]),
+        ("cyclotest.cli", ["--require", "branch=1.5"]),
         ("cyclotest.cli", ["--time-scale", "abc"]),
         ("cyclotest.cli", ["--sut", "tcp:127.0.0.1:notaport"]),
         ("cyclotest.cli", ["--sut", "inproc:iron:M9"]),

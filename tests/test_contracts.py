@@ -76,7 +76,8 @@ class TestApplyStimulus:
         assert verdict.kind is VerdictKind.PRECONDITION_VIOLATION
 
     def test_precondition_messages_after_valid_calls(self, desk_extraction):
-        # valid input tuples are remembered; a bad call still gets its reason
+        # every call is checked afresh: a bad call after valid ones gets its
+        # reason, and only an integer (a bool counts) is admitted
         spec = _spec(desk_extraction)
         for _ in range(2):
             assert spec.check_precondition({"move": 0, "position": 1}) is None
@@ -87,6 +88,14 @@ class TestApplyStimulus:
                 "undeclared input(s): tilt")
             assert spec.check_precondition({"move": 2, "position": 1}) == (
                 "input 'move' = 2 outside its domain")
+            for value in (0.9, 0.0, "1", "x", None):
+                cycle = spec.link.next_cycle
+                verdict = spec.apply_stimulus({"move": value, "position": 1})
+                assert (verdict.kind, verdict.detail) == (
+                    VerdictKind.PRECONDITION_VIOLATION,
+                    "input 'move' = %r is not an integer" % (value,))
+                assert spec.link.next_cycle == cycle
+            assert spec.apply_stimulus({"move": 0, "position": True}).kind is VerdictKind.PASS
 
     def test_custom_precondition_strengthens_domain(self, desk_extraction):
         spec = _spec(desk_extraction, precondition=lambda state, inputs: inputs["move"] == 0)
