@@ -29,11 +29,13 @@ from .contracts import Specification, VerdictKind
 from .coverage import CRITERIA, CoverageReport
 from .dsl import (
     Decision,
+    Held,
     ModelError,
     check_model,
     extract_predicates,
     parse_model,
     rescale_durations,
+    walk_exprs,
 )
 from .kernel import KernelConfig
 from .mediator import InProcessLink, MediatorError, StdioLink, TcpLink
@@ -135,8 +137,10 @@ def load_model(config: RunConfig):
     period = config.scaled_period_ms()
     mapping = {}
     if config.time_scale != 1:
-        for _, dur in _held_durations(ast):
-            mapping[dur] = max(1, int(dur * config.time_scale))
+        for dec in ast.decisions():
+            for e in walk_exprs(dec.condition):
+                if isinstance(e, Held):
+                    mapping[e.duration_ms] = max(1, int(e.duration_ms * config.time_scale))
     for dur, cycles in config.remap.items():
         mapping[dur] = cycles * period
     if mapping:
@@ -150,15 +154,6 @@ def load_model(config: RunConfig):
         return extract_predicates(ast), period
     except ModelError as exc:
         raise CliError("%s: %s" % (config.model_path, exc), EXIT_PARSE) from exc
-
-
-def _held_durations(ast):
-    from .dsl import Held, walk_exprs
-
-    for dec in ast.decisions():
-        for e in walk_exprs(dec.condition):
-            if isinstance(e, Held):
-                yield dec.node_id, e.duration_ms
 
 
 def build_link(model, extraction, config: RunConfig, period_ms: int):

@@ -81,7 +81,6 @@ class SpecificationState:
     holds: tuple  # hold record of the specification's temporal.HoldTable
     flags: dict
     sys_time_ms: Optional[int] = None
-    observation: Optional[CycleObservation] = None
 
     def env(self) -> dict:
         """State variables and time flags in one namespace (flags as 0/1)."""

@@ -54,10 +54,10 @@ class VarDecl:
     line: int = field(default=0, compare=False)
     col: int = field(default=0, compare=False)
 
-    def domain(self) -> tuple:
+    def domain(self) -> range:
         if self.type == "bool":
-            return (0, 1)
-        return tuple(range(self.lo, self.hi + 1))
+            return range(2)
+        return range(self.lo, self.hi + 1)
 
 
 @dataclass(frozen=True)

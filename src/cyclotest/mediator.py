@@ -359,5 +359,4 @@ def sync_state(spec_state, obs: CycleObservation, model_state_post: Mapping, ste
         holds=holds,
         flags=flags,
         sys_time_ms=obs.sys_time_ms,
-        observation=obs,
     )

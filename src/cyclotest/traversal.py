@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -150,16 +149,25 @@ class TestLog:
 
 @dataclass
 class ExploredAutomaton:
+    """One record per discovered state: its pending actions and successors."""
+
     initial: object = None
-    states: set = field(default_factory=set)
-    transitions: dict = field(default_factory=dict)  # (state, label) -> (end, Action)
     pending: dict = field(default_factory=dict)  # state -> [Action, ...]
+    successors: dict = field(default_factory=dict)  # state -> {label: (end, Action)}
+
+    @property
+    def states(self):
+        """The discovered states, a read-only view of ``pending``'s keys."""
+        return self.pending.keys()
+
+    @property
+    def transitions(self) -> dict:
+        """Every recorded transition as ``(state, label) -> (end, Action)``."""
+        return {(state, label): edge for state, out in self.successors.items()
+                for label, edge in out.items()}
 
     def pending_states(self) -> list:
         return [s for s, actions in self.pending.items() if actions]
-
-    def edges(self) -> list:
-        return [(s, label, end) for (s, label), (end, _) in self.transitions.items()]
 
 
 def _state_key(state) -> str:
@@ -204,13 +212,14 @@ def traverse(scenario: Scenario, spec, budget: int = 10_000, rng=None):
             if failure is not None:
                 log.outcome = "verdict_failure"
                 return log, automaton
-            recorded = automaton.transitions.get((state, action.label))
+            out = automaton.successors[state]
+            recorded = out.get(action.label)
             if recorded is not None and recorded[0] != end:
                 raise NondeterminismDetected(
                     state, action.label, recorded[0], end, log, automaton
                 )
             _discover(automaton, scenario, end, rng)
-            automaton.transitions[(state, action.label)] = (end, action)
+            out[action.label] = (end, action)
             current = end
 
 
@@ -227,13 +236,13 @@ def _apply(action: Action, spec, scenario: Scenario, log: TestLog, source, repla
 
 
 def _discover(automaton: ExploredAutomaton, scenario: Scenario, state, rng) -> None:
-    if state in automaton.states:
+    if state in automaton.pending:
         return
-    automaton.states.add(state)
     actions = scenario.enabled_actions(state)
     if rng is not None:
         rng.shuffle(actions)
     automaton.pending[state] = actions
+    automaton.successors[state] = {}
 
 
 def _path_to_pending(automaton: ExploredAutomaton, start):
@@ -243,27 +252,23 @@ def _path_to_pending(automaton: ExploredAutomaton, start):
     BFS over recorded transitions; equal-distance targets resolve to the
     smallest state key, sibling edges explore in label order.
     """
-    adjacency: dict = {}
-    for (state, label), (end, action) in automaton.transitions.items():
-        adjacency.setdefault(state, []).append((label, end, action))
-    for edges in adjacency.values():
-        edges.sort(key=lambda e: e[0])
-
+    successors, pending = automaton.successors, automaton.pending
     parents = {start: None}
-    frontier = deque([start])
+    frontier = [start]
     found: list = []
     while frontier and not found:
         next_frontier = []
-        for _ in range(len(frontier)):
-            state = frontier.popleft()
-            for label, end, action in adjacency.get(state, ()):
+        for state in frontier:
+            out = successors[state]
+            for label in sorted(out):
+                end, action = out[label]
                 if end in parents:
                     continue
                 parents[end] = (state, action)
                 next_frontier.append(end)
-                if automaton.pending.get(end):
+                if pending[end]:
                     found.append(end)
-        frontier.extend(next_frontier)
+        frontier = next_frontier
     if not found:
         return None
     target = min(found, key=_state_key)
@@ -297,8 +302,9 @@ def export_dot(automaton: ExploredAutomaton) -> str:
     for state in states:
         shape = ' shape=doublecircle' if state == automaton.initial else ""
         lines.append('  %s [label="%s"%s];' % (names[state], esc(str(state)), shape))
-    for state, label, end in sorted(
-        automaton.edges(), key=lambda e: (_state_key(e[0]), e[1], _state_key(e[2]))
+    for (state, label), (end, _) in sorted(
+        automaton.transitions.items(),
+        key=lambda t: (_state_key(t[0][0]), t[0][1], _state_key(t[1][0])),
     ):
         lines.append('  %s -> %s [label="%s"];' % (names[state], names[end], esc(label)))
     lines.append("}")

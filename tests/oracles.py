@@ -251,6 +251,45 @@ class FlickeringStateSystem(ExplicitSystem):
         return self.state
 
 
+def path_to_pending_reference(automaton, start):
+    """The replay path by the original search: rebuild the label-sorted
+    adjacency of every recorded transition, then BFS level by level from
+    ``start``; targets on the first level with pending actions resolve to
+    the smallest ``repr``."""
+    adjacency: dict = {}
+    for (state, label), (end, action) in automaton.transitions.items():
+        adjacency.setdefault(state, []).append((label, end, action))
+    for edges in adjacency.values():
+        edges.sort(key=lambda e: e[0])
+
+    parents = {start: None}
+    frontier = deque([start])
+    found: list = []
+    while frontier and not found:
+        next_frontier = []
+        for _ in range(len(frontier)):
+            state = frontier.popleft()
+            for label, end, action in adjacency.get(state, ()):
+                if end in parents:
+                    continue
+                parents[end] = (state, action)
+                next_frontier.append(end)
+                if automaton.pending.get(end):
+                    found.append(end)
+        frontier.extend(next_frontier)
+    if not found:
+        return None
+    target = min(found, key=repr)
+    path = []
+    node = target
+    while parents[node] is not None:
+        state, action = parents[node]
+        path.append((state, action))
+        node = state
+    path.reverse()
+    return path
+
+
 def make_nondeterministic(rng, n_states: int, n_actions: int):
     delta, labels, initial = random_scc_automaton(rng, n_states, n_actions)
     choices = [s for s in range(n_states) if s != initial]

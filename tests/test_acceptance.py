@@ -304,18 +304,19 @@ def test_c09_transport_equivalence(capsys):
     base = dict(model_path=MODEL_PATH, remap=dict(IRON_DESK_REMAP))
     logs["inproc"] = run_campaign(RunConfig(**base)).log.to_json_lines()
 
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "cyclotest.iron_sut", "--listen", "tcp:127.0.0.1:0",
          "--durations", "3000,5000"],
         stdout=subprocess.PIPE, text=True,
-    )
-    try:
-        address = proc.stdout.readline().split()[-1]
-        logs["tcp"] = run_campaign(RunConfig(sut="tcp:%s" % address, **base)).log.to_json_lines()
-        proc.wait(timeout=10)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
+    ) as proc:
+        try:
+            address = proc.stdout.readline().split()[-1]
+            logs["tcp"] = run_campaign(
+                RunConfig(sut="tcp:%s" % address, **base)).log.to_json_lines()
+            proc.wait(timeout=10)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
 
     stdio_cmd = "%s -m cyclotest.iron_sut --durations 3000,5000" % sys.executable
     logs["stdio"] = run_campaign(RunConfig(sut="stdio:%s" % stdio_cmd, **base)).log.to_json_lines()

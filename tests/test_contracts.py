@@ -14,7 +14,7 @@ from cyclotest.dsl import extract_predicates, parse_model
 from cyclotest.interp import eval_model
 from cyclotest.iron import DESK_DURATIONS_MS, MUTANT_IDS, IronSut, make_mutant
 from cyclotest.kernel import KernelConfig
-from cyclotest.mediator import InProcessLink
+from cyclotest.mediator import InProcessLink, ProtocolError
 from oracles import PlainSpecification
 
 
@@ -30,6 +30,18 @@ class DialSut:
 def _dial_spec():
     ex = extract_predicates(parse_model(DIAL_SRC))
     return Specification(ex, InProcessLink(ex.model, DialSut(), KernelConfig()))
+
+
+WIDE_SRC = ("model wide { input level: int 0..10000; output o: int 0..10000; "
+            "logic { if (level == 10000) { o = 10000; } else { o = 0; } } }")
+
+
+class FixedSut:
+    def __init__(self, o):
+        self.o = o
+
+    def step(self, inputs, sys_time_ms):
+        return {"o": self.o}
 
 
 def _spec(desk_extraction, sut=None, **kwargs):
@@ -61,6 +73,20 @@ class TestApplyStimulus:
         spec = _dial_spec()
         assert spec.apply_stimulus({"level": 4}).kind is VerdictKind.PRECONDITION_VIOLATION
         assert spec.apply_stimulus({"level": 3}).kind is VerdictKind.PASS
+
+    def test_wide_domain_bounds(self):
+        ex = extract_predicates(parse_model(WIDE_SRC))
+        spec = Specification(ex, InProcessLink(ex.model, FixedSut(0), KernelConfig()))
+        assert spec.check_precondition({"level": 0}) is None
+        assert spec.check_precondition({"level": 10000}) is None
+        for level in (-1, 10001):
+            assert (spec.check_precondition({"level": level})
+                    == "input 'level' = %d outside its domain" % level)
+        link = InProcessLink(ex.model, FixedSut(10000), KernelConfig())
+        assert link.exchange({"level": 10000}).outputs == {"o": 10000}
+        link = InProcessLink(ex.model, FixedSut(10001), KernelConfig())
+        with pytest.raises(ProtocolError, match="outputs 'o' = 10001 is outside its domain"):
+            link.exchange({"level": 10000})
 
     def test_precondition_consumes_no_cycle(self, desk_extraction):
         spec = _spec(desk_extraction)

@@ -38,7 +38,7 @@ class TestParse:
             {"move": 0, "position": 0}, {"move": 0, "position": 1},
             {"move": 1, "position": 0}, {"move": 1, "position": 1},
         )
-        assert ast.domains == {"move": (0, 1), "position": (0, 1), "heating": (0, 1)}
+        assert ast.domains == {"move": range(2), "position": range(2), "heating": range(2)}
         assert ast.readable_names == ()
         assert ast.input_valuations is ast.input_valuations
         root = ast.body
@@ -96,7 +96,7 @@ class TestParse:
         src = ("model m { input level: int 0..3; output o: bool; "
                "logic { if (held(level == 2, 1500ms)) { o = 1; } else { o = 0; } } }")
         ast = parse_model(src)
-        assert ast.inputs[0].domain() == (0, 1, 2, 3)
+        assert ast.inputs[0].domain() == range(0, 4)
         held = next(e for e in walk_nodes(ast.body) if not isinstance(e, Leaf)).condition
         assert held.duration_ms == 1500
 

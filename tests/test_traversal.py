@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from conftest import desk_config
 
+from cyclotest import traversal
+from cyclotest.cli import run_campaign
 from cyclotest.contracts import Verdict, VerdictKind
 from cyclotest.traversal import (
     BudgetExceeded,
@@ -16,6 +19,7 @@ from oracles import (
     ExplicitSystem,
     explicit_scenario,
     make_nondeterministic,
+    path_to_pending_reference,
     random_scc_automaton,
 )
 
@@ -63,6 +67,43 @@ class TestExplicitAutomata:
                               rng=random.Random(99))
             logs.append(log.to_json_lines())
         assert logs[0] == logs[1]
+
+
+class TestReplaySearch:
+    """Every replay search the traversal makes, checked against the
+    reference search on the same automaton."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        results = []
+        search = traversal._path_to_pending
+
+        def checked(automaton, start):
+            path = search(automaton, start)
+            results.append((path, path_to_pending_reference(automaton, start)))
+            return path
+
+        monkeypatch.setattr(traversal, "_path_to_pending", checked)
+        return results
+
+    @pytest.mark.parametrize("shuffle", [False, True], ids=["label-order", "shuffled"])
+    def test_random_automata(self, searches, shuffle):
+        for seed in range(40):
+            rng = random.Random(seed)
+            # up to 12 actions, so that label order differs from action order
+            delta, labels, initial = random_scc_automaton(rng, rng.randint(2, 14),
+                                                          rng.randint(1, 12))
+            system = ExplicitSystem(delta, initial)
+            traverse(explicit_scenario(system, labels), system,
+                     rng=random.Random(seed) if shuffle else None)
+        assert all(path == reference for path, reference in searches)
+        assert sum(path is not None and len(path) > 1 for path, _ in searches) > 50
+
+    def test_desk_iron_seed_7(self, searches):
+        result = run_campaign(desk_config(seed=7))
+        assert result.error is None
+        assert all(path == reference for path, reference in searches)
+        assert sum(path is not None for path, _ in searches) > 10
 
 
 class TestDiagnostics:
