@@ -4,14 +4,16 @@ Subcommands: ``run`` (full campaign against a subject, optionally exporting
 the explored automaton as DOT), ``enumerate-states`` (upper bound and
 reachable temporal flag states), ``reduce`` (test cases, rewritten
 conditions, projections, state partition).  Exit codes: 0 ok, 2 model/parse
-problem, 3 mediator or protocol failure, 4 failed verdicts or traversal
-diagnostics, 5 unmet coverage requirement.  ``CYCLOTEST_LOG`` sets the log
-level.
+problem or bad option, 3 mediator or protocol failure, 4 failed verdicts or
+traversal diagnostics, 5 unmet coverage requirement, 6 output not written.
+``CYCLOTEST_LOG`` sets the log level.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import json
 import logging
 import os
@@ -58,6 +60,7 @@ EXIT_PARSE = 2
 EXIT_PROTOCOL = 3
 EXIT_VERDICT = 4
 EXIT_COVERAGE = 5
+EXIT_OUTPUT = 6
 
 
 class CliError(Exception):
@@ -260,20 +263,55 @@ def run_part(config: RunConfig, extraction, projections, period: int, part) -> C
 # Commands
 
 
-def cmd_run(args) -> int:
-    config = _config_from_args(args)
-    result = run_campaign(config)
+def _open_output(stack: contextlib.ExitStack, path: Optional[str]):
+    """``path`` opened for writing and closed with ``stack``, or None."""
+    if path is None:
+        return None
+    try:
+        return stack.enter_context(open(path, "w", encoding="utf-8"))
+    except OSError as exc:
+        raise CliError("cannot open %s: %s" % (path, exc.strerror or exc), EXIT_PARSE) from exc
 
-    if args.log:
-        with open(args.log, "w", encoding="utf-8") as fh:
-            fh.write(result.log.to_json_lines())
-    if args.trace_cycles:
-        with open(args.trace_cycles, "w", encoding="utf-8") as fh:
-            for record in result.cycle_records:
-                fh.write(record.to_json(args.deterministic) + "\n")
-    if args.dot and result.automaton is not None:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(export_dot(result.automaton))
+
+def _write_output(fh, chunks) -> None:
+    """Write ``chunks`` to ``fh`` and flush it; a failed write is exit 6.  A
+    failed file is closed there and then, and a failed stdout points at the
+    null device, so that no later flush fails again."""
+    try:
+        fh.writelines(chunks)
+        fh.flush()
+    except OSError as exc:
+        name = "standard output" if fh is sys.stdout else fh.name
+        with contextlib.suppress(OSError, ValueError):
+            if fh is sys.stdout:
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fh.fileno())
+                os.close(devnull)
+            else:
+                fh.close()
+        raise CliError("cannot write %s: %s" % (name, exc.strerror or exc), EXIT_OUTPUT) from exc
+
+
+# A command returns its exit code and the lines of its standard output.
+
+
+def cmd_run(args) -> tuple:
+    config = _config_from_args(args)
+    if args.dot and config.scenario == "piecemeal":
+        raise CliError("--dot needs one automaton: --scenario full or piece:NODE", EXIT_PARSE)
+    # the output files are opened before the subject starts, so that a bad
+    # path costs no campaign
+    with contextlib.ExitStack() as stack:
+        log_fh, cycles_fh, dot_fh = (_open_output(stack, path)
+                                     for path in (args.log, args.trace_cycles, args.dot))
+        result = run_campaign(config)
+        if log_fh:
+            _write_output(log_fh, result.log.json_lines())
+        if cycles_fh:
+            _write_output(cycles_fh, (record.to_json(args.deterministic) + "\n"
+                                      for record in result.cycle_records))
+        if dot_fh:
+            _write_output(dot_fh, [export_dot(result.automaton)])
 
     payload = {
         "scenario": result.log.scenario,
@@ -288,20 +326,27 @@ def cmd_run(args) -> int:
     if not args.deterministic:
         payload["timestamp"] = time.time()
     if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        lines = [json.dumps(payload, sort_keys=True, indent=2)]
     else:
-        print("scenario %s: %s" % (payload["scenario"], payload["outcome"]))
-        for kind, count in sorted(payload["verdicts"].items()):
-            print("  %-22s %d" % (kind, count))
+        lines = ["scenario %s: %s" % (payload["scenario"], payload["outcome"])]
+        lines += ["  %-22s %d" % (kind, count)
+                  for kind, count in sorted(payload["verdicts"].items())]
         if result.error:
-            print("  error: %s" % result.error)
-        print(result.report.to_text())
+            lines.append("  error: %s" % result.error)
+        lines.append(result.report.to_text())
     if result.error:
         print("traversal error: %s" % result.error, file=sys.stderr)
-    return result.exit_code(config.required)
+    return result.exit_code(config.required), lines
 
 
-def cmd_enumerate_states(args) -> int:
+def _format_witness(witness) -> str:
+    """A witness run's steps, each run of equal steps once with ``xN``."""
+    steps = ("(%s)" % ",".join("%s=%d" % kv for kv in sorted(s.items())) for s in witness)
+    runs = [(step, len(list(run))) for step, run in itertools.groupby(steps)]
+    return " ".join(step if n == 1 else "%s x%d" % (step, n) for step, n in runs) or "<initial>"
+
+
+def cmd_enumerate_states(args) -> tuple:
     config = _config_from_args(args)
     extraction, period = load_model(config)
     report = enumerate_reachable_flag_states(extraction, period, config.strict_held)
@@ -316,23 +361,21 @@ def cmd_enumerate_states(args) -> int:
                 for vec in report.vectors
             ],
         }
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        lines = [json.dumps(payload, sort_keys=True, indent=2)]
     else:
-        print("model: %s" % extraction.source.name)
-        print("temporal predicates: %d (%s)" % (len(report.predicate_ids),
-                                                ", ".join(report.predicate_ids)))
-        print("upper bound: %d" % report.upper_bound)
-        print("reachable flag states: %d" % report.reachable_count)
-        for vec in report.vectors:
-            witness = report.witnesses[vec]
-            steps = " ".join(
-                "(%s)" % ",".join("%s=%d" % kv for kv in sorted(s.items())) for s in witness
-            )
-            print("  %s  via %s" % (list(vec), steps if steps else "<initial>"))
-    return EXIT_OK
+        lines = [
+            "model: %s" % extraction.source.name,
+            "temporal predicates: %d (%s)" % (len(report.predicate_ids),
+                                              ", ".join(report.predicate_ids)),
+            "upper bound: %d" % report.upper_bound,
+            "reachable flag states: %d" % report.reachable_count,
+        ]
+        lines += ["  %s  via %s" % (list(vec), _format_witness(report.witnesses[vec]))
+                  for vec in report.vectors]
+    return EXIT_OK, lines
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args) -> tuple:
     config = _config_from_args(args)
     extraction, period = load_model(config)
     ast = extraction.source
@@ -365,24 +408,20 @@ def cmd_reduce(args) -> int:
                 for member, members in sorted(cells.items())
             ],
         }
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        lines = [json.dumps(payload, sort_keys=True, indent=2)]
     else:
-        print("model: %s" % ast.name)
-        print("step 1: test cases (branch coverage)")
-        for pc in cases:
-            print("  %s: %s" % (pc.id, pc))
-        print("step 2: conditions over temporal predicates")
-        for pc in rewritten:
-            print("  %s: %s" % (pc.id, pc))
-        print("step 3: projections on the state space")
-        for p in projections:
-            print("  %s: %s" % (p.id, p))
-        print("step 4: membership-vector partition of %d reachable flag state(s)"
-              % reach.reachable_count)
-        for member, members in sorted(cells.items()):
-            print("  vector %s: %d state(s), coverable cases %s"
-                  % (list(member), len(members), members[0][2]))
-    return EXIT_OK
+        lines = ["model: %s" % ast.name, "step 1: test cases (branch coverage)"]
+        lines += ["  %s: %s" % (pc.id, pc) for pc in cases]
+        lines.append("step 2: conditions over temporal predicates")
+        lines += ["  %s: %s" % (pc.id, pc) for pc in rewritten]
+        lines.append("step 3: projections on the state space")
+        lines += ["  %s: %s" % (p.id, p) for p in projections]
+        lines.append("step 4: membership-vector partition of %d reachable flag state(s)"
+                     % reach.reachable_count)
+        lines += ["  vector %s: %d state(s), coverable cases %s"
+                  % (list(member), len(members), members[0][2])
+                  for member, members in sorted(cells.items())]
+    return EXIT_OK, lines
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +553,9 @@ def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("CYCLOTEST_LOG", "WARNING").upper())
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, lines = args.func(args)
+        _write_output(sys.stdout, [line + "\n" for line in lines])
+        return code
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code

@@ -500,7 +500,7 @@ def parse_model(source: str) -> ModelAst:
 
 
 def parse_expression(source: str) -> Expr:
-    """Parse a standalone expression (invariant strings, filters)."""
+    """Parse a standalone expression, such as ``print_expr`` prints."""
     parser = _Parser(tokenize(source))
     expr = parser.parse_expr()
     parser.expect("eof")

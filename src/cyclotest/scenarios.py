@@ -40,8 +40,11 @@ def build_coverage_scenario(spec, extraction: ExtractionResult, projections: Seq
                             cycle_period_ms: int = 1000, part: Optional[PiecemealPart] = None,
                             strict: bool = False) -> Scenario:
     """Settle+probe scenario for ``spec`` (anything with ``apply_stimulus``
-    and a ``state`` exposing ``env()``), over the whole model or, given a
-    piecemeal ``part``, with the part's inputs pinned and the rest iterated."""
+    and ``abstract_state``, as a :class:`~cyclotest.contracts.Specification`
+    has), over the whole model or, given a piecemeal ``part``, with the
+    part's inputs pinned and the rest iterated.  The scenario's state is
+    ``generalized_state`` of the specification state, which the
+    specification remembers."""
     model = extraction.model
     if part is None:
         pinned, iterated = {}, {k: model.domains[k] for k in model.input_names}
@@ -64,8 +67,11 @@ def build_coverage_scenario(spec, extraction: ExtractionResult, projections: Seq
     def probe(valuation: dict) -> list:
         return [stimulus(valuation)] + [dict(renorm)] * hold
 
+    def abstract(state_env) -> tuple:
+        return generalized_state(state_env, projections, model)
+
     def state_fn():
-        return generalized_state(spec.state.env(), projections, model)
+        return spec.abstract_state(abstract)
 
     return Scenario(
         name="full" if part is None else "piece:%s" % (part.node_id or "root"),

@@ -144,7 +144,21 @@ class TestLog:
         return counts
 
     def to_json_lines(self) -> str:
-        return "\n".join(e.to_json() for e in self.entries) + ("\n" if self.entries else "")
+        return "".join(self.json_lines())
+
+    def json_lines(self):
+        """Each entry's ``to_json()`` and a newline.  The text around the
+        cycle is encoded once per distinct ``(state, action, verdict,
+        replay)``; only the cycle is formatted per entry."""
+        around: dict = {}
+        for e in self.entries:
+            key = (e.state, e.action, e.verdict, e.replay)
+            if key not in around:
+                # a '"' inside a JSON string is escaped, so this is the key
+                head, _, tail = LogEntry(0, *key).to_json().partition('"cycle": 0')
+                around[key] = (head + '"cycle": ', tail + "\n")
+            head, tail = around[key]
+            yield head + str(e.cycle) + tail
 
 
 @dataclass

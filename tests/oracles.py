@@ -178,13 +178,17 @@ class CompoundWindowOracle:
 
 
 class PlainSpecification(Specification):
-    """The contract oracle without its memo: every cycle runs the model and
-    accumulates the trace into coverage."""
+    """The contract oracle without its memos: every cycle runs the model and
+    accumulates the trace into coverage, and every abstract state is
+    derived afresh."""
 
     def reference(self, inputs, state_pre, flags) -> tuple:
         result = eval_model(self.model, inputs, state_pre, flags)
         self.coverage.accumulate(result[2])
         return result
+
+    def abstract_state(self, derive):
+        return derive(self.state.env())
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,21 @@ class TestEnumerateStates:
         assert data["reachable"] == 9
         assert len(data["states"]) == 9
 
+    def test_text_witness_runs_compact(self, capsys):
+        code, out, _ = _run(capsys, ["enumerate-states", "--model", MODEL_PATH] + DESK)
+        assert code == 0
+        assert out.splitlines()[4:] == [
+            "  [0, 0, 0, 0]  via <initial>",
+            "  [1, 1, 0, 0]  via (move=0,position=0) x4",
+            "  [1, 0, 0, 0]  via (move=0,position=0) x3 (move=0,position=1)",
+            "  [0, 1, 0, 0]  via (move=0,position=0) x3 (move=1,position=0)",
+            "  [1, 1, 1, 0]  via (move=0,position=0) x6",
+            "  [1, 0, 1, 0]  via (move=0,position=0) x5 (move=0,position=1)",
+            "  [1, 0, 1, 1]  via (move=0,position=1) x6",
+            "  [0, 0, 0, 1]  via (move=0,position=1) x5 (move=1,position=1)",
+            "  [1, 0, 0, 1]  via (move=0,position=1) (move=1,position=1) (move=0,position=1) x4",
+        ]
+
     def test_missing_model_exit_2(self, capsys):
         code, _, err = _run(capsys, ["enumerate-states", "--model", "/nonexistent.ctl"])
         assert code == 2
@@ -293,13 +308,13 @@ class TestPiecemeal:
         assert err == "%s:10:14: warning: leaf 'te' is unreachable\n" % model
 
 
-def _subprocess(module, argv):
+def _subprocess(module, argv, stdout=subprocess.PIPE):
     """Run ``python -m module argv`` on this checkout's sources."""
     src = str(Path(cyclotest.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", module] + argv,
-                          capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-m", module] + argv, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=60)
 
 
 FAKE_SUBJECT = [sys.executable, str(Path(__file__).resolve().parent / "fake_subject.py")]
@@ -355,6 +370,7 @@ class TestBadArguments:
         ("cyclotest.cli", ["--scenario", "piece:zz"]),
         ("cyclotest.cli", ["--parts", "zz"]),
         ("cyclotest.cli", ["--jobs", "2"]),
+        ("cyclotest.cli", ["--scenario", "piecemeal", "--dot", "automaton.dot"]),
         ("cyclotest.cli", ["--require", "branch=abc"]),
         ("cyclotest.cli", ["--require", "branch=nan"]),
         ("cyclotest.cli", ["--require", "branch=1.5"]),
@@ -389,6 +405,65 @@ class TestBadArguments:
         proc = _subprocess("cyclotest.cli", [command, "--model", str(model)])
         _assert_usage_error(proc)
         assert len(proc.stderr.splitlines()) == 1
+
+
+class TestOutputFaults:
+    """An output that cannot be opened or written is one line on stderr
+    and a documented exit code, never a traceback."""
+
+    @pytest.mark.parametrize("option", ["--log", "--trace-cycles", "--dot"])
+    def test_unopenable_output_exit_2_before_the_subject_starts(self, tmp_path, option):
+        started = tmp_path / "started"
+        subject = shlex.join([sys.executable, "-c", "open(%r, 'w')" % str(started)])
+        proc = _subprocess("cyclotest.cli", ["run", "--model", MODEL_PATH, "--sut",
+                                             "stdio:" + subject, option, "/nonexistent/x"] + DESK)
+        _assert_usage_error(proc)
+        assert proc.stderr.splitlines() == [
+            "error: cannot open /nonexistent/x: No such file or directory"]
+        assert not started.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("option", ["--log", "--trace-cycles", "--dot"])
+    def test_failed_write_exit_6(self, option):
+        proc = _subprocess("cyclotest.cli", ["run", "--model", MODEL_PATH, option, "/dev/full"]
+                           + DESK)
+        assert proc.returncode == 6, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "error: cannot write /dev/full: No space left on device"]
+
+    @pytest.mark.parametrize("command", ["run", "enumerate-states", "reduce"])
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    def test_closed_stdout_exit_6(self, command, fmt):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with os.fdopen(write_end, "w") as stdout:
+            proc = _subprocess("cyclotest.cli", [command, "--model", MODEL_PATH] + fmt + DESK,
+                               stdout=stdout)
+        assert proc.returncode == 6, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "error: cannot write standard output: Broken pipe"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stdout_exit_6(self):
+        with open("/dev/full", "w") as stdout:
+            proc = _subprocess("cyclotest.cli", ["run", "--model", MODEL_PATH] + DESK,
+                               stdout=stdout)
+        assert proc.returncode == 6, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "error: cannot write standard output: No space left on device"]
+
+    def test_outputs_closed_when_the_campaign_fails(self, capsys, tmp_path):
+        # the early-opened files are closed on every path (the -X dev
+        # ResourceWarning check sees one that is not)
+        log, dot = tmp_path / "log.jsonl", tmp_path / "automaton.dot"
+        code, _, err = _run(capsys, ["run", "--model", MODEL_PATH, "--log", str(log),
+                                     "--dot", str(dot), "--sut", "inproc:iron:M9"] + DESK)
+        assert code == 2
+        assert "unknown iron mutant" in err
+        code, _, err = _run(capsys, ["run", "--model", MODEL_PATH, "--log", str(log),
+                                     "--dot", str(tmp_path / "missing" / "x.dot")] + DESK)
+        assert code == 2
+        assert "cannot open" in err
 
 
 def _assert_usage_error(proc):

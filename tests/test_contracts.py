@@ -3,18 +3,18 @@ import itertools
 import pytest
 from conftest import GUARD_SRC, TANK_SRC, desk_config
 
-from cyclotest import cli, contracts
-from cyclotest.contracts import (
-    ContractError,
-    DuplicateName,
-    Specification,
-    VerdictKind,
-)
+from cyclotest import cli, contracts, scenarios, traversal
+from cyclotest.contracts import Specification, SpecificationState, VerdictKind
 from cyclotest.dsl import extract_predicates, parse_model
 from cyclotest.interp import eval_model
 from cyclotest.iron import DESK_DURATIONS_MS, MUTANT_IDS, IronSut, make_mutant
 from cyclotest.kernel import KernelConfig
 from cyclotest.mediator import InProcessLink, ProtocolError
+from cyclotest.reduction import (
+    derive_projections,
+    enumerate_reachable_flag_states,
+    generalized_state,
+)
 from oracles import PlainSpecification
 
 
@@ -123,13 +123,6 @@ class TestApplyStimulus:
                 assert spec.link.next_cycle == cycle
             assert spec.apply_stimulus({"move": 0, "position": True}).kind is VerdictKind.PASS
 
-    def test_custom_precondition_strengthens_domain(self, desk_extraction):
-        spec = _spec(desk_extraction, precondition=lambda state, inputs: inputs["move"] == 0)
-        assert spec.apply_stimulus({"move": 1, "position": 0}).kind is (
-            VerdictKind.PRECONDITION_VIOLATION
-        )
-        assert spec.apply_stimulus({"move": 0, "position": 0}).kind is VerdictKind.PASS
-
     def test_pre_state_immutable_across_exchange(self, desk_extraction):
         spec = _spec(desk_extraction)
         spec.apply_stimulus({"move": 0, "position": 1})
@@ -190,42 +183,6 @@ class TestDerivedOnce:
         assert len(result.log.entries) == 216
         assert calls  # the wrappers see the derivation
         assert len(calls) == after_first[0]
-
-
-class TestInvariants:
-    INVARIANT = "!(move_eq_f_t2 && position_eq_t_t2) || heating == 0"
-
-    def test_trivially_true_never_fires(self, desk_extraction):
-        spec = _spec(desk_extraction)
-        spec.register_invariant("tautology", "heating == heating")
-        for _ in range(8):
-            assert spec.apply_stimulus({"move": 0, "position": 1}).kind is VerdictKind.PASS
-
-    def test_requirement_style_invariant_fires_on_mutant(self, desk_extraction):
-        # the branch-swapping mutant heats while fully rested vertical
-        spec = _spec(desk_extraction, make_mutant("M5", DESK_DURATIONS_MS, 1000))
-        spec.register_invariant("no heating when rested vertical", self.INVARIANT)
-        kinds = [spec.apply_stimulus({"move": 0, "position": 1}).kind for _ in range(6)]
-        assert VerdictKind.INVARIANT_VIOLATION in kinds
-        # invariants run before the postcondition, so that verdict wins
-        first_bad = next(k for k in kinds if k is not VerdictKind.PASS)
-        assert first_bad is VerdictKind.INVARIANT_VIOLATION
-
-    def test_duplicate_name_rejected(self, desk_extraction):
-        spec = _spec(desk_extraction)
-        spec.register_invariant("inv", "heating == heating")
-        with pytest.raises(DuplicateName):
-            spec.register_invariant("inv", "heating == heating")
-
-    def test_unknown_identifier_rejected(self, desk_extraction):
-        spec = _spec(desk_extraction)
-        with pytest.raises(ContractError, match="unknown name"):
-            spec.register_invariant("bad", "boiler == 0")
-
-    def test_callable_invariant(self, desk_extraction):
-        spec = _spec(desk_extraction)
-        spec.register_invariant("callable", lambda ctx: ctx.outputs["heating"] in (0, 1))
-        assert spec.apply_stimulus({"move": 1, "position": 1}).kind is VerdictKind.PASS
 
 
 STATEFUL_SRC = """
@@ -359,3 +316,66 @@ class TestOracleMemo:
         assert kinds == [VerdictKind.PASS] * 6
         assert len(spec._memo) == 1
         assert len(calls) == 4  # level 3 once, level 0 every time
+
+
+class TestAbstractStateMemo:
+    """The abstract state that the specification remembers against
+    ``generalized_state`` of the current state, computed afresh."""
+
+    @pytest.mark.parametrize("sut", ["inproc:iron"] + ["inproc:iron:" + m for m in MUTANT_IDS])
+    @pytest.mark.parametrize("cap", [contracts.MEMO_CAP, 2])
+    def test_logged_states_equal_the_unmemoised_state(self, monkeypatch, sut, cap):
+        monkeypatch.setattr(contracts, "MEMO_CAP", cap)
+        real = traversal._apply
+        checked = []
+
+        def apply(action, spec, scenario, log, source, replay):
+            # the action starts from the specification state its source came from
+            expected = generalized_state(spec.state.env(), derive_projections(spec.extraction),
+                                         spec.model)
+            start = len(log.entries)
+            result = real(action, spec, scenario, log, source, replay)
+            checked.extend((entry.state, expected) for entry in log.entries[start:])
+            return result
+
+        monkeypatch.setattr(traversal, "_apply", apply)
+        result = cli.run_campaign(desk_config(sut=sut))
+        assert len(checked) == len(result.log.entries) > 0
+        assert all(state == expected for state, expected in checked)
+
+    @pytest.mark.parametrize("name", ["desk iron", "tank", "guard"])
+    @pytest.mark.parametrize("cap", [contracts.MEMO_CAP, 2])
+    def test_every_reachable_state_matches(self, monkeypatch, desk_extraction, name, cap):
+        monkeypatch.setattr(contracts, "MEMO_CAP", cap)
+        extraction = {"tank": extract_predicates(parse_model(TANK_SRC)),
+                      "guard": extract_predicates(parse_model(GUARD_SRC)),
+                      "desk iron": desk_extraction}[name]
+        projections = derive_projections(extraction)
+        reach = enumerate_reachable_flag_states(extraction, 1000)
+        spec = Specification(extraction, None)
+
+        def derive(env):
+            return generalized_state(env, projections, extraction.model)
+
+        for _ in range(2):  # every state once unseen, once remembered
+            for state_vars, vector in reach.states:
+                flags = {pid: bool(bit) for pid, bit in zip(reach.predicate_ids, vector)}
+                spec.state = SpecificationState(dict(state_vars), (), flags)
+                assert spec.abstract_state(derive) == derive(spec.state.env())
+        assert len(spec._abstract) == min(cap, len(reach.states))
+
+    def test_one_derivation_per_distinct_state(self, monkeypatch):
+        keys, calls = [], []
+        real_abstract = contracts.Specification.abstract_state
+        real_derive = scenarios.generalized_state
+
+        def abstract_state(spec, derive):
+            keys.append((tuple(spec.state.state_vars.items()), tuple(spec.state.flags.items())))
+            return real_abstract(spec, derive)
+
+        monkeypatch.setattr(contracts.Specification, "abstract_state", abstract_state)
+        monkeypatch.setattr(scenarios, "generalized_state",
+                            lambda *args: calls.append(1) or real_derive(*args))
+        result = cli.run_campaign(desk_config())
+        assert len(result.log.entries) == 216
+        assert len(calls) == len(set(keys)) < len(keys)
