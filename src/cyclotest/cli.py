@@ -171,12 +171,10 @@ def build_link(model, extraction, config: RunConfig, period_ms: int):
         if len(durations) != 2:
             raise CliError("in-process iron needs a model with two distinct durations",
                            EXIT_PARSE)
-        if mutant:
-            if mutant not in iron.MUTANT_IDS:
-                raise CliError("unknown iron mutant %r" % mutant, EXIT_PARSE)
-            sut = iron.make_mutant(mutant, tuple(durations), period_ms)
-        else:
-            sut = iron.make_sut(tuple(durations), period_ms)
+        try:
+            sut = iron.IronSut(tuple(durations), period_ms, mutant or None)
+        except iron.UnknownMutant as exc:
+            raise CliError("unknown iron mutant %r" % mutant, EXIT_PARSE) from exc
         return InProcessLink(model, sut, kcfg)
     try:
         if kind == "tcp":
@@ -495,7 +493,7 @@ def _config_from_args(args) -> RunConfig:
 
 def _add_model_options(sub) -> None:
     sub.add_argument("--model", required=True, help="path to the .ctl model")
-    sub.add_argument("--period-ms", type=int, default=1000, help="cycle period in ms")
+    sub.add_argument("--period-ms", type=positive_int, default=1000, help="cycle period in ms")
     sub.add_argument("--time-scale", type=fraction, default="1",
                      help="uniform rational scale for durations and period, e.g. 1/10")
     sub.add_argument("--remap-duration", type=duration_cycles, action="append",

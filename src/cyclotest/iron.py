@@ -90,14 +90,3 @@ class IronSut:
         if self.mutant == "M1":  # inverted output
             heating = 1 - heating
         return {"heating": heating}
-
-
-def make_sut(durations_ms=FULL_DURATIONS_MS, cycle_period_ms: int = 1000) -> IronSut:
-    return IronSut(durations_ms, cycle_period_ms)
-
-
-def make_mutant(mutant_id: str, durations_ms=FULL_DURATIONS_MS,
-                cycle_period_ms: int = 1000) -> IronSut:
-    if mutant_id not in MUTANT_IDS:
-        raise UnknownMutant(mutant_id)
-    return IronSut(durations_ms, cycle_period_ms, mutant=mutant_id)

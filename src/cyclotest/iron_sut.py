@@ -1,9 +1,9 @@
 """Standalone iron shut-off subject speaking the NDJSON mediator protocol.
 
-Runs the iron step function behind an in-process mediator link, in its own
-simulation kernel, and serves one test session over stdio or a single TCP
-connection: hello first, then a strict set_inputs/observation alternation
-until shutdown or EOF.
+Steps ``IronSut`` once per cycle in a local kernel, through an in-process
+mediator link that checks each observation, and serves one test session over
+stdio or a single TCP connection: hello first, then a strict
+set_inputs/observation alternation until shutdown or EOF.
 """
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import argparse
 import socket
 import sys
 
+from .cli import positive_int
 from .iron import FULL_DURATIONS_MS, IronSut, MUTANT_IDS, iron_model
 from .kernel import KernelConfig
 from .mediator import InProcessLink, ProtocolError, WireMessage
@@ -77,7 +78,7 @@ def main(argv=None) -> int:
     parser.add_argument("--mutant", choices=MUTANT_IDS, help="serve a seeded fault")
     parser.add_argument("--listen", type=tcp_address, metavar="tcp:HOST:PORT",
                         help="serve one TCP connection instead of stdio")
-    parser.add_argument("--period-ms", type=int, default=1000)
+    parser.add_argument("--period-ms", type=positive_int, default=1000)
     parser.add_argument("--durations", type=duration_pair, default=FULL_DURATIONS_MS,
                         metavar="SHORT_MS,LONG_MS",
                         help="condition durations in ms (default: 60 s and 900 s)")

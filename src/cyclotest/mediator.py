@@ -1,9 +1,10 @@
 """Binding between the specification and the system under test.
 
-One exchange = one cycle: stage the inputs, let the subject run a cycle, read
-back outputs, accessible state and the system time the subject saw.  The
-in-process link drives a local kernel; the TCP and stdio links speak a
-newline-delimited JSON protocol to a remote harness:
+One exchange = one cycle: hand the subject its inputs, let it run a cycle,
+read back outputs, accessible state and the system time the subject saw.
+The in-process link runs the subject's step function in a local kernel; the
+TCP and stdio links speak a newline-delimited JSON protocol to a remote
+harness:
 
   hello:       {"type":"hello","model":m,"inputs":[...],"outputs":[...],
                 "state":[...],"cycle_period_ms":N}
@@ -25,13 +26,11 @@ import socket
 import subprocess
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Mapping, Optional
-from weakref import proxy
 
 from . import temporal
 from .dsl import ModelAst
-from .kernel import Kernel, KernelConfig, SubsystemPanic
+from .kernel import Kernel, KernelConfig
 
 
 class MediatorError(Exception):
@@ -159,31 +158,24 @@ class MediatorLink:
 
 
 class InProcessLink(MediatorLink):
-    """Run the subject inside a local kernel, as its one subsystem: each cycle
-    steps the subject on the staged inputs, then reads its outputs and state."""
+    """Run the subject's step function in a local kernel: each cycle steps it
+    on a copy of the inputs, then reads its outputs and state.  The kernel
+    holds only the bound ``step``, so link and kernel form no reference cycle
+    that would keep spent cycle records alive."""
 
     def __init__(self, model: ModelAst, sut, config: Optional[KernelConfig] = None):
         super().__init__(model)
-        self.sut = sut
-        self.kernel = Kernel(config or KernelConfig())
+        self.kernel = Kernel(config or KernelConfig(), sut.step)
         self.hello = hello_for_model(model, self.kernel.config.cycle_period_ms)
         self._visible_state = getattr(sut, "visible_state", dict)
-        self._staged: dict = {}
-        self._captured: tuple = ()  # (cycle, sys_time_ms, outputs, state)
-        # weakly bound: no link-kernel reference cycle keeps spent cycle records alive
-        self.kernel.register_subsystem(model.name, partial(InProcessLink._run_sut, proxy(self)))
-
-    def _run_sut(self, ctx) -> None:
-        outputs = self.sut.step(self._staged, ctx.sys_time_ms)
-        self._captured = (ctx.cycle_index, ctx.sys_time_ms, outputs, self._visible_state())
 
     def exchange(self, inputs: Mapping) -> CycleObservation:
-        self._staged = dict(inputs)  # the subject gets its own copy
         try:
-            self.kernel.run_cycle()
-        except SubsystemPanic as exc:
-            raise MediatorError(str(exc)) from exc
-        return self._check_observation(*self._captured)
+            record, outputs = self.kernel.run_cycle(dict(inputs))
+            state = self._visible_state()
+        except Exception as exc:
+            raise MediatorError("subsystem '%s' failed: %s" % (self.model.name, exc)) from exc
+        return self._check_observation(record.cycle_index, record.sys_time_ms, outputs, state)
 
 
 class _StreamLink(MediatorLink):

@@ -18,7 +18,7 @@ from cyclotest.contracts import VerdictKind
 from cyclotest.coverage import CoverageReport
 from cyclotest.dsl import extract_predicates, parse_model
 from cyclotest.interp import eval_model
-from cyclotest.iron import DESK_DURATIONS_MS, MUTANT_IDS, make_mutant, make_sut
+from cyclotest.iron import DESK_DURATIONS_MS, MUTANT_IDS, IronSut
 from cyclotest.reduction import (
     coverable_cases,
     derive_projections,
@@ -153,8 +153,8 @@ def test_c05_mutant_detection(desk_extraction, capsys):
     combos = [{"move": m, "position": p} for m in (0, 1) for p in (0, 1)]
     boundary_only = True
     for seq in itertools.product(combos, repeat=7):
-        correct = make_sut(DESK_DURATIONS_MS, PERIOD)
-        late = make_mutant("M3", DESK_DURATIONS_MS, PERIOD)
+        correct = IronSut(DESK_DURATIONS_MS, PERIOD)
+        late = IronSut(DESK_DURATIONS_MS, PERIOD, "M3")
         run = 0
         for i, inputs in enumerate(seq):
             t = (i + 1) * PERIOD

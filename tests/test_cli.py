@@ -353,7 +353,7 @@ class TestMisbehavingSubject:
             def step(self, inputs, sys_time_ms):
                 raise RuntimeError("actuator fault")
 
-        monkeypatch.setattr(cyclotest.iron, "make_sut", lambda *args: Raising())
+        monkeypatch.setattr(cyclotest.iron, "IronSut", lambda *args: Raising())
         code, out, _ = _run(capsys, ["run", "--model", MODEL_PATH, "--json",
                                      "--deterministic"] + DESK)
         assert code == 3
@@ -382,13 +382,20 @@ class TestBadArguments:
         ("cyclotest.cli", ["--jobs", "-1"]),
         ("cyclotest.cli", ["--timeout", "0"]),
         ("cyclotest.cli", ["--timeout", "-1"]),
+        ("cyclotest.cli", ["--period-ms", "0"]),
+        ("cyclotest.cli", ["--period-ms", "-5"]),
         ("cyclotest.iron_sut", ["--durations", "3,x"]),
         ("cyclotest.iron_sut", ["--listen", "tcp:127.0.0.1:notaport"]),
+        ("cyclotest.iron_sut", ["--period-ms", "0"]),
+        ("cyclotest.iron_sut", ["--period-ms", "-5"]),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else v.split(".")[-1])
     def test_exit_2_without_traceback(self, module, argv):
         if module == "cyclotest.cli":
             argv = ["run", "--model", MODEL_PATH] + argv
-        _assert_usage_error(_subprocess(module, argv))
+        proc = _subprocess(module, argv)
+        _assert_usage_error(proc)
+        if argv[-2].startswith("--period-ms"):
+            assert "--period-ms" in proc.stderr.splitlines()[-1]
 
     @pytest.mark.parametrize("command", ["run", "enumerate-states", "reduce"])
     @pytest.mark.parametrize("source", [

@@ -7,7 +7,7 @@ from cyclotest import cli, contracts, scenarios, traversal
 from cyclotest.contracts import Specification, SpecificationState, VerdictKind
 from cyclotest.dsl import extract_predicates, parse_model
 from cyclotest.interp import eval_model
-from cyclotest.iron import DESK_DURATIONS_MS, MUTANT_IDS, IronSut, make_mutant
+from cyclotest.iron import DESK_DURATIONS_MS, MUTANT_IDS, IronSut
 from cyclotest.kernel import KernelConfig
 from cyclotest.mediator import InProcessLink, ProtocolError
 from cyclotest.reduction import (
@@ -59,7 +59,7 @@ class TestApplyStimulus:
             assert verdict.mismatches == ()
 
     def test_inverting_mutant_fails_postcondition(self, desk_extraction):
-        spec = _spec(desk_extraction, make_mutant("M1", DESK_DURATIONS_MS, 1000))
+        spec = _spec(desk_extraction, IronSut(DESK_DURATIONS_MS, 1000, "M1"))
         verdict = spec.apply_stimulus({"move": 0, "position": 1})
         assert verdict.kind is VerdictKind.POSTCONDITION_FAILURE
         assert [(m.name, m.expected, m.actual) for m in verdict.mismatches] == [("heating", 1, 0)]

@@ -15,8 +15,6 @@ from cyclotest.iron import (
     IronSut,
     MUTANT_IDS,
     UnknownMutant,
-    make_mutant,
-    make_sut,
 )
 from cyclotest.iron_sut import serve
 from oracles import WindowOracle
@@ -34,29 +32,29 @@ def _drive(sut, seq):
 
 class TestIronStep:
     def test_move_keeps_heating_on(self):
-        sut = make_sut(DESK_DURATIONS_MS, PERIOD)
+        sut = IronSut(DESK_DURATIONS_MS, PERIOD)
         assert _drive(sut, [{"move": 1, "position": 0}] * 10) == [1] * 10
 
     def test_flat_rest_fires_at_short_duration(self):
-        sut = make_sut(DESK_DURATIONS_MS, PERIOD)
+        sut = IronSut(DESK_DURATIONS_MS, PERIOD)
         # 3-cycle condition: elapses after cycles 0..3 of holding
         heats = _drive(sut, [{"move": 0, "position": 0}] * 6)
         assert heats == [1, 1, 1, 0, 0, 0]
 
     def test_vertical_rest_fires_at_long_duration(self):
-        sut = make_sut(DESK_DURATIONS_MS, PERIOD)
+        sut = IronSut(DESK_DURATIONS_MS, PERIOD)
         heats = _drive(sut, [{"move": 0, "position": 1}] * 8)
         assert heats == [1, 1, 1, 1, 1, 0, 0, 0]
 
     def test_move_resets_accumulation(self):
-        sut = make_sut(DESK_DURATIONS_MS, PERIOD)
+        sut = IronSut(DESK_DURATIONS_MS, PERIOD)
         seq = [{"move": 0, "position": 0}] * 3 + [{"move": 1, "position": 0}]
         seq += [{"move": 0, "position": 0}] * 3
         assert _drive(sut, seq)[-1] == 1  # only 2 cycles elapsed since reset
 
     def test_unknown_mutant(self):
         with pytest.raises(UnknownMutant):
-            make_mutant("M9")
+            IronSut(mutant="M9")
 
 
 def _cosimulate(extraction, sut, seq):
@@ -81,14 +79,14 @@ def _all_sequences(length):
 class TestModelAgreement:
     def test_exhaustive_agreement_short_sequences(self, desk_extraction):
         for seq in _all_sequences(6):
-            assert _cosimulate(desk_extraction, make_sut(DESK_DURATIONS_MS, PERIOD), list(seq)) == []
+            assert _cosimulate(desk_extraction, IronSut(DESK_DURATIONS_MS, PERIOD), list(seq)) == []
 
     def test_random_long_sequences(self, desk_extraction):
         rng = random.Random(1234)
         for _ in range(200):
             seq = [{"move": rng.randint(0, 1), "position": rng.randint(0, 1)}
                    for _ in range(40)]
-            assert _cosimulate(desk_extraction, make_sut(DESK_DURATIONS_MS, PERIOD), seq) == []
+            assert _cosimulate(desk_extraction, IronSut(DESK_DURATIONS_MS, PERIOD), seq) == []
 
 
 class TestMutants:
@@ -99,7 +97,7 @@ class TestMutants:
             for _ in range(300):
                 seq = [{"move": rng.randint(0, 1), "position": rng.randint(0, 1)}
                        for _ in range(20)]
-                if _cosimulate(desk_extraction, make_mutant(mutant_id, DESK_DURATIONS_MS, PERIOD), seq):
+                if _cosimulate(desk_extraction, IronSut(DESK_DURATIONS_MS, PERIOD, mutant_id), seq):
                     found = True
                     break
             assert found, mutant_id
@@ -110,8 +108,8 @@ class TestMutants:
         short_cycles = DESK_DURATIONS_MS[0] // PERIOD
         for seq in _all_sequences(7):
             seq = list(seq)
-            correct, late = make_sut(DESK_DURATIONS_MS, PERIOD), make_mutant(
-                "M3", DESK_DURATIONS_MS, PERIOD)
+            correct, late = IronSut(DESK_DURATIONS_MS, PERIOD), IronSut(
+                DESK_DURATIONS_MS, PERIOD, "M3")
             run = 0  # consecutive cycles (!move && !position) has held
             for i, inputs in enumerate(seq):
                 t = (i + 1) * PERIOD

@@ -1,6 +1,8 @@
+import gc
 import json
 import re
 import sys
+import weakref
 
 import pytest
 
@@ -98,6 +100,20 @@ class TestInProcessLink:
             # observation is read after the step
             assert calls[-2:] == [("step", {"move": move, "position": 1}), ("read",)]
             assert obs.outputs == {"heating": move}
+
+    def test_link_and_kernel_form_no_reference_cycle(self, iron_desk):
+        # freed by reference counting alone, a spent link takes its kernel's
+        # cycle records with it at once
+        gc.disable()
+        try:
+            link = self._link(iron_desk)
+            for _ in range(3):
+                link.exchange({"move": 0, "position": 1})
+            refs = weakref.ref(link), weakref.ref(link.kernel)
+            del link
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 STATEFUL_SRC = """
@@ -230,6 +246,19 @@ class TestRaisingSubject:
         verdict = spec.apply_stimulus({"move": 0, "position": 0})
         assert verdict.kind is VerdictKind.MEDIATOR_FAILURE
         assert verdict.detail == "subsystem 'iron' failed: actuator fault"
+
+    def test_raising_visible_state_is_mediator_failure(self, desk_extraction, iron_desk):
+        class Unreadable:
+            def step(self, inputs, sys_time_ms):
+                return {"heating": 1}
+
+            def visible_state(self):
+                raise RuntimeError("state bus fault")
+
+        spec = Specification(desk_extraction, InProcessLink(iron_desk, Unreadable()))
+        verdict = spec.apply_stimulus({"move": 0, "position": 0})
+        assert verdict.kind is VerdictKind.MEDIATOR_FAILURE
+        assert verdict.detail == "subsystem 'iron' failed: state bus fault"
 
 
 class TestSyncState:

@@ -1,4 +1,5 @@
 import ast as pyast
+import hashlib
 import itertools
 from pathlib import Path
 
@@ -223,7 +224,8 @@ class TestTreeWalkMatchesBruteForce:
 
 def _model_sources():
     """Every string constant in the test files that is a model without
-    errors, plus iron."""
+    errors, plus iron; each named by its model name and a hash of its text,
+    so that edits elsewhere in a file leave the test ids alone."""
     params = [pytest.param(iron_source(), id="iron")]
     seen = {iron_source()}
     for path in sorted(Path(__file__).parent.glob("*.py")):
@@ -235,9 +237,11 @@ def _model_sources():
                 extract_predicates(parse_model(text))
             except ModelError:
                 continue
-            if all(d.severity != "error" for d in check_model(parse_model(text))):
+            model = parse_model(text)
+            if all(d.severity != "error" for d in check_model(model)):
                 seen.add(text)
-                params.append(pytest.param(text, id="%s:%d" % (path.name, node.lineno)))
+                digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:8]
+                params.append(pytest.param(text, id="%s-%s" % (model.name, digest)))
     return params
 
 
