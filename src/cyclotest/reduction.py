@@ -201,43 +201,66 @@ def enumerate_reachable_flag_states(extraction: ExtractionResult, cycle_period_m
     system under all input sequences.
 
     A node is the state variables plus the hold record of a
-    :class:`~.temporal.HoldTable`, stepped by one cycle period per cycle.
+    :class:`~.temporal.HoldTable`, stepped by one cycle period per cycle,
+    once per literal outcome.  The post-state is computed once per (state
+    variables, valuation, flags).  Without state variables it is ``()``, so
+    only the first valuation of each outcome can reach a new node.
     """
     model = extraction.model
+    valuations = model.input_valuations
+    stateless = not model.state_vars
     table = HoldTable(extraction.predicates, strict)
-    init_vars = tuple(sorted(model.initial_state().items()))
-    initial = (init_vars, table.initial)
+    initial = (tuple(sorted(model.initial_state().items())), table.initial)
 
     frontier = deque([initial])
     witnesses: dict = {}  # vector -> trail, in discovery order
     state_pairs = set()
-    parents = {initial: None}  # every node seen, with its BFS parent
+    parents = {initial: None}  # every node seen, with its BFS parent and valuation index
+    steps: dict = {}  # state vars -> (each outcome's first env, [(valuation, outcome) to step])
+    posts: dict = {}  # (state vars, valuation index, flags) -> post-state vars
 
-    def record(state, flags):
-        vec = tuple(map(int, flags.values()))
+    def record(state):
+        vec = tuple(map(int, table.flags(state[1]).values()))
         state_pairs.add((state[0], vec))
         if vec not in witnesses:
             trail = []
             node = state
             while parents[node] is not None:
-                node, inputs = parents[node]
-                trail.append(inputs)
+                node, i = parents[node]
+                trail.append(dict(valuations[i]))
             witnesses[vec] = list(reversed(trail))
 
-    record(initial, table.flags(table.initial))
+    def steps_from(state_vars):
+        outcomes: dict = {}  # outcome -> (its index, env of its first valuation)
+        found = []
+        for i, inputs in enumerate(valuations):
+            env = dict(state_vars, **inputs)
+            k, first = outcomes.setdefault(table.outcome(env), (len(outcomes), env))
+            if first is env or not stateless:
+                found.append((i, k))
+        return [env for _, env in outcomes.values()], found
+
+    def post_state(state_vars, i, holds):
+        flags = table.flags(holds)
+        key = (state_vars, i, tuple(flags.values()))
+        if key not in posts:
+            _, state_post, _ = eval_model(model, valuations[i], dict(state_vars), flags)
+            posts[key] = tuple(sorted(state_post.items()))
+        return posts[key]
+
+    record(initial)
     while frontier:
         state = frontier.popleft()
         state_vars, holds = state
-        for inputs in model.input_valuations:
-            env = dict(state_vars)
-            env.update(inputs)
-            stepped = table.step(holds, env, cycle_period_ms)
-            flags = table.flags(stepped)
-            _, state_post, _ = eval_model(model, inputs, dict(state_vars), flags)
-            nxt = (tuple(sorted(state_post.items())), stepped)
+        if state_vars not in steps:
+            steps[state_vars] = steps_from(state_vars)
+        envs, found = steps[state_vars]
+        stepped = [table.step(holds, env, cycle_period_ms) for env in envs]
+        for i, k in found:
+            nxt = (() if stateless else post_state(state_vars, i, stepped[k]), stepped[k])
             if nxt not in parents:
-                parents[nxt] = (state, dict(inputs))
-                record(nxt, flags)
+                parents[nxt] = (state, i)
+                record(nxt)
                 frontier.append(nxt)
 
     return ReachabilityReport(

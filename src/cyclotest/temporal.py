@@ -53,6 +53,10 @@ class HoldTable:
             for (var, expected, cap), held in zip(self._literals, record)
         ])
 
+    def outcome(self, env: Mapping) -> tuple:
+        """Which literals hold in ``env``; :meth:`step` treats equal outcomes alike."""
+        return tuple([env[var] == expected for var, expected, _ in self._literals])
+
     def flags(self, record: tuple) -> dict:
         """Per-predicate satisfaction of a record, as one dict shared by every
         record with the same flags; callers must not mutate it."""

@@ -4,8 +4,9 @@ Everything here recomputes expected behavior from first principles, by
 different algorithms than the implementation: temporal satisfaction by
 scanning a window of recent samples instead of tracking start times,
 model evaluation over raw held() formulas, explicit automata with known
-transition tables, a definitional pairwise MC/DC scan, and a contract
-oracle that runs the model on every cycle.
+transition tables, a definitional pairwise MC/DC scan, a contract
+oracle that runs the model on every cycle, and a reachability search that
+runs it on every step.
 """
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ from collections import deque
 from cyclotest.contracts import Specification, Verdict, VerdictKind
 from cyclotest.dsl import Held, eval_expr, free_vars, print_expr, walk_exprs
 from cyclotest.interp import eval_model
-from cyclotest.reduction import enumerate_test_cases
+from cyclotest.reduction import ReachabilityReport, enumerate_test_cases
+from cyclotest.temporal import HoldTable
 from cyclotest.traversal import Scenario, ScenarioFunction
 
 
@@ -91,6 +93,57 @@ def reachable_flag_vectors(extraction, period_ms: int, strict: bool = False) -> 
                 seen.add(node)
                 frontier.append(node)
     return {flags_of(windows) for _, windows in seen}
+
+
+def enumerate_reachable_flag_states_reference(extraction, cycle_period_ms: int = 1000,
+                                              strict: bool = False) -> ReachabilityReport:
+    """The reachability search that ``enumerate_reachable_flag_states``
+    replaced: the same breadth-first order, but every (node, valuation) step
+    steps the hold record and runs the whole model for the post-state."""
+    model = extraction.model
+    table = HoldTable(extraction.predicates, strict)
+    init_vars = tuple(sorted(model.initial_state().items()))
+    initial = (init_vars, table.initial)
+
+    frontier = deque([initial])
+    witnesses: dict = {}  # vector -> trail, in discovery order
+    state_pairs = set()
+    parents = {initial: None}  # every node seen, with its BFS parent
+
+    def record(state, flags):
+        vec = tuple(map(int, flags.values()))
+        state_pairs.add((state[0], vec))
+        if vec not in witnesses:
+            trail = []
+            node = state
+            while parents[node] is not None:
+                node, inputs = parents[node]
+                trail.append(inputs)
+            witnesses[vec] = list(reversed(trail))
+
+    record(initial, table.flags(table.initial))
+    while frontier:
+        state = frontier.popleft()
+        state_vars, holds = state
+        for inputs in model.input_valuations:
+            env = dict(state_vars)
+            env.update(inputs)
+            stepped = table.step(holds, env, cycle_period_ms)
+            flags = table.flags(stepped)
+            _, state_post, _ = eval_model(model, inputs, dict(state_vars), flags)
+            nxt = (tuple(sorted(state_post.items())), stepped)
+            if nxt not in parents:
+                parents[nxt] = (state, dict(inputs))
+                record(nxt, flags)
+                frontier.append(nxt)
+
+    return ReachabilityReport(
+        table.predicate_ids,
+        2 ** len(table.predicate_ids),
+        tuple(witnesses),
+        witnesses,
+        tuple(sorted(state_pairs)),
+    )
 
 
 def path_holds(factors, env) -> bool:

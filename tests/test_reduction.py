@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from conftest import GUARD_SRC, TANK_SRC
 
+from cyclotest import reduction
 from cyclotest.dsl import (
     Held,
     ModelError,
@@ -15,6 +16,7 @@ from cyclotest.dsl import (
     parse_expression,
     parse_model,
     print_expr,
+    rescale_durations,
     walk_exprs,
 )
 from cyclotest.iron import iron_model, iron_source
@@ -35,6 +37,7 @@ from cyclotest.temporal import HoldTable
 from oracles import (
     WindowOracle,
     coverable_cases_bruteforce,
+    enumerate_reachable_flag_states_reference,
     generalized_state_bruteforce,
     input_feasible_leaves_bruteforce,
     projection_holds,
@@ -56,6 +59,24 @@ model two {
       if (held(!a, 2s)) { o = 2; } else {
         if (held(b == 2, 2500ms)) { o = 3; } else { o = 0; }
       }
+    }
+  }
+}
+"""
+
+# a held() over a state variable, so literal outcomes differ between states,
+# and a post-state that depends on the flags
+HEATER_SRC = """
+model heater {
+  input heat: int 0..3;
+  input vent: bool;
+  output alarm: bool;
+  state temp: int 0..3 readable = 0;
+  logic {
+    if (held(temp == 3, 2s)) {
+      if (vent) { temp = 0; alarm = 1; } else { alarm = 1; }
+    } else {
+      if (held(vent, 1500ms)) { temp = 1; alarm = 0; } else { temp = heat; alarm = 0; }
     }
   }
 }
@@ -251,7 +272,7 @@ class TestPrintedReduction:
     conjunction of its record's factors, checked on every valuation."""
 
     def test_sources_found(self):
-        assert {"tank", "guard", "two", "latch", "gauge", "iron", "u"} <= {
+        assert {"tank", "guard", "two", "latch", "gauge", "iron", "u", "heater"} <= {
             parse_model(p.values[0]).name for p in _model_sources()}
 
     @pytest.mark.parametrize("source", _model_sources())
@@ -331,6 +352,23 @@ class TestPrintedReduction:
                                  "(level == 3 || held(fill == 2, 1500ms)) && drain && fill == 2")
 
 
+# the models named iron run at 60 s/900 s, where the reference search takes
+# about a minute; iron enters at 3/5 and 10/40 cycles of the period instead
+REFERENCE_MODELS = [p for p in _model_sources() if parse_model(p.values[0]).name != "iron"] + [
+    pytest.param((3, 5), id="iron-3-5-cycles"),
+    pytest.param((10, 40), id="iron-10-40-cycles"),
+]
+
+
+def _extraction_at(model, period):
+    """A model source, or iron with its two durations at ``model`` cycles."""
+    if isinstance(model, str):
+        return extract_predicates(parse_model(model))
+    short, long = model
+    remap = {60_000: short * period, 900_000: long * period}
+    return extract_predicates(rescale_durations(iron_model(), remap))
+
+
 class TestReachability:
     def test_iron_counts(self, desk_extraction):
         report = enumerate_reachable_flag_states(desk_extraction, 1000)
@@ -368,12 +406,48 @@ class TestReachability:
         pytest.param("iron", 1000, id="iron-1000ms"),
         pytest.param(TWO_INPUTS, 1000, id="two-1000ms"),
         pytest.param(TWO_INPUTS, 700, id="two-700ms"),
+        pytest.param(HEATER_SRC, 1000, id="heater-1000ms"),
+        pytest.param(HEATER_SRC, 700, id="heater-700ms"),
     ])
     def test_vectors_match_bruteforce_windows(self, desk_extraction, model, period, strict):
         extraction = desk_extraction if model == "iron" else extract_predicates(parse_model(model))
         report = enumerate_reachable_flag_states(extraction, period, strict)
         assert len(set(report.vectors)) == len(report.vectors)
         assert set(report.vectors) == reachable_flag_vectors(extraction, period, strict)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("period", [1000, 700])
+    @pytest.mark.parametrize("model", REFERENCE_MODELS)
+    def test_report_equals_the_reference_search(self, model, period, strict):
+        extraction = _extraction_at(model, period)
+        report = enumerate_reachable_flag_states(extraction, period, strict)
+        reference = enumerate_reachable_flag_states_reference(extraction, period, strict)
+        assert report.vectors == reference.vectors
+        assert list(report.witnesses.items()) == list(reference.witnesses.items())
+        assert report.states == reference.states
+
+    @staticmethod
+    def _count_model_runs(monkeypatch) -> list:
+        calls = []
+        real = reduction.eval_model
+
+        def counted(model, inputs, state_pre, flags):
+            calls.append((tuple(sorted(state_pre.items())), tuple(sorted(inputs.items())),
+                          tuple(flags.values())))
+            return real(model, inputs, state_pre, flags)
+
+        monkeypatch.setattr(reduction, "eval_model", counted)
+        return calls
+
+    def test_stateless_model_is_never_run(self, monkeypatch, desk_extraction):
+        calls = self._count_model_runs(monkeypatch)
+        assert enumerate_reachable_flag_states(desk_extraction, 1000).reachable_count == 9
+        assert calls == []
+
+    def test_model_runs_once_per_state_inputs_and_flags(self, monkeypatch):
+        calls = self._count_model_runs(monkeypatch)
+        enumerate_reachable_flag_states(extract_predicates(parse_model(TANK_SRC)), 1000)
+        assert calls and len(calls) == len(set(calls))
 
     def test_single_predicate_two_states(self):
         ast = parse_model(
