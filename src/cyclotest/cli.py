@@ -39,7 +39,7 @@ from .dsl import (
     rescale_durations,
     walk_exprs,
 )
-from .kernel import KernelConfig
+from .kernel import Kernel, KernelConfig
 from .mediator import InProcessLink, MediatorError, StdioLink, TcpLink
 from .reduction import (
     ReductionError,
@@ -104,12 +104,12 @@ class CampaignResult:
     automaton: object
     error: Optional[str] = None
     error_code: int = EXIT_OK
-    cycle_records: tuple = ()
+    kernel: Optional[Kernel] = None  # an in-process subject's, for its cycle records
 
     def __getstate__(self):
         # the automaton holds scenario closures, which do not pickle: a pool
         # worker sends back the log, the report and the error
-        return dict(self.__dict__, automaton=None, cycle_records=())
+        return dict(self.__dict__, automaton=None, kernel=None)
 
     def exit_code(self, required) -> int:
         if self.error is not None:
@@ -253,8 +253,8 @@ def run_part(config: RunConfig, extraction, projections, period: int, part) -> C
         error, code = str(exc), EXIT_VERDICT
     finally:
         link.close()
-    records = tuple(link.kernel.records) if isinstance(link, InProcessLink) else ()
-    return CampaignResult(testlog, spec.coverage, automaton, error, code, records)
+    kernel = link.kernel if isinstance(link, InProcessLink) else None
+    return CampaignResult(testlog, spec.coverage, automaton, error, code, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +306,9 @@ def cmd_run(args) -> tuple:
         if log_fh:
             _write_output(log_fh, result.log.json_lines())
         if cycles_fh:
+            records = result.kernel.records if result.kernel else ()
             _write_output(cycles_fh, (record.to_json(args.deterministic) + "\n"
-                                      for record in result.cycle_records))
+                                      for record in records))
         if dot_fh:
             _write_output(dot_fh, [export_dot(result.automaton)])
 

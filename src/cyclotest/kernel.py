@@ -2,7 +2,7 @@
 
 A kernel steps the one subject it was built with once per cycle, with the
 system time fixed at cycle start and constant for the whole cycle.  The
-system time is simulated: it advances by exactly one cycle period per cycle,
+system time is simulated: cycle ``i`` runs at ``(i + 1)`` cycle periods,
 which makes runs bit-for-bit reproducible.  With ``streaming`` (the default
 test configuration) the next cycle starts immediately; without it the kernel
 sleeps out the rest of each period and flags cycles that overran it.
@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 import time
+from array import array
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 
 class KernelError(Exception):
@@ -25,8 +26,7 @@ class KernelConfig:
     streaming: bool = True
 
 
-@dataclass(frozen=True)
-class CycleRecord:
+class CycleRecord(NamedTuple):
     cycle_index: int
     sys_time_ms: int
     exec_time_us: int
@@ -41,7 +41,10 @@ class CycleRecord:
 
 
 class Kernel:
-    """Runs ``step(inputs, sys_time_ms) -> outputs`` once per cycle."""
+    """Runs ``step(inputs, sys_time_ms) -> outputs`` once per cycle.
+
+    The kernel keeps only each completed cycle's measured execution time, in
+    ``exec_time_us``; :attr:`records` derives the cycle records from it."""
 
     def __init__(self, config: KernelConfig, step: Callable[[dict, int], dict],
                  monotonic: Callable[[], float] = time.monotonic,
@@ -52,25 +55,31 @@ class Kernel:
         self._step = step
         self._monotonic = monotonic
         self._sleep = sleep
-        self._sys_time_ms = 0
-        self.records = []
+        self.exec_time_us = array("q")
+        self.sys_time_ms = 0  # system time of the last cycle started
 
-    def run_cycle(self, inputs: dict) -> tuple:
-        """Step the subject on ``inputs``; returns the cycle's record and the
-        subject's outputs.  An exception from the subject propagates."""
-        period = self.config.cycle_period_ms
-        self._sys_time_ms += period
+    def run_cycle(self, inputs: dict) -> dict:
+        """Step the subject on ``inputs`` at the next cycle's system time and
+        return its outputs.  An exception from the subject propagates, and
+        the cycle is not recorded."""
+        config = self.config
+        period = config.cycle_period_ms
+        self.sys_time_ms = sys_time_ms = (len(self.exec_time_us) + 1) * period
 
         begin = self._monotonic()
-        outputs = self._step(inputs, self._sys_time_ms)
-        exec_time_us = int((self._monotonic() - begin) * 1_000_000)
-
-        overrun = (not self.config.streaming) and exec_time_us > period * 1000
-        if not self.config.streaming:
+        outputs = self._step(inputs, sys_time_ms)
+        self.exec_time_us.append(int((self._monotonic() - begin) * 1_000_000))
+        if not config.streaming:
             remainder = period / 1000.0 - (self._monotonic() - begin)
             if remainder > 0:
                 self._sleep(remainder)
+        return outputs
 
-        record = CycleRecord(len(self.records), self._sys_time_ms, exec_time_us, overrun)
-        self.records.append(record)
-        return record, outputs
+    @property
+    def records(self) -> list:
+        """One :class:`CycleRecord` per completed cycle; a cycle overran when
+        it was paced and took longer than its period."""
+        period = self.config.cycle_period_ms
+        streaming = self.config.streaming
+        return [CycleRecord(i, (i + 1) * period, us, not streaming and us > period * 1000)
+                for i, us in enumerate(self.exec_time_us)]

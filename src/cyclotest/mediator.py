@@ -26,7 +26,7 @@ import socket
 import subprocess
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from . import temporal
 from .dsl import ModelAst
@@ -82,8 +82,7 @@ class WireMessage:
         return WireMessage(mtype, cycle, data)
 
 
-@dataclass(frozen=True)
-class CycleObservation:
+class CycleObservation(NamedTuple):
     cycle: int
     sys_time_ms: int
     outputs: dict
@@ -120,7 +119,9 @@ class MediatorLink:
         self.next_cycle = 0
         self.hello: dict = {}
         self._last_sys_time_ms: Optional[int] = None
-        self._names = {"outputs": set(model.output_names), "state": set(model.readable_names)}
+        # (name, domain) of each output and readable state variable
+        self._outputs = tuple((name, model.domains[name]) for name in model.output_names)
+        self._state = tuple((name, model.domains[name]) for name in model.readable_names)
 
     def exchange(self, inputs: Mapping) -> CycleObservation:
         """Run one cycle on ``inputs``, the ``int`` values of every declared
@@ -130,19 +131,40 @@ class MediatorLink:
     def close(self) -> None:
         pass
 
-    def _check_observation(self, cycle: int, sys_time_ms, outputs, state) -> CycleObservation:
+    def _check_observation(self, cycle, sys_time_ms, outputs, state) -> CycleObservation:
+        """The observation of the cycle just run, if it fits: its cycle is
+        the last set_inputs' and its system time is not before the previous
+        one, both ``int``s; outputs and state are each a dict of exactly the
+        model's names, each an ``int`` inside its domain.  Otherwise a
+        :class:`ProtocolError` names the first misfit."""
+        last = self._last_sys_time_ms
+        if not (type(cycle) is int and cycle == self.next_cycle
+                and type(sys_time_ms) is int and (last is None or sys_time_ms >= last)
+                and _fits(outputs, self._outputs) and _fits(state, self._state)):
+            self._reject(cycle, sys_time_ms, outputs, state)
+        self._last_sys_time_ms = sys_time_ms
+        self.next_cycle += 1
+        return CycleObservation(cycle, sys_time_ms, dict(outputs), dict(state))
+
+    def _reject(self, cycle, sys_time_ms, outputs, state) -> None:
+        """Raise a :class:`ProtocolError` naming the observation's first misfit,
+        in the order: cycle, system time, then outputs and state, each by
+        shape, then value by value."""
         if cycle != self.next_cycle:
             raise ProtocolError(
                 "observation for cycle %s after set_inputs %d" % (cycle, self.next_cycle)
             )
+        if type(cycle) is not int:
+            raise ProtocolError("observation cycle %r is not an integer" % (cycle,))
         if type(sys_time_ms) is not int:
             raise ProtocolError("observation sys_time_ms %r is not an integer" % (sys_time_ms,))
         if self._last_sys_time_ms is not None and sys_time_ms < self._last_sys_time_ms:
             raise ProtocolError("system time went back from %d ms to %d ms"
                                 % (self._last_sys_time_ms, sys_time_ms))
-        domains = self.model.domains
-        for part, values in (("outputs", outputs), ("state", state)):
-            if not isinstance(values, dict) or values.keys() != self._names[part]:
+        for part, values, fields in (("outputs", outputs, self._outputs),
+                                     ("state", state, self._state)):
+            domains = dict(fields)
+            if not isinstance(values, dict) or values.keys() != domains.keys():
                 raise ProtocolError("observation %s %r do not match the model" % (part, values))
             for name, value in values.items():
                 if type(value) is not int:
@@ -151,17 +173,25 @@ class MediatorLink:
                 if value not in domains[name]:
                     raise ProtocolError("observation %s '%s' = %d is outside its domain"
                                         % (part, name, value))
-        obs = CycleObservation(cycle, sys_time_ms, dict(outputs), dict(state))
-        self._last_sys_time_ms = sys_time_ms
-        self.next_cycle += 1
-        return obs
+
+
+def _fits(values, fields: tuple) -> bool:
+    """Whether ``values`` is a dict of exactly the names of ``fields``, each an
+    ``int`` inside its domain."""
+    if not isinstance(values, dict) or len(values) != len(fields):
+        return False
+    for name, domain in fields:
+        value = values.get(name)
+        if type(value) is not int or value not in domain:
+            return False
+    return True
 
 
 class InProcessLink(MediatorLink):
     """Run the subject's step function in a local kernel: each cycle steps it
     on a copy of the inputs, then reads its outputs and state.  The kernel
     holds only the bound ``step``, so link and kernel form no reference cycle
-    that would keep spent cycle records alive."""
+    that would keep a spent kernel's cycle times alive."""
 
     def __init__(self, model: ModelAst, sut, config: Optional[KernelConfig] = None):
         super().__init__(model)
@@ -170,12 +200,14 @@ class InProcessLink(MediatorLink):
         self._visible_state = getattr(sut, "visible_state", dict)
 
     def exchange(self, inputs: Mapping) -> CycleObservation:
+        kernel = self.kernel
         try:
-            record, outputs = self.kernel.run_cycle(dict(inputs))
+            outputs = kernel.run_cycle(dict(inputs))
             state = self._visible_state()
         except Exception as exc:
             raise MediatorError("subsystem '%s' failed: %s" % (self.model.name, exc)) from exc
-        return self._check_observation(record.cycle_index, record.sys_time_ms, outputs, state)
+        return self._check_observation(len(kernel.exec_time_us) - 1, kernel.sys_time_ms,
+                                       outputs, state)
 
 
 class _StreamLink(MediatorLink):
@@ -237,12 +269,9 @@ class _StreamLink(MediatorLink):
         msg = self._recv()
         if msg.type != "observation":
             raise ProtocolError("expected observation, got %r" % msg.type)
-        return self._check_observation(
-            msg.cycle,
-            msg.payload.get("sys_time_ms"),
-            msg.payload.get("outputs") or {},
-            msg.payload.get("state") or {},
-        )
+        payload = msg.payload
+        return self._check_observation(msg.cycle, payload.get("sys_time_ms"),
+                                       payload.get("outputs"), payload.get("state"))
 
     def _send_shutdown(self) -> None:
         try:
@@ -326,9 +355,14 @@ def step_predicates(table: temporal.HoldTable, spec_state, obs: CycleObservation
     """Step the hold record with this cycle's literal values (inputs plus the
     pre-cycle state) by the system time elapsed since the previous
     observation (0 on the first cycle); returns the new record and the
-    cycle's time flags."""
-    env = dict(spec_state.state_vars)
-    env.update(inputs)
+    cycle's time flags.  When no literal reads a state variable, the inputs
+    alone are the literal values."""
+    state_vars = spec_state.state_vars
+    if table.variables.isdisjoint(state_vars):
+        env = inputs
+    else:
+        env = dict(state_vars)
+        env.update(inputs)
     last = spec_state.sys_time_ms
     holds = table.step(spec_state.holds, env, 0 if last is None else obs.sys_time_ms - last)
     return holds, table.flags(holds)
@@ -346,9 +380,4 @@ def sync_state(spec_state, obs: CycleObservation, model_state_post: Mapping, ste
     holds, flags = stepped
     state_vars = dict(model_state_post)
     state_vars.update(obs.visible_state)
-    return type(spec_state)(
-        state_vars=state_vars,
-        holds=holds,
-        flags=flags,
-        sys_time_ms=obs.sys_time_ms,
-    )
+    return type(spec_state)(state_vars, holds, flags, obs.sys_time_ms)

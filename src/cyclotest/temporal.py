@@ -35,6 +35,7 @@ class HoldTable:
             caps[key] = max(caps.get(key, 0), n)
         index = {key: i for i, key in enumerate(caps)}
         self.predicate_ids = tuple(p.id for p in predicates)
+        self.variables = frozenset(var for var, _ in caps)  # the names the literals read
         self._literals = tuple((var, expected, cap) for (var, expected), cap in caps.items())
         self._thresholds = tuple((index[(p.var, p.expected)], n)
                                  for p, n in zip(predicates, need))

@@ -14,9 +14,11 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
-from .contracts import Verdict
+from .contracts import PASS, Verdict
+
+_PASS_NAME = PASS.value  # the log's verdict of a passing stimulus
 
 
 class TraversalError(Exception):
@@ -113,8 +115,7 @@ class Scenario:
         return actions
 
 
-@dataclass(frozen=True)
-class LogEntry:
+class LogEntry(NamedTuple):
     cycle: int
     state: object
     action: str
@@ -133,9 +134,6 @@ class TestLog:
     scenario: str = ""
     entries: list = field(default_factory=list)
     outcome: str = "complete"  # "complete" | "verdict_failure" | aborted by error
-
-    def append(self, entry: LogEntry) -> None:
-        self.entries.append(entry)
 
     def verdict_counts(self) -> dict:
         counts: dict = {}
@@ -238,15 +236,15 @@ def traverse(scenario: Scenario, spec, budget: int = 10_000, rng=None):
 
 
 def _apply(action: Action, spec, scenario: Scenario, log: TestLog, source, replay: bool):
-    failure = None
     for stimulus in action.stimuli():
         verdict: Verdict = spec.apply_stimulus(stimulus)
-        log.append(LogEntry(verdict.cycle_index, source, action.label,
-                            verdict.kind.value, replay))
-        if not verdict.passed:
-            failure = verdict
-            break
-    return scenario.state_fn(), failure
+        kind = verdict.kind
+        passed = kind is PASS
+        log.entries.append(LogEntry(verdict.cycle_index, source, action.label,
+                                    _PASS_NAME if passed else kind.value, replay))
+        if not passed:
+            return scenario.state_fn(), verdict
+    return scenario.state_fn(), None
 
 
 def _discover(automaton: ExploredAutomaton, scenario: Scenario, state, rng) -> None:

@@ -10,6 +10,9 @@ that has one fault:
 * ``no-time``: the observation leaves out ``sys_time_ms``;
 * ``bad-output``: ``heating`` is the string ``"x"``;
 * ``time-back``: from the second cycle on, the system time goes back;
+* ``bool-cycle``: the second observation's cycle is ``true``, not ``1``;
+* ``float-cycle``: the second observation's cycle is ``1.0``;
+* ``no-state``: the observation leaves out ``state``;
 * ``partial-line``: the observation stops before its end and the subject
   stalls for 30 s without writing a newline;
 * ``trickle``: the observation is written one byte every 0.5 s.
@@ -19,7 +22,8 @@ import socket
 import sys
 import time
 
-FAULTS = ("no-time", "bad-output", "time-back", "partial-line", "trickle")
+FAULTS = ("no-time", "bad-output", "time-back", "bool-cycle", "float-cycle", "no-state",
+          "partial-line", "trickle")
 
 
 def serve(fault: str, reader, writer) -> int:
@@ -42,6 +46,12 @@ def serve(fault: str, reader, writer) -> int:
             obs["outputs"]["heating"] = "x"
         elif fault == "time-back" and cycle > 0:
             obs["sys_time_ms"] = 500
+        elif fault == "bool-cycle" and cycle == 1:
+            obs["cycle"] = True
+        elif fault == "float-cycle" and cycle == 1:
+            obs["cycle"] = 1.0
+        elif fault == "no-state":
+            del obs["state"]
         elif fault == "partial-line":
             write('{"type": "observation"')
             time.sleep(30)

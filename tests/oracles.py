@@ -5,17 +5,21 @@ different algorithms than the implementation: temporal satisfaction by
 scanning a window of recent samples instead of tracking start times,
 model evaluation over raw held() formulas, explicit automata with known
 transition tables, a definitional pairwise MC/DC scan, a contract
-oracle that runs the model on every cycle, and a reachability search that
-runs it on every step.
+oracle that runs the model on every cycle, a reachability search that
+runs it on every step, an observation check that words every fault as it
+goes, and a kernel that builds each cycle record as the cycle ends.
 """
 from __future__ import annotations
 
 import itertools
+import time
 from collections import deque
 
 from cyclotest.contracts import Specification, Verdict, VerdictKind
 from cyclotest.dsl import Held, eval_expr, free_vars, print_expr, walk_exprs
 from cyclotest.interp import eval_model
+from cyclotest.kernel import CycleRecord
+from cyclotest.mediator import CycleObservation, ProtocolError
 from cyclotest.reduction import ReachabilityReport, enumerate_test_cases
 from cyclotest.temporal import HoldTable
 from cyclotest.traversal import Scenario, ScenarioFunction
@@ -376,3 +380,60 @@ def mcdc_covered_bruteforce(vectors_with_outcomes, n_atoms: int) -> dict:
                 covered[i] = True
                 break
     return covered
+
+
+def check_observation_reference(model, next_cycle: int, last_sys_time_ms, cycle, sys_time_ms,
+                                outputs, state) -> CycleObservation:
+    """The observation a link at ``next_cycle``, whose previous observation
+    had ``last_sys_time_ms`` (None before the first), accepts; or the
+    :class:`ProtocolError` of its first misfit.  One check after another,
+    each wording its own fault."""
+    if cycle != next_cycle:
+        raise ProtocolError("observation for cycle %s after set_inputs %d" % (cycle, next_cycle))
+    if type(cycle) is not int:
+        raise ProtocolError("observation cycle %r is not an integer" % (cycle,))
+    if type(sys_time_ms) is not int:
+        raise ProtocolError("observation sys_time_ms %r is not an integer" % (sys_time_ms,))
+    if last_sys_time_ms is not None and sys_time_ms < last_sys_time_ms:
+        raise ProtocolError("system time went back from %d ms to %d ms"
+                            % (last_sys_time_ms, sys_time_ms))
+    names = {"outputs": set(model.output_names), "state": set(model.readable_names)}
+    for part, values in (("outputs", outputs), ("state", state)):
+        if not isinstance(values, dict) or values.keys() != names[part]:
+            raise ProtocolError("observation %s %r do not match the model" % (part, values))
+        for name, value in values.items():
+            if type(value) is not int:
+                raise ProtocolError("observation %s '%s' = %r is not an integer"
+                                    % (part, name, value))
+            if value not in model.domains[name]:
+                raise ProtocolError("observation %s '%s' = %d is outside its domain"
+                                    % (part, name, value))
+    return CycleObservation(cycle, sys_time_ms, dict(outputs), dict(state))
+
+
+class ReferenceKernel:
+    """A kernel that builds each cycle's record when the cycle ends, keeps
+    its own clock of system time, and returns ``(record, outputs)``."""
+
+    def __init__(self, config, step, monotonic=time.monotonic, sleep=time.sleep):
+        self.config = config
+        self._step = step
+        self._monotonic = monotonic
+        self._sleep = sleep
+        self._sys_time_ms = 0
+        self.records = []
+
+    def run_cycle(self, inputs: dict) -> tuple:
+        period = self.config.cycle_period_ms
+        self._sys_time_ms += period
+        begin = self._monotonic()
+        outputs = self._step(inputs, self._sys_time_ms)
+        exec_time_us = int((self._monotonic() - begin) * 1_000_000)
+        overrun = (not self.config.streaming) and exec_time_us > period * 1000
+        if not self.config.streaming:
+            remainder = period / 1000.0 - (self._monotonic() - begin)
+            if remainder > 0:
+                self._sleep(remainder)
+        record = CycleRecord(len(self.records), self._sys_time_ms, exec_time_us, overrun)
+        self.records.append(record)
+        return record, outputs

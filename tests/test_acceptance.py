@@ -330,10 +330,10 @@ def test_c09_transport_equivalence(capsys):
 def test_c10_kernel_determinism(capsys):
     runs = [run_campaign(desk_config()) for _ in range(2)]
     lines = [
-        "\n".join(r.to_json(deterministic=True) for r in result.cycle_records)
+        "\n".join(r.to_json(deterministic=True) for r in result.kernel.records)
         for result in runs
     ]
-    records = runs[0].cycle_records
+    records = runs[0].kernel.records
     deltas = {b.sys_time_ms - a.sys_time_ms for a, b in zip(records, records[1:])}
     test_logs_equal = runs[0].log.to_json_lines() == runs[1].log.to_json_lines()
     ok = lines[0] == lines[1] and deltas == {PERIOD} and test_logs_equal

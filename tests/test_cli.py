@@ -165,25 +165,29 @@ class TestRun:
         assert outputs[0] == outputs[1]
 
     def test_desk_output_pinned(self, capsys, tmp_path):
-        # sha256 of the desk-scale test log and JSON report; a change to
-        # either is a change of observable behaviour
-        log = tmp_path / "log.jsonl"
+        # sha256 of the desk-scale test log, cycle records and JSON report;
+        # a change to any is a change of observable behaviour
+        log, cycles = tmp_path / "log.jsonl", tmp_path / "cycles.jsonl"
         code, out, _ = _run(capsys, ["run", "--model", MODEL_PATH, "--json", "--deterministic",
-                                     "--log", str(log)] + DESK)
+                                     "--log", str(log), "--trace-cycles", str(cycles)] + DESK)
         assert code == 0
         assert hashlib.sha256(log.read_bytes()).hexdigest() == (
             "2f93ba03921d0dfe609976da8e528245e7682b840fdc38d203369bc1cf39ddec")
+        assert hashlib.sha256(cycles.read_bytes()).hexdigest() == (
+            "dd64a0c56cea142fb6fe1b893cb13ecaf57bc2aa8e6fbabda5d05529563a0535")
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "828f7ae44ffab2ab800d1698a704a025ff270901e903cfead0dbb1cf79ea9a62")
 
     def test_paper_output_pinned(self, capsys, tmp_path):
         # the same at the model's own 60 s/900 s: 30,646 stimuli
-        log = tmp_path / "log.jsonl"
+        log, cycles = tmp_path / "log.jsonl", tmp_path / "cycles.jsonl"
         code, out, _ = _run(capsys, ["run", "--model", MODEL_PATH, "--json", "--deterministic",
-                                     "--log", str(log)])
+                                     "--log", str(log), "--trace-cycles", str(cycles)])
         assert code == 0
         assert hashlib.sha256(log.read_bytes()).hexdigest() == (
             "47e8882379ed59e57106cc2f11078ec0c5201ad71dbf49c479cda7260cf1b79b")
+        assert hashlib.sha256(cycles.read_bytes()).hexdigest() == (
+            "01a9a49dc21697bf29eda2dec3a294b60824932bda553564bbaf5b00a4558f7e")
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "8a28ed9eadfda2b638882ff705208b244b1bab6681b15a104690e2037d9f64f0")
 
@@ -318,7 +322,8 @@ def _subprocess(module, argv, stdout=subprocess.PIPE):
 
 
 FAKE_SUBJECT = [sys.executable, str(Path(__file__).resolve().parent / "fake_subject.py")]
-FAULTS = ["no-time", "bad-output", "time-back", "partial-line", "trickle"]
+FAULTS = ["no-time", "bad-output", "time-back", "bool-cycle", "float-cycle", "no-state",
+          "partial-line", "trickle"]
 
 
 class TestMisbehavingSubject:

@@ -1,10 +1,13 @@
 import gc
+import itertools
 import json
+import random
 import re
 import sys
 import weakref
 
 import pytest
+from oracles import check_observation_reference
 
 from cyclotest.contracts import Specification, SpecificationState, VerdictKind
 from cyclotest.dsl import extract_predicates, parse_model
@@ -15,6 +18,7 @@ from cyclotest.mediator import (
     Disconnect,
     HandshakeMismatch,
     InProcessLink,
+    MediatorLink,
     ProtocolError,
     WireMessage,
     _StreamLink,
@@ -103,7 +107,7 @@ class TestInProcessLink:
 
     def test_link_and_kernel_form_no_reference_cycle(self, iron_desk):
         # freed by reference counting alone, a spent link takes its kernel's
-        # cycle records with it at once
+        # cycle times with it at once
         gc.disable()
         try:
             link = self._link(iron_desk)
@@ -150,6 +154,27 @@ class ScriptedLink(_StreamLink):
 
     def _readline(self):
         return self.lines.pop(0) if self.lines else b""
+
+
+# a held() literal over a state variable
+HELD_STATE_SRC = """
+model settle {
+  input tick: bool;
+  output level_out: int 0..3;
+  state level: int 0..3 readable = 0;
+
+  logic {
+    if (held(level == 1, 2s)) {
+      level = 0;
+      level_out = 2;
+    } else {
+      if (tick) { level = 1; level_out = 1; } else { level_out = 0; }
+    }
+  }
+}
+"""
+
+MISSING = object()  # a field left out of a message
 
 
 def _hello_line(model):
@@ -210,12 +235,29 @@ class TestStreamProtocol:
         pytest.param(STATEFUL_SRC, {"sys_time_ms": 1000, "outputs": {"level_out": 0},
                                     "state": {"level": 5}},
                      "state 'level' = 5 is outside its domain", id="state-outside-domain"),
+        # equal to the expected cycle 0, but not an integer
+        pytest.param(None, {"cycle": False, "sys_time_ms": 1000, "outputs": {"heating": 1}},
+                     "observation cycle False is not an integer", id="bool-cycle"),
+        pytest.param(None, {"cycle": 0.0, "sys_time_ms": 1000, "outputs": {"heating": 1}},
+                     r"observation cycle 0\.0 is not an integer", id="float-cycle"),
+        # a missing or non-object field is named as sent, not read as {}
+        pytest.param(None, {"sys_time_ms": 1000}, "observation outputs None do not match",
+                     id="no-outputs"),
+        pytest.param(None, {"sys_time_ms": 1000, "outputs": {"heating": 1}, "state": MISSING},
+                     "observation state None do not match the model", id="no-state"),
+        pytest.param(None, {"sys_time_ms": 1000, "outputs": {"heating": 1}, "state": None},
+                     "observation state None do not match the model", id="null-state"),
+        pytest.param(None, {"sys_time_ms": 1000, "outputs": {"heating": 1}, "state": False},
+                     "observation state False do not match the model", id="false-state"),
+        pytest.param(None, {"sys_time_ms": 1000, "outputs": {"heating": 1}, "state": []},
+                     r"observation state \[\] do not match the model", id="list-state"),
     ])
     def test_malformed_observation_is_mediator_failure(self, iron_extraction, source, fields,
                                                        reason):
         extraction = iron_extraction if source is None else extract_predicates(parse_model(source))
         model = extraction.model
         obs = dict({"type": "observation", "cycle": 0, "state": {}}, **fields)
+        obs = {key: value for key, value in obs.items() if value is not MISSING}
         link = ScriptedLink(model, [_hello_line(model), (json.dumps(obs) + "\n").encode()])
         inputs = dict.fromkeys(model.input_names, 0)
         verdict = Specification(extraction, link).apply_stimulus(inputs)
@@ -234,6 +276,56 @@ class TestStreamProtocol:
         link.exchange({"move": 0, "position": 0})  # an unchanged time is allowed
         with pytest.raises(ProtocolError, match="went back from 2000 ms to 1000 ms"):
             link.exchange({"move": 0, "position": 0})
+
+
+class TestObservationCheckAgainstReference:
+    """The link's one-pass check accepts exactly what the reference check
+    accepts, and words each rejection byte for byte the same."""
+
+    @staticmethod
+    def _variants(names, domains) -> list:
+        """A dict of each name at its domain's low end, and that dict with
+        one fault each: a missing or an extra key, not a dict, or one value
+        of the wrong type or just outside its domain."""
+        valid = {name: domains[name].start for name in names}
+        variants = [valid, [valid], None, "x", {**valid, "extra": 0}]
+        for name in names:
+            domain = domains[name]
+            variants.append({k: v for k, v in valid.items() if k != name})
+            for bad in (True, "1", 1.0, None, domain.start - 1, domain.stop):
+                variants.append({**valid, name: bad})
+        return variants
+
+    @pytest.mark.parametrize("source", [None, STATEFUL_SRC], ids=["iron", "gauge"])
+    def test_every_enumerated_observation(self, iron_ast, source):
+        model = iron_ast if source is None else parse_model(source)
+        domains = model.domains
+        cycles = [1, 0, 2, True, 1.0]
+        times = [2000, "2000", 2000.0, None, 500, 1000]
+        outputs = self._variants(model.output_names, domains)
+        states = self._variants(model.readable_names, domains)
+        accepted = rejected = 0
+        for cycle, sys_time_ms, out, state in itertools.product(cycles, times, outputs, states):
+            link = MediatorLink(model)
+            link.next_cycle, link._last_sys_time_ms = 1, 1000
+            try:
+                want = check_observation_reference(model, 1, 1000, cycle, sys_time_ms,
+                                                   out, state)
+            except ProtocolError as exc:
+                with pytest.raises(ProtocolError) as info:
+                    link._check_observation(cycle, sys_time_ms, out, state)
+                assert str(info.value) == str(exc)
+                assert (link.next_cycle, link._last_sys_time_ms) == (1, 1000)
+                rejected += 1
+            else:
+                got = link._check_observation(cycle, sys_time_ms, out, state)
+                assert got == want
+                assert [type(v) for v in got] == [type(v) for v in want]
+                assert (link.next_cycle, link._last_sys_time_ms) == (2, sys_time_ms)
+                accepted += 1
+        # the valid observation at an advanced and at an unchanged time
+        assert accepted == 2
+        assert rejected == len(cycles) * len(times) * len(outputs) * len(states) - 2
 
 
 class TestRaisingSubject:
@@ -304,6 +396,32 @@ class TestSyncState:
         assert verdict.kind is VerdictKind.MEDIATOR_FAILURE
         assert re.search(r"observation state \{\} do not match the model", verdict.detail)
         assert spec.state.state_vars == {"level": 0, "armed": 0}
+
+    @pytest.mark.parametrize("source", [None, HELD_STATE_SRC], ids=["iron", "held-state"])
+    def test_step_equals_a_step_over_state_and_inputs(self, desk_extraction, source):
+        # the literal values come from the inputs alone only where no literal
+        # reads a state variable; either way the record and flags are those
+        # of a step over the state variables merged with the inputs
+        ex = desk_extraction if source is None else extract_predicates(parse_model(source))
+        model = ex.model
+        table = HoldTable(ex.predicates)
+        assert table.variables.isdisjoint(model.initial_state()) is (source is None)
+        rng = random.Random(7)
+        state = self._state(table, model)
+        holds, state_vars, inputs, fired = table.initial, state.state_vars, {}, 0
+        for cycle in range(200):
+            # values that persist for a few cycles let the literals hold
+            if cycle == 0 or rng.random() < 0.3:
+                state_vars = {d.name: rng.choice(model.domains[d.name]) for d in model.state_vars}
+                inputs = {name: rng.choice(model.domains[name]) for name in model.input_names}
+            state = SpecificationState(state_vars, holds, state.flags, state.sys_time_ms)
+            obs = CycleObservation(cycle, (cycle + 1) * 1000, {}, {})
+            stepped = step_predicates(table, state, obs, inputs)
+            holds = table.step(holds, {**state_vars, **inputs}, 0 if cycle == 0 else 1000)
+            assert stepped == (holds, table.flags(holds))
+            state = SpecificationState(state_vars, holds, stepped[1], obs.sys_time_ms)
+            fired += any(stepped[1].values())
+        assert fired
 
     def test_predicates_step_at_observed_time(self, iron_extraction):
         # the hold advances by the system time elapsed since the last
