@@ -297,6 +297,13 @@ def cmd_run(args) -> tuple:
     config = _config_from_args(args)
     if args.dot and config.scenario == "piecemeal":
         raise CliError("--dot needs one automaton: --scenario full or piece:NODE", EXIT_PARSE)
+    # the cycle records are the in-process kernel's, and piecemeal has one per part
+    if args.trace_cycles and config.scenario == "piecemeal":
+        raise CliError("--trace-cycles needs one kernel: --scenario full or piece:NODE",
+                       EXIT_PARSE)
+    if args.trace_cycles and config.sut.partition(":")[0] != "inproc":
+        raise CliError("--trace-cycles needs an in-process subject: --sut inproc:NAME",
+                       EXIT_PARSE)
     # the output files are opened before the subject starts, so that a bad
     # path costs no campaign
     with contextlib.ExitStack() as stack:
@@ -306,9 +313,8 @@ def cmd_run(args) -> tuple:
         if log_fh:
             _write_output(log_fh, result.log.json_lines())
         if cycles_fh:
-            records = result.kernel.records if result.kernel else ()
             _write_output(cycles_fh, (record.to_json(args.deterministic) + "\n"
-                                      for record in records))
+                                      for record in result.kernel.records))
         if dot_fh:
             _write_output(dot_fh, [export_dot(result.automaton)])
 

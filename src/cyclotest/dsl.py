@@ -791,6 +791,17 @@ def check_model(ast: ModelAst) -> list:
     return diags
 
 
+def _never_holds(held: Held, domains: Mapping) -> bool:
+    """Some literal of the held() formula compares its variable with a value
+    outside the variable's domain.  A formula that is no conjunction of
+    literals is left to :func:`extract_predicates` to reject."""
+    try:
+        literals = _held_literals(held.formula)
+    except UnsupportedTemporalFormula:
+        return False
+    return any(expected not in domains[var] for var, expected, _ in literals)
+
+
 def _bool_compatible(expr: Expr, etype: str) -> bool:
     if etype == "bool":
         return True
@@ -840,12 +851,19 @@ def _expr_type(expr: Expr, decls: Mapping, diags: list) -> Optional[str]:
 
 def _unreachable_leaves(ast: ModelAst) -> list:
     """Walk the tree under every atom valuation, held() atoms varying
-    independently; a leaf no valuation reaches is unreachable."""
+    independently; a leaf no valuation reaches is unreachable.  A held()
+    atom with a literal outside its variable's domain never holds, so it
+    stays 0."""
     var_domains = [(decl.name, decl.domain()) for decl in ast.inputs + ast.state_vars]
-    held_keys = list(dict.fromkeys((print_expr(e.formula), e.duration_ms)
-                                   for dec in ast.decisions() for e in walk_exprs(dec.condition)
-                                   if isinstance(e, Held)))
-    size = math.prod(len(dom) for _, dom in var_domains) * 2 ** len(held_keys)
+    domains = ast.domains
+    held_values = {}  # (printed formula, duration) -> the values the atom takes
+    for dec in ast.decisions():
+        for e in walk_exprs(dec.condition):
+            if isinstance(e, Held):
+                held_values.setdefault((print_expr(e.formula), e.duration_ms),
+                                       (0,) if _never_holds(e, domains) else (0, 1))
+    size = (math.prod(len(dom) for _, dom in var_domains)
+            * math.prod(len(values) for values in held_values.values()))
     if size > _REACHABILITY_CAP:
         return [Diagnostic("note", "ReachabilitySkipped",
                            "atom space too large (%d valuations)" % size)]
@@ -858,8 +876,8 @@ def _unreachable_leaves(ast: ModelAst) -> list:
 
     for var_vals in itertools.product(*(dom for _, dom in var_domains)):
         env = {name: val for (name, _), val in zip(var_domains, var_vals)}
-        for held_vals in itertools.product((0, 1), repeat=len(held_keys)):
-            held_env = dict(zip(held_keys, held_vals))
+        for held_vals in itertools.product(*held_values.values()):
+            held_env = dict(zip(held_values, held_vals))
             unreached.pop(walk_to_leaf(ast.body, env, None, he).node_id, None)
             if not unreached:
                 return []

@@ -6,6 +6,11 @@ over predicate identifiers, (3) projection onto the state space by
 existentially eliminating the input atoms, (4) abstract states as the
 projection-membership bit vector.  Plus: reachability enumeration of flag
 states, piecemeal scenario skeletons, and enlargement of state partitions.
+
+The reachability report has a declarative form that both of its searches
+meet: a vector's witness is the lexicographically least sequence of input
+valuation indices among the shortest sequences that reach it, and the
+vectors come in order of (witness length, witness).
 """
 from __future__ import annotations
 
@@ -186,7 +191,7 @@ def derive_projections(extraction: ExtractionResult) -> list:
 class ReachabilityReport:
     predicate_ids: tuple
     upper_bound: int
-    vectors: tuple  # reachable flag vectors, in discovery order
+    vectors: tuple  # reachable flag vectors, in order of (witness length, witness)
     witnesses: dict  # vector -> list of input dicts reaching it
     states: tuple  # reachable (state_vars, vector) pairs
 
@@ -197,26 +202,48 @@ class ReachabilityReport:
 
 def enumerate_reachable_flag_states(extraction: ExtractionResult, cycle_period_ms: int = 1000,
                                     strict: bool = False) -> ReachabilityReport:
-    """Breadth-first reachability over the temporal-predicate transition
-    system under all input sequences.
+    """Every flag vector that some input sequence reaches, the hold records of
+    a :class:`~.temporal.HoldTable` stepped by one cycle period per cycle.
 
-    A node is the state variables plus the hold record of a
-    :class:`~.temporal.HoldTable`, stepped by one cycle period per cycle,
-    once per literal outcome.  The post-state is computed once per (state
-    variables, valuation, flags).  Without state variables it is ``()``, so
-    only the first valuation of each outcome can reach a new node.
+    A vector's witness is the lexicographically least sequence of indices
+    into ``input_valuations`` among the shortest sequences that reach it, and
+    the vectors come in order of (witness length, witness).  A model without
+    state variables gets this report in closed form (:func:`_closed_form`),
+    any other by breadth-first search (:func:`_breadth_first`).
     """
     model = extraction.model
-    valuations = model.input_valuations
-    stateless = not model.state_vars
     table = HoldTable(extraction.predicates, strict)
+    if model.state_vars:
+        witnesses, states = _breadth_first(model, table, cycle_period_ms)
+    else:
+        witnesses = _closed_form(model, table, cycle_period_ms)
+        states = {((), vec) for vec in witnesses}
+    return ReachabilityReport(
+        table.predicate_ids,
+        2 ** len(table.predicate_ids),
+        tuple(witnesses),
+        witnesses,
+        tuple(sorted(states)),
+    )
+
+
+def _breadth_first(model: ModelAst, table: HoldTable, period_ms: int) -> tuple:
+    """Witnesses in report order and the reachable (state variables, vector)
+    pairs, by breadth-first search.
+
+    A node is the state variables plus a hold record, stepped once per
+    literal outcome; its BFS parent is the first node to step to it, so its
+    trail is the least of its shortest ones.  The post-state is computed once
+    per (state variables, valuation, flags).
+    """
+    valuations = model.input_valuations
     initial = (tuple(sorted(model.initial_state().items())), table.initial)
 
     frontier = deque([initial])
     witnesses: dict = {}  # vector -> trail, in discovery order
     state_pairs = set()
     parents = {initial: None}  # every node seen, with its BFS parent and valuation index
-    steps: dict = {}  # state vars -> (each outcome's first env, [(valuation, outcome) to step])
+    steps: dict = {}  # state vars -> (each outcome's first env, [(valuation, outcome)])
     posts: dict = {}  # (state vars, valuation index, flags) -> post-state vars
 
     def record(state):
@@ -235,9 +262,7 @@ def enumerate_reachable_flag_states(extraction: ExtractionResult, cycle_period_m
         found = []
         for i, inputs in enumerate(valuations):
             env = dict(state_vars, **inputs)
-            k, first = outcomes.setdefault(table.outcome(env), (len(outcomes), env))
-            if first is env or not stateless:
-                found.append((i, k))
+            found.append((i, outcomes.setdefault(table.outcome(env), (len(outcomes), env))[0]))
         return [env for _, env in outcomes.values()], found
 
     def post_state(state_vars, i, holds):
@@ -255,21 +280,150 @@ def enumerate_reachable_flag_states(extraction: ExtractionResult, cycle_period_m
         if state_vars not in steps:
             steps[state_vars] = steps_from(state_vars)
         envs, found = steps[state_vars]
-        stepped = [table.step(holds, env, cycle_period_ms) for env in envs]
+        stepped = [table.step(holds, env, period_ms) for env in envs]
         for i, k in found:
-            nxt = (() if stateless else post_state(state_vars, i, stepped[k]), stepped[k])
+            nxt = (post_state(state_vars, i, stepped[k]), stepped[k])
             if nxt not in parents:
                 parents[nxt] = (state, i)
                 record(nxt)
                 frontier.append(nxt)
+    return witnesses, state_pairs
 
-    return ReachabilityReport(
-        table.predicate_ids,
-        2 ** len(table.predicate_ids),
-        tuple(witnesses),
-        witnesses,
-        tuple(sorted(state_pairs)),
-    )
+
+class _InputClock:
+    """The held() literals on one input, counted in cycles
+    (:meth:`~.temporal.HoldTable.in_cycles`).  At most one of them holds at a
+    time, so a state is ``None`` while none holds, else (literal, count)."""
+
+    def __init__(self, name: str, domain: range, literals: list, thresholds: tuple):
+        # literals: (index, expected, cap) of the literals on the input that lie
+        # in its domain; thresholds: every predicate's (literal index, need)
+        self.name = name
+        self.caps = {i: cap for i, _, cap in literals}
+        self.literal_of = {expected: i for i, expected, _ in literals}
+        self.needs = [(p, i, need) for p, (i, need) in enumerate(thresholds) if i in self.caps]
+        # the least value under which no literal holds, if any; with the
+        # literals' values, one value per way to step the clock, in order
+        self.other = next((v for v in domain if v not in self.literal_of), None)
+        self.choices = sorted([*self.literal_of] + [self.other] * (self.other is not None))
+        self.can_break = len(domain) > 1  # each literal's value has another beside it
+
+    def part(self, state) -> tuple:
+        """The flags of the clock's predicates in ``state``, in predicate order."""
+        return tuple(int(state is not None and state[0] == i and state[1] >= need)
+                     for _, i, need in self.needs)
+
+    def parts(self) -> set:
+        """Every part that some state shows."""
+        states = [None] + [(i, 0) for i in self.caps] + [(i, need) for _, i, need in self.needs]
+        return {self.part(state) for state in states}
+
+    def target(self, part: tuple) -> tuple:
+        """The states that show ``part``: whether ``None`` does, and per
+        literal the interval of counts that do."""
+        intervals = []
+        for i, cap in self.caps.items():
+            lo, hi = 0, cap
+            for bit, (_, li, need) in zip(part, self.needs):
+                if li == i:
+                    lo, hi = (max(lo, need), hi) if bit else (lo, min(hi, need - 1))
+                elif bit:  # a predicate of another literal holds
+                    hi = -1
+            if lo <= hi:
+                intervals.append((i, lo, hi))
+        return not any(part), intervals
+
+    def step(self, state, value: int):
+        i = self.literal_of.get(value)
+        if i is None:
+            return None
+        if state is not None and state[0] == i:
+            return i, min(state[1] + 1, self.caps[i])
+        return i, 0
+
+    def reaches(self, state, target: tuple, cycles: int) -> bool:
+        """Some run of exactly ``cycles`` cycles leads from ``state`` to a state
+        of ``target``.  A literal's count is then its count held through
+        every cycle, or, when its input can take another value, any count up
+        to ``cycles - 2``: break the literal, then hold it again."""
+        none_ok, intervals = target
+        if cycles == 0:
+            if state is None:
+                return none_ok
+            return any(i == state[0] and lo <= state[1] <= hi for i, lo, hi in intervals)
+        if none_ok and self.other is not None:
+            return True
+        for i, lo, hi in intervals:
+            cap = self.caps[i]
+            held = min(state[1] + cycles if state is not None and state[0] == i else cycles - 1, cap)
+            if lo <= held <= hi or (self.can_break and lo <= min(cycles - 2, cap)):
+                return True
+        return False
+
+
+def _closed_form(model: ModelAst, table: HoldTable, period_ms: int) -> dict:
+    """Witnesses in report order for a model without state variables.
+
+    The literals on one input form an :class:`_InputClock` that steps
+    independently of the others, so a vector is reachable in exactly m
+    cycles when each clock's part of it is.  Past the largest cap plus one
+    cycle the parts a clock reaches in exactly m cycles no longer change, so
+    scanning m up to there finds each vector's least length.  Its witness is
+    built greedily: each cycle takes, per input, the least value after which
+    its clock can still reach its part in the cycles left.
+    """
+    literals, thresholds = table.in_cycles(period_ms)
+    domains = {d.name: d.domain() for d in model.inputs}
+    on_input: dict = {}
+    for i, (var, expected, cap) in enumerate(literals):
+        if expected in domains[var]:  # a literal outside its domain never holds
+            on_input.setdefault(var, []).append((i, expected, cap))
+    clocks = [_InputClock(var, domains[var], lits, thresholds) for var, lits in on_input.items()]
+    horizon = max((cap for _, _, cap in literals), default=0) + 2
+
+    options = []  # per clock: (part, its target, bit m set when m cycles reach it)
+    for clock in clocks:
+        options.append([])
+        for part in clock.parts():
+            target = clock.target(part)
+            mask = sum(1 << m for m in range(horizon + 1) if clock.reaches(None, target, m))
+            if mask:
+                options[-1].append((part, target, mask))
+
+    found = []  # (length, trail, vector)
+    for combo in itertools.product(*options):
+        mask = (1 << horizon + 1) - 1
+        vector = [0] * len(thresholds)
+        for clock, (part, _, reached) in zip(clocks, combo):
+            mask &= reached
+            for (p, _, _), bit in zip(clock.needs, part):
+                vector[p] = bit
+        if mask:
+            length = (mask & -mask).bit_length() - 1
+            trail = _least_trail(model, clocks, [target for _, target, _ in combo], length)
+            found.append((length, trail, tuple(vector)))
+    names = model.input_names
+    return {vector: [dict(zip(names, values)) for values in trail]
+            for _, trail, vector in sorted(found)}
+
+
+def _least_trail(model: ModelAst, clocks: list, targets: list, length: int) -> tuple:
+    """The least input sequence of ``length`` cycles that takes each clock to
+    its target; an input no literal reads stays at its least value."""
+    least = {d.name: d.domain()[0] for d in model.inputs}
+    states = [None] * len(clocks)
+    trail = []
+    for left in range(length - 1, -1, -1):
+        values = dict(least)
+        for k, (clock, target) in enumerate(zip(clocks, targets)):
+            for value in clock.choices:
+                state = clock.step(states[k], value)
+                if clock.reaches(state, target, left):
+                    break
+            states[k] = state
+            values[clock.name] = value
+        trail.append(tuple(values[name] for name in model.input_names))
+    return tuple(trail)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,19 @@ class HoldTable:
         """Which literals hold in ``env``; :meth:`step` treats equal outcomes alike."""
         return tuple([env[var] == expected for var, expected, _ in self._literals])
 
+    def in_cycles(self, period_ms: int) -> tuple:
+        """The table stepped one ``period_ms`` per cycle, counted in cycles:
+        each literal's ``(var, expected, cap)`` and each predicate's
+        ``(literal index, need)``.  A literal that has held for k cycles since
+        its first holding cycle has count min(k, cap), and a predicate holds
+        when that count reaches its need, just as the record min(k*period,
+        cap ms) reaches the need in ms."""
+        def cycles(ms: int) -> int:
+            return -(-ms // period_ms)
+
+        return (tuple((var, expected, cycles(cap)) for var, expected, cap in self._literals),
+                tuple((i, cycles(n)) for i, n in self._thresholds))
+
     def flags(self, record: tuple) -> dict:
         """Per-predicate satisfaction of a record, as one dict shared by every
         record with the same flags; callers must not mutate it."""

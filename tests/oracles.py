@@ -16,7 +16,7 @@ import time
 from collections import deque
 
 from cyclotest.contracts import Specification, Verdict, VerdictKind
-from cyclotest.dsl import Held, eval_expr, free_vars, print_expr, walk_exprs
+from cyclotest.dsl import And, Held, eval_expr, free_vars, print_expr, walk_exprs
 from cyclotest.interp import eval_model
 from cyclotest.kernel import CycleRecord
 from cyclotest.mediator import CycleObservation, ProtocolError
@@ -188,13 +188,28 @@ def input_feasible_leaves_bruteforce(model) -> frozenset:
 def unreachable_leaves_bruteforce(ast) -> set:
     """Leaves whose path factors no atom valuation satisfies, each leaf tested
     on its own; held() atoms, keyed by printed formula and duration, vary
-    independently of the variables."""
-    keys = list(dict.fromkeys((print_expr(e.formula), e.duration_ms)
-                              for dec in ast.decisions() for e in walk_exprs(dec.condition)
-                              if isinstance(e, Held)))
-    atom_valuations = [(env, dict(zip(keys, bits)))
+    independently of the variables, except that one with a conjunct that no
+    value of its variables satisfies stays 0."""
+    helds = {}
+    for dec in ast.decisions():
+        for e in walk_exprs(dec.condition):
+            if isinstance(e, Held):
+                helds.setdefault((print_expr(e.formula), e.duration_ms), e.formula)
+
+    def conjuncts(e) -> list:
+        return conjuncts(e.left) + conjuncts(e.right) if isinstance(e, And) else [e]
+
+    decls = ast.decls()
+
+    def never_true(e) -> bool:
+        return not any(eval_expr(e, env)
+                       for env in _valuations([decls[name] for name in sorted(free_vars(e))]))
+
+    values = [(0,) if any(map(never_true, conjuncts(formula))) else (0, 1)
+              for formula in helds.values()]
+    atom_valuations = [(env, dict(zip(helds, bits)))
                        for env in _valuations(ast.inputs + ast.state_vars)
-                       for bits in itertools.product((0, 1), repeat=len(keys))]
+                       for bits in itertools.product(*values)]
 
     def satisfied(factors, env, held) -> bool:
         def held_eval(node):

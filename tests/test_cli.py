@@ -121,6 +121,24 @@ class TestAnalysisPinned:
         assert hashlib.sha256(out.encode()).hexdigest() == out_sha
         assert hashlib.sha256(err.encode()).hexdigest() == err_sha
 
+    # iron at its own 60 s/900 s; taken from the breadth-first search that
+    # the closed form for models without state variables replaced
+    @pytest.mark.parametrize("command, argv, out_sha", [
+        ("enumerate-states", [],
+         "ab54b7b04b2420df4ea86b634de2012f9b3cd147df455d2f1260440303f5d4e4"),
+        ("enumerate-states", ["--period-ms", "700", "--strict-held"],
+         "8af42044d5a98c46dbf7921dbd1273693438f86e4e39a1aee3a02564da2cedba"),
+        ("reduce", [],
+         "848a9f25962e12727df4558b356d9013e79ec86f2473a30935e70a54e1f85dff"),
+        ("reduce", ["--period-ms", "700", "--strict-held"],
+         "848a9f25962e12727df4558b356d9013e79ec86f2473a30935e70a54e1f85dff"),
+    ], ids=["enumerate-1000ms", "enumerate-700ms-strict", "reduce-1000ms", "reduce-700ms-strict"])
+    def test_paper_scale_json_pinned(self, capsys, command, argv, out_sha):
+        code, out, err = _run(capsys, [command, "--model", MODEL_PATH, "--json"] + argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == out_sha
+        assert err == ""
+
 
 class TestRun:
     def test_correct_subject_exit_0(self, capsys):
@@ -402,6 +420,22 @@ class TestBadArguments:
         if argv[-2].startswith("--period-ms"):
             assert "--period-ms" in proc.stderr.splitlines()[-1]
 
+    @pytest.mark.parametrize("argv", [
+        ["--scenario", "piecemeal"],
+        ["--sut", "stdio:SUBJECT"],
+        ["--sut", "tcp:127.0.0.1:9"],
+    ], ids=["piecemeal", "stdio", "tcp"])
+    def test_trace_cycles_needs_one_in_process_kernel(self, tmp_path, argv):
+        # refused before the cycles file is opened or a subject is started
+        started, cycles = tmp_path / "started", tmp_path / "cycles.jsonl"
+        subject = shlex.join([sys.executable, "-c", "open(%r, 'w')" % str(started)])
+        argv = [arg.replace("SUBJECT", subject) for arg in argv]
+        proc = _subprocess("cyclotest.cli", ["run", "--model", MODEL_PATH, "--trace-cycles",
+                                             str(cycles)] + argv + DESK)
+        _assert_usage_error(proc)
+        assert "--trace-cycles needs" in proc.stderr.splitlines()[-1]
+        assert not cycles.exists() and not started.exists()
+
     @pytest.mark.parametrize("command", ["run", "enumerate-states", "reduce"])
     @pytest.mark.parametrize("source", [
         pytest.param("model m { input a: bool; input b: bool; output o: bool; logic { "
@@ -425,10 +459,12 @@ class TestOutputFaults:
 
     @pytest.mark.parametrize("option", ["--log", "--trace-cycles", "--dot"])
     def test_unopenable_output_exit_2_before_the_subject_starts(self, tmp_path, option):
+        # the cycle records need the in-process subject, which starts no process
         started = tmp_path / "started"
         subject = shlex.join([sys.executable, "-c", "open(%r, 'w')" % str(started)])
-        proc = _subprocess("cyclotest.cli", ["run", "--model", MODEL_PATH, "--sut",
-                                             "stdio:" + subject, option, "/nonexistent/x"] + DESK)
+        sut = "inproc:iron" if option == "--trace-cycles" else "stdio:" + subject
+        proc = _subprocess("cyclotest.cli", ["run", "--model", MODEL_PATH, "--sut", sut,
+                                             option, "/nonexistent/x"] + DESK)
         _assert_usage_error(proc)
         assert proc.stderr.splitlines() == [
             "error: cannot open /nonexistent/x: No such file or directory"]

@@ -20,7 +20,7 @@ from cyclotest.dsl import (
     rescale_durations,
     walk_nodes,
 )
-from oracles import CompoundWindowOracle, WindowOracle
+from oracles import CompoundWindowOracle, WindowOracle, unreachable_leaves_bruteforce
 
 
 class TestParse:
@@ -252,6 +252,14 @@ class TestCheckModel:
         assert [d.code for d in diags] == ["UnreachableLeaf"]
         assert diags[0].node_id == "tt"
         assert (diags[0].line, diags[0].col) == (1, 88)
+
+    @pytest.mark.parametrize("condition", ["a == 5", "held(a == 5, 1s)"])
+    def test_literal_outside_its_domain_leaves_its_leaf_unreachable(self, condition):
+        ast = parse_model("model m { input a: int 0..2; output o: bool; logic { "
+                          "if (%s) { o = 1; } else { o = 0; } } }" % condition)
+        diags = check_model(ast)
+        assert [(d.code, d.node_id) for d in diags] == [("UnreachableLeaf", "t")]
+        assert unreachable_leaves_bruteforce(ast) == {"t"}
 
     def test_type_error_int_condition(self):
         src = ("model m { input level: int 0..3; output o: bool; "

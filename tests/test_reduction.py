@@ -83,6 +83,56 @@ model heater {
 """
 
 
+# models without state variables, for the closed-form reachability: four
+# literals on one int 0..3 input, one of them outside its domain, so the value
+# 3 matches none, and c == 1 with two predicates
+QUAD_SRC = """
+model quad {
+  input c: int 0..3;
+  input d: bool;
+  output o: int 0..4;
+  logic {
+    if (held(c == 1, 2s)) { o = 1; } else {
+      if (held(c == 1 && d, 3500ms)) { o = 2; } else {
+        if (held(c == 0, 1s)) { o = 3; } else {
+          if (held(c == 2 && !d, 1500ms)) { o = 4; } else {
+            if (held(c == 4, 1s)) { o = 4; } else { o = 0; }
+          }
+        }
+      }
+    }
+  }
+}
+"""
+
+# a one-value input: its literal holds from the first cycle and never breaks
+SINGLE_SRC = """
+model single {
+  input k: int 2..2;
+  input e: bool;
+  output o: int 0..2;
+  logic {
+    if (held(k == 2, 2s)) {
+      if (held(e && k == 2, 1s)) { o = 2; } else { o = 1; }
+    } else { o = 0; }
+  }
+}
+"""
+
+# a held() literal outside its variable's domain never holds
+STRAY_SRC = """
+model stray {
+  input a: int 0..2;
+  output o: int 0..2;
+  logic {
+    if (held(a == 5, 1s)) { o = 1; } else {
+      if (held(a == 1, 2s)) { o = 2; } else { o = 0; }
+    }
+  }
+}
+"""
+
+
 # the input factors on the way to leaf 'tt' contradict each other, so its
 # projection is empty although no factor names state
 UNSATISFIABLE_INPUTS = (
@@ -272,7 +322,8 @@ class TestPrintedReduction:
     conjunction of its record's factors, checked on every valuation."""
 
     def test_sources_found(self):
-        assert {"tank", "guard", "two", "latch", "gauge", "iron", "u", "heater"} <= {
+        assert {"tank", "guard", "two", "latch", "gauge", "iron", "u", "heater", "quad", "single",
+                "stray"} <= {
             parse_model(p.values[0]).name for p in _model_sources()}
 
     @pytest.mark.parametrize("source", _model_sources())
