@@ -8,8 +8,8 @@ dataclasses and all functions here are pure.
 """
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 import operator
 import re
 from dataclasses import dataclass, field
@@ -146,6 +146,11 @@ class Decision:
         """``(atom id, atom)`` pairs of the condition, see :func:`condition_atoms`."""
         return tuple(condition_atoms(self.condition))
 
+    @cached_property
+    def reads(self) -> tuple:
+        """The variables and predicate ids the condition reads, sorted."""
+        return tuple(sorted(free_vars(self.condition)))
+
 
 Node = Union[Leaf, Decision]
 
@@ -182,12 +187,27 @@ class ModelAst:
         return {name: decl.domain() for name, decl in self.decls().items()}
 
     @cached_property
-    def input_valuations(self) -> tuple:
-        """Every input valuation as a dict, in ``itertools.product`` order
-        over the input domains.  Shared: callers must not mutate them."""
-        names = self.input_names
-        return tuple(dict(zip(names, values))
-                     for values in itertools.product(*(self.domains[n] for n in names)))
+    def leaf_boxes(self) -> "LeafBoxes":
+        """The :class:`LeafBoxes` walk of a model without held() over the
+        inputs, the state variables and the predicate ids, each 0 or 1."""
+        variables = {d.name: d.domain() for d in self.inputs + self.state_vars}
+        for dec in self.decisions():
+            variables.update((ident, range(2)) for ident in dec.reads if ident not in variables)
+        return LeafBoxes(self.body, variables, len(self.inputs), lambda dec: dec.reads)
+
+    @cached_property
+    def input_boxes(self) -> "LeafBoxes":
+        """The walk over the inputs alone, where only conditions over inputs
+        alone, without held(), split: a leaf's boxes are the valuations that
+        satisfy its path factors over inputs alone."""
+        return LeafBoxes(self.body, {d.name: d.domain() for d in self.inputs}, len(self.inputs),
+                         lambda dec: dec.reads if self.over_inputs(dec.condition) else None)
+
+    def over_inputs(self, expr: Expr) -> bool:
+        """``expr`` reads inputs alone, at least one, and no held()."""
+        refs = free_vars(expr)
+        return (bool(refs) and refs <= set(self.input_names)
+                and not any(isinstance(e, Held) for e in walk_exprs(expr)))
 
     def initial_state(self) -> dict:
         return {d.name: d.init for d in self.state_vars}
@@ -217,18 +237,20 @@ def walk_nodes(node: Node) -> Iterator[Node]:
         yield from walk_nodes(node.else_branch)
 
 
+_OPERANDS = {Not: lambda e: (e.operand,), And: lambda e: (e.left, e.right),
+             Or: lambda e: (e.left, e.right), Cmp: lambda e: (e.left, e.right),
+             Held: lambda e: (e.formula,)}
+
+
+def _operands(expr: Expr) -> tuple:
+    operands = _OPERANDS.get(type(expr))
+    return operands(expr) if operands else ()
+
+
 def walk_exprs(expr: Expr) -> Iterator[Expr]:
     yield expr
-    if isinstance(expr, Not):
-        yield from walk_exprs(expr.operand)
-    elif isinstance(expr, (And, Or)):
-        yield from walk_exprs(expr.left)
-        yield from walk_exprs(expr.right)
-    elif isinstance(expr, Cmp):
-        yield from walk_exprs(expr.left)
-        yield from walk_exprs(expr.right)
-    elif isinstance(expr, Held):
-        yield from walk_exprs(expr.formula)
+    for operand in _operands(expr):
+        yield from walk_exprs(operand)
 
 
 def free_vars(expr: Expr) -> frozenset:
@@ -523,38 +545,36 @@ def _validate(ast: ModelAst) -> None:
     assigned = set()
     for node in walk_nodes(ast.body):
         if isinstance(node, Decision):
-            _check_refs(node.condition, seen, in_condition=True)
+            _check_refs(node.condition, seen, ast.output_names, in_condition=True)
         else:
             for a in node.assigns:
                 if a.target not in seen:
                     raise SemanticError("assignment to undeclared '%s'" % a.target, a.line, a.col)
                 if a.target in inputs:
                     raise SemanticError("cannot assign to input '%s'" % a.target, a.line, a.col)
-                _check_refs(a.value, seen, in_condition=False)
+                _check_refs(a.value, seen, ast.output_names, in_condition=False)
                 assigned.add(a.target)
     for out in ast.output_names:
         if out not in assigned:
             raise SemanticError("output never assigned: '%s'" % out)
 
 
-def _check_refs(expr: Expr, decls: Mapping, in_condition: bool, inside_held: bool = False) -> None:
+def _check_refs(expr: Expr, decls: Mapping, outputs: tuple, in_condition: bool,
+                inside_held: bool = False) -> None:
+    """Reject a misplaced held() and a name that no input or state variable
+    declares: an expression reads nothing else."""
     if isinstance(expr, Name):
         if expr.ident not in decls:
             raise SemanticError("undeclared identifier '%s'" % expr.ident, expr.line, expr.col)
+        if expr.ident in outputs:
+            raise SemanticError("cannot read output '%s'" % expr.ident, expr.line, expr.col)
     elif isinstance(expr, Held):
         if not in_condition:
             raise SemanticError("held() is only allowed in decision conditions", expr.line, expr.col)
         if inside_held:
             raise SemanticError("held() cannot be nested", expr.line, expr.col)
-        _check_refs(expr.formula, decls, in_condition, inside_held=True)
-    elif isinstance(expr, Not):
-        _check_refs(expr.operand, decls, in_condition, inside_held)
-    elif isinstance(expr, (And, Or)):
-        _check_refs(expr.left, decls, in_condition, inside_held)
-        _check_refs(expr.right, decls, in_condition, inside_held)
-    elif isinstance(expr, Cmp):
-        _check_refs(expr.left, decls, in_condition, inside_held)
-        _check_refs(expr.right, decls, in_condition, inside_held)
+    for operand in _operands(expr):
+        _check_refs(operand, decls, outputs, in_condition, inside_held or isinstance(expr, Held))
 
 
 # ---------------------------------------------------------------------------
@@ -691,38 +711,112 @@ def eval_expr(expr: Expr, env: Mapping, flags: Optional[Mapping] = None,
     raise TypeError("not an expression node: %r" % (expr,))
 
 
-def walk_to_leaf(node: Node, env: Mapping, flags: Optional[Mapping] = None,
-                 held_eval: Optional[HeldEval] = None) -> Leaf:
-    """The leaf the decision tree below ``node`` reaches, evaluating the
-    conditions on the way as :func:`eval_expr` does.  The path conditions
-    partition the environments, so exactly one leaf is reached."""
-    while isinstance(node, Decision):
-        taken = eval_expr(node.condition, env, flags, held_eval)
-        node = node.then_branch if taken else node.else_branch
-    return node
+class LeafBoxes:
+    """One symbolic walk of a decision tree: the environments that reach
+    each leaf, as a union of disjoint boxes.
+
+    A box holds an ascending sequence of values per variable of
+    ``variables``, the first ``n_free`` of them the inputs.  The walk
+    carries boxes down from one box of every domain at the root.  A decision
+    splits each box by outcome over the values, within the box, of the
+    variables that ``reads(decision)`` names (its cone of influence), or
+    passes the boxes to both branches when that is None.  ``leaves`` maps
+    each leaf reached to its boxes.
+    """
+
+    def __init__(self, body: Node, variables: Mapping, n_free: int,
+                 reads: Callable[[Decision], Optional[tuple]]):
+        names = tuple(variables)
+        column = {name: k for k, name in enumerate(names)}
+        self.n_free = n_free
+        self.leaves: dict = {}  # leaf id -> boxes, leaves in pre-order
+        self._bound = names[n_free:]  # the variables a point binds
+
+        def visit(node: Node, boxes: list) -> None:
+            if not boxes:
+                return
+            if isinstance(node, Leaf):
+                self.leaves[node.node_id] = boxes
+                return
+            read = reads(node)
+            if read is None:
+                visit(node.then_branch, boxes)
+                visit(node.else_branch, boxes)
+                return
+            cols = [column[v] for v in read]
+            sides = ([], [])  # then, else
+            for box in boxes:
+                comps = [box[k] for k in cols]
+                points = (set(), set())  # taken, not taken
+                for values in itertools.product(*comps):
+                    env = dict(zip(read, values))
+                    points[not eval_expr(node.condition, env, env)].add(values)
+                for side, found, other in zip(sides, points, reversed(points)):
+                    if not other:
+                        side.append(box)
+                    elif found:
+                        for part in _cover(found, comps):
+                            split = list(box)
+                            for k, values in zip(cols, part):
+                                split[k] = values
+                            side.append(tuple(split))
+            visit(node.then_branch, sides[0])
+            visit(node.else_branch, sides[1])
+
+        visit(body, [tuple(variables.values())])
+
+    @cached_property
+    def _index(self) -> tuple:
+        """Every box, and per bound variable each value's bit mask of the boxes."""
+        boxes = [(leaf_id, box) for leaf_id, leaf_boxes in self.leaves.items() for box in leaf_boxes]
+        masks = [{} for _ in self._bound]
+        for bit, (_, box) in enumerate(boxes):
+            for by_value, comp in zip(masks, box[self.n_free:]):
+                for value in comp:
+                    by_value[value] = by_value.get(value, 0) | 1 << bit
+        return boxes, masks
+
+    def at(self, env: Mapping) -> list:
+        """``(leaf id, input part of the box)`` for every box that holds the
+        point ``env`` binds to the variables past the inputs."""
+        boxes, masks = self._index
+        hit = (1 << len(boxes)) - 1
+        for by_value, name in zip(masks, self._bound):
+            hit &= by_value.get(env[name], 0)
+        return [(leaf_id, box[:self.n_free]) for bit, (leaf_id, box) in enumerate(boxes)
+                if hit >> bit & 1]
+
+
+def _cover(points: set, comps: list) -> list:
+    """Disjoint boxes over ``comps`` whose points are exactly ``points``:
+    values of the first variable with the same rest share a box."""
+    if len(comps) == 1:
+        return [(tuple(v for v in comps[0] if (v,) in points),)]
+    rests: dict = {}
+    for p in points:
+        rests.setdefault(p[0], set()).add(p[1:])
+    shared: dict = {}  # rest -> the values with that rest, ascending
+    for value in comps[0]:
+        if value in rests:
+            shared.setdefault(frozenset(rests[value]), []).append(value)
+    return [(tuple(values),) + sub for rest, values in shared.items()
+            for sub in _cover(rest, comps[1:])]
 
 
 def condition_atoms(expr: Expr) -> list:
     """Ordered unique atomic conditions of a decision (names, predicate
     references, comparisons, held nodes), keyed by printed form."""
-    atoms, seen = [], set()
+    atoms: dict = {}
 
     def visit(e: Expr) -> None:
-        if isinstance(e, (Not,)):
-            visit(e.operand)
-        elif isinstance(e, (And, Or)):
-            visit(e.left)
-            visit(e.right)
-        elif isinstance(e, Const):
-            pass
-        else:
-            key = print_expr(e)
-            if key not in seen:
-                seen.add(key)
-                atoms.append((key, e))
+        if isinstance(e, (Not, And, Or)):
+            for operand in _operands(e):
+                visit(operand)
+        elif not isinstance(e, Const):
+            atoms.setdefault(print_expr(e), e)
 
     visit(expr)
-    return atoms
+    return list(atoms.items())
 
 
 # ---------------------------------------------------------------------------
@@ -740,9 +834,6 @@ class Diagnostic:
 
     def format(self, filename: str = "<model>") -> str:
         return "%s:%d:%d: %s: %s" % (filename, self.line, self.col, self.severity, self.message)
-
-
-_REACHABILITY_CAP = 1 << 18
 
 
 def check_model(ast: ModelAst) -> list:
@@ -787,7 +878,17 @@ def check_model(ast: ModelAst) -> list:
                 Diagnostic("error", "TypeError", "decision condition is not boolean",
                            dec.line, dec.col, dec.node_id)
             )
-    diags.extend(_unreachable_leaves(ast))
+    # leaves that no valuation of the inputs, state variables and held()
+    # atoms reaches: each distinct atom is a predicate id of its own, or
+    # false when it never holds
+    atoms: dict = {}
+    reached = _map_held(ast, lambda held: Const(0, True) if _never_holds(held, ast.domains)
+                        else PredRef(atoms.setdefault(held, "held %d" % len(atoms)))
+                        ).leaf_boxes.leaves
+    diags.extend(Diagnostic("warning", "UnreachableLeaf",
+                            "leaf '%s' is unreachable" % (leaf.node_id or "root"),
+                            leaf.line, leaf.col, leaf.node_id)
+                 for leaf in ast.leaves() if leaf.node_id not in reached)
     return diags
 
 
@@ -808,85 +909,30 @@ def _bool_compatible(expr: Expr, etype: str) -> bool:
     return isinstance(expr, Const) and expr.value in (0, 1)
 
 
+_NOT_BOOLEAN = {Not: "'!' needs a boolean operand", Held: "held() formula is not boolean"}
+
+
 def _expr_type(expr: Expr, decls: Mapping, diags: list) -> Optional[str]:
     if isinstance(expr, Name):
         decl = decls.get(expr.ident)
         return decl.type if decl else None
-    if isinstance(expr, PredRef):
-        return "bool"
     if isinstance(expr, Const):
         return "bool" if expr.as_bool else "int"
-    if isinstance(expr, Not):
-        t = _expr_type(expr.operand, decls, diags)
-        if t is not None and not _bool_compatible(expr.operand, t):
-            diags.append(Diagnostic("error", "TypeError", "'!' needs a boolean operand",
-                                    expr.line, expr.col))
-        return "bool"
-    if isinstance(expr, (And, Or)):
-        for side in (expr.left, expr.right):
-            t = _expr_type(side, decls, diags)
-            if t is not None and not _bool_compatible(side, t):
-                diags.append(Diagnostic("error", "TypeError",
-                                        "boolean operator applied to %s operand" % t,
-                                        expr.line, expr.col))
-        return "bool"
     if isinstance(expr, Cmp):
-        lt = _expr_type(expr.left, decls, diags)
-        rt = _expr_type(expr.right, decls, diags)
+        types = [_expr_type(side, decls, diags) for side in (expr.left, expr.right)]
         if expr.op in ("<", "<=", ">", ">="):
-            for t, side in ((lt, expr.left), (rt, expr.right)):
+            for t, side in zip(types, (expr.left, expr.right)):
                 if t == "bool" and not isinstance(side, Const):
                     diags.append(Diagnostic("error", "TypeError",
                                             "ordering comparison on boolean operand",
                                             expr.line, expr.col))
         return "bool"
-    if isinstance(expr, Held):
-        t = _expr_type(expr.formula, decls, diags)
-        if t is not None and not _bool_compatible(expr.formula, t):
-            diags.append(Diagnostic("error", "TypeError", "held() formula is not boolean",
-                                    expr.line, expr.col))
-        return "bool"
-    return None
-
-
-def _unreachable_leaves(ast: ModelAst) -> list:
-    """Walk the tree under every atom valuation, held() atoms varying
-    independently; a leaf no valuation reaches is unreachable.  A held()
-    atom with a literal outside its variable's domain never holds, so it
-    stays 0."""
-    var_domains = [(decl.name, decl.domain()) for decl in ast.inputs + ast.state_vars]
-    domains = ast.domains
-    held_values = {}  # (printed formula, duration) -> the values the atom takes
-    for dec in ast.decisions():
-        for e in walk_exprs(dec.condition):
-            if isinstance(e, Held):
-                held_values.setdefault((print_expr(e.formula), e.duration_ms),
-                                       (0,) if _never_holds(e, domains) else (0, 1))
-    size = (math.prod(len(dom) for _, dom in var_domains)
-            * math.prod(len(values) for values in held_values.values()))
-    if size > _REACHABILITY_CAP:
-        return [Diagnostic("note", "ReachabilitySkipped",
-                           "atom space too large (%d valuations)" % size)]
-
-    unreached = {leaf.node_id: leaf for leaf in ast.leaves()}  # pre-order
-    held_env = {}
-
-    def he(node: Held) -> int:
-        return held_env[(print_expr(node.formula), node.duration_ms)]
-
-    for var_vals in itertools.product(*(dom for _, dom in var_domains)):
-        env = {name: val for (name, _), val in zip(var_domains, var_vals)}
-        for held_vals in itertools.product(*held_values.values()):
-            held_env = dict(zip(held_values, held_vals))
-            unreached.pop(walk_to_leaf(ast.body, env, None, he).node_id, None)
-            if not unreached:
-                return []
-    return [
-        Diagnostic("warning", "UnreachableLeaf",
-                   "leaf '%s' is unreachable" % (leaf.node_id or "root"),
-                   leaf.line, leaf.col, leaf.node_id)
-        for leaf in unreached.values()
-    ]
+    for operand in _operands(expr):
+        t = _expr_type(operand, decls, diags)
+        if t is not None and not _bool_compatible(operand, t):
+            message = _NOT_BOOLEAN.get(type(expr), "boolean operator applied to %s operand" % t)
+            diags.append(Diagnostic("error", "TypeError", message, expr.line, expr.col))
+    return "bool"  # a predicate id or a boolean operator
 
 
 # ---------------------------------------------------------------------------
@@ -905,44 +951,20 @@ class ExtractionResult:
 
 
 def _held_literals(formula: Expr) -> list:
-    """Flatten a held() formula into (var, expected-value) literals."""
-    units = []
-
-    def conj(e: Expr) -> None:
-        if isinstance(e, And):
-            conj(e.left)
-            conj(e.right)
-        else:
-            units.append(e)
-
-    conj(formula)
-    literals = []
-    for unit in units:
-        if isinstance(unit, Name):
-            literals.append((unit.ident, 1, unit))
-        elif isinstance(unit, Not) and isinstance(unit.operand, Name):
-            literals.append((unit.operand.ident, 0, unit))
-        elif (
-            isinstance(unit, Cmp)
-            and unit.op == "=="
-            and isinstance(unit.left, Name)
-            and isinstance(unit.right, Const)
-        ):
-            literals.append((unit.left.ident, unit.right.value, unit))
-        elif (
-            isinstance(unit, Cmp)
-            and unit.op == "=="
-            and isinstance(unit.right, Name)
-            and isinstance(unit.left, Const)
-        ):
-            literals.append((unit.right.ident, unit.left.value, unit))
-        else:
-            raise UnsupportedTemporalFormula(
-                "held() needs a conjunction of literals, got '%s'" % print_expr(unit),
-                unit.line,
-                unit.col,
-            )
-    return literals
+    """Flatten a held() formula into (var, expected-value, unit) literals."""
+    if isinstance(formula, And):
+        return _held_literals(formula.left) + _held_literals(formula.right)
+    if isinstance(formula, Name):
+        return [(formula.ident, 1, formula)]
+    if isinstance(formula, Not) and isinstance(formula.operand, Name):
+        return [(formula.operand.ident, 0, formula)]
+    if isinstance(formula, Cmp) and formula.op == "==":
+        sides = {type(formula.left): formula.left, type(formula.right): formula.right}
+        if Name in sides and Const in sides:
+            return [(sides[Name].ident, sides[Const].value, formula)]
+    raise UnsupportedTemporalFormula(
+        "held() needs a conjunction of literals, got '%s'" % print_expr(formula),
+        formula.line, formula.col)
 
 
 def extract_predicates(ast: ModelAst) -> ExtractionResult:
@@ -981,14 +1003,8 @@ def extract_predicates(ast: ModelAst) -> ExtractionResult:
 
 
 def _predicate_conjunction(held: Held, index: Mapping) -> Expr:
-    refs = [
-        PredRef(index[(var, expected, held.duration_ms)])
-        for var, expected, _ in _held_literals(held.formula)
-    ]
-    out = refs[0]
-    for ref in refs[1:]:
-        out = And(out, ref)
-    return out
+    return functools.reduce(And, [PredRef(index[(var, expected, held.duration_ms)])
+                                  for var, expected, _ in _held_literals(held.formula)])
 
 
 def _map_held(item, fn: Callable[[Held], Expr]):

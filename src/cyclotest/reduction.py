@@ -7,10 +7,14 @@ existentially eliminating the input atoms, (4) abstract states as the
 projection-membership bit vector.  Plus: reachability enumeration of flag
 states, piecemeal scenario skeletons, and enlargement of state partitions.
 
+No step enumerates the input valuations: each reads the boxes of one
+symbolic walk of the decision tree per model (:class:`~.dsl.LeafBoxes`).
+
 The reachability report has a declarative form that both of its searches
 meet: a vector's witness is the lexicographically least sequence of input
-valuation indices among the shortest sequences that reach it, and the
-vectors come in order of (witness length, witness).
+valuations, each ordered as ``itertools.product`` orders the input
+domains, among the shortest sequences that reach it, and the vectors come
+in order of (witness length, witness).
 """
 from __future__ import annotations
 
@@ -22,17 +26,12 @@ from typing import Callable, Mapping, Sequence
 from .dsl import (
     Const,
     ExtractionResult,
-    Expr,
-    Held,
     Leaf,
     ModelAst,
     Not,
-    eval_expr,
     free_vars,
     print_conjunction,
     print_expr,
-    walk_exprs as _walk,
-    walk_to_leaf,
 )
 from .interp import eval_model
 from .temporal import HoldTable
@@ -113,29 +112,9 @@ class Projection:
 
 def input_feasible_leaves(model: ModelAst) -> frozenset:
     """Leaves whose path factors over inputs alone some input valuation
-    satisfies together.  One walk carries the valuations down the tree: a
-    decision over inputs alone splits them, any other passes them to both
-    branches."""
-    inputs = frozenset(model.input_names)
-    feasible = set()
-
-    def visit(node, valuations) -> None:
-        if not valuations:
-            return
-        if isinstance(node, Leaf):
-            feasible.add(node.node_id)
-            return
-        refs = free_vars(node.condition)
-        if not (refs and refs <= inputs):
-            visit(node.then_branch, valuations)
-            visit(node.else_branch, valuations)
-            return
-        taken = [bool(eval_expr(node.condition, v)) for v in valuations]
-        visit(node.then_branch, [v for v, t in zip(valuations, taken) if t])
-        visit(node.else_branch, [v for v, t in zip(valuations, taken) if not t])
-
-    visit(model.body, model.input_valuations)
-    return frozenset(feasible)
+    satisfies together: those that the walk of :attr:`ModelAst.input_boxes`
+    reaches."""
+    return frozenset(model.input_boxes.leaves)
 
 
 def project_to_state(pc: PathCondition, model: ModelAst, feasible_leaves: frozenset) -> Projection:
@@ -162,17 +141,11 @@ def project_to_state(pc: PathCondition, model: ModelAst, feasible_leaves: frozen
 
 def generalized_state(state_env: Mapping, projections: Sequence, model: ModelAst) -> tuple:
     """Projection-membership bit vector of a specification state (state
-    variables and predicate ids), by existential input elimination.
-
-    Every environment walks the rewritten ``model`` to exactly one leaf, so a
-    projection holds in the state exactly when some input valuation walks it
-    to the projection's leaf.
-    """
-    env = dict(state_env)
-    reached = set()
-    for valuation in model.input_valuations:
-        env.update(valuation)
-        reached.add(walk_to_leaf(model.body, env, env).node_id)
+    variables and predicate ids), by existential input elimination: a
+    projection holds in the state exactly when some input valuation walks
+    the rewritten ``model`` to the projection's leaf, that is when one of the
+    leaf's boxes (:attr:`ModelAst.leaf_boxes`) holds the state."""
+    reached = {leaf_id for leaf_id, _ in model.leaf_boxes.at(state_env)}
     return tuple(1 if p.leaf_id in reached else 0 for p in projections)
 
 
@@ -205,9 +178,9 @@ def enumerate_reachable_flag_states(extraction: ExtractionResult, cycle_period_m
     """Every flag vector that some input sequence reaches, the hold records of
     a :class:`~.temporal.HoldTable` stepped by one cycle period per cycle.
 
-    A vector's witness is the lexicographically least sequence of indices
-    into ``input_valuations`` among the shortest sequences that reach it, and
-    the vectors come in order of (witness length, witness).  A model without
+    A vector's witness is the lexicographically least sequence of input
+    valuations among the shortest sequences that reach it, and the vectors
+    come in order of (witness length, witness).  A model without
     state variables gets this report in closed form (:func:`_closed_form`),
     any other by breadth-first search (:func:`_breadth_first`).
     """
@@ -231,62 +204,84 @@ def _breadth_first(model: ModelAst, table: HoldTable, period_ms: int) -> tuple:
     """Witnesses in report order and the reachable (state variables, vector)
     pairs, by breadth-first search.
 
-    A node is the state variables plus a hold record, stepped once per
-    literal outcome; its BFS parent is the first node to step to it, so its
-    trail is the least of its shortest ones.  The post-state is computed once
-    per (state variables, valuation, flags).
+    A node is the state variables plus a hold record.  The input valuations
+    fall into boxes of one literal outcome each, which the leaf boxes under
+    the flags stepped to (:attr:`ModelAst.leaf_boxes`) and the inputs that
+    state assignments read split further.  A node steps once per class of
+    valuations with the same (outcome, post-state), entered at the class's
+    least valuation, in that order, so its trail is the least of its
+    shortest ones.  Classes are found once per (state vars, outcome, flags).
     """
-    valuations = model.input_valuations
-    initial = (tuple(sorted(model.initial_state().items())), table.initial)
+    names = model.input_names
+    state_names = {d.name for d in model.state_vars}
+    # the positions of the inputs that some state assignment reads
+    reads = [k for k, name in enumerate(names)
+             if any(name in free_vars(a.value) for leaf in model.leaves()
+                    for a in leaf.assigns if a.target in state_names)]
+    # per input that literals split, its values grouped by their outcome
+    base = dict(model.initial_state(), **{d.name: d.domain()[0] for d in model.inputs})
+    splits = {}
+    for k, d in enumerate(model.inputs):
+        groups: dict = {}
+        for value in d.domain():
+            groups.setdefault(table.outcome(dict(base, **{d.name: value})), []).append(value)
+        if len(groups) > 1:
+            splits[k] = list(map(tuple, groups.values()))
+    outcomes = [dict(zip(splits, combo)) for combo in itertools.product(*splits.values())]
 
+    initial = (tuple(sorted(model.initial_state().items())), table.initial)
     frontier = deque([initial])
     witnesses: dict = {}  # vector -> trail, in discovery order
     state_pairs = set()
-    parents = {initial: None}  # every node seen, with its BFS parent and valuation index
-    steps: dict = {}  # state vars -> (each outcome's first env, [(valuation, outcome)])
-    posts: dict = {}  # (state vars, valuation index, flags) -> post-state vars
+    parents = {initial: None}  # every node seen, with its BFS parent and valuation
+    classes: dict = {}  # (state vars, outcome index, flags) -> {least valuation: post-state}
 
     def record(state):
         vec = tuple(map(int, table.flags(state[1]).values()))
         state_pairs.add((state[0], vec))
         if vec not in witnesses:
-            trail = []
-            node = state
+            trail, node = [], state
             while parents[node] is not None:
-                node, i = parents[node]
-                trail.append(dict(valuations[i]))
-            witnesses[vec] = list(reversed(trail))
+                node, least = parents[node]
+                trail.insert(0, dict(zip(names, least)))
+            witnesses[vec] = trail
 
-    def steps_from(state_vars):
-        outcomes: dict = {}  # outcome -> (its index, env of its first valuation)
-        found = []
-        for i, inputs in enumerate(valuations):
-            env = dict(state_vars, **inputs)
-            found.append((i, outcomes.setdefault(table.outcome(env), (len(outcomes), env))[0]))
-        return [env for _, env in outcomes.values()], found
-
-    def post_state(state_vars, i, holds):
-        flags = table.flags(holds)
-        key = (state_vars, i, tuple(flags.values()))
-        if key not in posts:
-            _, state_post, _ = eval_model(model, valuations[i], dict(state_vars), flags)
-            posts[key] = tuple(sorted(state_post.items()))
-        return posts[key]
+    def classes_of(state_vars, outcome, flags) -> dict:
+        # the least valuation per (leaf, values of the inputs that state
+        # assignments read), a pair that fixes the post-state
+        firsts: dict = {}
+        for leaf_id, box in model.leaf_boxes.at(dict(state_vars, **flags)):
+            box = [tuple(v for v in comp if v in outcome[k]) if k in outcome else comp
+                   for k, comp in enumerate(box)]
+            for values in itertools.product(*(box[k] for k in reads)) if all(box) else ():
+                fixed = dict(zip(reads, values))
+                least = tuple(fixed.get(k, comp[0]) for k, comp in enumerate(box))
+                firsts[leaf_id, values] = min(firsts.get((leaf_id, values), least), least)
+        posts: dict = {}  # post-state -> its least valuation
+        for least in sorted(firsts.values(), reverse=True):
+            _, post, _ = eval_model(model, dict(zip(names, least)), dict(state_vars), flags)
+            posts[tuple(sorted(post.items()))] = least
+        return {least: post for post, least in posts.items()}
 
     record(initial)
     while frontier:
         state = frontier.popleft()
         state_vars, holds = state
-        if state_vars not in steps:
-            steps[state_vars] = steps_from(state_vars)
-        envs, found = steps[state_vars]
-        stepped = [table.step(holds, env, period_ms) for env in envs]
-        for i, k in found:
-            nxt = (post_state(state_vars, i, stepped[k]), stepped[k])
-            if nxt not in parents:
-                parents[nxt] = (state, i)
-                record(nxt)
-                frontier.append(nxt)
+        steps = {}  # least valuation -> next node
+        for i, outcome in enumerate(outcomes):
+            env = dict(base, **dict(state_vars))
+            env.update((names[k], values[0]) for k, values in outcome.items())
+            stepped = table.step(holds, env, period_ms)
+            flags = table.flags(stepped)
+            key = (state_vars, i, tuple(flags.values()))
+            if key not in classes:
+                classes[key] = classes_of(state_vars, outcome, flags)
+            steps.update((least, (post, stepped)) for least, post in classes[key].items())
+        for least in sorted(steps):
+            if steps[least] not in parents:
+                parents[steps[least]] = (state, least)
+                record(steps[least])
+                frontier.append(steps[least])
     return witnesses, state_pairs
 
 
@@ -445,18 +440,10 @@ def enlarge_states(partition: Sequence, coverable: Callable) -> list:
     signature present in one also defines the other, so states with different
     coverable sets are never newly mixed.
     """
-    cells = [tuple(cell) for cell in partition]
-    signatures = []
-    for cell in cells:
-        signatures.append(frozenset(coverable(state) for state in cell))
-    merged: dict = {}
-    order = []
-    for cell, sig in zip(cells, signatures):
-        if sig not in merged:
-            merged[sig] = []
-            order.append(sig)
-        merged[sig].extend(cell)
-    return [tuple(merged[sig]) for sig in order]
+    merged: dict = {}  # signature -> the states of its cells, first seen first
+    for cell in map(tuple, partition):
+        merged.setdefault(frozenset(map(coverable, cell)), []).extend(cell)
+    return [tuple(states) for states in merged.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -492,30 +479,22 @@ def make_piecemeal(ast: ModelAst, parts: Sequence) -> list:
         if a.startswith(b) or b.startswith(a):
             raise OverlappingParts("parts %r and %r overlap" % (a, b))
 
-    inputs = frozenset(ast.input_names)
-
-    def pinnable(factor: Expr) -> bool:
-        # held() cannot be pinned cycle-by-cycle even over pure inputs
-        if any(isinstance(e, Held) for e in _walk(factor)):
-            return False
-        refs = free_vars(factor)
-        return bool(refs) and refs <= inputs
-
     skeletons = []
     for part in parts:
-        input_factors = [f for f in prefixes[part] if pinnable(f)]
-        other_factors = [f for f in prefixes[part] if not pinnable(f)]
-        satisfying = [v for v in ast.input_valuations
-                      if all(eval_expr(f, v) for f in input_factors)]
-        if not satisfying:
+        # the input valuations that satisfy the factors over inputs on the way
+        boxes = [box for leaf_id, leaf_boxes in ast.input_boxes.leaves.items()
+                 if leaf_id.startswith(part) for box in leaf_boxes]
+        if not boxes:
             raise ReductionError("no input valuation reaches part %r" % part)
         pinned, iterated = {}, {}
-        for name in ast.input_names:
-            values = sorted({v[name] for v in satisfying})
+        for k, name in enumerate(ast.input_names):
+            values = sorted({v for box in boxes for v in box[k]})
             if len(values) == 1:
                 pinned[name] = values[0]
             else:
                 iterated[name] = tuple(values)
+        # held() cannot be pinned cycle by cycle, even over inputs alone
+        other_factors = [f for f in prefixes[part] if not ast.over_inputs(f)]
         case_ids = tuple(pc.id for pc in cases if pc.leaf_id.startswith(part))
         skeletons.append(
             PiecemealPart(part, pinned, iterated, tuple(map(print_expr, other_factors)), case_ids)

@@ -129,7 +129,7 @@ def enumerate_reachable_flag_states_reference(extraction, cycle_period_ms: int =
     while frontier:
         state = frontier.popleft()
         state_vars, holds = state
-        for inputs in model.input_valuations:
+        for inputs in _valuations(model.inputs):
             env = dict(state_vars)
             env.update(inputs)
             stepped = table.step(holds, env, cycle_period_ms)
@@ -183,6 +183,23 @@ def input_feasible_leaves_bruteforce(model) -> frozenset:
         if any(all(eval_expr(f, v) for f in pure) for v in _valuations(model.inputs)):
             feasible.add(pc.leaf_id)
     return frozenset(feasible)
+
+
+def piecemeal_inputs_bruteforce(ast, part: str):
+    """The pinned and iterated inputs of a piecemeal part, by scanning every
+    input valuation against the factors on the way to the part that read
+    inputs alone, without held(); None when no valuation satisfies them."""
+    inputs = frozenset(ast.input_names)
+    factors = next(pc.factors[:len(part)] for pc in enumerate_test_cases(ast)
+                   if pc.leaf_id.startswith(part))
+    pure = [f for f in factors if free_vars(f) and free_vars(f) <= inputs
+            and not any(isinstance(e, Held) for e in walk_exprs(f))]
+    satisfying = [v for v in _valuations(ast.inputs) if all(eval_expr(f, v) for f in pure)]
+    if not satisfying:
+        return None
+    values = {name: sorted({v[name] for v in satisfying}) for name in ast.input_names}
+    return ({name: vs[0] for name, vs in values.items() if len(vs) == 1},
+            {name: tuple(vs) for name, vs in values.items() if len(vs) > 1})
 
 
 def unreachable_leaves_bruteforce(ast) -> set:

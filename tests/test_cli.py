@@ -121,6 +121,17 @@ class TestAnalysisPinned:
         assert hashlib.sha256(out.encode()).hexdigest() == out_sha
         assert hashlib.sha256(err.encode()).hexdigest() == err_sha
 
+    # the 20-input models of the CI's wide-input step
+    @pytest.mark.parametrize("model, reachable, cells", [
+        ("wide20", 8, 3), ("wide20_state", 16, 5)])
+    def test_wide_input_counts(self, capsys, model, reachable, cells):
+        argv = ["--model", str(Path(__file__).resolve().parent / "models" / (model + ".ctl")),
+                "--json"]
+        code, out, err = _run(capsys, ["enumerate-states"] + argv)
+        assert (code, err, json.loads(out)["reachable"]) == (0, "", reachable)
+        code, out, err = _run(capsys, ["reduce"] + argv)
+        assert (code, err, len(json.loads(out)["partition"])) == (0, "", cells)
+
     # iron at its own 60 s/900 s; taken from the breadth-first search that
     # the closed form for models without state variables replaced
     @pytest.mark.parametrize("command, argv, out_sha", [
@@ -419,6 +430,15 @@ class TestBadArguments:
         _assert_usage_error(proc)
         if argv[-2].startswith("--period-ms"):
             assert "--period-ms" in proc.stderr.splitlines()[-1]
+
+    @pytest.mark.parametrize("command", ["run", "enumerate-states", "reduce"])
+    def test_held_over_output_exit_2_at_its_position(self, capsys, tmp_path, command):
+        model = tmp_path / "m.ctl"
+        model.write_text("model m { input a: bool; output o: bool; logic {\n"
+                         "  if (held(o, 1s)) { o = 1; } else { o = 0; } } }\n")
+        code, out, err = _run(capsys, [command, "--model", str(model)])
+        assert code == 2
+        assert err.splitlines() == ["error: %s: 2:12: cannot read output 'o'" % model]
 
     @pytest.mark.parametrize("argv", [
         ["--scenario", "piecemeal"],

@@ -15,7 +15,7 @@ from cyclotest.reduction import (
     enumerate_reachable_flag_states,
     generalized_state,
 )
-from oracles import PlainSpecification
+from oracles import PlainSpecification, _valuations
 
 
 DIAL_SRC = ("model dial { input level: int 0..3; output o: bool; "
@@ -269,7 +269,7 @@ class TestOracleMemo:
         state_names = [d.name for d in model.state_vars]
         states = [dict(zip(state_names, values))
                   for values in itertools.product(*(d.domain() for d in model.state_vars))]
-        cycles = [(inputs, state, flags) for inputs in model.input_valuations
+        cycles = [(inputs, state, flags) for inputs in _valuations(model.inputs)
                   for state in states for flags in _flag_vectors(ids)]
         for _ in range(2):  # every cycle once unseen, once remembered
             for inputs, state, flags in cycles:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -34,13 +35,11 @@ class TestParse:
 
     def test_derived_facts_are_cached_outside_equality(self, iron_src):
         ast, fresh = parse_model(iron_src), parse_model(iron_src)
-        assert ast.input_valuations == (
-            {"move": 0, "position": 0}, {"move": 0, "position": 1},
-            {"move": 1, "position": 0}, {"move": 1, "position": 1},
-        )
         assert ast.domains == {"move": range(2), "position": range(2), "heating": range(2)}
         assert ast.readable_names == ()
-        assert ast.input_valuations is ast.input_valuations
+        rewritten = extract_predicates(ast).model
+        assert rewritten.leaf_boxes is rewritten.leaf_boxes
+        assert ast.input_boxes is ast.input_boxes
         root = ast.body
         assert [a for a, _ in root.atoms] == ["position"]
         assert root.atoms is root.atoms
@@ -91,6 +90,23 @@ class TestParse:
               "logic { if (held(held(a, 5s), 6s)) { o = 1; } else { o = 0; } } }")
         with pytest.raises(SemanticError, match="nested"):
             parse_model(src)
+
+    @pytest.mark.parametrize("logic, col", [
+        ("if (held(o, 1s)) { o = 1; } else { o = 0; }", 59),
+        ("if (held(a && o, 1s)) { o = 1; } else { o = 0; }", 64),
+        ("if (o) { o = 1; } else { o = 0; }", 54),
+        ("if (a) { o = 1; } else { o = o; }", 79),
+    ], ids=["held", "held-conjunct", "condition", "assignment"])
+    def test_output_read_rejected_at_its_position(self, logic, col):
+        src = "model m { input a: bool; output o: bool; logic { %s } }" % logic
+        with pytest.raises(SemanticError, match="cannot read output 'o'") as err:
+            parse_model(src)
+        assert (err.value.line, err.value.col) == (1, col)
+        assert src[col - 1] == "o"
+
+    def test_held_over_input_and_state_accepted(self):
+        parse_model("model m { input a: bool; output o: bool; state s: bool hidden = 0; "
+                    "logic { if (held(a && s, 1s)) { o = 1; s = 0; } else { o = 0; s = a; } } }")
 
     def test_int_range_and_ms_durations(self):
         src = ("model m { input level: int 0..3; output o: bool; "
@@ -261,6 +277,20 @@ class TestCheckModel:
         assert [(d.code, d.node_id) for d in diags] == [("UnreachableLeaf", "t")]
         assert unreachable_leaves_bruteforce(ast) == {"t"}
 
+    def test_wide_model_dead_leaf_at_its_position(self):
+        source, position = _wide_source(dead=True)
+        start = time.perf_counter()
+        diags = check_model(parse_model(source))
+        assert time.perf_counter() - start < 1.0
+        assert [(d.code, d.node_id, d.line, d.col) for d in diags] == [
+            ("UnreachableLeaf", "ett", *position)]
+
+    def test_wide_model_without_dead_leaf_is_clean(self):
+        source, _ = _wide_source(dead=False)
+        start = time.perf_counter()
+        assert check_model(parse_model(source)) == []
+        assert time.perf_counter() - start < 1.0
+
     def test_type_error_int_condition(self):
         src = ("model m { input level: int 0..3; output o: bool; "
                "logic { if (level) { o = 1; } else { o = 0; } } }")
@@ -279,6 +309,31 @@ class TestCheckModel:
         diag = check_model(parse_model(src))[0]
         assert diag.format("m.ctl").startswith("m.ctl:")
         assert ": error: " in diag.format("m.ctl")
+
+
+def _wide_source(dead: bool) -> tuple:
+    """A model over 20 bool inputs, whose 2^20 input valuations no leaf
+    check may enumerate, and the line and column of its leaf 'ett', which
+    ``dead`` makes unreachable."""
+    lines = ["model wide {"] + ["  input a%d: bool;" % i for i in range(20)] + [
+        "  output o: int 0..3;",
+        "  logic {",
+        "    if (held(a0 && !a1, 2s) || a2 && a3) { o = 1; } else {",
+        "      if (a4 && a5 || a6 && a7 && a8) {",
+        "        if (%s) {" % ("!a4 && !a6" if dead else "!a4 && a8"),
+        "          o = 2;",
+        "        } else { o = 3; }",
+        "      } else {",
+        "        if (a9 || a10 || a11 || a12 || a13 || a14) { o = 1; } else {",
+        "          if (held(a15 && a16 && !a17, 3s) && a18) { o = 2; } else { o = a19; }",
+        "        }",
+        "      }",
+        "    }",
+        "  }",
+        "}",
+    ]
+    line = lines.index("          o = 2;")  # 1-based, the line of the block's brace
+    return "\n".join(lines) + "\n", (line, lines[line - 1].index("{") + 1)
 
 
 def _random_model_source(rng, max_duration_cycles=3):

@@ -36,10 +36,12 @@ from cyclotest.reduction import (
 from cyclotest.temporal import HoldTable
 from oracles import (
     WindowOracle,
+    _valuations,
     coverable_cases_bruteforce,
     enumerate_reachable_flag_states_reference,
     generalized_state_bruteforce,
     input_feasible_leaves_bruteforce,
+    piecemeal_inputs_bruteforce,
     projection_holds,
     reachable_flag_vectors,
     unreachable_leaves_bruteforce,
@@ -115,6 +117,26 @@ model single {
     if (held(k == 2, 2s)) {
       if (held(e && k == 2, 1s)) { o = 2; } else { o = 1; }
     } else { o = 0; }
+  }
+}
+"""
+
+# the walk splits on b before a, so leaf 'ett' ends with the box a=1, b=0,
+# c=1 before the box b=1, whose least valuation a=0, b=1, c=0 is less: the
+# search must enter a class at its least valuation, not at its first box
+ORDER_SRC = """
+model order {
+  input a: bool;
+  input b: bool;
+  input c: bool;
+  output o: bool;
+  state s: bool readable = 0;
+  logic {
+    if (held(s, 1s)) { s = 0; o = 1; } else {
+      if (b || c) {
+        if (a || b) { s = 1; o = 1; } else { o = 0; }
+      } else { o = 0; }
+    }
   }
 }
 """
@@ -323,7 +345,7 @@ class TestPrintedReduction:
 
     def test_sources_found(self):
         assert {"tank", "guard", "two", "latch", "gauge", "iron", "u", "heater", "quad", "single",
-                "stray"} <= {
+                "stray", "order"} <= {
             parse_model(p.values[0]).name for p in _model_sources()}
 
     @pytest.mark.parametrize("source", _model_sources())
@@ -379,7 +401,7 @@ class TestPrintedReduction:
         projections = derive_projections(extraction)
         parsed = [parse_expression(str(p).removeprefix("exists inputs: ")) for p in projections]
         for env in _state_envs(extraction):
-            envs = [dict(env, **valuation) for valuation in model.input_valuations]
+            envs = [dict(env, **valuation) for valuation in _valuations(model.inputs)]
             printed = tuple(int(any(eval_expr(e, full) for full in envs)) for e in parsed)
             assert printed == generalized_state(env, projections, model), (
                 [str(p) for p in projections], env)
@@ -517,6 +539,50 @@ class TestReachability:
         report = enumerate_reachable_flag_states(extract_predicates(ast), 1000)
         assert report.upper_bound == 1
         assert report.vectors == ((),)
+
+
+class TestWalkAgainstOracles:
+    """Every analysis that reads the symbolic walk (``ModelAst.leaf_boxes``
+    and ``input_boxes``) against the brute-force oracle that scans every
+    valuation, on every model the tests define, at 1000 and 700 ms under
+    both semantics."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("period", [1000, 700])
+    @pytest.mark.parametrize("model", REFERENCE_MODELS)
+    def test_analyses_equal_their_oracles(self, model, period, strict):
+        extraction = _extraction_at(model, period)
+        rewritten = extraction.model
+        report = enumerate_reachable_flag_states(extraction, period, strict)
+        reference = enumerate_reachable_flag_states_reference(extraction, period, strict)
+        assert list(report.witnesses.items()) == list(reference.witnesses.items())
+        assert report.states == reference.states
+
+        projections = derive_projections(extraction)
+        cases = [rewrite_to_predicates(pc, extraction)
+                 for pc in enumerate_test_cases(extraction.source)]
+        # every reachable state, and every other state the model can name
+        for env in _state_envs(extraction):
+            assert generalized_state(env, projections, rewritten) == (
+                generalized_state_bruteforce(env, projections, rewritten)), env
+            assert coverable_cases(env, cases, rewritten) == (
+                coverable_cases_bruteforce(env, cases, rewritten)), env
+        assert input_feasible_leaves(rewritten) == input_feasible_leaves_bruteforce(rewritten)
+        found = {d.node_id for d in check_model(extraction.source) if d.code == "UnreachableLeaf"}
+        assert found == unreachable_leaves_bruteforce(extraction.source)
+
+    @pytest.mark.parametrize("source", _model_sources())
+    def test_piecemeal_inputs_equal_a_scan(self, source):
+        ast = parse_model(source)
+        nodes = {leaf.node_id[:k] for leaf in ast.leaves() for k in range(len(leaf.node_id) + 1)}
+        for part in sorted(nodes):
+            want = piecemeal_inputs_bruteforce(ast, part)
+            if want is None:
+                with pytest.raises(reduction.ReductionError, match="no input valuation reaches"):
+                    make_piecemeal(ast, [part])
+            else:
+                got = make_piecemeal(ast, [part])[0]
+                assert (got.pinned, got.iterated) == want, part
 
 
 class TestEnlargement:
