@@ -138,12 +138,15 @@ def load_model(config: RunConfig):
     except ModelError as exc:
         raise CliError("%s: %s" % (config.model_path, exc), EXIT_PARSE) from exc
     period = config.scaled_period_ms()
+    durations = {e.duration_ms for dec in ast.decisions() for e in walk_exprs(dec.condition)
+                 if isinstance(e, Held)}
+    unused = sorted(set(config.remap) - durations)
+    if unused:
+        raise CliError("--remap-duration: no held() in %s lasts %s" % (
+            config.model_path, ", ".join("%d ms" % dur for dur in unused)), EXIT_PARSE)
     mapping = {}
     if config.time_scale != 1:
-        for dec in ast.decisions():
-            for e in walk_exprs(dec.condition):
-                if isinstance(e, Held):
-                    mapping[e.duration_ms] = max(1, int(e.duration_ms * config.time_scale))
+        mapping = {dur: max(1, int(dur * config.time_scale)) for dur in durations}
     for dur, cycles in config.remap.items():
         mapping[dur] = cycles * period
     if mapping:

@@ -5,6 +5,12 @@ mediator exchange, predicate/flag update, reference run of the model (state
 parameters get pre-values, temporal parameters get the post-exchange flags),
 state synchronization, and finally the postcondition comparing observed
 outputs and visible state against the reference values.
+
+The predicate/flag update and the reference run are together the cycle's
+step, a function of the inputs, the pre-state's variables and hold record,
+and the system time elapsed since the previous observation.  A specification
+remembers each step it takes (up to ``MEMO_CAP`` distinct ones), so a cycle
+that repeats a step, as the hold cycles of a scenario do, skips both.
 """
 from __future__ import annotations
 
@@ -19,10 +25,11 @@ from .dsl import ExtractionResult, ModelAst
 from .interp import DecisionTrace, eval_model
 from .mediator import CycleObservation, MediatorError, MediatorLink
 
-# Distinct cycles a specification remembers the reference run of, and distinct
-# states it remembers the abstract state of; past it, each new one is computed
-# afresh every time.
-MEMO_CAP = 4096
+# Distinct steps a specification remembers, distinct cycles it remembers the
+# reference run of, and distinct states it remembers the abstract state of;
+# past it, each new one is computed afresh every time.  The paper-scale iron
+# campaign takes 4,641 distinct steps.
+MEMO_CAP = 8192
 
 
 def _values_at(names: tuple) -> Callable[[Mapping], object]:
@@ -88,6 +95,15 @@ class Specification:
     remembered cycle skips the model and coverage, whose accumulation of one
     trace is idempotent.  The abstract state of the current state is
     remembered by the state's key (:meth:`abstract_state`).
+
+    A step is remembered by its key, taken after the exchange: the input
+    values in ``model.input_names`` order, the pre-state's variables in
+    ``model.state_vars`` order, its hold record, and the ms elapsed since the
+    previous observation (0 on the first).  Its value is the stepped
+    ``(holds, flags)`` pair with the reference run.  A remembered step skips
+    the hold-table step, the flags and the reference lookup; a step not
+    remembered takes them (:meth:`_step`).  Either way the state is then
+    synchronized with the observation and the postcondition compares it.
     """
 
     def __init__(self, extraction: ExtractionResult, link: MediatorLink,
@@ -102,6 +118,7 @@ class Specification:
         self._flags_at = _values_at(self.hold_table.predicate_ids)
         self._memo: dict = {}  # cycle -> (outputs, state_post, trace), shared
         self._abstract: dict = {}  # state key -> abstract state
+        self._steps: dict = {}  # step key -> ((holds, flags), reference run)
         self.state = SpecificationState(
             state_vars=self.model.initial_state(),
             holds=self.hold_table.initial,
@@ -167,6 +184,16 @@ class Specification:
                 self._memo[key] = result
         return result
 
+    def _step(self, inputs: Mapping, pre: SpecificationState, obs: CycleObservation,
+              key: tuple) -> tuple:
+        """A step the memo misses: the stepped ``(holds, flags)`` and the
+        reference run, remembered under ``key`` below the cap."""
+        stepped = mediator.step_predicates(self.hold_table, pre, obs, inputs)
+        step = stepped, self.reference(inputs, pre.state_vars, stepped[1])
+        if len(self._steps) < MEMO_CAP:
+            self._steps[key] = step
+        return step
+
     def apply_stimulus(self, inputs: Mapping) -> Verdict:
         reason = self.check_precondition(inputs)
         if reason is not None:
@@ -179,8 +206,13 @@ class Specification:
         except MediatorError as exc:
             return Verdict(VerdictKind.MEDIATOR_FAILURE, str(exc), self.link.next_cycle)
 
-        stepped = mediator.step_predicates(self.hold_table, pre, obs, inputs)
-        ref_outputs, ref_post, trace = self.reference(inputs, pre.state_vars, stepped[1])
+        last = pre.sys_time_ms
+        key = (self._inputs_at(inputs), self._state_at(pre.state_vars), pre.holds,
+               0 if last is None else obs.sys_time_ms - last)
+        step = self._steps.get(key)
+        if step is None:
+            step = self._step(inputs, pre, obs, key)
+        stepped, (ref_outputs, ref_post, trace) = step
         self.state = mediator.sync_state(pre, obs, ref_post, stepped)
 
         visible = obs.visible_state

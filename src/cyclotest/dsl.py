@@ -554,9 +554,9 @@ def _validate(ast: ModelAst) -> None:
                     raise SemanticError("cannot assign to input '%s'" % a.target, a.line, a.col)
                 _check_refs(a.value, seen, ast.output_names, in_condition=False)
                 assigned.add(a.target)
-    for out in ast.output_names:
-        if out not in assigned:
-            raise SemanticError("output never assigned: '%s'" % out)
+    for out in ast.outputs:
+        if out.name not in assigned:
+            raise SemanticError("output never assigned: '%s'" % out.name, out.line, out.col)
 
 
 def _check_refs(expr: Expr, decls: Mapping, outputs: tuple, in_condition: bool,
@@ -994,7 +994,8 @@ def extract_predicates(ast: ModelAst) -> ExtractionResult:
             val = str(expected)
         pid = "%s_eq_%s_t%d" % (var, val, dur_index[dur])
         if pid in decls:
-            raise SemanticError("predicate id '%s' collides with a declaration" % pid)
+            raise SemanticError("predicate id '%s' collides with a declaration" % pid,
+                                decls[pid].line, decls[pid].col)
         predicates.append(TemporalPredicateDecl(pid, var, expected, dur))
 
     index = {(p.var, p.expected, p.duration_ms): p.id for p in predicates}

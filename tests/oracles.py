@@ -15,6 +15,7 @@ import itertools
 import time
 from collections import deque
 
+from cyclotest import mediator
 from cyclotest.contracts import Specification, Verdict, VerdictKind
 from cyclotest.dsl import And, Held, eval_expr, free_vars, print_expr, walk_exprs
 from cyclotest.interp import eval_model
@@ -267,9 +268,13 @@ class CompoundWindowOracle:
 
 
 class PlainSpecification(Specification):
-    """The contract oracle without its memos: every cycle runs the model and
-    accumulates the trace into coverage, and every abstract state is
-    derived afresh."""
+    """The contract oracle without its memos: every cycle steps the hold
+    table, runs the model and accumulates the trace into coverage, and every
+    abstract state is derived afresh."""
+
+    def _step(self, inputs, pre, obs, key) -> tuple:
+        stepped = mediator.step_predicates(self.hold_table, pre, obs, inputs)
+        return stepped, self.reference(inputs, pre.state_vars, stepped[1])
 
     def reference(self, inputs, state_pre, flags) -> tuple:
         result = eval_model(self.model, inputs, state_pre, flags)

@@ -457,20 +457,45 @@ class TestBadArguments:
         assert not cycles.exists() and not started.exists()
 
     @pytest.mark.parametrize("command", ["run", "enumerate-states", "reduce"])
-    @pytest.mark.parametrize("source", [
+    def test_remap_of_an_unused_duration_exit_2(self, tmp_path, command):
+        # refused before a subject is started
+        started = tmp_path / "started"
+        subject = shlex.join([sys.executable, "-c", "open(%r, 'w')" % str(started)])
+        argv = [command, "--model", MODEL_PATH, "--remap-duration", "7s=3",
+                "--remap-duration", "60s=3"]
+        proc = _subprocess("cyclotest.cli", argv + (["--sut", "stdio:" + subject]
+                                                    if command == "run" else []))
+        _assert_usage_error(proc)
+        assert proc.stderr.splitlines() == [
+            "error: --remap-duration: no held() in %s lasts 7000 ms" % MODEL_PATH]
+        assert not started.exists()
+
+    @pytest.mark.parametrize("command", ["run", "enumerate-states", "reduce"])
+    def test_unassigned_output_exit_2_at_its_declaration(self, capsys, tmp_path, command):
+        model = tmp_path / "unassigned.ctl"
+        model.write_text("model m {\n  input a: bool;\n  output o: bool;\n  output p: bool;\n"
+                         "  logic { if (a) { o = 1; } else { o = 0; } }\n}\n")
+        code, out, err = _run(capsys, [command, "--model", str(model)])
+        assert code == 2
+        assert err.splitlines() == ["error: %s: 4:10: output never assigned: 'p'" % model]
+
+    @pytest.mark.parametrize("command", ["run", "enumerate-states", "reduce"])
+    @pytest.mark.parametrize("source, message", [
         pytest.param("model m { input a: bool; input b: bool; output o: bool; logic { "
                      "if (held(a || b, 3s)) { o = 1; } else { o = 0; } } }",
+                     "1:76: held() needs a conjunction of literals, got 'a || b'",
                      id="held-disjunction"),
         pytest.param("model m { input a: bool; output a_eq_t_t1: bool; logic { "
                      "if (held(a, 2s)) { a_eq_t_t1 = 1; } else { a_eq_t_t1 = 0; } } }",
+                     "1:33: predicate id 'a_eq_t_t1' collides with a declaration",
                      id="predicate-id-collision"),
     ])
-    def test_extraction_error_exit_2_without_traceback(self, tmp_path, command, source):
+    def test_extraction_error_exit_2_without_traceback(self, tmp_path, command, source, message):
         model = tmp_path / "bad.ctl"
         model.write_text(source)
         proc = _subprocess("cyclotest.cli", [command, "--model", str(model)])
         _assert_usage_error(proc)
-        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.splitlines() == ["error: %s: %s" % (model, message)]
 
 
 class TestOutputFaults:

@@ -1,21 +1,24 @@
 import itertools
+import random
 
 import pytest
-from conftest import GUARD_SRC, TANK_SRC, desk_config
+from conftest import GUARD_SRC, MODEL_PATH, TANK_SRC, desk_config
 
-from cyclotest import cli, contracts, scenarios, traversal
+from cyclotest import cli, contracts, mediator, scenarios, traversal
 from cyclotest.contracts import Specification, SpecificationState, VerdictKind
 from cyclotest.dsl import extract_predicates, parse_model
 from cyclotest.interp import eval_model
 from cyclotest.iron import DESK_DURATIONS_MS, MUTANT_IDS, IronSut
 from cyclotest.kernel import KernelConfig
-from cyclotest.mediator import InProcessLink, ProtocolError
+from cyclotest.mediator import InProcessLink, MediatorLink, ProtocolError
 from cyclotest.reduction import (
     derive_projections,
     enumerate_reachable_flag_states,
     generalized_state,
 )
+from cyclotest.temporal import HoldTable
 from oracles import PlainSpecification, _valuations
+from test_reduction import REFERENCE_MODELS, _extraction_at
 
 
 DIAL_SRC = ("model dial { input level: int 0..3; output o: bool; "
@@ -248,6 +251,11 @@ class TestHiddenState:
         assert verdict.mismatches[0].name == "out"
 
 
+# the memos' own cap, and one far below the distinct cycles, steps and states
+# of any campaign; named, so that a change of the cap renames no test
+CAPS = [pytest.param(contracts.MEMO_CAP, id="memo-cap"), pytest.param(2, id="cap-2")]
+
+
 def _flag_vectors(predicate_ids):
     for bits in itertools.product((False, True), repeat=len(predicate_ids)):
         yield dict(zip(predicate_ids, bits))
@@ -255,7 +263,8 @@ def _flag_vectors(predicate_ids):
 
 class TestOracleMemo:
     """The memoised oracle against the plain one of ``oracles.py``, which
-    runs the model and accumulates coverage on every cycle."""
+    steps the hold table, runs the model and accumulates coverage on every
+    cycle."""
 
     @pytest.mark.parametrize("name", ["tank", "guard", "desk iron", "paper iron"])
     def test_every_cycle_matches_the_model(self, name, iron_extraction, desk_extraction):
@@ -279,14 +288,20 @@ class TestOracleMemo:
         assert len(memo._memo) == len(cycles)
         assert memo.coverage == plain.coverage
 
-    @pytest.mark.parametrize("sut", ["inproc:iron"] + ["inproc:iron:" + m for m in MUTANT_IDS])
-    @pytest.mark.parametrize("cap", [contracts.MEMO_CAP, 2])
-    def test_campaign_equals_the_plain_oracle(self, monkeypatch, sut, cap):
-        # the cap of 2 is far below the desk campaign's distinct cycles
+    @pytest.mark.parametrize("scale, sut", [("desk", "inproc:iron")]
+                             + [("desk", "inproc:iron:" + m) for m in MUTANT_IDS]
+                             + [("paper", "inproc:iron")])
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_campaign_equals_the_plain_oracle(self, monkeypatch, scale, sut, cap):
+        # the paper-scale campaign takes 4,641 distinct steps
+        config = (desk_config(sut=sut) if scale == "desk"
+                  else cli.RunConfig(model_path=MODEL_PATH, sut=sut))
         monkeypatch.setattr(contracts, "MEMO_CAP", cap)
-        memo = cli.run_campaign(desk_config(sut=sut))
+        memo = cli.run_campaign(config)
         monkeypatch.setattr(cli, "Specification", PlainSpecification)
-        plain = cli.run_campaign(desk_config(sut=sut))
+        plain = cli.run_campaign(config)
+        if scale == "paper":
+            assert len(memo.log.entries) == 30_646
         assert memo.log.to_json_lines() == plain.log.to_json_lines()
         assert memo.log.outcome == plain.log.outcome
         assert memo.report == plain.report
@@ -305,6 +320,36 @@ class TestOracleMemo:
         assert len(seen) == len(set(seen))
         assert len(seen) < len(result.log.entries) == 216
 
+    def test_each_distinct_step_taken_once(self, monkeypatch):
+        # a step is keyed by the inputs, the pre-state's variables and hold
+        # record, and the ms since the previous observation
+        steps = []
+        real = mediator.step_predicates
+
+        def counted(table, pre, obs, inputs):
+            last = pre.sys_time_ms
+            steps.append((tuple(inputs.items()), tuple(pre.state_vars.items()), pre.holds,
+                          0 if last is None else obs.sys_time_ms - last))
+            return real(table, pre, obs, inputs)
+
+        monkeypatch.setattr(mediator, "step_predicates", counted)
+        result = cli.run_campaign(desk_config())
+        assert len(steps) == len(set(steps))
+        assert len(steps) < len(result.log.entries) == 216
+
+    def test_plain_oracle_steps_and_runs_the_model_every_cycle(self, monkeypatch):
+        import oracles
+
+        calls = []
+        for module, name in ((mediator, "step_predicates"), (oracles, "eval_model")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, real=real, name=name:
+                                calls.append(name) or real(*args))
+        monkeypatch.setattr(cli, "Specification", PlainSpecification)
+        result = cli.run_campaign(desk_config())
+        assert len(result.log.entries) == 216
+        assert calls.count("step_predicates") == calls.count("eval_model") == 216
+
     def test_cycles_past_the_cap_are_evaluated_every_time(self, monkeypatch):
         # the dial has no state and no predicates: a cycle is its input
         monkeypatch.setattr(contracts, "MEMO_CAP", 1)
@@ -318,12 +363,94 @@ class TestOracleMemo:
         assert len(calls) == 4  # level 3 once, level 0 every time
 
 
+class ScriptedLink(MediatorLink):
+    """A subject that runs the model as the plain oracle does: its hold table
+    is stepped by the system time it reports, then the model runs on the
+    flags.  At a scripted cycle it answers otherwise: ``("output", name)`` or
+    ``("state", name)`` sends that value changed within its domain, and
+    ``("time", ms)`` advances the clock by ``ms`` instead of the period.
+    Its own state stays the model's."""
+
+    def __init__(self, extraction, script: dict, period_ms: int = 1000):
+        super().__init__(extraction.model)
+        self.script = script
+        self.period_ms = period_ms
+        self.table = HoldTable(extraction.predicates)
+        self.holds = self.table.initial
+        self.state_vars = extraction.model.initial_state()
+        self.sys_time_ms = 0
+
+    def exchange(self, inputs):
+        model = self.model
+        cycle = self.next_cycle
+        fault, arg = self.script.get(cycle, (None, None))
+        elapsed = 0 if cycle == 0 else arg if fault == "time" else self.period_ms
+        self.sys_time_ms += elapsed
+        env = dict(self.state_vars)
+        env.update(inputs)
+        self.holds = self.table.step(self.holds, env, elapsed)
+        outputs, self.state_vars, _ = eval_model(model, inputs, self.state_vars,
+                                                 self.table.flags(self.holds))
+        outputs = dict(outputs)
+        visible = {name: self.state_vars[name] for name in model.readable_names}
+        for part, values in (("output", outputs), ("state", visible)):
+            if fault == part:
+                domain = model.domains[arg]
+                values[arg] = domain[(domain.index(values[arg]) + 1) % len(domain)]
+        return self._check_observation(cycle, self.sys_time_ms, outputs, visible)
+
+
+def _scripted_run(extraction, rng, cycles: int = 150):
+    """Seeded stimuli, each valuation held for 1 to 6 cycles, and a fault
+    script for about one cycle in ten."""
+    model = extraction.model
+    stimuli = []
+    while len(stimuli) < cycles:
+        valuation = {d.name: rng.choice(d.domain()) for d in model.inputs}
+        stimuli += [valuation] * rng.randint(1, 6)
+    faults = [("time", ms) for ms in (0, 500, 1500)]
+    faults += [("output", name) for name in model.output_names
+               if len(model.domains[name]) > 1]
+    faults += [("state", name) for name in model.readable_names
+               if len(model.domains[name]) > 1]
+    script = {cycle: rng.choice(faults) for cycle in range(1, cycles)
+              if rng.random() < 0.1}
+    return stimuli[:cycles], script
+
+
+class TestStepMemo:
+    """The memoised specification against the plain one, cycle by cycle,
+    through a subject that now and then sends a wrong output or visible
+    state, or reports an irregular system-time step."""
+
+    @pytest.mark.parametrize("model", REFERENCE_MODELS)
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_verdicts_and_states_equal_the_plain_oracle(self, monkeypatch, model, cap):
+        monkeypatch.setattr(contracts, "MEMO_CAP", cap)
+        extraction = _extraction_at(model, 1000)
+        for seed in range(3):
+            stimuli, script = _scripted_run(extraction, random.Random(seed))
+            memo = Specification(extraction, ScriptedLink(extraction, script))
+            plain = PlainSpecification(extraction, ScriptedLink(extraction, script))
+            misses = []
+            memo._step = lambda *args, real=memo._step: misses.append(1) or real(*args)
+            for cycle, inputs in enumerate(stimuli):
+                got, want = memo.apply_stimulus(inputs), plain.apply_stimulus(inputs)
+                assert (got.kind, got.detail, got.mismatches, got.cycle_index, got.trace) == (
+                    want.kind, want.detail, want.mismatches, want.cycle_index, want.trace), (
+                    seed, cycle, script.get(cycle))
+                assert memo.state == plain.state, (seed, cycle, script.get(cycle))
+            assert memo.coverage == plain.coverage
+            if cap > 2:
+                assert len(misses) < len(stimuli)  # some cycles repeat a step
+
+
 class TestAbstractStateMemo:
     """The abstract state that the specification remembers against
     ``generalized_state`` of the current state, computed afresh."""
 
     @pytest.mark.parametrize("sut", ["inproc:iron"] + ["inproc:iron:" + m for m in MUTANT_IDS])
-    @pytest.mark.parametrize("cap", [contracts.MEMO_CAP, 2])
+    @pytest.mark.parametrize("cap", CAPS)
     def test_logged_states_equal_the_unmemoised_state(self, monkeypatch, sut, cap):
         monkeypatch.setattr(contracts, "MEMO_CAP", cap)
         real = traversal._apply
@@ -344,7 +471,7 @@ class TestAbstractStateMemo:
         assert all(state == expected for state, expected in checked)
 
     @pytest.mark.parametrize("name", ["desk iron", "tank", "guard"])
-    @pytest.mark.parametrize("cap", [contracts.MEMO_CAP, 2])
+    @pytest.mark.parametrize("cap", CAPS)
     def test_every_reachable_state_matches(self, monkeypatch, desk_extraction, name, cap):
         monkeypatch.setattr(contracts, "MEMO_CAP", cap)
         extraction = {"tank": extract_predicates(parse_model(TANK_SRC)),
