@@ -35,14 +35,12 @@ from .mediator import (
 from .reduction import (
     PathCondition,
     Projection,
-    enlarge_states,
     enumerate_reachable_flag_states,
     enumerate_test_cases,
     generalized_state,
     input_feasible_leaves,
     make_piecemeal,
     project_to_state,
-    rewrite_to_predicates,
 )
 from .temporal import HoldTable
 from .traversal import (

@@ -23,7 +23,6 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from . import iron
@@ -48,7 +47,6 @@ from .reduction import (
     enumerate_reachable_flag_states,
     enumerate_test_cases,
     make_piecemeal,
-    rewrite_to_predicates,
 )
 from .scenarios import build_coverage_scenario
 from .traversal import TraversalError, export_dot, traverse
@@ -81,7 +79,6 @@ class RunConfig:
     parts: tuple = ()
     cycle_period_ms: int = 1000
     streaming: bool = True
-    time_scale: Fraction = Fraction(1)
     remap: dict = field(default_factory=dict)  # duration_ms -> cycles
     budget: int = 10_000
     seed: Optional[int] = None
@@ -89,12 +86,6 @@ class RunConfig:
     timeout_s: float = 5.0
     required: tuple = ()  # ((criterion, ratio), ...)
     jobs: int = 1
-
-    def scaled_period_ms(self) -> int:
-        period = int(self.cycle_period_ms * self.time_scale)
-        if period <= 0:
-            raise CliError("time scale makes the cycle period vanish", EXIT_PARSE)
-        return period
 
 
 @dataclass
@@ -127,7 +118,7 @@ class CampaignResult:
 
 def load_model(config: RunConfig):
     """The checked model with its temporal predicates extracted, and the
-    scaled cycle period; any model problem is a ``CliError`` with exit 2."""
+    cycle period; any model problem is a ``CliError`` with exit 2."""
     try:
         with open(config.model_path, encoding="utf-8") as fh:
             source = fh.read()
@@ -137,20 +128,15 @@ def load_model(config: RunConfig):
         ast = parse_model(source)
     except ModelError as exc:
         raise CliError("%s: %s" % (config.model_path, exc), EXIT_PARSE) from exc
-    period = config.scaled_period_ms()
+    period = config.cycle_period_ms
     durations = {e.duration_ms for dec in ast.decisions() for e in walk_exprs(dec.condition)
                  if isinstance(e, Held)}
     unused = sorted(set(config.remap) - durations)
     if unused:
         raise CliError("--remap-duration: no held() in %s lasts %s" % (
             config.model_path, ", ".join("%d ms" % dur for dur in unused)), EXIT_PARSE)
-    mapping = {}
-    if config.time_scale != 1:
-        mapping = {dur: max(1, int(dur * config.time_scale)) for dur in durations}
-    for dur, cycles in config.remap.items():
-        mapping[dur] = cycles * period
-    if mapping:
-        ast = rescale_durations(ast, mapping)
+    if config.remap:
+        ast = rescale_durations(ast, {dur: cycles * period for dur, cycles in config.remap.items()})
     diagnostics = check_model(ast)
     for diag in diagnostics:
         print(diag.format(config.model_path), file=sys.stderr)
@@ -181,10 +167,11 @@ def build_link(model, extraction, config: RunConfig, period_ms: int):
         return InProcessLink(model, sut, kcfg)
     try:
         if kind == "tcp":
-            host, _, port = rest.rpartition(":")
-            if not port.isdigit():
-                raise CliError("bad TCP port in %r" % spec_str, EXIT_PARSE)
-            return TcpLink(model, host, int(port), config.timeout_s)
+            try:
+                host, port = tcp_address(spec_str)
+            except ValueError as exc:
+                raise CliError("bad TCP port in %r" % spec_str, EXIT_PARSE) from exc
+            return TcpLink(model, host, port, config.timeout_s)
         if kind == "stdio":
             return StdioLink(model, shlex.split(rest), config.timeout_s)
     except MediatorError as exc:
@@ -388,7 +375,8 @@ def cmd_reduce(args) -> tuple:
     extraction, period = load_model(config)
     ast = extraction.source
     cases = enumerate_test_cases(ast)
-    rewritten = [rewrite_to_predicates(pc, extraction) for pc in cases]
+    # the rewritten model's cases are the source's cases, rewritten
+    rewritten = enumerate_test_cases(extraction.model)
     projections = derive_projections(extraction)
     reach = enumerate_reachable_flag_states(extraction, period, config.strict_held)
 
@@ -399,7 +387,7 @@ def cmd_reduce(args) -> tuple:
         env.update(zip(reach.predicate_ids, vec))
         coverable = coverable_cases(env, cases, extraction.model)
         member = tuple(int(pc.id in coverable) for pc in cases)
-        cells.setdefault(member, []).append((dict(state_vars), vec, sorted(coverable)))
+        cells.setdefault(member, []).append((vec, sorted(coverable)))
 
     if args.json:
         payload = {
@@ -410,8 +398,8 @@ def cmd_reduce(args) -> tuple:
             "partition": [
                 {
                     "membership": list(member),
-                    "states": [list(vec) for _, vec, _ in members],
-                    "coverable_cases": members[0][2],
+                    "states": [list(vec) for vec, _ in members],
+                    "coverable_cases": members[0][1],
                 }
                 for member, members in sorted(cells.items())
             ],
@@ -427,7 +415,7 @@ def cmd_reduce(args) -> tuple:
         lines.append("step 4: membership-vector partition of %d reachable flag state(s)"
                      % reach.reachable_count)
         lines += ["  vector %s: %d state(s), coverable cases %s"
-                  % (list(member), len(members), members[0][2])
+                  % (list(member), len(members), members[0][1])
                   for member, members in sorted(cells.items())]
     return EXIT_OK, lines
 
@@ -461,13 +449,6 @@ def criterion_ratio(text: str) -> tuple:
     return criterion, value
 
 
-def fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except ZeroDivisionError as exc:
-        raise ValueError(text) from exc
-
-
 def positive_int(text: str) -> int:
     value = int(text)
     if value <= 0:
@@ -482,6 +463,15 @@ def positive_float(text: str) -> float:
     return value
 
 
+def tcp_address(text: str) -> tuple:
+    """``tcp:HOST:PORT`` as ``(host, port)``."""
+    kind, _, address = text.partition(":")
+    host, _, port = address.rpartition(":")
+    if kind != "tcp" or not 0 <= int(port) <= 65535:
+        raise ValueError(text)
+    return host, int(port)
+
+
 def _config_from_args(args) -> RunConfig:
     return RunConfig(
         model_path=args.model,
@@ -490,7 +480,6 @@ def _config_from_args(args) -> RunConfig:
         parts=tuple(getattr(args, "parts", ()) or ()),
         cycle_period_ms=args.period_ms,
         streaming=not getattr(args, "no_streaming", False),
-        time_scale=args.time_scale,
         remap=dict(args.remap_duration or ()),
         budget=getattr(args, "budget", 10_000),
         seed=getattr(args, "seed", None),
@@ -504,8 +493,6 @@ def _config_from_args(args) -> RunConfig:
 def _add_model_options(sub) -> None:
     sub.add_argument("--model", required=True, help="path to the .ctl model")
     sub.add_argument("--period-ms", type=positive_int, default=1000, help="cycle period in ms")
-    sub.add_argument("--time-scale", type=fraction, default="1",
-                     help="uniform rational scale for durations and period, e.g. 1/10")
     sub.add_argument("--remap-duration", type=duration_cycles, action="append",
                      metavar="DUR=CYCLES",
                      help="map one held() duration to a cycle count, e.g. 60s=3")

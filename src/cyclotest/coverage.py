@@ -8,7 +8,6 @@ different decision outcomes.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .dsl import ModelAst
@@ -138,14 +137,6 @@ class CoverageReport:
 
     def summary(self) -> dict:
         return {criterion: self.ratio(criterion) for criterion in CRITERIA}
-
-    def to_json(self) -> str:
-        data = {
-            "model": self.model_name,
-            "ratios": self.summary(),
-            "uncovered": {c: self.uncovered(c) for c in CRITERIA},
-        }
-        return json.dumps(data, sort_keys=True, indent=2)
 
     def to_text(self) -> str:
         lines = ["coverage of model '%s'" % self.model_name]

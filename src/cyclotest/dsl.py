@@ -945,10 +945,6 @@ class ExtractionResult:
     model: ModelAst  # rewritten: held() replaced by predicate references
     predicates: tuple
 
-    def rewrite_expr(self, expr: Expr) -> Expr:
-        index = {(p.var, p.expected, p.duration_ms): p.id for p in self.predicates}
-        return _map_held(expr, lambda held: _predicate_conjunction(held, index))
-
 
 def _held_literals(formula: Expr) -> list:
     """Flatten a held() formula into (var, expected-value, unit) literals."""

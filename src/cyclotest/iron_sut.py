@@ -11,7 +11,7 @@ import argparse
 import socket
 import sys
 
-from .cli import positive_int
+from .cli import positive_int, tcp_address
 from .iron import FULL_DURATIONS_MS, IronSut, MUTANT_IDS, iron_model
 from .kernel import KernelConfig
 from .mediator import InProcessLink, ProtocolError, WireMessage
@@ -58,18 +58,10 @@ def serve(reader, writer, sut: IronSut, period_ms: int) -> int:
 
 
 def duration_pair(text: str) -> tuple:
-    """``SHORT_MS,LONG_MS``; argparse reports a ValueError as a usage error."""
+    """``SHORT_MS,LONG_MS``, each a positive int; argparse reports a
+    ValueError as a usage error."""
     short, long_ = text.split(",")
-    return int(short), int(long_)
-
-
-def tcp_address(text: str) -> tuple:
-    """``tcp:HOST:PORT`` as ``(host, port)``; a ValueError is a usage error."""
-    kind, _, address = text.partition(":")
-    host, _, port = address.rpartition(":")
-    if kind != "tcp" or not 0 <= int(port) <= 65535:
-        raise ValueError(text)
-    return host, int(port)
+    return positive_int(short), positive_int(long_)
 
 
 def main(argv=None) -> int:

@@ -5,7 +5,7 @@ leaf (together they give branch coverage), (2) temporal conditions rewritten
 over predicate identifiers, (3) projection onto the state space by
 existentially eliminating the input atoms, (4) abstract states as the
 projection-membership bit vector.  Plus: reachability enumeration of flag
-states, piecemeal scenario skeletons, and enlargement of state partitions.
+states and piecemeal scenario skeletons.
 
 No step enumerates the input valuations: each reads the boxes of one
 symbolic walk of the decision tree per model (:class:`~.dsl.LeafBoxes`).
@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .dsl import (
     Const,
@@ -31,7 +31,6 @@ from .dsl import (
     Not,
     free_vars,
     print_conjunction,
-    print_expr,
 )
 from .interp import eval_model
 from .temporal import HoldTable
@@ -79,12 +78,6 @@ def enumerate_test_cases(ast: ModelAst) -> list:
     return cases
 
 
-def rewrite_to_predicates(pc: PathCondition, extraction: ExtractionResult) -> PathCondition:
-    """Replace temporal conditions inside a path condition by conjunctions of
-    predicate identifiers."""
-    return PathCondition(pc.id, pc.leaf_id, tuple(map(extraction.rewrite_expr, pc.factors)))
-
-
 # ---------------------------------------------------------------------------
 # Step 3: projection onto the state space
 
@@ -100,7 +93,6 @@ class Projection:
     """
 
     id: str
-    case_id: str
     leaf_id: str
     factors: tuple
     exists_inputs: bool
@@ -128,11 +120,11 @@ def project_to_state(pc: PathCondition, model: ModelAst, feasible_leaves: frozen
     refs = [free_vars(f) for f in pc.factors]
     pid = "P%s" % pc.id.removeprefix("case")
     if any(r & inputs and r - inputs for r in refs):
-        return Projection(pid, pc.id, pc.leaf_id, pc.factors, True)
+        return Projection(pid, pc.leaf_id, pc.factors, True)
     if pc.leaf_id not in feasible_leaves:
-        return Projection(pid, pc.id, pc.leaf_id, (Const(0, True),), False)
+        return Projection(pid, pc.leaf_id, (Const(0, True),), False)
     kept = tuple(f for f, r in zip(pc.factors, refs) if not (r and r <= inputs))
-    return Projection(pid, pc.id, pc.leaf_id, kept, False)
+    return Projection(pid, pc.leaf_id, kept, False)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +414,7 @@ def _least_trail(model: ModelAst, clocks: list, targets: list, length: int) -> t
 
 
 # ---------------------------------------------------------------------------
-# Coverable-case sets and enlargement
+# Coverable-case sets
 
 
 def coverable_cases(state_env: Mapping, cases: Sequence, model: ModelAst) -> frozenset:
@@ -432,20 +424,6 @@ def coverable_cases(state_env: Mapping, cases: Sequence, model: ModelAst) -> fro
     return frozenset(pc.id for pc, bit in zip(cases, member) if bit)
 
 
-def enlarge_states(partition: Sequence, coverable: Callable) -> list:
-    """Merge partition cells whose coverable-case signatures coincide.
-
-    ``partition`` is a sequence of iterables of states; ``coverable`` maps a
-    state to its coverable-case set.  Cells merge only when every per-state
-    signature present in one also defines the other, so states with different
-    coverable sets are never newly mixed.
-    """
-    merged: dict = {}  # signature -> the states of its cells, first seen first
-    for cell in map(tuple, partition):
-        merged.setdefault(frozenset(map(coverable, cell)), []).extend(cell)
-    return [tuple(states) for states in merged.values()]
-
-
 # ---------------------------------------------------------------------------
 # Piecemeal testing
 
@@ -453,27 +431,21 @@ def enlarge_states(partition: Sequence, coverable: Callable) -> list:
 @dataclass(frozen=True)
 class PiecemealPart:
     """Scenario skeleton for one subtree: inputs pinned to steer execution
-    into the part, the rest iterated, plus any path conditions the scenario
-    must establish over time."""
+    into the part, the rest iterated."""
 
     node_id: str
     pinned: dict
     iterated: dict  # input -> candidate values
-    establish: tuple  # printed non-input path factors on the way to the part
     case_ids: tuple  # test cases inside the part
 
 
 def make_piecemeal(ast: ModelAst, parts: Sequence) -> list:
     """Split a model into per-subtree scenario skeletons."""
     cases = enumerate_test_cases(ast)
-    # a node's id is its t/e path from the root, so the factors on the way to
-    # it are the first len(id) factors of any case below it
-    prefixes = {}
-    for pc in cases:
-        for k in range(len(pc.leaf_id) + 1):
-            prefixes.setdefault(pc.leaf_id[:k], pc.factors[:k])
+    # a node's id is its t/e path from the root: a prefix of a leaf's id
+    nodes = {pc.leaf_id[:k] for pc in cases for k in range(len(pc.leaf_id) + 1)}
     for part in parts:
-        if part not in prefixes:
+        if part not in nodes:
             raise ReductionError("unknown node id %r" % part)
     for a, b in itertools.combinations(parts, 2):
         if a.startswith(b) or b.startswith(a):
@@ -493,10 +465,6 @@ def make_piecemeal(ast: ModelAst, parts: Sequence) -> list:
                 pinned[name] = values[0]
             else:
                 iterated[name] = tuple(values)
-        # held() cannot be pinned cycle by cycle, even over inputs alone
-        other_factors = [f for f in prefixes[part] if not ast.over_inputs(f)]
         case_ids = tuple(pc.id for pc in cases if pc.leaf_id.startswith(part))
-        skeletons.append(
-            PiecemealPart(part, pinned, iterated, tuple(map(print_expr, other_factors)), case_ids)
-        )
+        skeletons.append(PiecemealPart(part, pinned, iterated, case_ids))
     return skeletons

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 from .contracts import PASS, Verdict
 
@@ -63,14 +63,12 @@ class ScenarioFunction:
 
     ``body`` maps an iteration valuation to the stimulus inputs of one
     specification call, or to a sequence of them (a scenario function may
-    perform several calls; it still counts as one test action).  ``filter``
-    prunes valuations per abstract state.
+    perform several calls; it still counts as one test action).
     """
 
     name: str
     body: Callable[[dict], object]
     iteration_vars: tuple = ()  # ((var, (values...)), ...)
-    filter: Optional[Callable[[dict, object], bool]] = None
 
     def valuations(self) -> list:
         if not self.iteration_vars:
@@ -105,14 +103,10 @@ class Scenario:
     state_fn: Callable[[], object]
     functions: list
 
-    def enabled_actions(self, state) -> list:
-        actions = []
-        for fn in self.functions:
-            for valuation in fn.valuations():
-                if fn.filter is not None and not fn.filter(valuation, state):
-                    continue
-                actions.append(Action(fn.label(valuation), fn, tuple(sorted(valuation.items()))))
-        return actions
+    def enabled_actions(self) -> list:
+        """One action per function and iteration valuation, for every state."""
+        return [Action(fn.label(valuation), fn, tuple(sorted(valuation.items())))
+                for fn in self.functions for valuation in fn.valuations()]
 
 
 class LogEntry(NamedTuple):
@@ -250,7 +244,7 @@ def _apply(action: Action, spec, scenario: Scenario, log: TestLog, source, repla
 def _discover(automaton: ExploredAutomaton, scenario: Scenario, state, rng) -> None:
     if state in automaton.pending:
         return
-    actions = scenario.enabled_actions(state)
+    actions = scenario.enabled_actions()
     if rng is not None:
         rng.shuffle(actions)
     automaton.pending[state] = actions

@@ -25,7 +25,6 @@ from cyclotest.reduction import (
     enumerate_reachable_flag_states,
     enumerate_test_cases,
     generalized_state,
-    rewrite_to_predicates,
 )
 from cyclotest.temporal import HoldTable
 from cyclotest.traversal import NondeterminismDetected, traverse
@@ -67,7 +66,7 @@ def test_c01_state_arithmetic(desk_extraction, capsys):
 
 def test_c02_reduction_lists(iron_ast, iron_extraction, capsys):
     cases = enumerate_test_cases(iron_ast)
-    rewritten = [rewrite_to_predicates(pc, iron_extraction) for pc in cases]
+    rewritten = enumerate_test_cases(iron_extraction.model)
     projections = derive_projections(iron_extraction)
     ok = (
         [str(pc) for pc in cases]
@@ -116,8 +115,7 @@ def test_c03_branch_coverage(capsys):
 
 def test_c04_partition_soundness(desk_extraction, desk_projections, capsys):
     reach = enumerate_reachable_flag_states(desk_extraction, PERIOD)
-    rewritten = [rewrite_to_predicates(pc, desk_extraction)
-                 for pc in enumerate_test_cases(desk_extraction.source)]
+    rewritten = enumerate_test_cases(desk_extraction.model)
     cells = {}
     for vector in reach.vectors:
         env = dict(zip(reach.predicate_ids, vector))

@@ -181,9 +181,6 @@ class TestMerge:
 
 
 class TestRendering:
-    def test_json_stable(self, correct_run):
-        assert correct_run.report.to_json() == correct_run.report.to_json()
-
     def test_text_mentions_every_criterion(self, correct_run):
         text = correct_run.report.to_text()
         for criterion in ("branch", "decision", "condition", "mcdc"):

@@ -24,14 +24,12 @@ from cyclotest.reduction import (
     OverlappingParts,
     coverable_cases,
     derive_projections,
-    enlarge_states,
     enumerate_reachable_flag_states,
     enumerate_test_cases,
     generalized_state,
     input_feasible_leaves,
     make_piecemeal,
     project_to_state,
-    rewrite_to_predicates,
 )
 from cyclotest.temporal import HoldTable
 from oracles import (
@@ -185,9 +183,8 @@ class TestTestCases:
         )
         assert [str(pc) for pc in enumerate_test_cases(ast)] == ["a", "!a"]
 
-    def test_rewritten_conditions(self, iron_ast, iron_extraction):
-        rewritten = [rewrite_to_predicates(pc, iron_extraction)
-                     for pc in enumerate_test_cases(iron_ast)]
+    def test_rewritten_conditions(self, iron_extraction):
+        rewritten = enumerate_test_cases(iron_extraction.model)
         assert [str(pc) for pc in rewritten] == [
             "position && move_eq_f_t2 && position_eq_t_t2",
             "position && !(move_eq_f_t2 && position_eq_t_t2)",
@@ -201,8 +198,7 @@ class TestTestCases:
             "logic { if (a) { o = 1; } else { o = 0; } } }"
         )
         ex = extract_predicates(ast)
-        pc = enumerate_test_cases(ast)[0]
-        assert str(rewrite_to_predicates(pc, ex)) == str(pc)
+        assert str(enumerate_test_cases(ex.model)[0]) == str(enumerate_test_cases(ast)[0])
 
 
 class TestProjections:
@@ -222,7 +218,7 @@ class TestProjections:
             "logic { if (a) { o = 1; } else { o = 0; } } }"
         )
         ex = extract_predicates(ast)
-        pc = rewrite_to_predicates(enumerate_test_cases(ast)[0], ex)
+        pc = enumerate_test_cases(ex.model)[0]
         projection = project_to_state(pc, ex.model, input_feasible_leaves(ex.model))
         assert str(projection) == "true"
         assert projection_holds(projection, {}, ex.model) is True
@@ -230,8 +226,7 @@ class TestProjections:
     def test_dropping_input_factors_matches_existential_semantics(self, iron_extraction):
         from cyclotest.dsl import eval_expr
 
-        cases = [rewrite_to_predicates(pc, iron_extraction)
-                 for pc in enumerate_test_cases(iron_extraction.source)]
+        cases = enumerate_test_cases(iron_extraction.model)
         projections = derive_projections(iron_extraction)
         for bits in itertools.product((0, 1), repeat=4):
             env = _env(bits)
@@ -242,8 +237,7 @@ class TestProjections:
 
     def test_projection_soundness(self, iron_extraction):
         # every state in a projection admits inputs covering the source case
-        cases = [rewrite_to_predicates(pc, iron_extraction)
-                 for pc in enumerate_test_cases(iron_extraction.source)]
+        cases = enumerate_test_cases(iron_extraction.model)
         projections = derive_projections(iron_extraction)
         for bits in itertools.product((0, 1), repeat=4):
             env = _env(bits)
@@ -292,8 +286,7 @@ class TestTreeWalkMatchesBruteForce:
     def test_generalized_states_and_coverable_cases(self, make):
         extraction = extract_predicates(make())
         projections = derive_projections(extraction)
-        rewritten = [rewrite_to_predicates(pc, extraction)
-                     for pc in enumerate_test_cases(extraction.source)]
+        rewritten = enumerate_test_cases(extraction.model)
         envs = _state_envs(extraction)
         members = set()
         for env in envs:
@@ -378,7 +371,7 @@ class TestPrintedReduction:
         ids = [p.id for p in extraction.predicates]
         envs = [dict(env, **dict(zip(ids, bits)))
                 for env in var_envs for bits in itertools.product((0, 1), repeat=len(ids))]
-        records = [rewrite_to_predicates(pc, extraction) for pc in enumerate_test_cases(model)]
+        records = enumerate_test_cases(extraction.model)
         records += derive_projections(extraction)
         for record in records:
             text = str(record).removeprefix("exists inputs: ")
@@ -559,8 +552,7 @@ class TestWalkAgainstOracles:
         assert report.states == reference.states
 
         projections = derive_projections(extraction)
-        cases = [rewrite_to_predicates(pc, extraction)
-                 for pc in enumerate_test_cases(extraction.source)]
+        cases = enumerate_test_cases(rewritten)
         # every reachable state, and every other state the model can name
         for env in _state_envs(extraction):
             assert generalized_state(env, projections, rewritten) == (
@@ -583,49 +575,6 @@ class TestWalkAgainstOracles:
             else:
                 got = make_piecemeal(ast, [part])[0]
                 assert (got.pinned, got.iterated) == want, part
-
-
-class TestEnlargement:
-    def _coverable(self, desk_extraction):
-        cases = [rewrite_to_predicates(pc, desk_extraction)
-                 for pc in enumerate_test_cases(desk_extraction.source)]
-
-        def fn(bits):
-            return coverable_cases(_env(bits), cases, desk_extraction.model)
-
-        return fn
-
-    def test_identity_partition_merges_to_three_cells(self, desk_extraction):
-        report = enumerate_reachable_flag_states(desk_extraction, 1000)
-        identity = [[vec] for vec in sorted(report.vectors)]
-        merged = enlarge_states(identity, self._coverable(desk_extraction))
-        assert len(merged) == 3
-        assert sorted(len(cell) for cell in merged) == [1, 2, 6]
-
-    def test_already_coarsest_partition_unchanged(self, desk_extraction, desk_projections):
-        report = enumerate_reachable_flag_states(desk_extraction, 1000)
-        cells = {}
-        for vec in sorted(report.vectors):
-            member = generalized_state(_env(vec), desk_projections, desk_extraction.model)
-            cells.setdefault(member, []).append(vec)
-        partition = [tuple(v) for _, v in sorted(cells.items())]
-        merged = enlarge_states(partition, self._coverable(desk_extraction))
-        assert [set(c) for c in merged] == [set(c) for c in partition]
-
-    def test_single_cell_unchanged(self, desk_extraction):
-        report = enumerate_reachable_flag_states(desk_extraction, 1000)
-        partition = [tuple(sorted(report.vectors))]
-        merged = enlarge_states(partition, self._coverable(desk_extraction))
-        assert len(merged) == 1
-        assert set(merged[0]) == set(report.vectors)
-
-    def test_never_merges_different_coverable_sets(self, desk_extraction):
-        report = enumerate_reachable_flag_states(desk_extraction, 1000)
-        coverable = self._coverable(desk_extraction)
-        merged = enlarge_states([[v] for v in sorted(report.vectors)], coverable)
-        for cell in merged:
-            signatures = {coverable(state) for state in cell}
-            assert len(signatures) == 1
 
 
 class TestPiecemeal:
@@ -651,8 +600,3 @@ class TestPiecemeal:
     def test_unknown_part_rejected(self, iron_ast):
         with pytest.raises(Exception, match="unknown node id"):
             make_piecemeal(iron_ast, ["x"])
-
-    def test_temporal_prefix_reported_as_establish_goal(self, iron_ast):
-        part = make_piecemeal(iron_ast, ["tt"])[0]
-        assert part.pinned == {"position": 1}
-        assert part.establish == ("held(!move && position, 900s)",)

@@ -166,22 +166,7 @@ class TestDiagnostics:
         assert log.entries[-1].verdict == "PostconditionFailure"
 
 
-class TestFiltersAndBudget:
-    def test_filter_prunes_valuations_per_state(self):
-        delta = {(0, "go(x=0)"): 1, (0, "go(x=1)"): 1,
-                 (1, "go(x=0)"): 0, (1, "go(x=1)"): 0}
-        system = ExplicitSystem(delta, 0)
-        fn = ScenarioFunction(
-            "go",
-            lambda v: {"action": "go(x=%d)" % v["x"]},
-            iteration_vars=(("x", (0, 1)),),
-            filter=lambda v, state: not (state == 1 and v["x"] == 1),
-        )
-        log, automaton = traverse(Scenario("filtered", system.abstract_state, [fn]), system)
-        applied = {(e.state, e.action) for e in log.entries}
-        assert (1, "go(x=1)") not in applied
-        assert (0, "go(x=1)") in applied
-
+class TestBudget:
     def test_replays_count_against_budget(self):
         delta, labels, initial = random_scc_automaton(random.Random(7), 10, 3)
         system = ExplicitSystem(delta, initial)
