@@ -48,7 +48,6 @@ from .traversal import (
     ExploredAutomaton,
     NondeterminismDetected,
     Scenario,
-    ScenarioFunction,
     StrandedPendingActions,
     TestLog,
     export_dot,

@@ -117,8 +117,8 @@ class CampaignResult:
 
 
 def load_model(config: RunConfig):
-    """The checked model with its temporal predicates extracted, and the
-    cycle period; any model problem is a ``CliError`` with exit 2."""
+    """The checked model with its temporal predicates extracted; any model
+    problem is a ``CliError`` with exit 2."""
     try:
         with open(config.model_path, encoding="utf-8") as fh:
             source = fh.read()
@@ -128,7 +128,6 @@ def load_model(config: RunConfig):
         ast = parse_model(source)
     except ModelError as exc:
         raise CliError("%s: %s" % (config.model_path, exc), EXIT_PARSE) from exc
-    period = config.cycle_period_ms
     durations = {e.duration_ms for dec in ast.decisions() for e in walk_exprs(dec.condition)
                  if isinstance(e, Held)}
     unused = sorted(set(config.remap) - durations)
@@ -136,14 +135,15 @@ def load_model(config: RunConfig):
         raise CliError("--remap-duration: no held() in %s lasts %s" % (
             config.model_path, ", ".join("%d ms" % dur for dur in unused)), EXIT_PARSE)
     if config.remap:
-        ast = rescale_durations(ast, {dur: cycles * period for dur, cycles in config.remap.items()})
+        ast = rescale_durations(ast, {dur: cycles * config.cycle_period_ms
+                                      for dur, cycles in config.remap.items()})
     diagnostics = check_model(ast)
     for diag in diagnostics:
         print(diag.format(config.model_path), file=sys.stderr)
     if any(d.severity == "error" for d in diagnostics):
         raise CliError("model has errors", EXIT_PARSE)
     try:
-        return extract_predicates(ast), period
+        return extract_predicates(ast)
     except ModelError as exc:
         raise CliError("%s: %s" % (config.model_path, exc), EXIT_PARSE) from exc
 
@@ -186,7 +186,7 @@ def run_campaign(config: RunConfig) -> CampaignResult:
     processes, with the results merged."""
     if config.scenario != "piecemeal" and (config.parts or config.jobs > 1):
         raise CliError("--parts and --jobs apply only to --scenario piecemeal", EXIT_PARSE)
-    extraction, period = load_model(config)
+    extraction = load_model(config)
     ast = extraction.source
     projections = derive_projections(extraction)
     # a bad scenario is rejected before a subject is started
@@ -203,7 +203,7 @@ def run_campaign(config: RunConfig) -> CampaignResult:
             parts = make_piecemeal(ast, ids)
         except ReductionError as exc:
             raise CliError(str(exc), EXIT_PARSE) from exc
-    run = functools.partial(run_part, config, extraction, projections, period)
+    run = functools.partial(run_part, config, extraction, projections)
     if config.scenario != "piecemeal":
         return run(parts[0])
     workers = min(config.jobs, len(parts))
@@ -223,9 +223,10 @@ def run_campaign(config: RunConfig) -> CampaignResult:
     return CampaignResult(merged, report, None, failed.error, failed.error_code)
 
 
-def run_part(config: RunConfig, extraction, projections, period: int, part) -> CampaignResult:
+def run_part(config: RunConfig, extraction, projections, part) -> CampaignResult:
     """One campaign against a fresh subject: the whole model when ``part``
     is ``None``, else one piecemeal part."""
+    period = config.cycle_period_ms
     link = build_link(extraction.source, extraction, config, period)
     rng = None if config.seed is None else random.Random(config.seed)
     spec = Specification(extraction, link, strict_held=config.strict_held)
@@ -343,8 +344,9 @@ def _format_witness(witness) -> str:
 
 def cmd_enumerate_states(args) -> tuple:
     config = _config_from_args(args)
-    extraction, period = load_model(config)
-    report = enumerate_reachable_flag_states(extraction, period, config.strict_held)
+    extraction = load_model(config)
+    report = enumerate_reachable_flag_states(extraction, config.cycle_period_ms,
+                                             config.strict_held)
     if args.json:
         payload = {
             "model": extraction.source.name,
@@ -372,13 +374,14 @@ def cmd_enumerate_states(args) -> tuple:
 
 def cmd_reduce(args) -> tuple:
     config = _config_from_args(args)
-    extraction, period = load_model(config)
+    extraction = load_model(config)
     ast = extraction.source
     cases = enumerate_test_cases(ast)
     # the rewritten model's cases are the source's cases, rewritten
     rewritten = enumerate_test_cases(extraction.model)
     projections = derive_projections(extraction)
-    reach = enumerate_reachable_flag_states(extraction, period, config.strict_held)
+    reach = enumerate_reachable_flag_states(extraction, config.cycle_period_ms,
+                                            config.strict_held)
 
     # a state's membership vector holds one bit per case: whether it is coverable there
     cells: dict = {}

@@ -26,15 +26,15 @@ class CoverageReport:
 
     model_name: str
     decisions: dict = field(default_factory=dict)  # node_id -> [atom ids]
-    outcomes_seen: dict = field(default_factory=dict)  # node_id -> set of bool
-    vectors_seen: dict = field(default_factory=dict)  # node_id -> {vector: outcome}
+    # node_id -> {vector: outcome}; an outcome is a function of its vector, so
+    # the outcomes seen are the values
+    vectors_seen: dict = field(default_factory=dict)
 
     @staticmethod
     def for_model(ast: ModelAst) -> "CoverageReport":
         report = CoverageReport(ast.name)
         for dec in ast.decisions():
             report.decisions[dec.node_id] = [a for a, _ in dec.atoms]
-            report.outcomes_seen[dec.node_id] = set()
             report.vectors_seen[dec.node_id] = {}
         return report
 
@@ -46,9 +46,12 @@ class CoverageReport:
                 "trace from model %r fed to report for %r" % (trace.model, self.model_name)
             )
         for record in trace.decisions:
-            if record.node_id not in self.decisions:
+            atoms = self.decisions.get(record.node_id)
+            if atoms is None:
                 raise ModelMismatch("trace mentions unknown decision %r" % record.node_id)
-            self.outcomes_seen[record.node_id].add(record.outcome)
+            if len(record.conditions) != len(atoms):
+                raise ModelMismatch("trace gives decision %r %d condition(s), not %d"
+                                    % (record.node_id, len(record.conditions), len(atoms)))
             vector = tuple(value for _, value in record.conditions)
             self.vectors_seen[record.node_id][vector] = record.outcome
         return self
@@ -57,7 +60,6 @@ class CoverageReport:
         if other.model_name != self.model_name:
             raise ModelMismatch("cannot merge reports of different models")
         for node_id in self.decisions:
-            self.outcomes_seen[node_id] |= other.outcomes_seen[node_id]
             self.vectors_seen[node_id].update(other.vectors_seen[node_id])
         return self
 
@@ -68,17 +70,18 @@ class CoverageReport:
         out = []
         if criterion == "branch":
             for node_id in self.decisions:
+                outcomes = set(self.vectors_seen[node_id].values())
                 for outcome, tag in ((True, "then"), (False, "else")):
-                    covered = outcome in self.outcomes_seen[node_id]
-                    out.append(("decision '%s' -> %s" % (node_id or "root", tag), covered))
+                    out.append(("decision '%s' -> %s" % (node_id or "root", tag),
+                                outcome in outcomes))
         elif criterion == "decision":
             for node_id in self.decisions:
-                covered = self.outcomes_seen[node_id] == {True, False}
+                covered = set(self.vectors_seen[node_id].values()) == {True, False}
                 out.append(("decision '%s'" % (node_id or "root"), covered))
         elif criterion == "condition":
             for node_id, atoms in self.decisions.items():
                 for i, atom in enumerate(atoms):
-                    values = {v[i] for v in self.vectors_seen[node_id] if len(v) == len(atoms)}
+                    values = {v[i] for v in self.vectors_seen[node_id]}
                     out.append(
                         ("condition '%s' in '%s'" % (atom, node_id or "root"),
                          values == {True, False})
@@ -113,9 +116,7 @@ class CoverageReport:
         result: dict = {}
         for node_id, atoms in self.decisions.items():
             by_atom: dict = {}
-            vectors = sorted(
-                (v, o) for v, o in self.vectors_seen[node_id].items() if len(v) == len(atoms)
-            )
+            vectors = sorted(self.vectors_seen[node_id].items())
             for i, atom in enumerate(atoms):
                 buckets: dict = {}
                 found = None

@@ -535,12 +535,10 @@ def _validate(ast: ModelAst) -> None:
         if decl.name in seen:
             raise SemanticError("duplicate declaration of '%s'" % decl.name, decl.line, decl.col)
         seen[decl.name] = decl
-        if decl.init is not None and decl.type == "int" and not decl.lo <= decl.init <= decl.hi:
-            raise SemanticError(
-                "initializer %d outside range %d..%d" % (decl.init, decl.lo, decl.hi),
-                decl.line,
-                decl.col,
-            )
+        domain = decl.domain()
+        if decl.init is not None and decl.init not in domain:
+            raise SemanticError("initializer %d outside range %d..%d"
+                                % (decl.init, domain[0], domain[-1]), decl.line, decl.col)
     inputs = set(ast.input_names)
     assigned = set()
     for node in walk_nodes(ast.body):
@@ -863,14 +861,19 @@ def check_model(ast: ModelAst) -> list:
                                "assigning %s value to bool '%s'" % (vtype, a.target),
                                a.line, a.col, leaf.node_id)
                 )
-            elif (target.type == "int" and isinstance(a.value, Const)
-                  and not target.lo <= a.value.value <= target.hi):
-                diags.append(
-                    Diagnostic("error", "ValueOutOfRange",
-                               "%d outside %d..%d for '%s'"
-                               % (a.value.value, target.lo, target.hi, a.target),
-                               a.line, a.col, leaf.node_id)
-                )
+            elif target.type == "int":
+                # a constant gives its own value, a variable its declared
+                # domain, anything else 0 or 1
+                value = a.value
+                const = isinstance(value, Const)
+                values = (range(value.value, value.value + 1) if const else
+                          decls[value.ident].domain() if isinstance(value, Name) else range(2))
+                if not target.lo <= values[0] <= values[-1] <= target.hi:
+                    shown = ("%d" % value.value if const else "'%s' in %d..%d can fall"
+                             % (print_expr(value), values[0], values[-1]))
+                    diags.append(Diagnostic("error", "ValueOutOfRange", "%s outside %d..%d for '%s'"
+                                            % (shown, target.lo, target.hi, a.target),
+                                            a.line, a.col, leaf.node_id))
     for dec in ast.decisions():
         ctype = _expr_type(dec.condition, decls, diags)
         if ctype is not None and not _bool_compatible(dec.condition, ctype):

@@ -1,7 +1,7 @@
 """Scenario construction over the reduced abstract state space.
 
-Two families of scenario functions are generated for a model with finite
-input domains:
+A scenario's actions are two families over every valuation of the iterated
+inputs, one table that every abstract state enables:
 
 * ``settle(<inputs>)`` holds one input valuation long enough to saturate
   every temporal predicate, which both reaches the abstract states needed
@@ -11,16 +11,19 @@ input domains:
   per-state input iteration) and then re-saturates on a fixed valuation so
   the end state is again concrete-state independent.
 
-A piecemeal part pins some inputs to steer execution into one subtree of
-the model and iterates only the rest.
+The table lists settle and then probe, each over the product of the
+iterated inputs' domains in ``input_names`` order; it is built when the
+traversal starts.  A piecemeal part pins some inputs to steer execution into
+one subtree of the model and iterates only the rest.
 """
 from __future__ import annotations
 
+import itertools
 from typing import Optional, Sequence
 
 from .dsl import ExtractionResult
 from .reduction import PiecemealPart, generalized_state
-from .traversal import Scenario, ScenarioFunction
+from .traversal import Action, Scenario
 
 
 def saturation_cycles(extraction: ExtractionResult, cycle_period_ms: int,
@@ -50,22 +53,16 @@ def build_coverage_scenario(spec, extraction: ExtractionResult, projections: Seq
         pinned, iterated = {}, {k: model.domains[k] for k in model.input_names}
     else:
         pinned, iterated = part.pinned, part.iterated
-    iteration_vars = tuple((k, tuple(iterated[k])) for k in model.input_names if k in iterated)
+    names = [k for k in model.input_names if k in iterated]
     hold = saturation_cycles(extraction, cycle_period_ms, strict)
     # re-saturation valuation: pinned values, iterated inputs at their maxima
-    renorm = dict(pinned)
-    renorm.update({k: max(v) for k, v in iterated.items()})
-
-    def stimulus(valuation: dict) -> dict:
-        inputs = dict(pinned)
-        inputs.update(valuation)
-        return inputs
+    renorm = {**pinned, **{k: max(v) for k, v in iterated.items()}}
 
     def settle(valuation: dict) -> list:
-        return [stimulus(valuation)] * hold
+        return [{**pinned, **valuation}] * hold
 
     def probe(valuation: dict) -> list:
-        return [stimulus(valuation)] + [dict(renorm)] * hold
+        return [{**pinned, **valuation}] + [dict(renorm)] * hold
 
     def abstract(state_env) -> tuple:
         return generalized_state(state_env, projections, model)
@@ -73,11 +70,17 @@ def build_coverage_scenario(spec, extraction: ExtractionResult, projections: Seq
     def state_fn():
         return spec.abstract_state(abstract)
 
+    def actions() -> list:
+        combos = list(itertools.product(*(iterated[k] for k in names)))
+        args = ["(%s)" % ", ".join("%s=%s" % kv for kv in zip(names, combo)) if names else ""
+                for combo in combos]
+        valuations = [tuple(sorted(zip(names, combo))) for combo in combos]
+        return [Action(family + arg, body, valuation)
+                for family, body in (("settle", settle), ("probe", probe))
+                for arg, valuation in zip(args, valuations)]
+
     return Scenario(
         name="full" if part is None else "piece:%s" % (part.node_id or "root"),
         state_fn=state_fn,
-        functions=[
-            ScenarioFunction("settle", settle, iteration_vars),
-            ScenarioFunction("probe", probe, iteration_vars),
-        ],
+        actions=actions,
     )

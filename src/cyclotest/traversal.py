@@ -2,17 +2,19 @@
 
 The automaton is discovered while testing: states come from the scenario's
 state generation function, transitions from applying test actions.  The
-engine greedily applies an unapplied action at the current state; when none
-is left it replays the shortest known path (BFS over recorded transitions,
-deterministic tie-breaking) to the nearest state with pending actions.  It
-terminates once every action has been applied in every reached state, and
-requires the final automaton to be finite, deterministic and strongly
-connected, diagnosing violations as it goes.
+scenario's action table is built once per traversal, and each discovered
+state queues those same actions, in declaration order or in a seeded
+shuffle.  The engine greedily applies an unapplied action at the
+current state; when none is left it replays the shortest known path (BFS
+over recorded transitions, deterministic tie-breaking) to the nearest state
+with pending actions.  It terminates once every action has been applied in
+every reached state, and requires the final automaton to be finite,
+deterministic and strongly connected, diagnosing violations as it goes.
 """
 from __future__ import annotations
 
-import itertools
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -57,56 +59,23 @@ class BudgetExceeded(TraversalError):
     pass
 
 
-@dataclass
-class ScenarioFunction:
-    """One test-action family.
-
-    ``body`` maps an iteration valuation to the stimulus inputs of one
-    specification call, or to a sequence of them (a scenario function may
-    perform several calls; it still counts as one test action).
-    """
-
-    name: str
-    body: Callable[[dict], object]
-    iteration_vars: tuple = ()  # ((var, (values...)), ...)
-
-    def valuations(self) -> list:
-        if not self.iteration_vars:
-            return [{}]
-        names = [name for name, _ in self.iteration_vars]
-        domains = [tuple(dom) for _, dom in self.iteration_vars]
-        return [dict(zip(names, combo)) for combo in itertools.product(*domains)]
-
-    def label(self, valuation: dict) -> str:
-        if not self.iteration_vars:
-            return self.name
-        rendered = ", ".join("%s=%s" % (n, valuation[n]) for n, _ in self.iteration_vars)
-        return "%s(%s)" % (self.name, rendered)
-
-
 @dataclass(frozen=True)
 class Action:
+    """One test action: ``body(dict(valuation))`` lists its stimuli."""
+
     label: str
-    fn: ScenarioFunction = field(compare=False)
-    valuation: tuple = ()
+    body: Callable[[dict], list] = field(compare=False)
+    valuation: tuple = ()  # ((var, value), ...), sorted by var
 
     def stimuli(self) -> list:
-        result = self.fn.body(dict(self.valuation))
-        if isinstance(result, dict):
-            return [result]
-        return list(result)
+        return self.body(dict(self.valuation))
 
 
 @dataclass
 class Scenario:
     name: str
     state_fn: Callable[[], object]
-    functions: list
-
-    def enabled_actions(self) -> list:
-        """One action per function and iteration valuation, for every state."""
-        return [Action(fn.label(valuation), fn, tuple(sorted(valuation.items())))
-                for fn in self.functions for valuation in fn.valuations()]
+    actions: Callable[[], list]  # the Actions every state enables, in declaration order
 
 
 class LogEntry(NamedTuple):
@@ -158,7 +127,7 @@ class ExploredAutomaton:
     """One record per discovered state: its pending actions and successors."""
 
     initial: object = None
-    pending: dict = field(default_factory=dict)  # state -> [Action, ...]
+    pending: dict = field(default_factory=dict)  # state -> deque of Actions
     successors: dict = field(default_factory=dict)  # state -> {label: (end, Action)}
 
     @property
@@ -183,18 +152,20 @@ def _state_key(state) -> str:
 def traverse(scenario: Scenario, spec, budget: int = 10_000, rng=None):
     """Drive the subject until every reached state has no pending actions.
 
-    ``spec`` needs only ``apply_stimulus(inputs) -> Verdict``.  Every applied
-    action, replayed or fresh, counts against ``budget``.  The walk ends at
-    the first non-passing verdict, since the synchronized specification
-    state is unreliable afterwards.
+    ``spec`` needs only ``apply_stimulus(inputs) -> Verdict``, and
+    ``scenario.actions()`` is called once.  Every applied action, replayed
+    or fresh, counts against ``budget``.  The walk ends at the first
+    non-passing verdict, since the synchronized specification state is
+    unreliable afterwards.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
     log = TestLog(scenario.name)
     automaton = ExploredAutomaton()
+    table = scenario.actions()
     current = scenario.state_fn()
     automaton.initial = current
-    _discover(automaton, scenario, current, rng)
+    _discover(automaton, table, current, rng)
     applied = 0
 
     while True:
@@ -213,7 +184,7 @@ def traverse(scenario: Scenario, spec, budget: int = 10_000, rng=None):
             if applied > budget:
                 raise BudgetExceeded(_budget_message(automaton, budget), log, automaton)
             if not replay:
-                automaton.pending[state].pop(0)
+                automaton.pending[state].popleft()
             end, failure = _apply(action, spec, scenario, log, state, replay)
             if failure is not None:
                 log.outcome = "verdict_failure"
@@ -224,7 +195,7 @@ def traverse(scenario: Scenario, spec, budget: int = 10_000, rng=None):
                 raise NondeterminismDetected(
                     state, action.label, recorded[0], end, log, automaton
                 )
-            _discover(automaton, scenario, end, rng)
+            _discover(automaton, table, end, rng)
             out[action.label] = (end, action)
             current = end
 
@@ -241,13 +212,13 @@ def _apply(action: Action, spec, scenario: Scenario, log: TestLog, source, repla
     return scenario.state_fn(), None
 
 
-def _discover(automaton: ExploredAutomaton, scenario: Scenario, state, rng) -> None:
+def _discover(automaton: ExploredAutomaton, table: list, state, rng) -> None:
     if state in automaton.pending:
         return
-    actions = scenario.enabled_actions()
     if rng is not None:
-        rng.shuffle(actions)
-    automaton.pending[state] = actions
+        table = table.copy()
+        rng.shuffle(table)
+    automaton.pending[state] = deque(table)
     automaton.successors[state] = {}
 
 

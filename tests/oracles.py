@@ -23,7 +23,7 @@ from cyclotest.kernel import CycleRecord
 from cyclotest.mediator import CycleObservation, ProtocolError
 from cyclotest.reduction import ReachabilityReport, enumerate_test_cases
 from cyclotest.temporal import HoldTable
-from cyclotest.traversal import Scenario, ScenarioFunction
+from cyclotest.traversal import Action, Scenario
 
 
 def cycles_for(duration_ms: int, period_ms: int) -> int:
@@ -323,10 +323,10 @@ class ExplicitSystem:
 
 
 def explicit_scenario(system: ExplicitSystem, labels) -> Scenario:
-    functions = [
-        ScenarioFunction(label, (lambda v, L=label: {"action": L})) for label in labels
-    ]
-    return Scenario("explicit", system.abstract_state, functions)
+    def actions():
+        return [Action(label, lambda v, L=label: [{"action": L}]) for label in labels]
+
+    return Scenario("explicit", system.abstract_state, actions)
 
 
 class FlickeringStateSystem(ExplicitSystem):

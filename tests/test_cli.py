@@ -559,6 +559,43 @@ class TestRun:
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0])["coverage"]["branch"] == 1.0
 
+    def test_seeded_output_pinned(self, capsys, tmp_path):
+        # the shuffled action order under --seed: log, DOT and JSON report
+        log, dot = tmp_path / "log.jsonl", tmp_path / "automaton.dot"
+        code, out, _ = _run(capsys, ["run", "--model", MODEL_PATH, "--seed", "7", "--json",
+                                     "--deterministic", "--log", str(log), "--dot", str(dot)]
+                            + DESK)
+        assert code == 0
+        assert hashlib.sha256(log.read_bytes()).hexdigest() == (
+            "8fdc8cb7a738001e94479211a2d4ab73659a75b6a9190cead04acc2222e55fcf")
+        assert hashlib.sha256(dot.read_bytes()).hexdigest() == (
+            "68a8b2b768c1a67e266892858632d06010d580bad77eba53d580512f75e51067")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ba3815195f720619ed3a09569d63739dbbb16d493406aaa075a0f32d6ae77d54")
+
+    def test_piecemeal_output_pinned(self, capsys, tmp_path):
+        # the parts' pinned and iterated inputs: the merged log and JSON report
+        log = tmp_path / "log.jsonl"
+        code, out, _ = _run(capsys, ["run", "--model", MODEL_PATH, "--scenario", "piecemeal",
+                                     "--json", "--deterministic", "--log", str(log)] + DESK)
+        assert code == 0
+        assert hashlib.sha256(log.read_bytes()).hexdigest() == (
+            "705879bd188b1883be81ca8ec37c6be969be19f22dfa22fec5430c6dbefd339c")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b82ddf0ba31bcadade9c20f975244c461eb39ae18f3977fc4f63bc33baab0b7c")
+
+    def test_paper_seeded_log_pinned(self, capsys, tmp_path):
+        # a seeded shuffle at the model's own 60 s/900 s, which CI also checks
+        # over stdio
+        log = tmp_path / "log.jsonl"
+        code, _, _ = _run(capsys, ["run", "--model", MODEL_PATH, "--seed", "3",
+                                   "--deterministic", "--log", str(log)])
+        assert code == 0
+        data = log.read_bytes()
+        assert data.count(b"\n") == 31_547
+        assert hashlib.sha256(data).hexdigest() == (
+            "549bb9a8830df898b653ff40b337ec6c43889488fcf1c61b6eed531d2c6e4fcb")
+
 
 # iron with a redundant inner test of position: its else leaf 'te' is
 # unreachable, and the iron subject still passes every cycle
@@ -787,6 +824,31 @@ class TestBadArguments:
         assert proc.stderr.splitlines() == [
             "error: --remap-duration: no held() in %s lasts 7000 ms" % MODEL_PATH]
         assert not started.exists()
+
+    @pytest.mark.parametrize("command", ["run", "enumerate-states", "reduce"])
+    def test_bool_initializer_outside_0_1_exit_2(self, tmp_path, command):
+        model = tmp_path / "init.ctl"
+        model.write_text("model m {\n  input a: bool;\n  output o: bool;\n"
+                         "  state s: bool readable = 5;\n"
+                         "  logic { if (a && s) { o = 1; } else { o = 0; } }\n}\n")
+        proc = _subprocess("cyclotest.cli", [command, "--model", str(model)])
+        _assert_usage_error(proc)
+        assert proc.stderr.splitlines() == [
+            "error: %s: 4:9: initializer 5 outside range 0..1" % model]
+
+    @pytest.mark.parametrize("command", ["run", "enumerate-states", "reduce"])
+    def test_assignment_outside_its_target_exit_2(self, tmp_path, command):
+        # one line for each assignment that can leave its target's domain,
+        # then the summary, as for every check_model error
+        model = tmp_path / "range.ctl"
+        model.write_text("model m {\n  input a: int 0..5;\n  output o: int 0..3;\n"
+                         "  state s: int 0..3 hidden;\n  logic { o = a; s = a; }\n}\n")
+        proc = _subprocess("cyclotest.cli", [command, "--model", str(model)])
+        _assert_usage_error(proc)
+        assert proc.stderr.splitlines() == [
+            "%s:5:11: error: 'a' in 0..5 can fall outside 0..3 for 'o'" % model,
+            "%s:5:18: error: 'a' in 0..5 can fall outside 0..3 for 's'" % model,
+            "error: model has errors"]
 
     @pytest.mark.parametrize("command", ["run", "enumerate-states", "reduce"])
     def test_unassigned_output_exit_2_at_its_declaration(self, capsys, tmp_path, command):

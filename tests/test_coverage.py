@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -80,6 +81,15 @@ class TestAccumulation:
         _, _, trace = eval_model(other.model, {"a": 1}, {}, {})
         with pytest.raises(ModelMismatch):
             CoverageReport.for_model(iron_extraction.model).accumulate(trace)
+        # a record whose vector does not fit its decision, shorter or longer,
+        # is a mismatch too, not a vector that only branch coverage counts
+        trace = _iron_trace(iron_extraction, 0, 1)
+        record = trace.decisions[-1]
+        for conditions in (record.conditions[:-1], record.conditions + record.conditions[:1]):
+            foreign = dataclasses.replace(trace, decisions=trace.decisions[:-1] + (
+                dataclasses.replace(record, conditions=conditions),))
+            with pytest.raises(ModelMismatch, match="condition"):
+                CoverageReport.for_model(iron_extraction.model).accumulate(foreign)
 
     def test_branch_one_iff_every_decision_both_ways(self, iron_extraction):
         report = CoverageReport.for_model(iron_extraction.model)

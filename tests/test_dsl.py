@@ -68,6 +68,16 @@ class TestParse:
         with pytest.raises(SemanticError, match="undeclared identifier 'b'"):
             parse_model(src)
 
+    @pytest.mark.parametrize("decl, message", [
+        ("bool readable = 5", "initializer 5 outside range 0..1"),
+        ("int 1..3 readable = 0", "initializer 0 outside range 1..3"),
+    ])
+    def test_initializer_outside_its_domain(self, decl, message):
+        src = ("model m { input a: bool; output o: bool; state s: %s; "
+               "logic { o = a; } }" % decl)
+        with pytest.raises(SemanticError, match=message):
+            parse_model(src)
+
     def test_assign_to_input_rejected(self):
         src = "model m { input a: bool; output o: bool; logic { a = 1; o = 0; } }"
         with pytest.raises(SemanticError, match="cannot assign to input"):
@@ -302,6 +312,26 @@ class TestCheckModel:
                "logic { if (a) { o = 7; } else { o = 0; } } }")
         diags = check_model(parse_model(src))
         assert any(d.code == "ValueOutOfRange" for d in diags)
+
+    @pytest.mark.parametrize("value, message", [
+        ("7", "7 outside 2..3 for 'o'"),
+        ("w", "'w' in 0..5 can fall outside 2..3 for 'o'"),
+        ("b", "'b' in 0..1 can fall outside 2..3 for 'o'"),
+        ("a && b", "'a && b' in 0..1 can fall outside 2..3 for 'o'"),
+        ("w == 2", "'w == 2' in 0..1 can fall outside 2..3 for 'o'"),
+    ])
+    def test_assigned_values_outside_the_target_domain(self, value, message):
+        src = ("model m { input a: bool; input b: bool; input w: int 0..5; output o: int 2..3; "
+               "logic { if (a) { o = %s; } else { o = 2; } } }" % value)
+        diags = check_model(parse_model(src))
+        assert [(d.severity, d.code, d.message) for d in diags] == [
+            ("error", "ValueOutOfRange", message)]
+
+    @pytest.mark.parametrize("value", ["2", "3", "v", "n"])
+    def test_assigned_values_inside_the_target_domain(self, value):
+        src = ("model m { input a: bool; input v: int 2..3; input n: int 3..3; "
+               "output o: int 2..3; logic { if (a) { o = %s; } else { o = 2; } } }" % value)
+        assert check_model(parse_model(src)) == []
 
     def test_diagnostic_format(self):
         src = ("model m { input a: bool; output o: bool; "

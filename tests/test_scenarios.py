@@ -2,7 +2,20 @@ from conftest import desk_config
 
 from cyclotest.cli import run_campaign
 from cyclotest.contracts import VerdictKind
-from cyclotest.scenarios import saturation_cycles
+from cyclotest.dsl import extract_predicates, parse_model
+from cyclotest.reduction import make_piecemeal
+from cyclotest.scenarios import build_coverage_scenario, saturation_cycles
+
+# inputs declared out of alphabetical order: a label follows the declaration,
+# a valuation and its stimuli follow the sorted names
+ZA_SRC = """\
+model za {
+  input z: bool;
+  input a: int 0..2;
+  output o: bool;
+  logic { if (z) { if (held(a == 2, 2s)) { o = 1; } else { o = 0; } } else { o = 0; } }
+}
+"""
 
 
 class TestSaturation:
@@ -30,6 +43,29 @@ class TestFullScenario:
 
     def test_initial_state_is_the_idle_vector(self, correct_run):
         assert correct_run.automaton.initial == (0, 1, 0, 1)
+
+
+class TestActionTable:
+    def test_settle_then_probe_over_the_product(self):
+        scenario = build_coverage_scenario(None, extract_predicates(parse_model(ZA_SRC)), ())
+        table = scenario.actions()
+        assert [a.label for a in table] == [
+            "%s(z=%d, a=%d)" % (family, z, a)
+            for family in ("settle", "probe") for z in (0, 1) for a in (0, 1, 2)]
+        settle, probe = table[1], table[6]
+        assert settle.valuation == (("a", 1), ("z", 0))
+        assert [list(s.items()) for s in settle.stimuli()] == [[("a", 1), ("z", 0)]] * 3
+        assert [list(s.items()) for s in probe.stimuli()] == (
+            [[("a", 0), ("z", 0)]] + [[("z", 1), ("a", 2)]] * 3)
+
+    def test_part_pins_its_inputs_first(self):
+        extraction = extract_predicates(parse_model(ZA_SRC))
+        part, = make_piecemeal(extraction.source, ["t"])
+        table = build_coverage_scenario(None, extraction, (), 1000, part).actions()
+        assert [a.label for a in table] == [
+            "%s(a=%d)" % (family, a) for family in ("settle", "probe") for a in (0, 1, 2)]
+        assert [list(s.items()) for s in table[3].stimuli()] == (
+            [[("z", 1), ("a", 0)]] + [[("z", 1), ("a", 2)]] * 3)
 
 
 class TestPiecemealScenarios:

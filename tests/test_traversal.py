@@ -7,10 +7,10 @@ from cyclotest import traversal
 from cyclotest.cli import run_campaign
 from cyclotest.contracts import Verdict, VerdictKind
 from cyclotest.traversal import (
+    Action,
     BudgetExceeded,
     NondeterminismDetected,
     Scenario,
-    ScenarioFunction,
     StrandedPendingActions,
     export_dot,
     traverse,
@@ -69,6 +69,44 @@ class TestExplicitAutomata:
         assert logs[0] == logs[1]
 
 
+class TestActionTable:
+    """The scenario's actions are built once per traversal, and every state
+    queues those very objects."""
+
+    @staticmethod
+    def _stopped_early(automaton_seed, budget, rng=None):
+        """The automaton of a traversal that the budget stops, and every
+        table that ``scenario.actions()`` built for it."""
+        delta, labels, initial = random_scc_automaton(random.Random(automaton_seed), 10, 4)
+        system = ExplicitSystem(delta, initial)
+        scenario = explicit_scenario(system, labels)
+        tables = []
+        build = scenario.actions
+        scenario.actions = lambda: tables.append(build()) or tables[-1]
+        with pytest.raises(BudgetExceeded) as err:
+            traverse(scenario, system, budget=budget, rng=rng)
+        return err.value.automaton, tables, labels
+
+    @pytest.mark.parametrize("seed", [None, 5], ids=["declaration-order", "shuffled"])
+    def test_one_table_shared_by_every_state(self, seed):
+        rng = None if seed is None else random.Random(seed)
+        automaton, tables, labels = self._stopped_early(7, 15, rng)
+        assert len(tables) == 1
+        table = {id(action) for action in tables[0]}
+        queued = [action for actions in automaton.pending.values() for action in actions]
+        recorded = [action for _, action in automaton.transitions.values()]
+        assert len(queued) > len(labels) and recorded
+        assert all(id(action) in table for action in queued + recorded)
+
+    def test_untouched_state_queues_the_table_in_order(self):
+        automaton, tables, _ = self._stopped_early(8, 3)
+        untouched = [list(actions) for state, actions in automaton.pending.items()
+                     if not automaton.successors[state]]
+        assert untouched
+        assert all(all(a is b for a, b in zip(actions, tables[0]))
+                   and len(actions) == len(tables[0]) for actions in untouched)
+
+
 class TestReplaySearch:
     """Every replay search the traversal makes, checked against the
     reference search on the same automaton."""
@@ -118,7 +156,7 @@ class TestDiagnostics:
         scenario = Scenario(
             "runaway",
             state_fn=lambda: next(ticker),
-            functions=[ScenarioFunction("poke", lambda v: {"x": 1})],
+            actions=lambda: [Action("poke", lambda v: [{"x": 1}])],
         )
         with pytest.raises(BudgetExceeded) as err:
             traverse(scenario, Counter(), budget=50)
