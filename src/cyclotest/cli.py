@@ -6,7 +6,8 @@ reachable temporal flag states), ``reduce`` (test cases, rewritten
 conditions, projections, state partition).  Exit codes: 0 ok, 2 model/parse
 problem or bad option, 3 mediator or protocol failure, 4 failed verdicts or
 traversal diagnostics, 5 unmet coverage requirement, 6 output not written.
-``CYCLOTEST_LOG`` sets the log level.
+``CYCLOTEST_LOG`` sets the log level.  The converters ``positive_int`` and
+``tcp_address``, which ``iron-sut`` shares, live in :mod:`cyclotest.mediator`.
 """
 from __future__ import annotations
 
@@ -39,7 +40,14 @@ from .dsl import (
     walk_exprs,
 )
 from .kernel import Kernel, KernelConfig
-from .mediator import InProcessLink, MediatorError, StdioLink, TcpLink
+from .mediator import (
+    InProcessLink,
+    MediatorError,
+    StdioLink,
+    TcpLink,
+    positive_int,
+    tcp_address,
+)
 from .reduction import (
     ReductionError,
     coverable_cases,
@@ -171,9 +179,15 @@ def build_link(model, extraction, config: RunConfig, period_ms: int):
                 host, port = tcp_address(spec_str)
             except ValueError as exc:
                 raise CliError("bad TCP port in %r" % spec_str, EXIT_PARSE) from exc
-            return TcpLink(model, host, port, config.timeout_s)
+            return TcpLink(model, host, port, period_ms, config.timeout_s)
         if kind == "stdio":
-            return StdioLink(model, shlex.split(rest), config.timeout_s)
+            try:
+                argv = shlex.split(rest)
+                if not argv:
+                    raise ValueError("no command")
+            except ValueError as exc:
+                raise CliError("bad stdio command %r: %s" % (rest, exc), EXIT_PARSE) from exc
+            return StdioLink(model, argv, period_ms, config.timeout_s)
     except MediatorError as exc:
         raise CliError(str(exc), EXIT_PROTOCOL) from exc
     raise CliError("unknown subject %r (use inproc:, tcp:, stdio:)" % spec_str, EXIT_PARSE)
@@ -186,6 +200,9 @@ def run_campaign(config: RunConfig) -> CampaignResult:
     processes, with the results merged."""
     if config.scenario != "piecemeal" and (config.parts or config.jobs > 1):
         raise CliError("--parts and --jobs apply only to --scenario piecemeal", EXIT_PARSE)
+    if not config.streaming and config.sut.partition(":")[0] != "inproc":
+        raise CliError("--no-streaming needs an in-process subject: --sut inproc:NAME",
+                       EXIT_PARSE)
     extraction = load_model(config)
     ast = extraction.source
     projections = derive_projections(extraction)
@@ -452,27 +469,11 @@ def criterion_ratio(text: str) -> tuple:
     return criterion, value
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise ValueError(text)
-    return value
-
-
 def positive_float(text: str) -> float:
     value = float(text)
     if not 0 < value < float("inf"):
         raise ValueError(text)
     return value
-
-
-def tcp_address(text: str) -> tuple:
-    """``tcp:HOST:PORT`` as ``(host, port)``."""
-    kind, _, address = text.partition(":")
-    host, _, port = address.rpartition(":")
-    if kind != "tcp" or not 0 <= int(port) <= 65535:
-        raise ValueError(text)
-    return host, int(port)
 
 
 def _config_from_args(args) -> RunConfig:

@@ -3,7 +3,8 @@
 Steps ``IronSut`` once per cycle in a local kernel, through an in-process
 mediator link that checks each observation, and serves one test session over
 stdio or a single TCP connection: hello first, then a strict
-set_inputs/observation alternation until shutdown or EOF.
+set_inputs/observation alternation until shutdown or EOF.  It loads only the
+model, the kernel and the mediator, which also holds its option converters.
 """
 from __future__ import annotations
 
@@ -11,10 +12,16 @@ import argparse
 import socket
 import sys
 
-from .cli import positive_int, tcp_address
 from .iron import FULL_DURATIONS_MS, IronSut, MUTANT_IDS, iron_model
 from .kernel import KernelConfig
-from .mediator import InProcessLink, ProtocolError, WireMessage
+from .mediator import (
+    InProcessLink,
+    ProtocolError,
+    WireMessage,
+    hello_for_model,
+    positive_int,
+    tcp_address,
+)
 
 
 def serve(reader, writer, sut: IronSut, period_ms: int) -> int:
@@ -27,7 +34,7 @@ def serve(reader, writer, sut: IronSut, period_ms: int) -> int:
         return 1
 
     link = InProcessLink(iron_model(), sut, KernelConfig(cycle_period_ms=period_ms))
-    hello = dict(link.hello)
+    hello = hello_for_model(link.model, period_ms)
     send(WireMessage(hello.pop("type"), payload=hello))
     while True:
         line = reader.readline()
@@ -77,17 +84,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sut = IronSut(args.durations, args.period_ms, mutant=args.mutant)
 
-    if args.listen:
+    if not args.listen:
+        return serve(sys.stdin.buffer, sys.stdout.buffer, sut, args.period_ms)
+    try:
         server = socket.create_server(args.listen)
+    except OSError as exc:
+        sys.exit("cannot listen on %s:%d: %s" % (*args.listen, exc.strerror or exc))
+    with server:
         host, port = server.getsockname()[:2]
         print("listening on %s:%d" % (host, port), flush=True)
         conn, _ = server.accept()
-        with conn:
-            with conn.makefile("rb") as reader, conn.makefile("wb") as writer:
-                code = serve(reader, writer, sut, args.period_ms)
-        server.close()
-        return code
-    return serve(sys.stdin.buffer, sys.stdout.buffer, sut, args.period_ms)
+        with conn, conn.makefile("rb") as reader, conn.makefile("wb") as writer:
+            return serve(reader, writer, sut, args.period_ms)
 
 
 def entry() -> None:

@@ -15,7 +15,9 @@ harness:
   error:       {"type":"error","message":...}
 
 Messages strictly alternate set_inputs/observation with matching cycle
-numbers, starting at 0.
+numbers, starting at 0; the hello's cycle period must be the run's.  The
+argparse converters ``positive_int`` and ``tcp_address`` live here, so that a
+subject program loads only the model, the kernel and this module.
 """
 from __future__ import annotations
 
@@ -53,9 +55,6 @@ class Disconnect(MediatorError):
     pass
 
 
-DEFAULT_TIMEOUT_S = 5.0
-
-
 @dataclass(frozen=True)
 class WireMessage:
     type: str
@@ -90,24 +89,16 @@ class CycleObservation(NamedTuple):
 
 
 def hello_for_model(model: ModelAst, cycle_period_ms: int) -> dict:
-    return {
-        "type": "hello",
-        "model": model.name,
-        "inputs": list(model.input_names),
-        "outputs": list(model.output_names),
-        "state": list(model.readable_names),
-        "cycle_period_ms": cycle_period_ms,
-    }
+    return {"type": "hello", "model": model.name, "inputs": list(model.input_names),
+            "outputs": list(model.output_names), "state": list(model.readable_names),
+            "cycle_period_ms": cycle_period_ms}
 
 
-def validate_hello(hello: dict, model: ModelAst) -> None:
-    expected = hello_for_model(model, hello.get("cycle_period_ms", 0))
-    for key in ("model", "inputs", "outputs", "state"):
-        if hello.get(key) != expected[key]:
-            raise HandshakeMismatch(
-                "handshake %s mismatch: subject %r, model %r"
-                % (key, hello.get(key), expected[key])
-            )
+def validate_hello(hello: dict, model: ModelAst, cycle_period_ms: int) -> None:
+    for key, expected in hello_for_model(model, cycle_period_ms).items():
+        if key != "type" and hello.get(key) != expected:
+            raise HandshakeMismatch("handshake %s mismatch: subject %r, model %r"
+                                    % (key, hello.get(key), expected))
 
 
 class MediatorLink:
@@ -117,7 +108,6 @@ class MediatorLink:
     def __init__(self, model: ModelAst):
         self.model = model
         self.next_cycle = 0
-        self.hello: dict = {}
         self._last_sys_time_ms: Optional[int] = None
         # (name, domain) of each output and readable state variable
         self._outputs = tuple((name, model.domains[name]) for name in model.output_names)
@@ -196,7 +186,6 @@ class InProcessLink(MediatorLink):
     def __init__(self, model: ModelAst, sut, config: Optional[KernelConfig] = None):
         super().__init__(model)
         self.kernel = Kernel(config or KernelConfig(), sut.step)
-        self.hello = hello_for_model(model, self.kernel.config.cycle_period_ms)
         self._visible_state = getattr(sut, "visible_state", dict)
 
     def exchange(self, inputs: Mapping) -> CycleObservation:
@@ -213,10 +202,11 @@ class InProcessLink(MediatorLink):
 class _StreamLink(MediatorLink):
     """NDJSON request/response over a byte stream.  A transport sends with
     :meth:`_send` and sets ``_fd`` to the file descriptor its replies arrive
-    on before the handshake."""
+    on before the handshake, whose hello must announce ``cycle_period_ms``."""
 
-    def __init__(self, model: ModelAst, timeout_s: float = DEFAULT_TIMEOUT_S):
+    def __init__(self, model: ModelAst, cycle_period_ms: int, timeout_s: float):
         super().__init__(model)
+        self.cycle_period_ms = cycle_period_ms
         self.timeout_s = timeout_s
         self._fd = -1
         self._pending = b""  # bytes read past the last complete line
@@ -261,8 +251,7 @@ class _StreamLink(MediatorLink):
         msg = self._recv()
         if msg.type != "hello":
             raise ProtocolError("expected hello, got %r" % msg.type)
-        self.hello = {"type": "hello", "cycle": msg.cycle, **msg.payload}
-        validate_hello(self.hello, self.model)
+        validate_hello(msg.payload, self.model, self.cycle_period_ms)
 
     def exchange(self, inputs: Mapping) -> CycleObservation:
         self._send(WireMessage("set_inputs", self.next_cycle, {"values": inputs}))
@@ -280,10 +269,26 @@ class _StreamLink(MediatorLink):
             pass
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise ValueError(text)
+    return value
+
+
+def tcp_address(text: str) -> tuple:
+    """``tcp:HOST:PORT`` as ``(host, port)``."""
+    kind, _, address = text.partition(":")
+    host, _, port = address.rpartition(":")
+    if kind != "tcp" or not 0 <= int(port) <= 65535:
+        raise ValueError(text)
+    return host, int(port)
+
+
 class TcpLink(_StreamLink):
-    def __init__(self, model: ModelAst, host: str, port: int,
-                 timeout_s: float = DEFAULT_TIMEOUT_S):
-        super().__init__(model, timeout_s)
+    def __init__(self, model: ModelAst, host: str, port: int, cycle_period_ms: int,
+                 timeout_s: float):
+        super().__init__(model, cycle_period_ms, timeout_s)
         try:
             self._sock = socket.create_connection((host, port), timeout=timeout_s)
         except OSError as exc:
@@ -307,12 +312,13 @@ class TcpLink(_StreamLink):
 
 
 class StdioLink(_StreamLink):
-    def __init__(self, model: ModelAst, argv: list, timeout_s: float = DEFAULT_TIMEOUT_S,
-                 stderr=subprocess.DEVNULL):
-        super().__init__(model, timeout_s)
-        self.proc = subprocess.Popen(
-            argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=stderr
-        )
+    def __init__(self, model: ModelAst, argv: list, cycle_period_ms: int, timeout_s: float):
+        super().__init__(model, cycle_period_ms, timeout_s)
+        try:
+            self.proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                         stderr=subprocess.DEVNULL)
+        except OSError as exc:
+            raise Disconnect("cannot start %s: %s" % (argv[0], exc.strerror or exc)) from exc
         self._fd = self.proc.stdout.fileno()
         try:
             self._handshake()

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import shlex
+import socket
 import subprocess
 import sys
 import time
@@ -876,6 +877,80 @@ class TestBadArguments:
         proc = _subprocess("cyclotest.cli", [command, "--model", str(model)])
         _assert_usage_error(proc)
         assert proc.stderr.splitlines() == ["error: %s: %s" % (model, message)]
+
+    @pytest.mark.parametrize("sut", ["stdio:SUBJECT", "tcp:127.0.0.1:9"], ids=["stdio", "tcp"])
+    def test_no_streaming_needs_an_in_process_subject(self, tmp_path, sut):
+        # a remote subject keeps its own clock: refused before it is started
+        started = tmp_path / "started"
+        subject = shlex.join([sys.executable, "-c", "open(%r, 'w')" % str(started)])
+        proc = _subprocess("cyclotest.cli", ["run", "--model", MODEL_PATH, "--no-streaming",
+                                             "--sut", sut.replace("SUBJECT", subject)] + DESK)
+        _assert_usage_error(proc)
+        assert proc.stderr.splitlines() == [
+            "error: --no-streaming needs an in-process subject: --sut inproc:NAME"]
+        assert not started.exists()
+
+
+class TestSubjectStartFaults:
+    """A subject that cannot be started, or announces another cycle period,
+    ends the run in one line on stderr: exit 2 for a command that does not
+    parse, 3 for one that does not start or does not match."""
+
+    @staticmethod
+    def _run_against(command, *argv):
+        return _subprocess("cyclotest.cli", ["run", "--model", MODEL_PATH, "--sut",
+                                             "stdio:" + command] + list(argv) + DESK)
+
+    @pytest.mark.parametrize("command, reason", [
+        ("", "no command"),
+        ('python3 "unterminated', "No closing quotation"),
+    ], ids=["empty", "unterminated"])
+    def test_unparsable_command_exit_2(self, command, reason):
+        proc = self._run_against(command)
+        _assert_usage_error(proc)
+        assert proc.stderr.splitlines() == ["error: bad stdio command %r: %s" % (command, reason)]
+
+    @pytest.mark.parametrize("argv", [[], ["--scenario", "piecemeal", "--jobs", "2"]],
+                             ids=["full", "piecemeal-jobs-2"])
+    def test_missing_command_exit_3(self, argv):
+        proc = self._run_against("no-such-cmd-xyz", *argv)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "error: cannot start no-such-cmd-xyz: No such file or directory"]
+
+    def test_unexecutable_command_exit_3(self, tmp_path):
+        command = tmp_path / "subject"
+        command.write_text("#!/bin/sh\n")
+        command.chmod(0o644)
+        proc = self._run_against(shlex.quote(str(command)))
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.splitlines() == ["error: cannot start %s: Permission denied" % command]
+
+    def test_subject_with_another_period_exit_3(self):
+        # settle actions sized for 1000 ms would not saturate a 500 ms subject
+        subject = shlex.join([sys.executable, "-m", "cyclotest.iron_sut", "--durations",
+                              "3000,5000", "--period-ms", "500"])
+        proc = self._run_against(subject)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "error: handshake cycle_period_ms mismatch: subject 500, model 1000"]
+
+    def test_iron_sut_listen_on_a_port_in_use_exit_1(self):
+        with socket.create_server(("127.0.0.1", 0)) as busy:
+            port = busy.getsockname()[1]
+            proc = _subprocess("cyclotest.iron_sut", ["--listen", "tcp:127.0.0.1:%d" % port])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("cannot listen on 127.0.0.1:%d: " % port)
+
+    def test_iron_sut_listen_on_a_foreign_address_exit_1(self):
+        # 192.0.2.1 is reserved for documentation: no interface here has it
+        proc = _subprocess("cyclotest.iron_sut", ["--listen", "tcp:192.0.2.1:0"])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("cannot listen on 192.0.2.1:0: ")
 
 
 class TestOutputFaults:

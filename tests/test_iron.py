@@ -1,7 +1,11 @@
 import io
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,7 @@ from cyclotest.iron import (
     MUTANT_IDS,
     UnknownMutant,
 )
+import cyclotest
 from cyclotest.iron_sut import serve
 from oracles import WindowOracle
 
@@ -183,3 +188,18 @@ class TestIronSutServe:
         assert code == 1
         assert [r["type"] for r in replies] == ["hello", "error"]
         assert "input" in replies[1]["message"]
+
+
+def test_iron_sut_loads_only_the_model_the_kernel_and_the_wire():
+    # the subject program is not the test engine: no cli, oracle, coverage,
+    # reduction or traversal
+    src = str(Path(cyclotest.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    script = ("import sys, cyclotest.iron_sut; print(*sorted(m for m in sys.modules "
+              "if m.split('.')[0] == 'cyclotest'))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert proc.stdout.split() == ["cyclotest", "cyclotest.dsl", "cyclotest.iron",
+                                   "cyclotest.iron_sut", "cyclotest.kernel",
+                                   "cyclotest.mediator", "cyclotest.temporal"]

@@ -64,7 +64,13 @@ class TestWireFormat:
         hello = hello_for_model(iron_ast, 1000)
         hello["outputs"] = ["boiler"]
         with pytest.raises(HandshakeMismatch):
-            validate_hello(hello, iron_ast)
+            validate_hello(hello, iron_ast, 1000)
+
+    def test_handshake_period_mismatch(self, iron_ast):
+        hello = hello_for_model(iron_ast, 500)
+        with pytest.raises(HandshakeMismatch) as exc:
+            validate_hello(hello, iron_ast, 1000)
+        assert str(exc.value) == "handshake cycle_period_ms mismatch: subject 500, model 1000"
 
 
 class TestInProcessLink:
@@ -144,7 +150,7 @@ class ScriptedLink(_StreamLink):
     """Stream link with canned responses instead of a real transport."""
 
     def __init__(self, model, lines):
-        super().__init__(model, timeout_s=0.1)
+        super().__init__(model, 1000, timeout_s=0.1)
         self.lines = list(lines)
         self.sent = []
         self._handshake()
@@ -443,7 +449,7 @@ class TestStdioTransport:
         from cyclotest.mediator import ExchangeTimeout, StdioLink
 
         with pytest.raises(ExchangeTimeout):
-            StdioLink(iron_desk, [sys.executable, "-c", "import time; time.sleep(30)"],
+            StdioLink(iron_desk, [sys.executable, "-c", "import time; time.sleep(30)"], 1000,
                       timeout_s=0.3)
 
     def test_pipes_closed_after_close_and_failed_handshake(self, iron_desk, monkeypatch):
@@ -460,9 +466,9 @@ class TestStdioTransport:
         real_popen = subprocess.Popen
         monkeypatch.setattr(subprocess, "Popen", popen)
         with pytest.raises(ExchangeTimeout):
-            StdioLink(iron_desk, [sys.executable, "-c", "import time; time.sleep(30)"],
+            StdioLink(iron_desk, [sys.executable, "-c", "import time; time.sleep(30)"], 1000,
                       timeout_s=0.3)
-        StdioLink(iron_desk, [sys.executable, "-m", "cyclotest.iron_sut"],
+        StdioLink(iron_desk, [sys.executable, "-m", "cyclotest.iron_sut"], 1000,
                   timeout_s=10.0).close()
         assert len(children) == 2
         for child in children:
@@ -486,7 +492,7 @@ class TestStdioTransport:
             "        'outputs': {'heating': 1}, 'state': {}})",
             "sys.stdin.readline()",
         ])
-        link = StdioLink(iron_desk, [sys.executable, "-c", script], timeout_s=10.0)
+        link = StdioLink(iron_desk, [sys.executable, "-c", script], 1000, timeout_s=10.0)
         try:
             obs = link.exchange({"move": 0, "position": 0})
             assert (obs.cycle, obs.sys_time_ms, obs.outputs) == (0, 1000, {"heating": 1})
@@ -499,6 +505,7 @@ class TestStdioTransport:
         link = StdioLink(
             iron_desk,
             [sys.executable, "-m", "cyclotest.iron_sut", "--durations", "3000,5000"],
+            1000,
             timeout_s=10.0,
         )
         try:

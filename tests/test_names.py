@@ -7,8 +7,9 @@ attribute, a method or field only where it is loaded as an attribute, and
 either where a string constant spells it (``getattr``, and the names that
 ``bench/`` wraps or patches).  Reads match by name alone, so a method is read
 when any method of that name is.  Its own definition, reads inside that
-definition, keyword arguments and the package's re-exports do not count.
-Dunder methods are called by Python itself and are not listed.
+definition and keyword arguments do not count.  Dunder methods are called by
+Python itself and are not listed.  The package root re-exports nothing: a
+re-export is an API that nothing calls, so the modules are the only API.
 """
 import ast
 from pathlib import Path
@@ -70,13 +71,12 @@ def unreferenced_names() -> set:
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))}
     definitions = [(path, definition) for path, tree in trees.items()
-                   if path.parent == PACKAGE and path.stem != "__init__"
-                   for definition in _definitions(path, tree)]
+                   if path.parent == PACKAGE for definition in _definitions(path, tree)]
     # per file, the line spans of the definitions of each name
     spans: dict = {}
     for path, (_, name, node, _) in definitions:
         spans.setdefault((path, name), []).append((node.lineno, node.end_lineno))
-    read = {(name, as_member) for path, tree in trees.items() if path.name != "__init__.py"
+    read = {(name, as_member) for path, tree in trees.items()
             for name, line, as_member in _reads(tree)
             if not any(lo <= line <= hi for lo, hi in spans.get((path, name), ()))}
     return {qualified for _, (qualified, name, _, member) in definitions
@@ -88,3 +88,9 @@ def test_every_unreferenced_name_is_listed_with_a_reason():
     assert sorted(found - set(UNREFERENCED)) == [], "read by nothing in src/ or bench/"
     assert sorted(set(UNREFERENCED) - found) == [], "read now: drop it from UNREFERENCED"
     assert all(UNREFERENCED.values())
+
+
+def test_package_root_holds_only_its_docstring():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert ast.get_docstring(tree)
+    assert len(tree.body) == 1, "the package root imports or defines nothing"
