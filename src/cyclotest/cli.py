@@ -4,8 +4,10 @@ Subcommands: ``run`` (full campaign against a subject, optionally exporting
 the explored automaton as DOT), ``enumerate-states`` (upper bound and
 reachable temporal flag states), ``reduce`` (test cases, rewritten
 conditions, projections, state partition).  Exit codes: 0 ok, 2 model/parse
-problem or bad option, 3 mediator or protocol failure, 4 failed verdicts or
+problem, bad option, or an output that names the model or another output or
+cannot be opened, 3 mediator or protocol failure, 4 failed verdicts or
 traversal diagnostics, 5 unmet coverage requirement, 6 output not written.
+An existing output of ``run`` keeps its bytes until its content is written.
 ``CYCLOTEST_LOG`` sets the log level.  The converters ``positive_int`` and
 ``tcp_address``, which ``iron-sut`` shares, live in :mod:`cyclotest.mediator`.
 """
@@ -20,10 +22,11 @@ import logging
 import os
 import random
 import shlex
+import stat
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from . import iron
@@ -81,6 +84,8 @@ class CliError(Exception):
 
 @dataclass
 class RunConfig:
+    """A campaign's settings, and the only statement of each option's default."""
+
     model_path: str
     sut: str = "inproc:iron"
     scenario: str = "full"
@@ -94,6 +99,10 @@ class RunConfig:
     timeout_s: float = 5.0
     required: tuple = ()  # ((criterion, ratio), ...)
     jobs: int = 1
+
+    def __post_init__(self):  # the command line gives lists
+        self.parts, self.required = tuple(self.parts), tuple(self.required)
+        self.remap = dict(self.remap)
 
 
 @dataclass
@@ -198,26 +207,20 @@ def run_campaign(config: RunConfig) -> CampaignResult:
     ``full`` and ``piece:NODE`` are one part, ``piecemeal`` is one per
     ``--parts`` node, run serially or in a pool of at most ``--jobs``
     processes, with the results merged."""
-    if config.scenario != "piecemeal" and (config.parts or config.jobs > 1):
-        raise CliError("--parts and --jobs apply only to --scenario piecemeal", EXIT_PARSE)
-    if not config.streaming and config.sut.partition(":")[0] != "inproc":
-        raise CliError("--no-streaming needs an in-process subject: --sut inproc:NAME",
-                       EXIT_PARSE)
+    check_options(config)
     extraction = load_model(config)
-    ast = extraction.source
+    model = extraction.model
     projections = derive_projections(extraction)
-    # a bad scenario is rejected before a subject is started
+    # bad parts are rejected before a subject is started
     if config.scenario == "full":
         parts = [None]
     else:
         if config.scenario == "piecemeal":
-            ids = config.parts or (["t", "e"] if isinstance(ast.body, Decision) else [""])
-        elif config.scenario.startswith("piece:"):
-            ids = [config.scenario.split(":", 1)[1]]
+            ids = config.parts or (["t", "e"] if isinstance(model.body, Decision) else [""])
         else:
-            raise CliError("unknown scenario %r" % config.scenario, EXIT_PARSE)
+            ids = [config.scenario.split(":", 1)[1]]
         try:
-            parts = make_piecemeal(ast, ids)
+            parts = make_piecemeal(model, ids)
         except ReductionError as exc:
             raise CliError(str(exc), EXIT_PARSE) from exc
     run = functools.partial(run_part, config, extraction, projections)
@@ -238,6 +241,41 @@ def run_campaign(config: RunConfig) -> CampaignResult:
         merged.outcome = "verdict_failure"
     failed = next((r for r in results if r.error is not None), results[0])
     return CampaignResult(merged, report, None, failed.error, failed.error_code)
+
+
+def check_options(config: RunConfig, log=None, trace_cycles=None, dot=None) -> None:
+    """Refuse, with exit 2, options that conflict whatever the model, before it is read."""
+    if dot and config.scenario == "piecemeal":
+        raise CliError("--dot needs one automaton: --scenario full or piece:NODE", EXIT_PARSE)
+    # the cycle records are the in-process kernel's, and piecemeal has one per part
+    if trace_cycles and config.scenario == "piecemeal":
+        raise CliError("--trace-cycles needs one kernel: --scenario full or piece:NODE",
+                       EXIT_PARSE)
+    if trace_cycles and config.sut.partition(":")[0] != "inproc":
+        raise CliError("--trace-cycles needs an in-process subject: --sut inproc:NAME",
+                       EXIT_PARSE)
+    if config.scenario != "piecemeal" and (config.parts or config.jobs > 1):
+        raise CliError("--parts and --jobs apply only to --scenario piecemeal", EXIT_PARSE)
+    if not config.streaming and config.sut.partition(":")[0] != "inproc":
+        raise CliError("--no-streaming needs an in-process subject: --sut inproc:NAME",
+                       EXIT_PARSE)
+    if config.scenario not in ("full", "piecemeal") and not config.scenario.startswith("piece:"):
+        raise CliError("unknown scenario %r" % config.scenario, EXIT_PARSE)
+    paths = [(option, path) for option, path in (
+        ("--model", config.model_path), ("--log", log), ("--trace-cycles", trace_cycles),
+        ("--dot", dot)) if path is not None]
+    for (first, a), (second, b) in itertools.combinations(paths, 2):
+        if _same_file(a, b):
+            raise CliError("%s and %s name the same file: %s" % (second, first, b), EXIT_PARSE)
+
+
+def _same_file(a: str, b: str) -> bool:
+    """Whether writing one path would overwrite the other: one regular file
+    under two names, or one name for a file that does not exist yet.  A
+    device such as /dev/null may be named twice."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.isfile(a) and os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
 
 
 def run_part(config: RunConfig, extraction, projections, part) -> CampaignResult:
@@ -270,20 +308,28 @@ def run_part(config: RunConfig, extraction, projections, part) -> CampaignResult
 
 
 def _open_output(stack: contextlib.ExitStack, path: Optional[str]):
-    """``path`` opened for writing and closed with ``stack``, or None."""
+    """``path`` opened for writing but not truncated, and closed with
+    ``stack``; or None.  ``_write_output`` empties it when it writes."""
     if path is None:
         return None
     try:
-        return stack.enter_context(open(path, "w", encoding="utf-8"))
+        return stack.enter_context(open(path, "w", encoding="utf-8", opener=_no_truncate))
     except OSError as exc:
         raise CliError("cannot open %s: %s" % (path, exc.strerror or exc), EXIT_PARSE) from exc
 
 
+def _no_truncate(path: str, flags: int) -> int:
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _write_output(fh, chunks) -> None:
-    """Write ``chunks`` to ``fh`` and flush it; a failed write is exit 6.  A
-    failed file is closed there and then, and a failed stdout points at the
-    null device, so that no later flush fails again."""
+    """Write ``chunks`` to ``fh`` and flush it; a failed write is exit 6.  An
+    output file that is a regular file is emptied first.  A failed file is
+    closed there and then, and a failed stdout points at the null device, so
+    that no later flush fails again."""
     try:
+        if fh is not sys.stdout and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate(0)
         fh.writelines(chunks)
         fh.flush()
     except OSError as exc:
@@ -303,17 +349,10 @@ def _write_output(fh, chunks) -> None:
 
 def cmd_run(args) -> tuple:
     config = _config_from_args(args)
-    if args.dot and config.scenario == "piecemeal":
-        raise CliError("--dot needs one automaton: --scenario full or piece:NODE", EXIT_PARSE)
-    # the cycle records are the in-process kernel's, and piecemeal has one per part
-    if args.trace_cycles and config.scenario == "piecemeal":
-        raise CliError("--trace-cycles needs one kernel: --scenario full or piece:NODE",
-                       EXIT_PARSE)
-    if args.trace_cycles and config.sut.partition(":")[0] != "inproc":
-        raise CliError("--trace-cycles needs an in-process subject: --sut inproc:NAME",
-                       EXIT_PARSE)
-    # the output files are opened before the subject starts, so that a bad
-    # path costs no campaign
+    check_options(config, args.log, args.trace_cycles, args.dot)
+    # the output files are opened before the model is read or the subject
+    # started, so that a bad path costs no campaign, and each keeps its bytes
+    # until its content is written
     with contextlib.ExitStack() as stack:
         log_fh, cycles_fh, dot_fh = (_open_output(stack, path)
                                      for path in (args.log, args.trace_cycles, args.dot))
@@ -477,32 +516,26 @@ def positive_float(text: str) -> float:
 
 
 def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        model_path=args.model,
-        sut=getattr(args, "sut", "inproc:iron"),
-        scenario=getattr(args, "scenario", "full"),
-        parts=tuple(getattr(args, "parts", ()) or ()),
-        cycle_period_ms=args.period_ms,
-        streaming=not getattr(args, "no_streaming", False),
-        remap=dict(args.remap_duration or ()),
-        budget=getattr(args, "budget", 10_000),
-        seed=getattr(args, "seed", None),
-        strict_held=args.strict_held,
-        timeout_s=getattr(args, "timeout", 5.0),
-        required=tuple(getattr(args, "require", None) or ()),
-        jobs=getattr(args, "jobs", 1),
-    )
+    # each option's dest is its RunConfig field, and one not given is absent
+    names = {f.name for f in fields(RunConfig)}
+    return RunConfig(**{name: value for name, value in vars(args).items() if name in names})
 
 
-def _add_model_options(sub) -> None:
-    sub.add_argument("--model", required=True, help="path to the .ctl model")
-    sub.add_argument("--period-ms", type=positive_int, default=1000, help="cycle period in ms")
-    sub.add_argument("--remap-duration", type=duration_cycles, action="append",
+def _add_subcommand(subs, name: str, help_text: str, func):
+    """A subcommand with the model options; an option not given is not parsed."""
+    sub = subs.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+    sub.set_defaults(func=func)
+    sub.add_argument("--model", dest="model_path", metavar="MODEL", required=True,
+                     help="path to the .ctl model")
+    sub.add_argument("--period-ms", dest="cycle_period_ms", metavar="PERIOD_MS",
+                     type=positive_int, help="cycle period in ms")
+    sub.add_argument("--remap-duration", dest="remap", type=duration_cycles, action="append",
                      metavar="DUR=CYCLES",
                      help="map one held() duration to a cycle count, e.g. 60s=3")
     sub.add_argument("--strict-held", action="store_true",
                      help="temporal predicates fire strictly after their duration")
-    sub.add_argument("--json", action="store_true", help="machine-readable output")
+    sub.add_argument("--json", action="store_true", default=False, help="machine-readable output")
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -512,38 +545,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    run = subs.add_parser("run", help="run a test campaign against a subject")
-    _add_model_options(run)
-    run.add_argument("--sut", default="inproc:iron",
-                     help="inproc:iron[:MUTANT] | tcp:HOST:PORT | stdio:CMD")
-    run.add_argument("--scenario", default="full",
-                     help="full | piecemeal | piece:<node-id>")
+    run = _add_subcommand(subs, "run", "run a test campaign against a subject", cmd_run)
+    run.add_argument("--sut", help="inproc:iron[:MUTANT] | tcp:HOST:PORT | stdio:CMD")
+    run.add_argument("--scenario", help="full | piecemeal | piece:<node-id>")
     run.add_argument("--parts", nargs="*", help="piecemeal part node ids (default: t e)")
-    run.add_argument("--budget", type=positive_int, default=10_000, help="max test actions")
+    run.add_argument("--budget", type=positive_int, help="max test actions")
     run.add_argument("--seed", type=int, help="shuffle action order (default: declaration order)")
-    run.add_argument("--no-streaming", action="store_true",
+    run.add_argument("--no-streaming", dest="streaming", action="store_false",
                      help="pace cycles against the wall clock")
-    run.add_argument("--timeout", type=positive_float, default=5.0,
+    run.add_argument("--timeout", dest="timeout_s", metavar="TIMEOUT", type=positive_float,
                      help="timeout for each reply line, seconds")
-    run.add_argument("--require", type=criterion_ratio, action="append",
+    run.add_argument("--require", dest="required", type=criterion_ratio, action="append",
                      metavar="CRITERION=RATIO",
                      help="fail with exit 5 below this coverage, e.g. branch=1.0")
-    run.add_argument("--deterministic", action="store_true",
+    run.add_argument("--deterministic", action="store_true", default=False,
                      help="omit timestamps so reports are byte-identical")
-    run.add_argument("--jobs", type=positive_int, default=1,
+    run.add_argument("--jobs", type=positive_int,
                      help="parallel piecemeal processes, at most one per part")
-    run.add_argument("--log", help="write the test log as JSON lines")
-    run.add_argument("--trace-cycles", help="write kernel cycle records as JSON lines")
-    run.add_argument("--dot", help="write the explored automaton as DOT")
-    run.set_defaults(func=cmd_run)
+    run.add_argument("--log", default=None, help="write the test log as JSON lines")
+    run.add_argument("--trace-cycles", default=None,
+                     help="write kernel cycle records as JSON lines")
+    run.add_argument("--dot", default=None, help="write the explored automaton as DOT")
 
-    enum = subs.add_parser("enumerate-states", help="count reachable temporal flag states")
-    _add_model_options(enum)
-    enum.set_defaults(func=cmd_enumerate_states)
-
-    red = subs.add_parser("reduce", help="coverage-targeted reduction listing")
-    _add_model_options(red)
-    red.set_defaults(func=cmd_reduce)
+    _add_subcommand(subs, "enumerate-states", "count reachable temporal flag states",
+                    cmd_enumerate_states)
+    _add_subcommand(subs, "reduce", "coverage-targeted reduction listing", cmd_reduce)
 
     return parser
 

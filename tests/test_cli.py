@@ -13,7 +13,7 @@ import pytest
 from conftest import GUARD_SRC, MODEL_PATH, TANK_SRC
 
 import cyclotest
-from cyclotest.cli import build_parser, main
+from cyclotest.cli import RunConfig, _config_from_args, build_parser, main
 from test_reduction import _model_sources
 
 DESK = ["--remap-duration", "60s=3", "--remap-duration", "900s=5"]
@@ -453,6 +453,21 @@ class TestAnalysisPinned:
         assert hashlib.sha256(out.encode()).hexdigest() == out_sha
         assert err == ""
 
+    # the tank model with its durations scaled to 120 and 90 cycles: a
+    # breadth-first search over 41,413 nodes
+    @pytest.mark.parametrize("command, out_sha", [
+        ("enumerate-states", "aec5d279159dfae041c7399bb524f4ff5dac216c348522a04abc7e18f8ee34fa"),
+        ("reduce", "dcc2845671c0ea7e56950c183f0c1f83910e299035f75460efc948a33367a389"),
+    ])
+    def test_scaled_tank_durations_pinned(self, capsys, tmp_path, command, out_sha):
+        model = tmp_path / "tank.ctl"
+        model.write_text(TANK_SRC)
+        code, out, err = _run(capsys, [command, "--model", str(model), "--json",
+                                       "--remap-duration", "2s=120",
+                                       "--remap-duration", "1500ms=90"])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == out_sha
+
     @pytest.mark.parametrize("model, setting", [
         pytest.param(model, setting, id="%s-%s" % (model, setting))
         for model, setting in EVERY_MODEL_SHA])
@@ -596,6 +611,18 @@ class TestRun:
         assert data.count(b"\n") == 31_547
         assert hashlib.sha256(data).hexdigest() == (
             "549bb9a8830df898b653ff40b337ec6c43889488fcf1c61b6eed531d2c6e4fcb")
+
+    def test_paper_piecemeal_log_pinned(self, capsys, tmp_path):
+        # both parts at the model's own 60 s/900 s, which CI also checks in a
+        # pool of two, in process and over stdio
+        log = tmp_path / "log.jsonl"
+        code, _, _ = _run(capsys, ["run", "--model", MODEL_PATH, "--scenario", "piecemeal",
+                                   "--deterministic", "--log", str(log)])
+        assert code == 0
+        data = log.read_bytes()
+        assert data.count(b"\n") == 18_028
+        assert hashlib.sha256(data).hexdigest() == (
+            "daf29711a13851edac725e1bd726bc0bcd1535cb810d0c67de294da19d913850")
 
 
 # iron with a redundant inner test of position: its else leaf 'te' is
@@ -746,6 +773,48 @@ class TestMisbehavingSubject:
                                      "--deterministic"] + DESK)
         assert code == 3
         assert json.loads(out)["verdicts"] == {"MediatorFailure": 1}
+
+
+class TestRunConfigFromArguments:
+    """``RunConfig`` alone states the defaults: each option not given keeps
+    its field's default, and each option given sets its field."""
+
+    @pytest.mark.parametrize("command", ["run", "enumerate-states", "reduce"])
+    def test_no_options_give_the_defaults(self, command):
+        args = build_parser().parse_args([command, "--model", MODEL_PATH])
+        assert _config_from_args(args) == RunConfig(model_path=MODEL_PATH)
+
+    @pytest.mark.parametrize("command", ["run", "enumerate-states", "reduce"])
+    def test_model_options_passed_on(self, command):
+        args = build_parser().parse_args([command, "--model", MODEL_PATH, "--period-ms", "700",
+                                          "--strict-held"] + DESK)
+        assert _config_from_args(args) == RunConfig(
+            model_path=MODEL_PATH, cycle_period_ms=700, remap={60_000: 3, 900_000: 5},
+            strict_held=True)
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(scenario="bogus"), "unknown scenario 'bogus'"),
+        (dict(jobs=2), "--parts and --jobs apply only to --scenario piecemeal"),
+        (dict(sut="stdio:subject", streaming=False),
+         "--no-streaming needs an in-process subject: --sut inproc:NAME"),
+    ], ids=["scenario", "jobs", "no-streaming"])
+    def test_run_campaign_checks_the_options(self, overrides, message):
+        # as the command line does, before the model is read
+        config = RunConfig(model_path="/nonexistent.ctl", **overrides)
+        with pytest.raises(cyclotest.cli.CliError, match=re.escape(message)) as caught:
+            cyclotest.cli.run_campaign(config)
+        assert caught.value.code == 2
+
+    def test_run_options_passed_on(self):
+        args = build_parser().parse_args([
+            "run", "--model", MODEL_PATH, "--sut", "stdio:subject", "--scenario", "piecemeal",
+            "--parts", "t", "e", "--budget", "7", "--seed", "3", "--no-streaming",
+            "--timeout", "0.5", "--require", "branch=1", "--require", "mcdc=0.5",
+            "--jobs", "2", "--log", "log.jsonl"])
+        assert _config_from_args(args) == RunConfig(
+            model_path=MODEL_PATH, sut="stdio:subject", scenario="piecemeal", parts=("t", "e"),
+            streaming=False, budget=7, seed=3, timeout_s=0.5,
+            required=(("branch", 1.0), ("mcdc", 0.5)), jobs=2)
 
 
 class TestBadArguments:
@@ -1012,6 +1081,68 @@ class TestOutputFaults:
                                      "--dot", str(tmp_path / "missing" / "x.dot")] + DESK)
         assert code == 2
         assert "cannot open" in err
+
+
+class TestOutputsKept:
+    """An output file keeps its bytes until its content is written, and no
+    output may overwrite the model or another output."""
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["--parts", "t"], 2, "error: --parts and --jobs apply only to --scenario piecemeal"),
+        (["--scenario", "bogus"], 2, "error: unknown scenario 'bogus'"),
+        (["--model", "/nonexistent.ctl"], 2,
+         "error: cannot read model: [Errno 2] No such file or directory: '/nonexistent.ctl'"),
+        (["--sut", "stdio:/nonexistent/subject"], 3,
+         "error: cannot start /nonexistent/subject: No such file or directory"),
+    ], ids=["parts", "scenario", "model", "subject"])
+    def test_early_exit_keeps_an_existing_log(self, capsys, tmp_path, argv, code, message):
+        log = tmp_path / "keep.jsonl"
+        log.write_text("keep\n")
+        got, _, err = _run(capsys, ["run", "--model", MODEL_PATH, "--log", str(log)] + argv)
+        assert (got, err.splitlines()) == (code, [message])
+        assert log.read_text() == "keep\n"
+
+    def test_a_longer_log_is_replaced(self, capsys, tmp_path):
+        log = tmp_path / "log.jsonl"
+        log.write_bytes(b"x" * 100_000)
+        code, _, _ = _run(capsys, ["run", "--model", MODEL_PATH, "--deterministic",
+                                   "--log", str(log)] + DESK)
+        assert code == 0
+        assert hashlib.sha256(log.read_bytes()).hexdigest() == (
+            "2f93ba03921d0dfe609976da8e528245e7682b840fdc38d203369bc1cf39ddec")
+
+    @pytest.mark.parametrize("first, second, message", [
+        ("--model", "--log", "--log and --model name the same file"),
+        ("--log", "--dot", "--dot and --log name the same file"),
+        ("--log", "--trace-cycles", "--trace-cycles and --log name the same file"),
+        ("--trace-cycles", "--dot", "--dot and --trace-cycles name the same file"),
+    ], ids=["model-log", "log-dot", "log-cycles", "cycles-dot"])
+    @pytest.mark.parametrize("spelling", ["same", "dotted", "symlink", "new"])
+    def test_output_naming_another_file_exit_2(self, capsys, tmp_path, monkeypatch, first,
+                                               second, message, spelling):
+        # refused before anything is opened: the file keeps its bytes, or
+        # is not created
+        monkeypatch.chdir(tmp_path)
+        target = Path("victim.ctl")
+        if spelling != "new":
+            target.write_text(Path(MODEL_PATH).read_text())
+        other = {"same": "victim.ctl", "dotted": "./sub/../victim.ctl", "symlink": "link.ctl",
+                 "new": "victim.ctl"}[spelling]
+        Path("sub").mkdir()
+        Path("link.ctl").symlink_to("victim.ctl")
+        paths = {"--model": MODEL_PATH, first: "victim.ctl", second: other}
+        argv = [arg for option, path in paths.items() for arg in (option, path)]
+        code, _, err = _run(capsys, ["run"] + argv + DESK)
+        assert (code, err) == (2, "error: %s: %s\n" % (message, other))
+        if spelling == "new":
+            assert not target.exists()
+        else:
+            assert target.read_text() == Path(MODEL_PATH).read_text()
+
+    def test_devices_may_be_named_twice(self, capsys):
+        code, _, _ = _run(capsys, ["run", "--model", MODEL_PATH, "--log", os.devnull,
+                                   "--dot", os.devnull, "--trace-cycles", os.devnull] + DESK)
+        assert code == 0
 
 
 def _assert_usage_error(proc):
