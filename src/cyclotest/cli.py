@@ -7,7 +7,8 @@ conditions, projections, state partition).  Exit codes: 0 ok, 2 model/parse
 problem, bad option, or an output that names the model or another output or
 cannot be opened, 3 mediator or protocol failure, 4 failed verdicts or
 traversal diagnostics, 5 unmet coverage requirement, 6 output not written.
-An existing output of ``run`` keeps its bytes until its content is written.
+An existing output of ``run`` keeps its bytes until its content is written,
+and one that ``run`` created is removed again when it ends before writing.
 ``CYCLOTEST_LOG`` sets the log level.  The converters ``positive_int`` and
 ``tcp_address``, which ``iron-sut`` shares, live in :mod:`cyclotest.mediator`.
 """
@@ -352,11 +353,19 @@ def cmd_run(args) -> tuple:
     check_options(config, args.log, args.trace_cycles, args.dot)
     # the output files are opened before the model is read or the subject
     # started, so that a bad path costs no campaign, and each keeps its bytes
-    # until its content is written
+    # until its content is written; one created here is removed on an early exit
+    paths = (args.log, args.trace_cycles, args.dot)
+    created = [path for path in paths if path is not None and not os.path.lexists(path)]
     with contextlib.ExitStack() as stack:
-        log_fh, cycles_fh, dot_fh = (_open_output(stack, path)
-                                     for path in (args.log, args.trace_cycles, args.dot))
-        result = run_campaign(config)
+        try:
+            log_fh, cycles_fh, dot_fh = (_open_output(stack, path) for path in paths)
+            result = run_campaign(config)
+        except BaseException:
+            stack.close()
+            for path in created:
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+            raise
         if log_fh:
             _write_output(log_fh, result.log.json_lines())
         if cycles_fh:

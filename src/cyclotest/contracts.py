@@ -4,7 +4,8 @@
 mediator exchange, predicate/flag update, reference run of the model (state
 parameters get pre-values, temporal parameters get the post-exchange flags),
 state synchronization, and finally the postcondition comparing observed
-outputs and visible state against the reference values.
+outputs and visible state against the reference values.  Each check runs
+once per stimulus; only a refused call is checked again, to word its reason.
 
 The predicate/flag update and the reference run are together the cycle's
 step, a function of the inputs, the pre-state's variables and hold record,
@@ -84,25 +85,27 @@ class Specification:
     """One specification function per subject, with verdicts per stimulus.
 
     The precondition admits exactly the declared inputs, each an integer (a
-    bool counts) inside its domain.  An admitted call's inputs are copied as
-    ``int``s once, and that copy is what the link and the model see.  Every
-    reference run's decision trace accumulates into ``coverage``.
+    bool counts) inside its domain.  One pass over their ``(name, domain)``
+    pairs admits a call and copies its inputs as ``int``s, which the link and
+    the model see; :meth:`check_precondition` words a refused call's reason.
+    Every reference run's decision trace accumulates into ``coverage``.
 
     A specification state is keyed by its variables in ``model.state_vars``
-    order and its flags in ``hold_table.predicate_ids`` order
-    (:meth:`_state_key`).  A reference run is remembered by its cycle, the
-    input values in ``model.input_names`` order with the pre-state's key; a
-    remembered cycle skips the model and coverage, whose accumulation of one
-    trace is idempotent.  The abstract state of the current state is
-    remembered by the state's key (:meth:`abstract_state`).
+    order and its flags in ``hold_table.predicate_ids`` order.  A reference
+    run is remembered by its cycle, the input values in ``model.input_names``
+    order with the pre-state's key; a remembered cycle skips the model and
+    coverage, whose accumulation of one trace is idempotent.  The abstract
+    state of the current state is remembered by the state's key
+    (:meth:`abstract_state`).
 
-    A step is remembered by its key, taken after the exchange: the input
-    values in ``model.input_names`` order, the pre-state's variables in
+    A step is remembered by its key: the admitted input values in
+    ``model.input_names`` order, the pre-state's variables in
     ``model.state_vars`` order, its hold record, and the ms elapsed since the
     previous observation (0 on the first).  Its value is the stepped
     ``(holds, flags)`` pair with the reference run.  A remembered step skips
     the hold-table step, the flags and the reference lookup; a step not
-    remembered takes them (:meth:`_step`).  Either way the state is then
+    remembered takes them (:meth:`_step`), and its key's input and state
+    values key the reference lookup.  Either way the state is then
     synchronized with the observation and the postcondition compares it.
     """
 
@@ -113,6 +116,8 @@ class Specification:
         self.link = link
         self.hold_table = temporal.HoldTable(extraction.predicates, strict_held)
         self.coverage = CoverageReport.for_model(self.model)
+        self._admission = tuple((name, self.model.domains[name]) for name in self.model.input_names)
+        self._readable = self.model.readable_names
         self._inputs_at = _values_at(self.model.input_names)
         self._state_at = _values_at(tuple(d.name for d in self.model.state_vars))
         self._flags_at = _values_at(self.hold_table.predicate_ids)
@@ -125,9 +130,6 @@ class Specification:
             flags=self.hold_table.flags(self.hold_table.initial),
         )
 
-    def _state_key(self, state_vars: Mapping, flags: Mapping) -> tuple:
-        return self._state_at(state_vars), self._flags_at(flags)
-
     def abstract_state(self, derive: Callable[[Mapping], object]):
         """``derive(self.state.env())``, remembered by the state's key.
 
@@ -135,7 +137,7 @@ class Specification:
         and the same one on every call: one scenario's abstraction per
         specification."""
         state = self.state
-        key = self._state_key(state.state_vars, state.flags)
+        key = self._state_at(state.state_vars), self._flags_at(state.flags)
         result = self._abstract.get(key)
         if result is None:
             result = derive(state.env())
@@ -149,33 +151,28 @@ class Specification:
         """The reason ``inputs`` may not be applied, or None.  Every declared
         input must be given, and no other name, as an integer (a bool counts)
         inside its domain."""
-        names = self.model.input_names
-        domains = self.model.domains
-        admitted = len(inputs) == len(names)
-        for name in names:
-            value = inputs.get(name)
-            if not (isinstance(value, int) and value in domains[name]):
-                admitted = False
-                break
-        if not admitted:
-            extra = set(inputs).difference(names)
-            if extra:
-                return "undeclared input(s): %s" % ", ".join(sorted(extra))
-            for name in names:
-                if name not in inputs:
-                    return "missing input '%s'" % name
-                value = inputs[name]
-                if not isinstance(value, int):
-                    return "input '%s' = %r is not an integer" % (name, value)
-                if value not in domains[name]:
-                    return "input '%s' = %d outside its domain" % (name, value)
+        extra = set(inputs).difference(self.model.input_names)
+        if extra:
+            return "undeclared input(s): %s" % ", ".join(sorted(extra))
+        for name, domain in self._admission:
+            if name not in inputs:
+                return "missing input '%s'" % name
+            value = inputs[name]
+            if not isinstance(value, int):
+                return "input '%s' = %r is not an integer" % (name, value)
+            if value not in domain:
+                return "input '%s' = %d outside its domain" % (name, value)
         return None
 
-    def reference(self, inputs: Mapping, state_pre: Mapping, flags: Mapping) -> tuple:
+    def reference(self, inputs: Mapping, state_pre: Mapping, flags: Mapping,
+                  step_key: Optional[tuple] = None) -> tuple:
         """The model's ``(outputs, state_post, trace)`` for one cycle, shared
         and read-only when the cycle is remembered.  A cycle not remembered
-        accumulates its trace into ``coverage``."""
-        key = (self._inputs_at(inputs), self._state_key(state_pre, flags))
+        accumulates its trace into ``coverage``.  The values of ``inputs`` and
+        ``state_pre`` are read afresh, or taken from the cycle's ``step_key``."""
+        if step_key is None:
+            step_key = self._inputs_at(inputs), self._state_at(state_pre)
+        key = step_key[0], step_key[1], self._flags_at(flags)
         result = self._memo.get(key)
         if result is None:
             result = eval_model(self.model, inputs, state_pre, flags)
@@ -189,34 +186,43 @@ class Specification:
         """A step the memo misses: the stepped ``(holds, flags)`` and the
         reference run, remembered under ``key`` below the cap."""
         stepped = mediator.step_predicates(self.hold_table, pre, obs, inputs)
-        step = stepped, self.reference(inputs, pre.state_vars, stepped[1])
+        step = stepped, self.reference(inputs, pre.state_vars, stepped[1], key)
         if len(self._steps) < MEMO_CAP:
             self._steps[key] = step
         return step
 
     def apply_stimulus(self, inputs: Mapping) -> Verdict:
-        reason = self.check_precondition(inputs)
-        if reason is not None:
-            return Verdict(VerdictKind.PRECONDITION_VIOLATION, reason, self.link.next_cycle)
-        inputs = {k: int(v) for k, v in inputs.items()}
+        admission = self._admission
+        admitted = None
+        if len(inputs) == len(admission):
+            admitted = {}
+            for name, domain in admission:
+                value = inputs.get(name)
+                if not (isinstance(value, int) and value in domain):
+                    admitted = None
+                    break
+                admitted[name] = int(value)
+        if admitted is None:
+            return Verdict(VerdictKind.PRECONDITION_VIOLATION, self.check_precondition(inputs),
+                           self.link.next_cycle)
         pre = self.state  # sync_state builds a new state; nothing mutates this one
 
         try:
-            obs = self.link.exchange(inputs)
+            obs = self.link.exchange(admitted)
         except MediatorError as exc:
             return Verdict(VerdictKind.MEDIATOR_FAILURE, str(exc), self.link.next_cycle)
 
         last = pre.sys_time_ms
-        key = (self._inputs_at(inputs), self._state_at(pre.state_vars), pre.holds,
+        key = (self._inputs_at(admitted), self._state_at(pre.state_vars), pre.holds,
                0 if last is None else obs.sys_time_ms - last)
         step = self._steps.get(key)
         if step is None:
-            step = self._step(inputs, pre, obs, key)
+            step = self._step(admitted, pre, obs, key)
         stepped, (ref_outputs, ref_post, trace) = step
         self.state = mediator.sync_state(pre, obs, ref_post, stepped)
 
         visible = obs.visible_state
-        readable = self.model.readable_names
+        readable = self._readable
         if ref_outputs != obs.outputs or (readable
                                           and any(ref_post[n] != visible[n] for n in readable)):
             mismatches = [Mismatch(n, ref_outputs[n], obs.outputs[n])

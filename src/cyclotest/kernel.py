@@ -64,13 +64,14 @@ class Kernel:
         the cycle is not recorded."""
         config = self.config
         period = config.cycle_period_ms
-        self.sys_time_ms = sys_time_ms = (len(self.exec_time_us) + 1) * period
+        exec_time_us, monotonic = self.exec_time_us, self._monotonic
+        self.sys_time_ms = sys_time_ms = (len(exec_time_us) + 1) * period
 
-        begin = self._monotonic()
+        begin = monotonic()
         outputs = self._step(inputs, sys_time_ms)
-        self.exec_time_us.append(int((self._monotonic() - begin) * 1_000_000))
+        exec_time_us.append(int((monotonic() - begin) * 1_000_000))
         if not config.streaming:
-            remainder = period / 1000.0 - (self._monotonic() - begin)
+            remainder = period / 1000.0 - (monotonic() - begin)
             if remainder > 0:
                 self._sleep(remainder)
         return outputs

@@ -103,7 +103,7 @@ def validate_hello(hello: dict, model: ModelAst, cycle_period_ms: int) -> None:
 
 class MediatorLink:
     """Shared per-cycle bookkeeping: alternation, payload validation.  An
-    observation is checked here once; later stages trust it."""
+    observation is checked here once, in one pass; later stages trust it."""
 
     def __init__(self, model: ModelAst):
         self.model = model
@@ -112,6 +112,7 @@ class MediatorLink:
         # (name, domain) of each output and readable state variable
         self._outputs = tuple((name, model.domains[name]) for name in model.output_names)
         self._state = tuple((name, model.domains[name]) for name in model.readable_names)
+        self._n_outputs, self._n_state = len(self._outputs), len(self._state)
 
     def exchange(self, inputs: Mapping) -> CycleObservation:
         """Run one cycle on ``inputs``, the ``int`` values of every declared
@@ -128,9 +129,22 @@ class MediatorLink:
         model's names, each an ``int`` inside its domain.  Otherwise a
         :class:`ProtocolError` names the first misfit."""
         last = self._last_sys_time_ms
-        if not (type(cycle) is int and cycle == self.next_cycle
+        fits = (type(cycle) is int and cycle == self.next_cycle
                 and type(sys_time_ms) is int and (last is None or sys_time_ms >= last)
-                and _fits(outputs, self._outputs) and _fits(state, self._state)):
+                and isinstance(outputs, dict) and len(outputs) == self._n_outputs
+                and isinstance(state, dict) and len(state) == self._n_state)
+        if fits:
+            for name, domain in self._outputs:
+                value = outputs.get(name)
+                if type(value) is not int or value not in domain:
+                    fits = False
+                    break
+            for name, domain in self._state:
+                value = state.get(name)
+                if type(value) is not int or value not in domain:
+                    fits = False
+                    break
+        if not fits:
             self._reject(cycle, sys_time_ms, outputs, state)
         self._last_sys_time_ms = sys_time_ms
         self.next_cycle += 1
@@ -163,18 +177,6 @@ class MediatorLink:
                 if value not in domains[name]:
                     raise ProtocolError("observation %s '%s' = %d is outside its domain"
                                         % (part, name, value))
-
-
-def _fits(values, fields: tuple) -> bool:
-    """Whether ``values`` is a dict of exactly the names of ``fields``, each an
-    ``int`` inside its domain."""
-    if not isinstance(values, dict) or len(values) != len(fields):
-        return False
-    for name, domain in fields:
-        value = values.get(name)
-        if type(value) is not int or value not in domain:
-            return False
-    return True
 
 
 class InProcessLink(MediatorLink):
@@ -380,10 +382,12 @@ def sync_state(spec_state, obs: CycleObservation, model_state_post: Mapping, ste
     Readable state variables are copied from the observation, which the link
     has already checked against the model; hidden ones are taken from the
     model's computed post-state (assuming an error-free subject, their model
-    representation is the reference value).  The hold record and flags are
-    the pair that :func:`step_predicates` returned for this exchange.
+    representation is the reference value).  With no visible state, the
+    post-state itself, shared and read-only, is the new state's variables.
+    The hold record and flags are the pair that :func:`step_predicates`
+    returned for this exchange.
     """
     holds, flags = stepped
-    state_vars = dict(model_state_post)
-    state_vars.update(obs.visible_state)
+    visible = obs.visible_state
+    state_vars = {**model_state_post, **visible} if visible else model_state_post
     return type(spec_state)(state_vars, holds, flags, obs.sys_time_ms)

@@ -201,14 +201,14 @@ def traverse(scenario: Scenario, spec, budget: int = 10_000, rng=None):
 
 
 def _apply(action: Action, spec, scenario: Scenario, log: TestLog, source, replay: bool):
+    apply_stimulus, append, label = spec.apply_stimulus, log.entries.append, action.label
     for stimulus in action.stimuli():
-        verdict: Verdict = spec.apply_stimulus(stimulus)
+        verdict: Verdict = apply_stimulus(stimulus)
         kind = verdict.kind
-        passed = kind is PASS
-        log.entries.append(LogEntry(verdict.cycle_index, source, action.label,
-                                    _PASS_NAME if passed else kind.value, replay))
-        if not passed:
+        if kind is not PASS:
+            append(LogEntry(verdict.cycle_index, source, label, kind.value, replay))
             return scenario.state_fn(), verdict
+        append(LogEntry(verdict.cycle_index, source, label, _PASS_NAME, replay))
     return scenario.state_fn(), None
 
 

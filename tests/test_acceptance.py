@@ -172,6 +172,19 @@ def test_c05_mutant_detection(desk_extraction, capsys):
         )
 
 
+@pytest.mark.parametrize("mutant, passed", [("M1", 0), ("M2", 59), ("M3", 60), ("M4", 3604),
+                                            ("M5", 60)])
+def test_paper_scale_mutant_fails_after_pinned_passes(mutant, passed):
+    # each mutant, at the paper's 60 s/900 s, ends the campaign at its one
+    # failing verdict after the same number of passing stimuli
+    result = run_campaign(RunConfig(model_path=MODEL_PATH, sut="inproc:iron:" + mutant))
+    counts = {VerdictKind.PASS.value: passed} if passed else {}
+    counts[VerdictKind.POSTCONDITION_FAILURE.value] = 1
+    assert result.log.verdict_counts() == counts
+    assert result.log.outcome == "verdict_failure"
+    assert result.exit_code(()) == 4
+
+
 def test_c06_traversal_oracle_equivalence(capsys):
     rng = random.Random(20260810)
     clean_ok = 0

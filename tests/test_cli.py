@@ -1102,6 +1102,24 @@ class TestOutputsKept:
         assert (got, err.splitlines()) == (code, [message])
         assert log.read_text() == "keep\n"
 
+    @pytest.mark.parametrize("fault", ["dot", "model", "subject"])
+    def test_early_exit_leaves_no_new_output(self, capsys, tmp_path, fault):
+        # an output the run created is removed again when it ends before writing
+        bad_model = tmp_path / "bad.ctl"
+        bad_model.write_text("model m {")
+        log = tmp_path / "fresh.jsonl"
+        argv, code, message = {
+            "dot": (["--model", MODEL_PATH, "--dot", "/nonexistent/x"], 2,
+                    "error: cannot open /nonexistent/x: No such file or directory"),
+            "model": (["--model", str(bad_model)], 2, "error: %s: " % bad_model),
+            "subject": (["--model", MODEL_PATH, "--sut", "stdio:/nonexistent/subject"], 3,
+                        "error: cannot start /nonexistent/subject: No such file or directory"),
+        }[fault]
+        got, _, err = _run(capsys, ["run", "--log", str(log)] + argv)
+        assert got == code
+        assert err.splitlines()[-1].startswith(message)
+        assert not log.exists()
+
     def test_a_longer_log_is_replaced(self, capsys, tmp_path):
         log = tmp_path / "log.jsonl"
         log.write_bytes(b"x" * 100_000)

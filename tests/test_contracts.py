@@ -1,5 +1,6 @@
 import itertools
 import random
+import types
 
 import pytest
 from conftest import GUARD_SRC, MODEL_PATH, TANK_SRC, desk_config
@@ -159,6 +160,73 @@ class TestApplyStimulus:
         verdict = spec.apply_stimulus({"move": 0, "position": 0})
         assert verdict.trace is not None
         assert verdict.trace.leaf_id == "ee"
+
+
+class RecordingSut:
+    """A subject that records the inputs it is stepped on and answers each
+    output and readable state variable with its domain's low end."""
+
+    def __init__(self, model):
+        self.seen = []
+        self._outputs = {name: model.domains[name].start for name in model.output_names}
+        self._state = {name: model.domains[name].start for name in model.readable_names}
+
+    def step(self, inputs, sys_time_ms):
+        self.seen.append(dict(inputs))
+        return dict(self._outputs)
+
+    def visible_state(self):
+        return dict(self._state)
+
+
+class TestAdmissionAgainstReference:
+    """``apply_stimulus``'s one admission pass refuses exactly the calls that
+    ``check_precondition`` words a reason for, with that reason and without
+    using up a cycle, and hands the subject an admitted call as exact
+    ``int``s."""
+
+    @staticmethod
+    def _stimuli(names, domains) -> list:
+        """The inputs at their domains' low ends, and that call with one fault
+        each: an extra or a missing name, or one value of another type or
+        just outside its domain; each as a dict and as a mapping that is
+        not a dict."""
+        valid = {name: domains[name].start for name in names}
+        stimuli = [valid, {**valid, "extra": 0}]
+        for name in names:
+            domain = domains[name]
+            stimuli.append({k: v for k, v in valid.items() if k != name})
+            for value in (True, 1.0, "1", None, domain.start - 1, domain.stop):
+                stimuli.append({**valid, name: value})
+        return stimuli + [types.MappingProxyType(stimulus) for stimulus in stimuli]
+
+    @pytest.mark.parametrize("source", [DIAL_SRC, GUARD_SRC, TANK_SRC], ids=["dial", "guard",
+                                                                            "tank"])
+    def test_every_enumerated_stimulus(self, source):
+        ex = extract_predicates(parse_model(source))
+        model = ex.model
+        sut = RecordingSut(model)
+        spec = Specification(ex, InProcessLink(model, sut, KernelConfig()))
+        stimuli = self._stimuli(model.input_names, model.domains)
+        admitted = 0
+        for stimulus in stimuli:
+            reason = spec.check_precondition(stimulus)
+            cycle, seen = spec.link.next_cycle, len(sut.seen)
+            verdict = spec.apply_stimulus(stimulus)
+            if reason is not None:
+                assert (verdict.kind, verdict.detail, verdict.cycle_index) == (
+                    VerdictKind.PRECONDITION_VIOLATION, reason, cycle)
+                assert (spec.link.next_cycle, len(sut.seen)) == (cycle, seen)
+            else:
+                assert verdict.kind is not VerdictKind.PRECONDITION_VIOLATION
+                assert spec.link.next_cycle == cycle + 1
+                [got] = sut.seen[seen:]
+                assert got == {name: int(stimulus[name]) for name in model.input_names}
+                assert all(type(value) is int for value in got.values())
+                admitted += 1
+        # the valid call and each input set to True, which its domain holds,
+        # both as a dict and as a mapping proxy
+        assert admitted == 2 * (1 + len(model.input_names))
 
 
 class TestDerivedOnce:

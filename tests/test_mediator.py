@@ -4,6 +4,7 @@ import json
 import random
 import re
 import sys
+import types
 import weakref
 
 import pytest
@@ -110,6 +111,20 @@ class TestInProcessLink:
             # observation is read after the step
             assert calls[-2:] == [("step", {"move": move, "position": 1}), ("read",)]
             assert obs.outputs == {"heating": move}
+
+    def test_subject_writing_its_inputs_is_still_caught(self, desk_extraction, iron_desk):
+        # the subject steps on its own copy of the inputs: one that ignores
+        # move, and writes that back, does not change what the oracle judges
+        class Rewriting(IronSut):
+            def step(self, inputs, sys_time_ms):
+                inputs["move"] = 0
+                return super().step(inputs, sys_time_ms)
+
+        link = InProcessLink(iron_desk, Rewriting(DESK_DURATIONS_MS))
+        spec = Specification(desk_extraction, link)
+        kinds = [spec.apply_stimulus({"move": 1, "position": 1}).kind for _ in range(7)]
+        # a moving iron heats; at rest upright for 5 s the subject cuts it
+        assert kinds == [VerdictKind.PASS] * 5 + [VerdictKind.POSTCONDITION_FAILURE] * 2
 
     def test_link_and_kernel_form_no_reference_cycle(self, iron_desk):
         # freed by reference counting alone, a spent link takes its kernel's
@@ -284,17 +299,23 @@ class TestStreamProtocol:
             link.exchange({"move": 0, "position": 0})
 
 
+class DictSubclass(dict):
+    pass
+
+
 class TestObservationCheckAgainstReference:
     """The link's one-pass check accepts exactly what the reference check
     accepts, and words each rejection byte for byte the same."""
 
     @staticmethod
     def _variants(names, domains) -> list:
-        """A dict of each name at its domain's low end, and that dict with
-        one fault each: a missing or an extra key, not a dict, or one value
-        of the wrong type or just outside its domain."""
+        """A dict of each name at its domain's low end, the same in a dict
+        subclass, and that dict with one fault each: a missing or an extra
+        key, not a dict (a mapping proxy is not), or one value of the wrong
+        type or just outside its domain."""
         valid = {name: domains[name].start for name in names}
-        variants = [valid, [valid], None, "x", {**valid, "extra": 0}]
+        variants = [valid, DictSubclass(valid), types.MappingProxyType(valid), [valid], None,
+                    "x", {**valid, "extra": 0}]
         for name in names:
             domain = domains[name]
             variants.append({k: v for k, v in valid.items() if k != name})
@@ -329,9 +350,10 @@ class TestObservationCheckAgainstReference:
                 assert [type(v) for v in got] == [type(v) for v in want]
                 assert (link.next_cycle, link._last_sys_time_ms) == (2, sys_time_ms)
                 accepted += 1
-        # the valid observation at an advanced and at an unchanged time
-        assert accepted == 2
-        assert rejected == len(cycles) * len(times) * len(outputs) * len(states) - 2
+        # the valid observation, as a dict or a dict subclass in each part,
+        # at an advanced and at an unchanged time
+        assert accepted == 2 * 2 * 2
+        assert rejected == len(cycles) * len(times) * len(outputs) * len(states) - accepted
 
 
 class TestRaisingSubject:
