@@ -106,6 +106,11 @@ class RunConfig:
         self.remap = dict(self.remap)
 
 
+# the log's names of the verdicts that decide the exit code
+_PASS_NAME = VerdictKind.PASS.value
+_MEDIATOR_FAILURE_NAME = VerdictKind.MEDIATOR_FAILURE.value
+
+
 @dataclass
 class CampaignResult:
     log: object
@@ -123,10 +128,10 @@ class CampaignResult:
     def exit_code(self, required) -> int:
         if self.error is not None:
             return self.error_code
-        for entry in self.log.entries:
-            if entry.verdict == VerdictKind.MEDIATOR_FAILURE.value:
-                return EXIT_PROTOCOL
-        if any(e.verdict != VerdictKind.PASS.value for e in self.log.entries):
+        verdicts = {entry.verdict for entry in self.log.entries}
+        if _MEDIATOR_FAILURE_NAME in verdicts:
+            return EXIT_PROTOCOL
+        if verdicts - {_PASS_NAME}:
             return EXIT_VERDICT
         for criterion, ratio in required:
             if self.report.ratio(criterion) < ratio:

@@ -7,17 +7,20 @@ state synchronization, and finally the postcondition comparing observed
 outputs and visible state against the reference values.  Each check runs
 once per stimulus; only a refused call is checked again, to word its reason.
 
-The predicate/flag update and the reference run are together the cycle's
-step, a function of the inputs, the pre-state's variables and hold record,
-and the system time elapsed since the previous observation.  A specification
-remembers each step it takes (up to ``MEMO_CAP`` distinct ones), so a cycle
-that repeats a step, as the hold cycles of a scenario do, skips both.
+The predicate/flag update, the reference run and, on a passing cycle, the
+synchronized state are together the cycle's step, a function of the inputs,
+the pre-state's variables and hold record, and the system time elapsed since
+the previous observation.  A specification interns its states, one object per distinct
+(variables, hold record), and each interned state remembers the passing
+steps taken from it (up to ``MEMO_CAP`` in all), so a cycle that repeats a
+step, as the hold cycles of a scenario do, is one lookup and the
+postcondition.
 """
 from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Optional
 
 from . import mediator, temporal
@@ -26,10 +29,11 @@ from .dsl import ExtractionResult, ModelAst
 from .interp import DecisionTrace, eval_model
 from .mediator import CycleObservation, MediatorError, MediatorLink
 
-# Distinct steps a specification remembers, distinct cycles it remembers the
-# reference run of, and distinct states it remembers the abstract state of;
-# past it, each new one is computed afresh every time.  The paper-scale iron
-# campaign takes 4,641 distinct steps.
+# Distinct states a specification interns, distinct steps it remembers,
+# distinct cycles it remembers the reference run of, and distinct (state
+# variables, flags) it remembers the abstract state of; past it, each new one
+# is computed afresh every time.  The paper-scale iron campaign takes 4,641
+# distinct steps between 4,625 distinct states.
 MEMO_CAP = 8192
 
 
@@ -67,12 +71,26 @@ class Verdict(NamedTuple):
     observation: Optional[CycleObservation] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class SpecificationState:
+    """State variables, the hold record of the specification's
+    :class:`temporal.HoldTable` and the time flags read from it; two states
+    are equal when these three are.  What the specification derives from a
+    state is attached to it: ``values``, its variables in ``model.state_vars``
+    order; its ``number`` among the specification's interned states (None
+    if it is not interned); ``successors``, the steps remembered from it,
+    only if it is interned; and ``abstract``, its abstract state.  A step
+    names its successor by number, so that interned states hold no reference
+    cycle: they are freed with their specification, not by the collector."""
+
     state_vars: dict
-    holds: tuple  # hold record of the specification's temporal.HoldTable
+    holds: tuple
     flags: dict
-    sys_time_ms: Optional[int] = None
+    values: Optional[tuple] = field(default=None, compare=False)
+    number: Optional[int] = field(default=None, compare=False)
+    # (input values, ms since the previous observation) -> (outputs, successor's number, trace)
+    successors: dict = field(default_factory=dict, compare=False, repr=False)
+    abstract: object = field(default=None, compare=False, repr=False)
 
     def env(self) -> dict:
         """State variables and time flags in one namespace (flags as 0/1)."""
@@ -90,23 +108,26 @@ class Specification:
     the model see; :meth:`check_precondition` words a refused call's reason.
     Every reference run's decision trace accumulates into ``coverage``.
 
-    A specification state is keyed by its variables in ``model.state_vars``
-    order and its flags in ``hold_table.predicate_ids`` order.  A reference
-    run is remembered by its cycle, the input values in ``model.input_names``
-    order with the pre-state's key; a remembered cycle skips the model and
-    coverage, whose accumulation of one trace is idempotent.  The abstract
-    state of the current state is remembered by the state's key
-    (:meth:`abstract_state`).
+    The specification steps its own automaton.  It interns its states: one
+    object per distinct (state variables, hold record), up to ``MEMO_CAP``
+    of them, keyed by its ``values`` and hold record.  ``sys_time_ms`` is the
+    previous observation's system time (None before the first).  An interned
+    state's successor table remembers each passing step from it by the
+    admitted input values in ``model.input_names`` order and the ms elapsed
+    since the previous observation (0 on the first): a remembered step is
+    one lookup, the postcondition, and the move to the interned successor.
+    A step not remembered is taken afresh: the hold-table step, the flags,
+    the reference lookup, :func:`mediator.sync_state` and the postcondition.
+    If that passes, the synchronized state is interned and the step
+    remembered; a failing postcondition leaves the state that ``sync_state``
+    gave, un-interned, and remembers nothing.
 
-    A step is remembered by its key: the admitted input values in
-    ``model.input_names`` order, the pre-state's variables in
-    ``model.state_vars`` order, its hold record, and the ms elapsed since the
-    previous observation (0 on the first).  Its value is the stepped
-    ``(holds, flags)`` pair with the reference run.  A remembered step skips
-    the hold-table step, the flags and the reference lookup; a step not
-    remembered takes them (:meth:`_step`), and its key's input and state
-    values key the reference lookup.  Either way the state is then
-    synchronized with the observation and the postcondition compares it.
+    A reference run is remembered by its cycle, the input values with the
+    pre-state's ``values`` and flags in ``hold_table.predicate_ids`` order; a
+    remembered cycle skips the model and coverage, whose accumulation of one
+    trace is idempotent.  The abstract state is derived once per distinct
+    (state variables, flags) and read off the state after that
+    (:meth:`abstract_state`).
     """
 
     def __init__(self, extraction: ExtractionResult, link: MediatorLink,
@@ -122,27 +143,45 @@ class Specification:
         self._state_at = _values_at(tuple(d.name for d in self.model.state_vars))
         self._flags_at = _values_at(self.hold_table.predicate_ids)
         self._memo: dict = {}  # cycle -> (outputs, state_post, trace), shared
-        self._abstract: dict = {}  # state key -> abstract state
-        self._steps: dict = {}  # step key -> ((holds, flags), reference run)
-        self.state = SpecificationState(
-            state_vars=self.model.initial_state(),
-            holds=self.hold_table.initial,
-            flags=self.hold_table.flags(self.hold_table.initial),
-        )
+        self._abstract: dict = {}  # (state values, flags) -> abstract state
+        self._interned: dict = {}  # (state values, holds) -> the one such state
+        self._states: list = []  # the interned states, by number
+        self._remembered = 0  # steps in the interned states' successor tables
+        self.sys_time_ms: Optional[int] = None
+        initial = self.hold_table.initial
+        self.state = self._intern(SpecificationState(
+            self.model.initial_state(), initial, self.hold_table.flags(initial)))
+
+    def _intern(self, state: SpecificationState) -> SpecificationState:
+        """The interned state equal to ``state``, which is interned if none
+        is; past the cap, ``state`` itself, not interned.  Sets ``state``'s
+        values."""
+        state.values = values = self._state_at(state.state_vars)
+        if len(self._states) >= MEMO_CAP:
+            return self._interned.get((values, state.holds), state)
+        interned = self._interned.setdefault((values, state.holds), state)
+        if interned is state:
+            state.number = len(self._states)
+            self._states.append(state)
+        return interned
 
     def abstract_state(self, derive: Callable[[Mapping], object]):
-        """``derive(self.state.env())``, remembered by the state's key.
+        """``derive(self.state.env())``, read off the state once derived,
+        and derived once per distinct (state variables, flags).
 
         ``derive`` must be a function of the state variables and flags alone,
         and the same one on every call: one scenario's abstraction per
         specification."""
         state = self.state
-        key = self._state_at(state.state_vars), self._flags_at(state.flags)
-        result = self._abstract.get(key)
+        result = state.abstract
         if result is None:
-            result = derive(state.env())
-            if len(self._abstract) < MEMO_CAP:
-                self._abstract[key] = result
+            key = state.values, self._flags_at(state.flags)
+            result = self._abstract.get(key)
+            if result is None:
+                result = derive(state.env())
+                if len(self._abstract) < MEMO_CAP:
+                    self._abstract[key] = result
+            state.abstract = result
         return result
 
     # stimulus --------------------------------------------------------------
@@ -165,14 +204,14 @@ class Specification:
         return None
 
     def reference(self, inputs: Mapping, state_pre: Mapping, flags: Mapping,
-                  step_key: Optional[tuple] = None) -> tuple:
+                  values: Optional[tuple] = None) -> tuple:
         """The model's ``(outputs, state_post, trace)`` for one cycle, shared
         and read-only when the cycle is remembered.  A cycle not remembered
         accumulates its trace into ``coverage``.  The values of ``inputs`` and
-        ``state_pre`` are read afresh, or taken from the cycle's ``step_key``."""
-        if step_key is None:
-            step_key = self._inputs_at(inputs), self._state_at(state_pre)
-        key = step_key[0], step_key[1], self._flags_at(flags)
+        ``state_pre`` are read afresh, or given as the pair ``values``."""
+        if values is None:
+            values = self._inputs_at(inputs), self._state_at(state_pre)
+        key = values[0], values[1], self._flags_at(flags)
         result = self._memo.get(key)
         if result is None:
             result = eval_model(self.model, inputs, state_pre, flags)
@@ -180,16 +219,6 @@ class Specification:
             if len(self._memo) < MEMO_CAP:
                 self._memo[key] = result
         return result
-
-    def _step(self, inputs: Mapping, pre: SpecificationState, obs: CycleObservation,
-              key: tuple) -> tuple:
-        """A step the memo misses: the stepped ``(holds, flags)`` and the
-        reference run, remembered under ``key`` below the cap."""
-        stepped = mediator.step_predicates(self.hold_table, pre, obs, inputs)
-        step = stepped, self.reference(inputs, pre.state_vars, stepped[1], key)
-        if len(self._steps) < MEMO_CAP:
-            self._steps[key] = step
-        return step
 
     def apply_stimulus(self, inputs: Mapping) -> Verdict:
         admission = self._admission
@@ -205,21 +234,25 @@ class Specification:
         if admitted is None:
             return Verdict(VerdictKind.PRECONDITION_VIOLATION, self.check_precondition(inputs),
                            self.link.next_cycle)
-        pre = self.state  # sync_state builds a new state; nothing mutates this one
+        pre = self.state  # its variables, hold record and flags never change
 
         try:
             obs = self.link.exchange(admitted)
         except MediatorError as exc:
             return Verdict(VerdictKind.MEDIATOR_FAILURE, str(exc), self.link.next_cycle)
 
-        last = pre.sys_time_ms
-        key = (self._inputs_at(admitted), self._state_at(pre.state_vars), pre.holds,
-               0 if last is None else obs.sys_time_ms - last)
-        step = self._steps.get(key)
+        last, self.sys_time_ms = self.sys_time_ms, obs.sys_time_ms
+        key = self._inputs_at(admitted), 0 if last is None else obs.sys_time_ms - last
+        step = pre.successors.get(key)
         if step is None:
-            step = self._step(admitted, pre, obs, key)
-        stepped, (ref_outputs, ref_post, trace) = step
-        self.state = mediator.sync_state(pre, obs, ref_post, stepped)
+            stepped = mediator.step_predicates(self.hold_table, pre, admitted, key[1])
+            ref_outputs, ref_post, trace = self.reference(admitted, pre.state_vars, stepped[1],
+                                                          (key[0], pre.values))
+            post = mediator.sync_state(pre, obs, ref_post, stepped)
+        else:
+            ref_outputs, number, trace = step
+            post = self._states[number]
+            ref_post = post.state_vars
 
         visible = obs.visible_state
         readable = self._readable
@@ -230,10 +263,21 @@ class Specification:
             mismatches += [Mismatch(n, ref_post[n], visible[n])
                            for n in readable if ref_post[n] != visible[n]]
             if mismatches:
+                if step is not None:  # the observation's state, not the remembered one
+                    post = mediator.sync_state(pre, obs, ref_post, (post.holds, post.flags))
+                post.values = self._state_at(post.state_vars)
+                self.state = post
                 detail = "; ".join(
                     "%s: expected %d, actual %d" % (m.name, m.expected, m.actual)
                     for m in mismatches
                 )
                 return Verdict(VerdictKind.POSTCONDITION_FAILURE, detail, obs.cycle,
                                tuple(mismatches), trace, obs)
+        if step is None:  # remembered while both states are interned, below the cap
+            post = self._intern(post)
+            if (self._remembered < MEMO_CAP and pre.number is not None
+                    and post.number is not None):
+                pre.successors[key] = ref_outputs, post.number, trace
+                self._remembered += 1
+        self.state = post
         return Verdict(PASS, "", obs.cycle, (), trace, obs)

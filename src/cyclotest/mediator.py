@@ -358,26 +358,26 @@ class StdioLink(_StreamLink):
 # Specification-state synchronization
 
 
-def step_predicates(table: temporal.HoldTable, spec_state, obs: CycleObservation,
-                    inputs: Mapping):
+def step_predicates(table: temporal.HoldTable, spec_state, inputs: Mapping,
+                    elapsed_ms: int):
     """Step the hold record with this cycle's literal values (inputs plus the
-    pre-cycle state) by the system time elapsed since the previous
-    observation (0 on the first cycle); returns the new record and the
-    cycle's time flags.  When no literal reads a state variable, the inputs
-    alone are the literal values."""
+    pre-cycle state) by ``elapsed_ms``, the system time elapsed since the
+    previous observation (0 on the first cycle); returns the new record and
+    the cycle's time flags.  When no literal reads a state variable, the
+    inputs alone are the literal values."""
     state_vars = spec_state.state_vars
     if table.variables.isdisjoint(state_vars):
         env = inputs
     else:
         env = dict(state_vars)
         env.update(inputs)
-    last = spec_state.sys_time_ms
-    holds = table.step(spec_state.holds, env, 0 if last is None else obs.sys_time_ms - last)
+    holds = table.step(spec_state.holds, env, elapsed_ms)
     return holds, table.flags(holds)
 
 
 def sync_state(spec_state, obs: CycleObservation, model_state_post: Mapping, stepped: tuple):
-    """Synchronize the specification state after one exchange.
+    """Synchronize the specification state after one exchange: a new state of
+    ``spec_state``'s type.
 
     Readable state variables are copied from the observation, which the link
     has already checked against the model; hidden ones are taken from the
@@ -385,9 +385,11 @@ def sync_state(spec_state, obs: CycleObservation, model_state_post: Mapping, ste
     representation is the reference value).  With no visible state, the
     post-state itself, shared and read-only, is the new state's variables.
     The hold record and flags are the pair that :func:`step_predicates`
-    returned for this exchange.
+    returned for this exchange.  The specification calls this only for a
+    step it takes afresh or whose postcondition fails: a remembered passing
+    step moves to the state it synchronized before.
     """
     holds, flags = stepped
     visible = obs.visible_state
     state_vars = {**model_state_post, **visible} if visible else model_state_post
-    return type(spec_state)(state_vars, holds, flags, obs.sys_time_ms)
+    return type(spec_state)(state_vars, holds, flags)

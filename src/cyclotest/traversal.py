@@ -124,11 +124,13 @@ class TestLog:
 
 @dataclass
 class ExploredAutomaton:
-    """One record per discovered state: its pending actions and successors."""
+    """One record per discovered state: its pending actions, its successors,
+    and its routes, the least label to each distinct successor."""
 
     initial: object = None
     pending: dict = field(default_factory=dict)  # state -> deque of Actions
     successors: dict = field(default_factory=dict)  # state -> {label: (end, Action)}
+    routes: dict = field(default_factory=dict)  # state -> {end: (label, end, Action)}
 
     @property
     def states(self):
@@ -189,14 +191,18 @@ def traverse(scenario: Scenario, spec, budget: int = 10_000, rng=None):
             if failure is not None:
                 log.outcome = "verdict_failure"
                 return log, automaton
+            label = action.label
             out = automaton.successors[state]
-            recorded = out.get(action.label)
-            if recorded is not None and recorded[0] != end:
-                raise NondeterminismDetected(
-                    state, action.label, recorded[0], end, log, automaton
-                )
+            recorded = out.get(label)
+            if recorded is None:
+                out[label] = (end, action)
+                routes = automaton.routes[state]
+                route = routes.get(end)
+                if route is None or label < route[0]:
+                    routes[end] = (label, end, action)
+            elif recorded[0] != end:
+                raise NondeterminismDetected(state, label, recorded[0], end, log, automaton)
             _discover(automaton, table, end, rng)
-            out[action.label] = (end, action)
             current = end
 
 
@@ -220,6 +226,7 @@ def _discover(automaton: ExploredAutomaton, table: list, state, rng) -> None:
         rng.shuffle(table)
     automaton.pending[state] = deque(table)
     automaton.successors[state] = {}
+    automaton.routes[state] = {}
 
 
 def _path_to_pending(automaton: ExploredAutomaton, start):
@@ -227,18 +234,19 @@ def _path_to_pending(automaton: ExploredAutomaton, start):
     nearest state with pending actions, or None when none is reachable.
 
     BFS over recorded transitions; equal-distance targets resolve to the
-    smallest state key, sibling edges explore in label order.
+    smallest state key, sibling edges explore in label order.  Of the labels
+    from one state to one end, only the least can reach the end first, so
+    the search follows each state's routes alone, in label order.
     """
-    successors, pending = automaton.successors, automaton.pending
+    routes, pending = automaton.routes, automaton.pending
     parents = {start: None}
     frontier = [start]
     found: list = []
     while frontier and not found:
         next_frontier = []
         for state in frontier:
-            out = successors[state]
-            for label in sorted(out):
-                end, action = out[label]
+            # labels are distinct, so the sort compares nothing past them
+            for _, end, action in sorted(routes[state].values()):
                 if end in parents:
                     continue
                 parents[end] = (state, action)

@@ -324,6 +324,20 @@ class TestHiddenState:
 CAPS = [pytest.param(contracts.MEMO_CAP, id="memo-cap"), pytest.param(2, id="cap-2")]
 
 
+def _by_value(spec):
+    """What a specification's state is, as opposed to which object holds it."""
+    state = spec.state
+    return state.state_vars, state.holds, state.flags, spec.sys_time_ms
+
+
+def _recording(monkeypatch, cls):
+    """The specifications that ``cli`` builds from now on, as ``cls``."""
+    specs = []
+    monkeypatch.setattr(cli, "Specification",
+                        lambda *args, **kwargs: specs.append(cls(*args, **kwargs)) or specs[-1])
+    return specs
+
+
 def _flag_vectors(predicate_ids):
     for bits in itertools.product((False, True), repeat=len(predicate_ids)):
         yield dict(zip(predicate_ids, bits))
@@ -365,8 +379,9 @@ class TestOracleMemo:
         config = (desk_config(sut=sut) if scale == "desk"
                   else cli.RunConfig(model_path=MODEL_PATH, sut=sut))
         monkeypatch.setattr(contracts, "MEMO_CAP", cap)
+        memo_specs = _recording(monkeypatch, Specification)
         memo = cli.run_campaign(config)
-        monkeypatch.setattr(cli, "Specification", PlainSpecification)
+        plain_specs = _recording(monkeypatch, PlainSpecification)
         plain = cli.run_campaign(config)
         if scale == "paper":
             assert len(memo.log.entries) == 30_646
@@ -374,6 +389,50 @@ class TestOracleMemo:
         assert memo.log.outcome == plain.log.outcome
         assert memo.report == plain.report
         assert (memo.error, memo.exit_code(())) == (plain.error, plain.exit_code(()))
+        assert [_by_value(spec) for spec in memo_specs] == [
+            _by_value(spec) for spec in plain_specs]
+
+    def test_paper_campaign_interns_each_state_once(self, monkeypatch):
+        # 30,646 stimuli take 4,641 distinct steps between 4,625 distinct
+        # (state variables, hold record); only a step taken afresh steps the
+        # hold table and synchronizes the state, and each distinct state is
+        # one object
+        calls = []
+        for name in ("step_predicates", "sync_state"):
+            real = getattr(mediator, name)
+            monkeypatch.setattr(mediator, name, lambda *args, real=real, name=name:
+                                calls.append(name) or real(*args))
+        states = []  # each stimulus's pre- and post-state, kept alive
+        real_apply = contracts.Specification.apply_stimulus
+
+        def apply_stimulus(spec, inputs):
+            states.append(spec.state)
+            verdict = real_apply(spec, inputs)
+            states.append(spec.state)
+            return verdict
+
+        monkeypatch.setattr(contracts.Specification, "apply_stimulus", apply_stimulus)
+        result = cli.run_campaign(cli.RunConfig(model_path=MODEL_PATH))
+        assert len(result.log.entries) == len(states) // 2 == 30_646
+        assert calls.count("step_predicates") == calls.count("sync_state") == 4_641
+        distinct = {(tuple(s.state_vars.items()), s.holds) for s in states}
+        assert len({id(s) for s in states}) == len(distinct) == 4_625
+
+    def test_states_and_steps_past_the_cap_are_not_kept(self, monkeypatch):
+        monkeypatch.setattr(contracts, "MEMO_CAP", 2)
+        states = []
+        real_apply = contracts.Specification.apply_stimulus
+        monkeypatch.setattr(contracts.Specification, "apply_stimulus",
+                            lambda spec, inputs: states.append(spec.state)
+                            or real_apply(spec, inputs))
+        result = cli.run_campaign(desk_config())
+        assert len(result.log.entries) == len(states) == 216
+        interned = {id(s): s for s in states if s.number is not None}.values()
+        assert sorted(s.number for s in interned) == [0, 1]
+        assert sum(len(s.successors) for s in interned) <= 2
+        # a state not interned remembers no step
+        assert any(s.number is None for s in states)
+        assert not any(s.successors for s in states if s.number is None)
 
     def test_each_distinct_cycle_evaluated_once(self, monkeypatch):
         seen = []
@@ -394,11 +453,10 @@ class TestOracleMemo:
         steps = []
         real = mediator.step_predicates
 
-        def counted(table, pre, obs, inputs):
-            last = pre.sys_time_ms
+        def counted(table, pre, inputs, elapsed_ms):
             steps.append((tuple(inputs.items()), tuple(pre.state_vars.items()), pre.holds,
-                          0 if last is None else obs.sys_time_ms - last))
-            return real(table, pre, obs, inputs)
+                          elapsed_ms))
+            return real(table, pre, inputs, elapsed_ms)
 
         monkeypatch.setattr(mediator, "step_predicates", counted)
         result = cli.run_campaign(desk_config())
@@ -496,21 +554,56 @@ class TestStepMemo:
     def test_verdicts_and_states_equal_the_plain_oracle(self, monkeypatch, model, cap):
         monkeypatch.setattr(contracts, "MEMO_CAP", cap)
         extraction = _extraction_at(model, 1000)
+        tables = _stepped_tables(monkeypatch)
         for seed in range(3):
             stimuli, script = _scripted_run(extraction, random.Random(seed))
             memo = Specification(extraction, ScriptedLink(extraction, script))
             plain = PlainSpecification(extraction, ScriptedLink(extraction, script))
-            misses = []
-            memo._step = lambda *args, real=memo._step: misses.append(1) or real(*args)
             for cycle, inputs in enumerate(stimuli):
                 got, want = memo.apply_stimulus(inputs), plain.apply_stimulus(inputs)
                 assert (got.kind, got.detail, got.mismatches, got.cycle_index, got.trace) == (
                     want.kind, want.detail, want.mismatches, want.cycle_index, want.trace), (
                     seed, cycle, script.get(cycle))
-                assert memo.state == plain.state, (seed, cycle, script.get(cycle))
+                assert _by_value(memo) == _by_value(plain), (seed, cycle, script.get(cycle))
+                assert memo.sys_time_ms == memo.link.sys_time_ms
             assert memo.coverage == plain.coverage
-            if cap > 2:
-                assert len(misses) < len(stimuli)  # some cycles repeat a step
+            assert tables.count(plain.hold_table) == len(stimuli)
+            if cap > 2:  # some cycles repeat a step
+                assert tables.count(memo.hold_table) < len(stimuli)
+
+    @pytest.mark.parametrize("fault_cycle", [0, 5], ids=["step-taken-afresh", "remembered-step"])
+    def test_failed_postcondition_leaves_the_observed_state(self, monkeypatch, fault_cycle):
+        # the tank reports its readable level one off at one cycle of a hold
+        extraction = extract_predicates(parse_model(TANK_SRC))
+        script = {fault_cycle: ("state", "level")}
+        memo = Specification(extraction, ScriptedLink(extraction, script))
+        plain = PlainSpecification(extraction, ScriptedLink(extraction, script))
+        tables = _stepped_tables(monkeypatch)
+        for cycle in range(fault_cycle + 3):
+            taken = tables.count(memo.hold_table)
+            got = memo.apply_stimulus({"fill": 1, "drain": 0})
+            want = plain.apply_stimulus({"fill": 1, "drain": 0})
+            assert (got.kind, got.detail, got.mismatches) == (
+                want.kind, want.detail, want.mismatches), cycle
+            assert _by_value(memo) == _by_value(plain), cycle
+            if cycle == fault_cycle:
+                assert got.kind is VerdictKind.POSTCONDITION_FAILURE
+                assert (tables.count(memo.hold_table) > taken) is (fault_cycle == 0)
+                expected, actual = got.mismatches[0].expected, got.mismatches[0].actual
+                assert memo.state.state_vars["level"] == actual != expected
+                assert memo.state.number is None  # not interned
+        # the next cycle expects the level it was told, and the one after
+        # that the subject's own again
+        assert got.kind is VerdictKind.PASS
+
+
+def _stepped_tables(monkeypatch) -> list:
+    """The hold table of each ``mediator.step_predicates`` call from now on."""
+    tables = []
+    real = mediator.step_predicates
+    monkeypatch.setattr(mediator, "step_predicates",
+                        lambda table, *args: tables.append(table) or real(table, *args))
+    return tables
 
 
 class TestAbstractStateMemo:
@@ -545,19 +638,30 @@ class TestAbstractStateMemo:
         extraction = {"tank": extract_predicates(parse_model(TANK_SRC)),
                       "guard": extract_predicates(parse_model(GUARD_SRC)),
                       "desk iron": desk_extraction}[name]
+        model = extraction.model
         projections = derive_projections(extraction)
         reach = enumerate_reachable_flag_states(extraction, 1000)
         spec = Specification(extraction, None)
+        calls = []
 
         def derive(env):
-            return generalized_state(env, projections, extraction.model)
+            calls.append(1)
+            return generalized_state(env, projections, model)
 
         for _ in range(2):  # every state once unseen, once remembered
             for state_vars, vector in reach.states:
+                state_vars = dict(state_vars)
                 flags = {pid: bool(bit) for pid, bit in zip(reach.predicate_ids, vector)}
-                spec.state = SpecificationState(dict(state_vars), (), flags)
-                assert spec.abstract_state(derive) == derive(spec.state.env())
-        assert len(spec._abstract) == min(cap, len(reach.states))
+                values = tuple(state_vars[d.name] for d in model.state_vars)
+                # a new object: the specification's memo, not the state, knows it
+                spec.state = SpecificationState(state_vars, (), flags, values)
+                expected = generalized_state(spec.state.env(), projections, model)
+                assert spec.abstract_state(derive) == expected
+                derived = len(calls)
+                assert spec.abstract_state(derive) == expected  # read off the state
+                assert len(calls) == derived
+        # past the cap, a state is derived again each time it is new
+        assert len(calls) == len(reach.states) + max(0, len(reach.states) - cap)
 
     def test_one_derivation_per_distinct_state(self, monkeypatch):
         keys, calls = [], []

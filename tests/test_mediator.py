@@ -382,12 +382,11 @@ class TestRaisingSubject:
 
 
 class TestSyncState:
-    def _state(self, table, model, sys_time_ms=None):
+    def _state(self, table, model):
         return SpecificationState(
             state_vars=model.initial_state(),
             holds=table.initial,
             flags=table.flags(table.initial),
-            sys_time_ms=sys_time_ms,
         )
 
     def test_iron_only_predicates_updated(self, iron_extraction):
@@ -396,7 +395,7 @@ class TestSyncState:
         table = HoldTable(iron_extraction.predicates)
         state = self._state(table, model)
         obs = CycleObservation(0, 1000, {"heating": 1}, {})
-        stepped = step_predicates(table, state, obs, {"move": 0, "position": 0})
+        stepped = step_predicates(table, state, {"move": 0, "position": 0}, 0)
         new = sync_state(state, obs, {}, stepped)
         assert new.state_vars == {}
         assert new.holds == (0, 0, None)
@@ -408,7 +407,7 @@ class TestSyncState:
         table = HoldTable(ex.predicates)
         state = self._state(table, ex.model)
         obs = CycleObservation(0, 1000, {"level_out": 1}, {"level": 3})
-        stepped = step_predicates(table, state, obs, {"tick": 1})
+        stepped = step_predicates(table, state, {"tick": 1}, 0)
         new = sync_state(state, obs, {"level": 1, "armed": 1}, stepped)
         assert new.state_vars["armed"] == 1  # hidden: model value
         assert new.state_vars["level"] == 3  # readable: observation wins
@@ -442,28 +441,30 @@ class TestSyncState:
             if cycle == 0 or rng.random() < 0.3:
                 state_vars = {d.name: rng.choice(model.domains[d.name]) for d in model.state_vars}
                 inputs = {name: rng.choice(model.domains[name]) for name in model.input_names}
-            state = SpecificationState(state_vars, holds, state.flags, state.sys_time_ms)
-            obs = CycleObservation(cycle, (cycle + 1) * 1000, {}, {})
-            stepped = step_predicates(table, state, obs, inputs)
-            holds = table.step(holds, {**state_vars, **inputs}, 0 if cycle == 0 else 1000)
+            state = SpecificationState(state_vars, holds, state.flags)
+            elapsed = 0 if cycle == 0 else 1000
+            stepped = step_predicates(table, state, inputs, elapsed)
+            holds = table.step(holds, {**state_vars, **inputs}, elapsed)
             assert stepped == (holds, table.flags(holds))
-            state = SpecificationState(state_vars, holds, stepped[1], obs.sys_time_ms)
+            state = SpecificationState(state_vars, holds, stepped[1])
             fired += any(stepped[1].values())
         assert fired
 
     def test_predicates_step_at_observed_time(self, iron_extraction):
         # the hold advances by the system time elapsed since the last
         # observation, whatever the nominal period
+        obs = {"type": "observation", "sys_time_ms": 100_000, "outputs": {"heating": 1},
+               "state": {}}
         model = iron_extraction.model
-        table = HoldTable(iron_extraction.predicates)
-        state = self._state(table, model, sys_time_ms=100_000)
-        state.holds = (0, None, 0)
-        obs = CycleObservation(0, 123_456, {"heating": 1}, {})
-        stepped = step_predicates(table, state, obs, {"move": 0, "position": 1})
-        new = sync_state(state, obs, {}, stepped)
-        assert new.holds == (23_456, None, 23_456)
-        assert new.flags == stepped[1]
-        assert new.sys_time_ms == 123_456
+        lines = [_hello_line(model)] + [
+            (json.dumps(dict(obs, cycle=cycle, sys_time_ms=ms)) + "\n").encode()
+            for cycle, ms in enumerate((100_000, 123_456))]
+        spec = Specification(iron_extraction, ScriptedLink(model, lines))
+        for _ in range(2):
+            assert spec.apply_stimulus({"move": 0, "position": 1}).kind is VerdictKind.PASS
+        assert spec.sys_time_ms == 123_456
+        assert spec.state.holds == (23_456, None, 23_456)
+        assert spec.state.flags == spec.hold_table.flags(spec.state.holds)
 
 
 class TestStdioTransport:

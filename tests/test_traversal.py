@@ -137,6 +137,23 @@ class TestReplaySearch:
         assert all(path == reference for path, reference in searches)
         assert sum(path is not None and len(path) > 1 for path, _ in searches) > 50
 
+    @pytest.mark.parametrize("shuffle", [False, True], ids=["label-order", "shuffled"])
+    def test_random_automata_with_many_actions(self, searches, shuffle):
+        # 100 or more actions, "a10" sorting before "a2"; most of them loop,
+        # so that many labels lead to each end and replays take several steps
+        for seed in range(6):
+            rng = random.Random(seed)
+            delta, labels, initial = random_scc_automaton(rng, rng.randint(4, 12),
+                                                          rng.randint(100, 130))
+            for (state, label), end in delta.items():
+                if label != labels[0] and rng.random() < 0.9:
+                    delta[(state, label)] = state
+            system = ExplicitSystem(delta, initial)
+            traverse(explicit_scenario(system, labels), system,
+                     rng=random.Random(seed) if shuffle else None)
+        assert all(path == reference for path, reference in searches)
+        assert sum(path is not None and len(path) > 1 for path, _ in searches) > 10
+
     def test_desk_iron_seed_7(self, searches):
         result = run_campaign(desk_config(seed=7))
         assert result.error is None
