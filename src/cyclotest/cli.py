@@ -99,7 +99,6 @@ class RunConfig:
     strict_held: bool = False
     timeout_s: float = 5.0
     required: tuple = ()  # ((criterion, ratio), ...)
-    jobs: int = 1
 
     def __post_init__(self):  # the command line gives lists
         self.parts, self.required = tuple(self.parts), tuple(self.required)
@@ -211,12 +210,13 @@ def build_link(model, extraction, config: RunConfig, period_ms: int):
 def run_campaign(config: RunConfig) -> CampaignResult:
     """Load the model once and run the scenario as one campaign per part:
     ``full`` and ``piece:NODE`` are one part, ``piecemeal`` is one per
-    ``--parts`` node, run serially or in a pool of at most ``--jobs``
-    processes, with the results merged."""
+    ``--parts`` node, with the results merged.  Piecemeal parts against a
+    ``stdio:`` subject, each of which starts its own subject, run in a pool
+    of one process per part, at most one per usable CPU; any others run in
+    turn."""
     check_options(config)
     extraction = load_model(config)
     model = extraction.model
-    projections = derive_projections(extraction)
     # bad parts are rejected before a subject is started
     if config.scenario == "full":
         parts = [None]
@@ -229,10 +229,10 @@ def run_campaign(config: RunConfig) -> CampaignResult:
             parts = make_piecemeal(model, ids)
         except ReductionError as exc:
             raise CliError(str(exc), EXIT_PARSE) from exc
-    run = functools.partial(run_part, config, extraction, projections)
+    run = functools.partial(run_part, config, extraction)
     if config.scenario != "piecemeal":
         return run(parts[0])
-    workers = min(config.jobs, len(parts))
+    workers = min(len(parts), _usable_cpus()) if config.sut.startswith("stdio:") else 1
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, parts))
@@ -249,6 +249,12 @@ def run_campaign(config: RunConfig) -> CampaignResult:
     return CampaignResult(merged, report, None, failed.error, failed.error_code)
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):  # not on every platform
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def check_options(config: RunConfig, log=None, trace_cycles=None, dot=None) -> None:
     """Refuse, with exit 2, options that conflict whatever the model, before it is read."""
     if dot and config.scenario == "piecemeal":
@@ -260,8 +266,8 @@ def check_options(config: RunConfig, log=None, trace_cycles=None, dot=None) -> N
     if trace_cycles and config.sut.partition(":")[0] != "inproc":
         raise CliError("--trace-cycles needs an in-process subject: --sut inproc:NAME",
                        EXIT_PARSE)
-    if config.scenario != "piecemeal" and (config.parts or config.jobs > 1):
-        raise CliError("--parts and --jobs apply only to --scenario piecemeal", EXIT_PARSE)
+    if config.scenario != "piecemeal" and config.parts:
+        raise CliError("--parts applies only to --scenario piecemeal", EXIT_PARSE)
     if not config.streaming and config.sut.partition(":")[0] != "inproc":
         raise CliError("--no-streaming needs an in-process subject: --sut inproc:NAME",
                        EXIT_PARSE)
@@ -284,15 +290,14 @@ def _same_file(a: str, b: str) -> bool:
     return os.path.realpath(a) == os.path.realpath(b)
 
 
-def run_part(config: RunConfig, extraction, projections, part) -> CampaignResult:
+def run_part(config: RunConfig, extraction, part) -> CampaignResult:
     """One campaign against a fresh subject: the whole model when ``part``
     is ``None``, else one piecemeal part."""
     period = config.cycle_period_ms
     link = build_link(extraction.source, extraction, config, period)
     rng = None if config.seed is None else random.Random(config.seed)
     spec = Specification(extraction, link, strict_held=config.strict_held)
-    scenario = build_coverage_scenario(spec, extraction, projections, period, part,
-                                       strict=config.strict_held)
+    scenario = build_coverage_scenario(spec, extraction, period, part, strict=config.strict_held)
 
     log.info("running scenario %s against %s (period %d ms)", scenario.name, config.sut, period)
     error, code = None, EXIT_OK
@@ -574,8 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="fail with exit 5 below this coverage, e.g. branch=1.0")
     run.add_argument("--deterministic", action="store_true", default=False,
                      help="omit timestamps so reports are byte-identical")
-    run.add_argument("--jobs", type=positive_int,
-                     help="parallel piecemeal processes, at most one per part")
     run.add_argument("--log", default=None, help="write the test log as JSON lines")
     run.add_argument("--trace-cycles", default=None,
                      help="write kernel cycle records as JSON lines")

@@ -29,10 +29,9 @@ from .dsl import ExtractionResult, ModelAst
 from .interp import DecisionTrace, eval_model
 from .mediator import CycleObservation, MediatorError, MediatorLink
 
-# Distinct states a specification interns, distinct steps it remembers,
-# distinct cycles it remembers the reference run of, and distinct (state
-# variables, flags) it remembers the abstract state of; past it, each new one
-# is computed afresh every time.  The paper-scale iron campaign takes 4,641
+# Distinct states a specification interns, distinct steps it remembers, and
+# distinct cycles it remembers the reference run of; past it, each new one is
+# computed afresh every time.  The paper-scale iron campaign takes 4,641
 # distinct steps between 4,625 distinct states.
 MEMO_CAP = 8192
 
@@ -125,9 +124,9 @@ class Specification:
     A reference run is remembered by its cycle, the input values with the
     pre-state's ``values`` and flags in ``hold_table.predicate_ids`` order; a
     remembered cycle skips the model and coverage, whose accumulation of one
-    trace is idempotent.  The abstract state is derived once per distinct
-    (state variables, flags) and read off the state after that
-    (:meth:`abstract_state`).
+    trace is idempotent.  The abstract state is derived once per state
+    object and read off the state after that (:meth:`abstract_state`); an
+    interned state is derived once.
     """
 
     def __init__(self, extraction: ExtractionResult, link: MediatorLink,
@@ -143,7 +142,6 @@ class Specification:
         self._state_at = _values_at(tuple(d.name for d in self.model.state_vars))
         self._flags_at = _values_at(self.hold_table.predicate_ids)
         self._memo: dict = {}  # cycle -> (outputs, state_post, trace), shared
-        self._abstract: dict = {}  # (state values, flags) -> abstract state
         self._interned: dict = {}  # (state values, holds) -> the one such state
         self._states: list = []  # the interned states, by number
         self._remembered = 0  # steps in the interned states' successor tables
@@ -166,23 +164,16 @@ class Specification:
         return interned
 
     def abstract_state(self, derive: Callable[[Mapping], object]):
-        """``derive(self.state.env())``, read off the state once derived,
-        and derived once per distinct (state variables, flags).
+        """``derive(self.state.env())``, derived once per state object and
+        read off the state after that.
 
         ``derive`` must be a function of the state variables and flags alone,
         and the same one on every call: one scenario's abstraction per
         specification."""
         state = self.state
-        result = state.abstract
-        if result is None:
-            key = state.values, self._flags_at(state.flags)
-            result = self._abstract.get(key)
-            if result is None:
-                result = derive(state.env())
-                if len(self._abstract) < MEMO_CAP:
-                    self._abstract[key] = result
-            state.abstract = result
-        return result
+        if state.abstract is None:
+            state.abstract = derive(state.env())
+        return state.abstract
 
     # stimulus --------------------------------------------------------------
 

@@ -187,6 +187,11 @@ class ModelAst:
         return {name: decl.domain() for name, decl in self.decls().items()}
 
     @cached_property
+    def leaf_ids(self) -> tuple:
+        """The leaves' ids, in pre-order."""
+        return tuple(leaf.node_id for leaf in self.leaves())
+
+    @cached_property
     def leaf_boxes(self) -> "LeafBoxes":
         """The :class:`LeafBoxes` walk of a model without held() over the
         inputs, the state variables and the predicate ids, each 0 or 1."""
@@ -588,35 +593,31 @@ def print_expr(expr: Expr, min_prec: int = 0) -> str:
     parentheses at the position the text is put in; right operands of
     left-associative binary ops need strictly higher.
     """
-    def render(e: Expr, min_prec: int) -> str:
-        if isinstance(e, Name):
-            return e.ident
-        if isinstance(e, PredRef):
-            return e.ident
-        if isinstance(e, Const):
-            if e.as_bool:
-                return "true" if e.value else "false"
-            return str(e.value)
-        if isinstance(e, Held):
-            if e.duration_ms % 1000 == 0:
-                dur = "%ds" % (e.duration_ms // 1000)
-            else:
-                dur = "%dms" % e.duration_ms
-            return "held(%s, %s)" % (render(e.formula, 0), dur)
-        prec = _PREC[type(e)]
-        if isinstance(e, Not):
-            text = "!" + render(e.operand, prec)
-        elif isinstance(e, And):
-            text = "%s && %s" % (render(e.left, prec), render(e.right, prec + 1))
-        elif isinstance(e, Or):
-            text = "%s || %s" % (render(e.left, prec), render(e.right, prec + 1))
+    if isinstance(expr, (Name, PredRef)):
+        return expr.ident
+    if isinstance(expr, Const):
+        if expr.as_bool:
+            return "true" if expr.value else "false"
+        return str(expr.value)
+    if isinstance(expr, Held):
+        if expr.duration_ms % 1000 == 0:
+            dur = "%ds" % (expr.duration_ms // 1000)
         else:
-            text = "%s %s %s" % (render(e.left, prec + 1), e.op, render(e.right, prec + 1))
-        if prec < min_prec:
-            return "(" + text + ")"
-        return text
-
-    return render(expr, min_prec)
+            dur = "%dms" % expr.duration_ms
+        return "held(%s, %s)" % (print_expr(expr.formula), dur)
+    prec = _PREC[type(expr)]
+    if isinstance(expr, Not):
+        text = "!" + print_expr(expr.operand, prec)
+    elif isinstance(expr, And):
+        text = "%s && %s" % (print_expr(expr.left, prec), print_expr(expr.right, prec + 1))
+    elif isinstance(expr, Or):
+        text = "%s || %s" % (print_expr(expr.left, prec), print_expr(expr.right, prec + 1))
+    else:
+        text = "%s %s %s" % (print_expr(expr.left, prec + 1), expr.op,
+                             print_expr(expr.right, prec + 1))
+    if prec < min_prec:
+        return "(" + text + ")"
+    return text
 
 
 def print_conjunction(factors) -> str:
@@ -724,44 +725,22 @@ class LeafBoxes:
 
     def __init__(self, body: Node, variables: Mapping, n_free: int,
                  reads: Callable[[Decision], Optional[tuple]]):
-        names = tuple(variables)
-        column = {name: k for k, name in enumerate(names)}
         self.n_free = n_free
         self.leaves: dict = {}  # leaf id -> boxes, leaves in pre-order
-        self._bound = names[n_free:]  # the variables a point binds
+        self._bound = tuple(variables)[n_free:]  # the variables a point binds
+        column = {name: k for k, name in enumerate(variables)}
+        self._visit(body, [tuple(variables.values())], reads, column)
 
-        def visit(node: Node, boxes: list) -> None:
-            if not boxes:
-                return
-            if isinstance(node, Leaf):
-                self.leaves[node.node_id] = boxes
-                return
-            read = reads(node)
-            if read is None:
-                visit(node.then_branch, boxes)
-                visit(node.else_branch, boxes)
-                return
-            cols = [column[v] for v in read]
-            sides = ([], [])  # then, else
-            for box in boxes:
-                comps = [box[k] for k in cols]
-                points = (set(), set())  # taken, not taken
-                for values in itertools.product(*comps):
-                    env = dict(zip(read, values))
-                    points[not eval_expr(node.condition, env, env)].add(values)
-                for side, found, other in zip(sides, points, reversed(points)):
-                    if not other:
-                        side.append(box)
-                    elif found:
-                        for part in _cover(found, comps):
-                            split = list(box)
-                            for k, values in zip(cols, part):
-                                split[k] = values
-                            side.append(tuple(split))
-            visit(node.then_branch, sides[0])
-            visit(node.else_branch, sides[1])
-
-        visit(body, [tuple(variables.values())])
+    def _visit(self, node: Node, boxes: list, reads, column: Mapping) -> None:
+        if not boxes:
+            return
+        if isinstance(node, Leaf):
+            self.leaves[node.node_id] = boxes
+            return
+        read = reads(node)
+        sides = (boxes, boxes) if read is None else _split(node.condition, read, boxes, column)
+        self._visit(node.then_branch, sides[0], reads, column)
+        self._visit(node.else_branch, sides[1], reads, column)
 
     @cached_property
     def _index(self) -> tuple:
@@ -785,6 +764,29 @@ class LeafBoxes:
                 if hit >> bit & 1]
 
 
+def _split(condition: Expr, read: tuple, boxes: list, column: Mapping) -> tuple:
+    """The boxes where ``condition``, which reads the variables ``read``
+    (columns given by ``column``), holds, and those where it does not."""
+    cols = [column[v] for v in read]
+    sides = ([], [])  # then, else
+    for box in boxes:
+        comps = [box[k] for k in cols]
+        points = (set(), set())  # taken, not taken
+        for values in itertools.product(*comps):
+            env = dict(zip(read, values))
+            points[not eval_expr(condition, env, env)].add(values)
+        for side, found, other in zip(sides, points, reversed(points)):
+            if not other:
+                side.append(box)
+            elif found:
+                for part in _cover(found, comps):
+                    split = list(box)
+                    for k, values in zip(cols, part):
+                        split[k] = values
+                    side.append(tuple(split))
+    return sides
+
+
 def _cover(points: set, comps: list) -> list:
     """Disjoint boxes over ``comps`` whose points are exactly ``points``:
     values of the first variable with the same rest share a box."""
@@ -805,16 +807,16 @@ def condition_atoms(expr: Expr) -> list:
     """Ordered unique atomic conditions of a decision (names, predicate
     references, comparisons, held nodes), keyed by printed form."""
     atoms: dict = {}
-
-    def visit(e: Expr) -> None:
-        if isinstance(e, (Not, And, Or)):
-            for operand in _operands(e):
-                visit(operand)
-        elif not isinstance(e, Const):
-            atoms.setdefault(print_expr(e), e)
-
-    visit(expr)
+    _collect_atoms(expr, atoms)
     return list(atoms.items())
+
+
+def _collect_atoms(expr: Expr, atoms: dict) -> None:
+    if isinstance(expr, (Not, And, Or)):
+        for operand in _operands(expr):
+            _collect_atoms(operand, atoms)
+    elif not isinstance(expr, Const):
+        atoms.setdefault(print_expr(expr), expr)
 
 
 # ---------------------------------------------------------------------------

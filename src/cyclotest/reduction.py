@@ -4,11 +4,16 @@ The four-step derivation of generalized states: (1) one path condition per
 leaf (together they give branch coverage), (2) temporal conditions rewritten
 over predicate identifiers, (3) projection onto the state space by
 existentially eliminating the input atoms, (4) abstract states as the
-projection-membership bit vector.  Plus: reachability enumeration of flag
-states and piecemeal scenario skeletons.
+projection-membership bit vector, which is one bit per leaf of the rewritten
+model.  Plus: reachability enumeration of flag states and piecemeal scenario
+skeletons.
 
 No step enumerates the input valuations: each reads the boxes of one
 symbolic walk of the decision tree per model (:class:`~.dsl.LeafBoxes`).
+Step 4 reads the leaves' walk over the state (:attr:`~.dsl.ModelAst.leaf_boxes`)
+and no :class:`Projection`: only ``reduce`` prints the projections, and only
+it and the piecemeal skeletons walk the inputs alone
+(:attr:`~.dsl.ModelAst.input_boxes`).
 
 The reachability report has a declarative form that both of its searches
 meet: a vector's witness is the lexicographically least sequence of input
@@ -65,16 +70,15 @@ class PathCondition:
 def enumerate_test_cases(ast: ModelAst) -> list:
     """One path condition per leaf, in pre-order; covering all of them covers
     every branch of the model."""
-    cases = []
+    return _path_conditions(ast.body, (), [])
 
-    def visit(node, factors: tuple) -> None:
-        if isinstance(node, Leaf):
-            cases.append(PathCondition("case%d" % (len(cases) + 1), node.node_id, factors))
-        else:
-            visit(node.then_branch, factors + (node.condition,))
-            visit(node.else_branch, factors + (Not(node.condition),))
 
-    visit(ast.body, ())
+def _path_conditions(node, factors: tuple, cases: list) -> list:
+    if isinstance(node, Leaf):
+        cases.append(PathCondition("case%d" % (len(cases) + 1), node.node_id, factors))
+    else:
+        _path_conditions(node.then_branch, factors + (node.condition,), cases)
+        _path_conditions(node.else_branch, factors + (Not(node.condition),), cases)
     return cases
 
 
@@ -131,14 +135,15 @@ def project_to_state(pc: PathCondition, model: ModelAst, feasible_leaves: frozen
 # Step 4: generalized states
 
 
-def generalized_state(state_env: Mapping, projections: Sequence, model: ModelAst) -> tuple:
-    """Projection-membership bit vector of a specification state (state
-    variables and predicate ids), by existential input elimination: a
-    projection holds in the state exactly when some input valuation walks
-    the rewritten ``model`` to the projection's leaf, that is when one of the
-    leaf's boxes (:attr:`ModelAst.leaf_boxes`) holds the state."""
+def generalized_state(state_env: Mapping, model: ModelAst) -> tuple:
+    """Abstract state of a specification state (state variables and
+    predicate ids): one bit per leaf of the rewritten ``model``, in
+    pre-order, so bit k is test case k's projection ``P<k>``.  A bit is set
+    exactly when some input valuation walks the model to its leaf from the
+    state, that is when one of the leaf's boxes (:attr:`ModelAst.leaf_boxes`)
+    holds the state: existential input elimination."""
     reached = {leaf_id for leaf_id, _ in model.leaf_boxes.at(state_env)}
-    return tuple(1 if p.leaf_id in reached else 0 for p in projections)
+    return tuple(1 if leaf_id in reached else 0 for leaf_id in model.leaf_ids)
 
 
 def derive_projections(extraction: ExtractionResult) -> list:
@@ -419,9 +424,9 @@ def _least_trail(model: ModelAst, clocks: list, targets: list, length: int) -> t
 
 def coverable_cases(state_env: Mapping, cases: Sequence, model: ModelAst) -> frozenset:
     """Test cases coverable from a state by some input valuation: those whose
-    projection holds there."""
-    member = generalized_state(state_env, cases, model)
-    return frozenset(pc.id for pc, bit in zip(cases, member) if bit)
+    projection holds there, read off the state's abstract state."""
+    member = dict(zip(model.leaf_ids, generalized_state(state_env, model)))
+    return frozenset(pc.id for pc in cases if member[pc.leaf_id])
 
 
 # ---------------------------------------------------------------------------

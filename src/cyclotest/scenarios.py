@@ -15,11 +15,15 @@ The table lists settle and then probe, each over the product of the
 iterated inputs' domains in ``input_names`` order; it is built when the
 traversal starts.  A piecemeal part pins some inputs to steer execution into
 one subtree of the model and iterates only the rest.
+
+A scenario's abstract state is one bit per leaf of the rewritten model
+(:func:`~.reduction.generalized_state`); building one derives no
+projection.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence
+from typing import Optional
 
 from .dsl import ExtractionResult
 from .reduction import PiecemealPart, generalized_state
@@ -39,15 +43,15 @@ def saturation_cycles(extraction: ExtractionResult, cycle_period_ms: int,
     return worst + (2 if strict else 1)
 
 
-def build_coverage_scenario(spec, extraction: ExtractionResult, projections: Sequence,
-                            cycle_period_ms: int = 1000, part: Optional[PiecemealPart] = None,
+def build_coverage_scenario(spec, extraction: ExtractionResult, cycle_period_ms: int = 1000,
+                            part: Optional[PiecemealPart] = None,
                             strict: bool = False) -> Scenario:
     """Settle+probe scenario for ``spec`` (anything with ``apply_stimulus``
     and ``abstract_state``, as a :class:`~cyclotest.contracts.Specification`
     has), over the whole model or, given a piecemeal ``part``, with the
     part's inputs pinned and the rest iterated.  The scenario's state is
     ``generalized_state`` of the specification state, which the
-    specification remembers."""
+    specification keeps on its state."""
     model = extraction.model
     if part is None:
         pinned, iterated = {}, {k: model.domains[k] for k in model.input_names}
@@ -65,7 +69,7 @@ def build_coverage_scenario(spec, extraction: ExtractionResult, projections: Seq
         return [{**pinned, **valuation}] + [dict(renorm)] * hold
 
     def abstract(state_env) -> tuple:
-        return generalized_state(state_env, projections, model)
+        return generalized_state(state_env, model)
 
     def state_fn():
         return spec.abstract_state(abstract)

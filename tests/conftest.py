@@ -8,7 +8,6 @@ sys.path.insert(0, str(Path(__file__).parent))  # oracles.py
 from cyclotest.cli import RunConfig, run_campaign
 from cyclotest.dsl import extract_predicates
 from cyclotest.iron import iron_model, iron_source
-from cyclotest.reduction import derive_projections
 
 IRON_DESK_REMAP = {60_000: 3, 900_000: 5}  # cycles at a 1 s period
 MODEL_PATH = str(Path(__file__).resolve().parent.parent / "src/cyclotest/models/iron.ctl")
@@ -78,11 +77,6 @@ def iron_extraction(iron_ast):
 @pytest.fixture(scope="session")
 def desk_extraction(iron_desk):
     return extract_predicates(iron_desk)
-
-
-@pytest.fixture(scope="session")
-def desk_projections(desk_extraction):
-    return derive_projections(desk_extraction)
 
 
 def desk_config(**overrides) -> RunConfig:

@@ -113,13 +113,13 @@ def test_c03_branch_coverage(capsys):
         )
 
 
-def test_c04_partition_soundness(desk_extraction, desk_projections, capsys):
+def test_c04_partition_soundness(desk_extraction, capsys):
     reach = enumerate_reachable_flag_states(desk_extraction, PERIOD)
     rewritten = enumerate_test_cases(desk_extraction.model)
     cells = {}
     for vector in reach.vectors:
         env = dict(zip(reach.predicate_ids, vector))
-        member = generalized_state(env, desk_projections, desk_extraction.model)
+        member = generalized_state(env, desk_extraction.model)
         cells.setdefault(member, []).append(coverable_cases(env, rewritten,
                                                             desk_extraction.model))
     uniform = all(len(set(sets)) == 1 for sets in cells.values())

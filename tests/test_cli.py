@@ -1,3 +1,5 @@
+import functools
+import gc
 import hashlib
 import json
 import os
@@ -7,12 +9,14 @@ import socket
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
-from conftest import GUARD_SRC, MODEL_PATH, TANK_SRC
+from conftest import GUARD_SRC, MODEL_PATH, TANK_SRC, desk_config
 
 import cyclotest
+from cyclotest import dsl, reduction
 from cyclotest.cli import RunConfig, _config_from_args, build_parser, main
 from test_reduction import _model_sources
 
@@ -648,6 +652,62 @@ model iron {
 """
 
 
+class TestWhatACampaignDerives:
+    """A campaign derives only what it reads: the abstract state reads the
+    leaves' walk over the state, and only piecemeal walks the inputs alone."""
+
+    @pytest.mark.parametrize("scenario, walks", [("full", 2), ("piecemeal", 3)])
+    def test_tree_walks_and_projections(self, monkeypatch, scenario, walks):
+        built, projected, loaded = [], [], []
+        real_init = dsl.LeafBoxes.__init__
+        monkeypatch.setattr(dsl.LeafBoxes, "__init__",
+                            lambda boxes, *args: built.append(1) or real_init(boxes, *args))
+        real_project = reduction.project_to_state
+        monkeypatch.setattr(reduction, "project_to_state",
+                            lambda *args: projected.append(1) or real_project(*args))
+        real_load = cyclotest.cli.load_model
+        monkeypatch.setattr(cyclotest.cli, "load_model",
+                            lambda config: loaded.append(real_load(config)) or loaded[-1])
+        result = cyclotest.cli.run_campaign(desk_config(scenario=scenario))
+        assert result.exit_code(()) == 0
+        # check_model's walk, the rewritten model's leaf_boxes and, for
+        # piecemeal only, its input_boxes
+        assert len(built) == walks
+        assert ("input_boxes" in vars(loaded[0].model)) == (scenario == "piecemeal")
+        assert projected == []
+
+
+def _defined_in_cyclotest(obj) -> bool:
+    owner = obj if isinstance(obj, types.FunctionType) else type(obj)
+    return owner.__module__.startswith("cyclotest")
+
+
+def test_a_run_and_the_analyses_leave_no_garbage(capsys, tmp_path):
+    """Nothing that a campaign, ``enumerate-states`` or ``reduce`` builds
+    waits for the collector: with it off, a collection afterwards finds no
+    function or object of cyclotest's."""
+    model = tmp_path / "tank.ctl"
+    model.write_text(TANK_SRC)
+    enabled, debug, kept = gc.isenabled(), gc.get_debug(), len(gc.garbage)
+    gc.collect()
+    gc.disable()
+    try:
+        assert cyclotest.cli.run_campaign(desk_config()).exit_code(()) == 0
+        for command in ("enumerate-states", "reduce"):
+            assert main([command, "--model", str(model)]) == 0
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        found = sorted({getattr(obj, "__qualname__", type(obj).__qualname__)
+                        for obj in gc.garbage[kept:] if _defined_in_cyclotest(obj)})
+    finally:
+        gc.set_debug(debug)
+        del gc.garbage[kept:]
+        if enabled:
+            gc.enable()
+    capsys.readouterr()
+    assert found == []
+
+
 class _InlinePool:
     """Stands in for the process pool: records its size and runs the work
     in this process."""
@@ -667,13 +727,27 @@ class _InlinePool:
         return map(fn, *iterables)
 
 
+# iron at the desk durations over stdio, which piecemeal runs in a pool
+DESK_STDIO = "stdio:" + shlex.join([sys.executable, "-m", "cyclotest.iron_sut",
+                                    "--durations", "3000,5000"])
+
+
 class TestPiecemeal:
-    def test_jobs_do_not_change_the_output(self, capsys, tmp_path):
+    @pytest.fixture
+    def subject_env(self, monkeypatch):
+        # a stdio subject started by this process runs this checkout's sources
+        src = str(Path(cyclotest.__file__).resolve().parents[1])
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def test_pool_does_not_change_the_output(self, capsys, tmp_path, monkeypatch, subject_env):
+        # in process the parts run in turn, over stdio in a pool of two
+        monkeypatch.setattr(cyclotest.cli, "_usable_cpus", lambda: 2)
         outputs = []
-        for jobs in ("1", "2"):
-            log = tmp_path / ("log%s.jsonl" % jobs)
+        for sut in ("inproc:iron", DESK_STDIO):
+            log = tmp_path / "log.jsonl"
             code, out, _ = _run(capsys, [
-                "run", "--model", MODEL_PATH, "--scenario", "piecemeal", "--jobs", jobs,
+                "run", "--model", MODEL_PATH, "--scenario", "piecemeal", "--sut", sut,
                 "--require", "branch=1.0", "--json", "--deterministic", "--log", str(log),
             ] + DESK)
             assert code == 0
@@ -681,22 +755,36 @@ class TestPiecemeal:
             outputs.append((out, log.read_bytes()))
         assert outputs[0] == outputs[1]
 
-    def test_pool_has_at_most_one_process_per_part(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("sut, cpus, sizes", [
+        ("inproc:iron", 8, []),
+        (DESK_STDIO, 1, []),
+        (DESK_STDIO, 2, [2]),
+        (DESK_STDIO, 8, [3]),
+    ], ids=["inproc", "stdio-1-cpu", "stdio-2-cpus", "stdio-8-cpus"])
+    def test_pool_over_stdio_has_one_process_per_part_and_cpu(self, capsys, monkeypatch,
+                                                              subject_env, sut, cpus, sizes):
         monkeypatch.setattr(cyclotest.cli, "ProcessPoolExecutor", _InlinePool)
         monkeypatch.setattr(_InlinePool, "sizes", [])
-        for jobs in ("1", "10000"):
-            code, _, _ = _run(capsys, ["run", "--model", MODEL_PATH, "--scenario", "piecemeal",
-                                       "--jobs", jobs, "--json", "--deterministic"] + DESK)
-            assert code == 0
-        # two parts: one serial run, then a pool of two
-        assert _InlinePool.sizes == [2]
+        monkeypatch.setattr(cyclotest.cli, "_usable_cpus", lambda: cpus)
+        code, _, _ = _run(capsys, ["run", "--model", MODEL_PATH, "--scenario", "piecemeal",
+                                   "--parts", "tt", "te", "e", "--sut", sut,
+                                   "--json", "--deterministic"] + DESK)
+        assert code == 0
+        assert _InlinePool.sizes == sizes
 
-    def test_bad_subject_in_a_worker_exit_2(self, capsys):
-        # the usage error crosses back from a pool process
+    def test_usable_cpus_are_those_this_process_may_run_on(self):
+        cpus = cyclotest.cli._usable_cpus()
+        assert 1 <= cpus <= (os.cpu_count() or 1)
+        if hasattr(os, "sched_getaffinity"):
+            assert cpus == len(os.sched_getaffinity(0))
+
+    def test_error_in_a_worker_crosses_back(self, capsys, monkeypatch):
+        # a subject that cannot start fails in a pool process
+        monkeypatch.setattr(cyclotest.cli, "_usable_cpus", lambda: 2)
         code, _, err = _run(capsys, ["run", "--model", MODEL_PATH, "--scenario", "piecemeal",
-                                     "--jobs", "2", "--sut", "inproc:iron:M9"] + DESK)
-        assert code == 2
-        assert err == "error: unknown iron mutant 'M9'\n"
+                                     "--sut", "stdio:no-such-cmd-xyz"] + DESK)
+        assert code == 3
+        assert err == "error: cannot start no-such-cmd-xyz: No such file or directory\n"
 
     def test_a_failing_later_part_fails_the_merged_outcome(self, capsys):
         # M3 fails only in part 'e', the second part
@@ -794,10 +882,10 @@ class TestRunConfigFromArguments:
 
     @pytest.mark.parametrize("overrides, message", [
         (dict(scenario="bogus"), "unknown scenario 'bogus'"),
-        (dict(jobs=2), "--parts and --jobs apply only to --scenario piecemeal"),
+        (dict(parts=("t",)), "--parts applies only to --scenario piecemeal"),
         (dict(sut="stdio:subject", streaming=False),
          "--no-streaming needs an in-process subject: --sut inproc:NAME"),
-    ], ids=["scenario", "jobs", "no-streaming"])
+    ], ids=["scenario", "parts", "no-streaming"])
     def test_run_campaign_checks_the_options(self, overrides, message):
         # as the command line does, before the model is read
         config = RunConfig(model_path="/nonexistent.ctl", **overrides)
@@ -810,11 +898,11 @@ class TestRunConfigFromArguments:
             "run", "--model", MODEL_PATH, "--sut", "stdio:subject", "--scenario", "piecemeal",
             "--parts", "t", "e", "--budget", "7", "--seed", "3", "--no-streaming",
             "--timeout", "0.5", "--require", "branch=1", "--require", "mcdc=0.5",
-            "--jobs", "2", "--log", "log.jsonl"])
+            "--log", "log.jsonl"])
         assert _config_from_args(args) == RunConfig(
             model_path=MODEL_PATH, sut="stdio:subject", scenario="piecemeal", parts=("t", "e"),
             streaming=False, budget=7, seed=3, timeout_s=0.5,
-            required=(("branch", 1.0), ("mcdc", 0.5)), jobs=2)
+            required=(("branch", 1.0), ("mcdc", 0.5)))
 
 
 class TestBadArguments:
@@ -836,8 +924,6 @@ class TestBadArguments:
         ("cyclotest.cli", ["--sut", "tcp:127.0.0.1:99999"]),
         ("cyclotest.cli", ["--sut", "inproc:iron:M9"]),
         ("cyclotest.cli", ["--budget", "0"]),
-        ("cyclotest.cli", ["--jobs", "0"]),
-        ("cyclotest.cli", ["--jobs", "-1"]),
         ("cyclotest.cli", ["--timeout", "0"]),
         ("cyclotest.cli", ["--timeout", "-1"]),
         ("cyclotest.cli", ["--period-ms", "0"]),
@@ -979,8 +1065,8 @@ class TestSubjectStartFaults:
         _assert_usage_error(proc)
         assert proc.stderr.splitlines() == ["error: bad stdio command %r: %s" % (command, reason)]
 
-    @pytest.mark.parametrize("argv", [[], ["--scenario", "piecemeal", "--jobs", "2"]],
-                             ids=["full", "piecemeal-jobs-2"])
+    @pytest.mark.parametrize("argv", [[], ["--scenario", "piecemeal"]],
+                             ids=["full", "piecemeal"])
     def test_missing_command_exit_3(self, argv):
         proc = self._run_against("no-such-cmd-xyz", *argv)
         assert proc.returncode == 3, proc.stderr
@@ -1088,7 +1174,7 @@ class TestOutputsKept:
     output may overwrite the model or another output."""
 
     @pytest.mark.parametrize("argv, code, message", [
-        (["--parts", "t"], 2, "error: --parts and --jobs apply only to --scenario piecemeal"),
+        (["--parts", "t"], 2, "error: --parts applies only to --scenario piecemeal"),
         (["--scenario", "bogus"], 2, "error: unknown scenario 'bogus'"),
         (["--model", "/nonexistent.ctl"], 2,
          "error: cannot read model: [Errno 2] No such file or directory: '/nonexistent.ctl'"),

@@ -13,7 +13,6 @@ from cyclotest.iron import DESK_DURATIONS_MS, MUTANT_IDS, IronSut
 from cyclotest.kernel import KernelConfig
 from cyclotest.mediator import InProcessLink, MediatorLink, ProtocolError
 from cyclotest.reduction import (
-    derive_projections,
     enumerate_reachable_flag_states,
     generalized_state,
 )
@@ -619,8 +618,7 @@ class TestAbstractStateMemo:
 
         def apply(action, spec, scenario, log, source, replay):
             # the action starts from the specification state its source came from
-            expected = generalized_state(spec.state.env(), derive_projections(spec.extraction),
-                                         spec.model)
+            expected = generalized_state(spec.state.env(), spec.model)
             start = len(log.entries)
             result = real(action, spec, scenario, log, source, replay)
             checked.extend((entry.state, expected) for entry in log.entries[start:])
@@ -632,36 +630,32 @@ class TestAbstractStateMemo:
         assert all(state == expected for state, expected in checked)
 
     @pytest.mark.parametrize("name", ["desk iron", "tank", "guard"])
-    @pytest.mark.parametrize("cap", CAPS)
-    def test_every_reachable_state_matches(self, monkeypatch, desk_extraction, name, cap):
-        monkeypatch.setattr(contracts, "MEMO_CAP", cap)
+    def test_every_reachable_state_matches(self, desk_extraction, name):
         extraction = {"tank": extract_predicates(parse_model(TANK_SRC)),
                       "guard": extract_predicates(parse_model(GUARD_SRC)),
                       "desk iron": desk_extraction}[name]
         model = extraction.model
-        projections = derive_projections(extraction)
         reach = enumerate_reachable_flag_states(extraction, 1000)
         spec = Specification(extraction, None)
         calls = []
 
         def derive(env):
             calls.append(1)
-            return generalized_state(env, projections, model)
+            return generalized_state(env, model)
 
-        for _ in range(2):  # every state once unseen, once remembered
+        for _ in range(2):  # every state twice
             for state_vars, vector in reach.states:
                 state_vars = dict(state_vars)
                 flags = {pid: bool(bit) for pid, bit in zip(reach.predicate_ids, vector)}
                 values = tuple(state_vars[d.name] for d in model.state_vars)
-                # a new object: the specification's memo, not the state, knows it
+                # a new object, derived afresh however often its values recur
                 spec.state = SpecificationState(state_vars, (), flags, values)
-                expected = generalized_state(spec.state.env(), projections, model)
+                expected = generalized_state(spec.state.env(), model)
                 assert spec.abstract_state(derive) == expected
                 derived = len(calls)
                 assert spec.abstract_state(derive) == expected  # read off the state
                 assert len(calls) == derived
-        # past the cap, a state is derived again each time it is new
-        assert len(calls) == len(reach.states) + max(0, len(reach.states) - cap)
+        assert len(calls) == 2 * len(reach.states)
 
     def test_one_derivation_per_distinct_state(self, monkeypatch):
         keys, calls = [], []

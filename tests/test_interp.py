@@ -1,8 +1,9 @@
 import itertools
 
-import pytest
+from conftest import TANK_SRC
 
-from cyclotest.interp import MissingBinding, eval_model
+from cyclotest.dsl import extract_predicates, parse_model
+from cyclotest.interp import eval_model
 from cyclotest.reduction import enumerate_test_cases
 
 
@@ -52,15 +53,18 @@ class TestIronEvaluation:
                 )
                 assert trace.leaf_id in leaves
 
-    def test_missing_input_rejected(self, iron_extraction):
-        with pytest.raises(MissingBinding):
-            eval_model(iron_extraction.model, {"move": 0}, {}, _flags())
 
-    def test_missing_flag_rejected(self, iron_extraction):
-        flags = _flags()
-        del flags["move_eq_f_t2"]
-        with pytest.raises(MissingBinding):
-            eval_model(iron_extraction.model, {"move": 0, "position": 1}, {}, flags)
+class TestPostState:
+    def test_a_new_dict_leaves_the_pre_state_alone(self):
+        # the specification shares its states' variables, so the model must
+        # not write to them, whether or not the leaf assigns state
+        extraction = extract_predicates(parse_model(TANK_SRC))
+        flags = {p.id: False for p in extraction.predicates}
+        for fill, level_post in ((2, 2), (0, 0)):
+            pre = {"level": 0}
+            _, post, _ = eval_model(extraction.model, {"fill": fill, "drain": 0}, pre, flags)
+            assert post == {"level": level_post} and post is not pre
+            assert pre == {"level": 0}
 
 
 class TestDecisionTrace:

@@ -126,8 +126,7 @@ class TestMutants:
                 )  # first cycle with elapsed == duration
                 assert (a != b) == boundary, (seq[: i + 1], a, b)
 
-    def test_one_cycle_late_subject_matches_strict_semantics(self, desk_extraction,
-                                                             desk_projections):
+    def test_one_cycle_late_subject_matches_strict_semantics(self, desk_extraction):
         # firing one cycle late on every condition is exactly the strict (>)
         # reading of held(); the campaign passes end to end under it
         from cyclotest.contracts import Specification
@@ -139,8 +138,7 @@ class TestMutants:
         late = IronSut((DESK_DURATIONS_MS[0] + PERIOD, DESK_DURATIONS_MS[1] + PERIOD), PERIOD)
         link = InProcessLink(desk_extraction.model, late, KernelConfig(cycle_period_ms=PERIOD))
         spec = Specification(desk_extraction, link, strict_held=True)
-        scenario = build_coverage_scenario(spec, desk_extraction, desk_projections, PERIOD,
-                                           strict=True)
+        scenario = build_coverage_scenario(spec, desk_extraction, PERIOD, strict=True)
         log, _ = traverse(scenario, spec)
         assert log.outcome == "complete"
         assert all(e.verdict == VerdictKind.PASS.value for e in log.entries)

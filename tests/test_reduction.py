@@ -248,17 +248,15 @@ class TestProjections:
 
 class TestGeneralizedState:
     def test_all_flags_false(self, iron_extraction):
-        projections = derive_projections(iron_extraction)
-        assert generalized_state(_env((0, 0, 0, 0)), projections,
-                                 iron_extraction.model) == (0, 1, 0, 1)
+        assert generalized_state(_env((0, 0, 0, 0)), iron_extraction.model) == (0, 1, 0, 1)
 
     def test_long_vertical_rest(self, iron_extraction):
-        projections = derive_projections(iron_extraction)
-        assert generalized_state(_env((1, 0, 1, 1)), projections,
-                                 iron_extraction.model) == (1, 0, 0, 1)
+        assert generalized_state(_env((1, 0, 1, 1)), iron_extraction.model) == (1, 0, 0, 1)
 
-    def test_empty_projection_list(self, iron_extraction):
-        assert generalized_state(_env((0, 0, 0, 0)), [], iron_extraction.model) == ()
+    def test_one_bit_per_projection(self, iron_extraction):
+        # bit k is P<k>: one bit per leaf of the rewritten model, in pre-order
+        projections = derive_projections(iron_extraction)
+        assert [p.leaf_id for p in projections] == list(iron_extraction.model.leaf_ids)
 
 
 WALK_MODELS = [
@@ -290,7 +288,7 @@ class TestTreeWalkMatchesBruteForce:
         envs = _state_envs(extraction)
         members = set()
         for env in envs:
-            member = generalized_state(env, projections, extraction.model)
+            member = generalized_state(env, extraction.model)
             assert member == generalized_state_bruteforce(env, projections, extraction.model)
             assert coverable_cases(env, rewritten, extraction.model) == (
                 coverable_cases_bruteforce(env, rewritten, extraction.model))
@@ -396,7 +394,7 @@ class TestPrintedReduction:
         for env in _state_envs(extraction):
             envs = [dict(env, **valuation) for valuation in _valuations(model.inputs)]
             printed = tuple(int(any(eval_expr(e, full) for full in envs)) for e in parsed)
-            assert printed == generalized_state(env, projections, model), (
+            assert printed == generalized_state(env, model), (
                 [str(p) for p in projections], env)
 
     def test_unsatisfiable_input_factors_project_to_false(self):
@@ -555,7 +553,7 @@ class TestWalkAgainstOracles:
         cases = enumerate_test_cases(rewritten)
         # every reachable state, and every other state the model can name
         for env in _state_envs(extraction):
-            assert generalized_state(env, projections, rewritten) == (
+            assert generalized_state(env, rewritten) == (
                 generalized_state_bruteforce(env, projections, rewritten)), env
             assert coverable_cases(env, cases, rewritten) == (
                 coverable_cases_bruteforce(env, cases, rewritten)), env

@@ -47,7 +47,7 @@ class TestFullScenario:
 
 class TestActionTable:
     def test_settle_then_probe_over_the_product(self):
-        scenario = build_coverage_scenario(None, extract_predicates(parse_model(ZA_SRC)), ())
+        scenario = build_coverage_scenario(None, extract_predicates(parse_model(ZA_SRC)))
         table = scenario.actions()
         assert [a.label for a in table] == [
             "%s(z=%d, a=%d)" % (family, z, a)
@@ -61,7 +61,7 @@ class TestActionTable:
     def test_part_pins_its_inputs_first(self):
         extraction = extract_predicates(parse_model(ZA_SRC))
         part, = make_piecemeal(extraction.source, ["t"])
-        table = build_coverage_scenario(None, extraction, (), 1000, part).actions()
+        table = build_coverage_scenario(None, extraction, 1000, part).actions()
         assert [a.label for a in table] == [
             "%s(a=%d)" % (family, a) for family in ("settle", "probe") for a in (0, 1, 2)]
         assert [list(s.items()) for s in table[3].stimuli()] == (
