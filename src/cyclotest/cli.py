@@ -212,8 +212,8 @@ def run_campaign(config: RunConfig) -> CampaignResult:
     ``full`` and ``piece:NODE`` are one part, ``piecemeal`` is one per
     ``--parts`` node, with the results merged.  Piecemeal parts against a
     ``stdio:`` subject, each of which starts its own subject, run in a pool
-    of one process per part, at most one per usable CPU; any others run in
-    turn."""
+    of one process per part when more than one CPU is usable; any others
+    run in turn."""
     check_options(config)
     extraction = load_model(config)
     model = extraction.model
@@ -232,10 +232,11 @@ def run_campaign(config: RunConfig) -> CampaignResult:
     run = functools.partial(run_part, config, extraction)
     if config.scenario != "piecemeal":
         return run(parts[0])
-    workers = min(len(parts), _usable_cpus()) if config.sut.startswith("stdio:") else 1
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, parts))
+    # measured over stdio: on one CPU the pool is slower than running in turn,
+    # and with more parts than CPUs one process per part beats fewer
+    if config.sut.startswith("stdio:") and _usable_cpus() > 1:
+        with ProcessPoolExecutor(max_workers=len(parts)) as executor:
+            results = list(executor.map(run, parts))
     else:
         results = list(map(run, parts))
     merged, report = results[0].log, results[0].report

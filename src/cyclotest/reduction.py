@@ -142,8 +142,13 @@ def generalized_state(state_env: Mapping, model: ModelAst) -> tuple:
     exactly when some input valuation walks the model to its leaf from the
     state, that is when one of the leaf's boxes (:attr:`ModelAst.leaf_boxes`)
     holds the state: existential input elimination."""
-    reached = {leaf_id for leaf_id, _ in model.leaf_boxes.at(state_env)}
+    reached = _reached_leaves(state_env, model)
     return tuple(1 if leaf_id in reached else 0 for leaf_id in model.leaf_ids)
+
+
+def _reached_leaves(state_env: Mapping, model: ModelAst) -> set:
+    """Ids of the leaves some input valuation reaches from a state."""
+    return {leaf_id for leaf_id, _ in model.leaf_boxes.at(state_env)}
 
 
 def derive_projections(extraction: ExtractionResult) -> list:
@@ -424,9 +429,9 @@ def _least_trail(model: ModelAst, clocks: list, targets: list, length: int) -> t
 
 def coverable_cases(state_env: Mapping, cases: Sequence, model: ModelAst) -> frozenset:
     """Test cases coverable from a state by some input valuation: those whose
-    projection holds there, read off the state's abstract state."""
-    member = dict(zip(model.leaf_ids, generalized_state(state_env, model)))
-    return frozenset(pc.id for pc in cases if member[pc.leaf_id])
+    projection holds there, that is whose leaf the state reaches."""
+    reached = _reached_leaves(state_env, model)
+    return frozenset(pc.id for pc in cases if pc.leaf_id in reached)
 
 
 # ---------------------------------------------------------------------------
