@@ -146,6 +146,8 @@ def load_model(config: RunConfig):
             source = fh.read()
     except OSError as exc:
         raise CliError("cannot read model: %s" % exc, EXIT_PARSE) from exc
+    except UnicodeDecodeError as exc:
+        raise CliError("cannot read model: %s: %s" % (config.model_path, exc), EXIT_PARSE) from exc
     try:
         ast = parse_model(source)
     except ModelError as exc:
@@ -593,7 +595,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("CYCLOTEST_LOG", "WARNING").upper())
+    level = os.environ.get("CYCLOTEST_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        print("error: CYCLOTEST_LOG=%s is not a log level" % level, file=sys.stderr)
+        return EXIT_PARSE
+    logging.basicConfig(level=level.upper())
     args = build_parser().parse_args(argv)
     try:
         code, lines = args.func(args)
@@ -602,6 +608,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code
+    except RecursionError:  # a model nested deeper than the interpreter's stack
+        print("error: %s: nests too deeply" % args.model_path, file=sys.stderr)
+        return EXIT_PARSE
 
 
 def entry() -> None:

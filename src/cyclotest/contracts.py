@@ -92,10 +92,8 @@ class SpecificationState:
     abstract: object = field(default=None, compare=False, repr=False)
 
     def env(self) -> dict:
-        """State variables and time flags in one namespace (flags as 0/1)."""
-        merged = dict(self.state_vars)
-        merged.update({pid: int(v) for pid, v in self.flags.items()})
-        return merged
+        """State variables and time flags in one namespace."""
+        return {**self.state_vars, **self.flags}
 
 
 class Specification:

@@ -4,7 +4,8 @@ A ``.ctl`` model declares typed inputs, outputs and state variables, plus a
 ``logic`` block holding a binary decision tree.  Decision conditions are
 boolean expressions whose atoms may be ``held(<formula>, <duration>)``
 temporal conditions; every leaf is a block of assignments.  ASTs are frozen
-dataclasses and all functions here are pure.
+dataclasses and all functions here are pure.  ``eval_expr`` reads variables
+and predicate ids from one namespace.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Union
 
 
 class ModelError(Exception):
@@ -272,20 +273,19 @@ _KEYWORDS = frozenset(
 
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>[ \t\r]+)
+      (?P<skip>[ \t\r]+|//[^\n]*)
     | (?P<nl>\n)
-    | (?P<comment>//[^\n]*)
     | (?P<duration>\d+(?:ms|s)\b)
     | (?P<int>\d+)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<op>\|\||&&|==|!=|<=|>=|\.\.|[!<>=(){};:,])
+    | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "int" | "duration" | keyword | operator | "eof"
     text: str
     line: int
@@ -293,35 +293,37 @@ class Token:
 
 
 def tokenize(source: str) -> list:
+    """The tokens of ``source``, in one pass of ``_TOKEN_RE``, whose last
+    alternative matches any other character; a column counts characters
+    from the start of its line, a tab as one."""
     tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError("unexpected character %r" % source[pos], line, col)
+    line, line_start = 1, 0  # the current line and the offset it starts at
+    for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
-        text = m.group()
+        if kind == "skip":
+            continue
         if kind == "nl":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(text)
-        else:
-            if kind == "ident" and text in _KEYWORDS:
-                kind = text
-            elif kind == "op":
-                kind = text
-            tokens.append(Token(kind, text, line, col))
-            col += len(text)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+            line, line_start = line + 1, m.end()
+            continue
+        text, col = m.group(), m.start() - line_start + 1
+        if kind == "bad":
+            raise ParseError("unexpected character %r" % text, line, col)
+        if kind == "op" or kind == "ident" and text in _KEYWORDS:
+            kind = text
+        tokens.append(Token(kind, text, line, col))
+    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
     return tokens
 
 
-def _duration_ms(text: str) -> int:
-    if text.endswith("ms"):
-        return int(text[:-2])
-    return int(text[:-1]) * 1000
+def _literal(tok: Token) -> int:
+    """The value of an int or duration token, a duration in ms."""
+    text, scale = tok.text, 1
+    if tok.kind == "duration":
+        text, scale = (text[:-2], 1) if text.endswith("ms") else (text[:-1], 1000)
+    try:
+        return int(text) * scale
+    except ValueError as exc:  # more digits than int() converts
+        raise ParseError("integer literal has too many digits", tok.line, tok.col) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +403,9 @@ class _Parser:
             return "bool", None, None
         if self.at("int"):
             self.next()
-            lo = int(self.expect("int").text)
+            lo = _literal(self.expect("int"))
             self.expect("..")
-            hi = int(self.expect("int").text)
+            hi = _literal(self.expect("int"))
             if lo > hi:
                 raise ParseError("empty integer range %d..%d" % (lo, hi), at.line, at.col)
             return "int", lo, hi
@@ -414,7 +416,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "int":
             self.next()
-            return int(tok.text)
+            return _literal(tok)
         if tok.kind in ("true", "false"):
             self.next()
             return 1 if tok.kind == "true" else 0
@@ -498,7 +500,7 @@ class _Parser:
             self.expect(",")
             dur = self.expect("duration")
             self.expect(")")
-            ms = _duration_ms(dur.text)
+            ms = _literal(dur)
             if ms < 1:
                 raise ParseError("held() duration must be positive", dur.line, dur.col)
             return Held(formula, ms, line=tok.line, col=tok.col)
@@ -507,7 +509,7 @@ class _Parser:
             return Name(tok.text, line=tok.line, col=tok.col)
         if tok.kind == "int":
             self.next()
-            return Const(int(tok.text), False, line=tok.line, col=tok.col)
+            return Const(_literal(tok), False, line=tok.line, col=tok.col)
         if tok.kind in ("true", "false"):
             self.next()
             return Const(1 if tok.kind == "true" else 0, True, line=tok.line, col=tok.col)
@@ -674,34 +676,30 @@ def _print_node(node: Node, depth: int) -> str:
 HeldEval = Callable[[Held], int]
 
 
-def eval_expr(expr: Expr, env: Mapping, flags: Optional[Mapping] = None,
-              held_eval: Optional[HeldEval] = None) -> int:
+def eval_expr(expr: Expr, env: Mapping, held_eval: Optional[HeldEval] = None) -> int:
     """Evaluate a pure expression to an int (booleans are 0/1).
 
-    ``env`` binds variable names, ``flags`` binds predicate ids; ``held_eval``
-    supplies values for raw held() nodes when evaluating unrewritten models.
+    ``env`` is one namespace: it binds the variable names and the predicate
+    ids alike, a predicate id to a bool or 0/1.  ``held_eval`` supplies
+    values for raw held() nodes when evaluating unrewritten models.
     """
-    if isinstance(expr, Name):
+    if isinstance(expr, (Name, PredRef)):
         return int(env[expr.ident])
-    if isinstance(expr, PredRef):
-        if flags is None or expr.ident not in flags:
-            raise KeyError(expr.ident)
-        return int(flags[expr.ident])
     if isinstance(expr, Const):
         return expr.value
     if isinstance(expr, Not):
-        return 0 if eval_expr(expr.operand, env, flags, held_eval) else 1
+        return 0 if eval_expr(expr.operand, env, held_eval) else 1
     if isinstance(expr, And):
-        if not eval_expr(expr.left, env, flags, held_eval):
+        if not eval_expr(expr.left, env, held_eval):
             return 0
-        return 1 if eval_expr(expr.right, env, flags, held_eval) else 0
+        return 1 if eval_expr(expr.right, env, held_eval) else 0
     if isinstance(expr, Or):
-        if eval_expr(expr.left, env, flags, held_eval):
+        if eval_expr(expr.left, env, held_eval):
             return 1
-        return 1 if eval_expr(expr.right, env, flags, held_eval) else 0
+        return 1 if eval_expr(expr.right, env, held_eval) else 0
     if isinstance(expr, Cmp):
-        left = eval_expr(expr.left, env, flags, held_eval)
-        right = eval_expr(expr.right, env, flags, held_eval)
+        left = eval_expr(expr.left, env, held_eval)
+        right = eval_expr(expr.right, env, held_eval)
         return 1 if _CMP_FUNCTIONS[expr.op](left, right) else 0
     if isinstance(expr, Held):
         if held_eval is None:
@@ -773,8 +771,7 @@ def _split(condition: Expr, read: tuple, boxes: list, column: Mapping) -> tuple:
         comps = [box[k] for k in cols]
         points = (set(), set())  # taken, not taken
         for values in itertools.product(*comps):
-            env = dict(zip(read, values))
-            points[not eval_expr(condition, env, env)].add(values)
+            points[not eval_expr(condition, dict(zip(read, values)))].add(values)
         for side, found, other in zip(sides, points, reversed(points)):
             if not other:
                 side.append(box)

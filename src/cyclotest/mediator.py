@@ -72,7 +72,8 @@ class WireMessage:
     def decode(line: bytes) -> "WireMessage":
         try:
             data = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and an int of too many digits
+        except (ValueError, RecursionError) as exc:
             raise ProtocolError("undecodable message: %s" % exc) from exc
         if not isinstance(data, dict) or "type" not in data:
             raise ProtocolError("message without a type: %r" % line)

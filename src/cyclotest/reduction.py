@@ -106,26 +106,19 @@ class Projection:
         return "exists inputs: " + text if self.exists_inputs else text
 
 
-def input_feasible_leaves(model: ModelAst) -> frozenset:
-    """Leaves whose path factors over inputs alone some input valuation
-    satisfies together: those that the walk of :attr:`ModelAst.input_boxes`
-    reaches."""
-    return frozenset(model.input_boxes.leaves)
-
-
-def project_to_state(pc: PathCondition, model: ModelAst, feasible_leaves: frozenset) -> Projection:
+def project_to_state(pc: PathCondition, model: ModelAst) -> Projection:
     """Project a rewritten path condition of ``model`` onto the state space
     (predicate ids and state variables only).  Factors over inputs alone are
     dropped when some input valuation satisfies them all, that is when the
-    case's leaf is in ``feasible_leaves`` (see :func:`input_feasible_leaves`),
-    else the projection is ``false``; a factor that mixes inputs with state
-    keeps every factor, quantified."""
+    walk of :attr:`ModelAst.input_boxes` reaches the case's leaf, else the
+    projection is ``false``; a factor that mixes inputs with state keeps
+    every factor, quantified."""
     inputs = frozenset(model.input_names)
     refs = [free_vars(f) for f in pc.factors]
     pid = "P%s" % pc.id.removeprefix("case")
     if any(r & inputs and r - inputs for r in refs):
         return Projection(pid, pc.leaf_id, pc.factors, True)
-    if pc.leaf_id not in feasible_leaves:
+    if pc.leaf_id not in model.input_boxes.leaves:
         return Projection(pid, pc.leaf_id, (Const(0, True),), False)
     kept = tuple(f for f, r in zip(pc.factors, refs) if not (r and r <= inputs))
     return Projection(pid, pc.leaf_id, kept, False)
@@ -154,8 +147,7 @@ def _reached_leaves(state_env: Mapping, model: ModelAst) -> set:
 def derive_projections(extraction: ExtractionResult) -> list:
     # the cases of the rewritten model are the source's cases, rewritten
     model = extraction.model
-    feasible = input_feasible_leaves(model)
-    return [project_to_state(pc, model, feasible) for pc in enumerate_test_cases(model)]
+    return [project_to_state(pc, model) for pc in enumerate_test_cases(model)]
 
 
 # ---------------------------------------------------------------------------

@@ -153,7 +153,7 @@ def enumerate_reachable_flag_states_reference(extraction, cycle_period_ms: int =
 def path_holds(factors, env) -> bool:
     """Every factor of a path condition holds in ``env``, which binds
     variables and predicate ids alike."""
-    return all(eval_expr(f, env, env) for f in factors)
+    return all(eval_expr(f, env) for f in factors)
 
 
 def projection_holds(projection, state_env, model) -> bool:
@@ -232,7 +232,7 @@ def unreachable_leaves_bruteforce(ast) -> set:
         def held_eval(node):
             return held[(print_expr(node.formula), node.duration_ms)]
 
-        return all(eval_expr(f, env, None, held_eval) for f in factors)
+        return all(eval_expr(f, env, held_eval) for f in factors)
 
     return {pc.leaf_id for pc in enumerate_test_cases(ast)
             if not any(satisfied(pc.factors, env, held) for env, held in atom_valuations)}

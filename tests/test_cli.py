@@ -905,6 +905,30 @@ class TestRunConfigFromArguments:
             required=(("branch", 1.0), ("mcdc", 0.5)))
 
 
+def _model(logic: str) -> bytes:
+    return ("model m {\n  input a: bool;\n  output o: int 0..1;\n  logic { %s }\n}\n"
+            % logic).encode()
+
+
+def _if(condition: str = "a", value: str = "1") -> str:
+    return "if (%s) { o = %s; } else { o = 0; }" % (condition, value)
+
+
+# model files that no command can read, and the one line each ends in
+MALFORMED = {
+    "not-utf8": (_model(_if()).replace(b"input a", b"input \xff"),
+                 "error: cannot read model: %s: 'utf-8' codec can't decode byte 0xff in "
+                 "position 18: invalid start byte"),
+    "long-int": (_model(_if(value="1" * 5000)),
+                 "error: %s: 4:24: integer literal has too many digits"),
+    "bangs": (_model(_if("!" * 5000 + "a")), "error: %s: nests too deeply"),
+    "parens": (_model(_if("(" * 3000 + "a" + ")" * 3000)), "error: %s: nests too deeply"),
+    "ifs": (_model("if (a) { " * 1200 + "o = 1;" + " } else { o = 0; }" * 1200),
+            "error: %s: nests too deeply"),
+    "or-1500": (_model(_if(" || ".join(["a"] * 1500))), "error: %s: nests too deeply"),
+}
+
+
 class TestBadArguments:
     @pytest.mark.parametrize("module, argv", [
         ("cyclotest.cli", ["--remap-duration", "60x=3"]),
@@ -1032,6 +1056,28 @@ class TestBadArguments:
         proc = _subprocess("cyclotest.cli", [command, "--model", str(model)])
         _assert_usage_error(proc)
         assert proc.stderr.splitlines() == ["error: %s: %s" % (model, message)]
+
+    @pytest.mark.parametrize("command", ["run", "enumerate-states", "reduce"])
+    @pytest.mark.parametrize("fault", list(MALFORMED))
+    def test_malformed_model_exit_2_in_one_line(self, capsys, tmp_path, command, fault):
+        source, message = MALFORMED[fault]
+        model = tmp_path / "bad.ctl"
+        model.write_bytes(source)
+        code, out, err = _run(capsys, [command, "--model", str(model)])
+        assert (code, out, err.splitlines()) == (2, "", [message % model])
+
+    def test_a_900_way_disjunction_still_reduces(self, tmp_path):
+        # in a fresh interpreter, whose stack is the one a user's command has
+        model = tmp_path / "wide.ctl"
+        model.write_bytes(_model(_if(" || ".join(["a"] * 900))))
+        proc = _subprocess("cyclotest.cli", ["reduce", "--model", str(model)])
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    def test_unknown_log_level_exit_2(self, monkeypatch):
+        monkeypatch.setenv("CYCLOTEST_LOG", "bogus")
+        proc = _subprocess("cyclotest.cli", ["reduce", "--model", MODEL_PATH])
+        _assert_usage_error(proc)
+        assert proc.stderr.splitlines() == ["error: CYCLOTEST_LOG=bogus is not a log level"]
 
     @pytest.mark.parametrize("sut", ["stdio:SUBJECT", "tcp:127.0.0.1:9"], ids=["stdio", "tcp"])
     def test_no_streaming_needs_an_in_process_subject(self, tmp_path, sut):

@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -19,9 +21,73 @@ from cyclotest.dsl import (
     parse_model,
     print_model,
     rescale_durations,
+    tokenize,
     walk_nodes,
 )
 from oracles import CompoundWindowOracle, WindowOracle, unreachable_leaves_bruteforce
+from test_cli import MODEL_SOURCES
+
+TESTS = Path(__file__).resolve().parent
+
+# tabs, \r\n line ends, // comments, a duration beside an int and an
+# identifier, and no newline at the end
+EDGE_SRC = ("model\tedge {\r\n\tinput a: int 0..3;\t// a tab, then a comment\r\n"
+            "  if (held(a==3,3s) || !held(a != 2, 3 s)) { x = 3ms; y = 3sx; z = 03; }\r\n"
+            "\t\t} // no newline at the end")
+
+# sha256 of repr([(kind, text, line, col) for each token]), taken before the
+# lexer became one pass of its regular expression: the files under
+# tests/models, every model source of the test files (MODEL_SOURCES, which
+# holds iron.ctl as "iron" and conftest's sources), and EDGE_SRC
+TOKEN_SHA = {
+    "wide20.ctl": "1c7e998cda13ce5147edee02f04347ffff6b53e502020906fab5598a1bba791d",
+    "wide20_state.ctl": "577368dee88132fda9fbdbbf484a8e6870e0d94a72fe208fba16586fab98633a",
+    "dial-e35fdd32": "de86f0532e0107aeb154cff2e241ba170dc96a871d05f729d38aefb3e6f00595",
+    "gauge-88915476": "c2de99e08e86889137ca653a6bee8e6257ccc0be22dd6131ec395219c5f527a4",
+    "guard-cd195c2a": "7344f540a36d09c46d1c207243950e8f9bb9e693bfbef54ab602451f7c01096b",
+    "heater-1d02e5df": "11c7924cb3e74eba2adc9938db9ac942b8e65d473c1bac8149c9195d219920e3",
+    "iron": "7226f51fb32c1f29b23d8de0d18fd151be3180fb79bbf4c6f103257f7991fe8d",
+    "iron-bcfed6b5": "2e9f5e7b72c7d40dbc289b75dbf34518647c32985bafcf2dfe92939d2dcf185c",
+    "latch-ae168745": "ae974edb4da42e2e1521c642bfcfbeaee3dcdd83178309e4e8d431c34e7e94aa",
+    "m-240becb9": "7820b35253cb7e2e190a13a29c3575842746046b6966113ad2deef590526d0dc",
+    "m-2759aadf": "bf614963772244e9534c4ac937c71f833f6db884131a9b33f5df7ba3fc42f66d",
+    "m-3cfe777e": "ca8acc260cbde59afbec32e81a43cc1dbca8766ddc49e80ae0b5747c7b957b0a",
+    "m-46e4bd99": "819c6674e392d79a6b0c535a9a0dce048c99ffd1f1cd8796cfe30cac1af4cc8c",
+    "m-68285274": "7d0d88debb680b2499f5e80366782f2bbec133fa3191610507c5e082667d90bb",
+    "m-743aa20f": "11a8d66cc5f86e185c11e19eed65f86b00938f85e69778cf08e34d5c4236415e",
+    "m-9be55186": "2962957c525af4a7d5c422f5c78dd7b6c81e61ac84f01cdc19abe4494a0b7302",
+    "order-fa87627d": "0eae50cc1399bd4f2d320ed69a79f7848570750ac630ab26f6ec471868944fdc",
+    "other-9b8f41fd": "754e457822b3ede2247f42a84722cb4ce16709e02c47db021dc40c4a9ae3e8f6",
+    "quad-4b64c092": "e2f101540336cb53972ff3f2d07b03919860505e95ee4881abe70700d068ab0e",
+    "settle-abac4325": "f6d57fd5112011f2bcb4dc4a0d5192ab464c147768283d4bf44a9a06cca04917",
+    "single-48d62513": "21c7aecee70342bedc2193e82dd23019b43f042c4da9925c15df2cc2a7049c55",
+    "stray-b4d3cc70": "6dd4d376dbf85d5695db13e02b4350b22dec393f1957af56f271eb50d8774fff",
+    "tank-f1bff6a6": "23805b671512c9f1716338c96ef255f965b94aee9a7819178043569da567e238",
+    "two-237ac621": "4d874272471269ea3d98c6bbe651312e5ba890455a57fc9ebbb8ee668faafafc",
+    "u-cac9539b": "225c1615ab3daa06691b2c8efeee8214b9635b2a5905510c42b668ab893ab546",
+    "wide-d76505a5": "1206a84264aeac9508f41a68db71fe8249b8edce7aeab4028cddf41437b3d737",
+    "za-7369280f": "1ad346a713796eeb8c1989bbae072afb3e4916376ac52e99b53f9ba598c6561f",
+    "edge": "64811cfb5fa1367c868fb8facd3fef6f2fce897ebdfa08dcdaed7ac75f339ded",
+}
+
+
+def _pinned_source(name: str) -> str:
+    if name.endswith(".ctl"):
+        return (TESTS / "models" / name).read_text(encoding="utf-8")
+    return EDGE_SRC if name == "edge" else MODEL_SOURCES[name]
+
+
+class TestLexer:
+    @pytest.mark.parametrize("name", sorted(TOKEN_SHA))
+    def test_token_stream_pinned(self, name):
+        tokens = [(t.kind, t.text, t.line, t.col) for t in tokenize(_pinned_source(name))]
+        assert hashlib.sha256(repr(tokens).encode()).hexdigest() == TOKEN_SHA[name]
+
+    def test_unexpected_character_after_a_tab(self):
+        with pytest.raises(ParseError) as err:
+            parse_model("model m {\n\t@ }")
+        assert (str(err.value), err.value.line, err.value.col) == (
+            "2:2: unexpected character '@'", 2, 2)
 
 
 class TestParse:
@@ -235,7 +301,7 @@ def _eval_original(ast, inputs, state_pre, compound):
     env = {**{k: int(v) for k, v in state_pre.items()}, **{k: int(v) for k, v in inputs.items()}}
     node = ast.body
     while isinstance(node, Decision):
-        outcome = eval_expr(node.condition, env, None, compound.held_eval)
+        outcome = eval_expr(node.condition, env, compound.held_eval)
         node = node.then_branch if outcome else node.else_branch
     outputs = {}
     state_post = dict(state_pre)

@@ -187,6 +187,19 @@ class TestIronSutServe:
         assert [r["type"] for r in replies] == ["hello", "error"]
         assert "input" in replies[1]["message"]
 
+    @pytest.mark.parametrize("values", [
+        b'{"move": %s, "position": 0}' % (b"9" * 5000),
+        b'{"move": %s, "position": 0}' % (b"[" * 100_000 + b"]" * 100_000),
+    ], ids=["long-int", "deep"])
+    def test_undecodable_line_gets_error(self, values):
+        reader = io.BytesIO(b'{"type": "set_inputs", "cycle": 0, "values": %s}\n' % values)
+        writer = io.BytesIO()
+        code = serve(reader, writer, IronSut(DESK_DURATIONS_MS, PERIOD), PERIOD)
+        replies = [json.loads(line) for line in writer.getvalue().splitlines()]
+        assert code == 1
+        assert [r["type"] for r in replies] == ["hello", "error"]
+        assert replies[1]["message"].startswith("bad message: undecodable message: ")
+
 
 def test_iron_sut_loads_only_the_model_the_kernel_and_the_wire():
     # the subject program is not the test engine: no cli, oracle, coverage,

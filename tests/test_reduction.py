@@ -27,7 +27,6 @@ from cyclotest.reduction import (
     enumerate_reachable_flag_states,
     enumerate_test_cases,
     generalized_state,
-    input_feasible_leaves,
     make_piecemeal,
     project_to_state,
 )
@@ -219,7 +218,7 @@ class TestProjections:
         )
         ex = extract_predicates(ast)
         pc = enumerate_test_cases(ex.model)[0]
-        projection = project_to_state(pc, ex.model, input_feasible_leaves(ex.model))
+        projection = project_to_state(pc, ex.model)
         assert str(projection) == "true"
         assert projection_holds(projection, {}, ex.model) is True
 
@@ -232,7 +231,7 @@ class TestProjections:
             env = _env(bits)
             for p, pc in zip(projections, cases):
                 assert not p.exists_inputs
-                kept = all(eval_expr(f, env, env) for f in p.factors)
+                kept = all(eval_expr(f, env) for f in p.factors)
                 assert projection_holds(pc, env, iron_extraction.model) == kept
 
     def test_projection_soundness(self, iron_extraction):
@@ -361,8 +360,8 @@ class TestPrintedReduction:
                     def held_eval(node):
                         return held[(print_expr(node.formula), node.duration_ms)]
 
-                    want = all(eval_expr(f, env, None, held_eval) for f in pc.factors)
-                    got = bool(eval_expr(parsed, env, None, held_eval))
+                    want = all(eval_expr(f, env, held_eval) for f in pc.factors)
+                    got = bool(eval_expr(parsed, env, held_eval))
                     assert got == want, (pc.id, str(pc), env, held)
 
         # rewritten cases and projections: predicate ids vary like variables
@@ -375,13 +374,13 @@ class TestPrintedReduction:
             text = str(record).removeprefix("exists inputs: ")
             parsed = parse_expression(text)
             for env in envs:
-                want = all(eval_expr(f, env, env) for f in record.factors)
+                want = all(eval_expr(f, env) for f in record.factors)
                 assert bool(eval_expr(parsed, env)) == want, (record.id, text, env)
 
     @pytest.mark.parametrize("source", _model_sources())
     def test_feasible_leaves_equal_a_scan_per_case(self, source):
         model = extract_predicates(parse_model(source)).model
-        assert input_feasible_leaves(model) == input_feasible_leaves_bruteforce(model)
+        assert frozenset(model.input_boxes.leaves) == input_feasible_leaves_bruteforce(model)
 
     @pytest.mark.parametrize("source", _model_sources())
     def test_printed_projection_holds_where_its_bit_is_set(self, source):
@@ -557,7 +556,8 @@ class TestWalkAgainstOracles:
                 generalized_state_bruteforce(env, projections, rewritten)), env
             assert coverable_cases(env, cases, rewritten) == (
                 coverable_cases_bruteforce(env, cases, rewritten)), env
-        assert input_feasible_leaves(rewritten) == input_feasible_leaves_bruteforce(rewritten)
+        assert frozenset(rewritten.input_boxes.leaves) == (
+            input_feasible_leaves_bruteforce(rewritten))
         found = {d.node_id for d in check_model(extraction.source) if d.code == "UnreachableLeaf"}
         assert found == unreachable_leaves_bruteforce(extraction.source)
 

@@ -10,6 +10,7 @@ import socket
 import threading
 import time
 
+import pytest
 from conftest import MODEL_PATH
 
 from cyclotest.cli import main
@@ -127,3 +128,60 @@ def test_bad_lines_over_tcp_exit_3(capsys):
         thread.join(timeout=10)
     assert not thread.is_alive()
     assert time.monotonic() - started < 30
+
+
+def _serve_once(server, session: bytes) -> None:
+    """Send ``session`` on the first connection, then read until the engine
+    hangs up."""
+    try:
+        conn, _ = server.accept()
+    except OSError:
+        return
+    with conn:
+        conn.sendall(session)
+        conn.settimeout(10)
+        try:
+            while conn.recv(4096):
+                pass
+        except OSError:
+            pass
+
+
+# lines that json.loads refuses with a ValueError that is no JSONDecodeError
+# (an int of more digits than int() converts) or with a RecursionError
+LONG_INT = b"9" * 5000
+OBSERVATION = (b'{"type": "observation", "cycle": 0, "sys_time_ms": %s, "outputs": %s, '
+               b'"state": {}}\n')
+UNDECODABLE = {
+    "long-sys-time": HELLO + OBSERVATION % (LONG_INT, b'{"heating": 1}'),
+    "deep-outputs": HELLO + OBSERVATION % (b"1000", b"[" * 100_000 + b"]" * 100_000),
+    "long-hello": HELLO.replace(b'"cycle_period_ms": 1000', b'"cycle_period_ms": ' + LONG_INT),
+}
+
+
+@pytest.mark.parametrize("transport", ["stdio", "tcp"])
+@pytest.mark.parametrize("case", sorted(UNDECODABLE))
+def test_undecodable_line_exit_3(capsys, tmp_path, case, transport):
+    session = UNDECODABLE[case]
+    if transport == "stdio":
+        script = tmp_path / "session"
+        script.write_bytes(session)
+        result = _run(capsys, "stdio:sh -c 'cat \"$0\"; exec cat >/dev/null' %s" % script)
+    else:
+        server = socket.create_server(("127.0.0.1", 0))
+        server.settimeout(10)
+        thread = threading.Thread(target=_serve_once, args=(server, session), daemon=True)
+        thread.start()
+        try:
+            result = _run(capsys, "tcp:127.0.0.1:%d" % server.getsockname()[1])
+        finally:
+            server.close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+    if case != "long-hello":
+        _assert_mediator_failure(session, result)
+        return
+    # no campaign starts without a hello
+    code, out, err = result
+    assert (code, out) == (3, "")
+    assert err.startswith("error: undecodable message: ") and err.count("\n") == 1, err
