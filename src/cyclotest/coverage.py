@@ -45,15 +45,15 @@ class CoverageReport:
             raise ModelMismatch(
                 "trace from model %r fed to report for %r" % (trace.model, self.model_name)
             )
-        for record in trace.decisions:
-            atoms = self.decisions.get(record.node_id)
+        for node_id, outcome, conditions in trace.decisions:
+            atoms = self.decisions.get(node_id)
             if atoms is None:
-                raise ModelMismatch("trace mentions unknown decision %r" % record.node_id)
-            if len(record.conditions) != len(atoms):
+                raise ModelMismatch("trace mentions unknown decision %r" % node_id)
+            if len(conditions) != len(atoms):
                 raise ModelMismatch("trace gives decision %r %d condition(s), not %d"
-                                    % (record.node_id, len(record.conditions), len(atoms)))
-            vector = tuple(value for _, value in record.conditions)
-            self.vectors_seen[record.node_id][vector] = record.outcome
+                                    % (node_id, len(conditions), len(atoms)))
+            vector = tuple(value for _, value in conditions)
+            self.vectors_seen[node_id][vector] = outcome
         return self
 
     def merge(self, other: "CoverageReport") -> "CoverageReport":

@@ -209,6 +209,18 @@ class ModelAst:
         return LeafBoxes(self.body, {d.name: d.domain() for d in self.inputs}, len(self.inputs),
                          lambda dec: dec.reads if self.over_inputs(dec.condition) else None)
 
+    @cached_property
+    def compiled(self) -> Callable:
+        """The rewritten model's reference run, generated and compiled on
+        first use: see :func:`cyclotest.interp.compile_model`."""
+        from .interp import compile_model  # interp builds on this module
+
+        return compile_model(self)
+
+    def __getstate__(self) -> dict:
+        # a function does not pickle; an unpickled model compiles it again
+        return {k: v for k, v in self.__dict__.items() if k != "compiled"}
+
     def over_inputs(self, expr: Expr) -> bool:
         """``expr`` reads inputs alone, at least one, and no held()."""
         refs = free_vars(expr)

@@ -3,11 +3,13 @@
 Everything here recomputes expected behavior from first principles, by
 different algorithms than the implementation: temporal satisfaction by
 scanning a window of recent samples instead of tracking start times,
-model evaluation over raw held() formulas, explicit automata with known
-transition tables, a definitional pairwise MC/DC scan, a contract
-oracle that runs the model on every cycle, a reachability search that
-runs it on every step, an observation check that words every fault as it
-goes, and a kernel that builds each cycle record as the cycle ends.
+model evaluation over raw held() formulas, a reference run that walks the
+decision tree instead of running the compiled model, explicit automata
+with known transition tables, a definitional pairwise MC/DC scan, a
+contract oracle that walks the model on every cycle, a reachability
+search that walks it on every step, an observation check that words every
+fault as it goes, and a kernel that builds each cycle record as the cycle
+ends.
 """
 from __future__ import annotations
 
@@ -16,8 +18,8 @@ import time
 from collections import deque
 
 from cyclotest.contracts import Specification, Verdict, VerdictKind
-from cyclotest.dsl import And, Held, eval_expr, free_vars, print_expr, walk_exprs
-from cyclotest.interp import eval_model
+from cyclotest.dsl import And, Decision, Held, eval_expr, free_vars, print_expr, walk_exprs
+from cyclotest.interp import DecisionRecord, DecisionTrace
 from cyclotest.kernel import CycleRecord
 from cyclotest.mediator import CycleObservation, ProtocolError
 from cyclotest.reduction import ReachabilityReport, enumerate_test_cases
@@ -64,6 +66,29 @@ class WindowOracle:
         return tuple(tuple(self.history[p.id]) for p in self.preds)
 
 
+def walk_model(ast, inputs, state_pre, time_flags) -> tuple:
+    """``eval_model`` by walking the decision tree through ``eval_expr``:
+    the same ``(outputs, state_post, trace)``."""
+    env = {**state_pre, **inputs, **time_flags}
+    records = []
+    node = ast.body
+    while isinstance(node, Decision):
+        vector = tuple([(atom_id, bool(eval_expr(atom, env))) for atom_id, atom in node.atoms])
+        outcome = bool(eval_expr(node.condition, env))
+        records.append(DecisionRecord(node.node_id, outcome, vector))
+        node = node.then_branch if outcome else node.else_branch
+
+    outputs = {}
+    state_post = dict(state_pre)
+    for assign in node.assigns:
+        value = eval_expr(assign.value, env)
+        if assign.target in state_post:
+            state_post[assign.target] = value
+        else:
+            outputs[assign.target] = value
+    return outputs, state_post, DecisionTrace(ast.name, tuple(records), node.node_id)
+
+
 def _valuations(decls) -> list:
     names = [d.name for d in decls]
     return [dict(zip(names, values)) for values in itertools.product(*(d.domain() for d in decls))]
@@ -91,7 +116,7 @@ def reachable_flag_vectors(extraction, period_ms: int, strict: bool = False) -> 
             stepped = tuple((w + (int(env[p.var]) == p.expected,))[-n:]
                             for w, p, n in zip(windows, preds, need))
             flags = dict(zip((p.id for p in preds), flags_of(stepped)))
-            _, post, _ = eval_model(model, inputs, dict(state_vars), flags)
+            _, post, _ = walk_model(model, inputs, dict(state_vars), flags)
             node = (tuple(sorted(post.items())), stepped)
             if node not in seen:
                 seen.add(node)
@@ -134,7 +159,7 @@ def enumerate_reachable_flag_states_reference(extraction, cycle_period_ms: int =
             env.update(inputs)
             stepped = table.step(holds, env, cycle_period_ms)
             flags = table.flags(stepped)
-            _, state_post, _ = eval_model(model, inputs, dict(state_vars), flags)
+            _, state_post, _ = walk_model(model, inputs, dict(state_vars), flags)
             nxt = (tuple(sorted(state_post.items())), stepped)
             if nxt not in parents:
                 parents[nxt] = (state, dict(inputs))
@@ -276,7 +301,7 @@ class PlainSpecification(Specification):
         return state
 
     def reference(self, inputs, state_pre, flags, values=None) -> tuple:
-        result = eval_model(self.model, inputs, state_pre, flags)
+        result = walk_model(self.model, inputs, state_pre, flags)
         self.coverage.accumulate(result[2])
         return result
 

@@ -678,8 +678,10 @@ class TestWhatACampaignDerives:
 
 
 def _defined_in_cyclotest(obj) -> bool:
+    """A function or object of cyclotest's, or a function compiled outside
+    any module, as a model's reference run would be without its module name."""
     owner = obj if isinstance(obj, types.FunctionType) else type(obj)
-    return owner.__module__.startswith("cyclotest")
+    return owner.__module__ is None or owner.__module__.startswith("cyclotest")
 
 
 def test_a_run_and_the_analyses_leave_no_garbage(capsys, tmp_path):

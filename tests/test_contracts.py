@@ -466,14 +466,14 @@ class TestOracleMemo:
         import oracles
 
         calls = []
-        for module, name in ((mediator, "step_predicates"), (oracles, "eval_model")):
+        for module, name in ((mediator, "step_predicates"), (oracles, "walk_model")):
             real = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *args, real=real, name=name:
                                 calls.append(name) or real(*args))
         monkeypatch.setattr(cli, "Specification", PlainSpecification)
         result = cli.run_campaign(desk_config())
         assert len(result.log.entries) == 216
-        assert calls.count("step_predicates") == calls.count("eval_model") == 216
+        assert calls.count("step_predicates") == calls.count("walk_model") == 216
 
     def test_cycles_past_the_cap_are_evaluated_every_time(self, monkeypatch):
         # the dial has no state and no predicates: a cycle is its input

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -86,8 +85,8 @@ class TestAccumulation:
         trace = _iron_trace(iron_extraction, 0, 1)
         record = trace.decisions[-1]
         for conditions in (record.conditions[:-1], record.conditions + record.conditions[:1]):
-            foreign = dataclasses.replace(trace, decisions=trace.decisions[:-1] + (
-                dataclasses.replace(record, conditions=conditions),))
+            foreign = trace._replace(decisions=trace.decisions[:-1] + (
+                record._replace(conditions=conditions),))
             with pytest.raises(ModelMismatch, match="condition"):
                 CoverageReport.for_model(iron_extraction.model).accumulate(foreign)
 
