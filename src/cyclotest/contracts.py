@@ -135,6 +135,7 @@ class Specification:
         self.hold_table = temporal.HoldTable(extraction.predicates, strict_held)
         self.coverage = CoverageReport.for_model(self.model)
         self._admission = tuple((name, self.model.domains[name]) for name in self.model.input_names)
+        self._n_inputs = len(self._admission)
         self._readable = self.model.readable_names
         self._inputs_at = _values_at(self.model.input_names)
         self._state_at = _values_at(tuple(d.name for d in self.model.state_vars))
@@ -210,16 +211,17 @@ class Specification:
         return result
 
     def apply_stimulus(self, inputs: Mapping) -> Verdict:
-        admission = self._admission
         admitted = None
-        if len(inputs) == len(admission):
+        if len(inputs) == self._n_inputs:
             admitted = {}
-            for name, domain in admission:
+            for name, domain in self._admission:
                 value = inputs.get(name)
-                if not (isinstance(value, int) and value in domain):
+                # an exact int is its own copy; an int subclass is converted
+                # once its raw value is inside the domain
+                if not (type(value) is int or isinstance(value, int)) or value not in domain:
                     admitted = None
                     break
-                admitted[name] = int(value)
+                admitted[name] = value if type(value) is int else int(value)
         if admitted is None:
             return Verdict(VerdictKind.PRECONDITION_VIOLATION, self.check_precondition(inputs),
                            self.link.next_cycle)
@@ -269,4 +271,4 @@ class Specification:
                 pre.successors[key] = ref_outputs, post.number, trace
                 self._remembered += 1
         self.state = post
-        return Verdict(PASS, "", obs.cycle, (), trace, obs)
+        return tuple.__new__(Verdict, (PASS, "", obs.cycle, (), trace, obs))

@@ -20,7 +20,7 @@ class KernelError(Exception):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelConfig:
     cycle_period_ms: int = 1000
     streaming: bool = True
@@ -51,7 +51,7 @@ class Kernel:
                  sleep: Callable[[float], None] = time.sleep):
         if config.cycle_period_ms <= 0:
             raise KernelError("cycle period must be positive")
-        self.config = config
+        self._period, self._streaming = config.cycle_period_ms, config.streaming
         self._step = step
         self._monotonic = monotonic
         self._sleep = sleep
@@ -62,16 +62,14 @@ class Kernel:
         """Step the subject on ``inputs`` at the next cycle's system time and
         return its outputs.  An exception from the subject propagates, and
         the cycle is not recorded."""
-        config = self.config
-        period = config.cycle_period_ms
         exec_time_us, monotonic = self.exec_time_us, self._monotonic
-        self.sys_time_ms = sys_time_ms = (len(exec_time_us) + 1) * period
+        self.sys_time_ms = sys_time_ms = (len(exec_time_us) + 1) * self._period
 
         begin = monotonic()
         outputs = self._step(inputs, sys_time_ms)
         exec_time_us.append(int((monotonic() - begin) * 1_000_000))
-        if not config.streaming:
-            remainder = period / 1000.0 - (monotonic() - begin)
+        if not self._streaming:
+            remainder = self._period / 1000.0 - (monotonic() - begin)
             if remainder > 0:
                 self._sleep(remainder)
         return outputs
@@ -80,7 +78,6 @@ class Kernel:
     def records(self) -> list:
         """One :class:`CycleRecord` per completed cycle; a cycle overran when
         it was paced and took longer than its period."""
-        period = self.config.cycle_period_ms
-        streaming = self.config.streaming
+        period, streaming = self._period, self._streaming
         return [CycleRecord(i, (i + 1) * period, us, not streaming and us > period * 1000)
                 for i, us in enumerate(self.exec_time_us)]

@@ -104,7 +104,10 @@ def validate_hello(hello: dict, model: ModelAst, cycle_period_ms: int) -> None:
 
 class MediatorLink:
     """Shared per-cycle bookkeeping: alternation, payload validation.  An
-    observation is checked here once, in one pass; later stages trust it."""
+    observation is checked here once, in one pass; later stages trust it.  A
+    remote subject's whole observation is checked; an in-process subject's
+    cycle and system time are its kernel's, so only the values it returned
+    are."""
 
     def __init__(self, model: ModelAst):
         self.model = model
@@ -126,13 +129,20 @@ class MediatorLink:
     def _check_observation(self, cycle, sys_time_ms, outputs, state) -> CycleObservation:
         """The observation of the cycle just run, if it fits: its cycle is
         the last set_inputs' and its system time is not before the previous
-        one, both ``int``s; outputs and state are each a dict of exactly the
-        model's names, each an ``int`` inside its domain.  Otherwise a
-        :class:`ProtocolError` names the first misfit."""
+        one, both ``int``s, and its values fit (:meth:`_check_values`).
+        Otherwise a :class:`ProtocolError` names the first misfit."""
         last = self._last_sys_time_ms
-        fits = (type(cycle) is int and cycle == self.next_cycle
-                and type(sys_time_ms) is int and (last is None or sys_time_ms >= last)
-                and isinstance(outputs, dict) and len(outputs) == self._n_outputs
+        if not (type(cycle) is int and cycle == self.next_cycle and type(sys_time_ms) is int
+                and (last is None or sys_time_ms >= last)):
+            self._reject(cycle, sys_time_ms, outputs, state)
+        return self._check_values(cycle, sys_time_ms, outputs, state)
+
+    def _check_values(self, cycle, sys_time_ms, outputs, state) -> CycleObservation:
+        """The observation, with copies of its dicts, if outputs and state are
+        each a dict of exactly the model's names, each an ``int`` inside its
+        domain; the cycle and system time are taken as fitting.  Otherwise a
+        :class:`ProtocolError` names the first misfit."""
+        fits = (isinstance(outputs, dict) and len(outputs) == self._n_outputs
                 and isinstance(state, dict) and len(state) == self._n_state)
         if fits:
             for name, domain in self._outputs:
@@ -149,7 +159,7 @@ class MediatorLink:
             self._reject(cycle, sys_time_ms, outputs, state)
         self._last_sys_time_ms = sys_time_ms
         self.next_cycle += 1
-        return CycleObservation(cycle, sys_time_ms, dict(outputs), dict(state))
+        return tuple.__new__(CycleObservation, (cycle, sys_time_ms, dict(outputs), dict(state)))
 
     def _reject(self, cycle, sys_time_ms, outputs, state) -> None:
         """Raise a :class:`ProtocolError` naming the observation's first misfit,
@@ -182,9 +192,10 @@ class MediatorLink:
 
 class InProcessLink(MediatorLink):
     """Run the subject's step function in a local kernel: each cycle steps it
-    on a copy of the inputs, then reads its outputs and state.  The kernel
-    holds only the bound ``step``, so link and kernel form no reference cycle
-    that would keep a spent kernel's cycle times alive."""
+    on a copy of the inputs, then reads its outputs and state, the only parts
+    of the observation that are checked.  The kernel holds only the bound
+    ``step``, so link and kernel form no reference cycle that would keep a
+    spent kernel's cycle times alive."""
 
     def __init__(self, model: ModelAst, sut, config: Optional[KernelConfig] = None):
         super().__init__(model)
@@ -198,8 +209,8 @@ class InProcessLink(MediatorLink):
             state = self._visible_state()
         except Exception as exc:
             raise MediatorError("subsystem '%s' failed: %s" % (self.model.name, exc)) from exc
-        return self._check_observation(len(kernel.exec_time_us) - 1, kernel.sys_time_ms,
-                                       outputs, state)
+        return self._check_values(len(kernel.exec_time_us) - 1, kernel.sys_time_ms,
+                                  outputs, state)
 
 
 class _StreamLink(MediatorLink):

@@ -214,7 +214,7 @@ def _apply(action: Action, spec, scenario: Scenario, log: TestLog, source, repla
         if kind is not PASS:
             append(LogEntry(verdict.cycle_index, source, label, kind.value, replay))
             return scenario.state_fn(), verdict
-        append(LogEntry(verdict.cycle_index, source, label, _PASS_NAME, replay))
+        append(tuple.__new__(LogEntry, (verdict.cycle_index, source, label, _PASS_NAME, replay)))
     return scenario.state_fn(), None
 
 

@@ -1,3 +1,4 @@
+import enum
 import itertools
 import random
 import types
@@ -186,16 +187,18 @@ class TestAdmissionAgainstReference:
 
     @staticmethod
     def _stimuli(names, domains) -> list:
-        """The inputs at their domains' low ends, and that call with one fault
-        each: an extra or a missing name, or one value of another type or
-        just outside its domain; each as a dict and as a mapping that is
-        not a dict."""
+        """The inputs at their domains' low ends, and that call with one
+        change each: an extra or a missing name, one value of another type or
+        just outside its domain, or an ``int`` subclass inside or just
+        outside it; each as a dict and as a mapping that is not a dict."""
         valid = {name: domains[name].start for name in names}
         stimuli = [valid, {**valid, "extra": 0}]
         for name in names:
             domain = domains[name]
+            level = enum.IntEnum("Level", {"INSIDE": domain.start, "OUTSIDE": domain.stop})
             stimuli.append({k: v for k, v in valid.items() if k != name})
-            for value in (True, 1.0, "1", None, domain.start - 1, domain.stop):
+            for value in (True, 1.0, "1", None, domain.start - 1, domain.stop, level.INSIDE,
+                          level.OUTSIDE):
                 stimuli.append({**valid, name: value})
         return stimuli + [types.MappingProxyType(stimulus) for stimulus in stimuli]
 
@@ -223,9 +226,9 @@ class TestAdmissionAgainstReference:
                 assert got == {name: int(stimulus[name]) for name in model.input_names}
                 assert all(type(value) is int for value in got.values())
                 admitted += 1
-        # the valid call and each input set to True, which its domain holds,
-        # both as a dict and as a mapping proxy
-        assert admitted == 2 * (1 + len(model.input_names))
+        # the valid call and each input set to True or to the IntEnum member,
+        # which its domain holds, both as a dict and as a mapping proxy
+        assert admitted == 2 * (1 + 2 * len(model.input_names))
 
 
 class TestDerivedOnce:

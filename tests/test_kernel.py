@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from oracles import ReferenceKernel
 
@@ -64,6 +66,16 @@ class TestSimulatedTime:
         for period in (0, -5):
             with pytest.raises(KernelError, match="cycle period must be positive"):
                 _kernel(KernelConfig(cycle_period_ms=period))
+
+
+class TestFrozenConfig:
+    def test_fields_cannot_be_assigned(self):
+        # a kernel reads its config once, when it is built
+        config = KernelConfig(cycle_period_ms=100, streaming=False)
+        for name, value in (("cycle_period_ms", 50), ("streaming", True)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(config, name, value)
+        assert config == KernelConfig(cycle_period_ms=100, streaming=False)
 
 
 class TestPacingAndOverrun:

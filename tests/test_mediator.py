@@ -355,6 +355,59 @@ class TestObservationCheckAgainstReference:
         assert accepted == 2 * 2 * 2
         assert rejected == len(cycles) * len(times) * len(outputs) * len(states) - accepted
 
+    @pytest.mark.parametrize("source", [None, STATEFUL_SRC], ids=["iron", "gauge"])
+    def test_every_in_process_observation(self, iron_ast, source):
+        # an in-process link checks only the values its subject returned: the
+        # cycle and system time are its kernel's
+        model = iron_ast if source is None else parse_model(source)
+        outputs = self._variants(model.output_names, model.domains)
+        states = self._variants(model.readable_names, model.domains)
+        inputs = dict.fromkeys(model.input_names, 0)
+        accepted = rejected = 0
+        for out, state in itertools.product(outputs, states):
+            # a valid first cycle, so that the checked one has a previous time
+            sut = ScriptedSut([(outputs[0], states[0]), (out, state)])
+            link = InProcessLink(model, sut, KernelConfig(cycle_period_ms=1000))
+            link.exchange(inputs)
+            try:
+                want = check_observation_reference(model, 1, 1000, 1, 2000, out, state)
+            except ProtocolError as exc:
+                with pytest.raises(ProtocolError) as info:
+                    link.exchange(inputs)
+                assert str(info.value) == str(exc)
+                assert link.next_cycle == 1
+                rejected += 1
+            else:
+                got = link.exchange(inputs)
+                assert (len(link.kernel.exec_time_us) - 1, link.kernel.sys_time_ms) == (1, 2000)
+                assert got == want
+                assert [type(v) for v in got] == [type(v) for v in want]
+                assert link.next_cycle == 2
+                for returned, copied in ((out, got.outputs), (state, got.visible_state)):
+                    returned["probe"] = 0  # the subject's dict, not the observation's
+                    assert "probe" not in copied
+                    del returned["probe"]
+                accepted += 1
+        # the valid observation, as a dict or a dict subclass in each part
+        assert accepted == 2 * 2
+        assert rejected == len(outputs) * len(states) - accepted
+
+
+class ScriptedSut:
+    """A subject that returns the given (outputs, visible state) pairs, one
+    pair per cycle."""
+
+    def __init__(self, replies):
+        self._replies = iter(replies)
+        self._state = None
+
+    def step(self, inputs, sys_time_ms):
+        outputs, self._state = next(self._replies)
+        return outputs
+
+    def visible_state(self):
+        return self._state
+
 
 class TestRaisingSubject:
     def test_panic_is_mediator_failure(self, desk_extraction, iron_desk):

@@ -221,6 +221,34 @@ class TestDiagnostics:
         assert log.entries[-1].verdict == "PostconditionFailure"
 
 
+class TestFastBuiltRecords:
+    def test_passing_records_equal_their_constructors(self, monkeypatch):
+        # a passing stimulus's verdict, observation and log entry are built
+        # without their NamedTuple constructors; each must be what the
+        # constructor builds
+        from cyclotest.contracts import PASS, Specification
+        from cyclotest.mediator import CycleObservation
+        from cyclotest.traversal import LogEntry
+
+        verdicts = []
+        real_apply = Specification.apply_stimulus
+        monkeypatch.setattr(Specification, "apply_stimulus", lambda spec, inputs:
+                            verdicts.append(real_apply(spec, inputs)) or verdicts[-1])
+        result = run_campaign(desk_config())
+        assert len(verdicts) == len(result.log.entries) == 216
+        for v in verdicts:
+            assert v.kind is PASS
+            assert type(v) is Verdict
+            assert v == Verdict(PASS, "", v.cycle_index, (), v.trace, v.observation)
+            obs = v.observation
+            assert type(obs) is CycleObservation
+            assert obs == CycleObservation(obs.cycle, obs.sys_time_ms, obs.outputs,
+                                           obs.visible_state)
+        for e in result.log.entries:
+            assert type(e) is LogEntry
+            assert e == LogEntry(e.cycle, e.state, e.action, e.verdict, e.replay)
+
+
 class TestBudget:
     def test_replays_count_against_budget(self):
         delta, labels, initial = random_scc_automaton(random.Random(7), 10, 3)
