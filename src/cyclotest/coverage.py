@@ -8,12 +8,15 @@ different decision outcomes.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .dsl import ModelAst
 from .interp import DecisionTrace
 
 CRITERIA = ("branch", "decision", "condition", "mcdc")
+
+_value = operator.itemgetter(1)  # of an (atom id, value) condition
 
 
 class ModelMismatch(Exception):
@@ -52,7 +55,7 @@ class CoverageReport:
             if len(conditions) != len(atoms):
                 raise ModelMismatch("trace gives decision %r %d condition(s), not %d"
                                     % (node_id, len(conditions), len(atoms)))
-            vector = tuple(value for _, value in conditions)
+            vector = tuple(map(_value, conditions))
             self.vectors_seen[node_id][vector] = outcome
         return self
 

@@ -720,6 +720,15 @@ def eval_expr(expr: Expr, env: Mapping, held_eval: Optional[HeldEval] = None) ->
     raise TypeError("not an expression node: %r" % (expr,))
 
 
+def compile_function(lines: list, name: str, filename: str, namespace: dict) -> Callable:
+    """The function ``name`` that the generated source ``lines`` defines,
+    with ``namespace`` as its globals.  Taken out of its globals, the
+    function holds no reference cycle and is freed with its owner, not by
+    the collector."""
+    exec(compile("\n".join(lines), filename, "exec"), namespace)
+    return namespace.pop(name)
+
+
 class LeafBoxes:
     """One symbolic walk of a decision tree: the environments that reach
     each leaf, as a union of disjoint boxes.

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Callable, Mapping, NamedTuple
 
 from .dsl import (And, Cmp, Const, Expr, Held, Leaf, ModelAst, ModelError, Name, Node, Not, Or,
-                  PredRef, print_expr)
+                  PredRef, compile_function, print_expr)
 
 
 class DecisionRecord(NamedTuple):
@@ -61,12 +61,8 @@ def compile_model(ast: ModelAst) -> Callable:
              " env = {**state_pre, **inputs, **time_flags}",
              " records = []"]
     _emit(ast, ast.body, 1, lines)
-    namespace = {"__name__": __name__, "R": DecisionRecord, "T": DecisionTrace,
-                 "new": tuple.__new__}
-    exec(compile("\n".join(lines), "<model %s>" % ast.name, "exec"), namespace)
-    # taken out of its globals, the function holds no reference cycle and is
-    # freed with its model, not by the collector
-    return namespace.pop("run")
+    return compile_function(lines, "run", "<model %s>" % ast.name, {
+        "__name__": __name__, "R": DecisionRecord, "T": DecisionTrace, "new": tuple.__new__})
 
 
 def _emit(ast: ModelAst, node: Node, depth: int, lines: list) -> None:

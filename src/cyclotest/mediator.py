@@ -376,13 +376,11 @@ def step_predicates(table: temporal.HoldTable, spec_state, inputs: Mapping,
     pre-cycle state) by ``elapsed_ms``, the system time elapsed since the
     previous observation (0 on the first cycle); returns the new record and
     the cycle's time flags.  When no literal reads a state variable, the
-    inputs alone are the literal values."""
+    inputs alone are the literal values.  The oracle calls this only for a
+    step it takes afresh, and the first call compiles the table's generated
+    step and flags (:class:`temporal.HoldTable`)."""
     state_vars = spec_state.state_vars
-    if table.variables.isdisjoint(state_vars):
-        env = inputs
-    else:
-        env = dict(state_vars)
-        env.update(inputs)
+    env = inputs if table.variables.isdisjoint(state_vars) else {**state_vars, **inputs}
     holds = table.step(spec_state.holds, env, elapsed_ms)
     return holds, table.flags(holds)
 

@@ -222,6 +222,8 @@ def _breadth_first(model: ModelAst, table: HoldTable, period_ms: int) -> tuple:
         if len(groups) > 1:
             splits[k] = list(map(tuple, groups.values()))
     outcomes = [dict(zip(splits, combo)) for combo in itertools.product(*splits.values())]
+    # per outcome, the input values that enter it: the same names every time
+    settings = [[(names[k], values[0]) for k, values in outcome.items()] for outcome in outcomes]
 
     initial = (tuple(sorted(model.initial_state().items())), table.initial)
     frontier = deque([initial])
@@ -262,9 +264,9 @@ def _breadth_first(model: ModelAst, table: HoldTable, period_ms: int) -> tuple:
         state = frontier.popleft()
         state_vars, holds = state
         steps = {}  # least valuation -> next node
+        env = dict(base, **dict(state_vars))
         for i, outcome in enumerate(outcomes):
-            env = dict(base, **dict(state_vars))
-            env.update((names[k], values[0]) for k, values in outcome.items())
+            env.update(settings[i])
             stepped = table.step(holds, env, period_ms)
             flags = table.flags(stepped)
             key = (state_vars, i, tuple(flags.values()))

@@ -13,12 +13,19 @@ the literal's largest duration (plus 1 ms under strict), which keeps the
 record space finite without changing any flag.  The contract oracle steps a
 table by the system time the subject saw; the reachability search steps the
 same table by one cycle period.
+
+A table's step and flags are generated, as :func:`cyclotest.interp.compile_model`
+generates a model's reference run, and compiled at its first step: one
+statement per literal and one comparison per predicate, with each literal's
+value, cap and each predicate's need inlined as an ``int`` and each variable
+only as a ``repr``'d dict key.  The initial record's flags, all False, need no
+compile, so building a table or a specification compiles nothing.
 """
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .dsl import TemporalPredicateDecl
+from .dsl import TemporalPredicateDecl, compile_function
 
 
 class TimeRegression(Exception):
@@ -39,20 +46,61 @@ class HoldTable:
         self._literals = tuple((var, expected, cap) for (var, expected), cap in caps.items())
         self._thresholds = tuple((index[(p.var, p.expected)], n)
                                  for p, n in zip(predicates, need))
-        self._vectors: dict = {}  # flags in predicate order -> their shared dict
+        # flags in predicate order -> their shared dict, the initial record's first
+        self._vectors = {(False,) * len(predicates): dict.fromkeys(self.predicate_ids, False)}
         self.initial = (None,) * len(caps)
 
     def step(self, record: tuple, env: Mapping, elapsed_ms: int) -> tuple:
         """Advance one cycle ``elapsed_ms`` after the previous one: reset a
-        broken literal, start a fresh hold at 0, extend a persisting one."""
-        if elapsed_ms < 0:
-            raise TimeRegression("predicates stepped %d ms back in time" % -elapsed_ms)
-        return tuple([
-            None if env[var] != expected
-            else 0 if held is None
-            else min(held + elapsed_ms, cap)
-            for (var, expected, cap), held in zip(self._literals, record)
-        ])
+        broken literal, start a fresh hold at 0, extend a persisting one.
+        Raises :class:`TimeRegression` when ``elapsed_ms`` is negative.
+
+        The first call compiles the table's step and flags and binds them
+        over both methods (:meth:`_compile`)."""
+        self._compile()
+        return self.step(record, env, elapsed_ms)
+
+    def flags(self, record: tuple) -> dict:
+        """Per-predicate satisfaction of a record, as one dict shared by every
+        record with the same flags; callers must not mutate it.  A record
+        other than the initial one compiles as :meth:`step` does."""
+        if record == self.initial:  # nothing holds, so no flag is set
+            return self._vectors[(False,) * len(self.predicate_ids)]
+        self._compile()
+        return self.flags(record)
+
+    def _compile(self) -> None:
+        """Bind the generated ``step(record, env, elapsed_ms)`` and
+        ``flags(record)`` on the table, in place of the methods, unless they
+        are bound: a method taken off the table before its first step still
+        reaches this."""
+        if "step" in vars(self):
+            return
+        held = ["h%d" % i for i in range(len(self._literals))]  # the entries, as locals
+        unpack = [" %s= record" % "".join(h + ", " for h in held)] if held else []
+        lines = ["def step(record, env, elapsed_ms):",
+                 " if elapsed_ms < 0:",
+                 "  raise TimeRegression('predicates stepped %d ms back in time' % -elapsed_ms)",
+                 *unpack]
+        for h, (var, expected, cap) in zip(held, self._literals):
+            lines += [" if env[%r] != %d:" % (var, expected), "  %s = None" % h,
+                      " elif %s is None:" % h, "  %s = 0" % h,
+                      " else:", "  %s += elapsed_ms" % h,
+                      "  if %s > %d:" % (h, cap), "   %s = %d" % (h, cap)]
+        lines.append(" return (%s)" % "".join(h + ", " for h in held))
+        self.step = compile_function(lines, "step", "<hold table step>", {
+            "__name__": __name__, "TimeRegression": TimeRegression})
+        bits = "".join("%s is not None and %s >= %d, " % (held[i], held[i], n)
+                       for i, n in self._thresholds)
+        self.flags = compile_function(
+            ["def flags(record):", *unpack,
+             " bits = (%s)" % bits,
+             " vector = vectors.get(bits)",
+             " if vector is None:",
+             "  vector = vectors[bits] = dict(zip(ids, bits))",
+             " return vector"],
+            "flags", "<hold table flags>",
+            {"__name__": __name__, "vectors": self._vectors, "ids": self.predicate_ids})
 
     def outcome(self, env: Mapping) -> tuple:
         """Which literals hold in ``env``; :meth:`step` treats equal outcomes alike."""
@@ -70,12 +118,3 @@ class HoldTable:
 
         return (tuple((var, expected, cycles(cap)) for var, expected, cap in self._literals),
                 tuple((i, cycles(n)) for i, n in self._thresholds))
-
-    def flags(self, record: tuple) -> dict:
-        """Per-predicate satisfaction of a record, as one dict shared by every
-        record with the same flags; callers must not mutate it."""
-        bits = tuple([record[i] is not None and record[i] >= n for i, n in self._thresholds])
-        vector = self._vectors.get(bits)
-        if vector is None:
-            vector = self._vectors[bits] = dict(zip(self.predicate_ids, bits))
-        return vector

@@ -2,14 +2,15 @@
 
 Everything here recomputes expected behavior from first principles, by
 different algorithms than the implementation: temporal satisfaction by
-scanning a window of recent samples instead of tracking start times,
-model evaluation over raw held() formulas, a reference run that walks the
-decision tree instead of running the compiled model, explicit automata
-with known transition tables, a definitional pairwise MC/DC scan, a
-contract oracle that walks the model on every cycle, a reachability
-search that walks it on every step, an observation check that words every
-fault as it goes, and a kernel that builds each cycle record as the cycle
-ends.
+scanning a window of recent samples instead of tracking start times, a
+hold-table step and flags read off the table's literals and thresholds
+instead of generated for them, model evaluation over raw held() formulas,
+a reference run that walks the decision tree instead of running the
+compiled model, explicit automata with known transition tables, a
+definitional pairwise MC/DC scan, a contract oracle that walks the model on
+every cycle, a reachability search that walks it on every step, an
+observation check that words every fault as it goes, and a kernel that
+builds each cycle record as the cycle ends.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from cyclotest.interp import DecisionRecord, DecisionTrace
 from cyclotest.kernel import CycleRecord
 from cyclotest.mediator import CycleObservation, ProtocolError
 from cyclotest.reduction import ReachabilityReport, enumerate_test_cases
-from cyclotest.temporal import HoldTable
+from cyclotest.temporal import HoldTable, TimeRegression
 from cyclotest.traversal import Action, Scenario
 
 
@@ -64,6 +65,30 @@ class WindowOracle:
 
     def state_key(self) -> tuple:
         return tuple(tuple(self.history[p.id]) for p in self.preds)
+
+
+class ReferenceHoldTable:
+    """A :class:`HoldTable`'s step and flags as comprehensions over its
+    ``(var, expected, cap)`` literals and ``(literal index, need)``
+    thresholds, which ``in_cycles(1)`` gives in ms; the flags in a new dict."""
+
+    def __init__(self, table: HoldTable):
+        self.predicate_ids = table.predicate_ids
+        self.literals, self.thresholds = table.in_cycles(1)
+
+    def step(self, record: tuple, env, elapsed_ms: int) -> tuple:
+        if elapsed_ms < 0:
+            raise TimeRegression("predicates stepped %d ms back in time" % -elapsed_ms)
+        return tuple([
+            None if env[var] != expected
+            else 0 if held is None
+            else min(held + elapsed_ms, cap)
+            for (var, expected, cap), held in zip(self.literals, record)
+        ])
+
+    def flags(self, record: tuple) -> dict:
+        return dict(zip(self.predicate_ids, [record[i] is not None and record[i] >= n
+                                             for i, n in self.thresholds]))
 
 
 def walk_model(ast, inputs, state_pre, time_flags) -> tuple:

@@ -1,10 +1,20 @@
+import itertools
 import random
+import types
+from pathlib import Path
 
 import pytest
+from conftest import MODEL_PATH
 
-from cyclotest.dsl import TemporalPredicateDecl
+from cyclotest import cli, interp, temporal
+from cyclotest.contracts import Specification
+from cyclotest.dsl import TemporalPredicateDecl, extract_predicates, parse_model
+from cyclotest.iron import FULL_DURATIONS_MS, IronSut
+from cyclotest.kernel import KernelConfig
+from cyclotest.mediator import InProcessLink
 from cyclotest.temporal import HoldTable, TimeRegression
-from oracles import WindowOracle
+from oracles import ReferenceHoldTable, WindowOracle
+from test_reduction import _model_sources
 
 MOVE_60 = TemporalPredicateDecl("move_eq_f_t1", "move", 0, 60_000)
 MOVE = HoldTable([MOVE_60])
@@ -152,3 +162,130 @@ class TestProperties:
                 flags = table.flags(record)
                 if flags["move_eq_f_t2"]:
                     assert flags["move_eq_f_t1"]
+
+
+# a literal on each name of the generated step and flags, and on Python's
+# None; at 1 ms, each literal has few boundary entries, which keeps the
+# product of the six small
+NAMES_SRC = """\
+model names {
+  input record: bool;
+  input env: bool;
+  input elapsed_ms: bool;
+  input h0: bool;
+  input None: bool;
+  output o: int 0..1;
+  state TimeRegression: bool readable = 0;
+
+  logic {
+    if (held(record && env, 1ms) || held(elapsed_ms && !h0, 1ms)) {
+      o = 1;
+      TimeRegression = None;
+    } else {
+      if (held(None && TimeRegression, 1ms)) { o = 1; } else { o = 0; }
+    }
+  }
+}
+"""
+
+
+def _generated_models():
+    """Every model of ``_model_sources()`` (iron, tank and NAMES_SRC among
+    them), wide20_state and a table of no predicates."""
+    return _model_sources() + [
+        pytest.param((Path(__file__).parent / "models" / "wide20_state.ctl").read_text(),
+                     id="wide20_state"),
+        pytest.param(None, id="no-predicates"),
+    ]
+
+
+class TestGeneratedHoldTable:
+    """The generated step and flags against the comprehensions of
+    ``oracles``: every record built from each literal's boundary entries,
+    every value of the variables the literals read, and every elapsed time
+    about a period and each cap, under both semantics."""
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["inclusive", "strict"])
+    @pytest.mark.parametrize("source", _generated_models())
+    def test_every_boundary_record(self, source, strict):
+        model, predicates = None, []
+        if source is not None:
+            extraction = extract_predicates(parse_model(source))
+            model, predicates = extraction.model, extraction.predicates
+        table = HoldTable(predicates, strict)
+        reference = ReferenceHoldTable(table)
+        literals, thresholds = reference.literals, reference.thresholds
+        entries = []  # per literal: None, 0, 1, and one below and at each need and its cap
+        for i, (_, _, cap) in enumerate(literals):
+            needs = [n for j, n in thresholds if j == i]
+            values = {0, 1, cap - 1, cap, *needs, *(n - 1 for n in needs)}
+            entries.append([None] + sorted(v for v in values if v >= 0))
+        variables = sorted(table.variables)
+        envs = [dict(zip(variables, values)) for values in itertools.product(
+            *(model.domains[var] for var in variables))]
+        caps = {cap for _, _, cap in literals}
+        elapsed = sorted({0, 1, 1000} | caps | {cap + 1 for cap in caps})
+        cycles = list(itertools.product(envs, elapsed))
+        for record in itertools.product(*entries):
+            # a tuple's == keeps None apart from 0; repr keeps a bool apart from an int
+            flags = table.flags(record)
+            assert repr(flags) == repr(reference.flags(record))
+            assert ([table.step(record, env, ms) for env, ms in cycles]
+                    == [reference.step(record, env, ms) for env, ms in cycles])
+        assert isinstance(vars(table)["step"], types.FunctionType)
+
+    @pytest.mark.parametrize("source", [MODEL_PATH, None], ids=["iron", "no-predicates"])
+    def test_time_regression(self, source):
+        predicates = [] if source is None else extract_predicates(
+            parse_model(Path(source).read_text())).predicates
+        table = HoldTable(predicates)
+        for ms in (-1, -1000):
+            with pytest.raises(TimeRegression) as got:
+                table.step(table.initial, {}, ms)
+            with pytest.raises(TimeRegression) as want:
+                ReferenceHoldTable(table).step(table.initial, {}, ms)
+            assert str(got.value) == str(want.value) == "predicates stepped %d ms back in time" % -ms
+
+    def test_flags_shared_with_the_initial_records(self, iron_extraction):
+        table = HoldTable(iron_extraction.predicates)
+        initial = table.flags(table.initial)
+        assert table.flags(table.step(table.initial, {"move": 1, "position": 1}, 0)) is initial
+        assert table.flags(table.initial) is initial
+
+
+class TestCompileGuard:
+    @pytest.fixture
+    def compiles(self, monkeypatch) -> list:
+        """The name of each function that ``temporal`` or ``interp`` compiles."""
+        compiled = []
+        for module in (temporal, interp):
+            def counted(lines, name, filename, namespace, compile_function=module.compile_function):
+                compiled.append(name)
+                return compile_function(lines, name, filename, namespace)
+            monkeypatch.setattr(module, "compile_function", counted)
+        return compiled
+
+    def test_set_up_compiles_nothing(self, compiles):
+        config = cli.RunConfig(model_path=MODEL_PATH)
+        extraction = cli.load_model(config)
+        link = InProcessLink(extraction.model, IronSut(FULL_DURATIONS_MS, 1000), KernelConfig())
+        spec = Specification(extraction, link)
+        table = spec.hold_table
+        assert table.flags(table.initial) == dict.fromkeys(table.predicate_ids, False)
+        assert compiles == []
+        assert "step" not in vars(table) and "flags" not in vars(table)
+
+    def test_compiled_on_first_step_only(self, compiles, iron_extraction):
+        table = HoldTable(iron_extraction.predicates)
+        record = table.step(table.initial, {"move": 0, "position": 1}, 0)
+        assert compiles == ["step", "flags"]
+        step, flags = vars(table)["step"], vars(table)["flags"]
+        assert step.__module__ == flags.__module__ == "cyclotest.temporal"
+        table.flags(table.step(record, {"move": 0, "position": 1}, 1000))
+        assert compiles == ["step", "flags"]
+        assert vars(table)["step"] is step and vars(table)["flags"] is flags
+
+    def test_first_flags_of_another_record_compile(self, compiles, iron_extraction):
+        table = HoldTable(iron_extraction.predicates)
+        assert table.flags((0, None, 60_000)) == ReferenceHoldTable(table).flags((0, None, 60_000))
+        assert compiles == ["step", "flags"]
