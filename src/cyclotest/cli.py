@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import itertools
 import json
 import logging
@@ -304,6 +305,10 @@ def run_part(config: RunConfig, extraction, part) -> CampaignResult:
 
     log.info("running scenario %s against %s (period %d ms)", scenario.name, config.sut, period)
     error, code = None, EXIT_OK
+    # a campaign makes no reference cycle, so the collector would find
+    # nothing: it is paused for the traversal and resumed if it was on
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         testlog, automaton = traverse(scenario, spec, budget=config.budget, rng=rng)
         log.info("explored %d state(s), %d transition(s), %d stimuli",
@@ -312,6 +317,8 @@ def run_part(config: RunConfig, extraction, part) -> CampaignResult:
         testlog, automaton = exc.log, exc.automaton
         error, code = str(exc), EXIT_VERDICT
     finally:
+        if collecting:
+            gc.enable()
         link.close()
     kernel = link.kernel if isinstance(link, InProcessLink) else None
     return CampaignResult(testlog, spec.coverage, automaton, error, code, kernel)

@@ -6,6 +6,9 @@ parameters get pre-values, temporal parameters get the post-exchange flags),
 state synchronization, and finally the postcondition comparing observed
 outputs and visible state against the reference values.  Each check runs
 once per stimulus; only a refused call is checked again, to word its reason.
+The admission is generated per model and compiled at the first stimulus, as
+the link's observation check is at the first observation
+(:class:`mediator.MediatorLink`).
 
 The predicate/flag update, the reference run and, on a passing cycle, the
 synchronized state are together the cycle's step, a function of the inputs,
@@ -25,7 +28,7 @@ from typing import Callable, Mapping, NamedTuple, Optional
 
 from . import mediator, temporal
 from .coverage import CoverageReport
-from .dsl import ExtractionResult, ModelAst
+from .dsl import ExtractionResult, ModelAst, compile_function
 from .interp import DecisionTrace, eval_model
 from .mediator import CycleObservation, MediatorError, MediatorLink
 
@@ -100,9 +103,10 @@ class Specification:
     """One specification function per subject, with verdicts per stimulus.
 
     The precondition admits exactly the declared inputs, each an integer (a
-    bool counts) inside its domain.  One pass over their ``(name, domain)``
-    pairs admits a call and copies its inputs as ``int``s, which the link and
-    the model see; :meth:`check_precondition` words a refused call's reason.
+    bool counts) inside its domain.  A generated function per model admits a
+    call and copies its inputs as ``int``s, which the link and the model see
+    (:meth:`_admit`); :meth:`check_precondition` words a refused call's
+    reason.
     Every reference run's decision trace accumulates into ``coverage``.
 
     The specification steps its own automaton.  It interns its states: one
@@ -134,8 +138,6 @@ class Specification:
         self.link = link
         self.hold_table = temporal.HoldTable(extraction.predicates, strict_held)
         self.coverage = CoverageReport.for_model(self.model)
-        self._admission = tuple((name, self.model.domains[name]) for name in self.model.input_names)
-        self._n_inputs = len(self._admission)
         self._readable = self.model.readable_names
         self._inputs_at = _values_at(self.model.input_names)
         self._state_at = _values_at(tuple(d.name for d in self.model.state_vars))
@@ -183,7 +185,8 @@ class Specification:
         extra = set(inputs).difference(self.model.input_names)
         if extra:
             return "undeclared input(s): %s" % ", ".join(sorted(extra))
-        for name, domain in self._admission:
+        for name in self.model.input_names:
+            domain = self.model.domains[name]
             if name not in inputs:
                 return "missing input '%s'" % name
             value = inputs[name]
@@ -210,21 +213,42 @@ class Specification:
                 self._memo[key] = result
         return result
 
+    def _admit(self, inputs: Mapping) -> Optional[tuple]:
+        """None if ``inputs`` may not be applied; else the admitted call, a
+        dict of each declared input as an ``int``, and its values in
+        ``model.input_names`` order, shaped as :func:`_values_at` shapes them.
+
+        The first call compiles the model's admission and binds it over this
+        method: one check per input, its name only as a ``repr``'d dict key
+        and its domain's bounds inlined as ``int``s.  An exact ``int`` is its
+        own copy; an ``int`` subclass is converted once its raw value is
+        inside the domain."""
+        names = self.model.input_names
+        local = ["v%d" % i for i in range(len(names))]  # the values, as locals
+        lines = ["def admit(inputs):",
+                 " if len(inputs) != %d:" % len(names), "  return None"]
+        for v, name in zip(local, names):
+            domain = self.model.domains[name]
+            lines += [" %s = inputs.get(%r)" % (v, name),
+                      " if type(%s) is not int:" % v,
+                      "  if not isinstance(%s, int) or %s not in range(%d, %d):"
+                      % (v, v, domain.start, domain.stop),
+                      "   return None",
+                      "  %s = int(%s)" % (v, v),
+                      " elif not %d <= %s <= %d:" % (domain.start, v, domain[-1]),
+                      "  return None"]
+        key = local[0] if len(local) == 1 else "(%s)" % "".join(v + ", " for v in local)
+        lines.append(" return {%s}, %s" % (", ".join(
+            "%r: %s" % (name, v) for name, v in zip(names, local)), key))
+        self._admit = compile_function(lines, "admit", "<admission>", {"__name__": __name__})
+        return self._admit(inputs)
+
     def apply_stimulus(self, inputs: Mapping) -> Verdict:
-        admitted = None
-        if len(inputs) == self._n_inputs:
-            admitted = {}
-            for name, domain in self._admission:
-                value = inputs.get(name)
-                # an exact int is its own copy; an int subclass is converted
-                # once its raw value is inside the domain
-                if not (type(value) is int or isinstance(value, int)) or value not in domain:
-                    admitted = None
-                    break
-                admitted[name] = value if type(value) is int else int(value)
-        if admitted is None:
+        checked = self._admit(inputs)
+        if checked is None:
             return Verdict(VerdictKind.PRECONDITION_VIOLATION, self.check_precondition(inputs),
                            self.link.next_cycle)
+        admitted, values = checked
         pre = self.state  # its variables, hold record and flags never change
 
         try:
@@ -233,7 +257,7 @@ class Specification:
             return Verdict(VerdictKind.MEDIATOR_FAILURE, str(exc), self.link.next_cycle)
 
         last, self.sys_time_ms = self.sys_time_ms, obs.sys_time_ms
-        key = self._inputs_at(admitted), 0 if last is None else obs.sys_time_ms - last
+        key = values, 0 if last is None else obs.sys_time_ms - last
         step = pre.successors.get(key)
         if step is None:
             stepped = mediator.step_predicates(self.hold_table, pre, admitted, key[1])

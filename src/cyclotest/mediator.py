@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Optional
 
 from . import temporal
-from .dsl import ModelAst
+from .dsl import ModelAst, compile_function
 from .kernel import Kernel, KernelConfig
 
 
@@ -104,19 +104,16 @@ def validate_hello(hello: dict, model: ModelAst, cycle_period_ms: int) -> None:
 
 class MediatorLink:
     """Shared per-cycle bookkeeping: alternation, payload validation.  An
-    observation is checked here once, in one pass; later stages trust it.  A
-    remote subject's whole observation is checked; an in-process subject's
-    cycle and system time are its kernel's, so only the values it returned
-    are."""
+    observation is checked here once; later stages trust it.  A remote
+    subject's whole observation is checked; an in-process subject's cycle and
+    system time are its kernel's, so only the values it returned are.  The
+    test of the values is generated per model and compiled at the link's
+    first observation (:meth:`_fits`), so building a link compiles nothing."""
 
     def __init__(self, model: ModelAst):
         self.model = model
         self.next_cycle = 0
         self._last_sys_time_ms: Optional[int] = None
-        # (name, domain) of each output and readable state variable
-        self._outputs = tuple((name, model.domains[name]) for name in model.output_names)
-        self._state = tuple((name, model.domains[name]) for name in model.readable_names)
-        self._n_outputs, self._n_state = len(self._outputs), len(self._state)
 
     def exchange(self, inputs: Mapping) -> CycleObservation:
         """Run one cycle on ``inputs``, the ``int`` values of every declared
@@ -138,28 +135,39 @@ class MediatorLink:
         return self._check_values(cycle, sys_time_ms, outputs, state)
 
     def _check_values(self, cycle, sys_time_ms, outputs, state) -> CycleObservation:
-        """The observation, with copies of its dicts, if outputs and state are
-        each a dict of exactly the model's names, each an ``int`` inside its
-        domain; the cycle and system time are taken as fitting.  Otherwise a
-        :class:`ProtocolError` names the first misfit."""
-        fits = (isinstance(outputs, dict) and len(outputs) == self._n_outputs
-                and isinstance(state, dict) and len(state) == self._n_state)
-        if fits:
-            for name, domain in self._outputs:
-                value = outputs.get(name)
-                if type(value) is not int or value not in domain:
-                    fits = False
-                    break
-            for name, domain in self._state:
-                value = state.get(name)
-                if type(value) is not int or value not in domain:
-                    fits = False
-                    break
-        if not fits:
+        """The observation, with copies of its dicts, if its outputs and
+        state fit (:meth:`_fits`); the cycle and system time are taken as
+        fitting.  Otherwise a :class:`ProtocolError` names the first misfit."""
+        if not self._fits(outputs, state):
             self._reject(cycle, sys_time_ms, outputs, state)
         self._last_sys_time_ms = sys_time_ms
         self.next_cycle += 1
         return tuple.__new__(CycleObservation, (cycle, sys_time_ms, dict(outputs), dict(state)))
+
+    def _fits(self, outputs, state) -> bool:
+        """Whether outputs and state are each a dict of exactly the model's
+        names, each an ``int`` inside its domain.
+
+        The first call compiles the model's test and binds it over this
+        method: one check per name, the name only as a ``repr``'d dict key and
+        its domain's bounds inlined as ``int``s."""
+        model = self.model
+        lines = ["def fits(outputs, state):",
+                 " if not (isinstance(outputs, dict) and len(outputs) == %d"
+                 " and isinstance(state, dict) and len(state) == %d):"
+                 % (len(model.output_names), len(model.readable_names)),
+                 "  return False"]
+        for part, names in (("outputs", model.output_names), ("state", model.readable_names)):
+            for name in names:
+                domain = model.domains[name]
+                lines += [" v = %s.get(%r)" % (part, name),
+                          " if type(v) is not int or not %d <= v <= %d:"
+                          % (domain.start, domain[-1]),
+                          "  return False"]
+        lines.append(" return True")
+        self._fits = compile_function(lines, "fits", "<observation check>",
+                                      {"__name__": __name__})
+        return self._fits(outputs, state)
 
     def _reject(self, cycle, sys_time_ms, outputs, state) -> None:
         """Raise a :class:`ProtocolError` naming the observation's first misfit,
@@ -176,16 +184,15 @@ class MediatorLink:
         if self._last_sys_time_ms is not None and sys_time_ms < self._last_sys_time_ms:
             raise ProtocolError("system time went back from %d ms to %d ms"
                                 % (self._last_sys_time_ms, sys_time_ms))
-        for part, values, fields in (("outputs", outputs, self._outputs),
-                                     ("state", state, self._state)):
-            domains = dict(fields)
-            if not isinstance(values, dict) or values.keys() != domains.keys():
+        for part, values, names in (("outputs", outputs, self.model.output_names),
+                                    ("state", state, self.model.readable_names)):
+            if not isinstance(values, dict) or values.keys() != set(names):
                 raise ProtocolError("observation %s %r do not match the model" % (part, values))
             for name, value in values.items():
                 if type(value) is not int:
                     raise ProtocolError("observation %s '%s' = %r is not an integer"
                                         % (part, name, value))
-                if value not in domains[name]:
+                if value not in self.model.domains[name]:
                     raise ProtocolError("observation %s '%s' = %d is outside its domain"
                                         % (part, name, value))
 

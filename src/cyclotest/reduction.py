@@ -232,8 +232,8 @@ def _breadth_first(model: ModelAst, table: HoldTable, period_ms: int) -> tuple:
     parents = {initial: None}  # every node seen, with its BFS parent and valuation
     classes: dict = {}  # (state vars, outcome index, flags) -> {least valuation: post-state}
 
-    def record(state):
-        vec = tuple(map(int, table.flags(state[1]).values()))
+    def record(state, flags):
+        vec = tuple(map(int, flags.values()))
         state_pairs.add((state[0], vec))
         if vec not in witnesses:
             trail, node = [], state
@@ -259,11 +259,11 @@ def _breadth_first(model: ModelAst, table: HoldTable, period_ms: int) -> tuple:
             posts[tuple(sorted(post.items()))] = least
         return {least: post for post, least in posts.items()}
 
-    record(initial)
+    record(initial, table.flags(table.initial))
     while frontier:
         state = frontier.popleft()
         state_vars, holds = state
-        steps = {}  # least valuation -> next node
+        steps = {}  # least valuation -> (next node, its flags)
         env = dict(base, **dict(state_vars))
         for i, outcome in enumerate(outcomes):
             env.update(settings[i])
@@ -272,12 +272,14 @@ def _breadth_first(model: ModelAst, table: HoldTable, period_ms: int) -> tuple:
             key = (state_vars, i, tuple(flags.values()))
             if key not in classes:
                 classes[key] = classes_of(state_vars, outcome, flags)
-            steps.update((least, (post, stepped)) for least, post in classes[key].items())
+            for least, post in classes[key].items():
+                steps[least] = (post, stepped), flags
         for least in sorted(steps):
-            if steps[least] not in parents:
-                parents[steps[least]] = (state, least)
-                record(steps[least])
-                frontier.append(steps[least])
+            node, flags = steps[least]
+            if node not in parents:
+                parents[node] = (state, least)
+                record(node, flags)
+                frontier.append(node)
     return witnesses, state_pairs
 
 

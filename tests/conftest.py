@@ -54,6 +54,37 @@ model guard {
 """
 
 
+# a model whose names are those of the generated admission and observation
+# test (their parameters, locals and the builtins they call), but for the
+# keywords 'state' and 'int'
+CLASH_SRC = """\
+model clash {
+  input inputs: bool;
+  input get: int 0..2;
+  input v: int 1..3;
+  input v0: bool;
+  output outputs: int 0..2;
+  output type: bool;
+  state isinstance: int 0..2 readable = 0;
+  state range: bool readable = 0;
+  state len: bool hidden = 0;
+
+  logic {
+    if (get == v || held(v0 && !len, 1ms)) {
+      outputs = get;
+      type = inputs;
+      isinstance = get;
+      range = 1;
+    } else {
+      outputs = isinstance;
+      type = range;
+      len = v0;
+    }
+  }
+}
+"""
+
+
 @pytest.fixture(scope="session")
 def iron_src():
     return iron_source()

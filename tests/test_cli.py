@@ -684,30 +684,117 @@ def _defined_in_cyclotest(obj) -> bool:
     return owner.__module__ is None or owner.__module__.startswith("cyclotest")
 
 
-def test_a_run_and_the_analyses_leave_no_garbage(capsys, tmp_path):
+@pytest.fixture
+def subject_env(monkeypatch):
+    # a stdio subject started by this process runs this checkout's sources
+    src = str(Path(cyclotest.__file__).resolve().parents[1])
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_a_run_and_the_analyses_leave_no_garbage(capsys, tmp_path, subject_env):
     """Nothing that a campaign, ``enumerate-states`` or ``reduce`` builds
-    waits for the collector: with it off, a collection afterwards finds no
-    function or object of cyclotest's."""
+    waits for the collector: with it off, a collection after each finds no
+    function or object of cyclotest's.  The campaigns end in each way: a
+    pass at desk and at paper scale, a failing verdict, a piecemeal pass, an
+    exhausted budget and a pass over stdio."""
     model = tmp_path / "tank.ctl"
     model.write_text(TANK_SRC)
+    campaigns = {"desk": (desk_config(), 0), "paper": (RunConfig(model_path=MODEL_PATH), 0),
+                 "desk-M3": (desk_config(sut="inproc:iron:M3"), 4),
+                 "piecemeal": (desk_config(scenario="piecemeal"), 0),
+                 "budget": (desk_config(budget=5), 4), "stdio": (desk_config(sut=DESK_STDIO), 0)}
     enabled, debug, kept = gc.isenabled(), gc.get_debug(), len(gc.garbage)
     gc.collect()
     gc.disable()
+    found = {}
     try:
-        assert cyclotest.cli.run_campaign(desk_config()).exit_code(()) == 0
-        for command in ("enumerate-states", "reduce"):
-            assert main([command, "--model", str(model)]) == 0
         gc.set_debug(gc.DEBUG_SAVEALL)
-        gc.collect()
-        found = sorted({getattr(obj, "__qualname__", type(obj).__qualname__)
-                        for obj in gc.garbage[kept:] if _defined_in_cyclotest(obj)})
+        runs = [(name, lambda config=config: cyclotest.cli.run_campaign(config).exit_code(()),
+                 code) for name, (config, code) in campaigns.items()]
+        runs += [(command, lambda command=command: main([command, "--model", str(model)]), 0)
+                 for command in ("enumerate-states", "reduce")]
+        for name, run, code in runs:
+            assert run() == code, name
+            gc.collect()
+            found[name] = sorted({getattr(obj, "__qualname__", type(obj).__qualname__)
+                                  for obj in gc.garbage[kept:] if _defined_in_cyclotest(obj)})
+            del gc.garbage[kept:]
     finally:
         gc.set_debug(debug)
         del gc.garbage[kept:]
         if enabled:
             gc.enable()
     capsys.readouterr()
-    assert found == []
+    assert found == dict.fromkeys(found, [])
+    assert len(found) == 8
+
+
+class TestCollectorPause:
+    """A campaign's traversal runs with the collector off, which a campaign
+    that makes no reference cycle allows; after it, the collector is on again
+    if it was on before, however the campaign ended."""
+
+    @pytest.fixture(autouse=True)
+    def collector_kept(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    class Raising:
+        def step(self, inputs, sys_time_ms):
+            raise RuntimeError("actuator fault")
+
+    @pytest.mark.parametrize("ending, code", [("pass", 0), ("verdict", 4), ("budget", 4),
+                                              ("mediator", 3)])
+    def test_on_after_each_ending(self, monkeypatch, ending, code):
+        config = desk_config(**{"verdict": dict(sut="inproc:iron:M3"),
+                                "budget": dict(budget=5)}.get(ending, {}))
+        if ending == "mediator":
+            monkeypatch.setattr(cyclotest.iron, "IronSut", lambda *args: self.Raising())
+        gc.enable()
+        result = cyclotest.cli.run_campaign(config)
+        assert result.exit_code(()) == code
+        assert (result.error is None) == (ending != "budget")
+        assert gc.isenabled()
+
+    def test_on_after_an_exception_from_traverse(self, monkeypatch):
+        def failing(scenario, spec, **kwargs):
+            raise RuntimeError("traversal fault")
+
+        monkeypatch.setattr(cyclotest.cli, "traverse", failing)
+        gc.enable()
+        with pytest.raises(RuntimeError, match="traversal fault"):
+            cyclotest.cli.run_campaign(desk_config())
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("ending", ["pass", "raised"])
+    def test_stays_off_when_off(self, monkeypatch, ending):
+        if ending == "raised":
+            monkeypatch.setattr(cyclotest.cli, "traverse", lambda *args, **kwargs: 1 / 0)
+        gc.disable()
+        try:
+            assert cyclotest.cli.run_campaign(desk_config()).exit_code(()) == 0
+        except ZeroDivisionError:
+            assert ending == "raised"
+        assert not gc.isenabled()
+
+    def test_off_inside_traverse(self, monkeypatch):
+        seen = []
+        real = cyclotest.cli.traverse
+
+        def watched(scenario, spec, **kwargs):
+            seen.append(gc.isenabled())
+            return real(scenario, spec, **kwargs)
+
+        monkeypatch.setattr(cyclotest.cli, "traverse", watched)
+        gc.enable()
+        assert cyclotest.cli.run_campaign(desk_config(scenario="piecemeal")).exit_code(()) == 0
+        assert seen == [False, False]
+        assert gc.isenabled()
 
 
 class _InlinePool:
@@ -735,13 +822,6 @@ DESK_STDIO = "stdio:" + shlex.join([sys.executable, "-m", "cyclotest.iron_sut",
 
 
 class TestPiecemeal:
-    @pytest.fixture
-    def subject_env(self, monkeypatch):
-        # a stdio subject started by this process runs this checkout's sources
-        src = str(Path(cyclotest.__file__).resolve().parents[1])
-        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-
     def test_pool_does_not_change_the_output(self, capsys, tmp_path, monkeypatch, subject_env):
         # in process the parts run in turn, over stdio in a pool of two
         monkeypatch.setattr(cyclotest.cli, "_usable_cpus", lambda: 2)

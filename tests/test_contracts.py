@@ -1,10 +1,11 @@
 import enum
 import itertools
+import json
 import random
 import types
 
 import pytest
-from conftest import GUARD_SRC, MODEL_PATH, TANK_SRC, desk_config
+from conftest import CLASH_SRC, GUARD_SRC, MODEL_PATH, TANK_SRC, desk_config
 
 from cyclotest import cli, contracts, mediator, scenarios, traversal
 from cyclotest.contracts import Specification, SpecificationState, VerdictKind
@@ -19,7 +20,9 @@ from cyclotest.reduction import (
 )
 from cyclotest.temporal import HoldTable
 from oracles import PlainSpecification, _valuations
-from test_reduction import REFERENCE_MODELS, _extraction_at
+from test_mediator import ScriptedLink as ScriptedStreamLink
+from test_mediator import ScriptedSut, _hello_line
+from test_reduction import REFERENCE_MODELS, _extraction_at, _model_sources
 
 
 DIAL_SRC = ("model dial { input level: int 0..3; output o: bool; "
@@ -179,11 +182,19 @@ class RecordingSut:
         return dict(self._state)
 
 
+# dial, guard and tank under their own ids, then every other model of
+# _model_sources() (CLASH_SRC among them)
+ADMISSION_MODELS = [pytest.param(DIAL_SRC, id="dial"), pytest.param(GUARD_SRC, id="guard"),
+                    pytest.param(TANK_SRC, id="tank")]
+ADMISSION_MODELS += [p for p in _model_sources()
+                     if p.values[0] not in {DIAL_SRC, GUARD_SRC, TANK_SRC}]
+
+
 class TestAdmissionAgainstReference:
-    """``apply_stimulus``'s one admission pass refuses exactly the calls that
+    """``apply_stimulus``'s generated admission refuses exactly the calls that
     ``check_precondition`` words a reason for, with that reason and without
     using up a cycle, and hands the subject an admitted call as exact
-    ``int``s."""
+    ``int``s; it returns that call with its values in the step key's shape."""
 
     @staticmethod
     def _stimuli(names, domains) -> list:
@@ -202,17 +213,23 @@ class TestAdmissionAgainstReference:
                 stimuli.append({**valid, name: value})
         return stimuli + [types.MappingProxyType(stimulus) for stimulus in stimuli]
 
-    @pytest.mark.parametrize("source", [DIAL_SRC, GUARD_SRC, TANK_SRC], ids=["dial", "guard",
-                                                                            "tank"])
+    @pytest.mark.parametrize("source", ADMISSION_MODELS)
     def test_every_enumerated_stimulus(self, source):
         ex = extract_predicates(parse_model(source))
         model = ex.model
         sut = RecordingSut(model)
         spec = Specification(ex, InProcessLink(model, sut, KernelConfig()))
         stimuli = self._stimuli(model.input_names, model.domains)
+        values_at = contracts._values_at(model.input_names)
         admitted = 0
         for stimulus in stimuli:
             reason = spec.check_precondition(stimulus)
+            checked = spec._admit(stimulus)
+            if reason is None:
+                call = {name: int(stimulus[name]) for name in model.input_names}
+                assert checked == (call, values_at(call))
+            else:
+                assert checked is None
             cycle, seen = spec.link.next_cycle, len(sut.seen)
             verdict = spec.apply_stimulus(stimulus)
             if reason is not None:
@@ -226,9 +243,74 @@ class TestAdmissionAgainstReference:
                 assert got == {name: int(stimulus[name]) for name in model.input_names}
                 assert all(type(value) is int for value in got.values())
                 admitted += 1
-        # the valid call and each input set to True or to the IntEnum member,
-        # which its domain holds, both as a dict and as a mapping proxy
-        assert admitted == 2 * (1 + 2 * len(model.input_names))
+        # the valid call and each input set to the IntEnum member that its
+        # domain holds, or to True where the domain holds 1, both as a dict
+        # and as a mapping proxy
+        assert admitted == 2 * (1 + sum(1 + (1 in model.domains[name])
+                                        for name in model.input_names))
+
+
+class TestCompileGuard:
+    """A specification's admission and its link's observation test are
+    generated at their first call, once, and bound over the methods."""
+
+    @pytest.fixture
+    def compiles(self, monkeypatch) -> list:
+        """The name of each function that ``contracts`` or ``mediator``
+        compiles."""
+        compiled = []
+        for module in (contracts, mediator):
+            def counted(lines, name, filename, namespace, compile_function=module.compile_function):
+                compiled.append(name)
+                return compile_function(lines, name, filename, namespace)
+            monkeypatch.setattr(module, "compile_function", counted)
+        return compiled
+
+    def test_set_up_compiles_nothing(self, compiles, desk_extraction, iron_ast):
+        spec = _spec(desk_extraction)
+        link = ScriptedStreamLink(iron_ast, [_hello_line(iron_ast)])
+        assert compiles == []
+        assert "_admit" not in vars(spec)
+        assert "_fits" not in vars(spec.link) and "_fits" not in vars(link)
+
+    def test_compiled_on_first_stimulus_only(self, compiles, desk_extraction):
+        spec = _spec(desk_extraction)
+        assert spec.apply_stimulus({"move": 0, "position": 1}).kind is VerdictKind.PASS
+        assert compiles == ["admit", "fits"]
+        admit, fits = vars(spec)["_admit"], vars(spec.link)["_fits"]
+        assert admit.__module__ == "cyclotest.contracts"
+        assert fits.__module__ == "cyclotest.mediator"
+        for move in (1, 0, 1):
+            assert spec.apply_stimulus({"move": move, "position": 1}).kind is VerdictKind.PASS
+        assert compiles == ["admit", "fits"]
+        assert vars(spec)["_admit"] is admit and vars(spec.link)["_fits"] is fits
+
+    def test_refused_first_stimulus(self, compiles, desk_extraction):
+        spec = _spec(desk_extraction)
+        verdict = spec.apply_stimulus({"move": 2, "position": 1})
+        assert (verdict.kind, verdict.detail, verdict.cycle_index) == (
+            VerdictKind.PRECONDITION_VIOLATION, "input 'move' = 2 outside its domain", 0)
+        assert compiles == ["admit"]
+        assert spec.apply_stimulus({"move": 0, "position": 1}).kind is VerdictKind.PASS
+        assert compiles == ["admit", "fits"]
+
+    def test_refused_first_observation(self, compiles, iron_ast):
+        sut = ScriptedSut([({"heating": 2}, {}), ({"heating": 1}, {})])
+        link = InProcessLink(iron_ast, sut, KernelConfig())
+        with pytest.raises(ProtocolError, match="^observation outputs 'heating' = 2 is outside"):
+            link.exchange({"move": 0, "position": 0})
+        assert compiles == ["fits"]
+        assert link.exchange({"move": 0, "position": 0}).outputs == {"heating": 1}
+        assert (compiles, link.next_cycle) == (["fits"], 1)
+
+    def test_streamed_observation(self, compiles, iron_ast):
+        observation = {"type": "observation", "sys_time_ms": 0, "outputs": {"heating": 1},
+                       "state": {}}
+        link = ScriptedStreamLink(iron_ast, [_hello_line(iron_ast)] + [
+            (json.dumps(dict(observation, cycle=cycle)) + "\n").encode() for cycle in (0, 1)])
+        for cycle in (0, 1):
+            assert link.exchange({"move": 0, "position": 0}).cycle == cycle
+        assert compiles == ["fits"]
 
 
 class TestDerivedOnce:

@@ -8,6 +8,7 @@ import types
 import weakref
 
 import pytest
+from conftest import CLASH_SRC
 from oracles import check_observation_reference
 
 from cyclotest.contracts import Specification, SpecificationState, VerdictKind
@@ -19,7 +20,6 @@ from cyclotest.mediator import (
     Disconnect,
     HandshakeMismatch,
     InProcessLink,
-    MediatorLink,
     ProtocolError,
     WireMessage,
     _StreamLink,
@@ -303,9 +303,29 @@ class DictSubclass(dict):
     pass
 
 
+class HandedLink(_StreamLink):
+    """Stream link whose replies are the given messages, already decoded, so
+    that their payloads may hold what no wire line decodes to."""
+
+    def __init__(self, model, messages):
+        super().__init__(model, 1000, timeout_s=0.1)
+        self.messages = list(messages)
+
+    def _send(self, message):
+        pass
+
+    def _recv(self):
+        return self.messages.pop(0)
+
+
+OBSERVED_MODELS = [pytest.param(None, id="iron"), pytest.param(STATEFUL_SRC, id="gauge"),
+                   pytest.param(CLASH_SRC, id="clash")]
+
+
 class TestObservationCheckAgainstReference:
-    """The link's one-pass check accepts exactly what the reference check
-    accepts, and words each rejection byte for byte the same."""
+    """The link's generated check accepts exactly what the reference check
+    accepts, and words each rejection byte for byte the same, over a stream
+    link and in process."""
 
     @staticmethod
     def _variants(names, domains) -> list:
@@ -323,7 +343,7 @@ class TestObservationCheckAgainstReference:
                 variants.append({**valid, name: bad})
         return variants
 
-    @pytest.mark.parametrize("source", [None, STATEFUL_SRC], ids=["iron", "gauge"])
+    @pytest.mark.parametrize("source", OBSERVED_MODELS)
     def test_every_enumerated_observation(self, iron_ast, source):
         model = iron_ast if source is None else parse_model(source)
         domains = model.domains
@@ -331,21 +351,23 @@ class TestObservationCheckAgainstReference:
         times = [2000, "2000", 2000.0, None, 500, 1000]
         outputs = self._variants(model.output_names, domains)
         states = self._variants(model.readable_names, domains)
+        inputs = dict.fromkeys(model.input_names, 0)
         accepted = rejected = 0
         for cycle, sys_time_ms, out, state in itertools.product(cycles, times, outputs, states):
-            link = MediatorLink(model)
+            link = HandedLink(model, [WireMessage("observation", cycle, {
+                "sys_time_ms": sys_time_ms, "outputs": out, "state": state})])
             link.next_cycle, link._last_sys_time_ms = 1, 1000
             try:
                 want = check_observation_reference(model, 1, 1000, cycle, sys_time_ms,
                                                    out, state)
             except ProtocolError as exc:
                 with pytest.raises(ProtocolError) as info:
-                    link._check_observation(cycle, sys_time_ms, out, state)
+                    link.exchange(inputs)
                 assert str(info.value) == str(exc)
                 assert (link.next_cycle, link._last_sys_time_ms) == (1, 1000)
                 rejected += 1
             else:
-                got = link._check_observation(cycle, sys_time_ms, out, state)
+                got = link.exchange(inputs)
                 assert got == want
                 assert [type(v) for v in got] == [type(v) for v in want]
                 assert (link.next_cycle, link._last_sys_time_ms) == (2, sys_time_ms)
@@ -355,7 +377,7 @@ class TestObservationCheckAgainstReference:
         assert accepted == 2 * 2 * 2
         assert rejected == len(cycles) * len(times) * len(outputs) * len(states) - accepted
 
-    @pytest.mark.parametrize("source", [None, STATEFUL_SRC], ids=["iron", "gauge"])
+    @pytest.mark.parametrize("source", OBSERVED_MODELS)
     def test_every_in_process_observation(self, iron_ast, source):
         # an in-process link checks only the values its subject returned: the
         # cycle and system time are its kernel's
