@@ -128,7 +128,7 @@ class CampaignResult:
     def exit_code(self, required) -> int:
         if self.error is not None:
             return self.error_code
-        verdicts = {entry.verdict for entry in self.log.entries}
+        verdicts = {run.verdict for run in self.log.runs}
         if _MEDIATOR_FAILURE_NAME in verdicts:
             return EXIT_PROTOCOL
         if verdicts - {_PASS_NAME}:
@@ -244,7 +244,7 @@ def run_campaign(config: RunConfig) -> CampaignResult:
         results = list(map(run, parts))
     merged, report = results[0].log, results[0].report
     for result in results[1:]:
-        merged.entries.extend(result.log.entries)
+        merged.runs.extend(result.log.runs)
         report.merge(result.report)
     merged.scenario = "piecemeal"
     if any(r.log.outcome == "verdict_failure" for r in results):
@@ -312,7 +312,7 @@ def run_part(config: RunConfig, extraction, part) -> CampaignResult:
     try:
         testlog, automaton = traverse(scenario, spec, budget=config.budget, rng=rng)
         log.info("explored %d state(s), %d transition(s), %d stimuli",
-                 len(automaton.states), len(automaton.transitions), len(testlog.entries))
+                 len(automaton.states), len(automaton.transitions), testlog.stimulus_count())
     except TraversalError as exc:
         testlog, automaton = exc.log, exc.automaton
         error, code = str(exc), EXIT_VERDICT

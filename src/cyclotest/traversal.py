@@ -10,6 +10,9 @@ over recorded transitions, deterministic tie-breaking) to the nearest state
 with pending actions.  It terminates once every action has been applied in
 every reached state, and requires the final automaton to be finite,
 deterministic and strongly connected, diagnosing violations as it goes.
+The test log keeps runs of consecutive cycles of one applied action with one
+verdict, so a hold of thousands of cycles costs one record, not one per
+stimulus.
 """
 from __future__ import annotations
 
@@ -92,16 +95,42 @@ class LogEntry(NamedTuple):
         return json.dumps(data, sort_keys=True)
 
 
+class LogRun(NamedTuple):
+    """The log entries of ``count`` consecutive cycles from ``first``, all of
+    one applied action and one verdict."""
+
+    first: int
+    count: int
+    state: object
+    action: str
+    verdict: str
+    replay: bool = False
+
+
 @dataclass
 class TestLog:
+    """A campaign's stimuli, kept as runs.  A run is a maximal stretch of
+    consecutive cycles of one applied action that share a verdict, and a
+    non-passing verdict is a run of its own, so a hold of thousands of
+    cycles is one run.  ``entries`` expands the runs into one
+    :class:`LogEntry` per stimulus, on demand."""
+
     scenario: str = ""
-    entries: list = field(default_factory=list)
+    runs: list = field(default_factory=list)
     outcome: str = "complete"  # "complete" | "verdict_failure" | aborted by error
+
+    @property
+    def entries(self) -> list:
+        return [LogEntry(cycle, *run[2:]) for run in self.runs
+                for cycle in range(run.first, run.first + run.count)]
+
+    def stimulus_count(self) -> int:
+        return sum(run.count for run in self.runs)
 
     def verdict_counts(self) -> dict:
         counts: dict = {}
-        for e in self.entries:
-            counts[e.verdict] = counts.get(e.verdict, 0) + 1
+        for run in self.runs:
+            counts[run.verdict] = counts.get(run.verdict, 0) + run.count
         return counts
 
     def to_json_lines(self) -> str:
@@ -112,14 +141,15 @@ class TestLog:
         cycle is encoded once per distinct ``(state, action, verdict,
         replay)``; only the cycle is formatted per entry."""
         around: dict = {}
-        for e in self.entries:
-            key = (e.state, e.action, e.verdict, e.replay)
+        for run in self.runs:
+            key = run[2:]
             if key not in around:
                 # a '"' inside a JSON string is escaped, so this is the key
                 head, _, tail = LogEntry(0, *key).to_json().partition('"cycle": 0')
                 around[key] = (head + '"cycle": ', tail + "\n")
             head, tail = around[key]
-            yield head + str(e.cycle) + tail
+            for cycle in range(run.first, run.first + run.count):
+                yield head + str(cycle) + tail
 
 
 @dataclass
@@ -207,15 +237,28 @@ def traverse(scenario: Scenario, spec, budget: int = 10_000, rng=None):
 
 
 def _apply(action: Action, spec, scenario: Scenario, log: TestLog, source, replay: bool):
-    apply_stimulus, append, label = spec.apply_stimulus, log.entries.append, action.label
+    """Apply ``action``'s stimuli and log them as runs: a run ends where a
+    verdict's cycle does not follow the one before, or at a failing verdict,
+    which is a run of its own."""
+    apply_stimulus, append, label = spec.apply_stimulus, log.runs.append, action.label
+    first = following = None
     for stimulus in action.stimuli():
         verdict: Verdict = apply_stimulus(stimulus)
-        kind = verdict.kind
-        if kind is not PASS:
-            append(LogEntry(verdict.cycle_index, source, label, kind.value, replay))
-            return scenario.state_fn(), verdict
-        append(tuple.__new__(LogEntry, (verdict.cycle_index, source, label, _PASS_NAME, replay)))
-    return scenario.state_fn(), None
+        cycle = verdict.cycle_index
+        if verdict.kind is not PASS:
+            break
+        if cycle != following:
+            if first is not None:
+                append(LogRun(first, following - first, source, label, _PASS_NAME, replay))
+            first = cycle
+        following = cycle + 1
+    else:
+        verdict = None
+    if first is not None:
+        append(LogRun(first, following - first, source, label, _PASS_NAME, replay))
+    if verdict is not None:
+        append(LogRun(cycle, 1, source, label, verdict.kind.value, replay))
+    return scenario.state_fn(), verdict
 
 
 def _discover(automaton: ExploredAutomaton, table: list, state, rng) -> None:

@@ -25,7 +25,7 @@ from cyclotest.kernel import CycleRecord
 from cyclotest.mediator import CycleObservation, ProtocolError
 from cyclotest.reduction import ReachabilityReport, enumerate_test_cases
 from cyclotest.temporal import HoldTable, TimeRegression
-from cyclotest.traversal import Action, Scenario
+from cyclotest.traversal import Action, LogEntry, Scenario
 
 
 def cycles_for(duration_ms: int, period_ms: int) -> int:
@@ -376,6 +376,27 @@ def explicit_scenario(system: ExplicitSystem, labels) -> Scenario:
         return [Action(label, lambda v, L=label: [{"action": L}]) for label in labels]
 
     return Scenario("explicit", system.abstract_state, actions)
+
+
+class ReferenceApply:
+    """The traversal's ``_apply`` that logs one entry per stimulus, in
+    ``entries`` rather than the traversal's log; set as ``traversal._apply``,
+    it keeps the whole campaign's entries in order."""
+
+    def __init__(self):
+        self.entries = []
+
+    def __call__(self, action, spec, scenario, log, source, replay):
+        for stimulus in action.stimuli():
+            verdict = spec.apply_stimulus(stimulus)
+            self.entries.append(LogEntry(verdict.cycle_index, source, action.label,
+                                         verdict.kind.value, replay))
+            if verdict.kind is not VerdictKind.PASS:
+                return scenario.state_fn(), verdict
+        return scenario.state_fn(), None
+
+    def json_lines(self) -> str:
+        return "".join(entry.to_json() + "\n" for entry in self.entries)
 
 
 class FlickeringStateSystem(ExplicitSystem):

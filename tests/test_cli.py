@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import os
+import pickle
 import re
 import shlex
 import socket
@@ -16,9 +17,12 @@ import pytest
 from conftest import GUARD_SRC, MODEL_PATH, TANK_SRC, desk_config
 
 import cyclotest
-from cyclotest import dsl, reduction
+from cyclotest import dsl, reduction, traversal
 from cyclotest.cli import RunConfig, _config_from_args, build_parser, main
+from cyclotest.iron import MUTANT_IDS
+from oracles import ReferenceApply
 from test_reduction import _model_sources
+from test_traversal import assert_log_equals_reference
 
 DESK = ["--remap-duration", "60s=3", "--remap-duration", "900s=5"]
 
@@ -819,6 +823,66 @@ class _InlinePool:
 # iron at the desk durations over stdio, which piecemeal runs in a pool
 DESK_STDIO = "stdio:" + shlex.join([sys.executable, "-m", "cyclotest.iron_sut",
                                     "--durations", "3000,5000"])
+
+
+PAPER_STDIO = "stdio:" + shlex.join([sys.executable, "-m", "cyclotest.iron_sut"])
+# campaigns whose logs must equal the per-stimulus reference
+LOGGED_CAMPAIGNS = {
+    "desk": desk_config(), "seed-3": RunConfig(model_path=MODEL_PATH, seed=3),
+    "paper": RunConfig(model_path=MODEL_PATH),
+    "piecemeal": RunConfig(model_path=MODEL_PATH, scenario="piecemeal"),
+    "stdio": RunConfig(model_path=MODEL_PATH, sut=PAPER_STDIO),
+    **{mutant: RunConfig(model_path=MODEL_PATH, sut="inproc:iron:" + mutant)
+       for mutant in MUTANT_IDS},
+}
+
+
+class TestLogRuns:
+    """A campaign's log keeps runs of cycles, one per held action at paper
+    scale, and expands to the entries that one entry per stimulus gives."""
+
+    @pytest.mark.parametrize("name", list(LOGGED_CAMPAIGNS))
+    def test_log_equals_the_reference(self, monkeypatch, subject_env, name):
+        config = LOGGED_CAMPAIGNS[name]
+        result = cyclotest.cli.run_campaign(config)
+        reference = ReferenceApply()
+        monkeypatch.setattr(traversal, "_apply", reference)
+        cyclotest.cli.run_campaign(config)
+        assert_log_equals_reference(result.log, reference)
+
+    def test_a_paper_campaign_keeps_34_runs_and_no_entry(self):
+        # 30,646 stimuli in 34 applied actions, each one run; the log builds
+        # no LogEntry, so a collection after the campaign has none to walk
+        result = cyclotest.cli.run_campaign(RunConfig(model_path=MODEL_PATH))
+        tracked = [obj for obj in gc.get_objects() if type(obj) is traversal.LogEntry]
+        assert tracked == []
+        assert len(result.log.runs) == 34
+        assert result.log.stimulus_count() == 30_646
+
+    @pytest.mark.parametrize("sut", ["inproc:iron", "inproc:iron:M3"])
+    def test_a_piecemeal_part_survives_pickling(self, monkeypatch, sut):
+        # what a pool worker sends back: the part's runs, not its entries
+        shipped = []
+        real = cyclotest.cli.run_part
+
+        def run_part(*args):
+            result = real(*args)
+            shipped.append((pickle.loads(pickle.dumps(result)), result.log.to_json_lines(),
+                            result.log.verdict_counts(), result.exit_code(())))
+            return result
+
+        monkeypatch.setattr(cyclotest.cli, "run_part", run_part)
+        merged = cyclotest.cli.run_campaign(RunConfig(model_path=MODEL_PATH, sut=sut,
+                                                      scenario="piecemeal"))
+        assert len(shipped) == 2
+        for back, text, counts, code in shipped:
+            assert back.log.to_json_lines() == text
+            assert back.log.verdict_counts() == counts
+            assert back.exit_code(()) == code
+        assert merged.exit_code(()) == max(code for *_, code in shipped)
+        if sut == "inproc:iron":
+            assert [len(back.log.runs) for back, *_ in shipped] == [10, 10]
+            assert merged.log.stimulus_count() == 18_028
 
 
 class TestPiecemeal:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from conftest import desk_config
@@ -17,6 +18,7 @@ from cyclotest.traversal import (
 )
 from oracles import (
     ExplicitSystem,
+    ReferenceApply,
     explicit_scenario,
     make_nondeterministic,
     path_to_pending_reference,
@@ -223,19 +225,18 @@ class TestDiagnostics:
 
 class TestFastBuiltRecords:
     def test_passing_records_equal_their_constructors(self, monkeypatch):
-        # a passing stimulus's verdict, observation and log entry are built
-        # without their NamedTuple constructors; each must be what the
-        # constructor builds
+        # a passing stimulus's verdict and observation are built without
+        # their NamedTuple constructors; each must be what the constructor
+        # builds
         from cyclotest.contracts import PASS, Specification
         from cyclotest.mediator import CycleObservation
-        from cyclotest.traversal import LogEntry
 
         verdicts = []
         real_apply = Specification.apply_stimulus
         monkeypatch.setattr(Specification, "apply_stimulus", lambda spec, inputs:
                             verdicts.append(real_apply(spec, inputs)) or verdicts[-1])
         result = run_campaign(desk_config())
-        assert len(verdicts) == len(result.log.entries) == 216
+        assert len(verdicts) == result.log.stimulus_count() == 216
         for v in verdicts:
             assert v.kind is PASS
             assert type(v) is Verdict
@@ -244,9 +245,89 @@ class TestFastBuiltRecords:
             assert type(obs) is CycleObservation
             assert obs == CycleObservation(obs.cycle, obs.sys_time_ms, obs.outputs,
                                            obs.visible_state)
-        for e in result.log.entries:
-            assert type(e) is LogEntry
-            assert e == LogEntry(e.cycle, e.state, e.action, e.verdict, e.replay)
+
+
+def assert_log_equals_reference(log, reference: ReferenceApply) -> None:
+    """``log`` keeps exactly the reference's per-stimulus entries, in runs
+    of which no two adjacent ones could be merged."""
+    assert log.entries == reference.entries
+    assert log.to_json_lines() == reference.json_lines()
+    assert log.stimulus_count() == len(reference.entries)
+    assert log.verdict_counts() == Counter(entry.verdict for entry in reference.entries)
+    for run in log.runs:
+        assert run.count >= 1 and (run.verdict == "Pass" or run.count == 1)
+    for a, b in zip(log.runs, log.runs[1:]):
+        assert not (a.verdict == "Pass" and a[2:] == b[2:] and b.first == a.first + a.count)
+
+
+class FakeCycles:
+    """Moves an explicit system at each action's first stimulus and holds it
+    at the rest.  A verdict's cycle follows the one before, or is -1, the
+    same, lower or further ahead; stimulus ``fail_at`` fails with ``kind``."""
+
+    def __init__(self, system, rng, fail_at, kind):
+        self.system, self.rng, self.fail_at, self.kind = system, rng, fail_at, kind
+        self.cycle = self.applied = 0
+
+    def apply_stimulus(self, inputs):
+        if inputs["action"] is not None:
+            self.system.apply_stimulus(inputs)
+        self.applied += 1
+        rng = self.rng
+        step = rng.choice(["next"] * 4 + ["unknown", "same", "back", "gap"])
+        if step != "unknown":
+            self.cycle += {"next": 1, "same": 0, "back": -rng.randint(1, 3),
+                           "gap": rng.randint(2, 5)}[step]
+        kind = self.kind if self.applied == self.fail_at else VerdictKind.PASS
+        return Verdict(kind, cycle_index=-1 if step == "unknown" else self.cycle)
+
+
+class TestLogRuns:
+    """The log keeps runs of cycles, which must expand to the entries that
+    one entry per stimulus gives, whatever cycles the verdicts carry."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_cycles_log_as_the_reference(self, monkeypatch, seed):
+        real = traversal._apply
+
+        def campaign(apply):
+            rng = random.Random(seed)
+            delta, labels, initial = random_scc_automaton(rng, rng.randint(2, 6),
+                                                          rng.randint(1, 3))
+            lengths = {label: rng.randint(1, 6) for label in labels}
+            actions = [Action(label, lambda v, L=label: [{"action": L}]
+                              + [{"action": None}] * (lengths[L] - 1)) for label in labels]
+            system = ExplicitSystem(delta, initial)
+            spec = FakeCycles(system, rng, rng.randint(1, 40),
+                              rng.choice([k for k in VerdictKind if k is not VerdictKind.PASS]))
+            budget = rng.choice([10_000, rng.randint(1, 12)])
+            monkeypatch.setattr(traversal, "_apply", apply)
+            try:
+                log, _ = traverse(Scenario("held", system.abstract_state, lambda: actions),
+                                  spec, budget=budget)
+            except BudgetExceeded as exc:
+                log = exc.log
+            return log
+
+        log = campaign(real)
+        reference = ReferenceApply()
+        assert campaign(reference).outcome == log.outcome
+        assert_log_equals_reference(log, reference)
+
+    def test_a_failing_verdict_ends_its_run(self):
+        # cycles 0..4 pass and cycle 5 fails: two runs of one action
+        verdicts = iter([Verdict(VerdictKind.PASS, cycle_index=c) for c in range(5)]
+                        + [Verdict(VerdictKind.POSTCONDITION_FAILURE, cycle_index=5)])
+
+        class Spec:
+            def apply_stimulus(self, inputs):
+                return next(verdicts)
+
+        scenario = Scenario("s", lambda: 0, lambda: [Action("a", lambda v: [{}] * 6)])
+        log, _ = traverse(scenario, Spec())
+        assert log.runs == [traversal.LogRun(0, 5, 0, "a", "Pass"),
+                            traversal.LogRun(5, 1, 0, "a", "PostconditionFailure")]
+        assert log.verdict_counts() == {"Pass": 5, "PostconditionFailure": 1}
 
 
 class TestBudget:
