@@ -106,11 +106,6 @@ class RunConfig:
         self.remap = dict(self.remap)
 
 
-# the log's names of the verdicts that decide the exit code
-_PASS_NAME = VerdictKind.PASS.value
-_MEDIATOR_FAILURE_NAME = VerdictKind.MEDIATOR_FAILURE.value
-
-
 @dataclass
 class CampaignResult:
     log: object
@@ -128,11 +123,9 @@ class CampaignResult:
     def exit_code(self, required) -> int:
         if self.error is not None:
             return self.error_code
-        verdicts = {run.verdict for run in self.log.runs}
-        if _MEDIATOR_FAILURE_NAME in verdicts:
-            return EXIT_PROTOCOL
-        if verdicts - {_PASS_NAME}:
-            return EXIT_VERDICT
+        failure = self.log.failure
+        if failure is not None:
+            return EXIT_PROTOCOL if failure.kind is VerdictKind.MEDIATOR_FAILURE else EXIT_VERDICT
         for criterion, ratio in required:
             if self.report.ratio(criterion) < ratio:
                 return EXIT_COVERAGE
@@ -247,8 +240,10 @@ def run_campaign(config: RunConfig) -> CampaignResult:
         merged.runs.extend(result.log.runs)
         report.merge(result.report)
     merged.scenario = "piecemeal"
-    if any(r.log.outcome == "verdict_failure" for r in results):
-        merged.outcome = "verdict_failure"
+    # of the parts' failing verdicts, the first that decides the exit code (a
+    # mediator failure over a postcondition failure)
+    merged.failure = min((r.log.failure for r in results if r.log.failure is not None),
+                         key=lambda v: v.kind is not VerdictKind.MEDIATOR_FAILURE, default=None)
     failed = next((r for r in results if r.error is not None), results[0])
     return CampaignResult(merged, report, None, failed.error, failed.error_code)
 
@@ -415,6 +410,9 @@ def cmd_run(args) -> tuple:
         if result.error:
             lines.append("  error: %s" % result.error)
         lines.append(result.report.to_text())
+    failure = result.log.failure
+    if failure is not None and failure.kind is VerdictKind.MEDIATOR_FAILURE:
+        print("error: %s" % failure.detail, file=sys.stderr)
     if result.error:
         print("traversal error: %s" % result.error, file=sys.stderr)
     return result.exit_code(config.required), lines

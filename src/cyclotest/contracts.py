@@ -13,11 +13,10 @@ the link's observation check is at the first observation
 The predicate/flag update, the reference run and, on a passing cycle, the
 synchronized state are together the cycle's step, a function of the inputs,
 the pre-state's variables and hold record, and the system time elapsed since
-the previous observation.  A specification interns its states, one object per distinct
-(variables, hold record), and each interned state remembers the passing
-steps taken from it (up to ``MEMO_CAP`` in all), so a cycle that repeats a
-step, as the hold cycles of a scenario do, is one lookup and the
-postcondition.
+the previous observation.  A specification interns its states, one object per
+distinct (variables, hold record), and keeps one table of the passing steps
+taken from them (up to ``MEMO_CAP`` in all), so a cycle that repeats a step,
+as the hold cycles of a scenario do, is one lookup and the postcondition.
 """
 from __future__ import annotations
 
@@ -80,18 +79,15 @@ class SpecificationState:
     are equal when these three are.  What the specification derives from a
     state is attached to it: ``values``, its variables in ``model.state_vars``
     order; its ``number`` among the specification's interned states (None
-    if it is not interned); ``successors``, the steps remembered from it,
-    only if it is interned; and ``abstract``, its abstract state.  A step
-    names its successor by number, so that interned states hold no reference
-    cycle: they are freed with their specification, not by the collector."""
+    if it is not interned); and ``abstract``, its abstract state.  A state
+    refers to no other, so interned states hold no reference cycle: they are
+    freed with their specification, not by the collector."""
 
     state_vars: dict
     holds: tuple
     flags: dict
     values: Optional[tuple] = field(default=None, compare=False)
     number: Optional[int] = field(default=None, compare=False)
-    # (input values, ms since the previous observation) -> (outputs, successor's number, trace)
-    successors: dict = field(default_factory=dict, compare=False, repr=False)
     abstract: object = field(default=None, compare=False, repr=False)
 
     def env(self) -> dict:
@@ -111,12 +107,14 @@ class Specification:
 
     The specification steps its own automaton.  It interns its states: one
     object per distinct (state variables, hold record), up to ``MEMO_CAP``
-    of them, keyed by its ``values`` and hold record.  ``sys_time_ms`` is the
-    previous observation's system time (None before the first).  An interned
-    state's successor table remembers each passing step from it by the
-    admitted input values in ``model.input_names`` order and the ms elapsed
-    since the previous observation (0 on the first): a remembered step is
-    one lookup, the postcondition, and the move to the interned successor.
+    of them, keyed by its ``values`` and hold record and numbered in the
+    order interned.  ``sys_time_ms`` is the previous observation's system
+    time (None before the first).  One table, ``_steps``, holds every
+    remembered passing step between interned states, keyed by the
+    pre-state's number (so no hold record is hashed), the admitted input
+    values in ``model.input_names`` order and the ms elapsed since the
+    previous observation (0 on the first): a remembered step is one lookup,
+    the postcondition, and the move to the successor the table holds.
     A step not remembered is taken afresh: the hold-table step, the flags,
     the reference lookup, :func:`mediator.sync_state` and the postcondition.
     If that passes, the synchronized state is interned and the step
@@ -144,8 +142,7 @@ class Specification:
         self._flags_at = _values_at(self.hold_table.predicate_ids)
         self._memo: dict = {}  # cycle -> (outputs, state_post, trace), shared
         self._interned: dict = {}  # (state values, holds) -> the one such state
-        self._states: list = []  # the interned states, by number
-        self._remembered = 0  # steps in the interned states' successor tables
+        self._steps: dict = {}  # (pre number, inputs, ms) -> (outputs, successor, trace)
         self.sys_time_ms: Optional[int] = None
         initial = self.hold_table.initial
         self.state = self._intern(SpecificationState(
@@ -156,12 +153,11 @@ class Specification:
         is; past the cap, ``state`` itself, not interned.  Sets ``state``'s
         values."""
         state.values = values = self._state_at(state.state_vars)
-        if len(self._states) >= MEMO_CAP:
+        if len(self._interned) >= MEMO_CAP:
             return self._interned.get((values, state.holds), state)
         interned = self._interned.setdefault((values, state.holds), state)
         if interned is state:
-            state.number = len(self._states)
-            self._states.append(state)
+            state.number = len(self._interned) - 1
         return interned
 
     def abstract_state(self, derive: Callable[[Mapping], object]):
@@ -257,16 +253,16 @@ class Specification:
             return Verdict(VerdictKind.MEDIATOR_FAILURE, str(exc), self.link.next_cycle)
 
         last, self.sys_time_ms = self.sys_time_ms, obs.sys_time_ms
-        key = values, 0 if last is None else obs.sys_time_ms - last
-        step = pre.successors.get(key)
+        # a state not interned has no number, and no step is remembered from it
+        key = pre.number, values, 0 if last is None else obs.sys_time_ms - last
+        step = self._steps.get(key)
         if step is None:
-            stepped = mediator.step_predicates(self.hold_table, pre, admitted, key[1])
+            stepped = mediator.step_predicates(self.hold_table, pre, admitted, key[2])
             ref_outputs, ref_post, trace = self.reference(admitted, pre.state_vars, stepped[1],
-                                                          (key[0], pre.values))
+                                                          (values, pre.values))
             post = mediator.sync_state(pre, obs, ref_post, stepped)
         else:
-            ref_outputs, number, trace = step
-            post = self._states[number]
+            ref_outputs, post, trace = step
             ref_post = post.state_vars
 
         visible = obs.visible_state
@@ -277,22 +273,17 @@ class Specification:
                           for n in self.model.output_names if ref_outputs[n] != obs.outputs[n]]
             mismatches += [Mismatch(n, ref_post[n], visible[n])
                            for n in readable if ref_post[n] != visible[n]]
-            if mismatches:
-                if step is not None:  # the observation's state, not the remembered one
-                    post = mediator.sync_state(pre, obs, ref_post, (post.holds, post.flags))
-                post.values = self._state_at(post.state_vars)
-                self.state = post
-                detail = "; ".join(
-                    "%s: expected %d, actual %d" % (m.name, m.expected, m.actual)
-                    for m in mismatches
-                )
-                return Verdict(VerdictKind.POSTCONDITION_FAILURE, detail, obs.cycle,
-                               tuple(mismatches), trace, obs)
+            if step is not None:  # the observation's state, not the remembered one
+                post = mediator.sync_state(pre, obs, ref_post, (post.holds, post.flags))
+            post.values = self._state_at(post.state_vars)
+            self.state = post
+            detail = "; ".join("%s: expected %d, actual %d" % (m.name, m.expected, m.actual)
+                               for m in mismatches)
+            return Verdict(VerdictKind.POSTCONDITION_FAILURE, detail, obs.cycle,
+                           tuple(mismatches), trace, obs)
         if step is None:  # remembered while both states are interned, below the cap
             post = self._intern(post)
-            if (self._remembered < MEMO_CAP and pre.number is not None
-                    and post.number is not None):
-                pre.successors[key] = ref_outputs, post.number, trace
-                self._remembered += 1
+            if len(self._steps) < MEMO_CAP and pre.number is not None and post.number is not None:
+                self._steps[key] = ref_outputs, post, trace
         self.state = post
         return tuple.__new__(Verdict, (PASS, "", obs.cycle, (), trace, obs))

@@ -685,38 +685,33 @@ def _print_node(node: Node, depth: int) -> str:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-HeldEval = Callable[[Held], int]
-
-
-def eval_expr(expr: Expr, env: Mapping, held_eval: Optional[HeldEval] = None) -> int:
+def eval_expr(expr: Expr, env: Mapping) -> int:
     """Evaluate a pure expression to an int (booleans are 0/1).
 
     ``env`` is one namespace: it binds the variable names and the predicate
-    ids alike, a predicate id to a bool or 0/1.  ``held_eval`` supplies
-    values for raw held() nodes when evaluating unrewritten models.
+    ids alike, a predicate id to a bool or 0/1.  A held() node must have been
+    rewritten first (:func:`extract_predicates`).
     """
     if isinstance(expr, (Name, PredRef)):
         return int(env[expr.ident])
     if isinstance(expr, Const):
         return expr.value
     if isinstance(expr, Not):
-        return 0 if eval_expr(expr.operand, env, held_eval) else 1
+        return 0 if eval_expr(expr.operand, env) else 1
     if isinstance(expr, And):
-        if not eval_expr(expr.left, env, held_eval):
+        if not eval_expr(expr.left, env):
             return 0
-        return 1 if eval_expr(expr.right, env, held_eval) else 0
+        return 1 if eval_expr(expr.right, env) else 0
     if isinstance(expr, Or):
-        if eval_expr(expr.left, env, held_eval):
+        if eval_expr(expr.left, env):
             return 1
-        return 1 if eval_expr(expr.right, env, held_eval) else 0
+        return 1 if eval_expr(expr.right, env) else 0
     if isinstance(expr, Cmp):
-        left = eval_expr(expr.left, env, held_eval)
-        right = eval_expr(expr.right, env, held_eval)
+        left = eval_expr(expr.left, env)
+        right = eval_expr(expr.right, env)
         return 1 if _CMP_FUNCTIONS[expr.op](left, right) else 0
     if isinstance(expr, Held):
-        if held_eval is None:
-            raise ModelError("held() reached the evaluator; extract predicates first")
-        return 1 if held_eval(expr) else 0
+        raise ModelError("held() reached the evaluator; extract predicates first")
     raise TypeError("not an expression node: %r" % (expr,))
 
 

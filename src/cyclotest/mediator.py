@@ -230,7 +230,7 @@ class _StreamLink(MediatorLink):
         self.cycle_period_ms = cycle_period_ms
         self.timeout_s = timeout_s
         self._fd = -1
-        self._pending = b""  # bytes read past the last complete line
+        self._pending = bytearray()  # bytes read past the last complete line
 
     def _send(self, message: WireMessage) -> None:
         raise NotImplementedError
@@ -238,11 +238,14 @@ class _StreamLink(MediatorLink):
     def _readline(self) -> bytes:
         """One line, or what is left at end of stream; the timeout bounds the
         whole line, so a subject that stalls or trickles mid-line times out
-        too."""
+        too.  Only each new chunk is searched for the newline, so a line
+        costs time linear in its length."""
         deadline = time.monotonic() + self.timeout_s
         poll = select.poll()
         poll.register(self._fd, select.POLLIN)
-        while b"\n" not in self._pending:
+        pending = self._pending
+        end = pending.find(b"\n")
+        while end < 0:
             remaining = deadline - time.monotonic()
             if remaining <= 0 or not poll.poll(remaining * 1000):
                 raise ExchangeTimeout("no observation within %.1f s" % self.timeout_s)
@@ -250,12 +253,15 @@ class _StreamLink(MediatorLink):
                 chunk = os.read(self._fd, 65536)
             except OSError as exc:
                 raise Disconnect(str(exc)) from exc
-            if not chunk:
-                line, self._pending = self._pending, b""
-                return line
-            self._pending += chunk
-        line, _, self._pending = self._pending.partition(b"\n")
-        return line + b"\n"
+            if not chunk:  # end of stream: what is left
+                end = len(pending) - 1
+                break
+            start = len(pending)
+            pending += chunk
+            end = pending.find(b"\n", start)
+        line = bytes(pending[:end + 1])
+        del pending[:end + 1]
+        return line
 
     # protocol --------------------------------------------------------------
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 from .contracts import PASS, Verdict
 
@@ -113,11 +113,17 @@ class TestLog:
     consecutive cycles of one applied action that share a verdict, and a
     non-passing verdict is a run of its own, so a hold of thousands of
     cycles is one run.  ``entries`` expands the runs into one
-    :class:`LogEntry` per stimulus, on demand."""
+    :class:`LogEntry` per stimulus, on demand.  ``failure`` is the
+    non-passing verdict that ended the walk, if one did; ``outcome`` is
+    "complete" without one, also when a :class:`TraversalError` ended it."""
 
     scenario: str = ""
     runs: list = field(default_factory=list)
-    outcome: str = "complete"  # "complete" | "verdict_failure" | aborted by error
+    failure: Optional[Verdict] = None
+
+    @property
+    def outcome(self) -> str:
+        return "complete" if self.failure is None else "verdict_failure"
 
     @property
     def entries(self) -> list:
@@ -219,7 +225,7 @@ def traverse(scenario: Scenario, spec, budget: int = 10_000, rng=None):
                 automaton.pending[state].popleft()
             end, failure = _apply(action, spec, scenario, log, state, replay)
             if failure is not None:
-                log.outcome = "verdict_failure"
+                log.failure = failure
                 return log, automaton
             label = action.label
             out = automaton.successors[state]

@@ -19,7 +19,8 @@ import time
 from collections import deque
 
 from cyclotest.contracts import Specification, Verdict, VerdictKind
-from cyclotest.dsl import And, Decision, Held, eval_expr, free_vars, print_expr, walk_exprs
+from cyclotest.dsl import (And, Const, Decision, Held, _map_held, eval_expr, free_vars, print_expr,
+                          walk_exprs)
 from cyclotest.interp import DecisionRecord, DecisionTrace
 from cyclotest.kernel import CycleRecord
 from cyclotest.mediator import CycleObservation, ProtocolError
@@ -279,10 +280,8 @@ def unreachable_leaves_bruteforce(ast) -> set:
                        for bits in itertools.product(*values)]
 
     def satisfied(factors, env, held) -> bool:
-        def held_eval(node):
-            return held[(print_expr(node.formula), node.duration_ms)]
-
-        return all(eval_expr(f, env, held_eval) for f in factors)
+        return all(eval_expr(_map_held(f, lambda node: Const(
+            held[(print_expr(node.formula), node.duration_ms)])), env) for f in factors)
 
     return {pc.leaf_id for pc in enumerate_test_cases(ast)
             if not any(satisfied(pc.factors, env, held) for env, held in atom_valuations)}

@@ -966,14 +966,23 @@ def _subprocess(module, argv, stdout=subprocess.PIPE):
 
 
 FAKE_SUBJECT = [sys.executable, str(Path(__file__).resolve().parent / "fake_subject.py")]
-FAULTS = ["no-time", "bad-output", "time-back", "bool-cycle", "float-cycle", "no-state",
-          "partial-line", "trickle"]
+# each fault of tests/fake_subject.py, with the reason that its run prints
+FAULTS = {
+    "no-time": "observation sys_time_ms None is not an integer",
+    "bad-output": "observation outputs 'heating' = 'x' is not an integer",
+    "time-back": "system time went back from 1000 ms to 500 ms",
+    "bool-cycle": "observation cycle True is not an integer",
+    "float-cycle": "observation cycle 1.0 is not an integer",
+    "no-state": "observation state None do not match the model",
+    "partial-line": "no observation within 1.0 s",
+    "trickle": "no observation within 1.0 s",
+}
 
 
 class TestMisbehavingSubject:
     @pytest.mark.parametrize("fault", FAULTS)
     def test_stdio_fault_exit_3_without_traceback(self, fault):
-        self._assert_mediator_failure("stdio:" + shlex.join(FAKE_SUBJECT + [fault]))
+        self._assert_mediator_failure("stdio:" + shlex.join(FAKE_SUBJECT + [fault]), fault)
 
     @pytest.mark.parametrize("fault", FAULTS)
     def test_tcp_fault_exit_3_without_traceback(self, fault):
@@ -981,12 +990,12 @@ class TestMisbehavingSubject:
                               text=True) as server:
             try:
                 address = server.stdout.readline().split()[-1]
-                self._assert_mediator_failure("tcp:" + address)
+                self._assert_mediator_failure("tcp:" + address, fault)
             finally:
                 server.kill()
 
     @staticmethod
-    def _assert_mediator_failure(sut):
+    def _assert_mediator_failure(sut, fault):
         started = time.monotonic()
         proc = _subprocess("cyclotest.cli", ["run", "--model", MODEL_PATH, "--sut", sut,
                                              "--timeout", "1", "--json", "--deterministic"]
@@ -994,8 +1003,11 @@ class TestMisbehavingSubject:
         # one timed-out reply line and one timed-out wait for a stdio child at most
         assert time.monotonic() - started < 10
         assert proc.returncode == 3, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert json.loads(proc.stdout)["verdicts"]["MediatorFailure"] == 1
+        # one line that gives the reason
+        assert proc.stderr == "error: %s\n" % FAULTS[fault]
+        payload = json.loads(proc.stdout)
+        assert payload["verdicts"]["MediatorFailure"] == 1
+        assert payload["error"] is None
 
     def test_raising_inproc_subject_exit_3(self, capsys, monkeypatch):
         class Raising:
@@ -1003,10 +1015,11 @@ class TestMisbehavingSubject:
                 raise RuntimeError("actuator fault")
 
         monkeypatch.setattr(cyclotest.iron, "IronSut", lambda *args: Raising())
-        code, out, _ = _run(capsys, ["run", "--model", MODEL_PATH, "--json",
-                                     "--deterministic"] + DESK)
+        code, out, err = _run(capsys, ["run", "--model", MODEL_PATH, "--json",
+                                       "--deterministic"] + DESK)
         assert code == 3
         assert json.loads(out)["verdicts"] == {"MediatorFailure": 1}
+        assert err == "error: subsystem 'iron' failed: actuator fault\n"
 
 
 class TestRunConfigFromArguments:

@@ -504,19 +504,25 @@ class TestOracleMemo:
 
     def test_states_and_steps_past_the_cap_are_not_kept(self, monkeypatch):
         monkeypatch.setattr(contracts, "MEMO_CAP", 2)
-        states = []
+        specs, states = {}, []
         real_apply = contracts.Specification.apply_stimulus
-        monkeypatch.setattr(contracts.Specification, "apply_stimulus",
-                            lambda spec, inputs: states.append(spec.state)
-                            or real_apply(spec, inputs))
+
+        def apply_stimulus(spec, inputs):
+            specs[id(spec)] = spec
+            states.append(spec.state)
+            return real_apply(spec, inputs)
+
+        monkeypatch.setattr(contracts.Specification, "apply_stimulus", apply_stimulus)
         result = cli.run_campaign(desk_config())
         assert len(result.log.entries) == len(states) == 216
+        (spec,) = specs.values()
         interned = {id(s): s for s in states if s.number is not None}.values()
         assert sorted(s.number for s in interned) == [0, 1]
-        assert sum(len(s.successors) for s in interned) <= 2
-        # a state not interned remembers no step
+        assert len(spec._steps) <= 2
+        # a state not interned remembers no step, and no step leads to one
         assert any(s.number is None for s in states)
-        assert not any(s.successors for s in states if s.number is None)
+        assert all(pre in (0, 1) and successor.number is not None
+                   for (pre, _, _), (_, successor, _) in spec._steps.items())
 
     def test_each_distinct_cycle_evaluated_once(self, monkeypatch):
         seen = []

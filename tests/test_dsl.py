@@ -296,12 +296,14 @@ def _check_decomposition(ast, depth):
 
 
 def _eval_original(ast, inputs, state_pre, compound):
-    from cyclotest.dsl import Decision, eval_expr
+    from cyclotest.dsl import Const, Decision, _map_held, eval_expr
 
     env = {**{k: int(v) for k, v in state_pre.items()}, **{k: int(v) for k, v in inputs.items()}}
     node = ast.body
     while isinstance(node, Decision):
-        outcome = eval_expr(node.condition, env, compound.held_eval)
+        # each held() node is its window's value this cycle
+        condition = _map_held(node.condition, lambda held: Const(compound.held_eval(held)))
+        outcome = eval_expr(condition, env)
         node = node.then_branch if outcome else node.else_branch
     outputs = {}
     state_post = dict(state_pre)

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import os
 import random
 import re
 import sys
@@ -11,6 +12,7 @@ import pytest
 from conftest import CLASH_SRC
 from oracles import check_observation_reference
 
+from cyclotest import mediator
 from cyclotest.contracts import Specification, SpecificationState, VerdictKind
 from cyclotest.dsl import extract_predicates, parse_model
 from cyclotest.iron import IronSut, DESK_DURATIONS_MS
@@ -540,6 +542,56 @@ class TestSyncState:
         assert spec.sys_time_ms == 123_456
         assert spec.state.holds == (23_456, None, 23_456)
         assert spec.state.flags == spec.hold_table.flags(spec.state.holds)
+
+
+class TestReadline:
+    """``_StreamLink._readline`` over reads that ``os.read`` returns in
+    given chunks, from a pipe that is always readable."""
+
+    OBSERVATION = (b'{"type": "observation", "cycle": 0, "sys_time_ms": 1000, '
+                   b'"outputs": {"heating": 1}, "state": {}}\n')
+    SHUTDOWN = b'{"type": "shutdown"}\n'
+
+    @pytest.fixture
+    def read_chunks(self, iron_desk, monkeypatch):
+        """The lines ``_readline`` returns, until end of stream, when each
+        read gets the next of ``chunks``."""
+        readable, writable = os.pipe()
+        os.write(writable, b"x")
+        link = _StreamLink(iron_desk, 1000, timeout_s=1.0)
+        link._fd = readable
+
+        def read_chunks(chunks):
+            queue = list(chunks)
+            monkeypatch.setattr(mediator.os, "read", lambda fd, n: queue.pop(0) if queue else b"")
+            lines = []
+            while True:
+                line = link._readline()
+                if not line:
+                    return lines
+                lines.append(line)
+
+        yield read_chunks
+        monkeypatch.undo()
+        os.close(readable)
+        os.close(writable)
+
+    def test_two_lines_split_at_every_offset(self, read_chunks):
+        stream = self.OBSERVATION + self.SHUTDOWN
+        for at in range(len(stream)):  # at 0, the whole stream in one read
+            chunks = [part for part in (stream[:at], stream[at:]) if part]
+            assert read_chunks(chunks) == [self.OBSERVATION, self.SHUTDOWN], at
+
+    def test_one_byte_per_read(self, read_chunks):
+        stream = self.OBSERVATION + self.SHUTDOWN
+        assert read_chunks([stream[i:i + 1] for i in range(len(stream))]) == [
+            self.OBSERVATION, self.SHUTDOWN]
+
+    def test_a_line_cut_off_by_the_end_of_stream(self, read_chunks):
+        partial = self.OBSERVATION[:-9]
+        for at in range(1, len(partial)):
+            assert read_chunks([partial[:at], partial[at:]]) == [partial], at
+        assert read_chunks([self.SHUTDOWN + partial]) == [self.SHUTDOWN, partial]
 
 
 class TestStdioTransport:

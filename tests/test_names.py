@@ -19,7 +19,6 @@ PACKAGE = ROOT / "src" / "cyclotest"
 
 # name -> why it stays although nothing in src/ or bench/ reads it
 UNREFERENCED = {
-    "contracts.Verdict.detail": "a failing run's expected against actual (ROADMAP item 6)",
     "contracts.Verdict.mismatches": "a failing run's expected against actual (ROADMAP item 6)",
     "dsl.parse_expression": "the tests' round-trip reference for printed conditions",
     "dsl.print_model": "the tests' round-trip reference for parsed models",

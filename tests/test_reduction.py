@@ -8,8 +8,10 @@ from conftest import GUARD_SRC, TANK_SRC
 
 from cyclotest import reduction
 from cyclotest.dsl import (
+    Const,
     Held,
     ModelError,
+    _map_held,
     check_model,
     eval_expr,
     extract_predicates,
@@ -357,11 +359,12 @@ class TestPrintedReduction:
                 for bits in itertools.product((0, 1), repeat=len(keys)):
                     held = dict(zip(keys, bits))
 
-                    def held_eval(node):
-                        return held[(print_expr(node.formula), node.duration_ms)]
+                    def atoms(expr):  # each held() node as its bit
+                        return _map_held(expr, lambda node: Const(
+                            held[(print_expr(node.formula), node.duration_ms)]))
 
-                    want = all(eval_expr(f, env, held_eval) for f in pc.factors)
-                    got = bool(eval_expr(parsed, env, held_eval))
+                    want = all(eval_expr(atoms(f), env) for f in pc.factors)
+                    got = bool(eval_expr(atoms(parsed), env))
                     assert got == want, (pc.id, str(pc), env, held)
 
         # rewritten cases and projections: predicate ids vary like variables
