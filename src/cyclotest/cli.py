@@ -114,6 +114,7 @@ class CampaignResult:
     error: Optional[str] = None
     error_code: int = EXIT_OK
     kernel: Optional[Kernel] = None  # an in-process subject's, for its cycle records
+    failures: tuple = ()  # piecemeal: (node id, failing verdict) of each failing part
 
     def __getstate__(self):
         # the automaton holds scenario closures, which do not pickle: a pool
@@ -245,7 +246,9 @@ def run_campaign(config: RunConfig) -> CampaignResult:
     merged.failure = min((r.log.failure for r in results if r.log.failure is not None),
                          key=lambda v: v.kind is not VerdictKind.MEDIATOR_FAILURE, default=None)
     failed = next((r for r in results if r.error is not None), results[0])
-    return CampaignResult(merged, report, None, failed.error, failed.error_code)
+    failures = tuple((part.node_id, r.log.failure) for part, r in zip(parts, results)
+                     if r.log.failure is not None)
+    return CampaignResult(merged, report, None, failed.error, failed.error_code, failures=failures)
 
 
 def _usable_cpus() -> int:
@@ -410,9 +413,10 @@ def cmd_run(args) -> tuple:
         if result.error:
             lines.append("  error: %s" % result.error)
         lines.append(result.report.to_text())
-    failure = result.log.failure
-    if failure is not None and failure.kind is VerdictKind.MEDIATOR_FAILURE:
-        print("error: %s" % failure.detail, file=sys.stderr)
+    for node, failure in result.failures or [(None, result.log.failure)]:
+        if failure is not None and failure.kind is VerdictKind.MEDIATOR_FAILURE:
+            part = "" if node is None else "part %s: " % node
+            print("error: %s%s" % (part, failure.detail), file=sys.stderr)
     if result.error:
         print("traversal error: %s" % result.error, file=sys.stderr)
     return result.exit_code(config.required), lines

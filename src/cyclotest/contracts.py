@@ -6,9 +6,11 @@ parameters get pre-values, temporal parameters get the post-exchange flags),
 state synchronization, and finally the postcondition comparing observed
 outputs and visible state against the reference values.  Each check runs
 once per stimulus; only a refused call is checked again, to word its reason.
-The admission is generated per model and compiled at the first stimulus, as
-the link's observation check is at the first observation
-(:class:`mediator.MediatorLink`).
+One generated function per specification, compiled at the first stimulus,
+judges a stimulus in one frame: it admits the call, exchanges it, and judges a
+step the specification remembers; the link's generated observation check
+(:class:`mediator.MediatorLink`) runs inside the exchange.  Every other case
+is judged by one Python method.
 
 The predicate/flag update, the reference run and, on a passing cycle, the
 synchronized state are together the cycle's step, a function of the inputs,
@@ -99,9 +101,9 @@ class Specification:
     """One specification function per subject, with verdicts per stimulus.
 
     The precondition admits exactly the declared inputs, each an integer (a
-    bool counts) inside its domain.  A generated function per model admits a
-    call and copies its inputs as ``int``s, which the link and the model see
-    (:meth:`_admit`); :meth:`check_precondition` words a refused call's
+    bool counts) inside its domain.  The generated judge admits a call and
+    copies its inputs as ``int``s, which the link and the model see
+    (:meth:`_judge`); :meth:`check_precondition` words a refused call's
     reason.
     Every reference run's decision trace accumulates into ``coverage``.
 
@@ -114,12 +116,12 @@ class Specification:
     pre-state's number (so no hold record is hashed), the admitted input
     values in ``model.input_names`` order and the ms elapsed since the
     previous observation (0 on the first): a remembered step is one lookup,
-    the postcondition, and the move to the successor the table holds.
-    A step not remembered is taken afresh: the hold-table step, the flags,
-    the reference lookup, :func:`mediator.sync_state` and the postcondition.
-    If that passes, the synchronized state is interned and the step
-    remembered; a failing postcondition leaves the state that ``sync_state``
-    gave, un-interned, and remembers nothing.
+    the postcondition, and the move to the successor the table holds, all
+    in the judge.  A step not remembered is taken afresh: the hold-table
+    step, the flags, the reference lookup, :func:`mediator.sync_state` and
+    the postcondition.  If that passes, the synchronized state is interned
+    and the step remembered; a failing postcondition leaves the state that
+    ``sync_state`` gave, un-interned, and remembers nothing.
 
     A reference run is remembered by its cycle, the input values with the
     pre-state's ``values`` and flags in ``hold_table.predicate_ids`` order; a
@@ -136,13 +138,12 @@ class Specification:
         self.link = link
         self.hold_table = temporal.HoldTable(extraction.predicates, strict_held)
         self.coverage = CoverageReport.for_model(self.model)
-        self._readable = self.model.readable_names
         self._inputs_at = _values_at(self.model.input_names)
         self._state_at = _values_at(tuple(d.name for d in self.model.state_vars))
         self._flags_at = _values_at(self.hold_table.predicate_ids)
         self._memo: dict = {}  # cycle -> (outputs, state_post, trace), shared
         self._interned: dict = {}  # (state values, holds) -> the one such state
-        self._steps: dict = {}  # (pre number, inputs, ms) -> (outputs, successor, trace)
+        self._steps: dict = {}  # (pre number, *inputs, ms) -> (outputs, successor, trace)
         self.sys_time_ms: Optional[int] = None
         initial = self.hold_table.initial
         self.state = self._intern(SpecificationState(
@@ -209,64 +210,77 @@ class Specification:
                 self._memo[key] = result
         return result
 
-    def _admit(self, inputs: Mapping) -> Optional[tuple]:
-        """None if ``inputs`` may not be applied; else the admitted call, a
-        dict of each declared input as an ``int``, and its values in
-        ``model.input_names`` order, shaped as :func:`_values_at` shapes them.
+    def apply_stimulus(self, inputs: Mapping) -> Verdict:
+        return self._judge(self, inputs)
 
-        The first call compiles the model's admission and binds it over this
-        method: one check per input, its name only as a ``repr``'d dict key
-        and its domain's bounds inlined as ``int``s.  An exact ``int`` is its
-        own copy; an ``int`` subclass is converted once its raw value is
-        inside the domain."""
-        names = self.model.input_names
+    @staticmethod
+    def _judge(spec: Specification, inputs: Mapping) -> Verdict:
+        """``spec``'s verdict on ``inputs``.  The first call compiles the
+        model's judge, which refers to no specification, and binds it on
+        ``spec`` over this method.  In one frame it admits the call (names as
+        ``repr``'d keys, bounds inlined; an ``int`` subclass is converted once
+        inside its domain), exchanges it and, for a step ``_steps`` remembers
+        whose outputs and readable state match, moves to the successor and
+        passes.  Every other case goes to :meth:`_judge_rest`."""
+        model = spec.model
+        names = model.input_names
         local = ["v%d" % i for i in range(len(names))]  # the values, as locals
-        lines = ["def admit(inputs):",
-                 " if len(inputs) != %d:" % len(names), "  return None"]
+        refuse = "return rest(spec, inputs, None, None)"
+        lines = ["def judge(spec, inputs):", " if len(inputs) != %d: %s" % (len(names), refuse)]
         for v, name in zip(local, names):
-            domain = self.model.domains[name]
+            domain = model.domains[name]
             lines += [" %s = inputs.get(%r)" % (v, name),
                       " if type(%s) is not int:" % v,
                       "  if not isinstance(%s, int) or %s not in range(%d, %d):"
                       % (v, v, domain.start, domain.stop),
-                      "   return None",
+                      "   " + refuse,
                       "  %s = int(%s)" % (v, v),
                       " elif not %d <= %s <= %d:" % (domain.start, v, domain[-1]),
-                      "  return None"]
-        key = local[0] if len(local) == 1 else "(%s)" % "".join(v + ", " for v in local)
-        lines.append(" return {%s}, %s" % (", ".join(
-            "%r: %s" % (name, v) for name, v in zip(names, local)), key))
-        self._admit = compile_function(lines, "admit", "<admission>", {"__name__": __name__})
-        return self._admit(inputs)
+                      "  " + refuse]
+        lines += [" admitted = {%s}" % ", ".join("%r: %s" % nv for nv in zip(names, local)),
+                  " try:",
+                  "  obs = spec.link.exchange(admitted)",  # (cycle, time, outputs, state)
+                  " except MediatorError as exc:",
+                  "  return rest(spec, admitted, None, exc)",
+                  " last = spec.sys_time_ms",
+                  " key = spec.state.number, %s0 if last is None else obs[1] - last"
+                  % "".join(v + ", " for v in local),
+                  " step = spec._steps.get(key)",
+                  " if step is not None and step[0] == obs[2]%s:" % "".join(
+                      " and step[1].state_vars[%r] == obs[3][%r]" % (name, name)
+                      for name in model.readable_names),
+                  "  spec.sys_time_ms = obs[1]",
+                  "  spec.state = step[1]",
+                  "  return new(Verdict, (PASS, '', obs[0], (), step[2], obs))",
+                  " return rest(spec, admitted, key, obs, step)"]
+        spec._judge = judge = compile_function(lines, "judge", "<judge>", {
+            "__name__": __name__, "MediatorError": MediatorError, "Verdict": Verdict,
+            "PASS": PASS, "new": tuple.__new__, "rest": type(spec)._judge_rest})
+        return judge(spec, inputs)
 
-    def apply_stimulus(self, inputs: Mapping) -> Verdict:
-        checked = self._admit(inputs)
-        if checked is None:
+    def _judge_rest(self, inputs: Mapping, key: Optional[tuple], outcome,
+                    step: Optional[tuple] = None) -> Verdict:
+        """The verdict on a refused call ``inputs`` (``outcome`` None), or on
+        the admitted call ``inputs`` whose exchange gave ``outcome``: a
+        :class:`MediatorError`, or an observation that the judge does not
+        pass on the step ``key``, which ``_steps`` maps to ``step``."""
+        if outcome is None:
             return Verdict(VerdictKind.PRECONDITION_VIOLATION, self.check_precondition(inputs),
                            self.link.next_cycle)
-        admitted, values = checked
-        pre = self.state  # its variables, hold record and flags never change
-
-        try:
-            obs = self.link.exchange(admitted)
-        except MediatorError as exc:
-            return Verdict(VerdictKind.MEDIATOR_FAILURE, str(exc), self.link.next_cycle)
-
-        last, self.sys_time_ms = self.sys_time_ms, obs.sys_time_ms
-        # a state not interned has no number, and no step is remembered from it
-        key = pre.number, values, 0 if last is None else obs.sys_time_ms - last
-        step = self._steps.get(key)
-        if step is None:
-            stepped = mediator.step_predicates(self.hold_table, pre, admitted, key[2])
-            ref_outputs, ref_post, trace = self.reference(admitted, pre.state_vars, stepped[1],
-                                                          (values, pre.values))
+        if isinstance(outcome, MediatorError):
+            return Verdict(VerdictKind.MEDIATOR_FAILURE, str(outcome), self.link.next_cycle)
+        obs, pre = outcome, self.state  # the pre-state's variables, holds and flags never change
+        self.sys_time_ms = obs.sys_time_ms
+        if step is None:  # a state not interned has no number, and remembers no step
+            stepped = mediator.step_predicates(self.hold_table, pre, inputs, key[-1])
+            ref_outputs, ref_post, trace = self.reference(inputs, pre.state_vars, stepped[1],
+                                                          (self._inputs_at(inputs), pre.values))
             post = mediator.sync_state(pre, obs, ref_post, stepped)
         else:
             ref_outputs, post, trace = step
             ref_post = post.state_vars
 
-        visible = obs.visible_state
-        readable = self._readable
+        visible, readable = obs.visible_state, self.model.readable_names
         if ref_outputs != obs.outputs or (readable
                                           and any(ref_post[n] != visible[n] for n in readable)):
             mismatches = [Mismatch(n, ref_outputs[n], obs.outputs[n])

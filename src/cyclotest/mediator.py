@@ -107,8 +107,8 @@ class MediatorLink:
     observation is checked here once; later stages trust it.  A remote
     subject's whole observation is checked; an in-process subject's cycle and
     system time are its kernel's, so only the values it returned are.  The
-    test of the values is generated per model and compiled at the link's
-    first observation (:meth:`_fits`), so building a link compiles nothing."""
+    check of the values is generated per link and compiled at its first
+    observation (:meth:`_check_values`), so building a link compiles nothing."""
 
     def __init__(self, model: ModelAst):
         self.model = model
@@ -132,42 +132,36 @@ class MediatorLink:
         if not (type(cycle) is int and cycle == self.next_cycle and type(sys_time_ms) is int
                 and (last is None or sys_time_ms >= last)):
             self._reject(cycle, sys_time_ms, outputs, state)
-        return self._check_values(cycle, sys_time_ms, outputs, state)
+        return self._check_values(self, cycle, sys_time_ms, outputs, state)
 
-    def _check_values(self, cycle, sys_time_ms, outputs, state) -> CycleObservation:
-        """The observation, with copies of its dicts, if its outputs and
-        state fit (:meth:`_fits`); the cycle and system time are taken as
-        fitting.  Otherwise a :class:`ProtocolError` names the first misfit."""
-        if not self._fits(outputs, state):
-            self._reject(cycle, sys_time_ms, outputs, state)
-        self._last_sys_time_ms = sys_time_ms
-        self.next_cycle += 1
-        return tuple.__new__(CycleObservation, (cycle, sys_time_ms, dict(outputs), dict(state)))
-
-    def _fits(self, outputs, state) -> bool:
-        """Whether outputs and state are each a dict of exactly the model's
-        names, each an ``int`` inside its domain.
-
-        The first call compiles the model's test and binds it over this
-        method: one check per name, the name only as a ``repr``'d dict key and
-        its domain's bounds inlined as ``int``s."""
-        model = self.model
-        lines = ["def fits(outputs, state):",
+    @staticmethod
+    def _check_values(link: MediatorLink, cycle, sys_time_ms, outputs, state) -> CycleObservation:
+        """``link``'s observation, with copies of its dicts, and the link
+        advanced, if its outputs and state are each a dict of exactly the
+        model's names, each an ``int`` inside its domain (its cycle and system
+        time are taken as fitting); else :meth:`_reject` names the first
+        misfit.  The first call compiles the model's check, which refers to no
+        link, and binds it on ``link`` over this method."""
+        model = link.model
+        reject = "  link._reject(cycle, sys_time_ms, outputs, state)"
+        lines = ["def check(link, cycle, sys_time_ms, outputs, state):",
                  " if not (isinstance(outputs, dict) and len(outputs) == %d"
                  " and isinstance(state, dict) and len(state) == %d):"
-                 % (len(model.output_names), len(model.readable_names)),
-                 "  return False"]
+                 % (len(model.output_names), len(model.readable_names)), reject]
+        copies = []
         for part, names in (("outputs", model.output_names), ("state", model.readable_names)):
-            for name in names:
+            local = ["%s%d" % (part[0], i) for i in range(len(names))]
+            for v, name in zip(local, names):
                 domain = model.domains[name]
-                lines += [" v = %s.get(%r)" % (part, name),
-                          " if type(v) is not int or not %d <= v <= %d:"
-                          % (domain.start, domain[-1]),
-                          "  return False"]
-        lines.append(" return True")
-        self._fits = compile_function(lines, "fits", "<observation check>",
-                                      {"__name__": __name__})
-        return self._fits(outputs, state)
+                lines += [" %s = %s.get(%r)" % (v, part, name),
+                          " if type(%s) is not int or not %d <= %s <= %d:"
+                          % (v, domain.start, v, domain[-1]), reject]
+            copies.append("{%s}" % ", ".join("%r: %s" % nv for nv in zip(names, local)))
+        lines += [" link._last_sys_time_ms = sys_time_ms", " link.next_cycle += 1",
+                  " return new(CycleObservation, (cycle, sys_time_ms, %s, %s))" % tuple(copies)]
+        link._check_values = check = compile_function(lines, "check", "<observation check>", {
+            "__name__": __name__, "CycleObservation": CycleObservation, "new": tuple.__new__})
+        return check(link, cycle, sys_time_ms, outputs, state)
 
     def _reject(self, cycle, sys_time_ms, outputs, state) -> None:
         """Raise a :class:`ProtocolError` naming the observation's first misfit,
@@ -216,14 +210,17 @@ class InProcessLink(MediatorLink):
             state = self._visible_state()
         except Exception as exc:
             raise MediatorError("subsystem '%s' failed: %s" % (self.model.name, exc)) from exc
-        return self._check_values(len(kernel.exec_time_us) - 1, kernel.sys_time_ms,
+        return self._check_values(self, len(kernel.exec_time_us) - 1, kernel.sys_time_ms,
                                   outputs, state)
 
 
 class _StreamLink(MediatorLink):
     """NDJSON request/response over a byte stream.  A transport sends with
     :meth:`_send` and sets ``_fd`` to the file descriptor its replies arrive
-    on before the handshake, whose hello must announce ``cycle_period_ms``."""
+    on before the handshake, whose hello must announce ``cycle_period_ms``.
+    A line is capped at the model's hello and longest observation together."""
+
+    LINE_SLACK = 1 << 20  # bytes more; a line of 200 KB refused as too deep keeps that reason
 
     def __init__(self, model: ModelAst, cycle_period_ms: int, timeout_s: float):
         super().__init__(model)
@@ -231,6 +228,11 @@ class _StreamLink(MediatorLink):
         self.timeout_s = timeout_s
         self._fd = -1
         self._pending = bytearray()  # bytes read past the last complete line
+        # every name's longest value, and a cycle and system time of 20 digits
+        longest = {name: max(d[0], d[-1], key=lambda v: len(str(v)))
+                   for name, d in model.domains.items()}
+        self.line_cap = self.LINE_SLACK + len(json.dumps(
+            [hello_for_model(model, cycle_period_ms), longest, 10**19, 10**19]))
 
     def _send(self, message: WireMessage) -> None:
         raise NotImplementedError
@@ -239,13 +241,14 @@ class _StreamLink(MediatorLink):
         """One line, or what is left at end of stream; the timeout bounds the
         whole line, so a subject that stalls or trickles mid-line times out
         too.  Only each new chunk is searched for the newline, so a line
-        costs time linear in its length."""
+        costs time linear in its length; a line longer than ``line_cap`` is
+        a :class:`ProtocolError` once that many bytes of it are read."""
         deadline = time.monotonic() + self.timeout_s
         poll = select.poll()
         poll.register(self._fd, select.POLLIN)
-        pending = self._pending
+        pending, cap = self._pending, self.line_cap
         end = pending.find(b"\n")
-        while end < 0:
+        while end < 0 and len(pending) <= cap:
             remaining = deadline - time.monotonic()
             if remaining <= 0 or not poll.poll(remaining * 1000):
                 raise ExchangeTimeout("no observation within %.1f s" % self.timeout_s)
@@ -259,6 +262,8 @@ class _StreamLink(MediatorLink):
             start = len(pending)
             pending += chunk
             end = pending.find(b"\n", start)
+        if end > cap or end < 0 < len(pending):  # a line too long, or too long so far
+            raise ProtocolError("line longer than %d bytes" % cap)
         line = bytes(pending[:end + 1])
         del pending[:end + 1]
         return line
@@ -366,17 +371,18 @@ class StdioLink(_StreamLink):
         self._release()
 
     def _release(self) -> None:
-        """Close both pipes and reap the child, killing it if it lingers."""
+        """Close both pipes and reap the child, killing it if it lingers.  A
+        child blocked writing to its stdout gets a broken pipe at once."""
         try:
             self.proc.stdin.close()
         except OSError:
             pass
+        self.proc.stdout.close()
         try:
             self.proc.wait(timeout=self.timeout_s)
         except subprocess.TimeoutExpired:
             self.proc.kill()
             self.proc.wait()
-        self.proc.stdout.close()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # oracles.py
 
+import cyclotest
 from cyclotest.cli import RunConfig, run_campaign
 from cyclotest.dsl import extract_predicates
 from cyclotest.iron import iron_model, iron_source
@@ -54,9 +56,9 @@ model guard {
 """
 
 
-# a model whose names are those of the generated admission and observation
-# test (their parameters, locals and the builtins they call), but for the
-# keywords 'state' and 'int'
+# two models whose names are those of the generated judge and observation
+# check (their parameters, locals, globals and the builtins they call), but
+# for the keywords 'state' and 'int'
 CLASH_SRC = """\
 model clash {
   input inputs: bool;
@@ -83,6 +85,67 @@ model clash {
   }
 }
 """
+
+
+JUDGE_CLASH_SRC = """\
+model judge {
+  input spec: bool;
+  input admitted: int 0..2;
+  input key: bool;
+  input exc: bool;
+  output obs: int 0..2;
+  output step: bool;
+  output rest: bool;
+  output new: bool;
+  output sys_time_ms: bool;
+  output PASS: bool;
+  output Verdict: bool;
+  output MediatorError: bool;
+  output CycleObservation: bool;
+  state last: int 0..2 readable = 0;
+  state link: bool readable = 0;
+  state o0: bool readable = 0;
+  state s0: bool hidden = 0;
+  state cycle: bool hidden = 0;
+
+  logic {
+    if (spec && held(key && !s0, 2s)) {
+      obs = admitted;
+      step = link;
+      rest = o0;
+      new = cycle;
+      last = admitted;
+      link = key;
+      sys_time_ms = spec;
+      PASS = exc;
+      Verdict = key;
+      MediatorError = o0;
+      CycleObservation = cycle;
+    } else {
+      obs = last;
+      step = s0;
+      rest = exc;
+      new = link;
+      o0 = spec;
+      s0 = exc;
+      cycle = o0;
+      sys_time_ms = exc;
+      PASS = key;
+      Verdict = spec;
+      MediatorError = link;
+      CycleObservation = s0;
+    }
+  }
+}
+"""
+
+
+@pytest.fixture
+def subject_env(monkeypatch):
+    # a stdio subject started by this process runs this checkout's sources
+    src = str(Path(cyclotest.__file__).resolve().parents[1])
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
 @pytest.fixture(scope="session")

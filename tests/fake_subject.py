@@ -15,7 +15,8 @@ that has one fault:
 * ``no-state``: the observation leaves out ``state``;
 * ``partial-line``: the observation stops before its end and the subject
   stalls for 30 s without writing a newline;
-* ``trickle``: the observation is written one byte every 0.5 s.
+* ``trickle``: the observation is written one byte every 0.5 s;
+* ``flood``: in place of the first observation, 64 MiB with no newline.
 """
 import json
 import socket
@@ -23,7 +24,7 @@ import sys
 import time
 
 FAULTS = ("no-time", "bad-output", "time-back", "bool-cycle", "float-cycle", "no-state",
-          "partial-line", "trickle")
+          "partial-line", "trickle", "flood")
 
 
 def serve(fault: str, reader, writer) -> int:
@@ -55,6 +56,10 @@ def serve(fault: str, reader, writer) -> int:
         elif fault == "partial-line":
             write('{"type": "observation"')
             time.sleep(30)
+            return 0
+        elif fault == "flood":
+            for _ in range(64):
+                write("x" * (1 << 20))
             return 0
         elif fault == "trickle":
             for char in json.dumps(obs) + "\n":

@@ -688,14 +688,6 @@ def _defined_in_cyclotest(obj) -> bool:
     return owner.__module__ is None or owner.__module__.startswith("cyclotest")
 
 
-@pytest.fixture
-def subject_env(monkeypatch):
-    # a stdio subject started by this process runs this checkout's sources
-    src = str(Path(cyclotest.__file__).resolve().parents[1])
-    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-
-
 def test_a_run_and_the_analyses_leave_no_garbage(capsys, tmp_path, subject_env):
     """Nothing that a campaign, ``enumerate-states`` or ``reduce`` builds
     waits for the collector: with it off, a collection after each finds no
@@ -976,6 +968,8 @@ FAULTS = {
     "no-state": "observation state None do not match the model",
     "partial-line": "no observation within 1.0 s",
     "trickle": "no observation within 1.0 s",
+    # the model's hello and longest observation, plus the link's slack
+    "flood": "line longer than 1048792 bytes",
 }
 
 
@@ -1007,6 +1001,20 @@ class TestMisbehavingSubject:
         assert proc.stderr == "error: %s\n" % FAULTS[fault]
         payload = json.loads(proc.stdout)
         assert payload["verdicts"]["MediatorFailure"] == 1
+        assert payload["error"] is None
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["in-turn", "pool"])
+    def test_piecemeal_prints_each_failing_part(self, capsys, monkeypatch, cpus):
+        monkeypatch.setattr(cyclotest.cli, "_usable_cpus", lambda: cpus)
+        sut = "stdio:" + shlex.join(FAKE_SUBJECT + ["time-back"])
+        code, out, err = _run(capsys, ["run", "--model", MODEL_PATH, "--sut", sut, "--timeout",
+                                       "1", "--scenario", "piecemeal", "--json",
+                                       "--deterministic"] + DESK)
+        assert code == 3
+        assert err == "".join("error: part %s: %s\n" % (node, FAULTS["time-back"])
+                              for node in ("t", "e"))
+        payload = json.loads(out)
+        assert payload["verdicts"] == {"MediatorFailure": 2, "Pass": 2}
         assert payload["error"] is None
 
     def test_raising_inproc_subject_exit_3(self, capsys, monkeypatch):

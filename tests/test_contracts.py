@@ -1,8 +1,12 @@
 import enum
+import gc
 import itertools
 import json
 import random
+import shlex
+import sys
 import types
+import weakref
 
 import pytest
 from conftest import CLASH_SRC, GUARD_SRC, MODEL_PATH, TANK_SRC, desk_config
@@ -191,10 +195,11 @@ ADMISSION_MODELS += [p for p in _model_sources()
 
 
 class TestAdmissionAgainstReference:
-    """``apply_stimulus``'s generated admission refuses exactly the calls that
+    """The generated judge refuses exactly the calls that
     ``check_precondition`` words a reason for, with that reason and without
     using up a cycle, and hands the subject an admitted call as exact
-    ``int``s; it returns that call with its values in the step key's shape."""
+    ``int``s; it passes that call on, with its values in the step key, in
+    declaration order."""
 
     @staticmethod
     def _stimuli(names, domains) -> list:
@@ -214,35 +219,39 @@ class TestAdmissionAgainstReference:
         return stimuli + [types.MappingProxyType(stimulus) for stimulus in stimuli]
 
     @pytest.mark.parametrize("source", ADMISSION_MODELS)
-    def test_every_enumerated_stimulus(self, source):
+    def test_every_enumerated_stimulus(self, monkeypatch, source):
+        rested = []  # the call, key and outcome the judge leaves to _judge_rest
+        real_rest = Specification._judge_rest
+        monkeypatch.setattr(Specification, "_judge_rest", lambda spec, *args: (
+            rested.append(args[:3]) or real_rest(spec, *args)))
         ex = extract_predicates(parse_model(source))
         model = ex.model
         sut = RecordingSut(model)
         spec = Specification(ex, InProcessLink(model, sut, KernelConfig()))
         stimuli = self._stimuli(model.input_names, model.domains)
-        values_at = contracts._values_at(model.input_names)
         admitted = 0
         for stimulus in stimuli:
             reason = spec.check_precondition(stimulus)
-            checked = spec._admit(stimulus)
-            if reason is None:
-                call = {name: int(stimulus[name]) for name in model.input_names}
-                assert checked == (call, values_at(call))
-            else:
-                assert checked is None
             cycle, seen = spec.link.next_cycle, len(sut.seen)
+            spec._steps.clear()  # so that the judge leaves every call to _judge_rest
             verdict = spec.apply_stimulus(stimulus)
+            call, key, outcome = rested.pop()
             if reason is not None:
                 assert (verdict.kind, verdict.detail, verdict.cycle_index) == (
                     VerdictKind.PRECONDITION_VIOLATION, reason, cycle)
+                assert (call, key, outcome) == (stimulus, None, None)
                 assert (spec.link.next_cycle, len(sut.seen)) == (cycle, seen)
             else:
                 assert verdict.kind is not VerdictKind.PRECONDITION_VIOLATION
+                want = {name: int(stimulus[name]) for name in model.input_names}
+                assert (call, key[1:-1], outcome.cycle) == (want, tuple(want.values()), cycle)
+                assert all(type(value) is int for value in call.values())
                 assert spec.link.next_cycle == cycle + 1
                 [got] = sut.seen[seen:]
-                assert got == {name: int(stimulus[name]) for name in model.input_names}
+                assert got == want
                 assert all(type(value) is int for value in got.values())
                 admitted += 1
+            assert rested == []
         # the valid call and each input set to the IntEnum member that its
         # domain holds, or to True where the domain holds 1, both as a dict
         # and as a mapping proxy
@@ -251,8 +260,10 @@ class TestAdmissionAgainstReference:
 
 
 class TestCompileGuard:
-    """A specification's admission and its link's observation test are
-    generated at their first call, once, and bound over the methods."""
+    """A specification's judge and its link's observation check are
+    generated at their first call, once, and bound on their owner over the
+    methods, but over none of the names that ``bench/`` wraps; neither refers
+    back to its owner."""
 
     @pytest.fixture
     def compiles(self, monkeypatch) -> list:
@@ -270,38 +281,67 @@ class TestCompileGuard:
         spec = _spec(desk_extraction)
         link = ScriptedStreamLink(iron_ast, [_hello_line(iron_ast)])
         assert compiles == []
-        assert "_admit" not in vars(spec)
-        assert "_fits" not in vars(spec.link) and "_fits" not in vars(link)
+        assert "_judge" not in vars(spec)
+        assert "_check_values" not in vars(spec.link) and "_check_values" not in vars(link)
 
     def test_compiled_on_first_stimulus_only(self, compiles, desk_extraction):
         spec = _spec(desk_extraction)
         assert spec.apply_stimulus({"move": 0, "position": 1}).kind is VerdictKind.PASS
-        assert compiles == ["admit", "fits"]
-        admit, fits = vars(spec)["_admit"], vars(spec.link)["_fits"]
-        assert admit.__module__ == "cyclotest.contracts"
-        assert fits.__module__ == "cyclotest.mediator"
-        for move in (1, 0, 1):
+        assert compiles == ["judge", "check"]
+        judge, check = vars(spec)["_judge"], vars(spec.link)["_check_values"]
+        assert judge.__module__ == "cyclotest.contracts"
+        assert check.__module__ == "cyclotest.mediator"
+        for move in (1, 0, 1, 1):
             assert spec.apply_stimulus({"move": move, "position": 1}).kind is VerdictKind.PASS
-        assert compiles == ["admit", "fits"]
-        assert vars(spec)["_admit"] is admit and vars(spec.link)["_fits"] is fits
+        assert compiles == ["judge", "check"]
+        assert vars(spec)["_judge"] is judge and vars(spec.link)["_check_values"] is check
+        # the names that bench/ wraps stay the classes' own
+        assert "apply_stimulus" not in vars(spec)
+        assert "exchange" not in vars(spec.link)
+        assert "run_cycle" not in vars(spec.link.kernel)
+
+    def test_no_reference_back_to_the_owner(self, compiles, desk_extraction):
+        spec = _spec(desk_extraction)
+        for move in (0, 1, 1):
+            spec.apply_stimulus({"move": move, "position": 1})
+        owners = [weakref.ref(spec), weakref.ref(spec.link)]
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            del spec
+            assert [owner() for owner in owners] == [None, None]
+        finally:
+            if collecting:
+                gc.enable()
 
     def test_refused_first_stimulus(self, compiles, desk_extraction):
         spec = _spec(desk_extraction)
         verdict = spec.apply_stimulus({"move": 2, "position": 1})
         assert (verdict.kind, verdict.detail, verdict.cycle_index) == (
             VerdictKind.PRECONDITION_VIOLATION, "input 'move' = 2 outside its domain", 0)
-        assert compiles == ["admit"]
+        assert compiles == ["judge"]
         assert spec.apply_stimulus({"move": 0, "position": 1}).kind is VerdictKind.PASS
-        assert compiles == ["admit", "fits"]
+        assert compiles == ["judge", "check"]
+
+    def test_misfit_first_observation(self, compiles, desk_extraction):
+        sut = ScriptedSut([({"heating": 2}, {}), ({"heating": 1}, {})])
+        spec = _spec(desk_extraction, sut)
+        verdict = spec.apply_stimulus({"move": 0, "position": 0})
+        assert (verdict.kind, verdict.detail, verdict.cycle_index) == (
+            VerdictKind.MEDIATOR_FAILURE, "observation outputs 'heating' = 2 is outside its "
+            "domain", 0)
+        assert compiles == ["judge", "check"]
+        assert spec.apply_stimulus({"move": 0, "position": 0}).kind is VerdictKind.PASS
+        assert (compiles, spec.link.next_cycle) == (["judge", "check"], 1)
 
     def test_refused_first_observation(self, compiles, iron_ast):
         sut = ScriptedSut([({"heating": 2}, {}), ({"heating": 1}, {})])
         link = InProcessLink(iron_ast, sut, KernelConfig())
         with pytest.raises(ProtocolError, match="^observation outputs 'heating' = 2 is outside"):
             link.exchange({"move": 0, "position": 0})
-        assert compiles == ["fits"]
+        assert compiles == ["check"]
         assert link.exchange({"move": 0, "position": 0}).outputs == {"heating": 1}
-        assert (compiles, link.next_cycle) == (["fits"], 1)
+        assert (compiles, link.next_cycle) == (["check"], 1)
 
     def test_streamed_observation(self, compiles, iron_ast):
         observation = {"type": "observation", "sys_time_ms": 0, "outputs": {"heating": 1},
@@ -310,7 +350,7 @@ class TestCompileGuard:
             (json.dumps(dict(observation, cycle=cycle)) + "\n").encode() for cycle in (0, 1)])
         for cycle in (0, 1):
             assert link.exchange({"move": 0, "position": 0}).cycle == cycle
-        assert compiles == ["fits"]
+        assert compiles == ["check"]
 
 
 class TestDerivedOnce:
@@ -456,12 +496,20 @@ class TestOracleMemo:
 
     @pytest.mark.parametrize("scale, sut", [("desk", "inproc:iron")]
                              + [("desk", "inproc:iron:" + m) for m in MUTANT_IDS]
-                             + [("paper", "inproc:iron")])
+                             + [("paper", "inproc:iron"), ("paper-seed-3", "inproc:iron"),
+                                ("paper-piecemeal", "inproc:iron"), ("desk", "stdio")])
     @pytest.mark.parametrize("cap", CAPS)
-    def test_campaign_equals_the_plain_oracle(self, monkeypatch, scale, sut, cap):
-        # the paper-scale campaign takes 4,641 distinct steps
-        config = (desk_config(sut=sut) if scale == "desk"
-                  else cli.RunConfig(model_path=MODEL_PATH, sut=sut))
+    def test_campaign_equals_the_plain_oracle(self, monkeypatch, subject_env, scale, sut, cap):
+        # the paper-scale campaign takes 4,641 distinct steps; over stdio the
+        # judge takes its observations from a stream link
+        if sut == "stdio":
+            sut = "stdio:" + shlex.join([sys.executable, "-m", "cyclotest.iron_sut",
+                                         "--durations", "3000,5000"])
+        config = {"desk": desk_config(sut=sut),
+                  "paper": cli.RunConfig(model_path=MODEL_PATH, sut=sut),
+                  "paper-seed-3": cli.RunConfig(model_path=MODEL_PATH, sut=sut, seed=3),
+                  "paper-piecemeal": cli.RunConfig(model_path=MODEL_PATH, sut=sut,
+                                                   scenario="piecemeal")}[scale]
         monkeypatch.setattr(contracts, "MEMO_CAP", cap)
         memo_specs = _recording(monkeypatch, Specification)
         memo = cli.run_campaign(config)
@@ -522,7 +570,7 @@ class TestOracleMemo:
         # a state not interned remembers no step, and no step leads to one
         assert any(s.number is None for s in states)
         assert all(pre in (0, 1) and successor.number is not None
-                   for (pre, _, _), (_, successor, _) in spec._steps.items())
+                   for (pre, *_), (_, successor, _) in spec._steps.items())
 
     def test_each_distinct_cycle_evaluated_once(self, monkeypatch):
         seen = []

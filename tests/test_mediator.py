@@ -5,11 +5,12 @@ import os
 import random
 import re
 import sys
+import time
 import types
 import weakref
 
 import pytest
-from conftest import CLASH_SRC
+from conftest import CLASH_SRC, JUDGE_CLASH_SRC
 from oracles import check_observation_reference
 
 from cyclotest import mediator
@@ -321,7 +322,8 @@ class HandedLink(_StreamLink):
 
 
 OBSERVED_MODELS = [pytest.param(None, id="iron"), pytest.param(STATEFUL_SRC, id="gauge"),
-                   pytest.param(CLASH_SRC, id="clash")]
+                   pytest.param(CLASH_SRC, id="clash"),
+                   pytest.param(JUDGE_CLASH_SRC, id="judge")]
 
 
 class TestObservationCheckAgainstReference:
@@ -571,6 +573,7 @@ class TestReadline:
                     return lines
                 lines.append(line)
 
+        read_chunks.link = link
         yield read_chunks
         monkeypatch.undo()
         os.close(readable)
@@ -592,6 +595,21 @@ class TestReadline:
         for at in range(1, len(partial)):
             assert read_chunks([partial[:at], partial[at:]]) == [partial], at
         assert read_chunks([self.SHUTDOWN + partial]) == [self.SHUTDOWN, partial]
+
+    def test_a_line_longer_than_the_cap(self, read_chunks):
+        link = read_chunks.link
+        assert link.line_cap > 1 << 20  # the fuzzer's 200 KB lines keep their own reason
+        link.line_cap = cap = len(self.OBSERVATION) - 1  # the line, less its newline
+        assert read_chunks([self.OBSERVATION[:9], self.OBSERVATION[9:]]) == [self.OBSERVATION]
+        link.line_cap = cap - 1
+        with pytest.raises(ProtocolError, match="^line longer than %d bytes$" % (cap - 1)):
+            read_chunks([self.OBSERVATION])
+        # with no newline, no read past the first that takes the line over the cap
+        link._pending.clear()
+        link.line_cap = 25
+        with pytest.raises(ProtocolError, match="^line longer than 25 bytes$"):
+            read_chunks([b"x" * 10] * 100)
+        assert len(link._pending) == 30
 
 
 class TestStdioTransport:
@@ -624,6 +642,18 @@ class TestStdioTransport:
         for child in children:
             assert child.stdin.closed and child.stdout.closed
             assert child.returncode is not None
+
+    def test_a_subject_blocked_writing_is_not_waited_for(self, iron_desk):
+        from cyclotest.mediator import StdioLink
+
+        # after its hello the subject writes without end, reading nothing
+        script = "import sys\nsys.stdout.write(%r)\nwhile True: sys.stdout.write('x' * 65536)" % (
+            _hello_line(iron_desk).decode())
+        link = StdioLink(iron_desk, [sys.executable, "-c", script], 1000, timeout_s=30.0)
+        started = time.monotonic()
+        link.close()
+        assert time.monotonic() - started < 10  # closing its stdout breaks its pipe
+        assert link.proc.returncode is not None
 
     def test_lines_split_across_writes_are_reassembled(self, iron_desk):
         from cyclotest.mediator import StdioLink
