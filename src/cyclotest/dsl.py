@@ -4,13 +4,12 @@ A ``.ctl`` model declares typed inputs, outputs and state variables, plus a
 ``logic`` block holding a binary decision tree.  Decision conditions are
 boolean expressions whose atoms may be ``held(<formula>, <duration>)``
 temporal conditions; every leaf is a block of assignments.  ASTs are frozen
-dataclasses and all functions here are pure.  ``eval_expr`` reads variables
-and predicate ids from one namespace.
+dataclasses and all functions here are pure.  :class:`LeafBoxes` splits
+sets of values by each condition's structure, never evaluating a point.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 import re
 from dataclasses import dataclass, field
@@ -147,11 +146,6 @@ class Decision:
         """``(atom id, atom)`` pairs of the condition, see :func:`condition_atoms`."""
         return tuple(condition_atoms(self.condition))
 
-    @cached_property
-    def reads(self) -> tuple:
-        """The variables and predicate ids the condition reads, sorted."""
-        return tuple(sorted(free_vars(self.condition)))
-
 
 Node = Union[Leaf, Decision]
 
@@ -197,9 +191,9 @@ class ModelAst:
         """The :class:`LeafBoxes` walk of a model without held() over the
         inputs, the state variables and the predicate ids, each 0 or 1."""
         variables = {d.name: d.domain() for d in self.inputs + self.state_vars}
-        for dec in self.decisions():
-            variables.update((ident, range(2)) for ident in dec.reads if ident not in variables)
-        return LeafBoxes(self.body, variables, len(self.inputs), lambda dec: dec.reads)
+        ids = set().union(*(free_vars(dec.condition) for dec in self.decisions()))
+        variables.update(dict.fromkeys(sorted(ids - variables.keys()), range(2)))
+        return LeafBoxes(self.body, variables, len(self.inputs), lambda dec: True)
 
     @cached_property
     def input_boxes(self) -> "LeafBoxes":
@@ -207,7 +201,7 @@ class ModelAst:
         alone, without held(), split: a leaf's boxes are the valuations that
         satisfy its path factors over inputs alone."""
         return LeafBoxes(self.body, {d.name: d.domain() for d in self.inputs}, len(self.inputs),
-                         lambda dec: dec.reads if self.over_inputs(dec.condition) else None)
+                         lambda dec: self.over_inputs(dec.condition))
 
     @cached_property
     def compiled(self) -> Callable:
@@ -685,36 +679,6 @@ def _print_node(node: Node, depth: int) -> str:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def eval_expr(expr: Expr, env: Mapping) -> int:
-    """Evaluate a pure expression to an int (booleans are 0/1).
-
-    ``env`` is one namespace: it binds the variable names and the predicate
-    ids alike, a predicate id to a bool or 0/1.  A held() node must have been
-    rewritten first (:func:`extract_predicates`).
-    """
-    if isinstance(expr, (Name, PredRef)):
-        return int(env[expr.ident])
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Not):
-        return 0 if eval_expr(expr.operand, env) else 1
-    if isinstance(expr, And):
-        if not eval_expr(expr.left, env):
-            return 0
-        return 1 if eval_expr(expr.right, env) else 0
-    if isinstance(expr, Or):
-        if eval_expr(expr.left, env):
-            return 1
-        return 1 if eval_expr(expr.right, env) else 0
-    if isinstance(expr, Cmp):
-        left = eval_expr(expr.left, env)
-        right = eval_expr(expr.right, env)
-        return 1 if _CMP_FUNCTIONS[expr.op](left, right) else 0
-    if isinstance(expr, Held):
-        raise ModelError("held() reached the evaluator; extract predicates first")
-    raise TypeError("not an expression node: %r" % (expr,))
-
-
 def compile_function(lines: list, name: str, filename: str, namespace: dict) -> Callable:
     """The function ``name`` that the generated source ``lines`` defines,
     with ``namespace`` as its globals.  Taken out of its globals, the
@@ -731,30 +695,28 @@ class LeafBoxes:
     A box holds an ascending sequence of values per variable of
     ``variables``, the first ``n_free`` of them the inputs.  The walk
     carries boxes down from one box of every domain at the root.  A decision
-    splits each box by outcome over the values, within the box, of the
-    variables that ``reads(decision)`` names (its cone of influence), or
-    passes the boxes to both branches when that is None.  ``leaves`` maps
-    each leaf reached to its boxes.
+    for which ``splits(decision)`` is true splits each box by its condition
+    (:func:`_split`); any other passes the boxes to both branches.
+    ``leaves`` maps each leaf reached to its boxes.
     """
 
     def __init__(self, body: Node, variables: Mapping, n_free: int,
-                 reads: Callable[[Decision], Optional[tuple]]):
+                 splits: Callable[[Decision], bool]):
         self.n_free = n_free
         self.leaves: dict = {}  # leaf id -> boxes, leaves in pre-order
         self._bound = tuple(variables)[n_free:]  # the variables a point binds
         column = {name: k for k, name in enumerate(variables)}
-        self._visit(body, [tuple(variables.values())], reads, column)
+        self._visit(body, [tuple(variables.values())], splits, column)
 
-    def _visit(self, node: Node, boxes: list, reads, column: Mapping) -> None:
+    def _visit(self, node: Node, boxes: list, splits, column: Mapping) -> None:
         if not boxes:
             return
         if isinstance(node, Leaf):
             self.leaves[node.node_id] = boxes
             return
-        read = reads(node)
-        sides = (boxes, boxes) if read is None else _split(node.condition, read, boxes, column)
-        self._visit(node.then_branch, sides[0], reads, column)
-        self._visit(node.else_branch, sides[1], reads, column)
+        sides = _split(node.condition, boxes, column) if splits(node) else (boxes, boxes)
+        self._visit(node.then_branch, sides[0], splits, column)
+        self._visit(node.else_branch, sides[1], splits, column)
 
     @cached_property
     def _index(self) -> tuple:
@@ -778,42 +740,76 @@ class LeafBoxes:
                 if hit >> bit & 1]
 
 
-def _split(condition: Expr, read: tuple, boxes: list, column: Mapping) -> tuple:
-    """The boxes where ``condition``, which reads the variables ``read``
-    (columns given by ``column``), holds, and those where it does not."""
-    cols = [column[v] for v in read]
-    sides = ([], [])  # then, else
-    for box in boxes:
-        comps = [box[k] for k in cols]
-        points = (set(), set())  # taken, not taken
-        for values in itertools.product(*comps):
-            points[not eval_expr(condition, dict(zip(read, values)))].add(values)
-        for side, found, other in zip(sides, points, reversed(points)):
-            if not other:
-                side.append(box)
-            elif found:
-                for part in _cover(found, comps):
-                    split = list(box)
-                    for k, values in zip(cols, part):
-                        split[k] = values
-                    side.append(tuple(split))
+def _split(condition: Expr, boxes: list, column: Mapping) -> tuple:
+    """The boxes where ``condition`` holds, and those where it does not, as
+    disjoint parts of ``boxes``; ``column`` gives each variable's position
+    in a box.  ``!`` swaps the two sides, ``&&`` splits its left operand's
+    true side by its right operand and ``||`` its false side.  An atom is
+    one variable against one constant (``x`` is ``x != 0``) and splits that
+    variable's values alone (:func:`_filter`)."""
+    kind = type(condition)
+    if kind is Not:
+        taken, other = _split(condition.operand, boxes, column)
+        return other, taken
+    if kind is And:
+        taken, other = _split(condition.left, boxes, column)
+        taken, rest = _split(condition.right, taken, column)
+        return taken, other + rest
+    if kind is Or:
+        taken, other = _split(condition.left, boxes, column)
+        more, other = _split(condition.right, other, column)
+        return taken + more, other
+    if kind is Const:
+        return (boxes, []) if condition.value else ([], boxes)
+    if kind is not Cmp:  # a name or a predicate id
+        return _filter(boxes, column[condition.ident], bool, ([], []))
+    compare = _CMP_FUNCTIONS[condition.op]
+    sides = ([], [])
+    for part, left, lc in _operand(condition.left, boxes, column):
+        for piece, right, rc in _operand(condition.right, part, column):
+            if left is None and right is None:
+                sides[not compare(lc, rc)].extend(piece)
+            elif right is None:
+                _filter(piece, left, lambda v: compare(v, rc), sides)
+            elif left is None:
+                _filter(piece, right, lambda v: compare(lc, v), sides)
+            elif left == right:
+                _filter(piece, left, lambda v: compare(v, v), sides)
+            else:  # the left variable fixed value by value; alike values share a box
+                for box in piece:
+                    alike: dict = {}  # the right values that pass -> the left values
+                    for u in box[left]:
+                        taken = frozenset(v for v in box[right] if compare(u, v))
+                        alike.setdefault(taken, []).append(u)
+                    for taken, values in alike.items():
+                        fixed = box[:left] + (tuple(values),) + box[left + 1:]
+                        _filter([fixed], right, taken.__contains__, sides)
     return sides
 
 
-def _cover(points: set, comps: list) -> list:
-    """Disjoint boxes over ``comps`` whose points are exactly ``points``:
-    values of the first variable with the same rest share a box."""
-    if len(comps) == 1:
-        return [(tuple(v for v in comps[0] if (v,) in points),)]
-    rests: dict = {}
-    for p in points:
-        rests.setdefault(p[0], set()).add(p[1:])
-    shared: dict = {}  # rest -> the values with that rest, ascending
-    for value in comps[0]:
-        if value in rests:
-            shared.setdefault(frozenset(rests[value]), []).append(value)
-    return [(tuple(values),) + sub for rest, values in shared.items()
-            for sub in _cover(rest, comps[1:])]
+def _operand(expr: Expr, boxes: list, column: Mapping) -> list:
+    """``(boxes, column, value)`` triples for a comparison's operand: a
+    variable's column, a constant's value, or a condition's 1 and 0."""
+    if isinstance(expr, Const):
+        return [(boxes, None, expr.value)]
+    if isinstance(expr, (Name, PredRef)):
+        return [(boxes, column[expr.ident], None)]
+    taken, other = _split(expr, boxes, column)
+    return [(taken, None, 1), (other, None, 0)]
+
+
+def _filter(boxes: list, k: int, keep: Callable, sides: tuple) -> tuple:
+    """Split each box onto ``sides`` (then, else) by whether its column ``k``
+    values pass ``keep``; a box that does not split stays whole."""
+    for box in boxes:
+        comp = box[k]
+        taken = tuple(v for v in comp if keep(v))
+        if not taken or len(taken) == len(comp):
+            sides[not taken].append(box)
+        else:
+            sides[0].append(box[:k] + (taken,) + box[k + 1:])
+            sides[1].append(box[:k] + (tuple(v for v in comp if not keep(v)),) + box[k + 1:])
+    return sides
 
 
 def condition_atoms(expr: Expr) -> list:

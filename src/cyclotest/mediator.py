@@ -344,6 +344,8 @@ class TcpLink(_StreamLink):
 
 
 class StdioLink(_StreamLink):
+    EXIT_GRACE_S = 0.5  # seconds a released child has to exit before it is killed
+
     def __init__(self, model: ModelAst, argv: list, cycle_period_ms: int, timeout_s: float):
         super().__init__(model, cycle_period_ms, timeout_s)
         try:
@@ -371,15 +373,15 @@ class StdioLink(_StreamLink):
         self._release()
 
     def _release(self) -> None:
-        """Close both pipes and reap the child, killing it if it lingers.  A
-        child blocked writing to its stdout gets a broken pipe at once."""
+        """Close both pipes and reap the child, killing it if it has not exited
+        within ``EXIT_GRACE_S``; a child blocked writing gets a broken pipe at once."""
         try:
             self.proc.stdin.close()
         except OSError:
             pass
         self.proc.stdout.close()
         try:
-            self.proc.wait(timeout=self.timeout_s)
+            self.proc.wait(timeout=self.EXIT_GRACE_S)
         except subprocess.TimeoutExpired:
             self.proc.kill()
             self.proc.wait()

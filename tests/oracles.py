@@ -10,7 +10,9 @@ compiled model, explicit automata with known transition tables, a
 definitional pairwise MC/DC scan, a contract oracle that walks the model on
 every cycle, a reachability search that walks it on every step, an
 observation check that words every fault as it goes, and a kernel that
-builds each cycle record as the cycle ends.
+builds each cycle record as the cycle ends.  ``eval_expr`` evaluates an
+expression at one point, where the implementation generates code or
+splits sets of values by the expression's structure.
 """
 from __future__ import annotations
 
@@ -19,8 +21,8 @@ import time
 from collections import deque
 
 from cyclotest.contracts import Specification, Verdict, VerdictKind
-from cyclotest.dsl import (And, Const, Decision, Held, _map_held, eval_expr, free_vars, print_expr,
-                          walk_exprs)
+from cyclotest.dsl import (_CMP_FUNCTIONS, And, Cmp, Const, Decision, Held, ModelError, Name, Not,
+                          Or, PredRef, _map_held, free_vars, print_expr, walk_exprs)
 from cyclotest.interp import DecisionRecord, DecisionTrace
 from cyclotest.kernel import CycleRecord
 from cyclotest.mediator import CycleObservation, ProtocolError
@@ -90,6 +92,36 @@ class ReferenceHoldTable:
     def flags(self, record: tuple) -> dict:
         return dict(zip(self.predicate_ids, [record[i] is not None and record[i] >= n
                                              for i, n in self.thresholds]))
+
+
+def eval_expr(expr, env) -> int:
+    """Evaluate a pure expression to an int (booleans are 0/1).
+
+    ``env`` is one namespace: it binds the variable names and the predicate
+    ids alike, a predicate id to a bool or 0/1.  A held() node must have been
+    rewritten first (:func:`~cyclotest.dsl.extract_predicates`).
+    """
+    if isinstance(expr, (Name, PredRef)):
+        return int(env[expr.ident])
+    if isinstance(expr, Const):
+        return expr.value
+    if isinstance(expr, Not):
+        return 0 if eval_expr(expr.operand, env) else 1
+    if isinstance(expr, And):
+        if not eval_expr(expr.left, env):
+            return 0
+        return 1 if eval_expr(expr.right, env) else 0
+    if isinstance(expr, Or):
+        if eval_expr(expr.left, env):
+            return 1
+        return 1 if eval_expr(expr.right, env) else 0
+    if isinstance(expr, Cmp):
+        left = eval_expr(expr.left, env)
+        right = eval_expr(expr.right, env)
+        return 1 if _CMP_FUNCTIONS[expr.op](left, right) else 0
+    if isinstance(expr, Held):
+        raise ModelError("held() reached the evaluator; extract predicates first")
+    raise TypeError("not an expression node: %r" % (expr,))
 
 
 def walk_model(ast, inputs, state_pre, time_flags) -> tuple:

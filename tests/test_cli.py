@@ -20,6 +20,7 @@ import cyclotest
 from cyclotest import dsl, reduction, traversal
 from cyclotest.cli import RunConfig, _config_from_args, build_parser, main
 from cyclotest.iron import MUTANT_IDS
+from cyclotest.mediator import StdioLink
 from oracles import ReferenceApply
 from test_reduction import _model_sources
 from test_traversal import assert_log_equals_reference
@@ -432,9 +433,9 @@ class TestAnalysisPinned:
         assert hashlib.sha256(out.encode()).hexdigest() == out_sha
         assert hashlib.sha256(err.encode()).hexdigest() == err_sha
 
-    # the 20-input models of the CI's wide-input step
+    # the 20- and 24-input models of the CI's wide-input step
     @pytest.mark.parametrize("model, reachable, cells", [
-        ("wide20", 8, 3), ("wide20_state", 16, 5)])
+        ("wide20", 8, 3), ("wide20_state", 16, 5), ("or24", 2, 2)])
     def test_wide_input_counts(self, capsys, model, reachable, cells):
         argv = ["--model", str(Path(__file__).resolve().parent / "models" / (model + ".ctl")),
                 "--json"]
@@ -994,8 +995,9 @@ class TestMisbehavingSubject:
         proc = _subprocess("cyclotest.cli", ["run", "--model", MODEL_PATH, "--sut", sut,
                                              "--timeout", "1", "--json", "--deterministic"]
                            + DESK)
-        # one timed-out reply line and one timed-out wait for a stdio child at most
-        assert time.monotonic() - started < 10
+        # one timed-out reply line and, over stdio, the child's exit grace at
+        # most, with a few seconds for the two interpreters to start
+        assert time.monotonic() - started < 1 + StdioLink.EXIT_GRACE_S + 5
         assert proc.returncode == 3, proc.stderr
         # one line that gives the reason
         assert proc.stderr == "error: %s\n" % FAULTS[fault]

@@ -8,6 +8,7 @@ import pytest
 
 from cyclotest.dsl import (
     And,
+    Decision,
     Held,
     Leaf,
     Not,
@@ -15,7 +16,6 @@ from cyclotest.dsl import (
     SemanticError,
     UnsupportedTemporalFormula,
     check_model,
-    eval_expr,
     extract_predicates,
     parse_expression,
     parse_model,
@@ -24,7 +24,7 @@ from cyclotest.dsl import (
     tokenize,
     walk_nodes,
 )
-from oracles import CompoundWindowOracle, WindowOracle, unreachable_leaves_bruteforce
+from oracles import CompoundWindowOracle, WindowOracle, eval_expr, unreachable_leaves_bruteforce
 from test_cli import MODEL_SOURCES
 
 TESTS = Path(__file__).resolve().parent
@@ -296,7 +296,7 @@ def _check_decomposition(ast, depth):
 
 
 def _eval_original(ast, inputs, state_pre, compound):
-    from cyclotest.dsl import Const, Decision, _map_held, eval_expr
+    from cyclotest.dsl import Const, Decision, _map_held
 
     env = {**{k: int(v) for k, v in state_pre.items()}, **{k: int(v) for k, v in inputs.items()}}
     node = ast.body
@@ -323,6 +323,75 @@ class TestEvaluation:
         for a, b in itertools.product(range(-1, 3), repeat=2):
             want = 1 if eval("%d %s %d" % (a, op, b)) else 0
             assert eval_expr(expr, {"a": a, "b": b}) == want, (a, op, b)
+
+
+# the variables of TestSymbolicWalk's conditions: int domains with and
+# without 0, and two bools
+WALK_DECLS = "input a: int 0..4; input b: int 2..6; input c: bool; input d: bool;"
+CMP_OPS = ["==", "!=", "<", "<=", ">", ">="]
+
+
+def _random_condition(rng, depth: int = 3) -> str:
+    """A condition over WALK_DECLS' variables with every operator, constants
+    on either side of a comparison and conditions as its operands; ``a`` and
+    ``b`` as conditions too, which a checked model would refuse."""
+    roll = rng.randrange(6) if depth else rng.randrange(2)
+    if roll == 0:
+        return rng.choice(["a", "b", "c", "d", "true", "false"])
+    if roll == 1:
+        sides = ["a", "b", "c", "d", "0", "3", "5"]
+        return "%s %s %s" % (rng.choice(sides), rng.choice(CMP_OPS), rng.choice(sides))
+    left, right = ("(%s)" % _random_condition(rng, depth - 1) for _ in range(2))
+    if roll == 2:
+        return "!" + left
+    if roll == 3:  # conditions as the operands of a comparison
+        return "%s %s %s" % (left, rng.choice(CMP_OPS), right)
+    return "%s %s %s" % (left, rng.choice(["&&", "||"]), right)
+
+
+class TestSymbolicWalk:
+    """``ModelAst.leaf_boxes`` against ``eval_expr``: the boxes of each leaf
+    hold exactly the points whose walk reaches the leaf, each point once,
+    with each box component ascending."""
+
+    @staticmethod
+    def _assert_walk_exact(ast) -> None:
+        names = ast.input_names
+        reached: dict = {}
+        for values in itertools.product(*(ast.domains[n] for n in names)):
+            env, node = dict(zip(names, values)), ast.body
+            while isinstance(node, Decision):
+                node = node.then_branch if eval_expr(node.condition, env) else node.else_branch
+            reached.setdefault(node.node_id, []).append(values)
+        got = {leaf_id: [p for box in boxes for p in itertools.product(*box)]
+               for leaf_id, boxes in ast.leaf_boxes.leaves.items()}
+        assert {k: sorted(v) for k, v in got.items()} == reached
+        for boxes in ast.leaf_boxes.leaves.values():
+            assert all(list(comp) == sorted(set(comp)) for box in boxes for comp in box)
+
+    @pytest.mark.parametrize("condition", [
+        "a < b", "a <= b", "a == b", "a != b", "a > b", "a >= b", "b < a",
+        "a == a", "a != a", "a < a", "a <= a",
+        "3 < a", "3 >= b", "5 == b", "a < 3", "b != 5", "0 < 3", "5 <= 3",
+        "(c || d) == c", "!c < b", "(a < b) == (b < a)", "(c && d) != (a || b == 3)",
+        "true", "false", "c", "!c", "a", "!a", "!!d",
+        "c || d", "c && d", "!(c || d)", "!(c && !d)",
+        "!(c && d) || a == 2 && !(b != 4 || d)",
+    ])
+    def test_each_rule(self, condition):
+        self._assert_walk_exact(parse_model(
+            "model m { %s output o: bool; logic { if (%s) { o = 1; } else { o = 0; } } }"
+            % (WALK_DECLS, condition)))
+
+    def test_random_nested_conditions(self):
+        # the inner decisions split boxes that the outer one has split
+        rng = random.Random(33)
+        for _ in range(300):
+            outer, inner, other = (_random_condition(rng) for _ in range(3))
+            source = ("model m { %s output o: int 0..3; logic { if (%s) { if (%s) { o = 1; } "
+                      "else { o = 2; } } else { if (%s) { o = 3; } else { o = 0; } } } }"
+                      % (WALK_DECLS, outer, inner, other))
+            self._assert_walk_exact(parse_model(source))
 
 
 class TestCheckModel:

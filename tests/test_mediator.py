@@ -4,6 +4,7 @@ import json
 import os
 import random
 import re
+import signal
 import sys
 import time
 import types
@@ -654,6 +655,20 @@ class TestStdioTransport:
         link.close()
         assert time.monotonic() - started < 10  # closing its stdout breaks its pipe
         assert link.proc.returncode is not None
+
+    def test_a_sleeping_subject_is_killed_after_the_grace(self, iron_desk):
+        from cyclotest.mediator import StdioLink
+
+        # after its hello the subject sleeps, reading and writing nothing, so
+        # closing its pipes does not end it; the link's timeout does not
+        # bound the wait, the exit grace does
+        script = "import sys, time\nsys.stdout.write(%r)\nsys.stdout.flush()\ntime.sleep(30)" % (
+            _hello_line(iron_desk).decode())
+        link = StdioLink(iron_desk, [sys.executable, "-c", script], 1000, timeout_s=30.0)
+        started = time.monotonic()
+        link.close()
+        assert time.monotonic() - started < StdioLink.EXIT_GRACE_S + 5
+        assert link.proc.returncode == -signal.SIGKILL
 
     def test_lines_split_across_writes_are_reassembled(self, iron_desk):
         from cyclotest.mediator import StdioLink

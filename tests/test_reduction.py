@@ -13,7 +13,6 @@ from cyclotest.dsl import (
     ModelError,
     _map_held,
     check_model,
-    eval_expr,
     extract_predicates,
     parse_expression,
     parse_model,
@@ -38,6 +37,7 @@ from oracles import (
     _valuations,
     coverable_cases_bruteforce,
     enumerate_reachable_flag_states_reference,
+    eval_expr,
     generalized_state_bruteforce,
     input_feasible_leaves_bruteforce,
     piecemeal_inputs_bruteforce,
@@ -120,9 +120,9 @@ model single {
 }
 """
 
-# the walk splits on b before a, so leaf 'ett' ends with the box a=1, b=0,
-# c=1 before the box b=1, whose least valuation a=0, b=1, c=0 is less: the
-# search must enter a class at its least valuation, not at its first box
+# leaf 'ett' ends with the boxes where a=1 before the box a=0, b=1, whose
+# least valuation a=0, b=1, c=0 is less: the search must enter a class at
+# its least valuation, not at its first box
 ORDER_SRC = """
 model order {
   input a: bool;
@@ -153,6 +153,108 @@ model stray {
 }
 """
 
+
+# the symbolic walk splits a condition by its structure (dsl._split): each
+# of the models below runs every rule of that split through the
+# brute-force oracles of TestWalkAgainstOracles and TestPrintedReduction
+
+# a 10-way disjunction, and the same inputs under held()
+OR10_SRC = """
+model or10 {
+  input a0: bool;
+  input a1: bool;
+  input a2: bool;
+  input a3: bool;
+  input a4: bool;
+  input a5: bool;
+  input a6: bool;
+  input a7: bool;
+  input a8: bool;
+  input a9: bool;
+  output o: int 0..2;
+  logic {
+    if (held(a0, 2s)) { o = 1; } else {
+      if (a0 || a1 || a2 || a3 || a4 || a5 || a6 || a7 || a8 || a9) { o = 2; } else { o = 0; }
+    }
+  }
+}
+"""
+
+# && under ||, ! over both, and a negated disjunction on the way down
+MIX10_SRC = """
+model mix10 {
+  input a0: bool;
+  input a1: bool;
+  input a2: bool;
+  input a3: bool;
+  input a4: bool;
+  input a5: bool;
+  input a6: bool;
+  input a7: bool;
+  input a8: bool;
+  input a9: bool;
+  output o: int 0..3;
+  logic {
+    if (held(a0 && !a1, 2s) || !(a2 || a3 && !a4)) {
+      if (!(a0 && a1) && (a2 || !a3 && a4) || !(a5 || a6) && (a7 || a8 && !a9)) {
+        o = 1;
+      } else { o = 2; }
+    } else {
+      if (a1 && !a2 && a9 || !a8) { o = 3; } else { o = 0; }
+    }
+  }
+}
+"""
+
+# two-variable comparisons, a variable against itself, constants on either
+# side, and int domains of 50 and 10 values, one of them not starting at 0
+CMP_SRC = """
+model cmp {
+  input a: int 0..49;
+  input b: int 3..12;
+  input c: bool;
+  output o: int 0..7;
+  state s: int 0..4 readable = 0;
+  logic {
+    if (held(c, 2s)) {
+      if (a < b) { o = 1; } else {
+        if (b <= a && a != 7) { o = 2; s = 4; } else { o = 3; }
+      }
+    } else {
+      if (3 < a && a == a) {
+        if (s == b || 40 <= a) { o = 4; s = 1; } else { o = 5; s = 2; }
+      } else {
+        if (a != s && 2 >= s) { o = 6; } else { o = 7; s = 0; }
+      }
+    }
+  }
+}
+"""
+
+# conditions as operands of a comparison, the constants true and false as
+# conditions, and a variable as a condition
+CONDITIONS_SRC = """
+model conditions {
+  input a: bool;
+  input b: bool;
+  input c: bool;
+  input d: int 0..3;
+  output o: int 0..6;
+  logic {
+    if (held(a, 1s)) {
+      if ((a || b) == c) { o = 1; } else { o = 2; }
+    } else {
+      if (true) {
+        if (false || c && !(b && !a) && d < 3) { o = 3; } else {
+          if ((b && c) != (a || d == 2)) { o = 4; } else {
+            if (false) { o = 5; } else { o = 6; }
+          }
+        }
+      } else { o = 0; }
+    }
+  }
+}
+"""
 
 # the input factors on the way to leaf 'tt' contradict each other, so its
 # projection is empty although no factor names state
@@ -225,8 +327,6 @@ class TestProjections:
         assert projection_holds(projection, {}, ex.model) is True
 
     def test_dropping_input_factors_matches_existential_semantics(self, iron_extraction):
-        from cyclotest.dsl import eval_expr
-
         cases = enumerate_test_cases(iron_extraction.model)
         projections = derive_projections(iron_extraction)
         for bits in itertools.product((0, 1), repeat=4):
