@@ -40,9 +40,10 @@ from .mediator import CycleObservation, MediatorError, MediatorLink
 MEMO_CAP = 8192
 
 
-def _values_at(names: tuple) -> Callable[[Mapping], object]:
-    """A mapping's values at ``names``, in that order: a tuple, or the value
-    itself for one name."""
+def _values_at(names: tuple) -> Callable[[Mapping], tuple]:
+    """A mapping's values at ``names``, in that order, as a tuple."""
+    if len(names) == 1:  # an itemgetter of one name gives the value itself
+        return lambda mapping, name=names[0]: (mapping[name],)
     return operator.itemgetter(*names) if names else (lambda mapping: ())
 
 
@@ -274,7 +275,7 @@ class Specification:
         if step is None:  # a state not interned has no number, and remembers no step
             stepped = mediator.step_predicates(self.hold_table, pre, inputs, key[-1])
             ref_outputs, ref_post, trace = self.reference(inputs, pre.state_vars, stepped[1],
-                                                          (self._inputs_at(inputs), pre.values))
+                                                          (key[1:-1], pre.values))
             post = mediator.sync_state(pre, obs, ref_post, stepped)
         else:
             ref_outputs, post, trace = step

@@ -198,13 +198,13 @@ def _breadth_first(model: ModelAst, table: HoldTable, period_ms: int) -> tuple:
     """Witnesses in report order and the reachable (state variables, vector)
     pairs, by breadth-first search.
 
-    A node is the state variables plus a hold record.  The input valuations
-    fall into boxes of one literal outcome each, which the leaf boxes under
-    the flags stepped to (:attr:`ModelAst.leaf_boxes`) and the inputs that
-    state assignments read split further.  A node steps once per class of
-    valuations with the same (outcome, post-state), entered at the class's
-    least valuation, in that order, so its trail is the least of its
-    shortest ones.  Classes are found once per (state vars, outcome, flags).
+    A node is the state variables plus a hold record.  An outcome takes one
+    class of values (:func:`_input_clocks`) per input that literals read,
+    which the leaf boxes under the flags stepped to (:attr:`ModelAst.leaf_boxes`)
+    and the inputs that state assignments read split further.  A node steps
+    once per class of valuations with the same (outcome, post-state), entered
+    at the class's least valuation, in that order, so its trail is the least
+    of its shortest ones.  Classes are found once per (state vars, outcome, flags).
     """
     names = model.input_names
     state_names = {d.name for d in model.state_vars}
@@ -212,18 +212,12 @@ def _breadth_first(model: ModelAst, table: HoldTable, period_ms: int) -> tuple:
     reads = [k for k, name in enumerate(names)
              if any(name in free_vars(a.value) for leaf in model.leaves()
                     for a in leaf.assigns if a.target in state_names)]
-    # per input that literals split, its values grouped by their outcome
+    # each outcome entered at its least values, which the table steps by
+    clocks = _input_clocks(model, table, period_ms)
+    columns = [names.index(clock.name) for clock in clocks]
+    outcomes = list(itertools.product(*(clock.choices for clock in clocks)))
+    settings = [[(c.name, value) for c, value in zip(clocks, outcome)] for outcome in outcomes]
     base = dict(model.initial_state(), **{d.name: d.domain()[0] for d in model.inputs})
-    splits = {}
-    for k, d in enumerate(model.inputs):
-        groups: dict = {}
-        for value in d.domain():
-            groups.setdefault(table.outcome(dict(base, **{d.name: value})), []).append(value)
-        if len(groups) > 1:
-            splits[k] = list(map(tuple, groups.values()))
-    outcomes = [dict(zip(splits, combo)) for combo in itertools.product(*splits.values())]
-    # per outcome, the input values that enter it: the same names every time
-    settings = [[(names[k], values[0]) for k, values in outcome.items()] for outcome in outcomes]
 
     initial = (tuple(sorted(model.initial_state().items())), table.initial)
     frontier = deque([initial])
@@ -247,8 +241,12 @@ def _breadth_first(model: ModelAst, table: HoldTable, period_ms: int) -> tuple:
         # assignments read), a pair that fixes the post-state
         firsts: dict = {}
         for leaf_id, box in model.leaf_boxes.at(dict(state_vars, **flags)):
-            box = [tuple(v for v in comp if v in outcome[k]) if k in outcome else comp
-                   for k, comp in enumerate(box)]
+            box = list(box)
+            for k, clock, value in zip(columns, clocks, outcome):  # keep its class's values
+                if value in clock.literal_of:  # a literal's class is its one value
+                    box[k] = (value,) if value in box[k] else ()
+                else:  # the other class: the values no literal names
+                    box[k] = tuple(itertools.filterfalse(clock.literal_of.__contains__, box[k]))
             for values in itertools.product(*(box[k] for k in reads)) if all(box) else ():
                 fixed = dict(zip(reads, values))
                 least = tuple(fixed.get(k, comp[0]) for k, comp in enumerate(box))
@@ -288,12 +286,14 @@ class _InputClock:
     (:meth:`~.temporal.HoldTable.in_cycles`).  At most one of them holds at a
     time, so a state is ``None`` while none holds, else (literal, count)."""
 
-    def __init__(self, name: str, domain: range, literals: list, thresholds: tuple):
-        # literals: (index, expected, cap) of the literals on the input that lie
-        # in its domain; thresholds: every predicate's (literal index, need)
+    def __init__(self, name: str, domain: range, literals: tuple, thresholds: tuple):
+        # every literal's (var, expected, cap) and predicate's (literal index,
+        # need); the clock keeps the literals on its input inside its domain
         self.name = name
-        self.caps = {i: cap for i, _, cap in literals}
-        self.literal_of = {expected: i for i, expected, _ in literals}
+        self.caps, self.literal_of = {}, {}
+        for i, (var, expected, cap) in enumerate(literals):
+            if var == name and expected in domain:
+                self.caps[i], self.literal_of[expected] = cap, i
         self.needs = [(p, i, need) for p, (i, need) in enumerate(thresholds) if i in self.caps]
         # the least value under which no literal holds, if any; with the
         # literals' values, one value per way to step the clock, in order
@@ -354,6 +354,16 @@ class _InputClock:
         return False
 
 
+def _input_clocks(model: ModelAst, table: HoldTable, period_ms: int) -> list:
+    """An :class:`_InputClock` per input that a held() literal inside its
+    domain reads, in input order; its ``choices`` are the classes of values
+    that the literals tell apart.  A literal on a state variable, or outside
+    its input's domain, splits no input's values."""
+    literals, thresholds = table.in_cycles(period_ms)
+    clocks = [_InputClock(d.name, d.domain(), literals, thresholds) for d in model.inputs]
+    return [clock for clock in clocks if clock.caps]
+
+
 def _closed_form(model: ModelAst, table: HoldTable, period_ms: int) -> dict:
     """Witnesses in report order for a model without state variables.
 
@@ -365,14 +375,8 @@ def _closed_form(model: ModelAst, table: HoldTable, period_ms: int) -> dict:
     built greedily: each cycle takes, per input, the least value after which
     its clock can still reach its part in the cycles left.
     """
-    literals, thresholds = table.in_cycles(period_ms)
-    domains = {d.name: d.domain() for d in model.inputs}
-    on_input: dict = {}
-    for i, (var, expected, cap) in enumerate(literals):
-        if expected in domains[var]:  # a literal outside its domain never holds
-            on_input.setdefault(var, []).append((i, expected, cap))
-    clocks = [_InputClock(var, domains[var], lits, thresholds) for var, lits in on_input.items()]
-    horizon = max((cap for _, _, cap in literals), default=0) + 2
+    clocks = _input_clocks(model, table, period_ms)
+    horizon = max((cap for clock in clocks for cap in clock.caps.values()), default=0) + 2
 
     options = []  # per clock: (part, its target, bit m set when m cycles reach it)
     for clock in clocks:
@@ -386,7 +390,7 @@ def _closed_form(model: ModelAst, table: HoldTable, period_ms: int) -> dict:
     found = []  # (length, trail, vector)
     for combo in itertools.product(*options):
         mask = (1 << horizon + 1) - 1
-        vector = [0] * len(thresholds)
+        vector = [0] * len(table.predicate_ids)
         for clock, (part, _, reached) in zip(clocks, combo):
             mask &= reached
             for (p, _, _), bit in zip(clock.needs, part):

@@ -102,10 +102,6 @@ class HoldTable:
             "flags", "<hold table flags>",
             {"__name__": __name__, "vectors": self._vectors, "ids": self.predicate_ids})
 
-    def outcome(self, env: Mapping) -> tuple:
-        """Which literals hold in ``env``; :meth:`step` treats equal outcomes alike."""
-        return tuple([env[var] == expected for var, expected, _ in self._literals])
-
     def in_cycles(self, period_ms: int) -> tuple:
         """The table stepped one ``period_ms`` per cycle, counted in cycles:
         each literal's ``(var, expected, cap)`` and each predicate's

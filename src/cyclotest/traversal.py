@@ -88,12 +88,6 @@ class LogEntry(NamedTuple):
     verdict: str
     replay: bool = False
 
-    def to_json(self) -> str:
-        state = list(self.state) if isinstance(self.state, tuple) else self.state
-        data = {"cycle": self.cycle, "state": state, "action": self.action,
-                "verdict": self.verdict, "replay": self.replay}
-        return json.dumps(data, sort_keys=True)
-
 
 class LogRun(NamedTuple):
     """The log entries of ``count`` consecutive cycles from ``first``, all of
@@ -143,16 +137,16 @@ class TestLog:
         return "".join(self.json_lines())
 
     def json_lines(self):
-        """Each entry's ``to_json()`` and a newline.  The text around the
-        cycle is encoded once per distinct ``(state, action, verdict,
-        replay)``; only the cycle is formatted per entry."""
+        """One JSON object per stimulus, keys sorted, and a newline.  The text
+        around the cycle is encoded once per distinct ``(state, action,
+        verdict, replay)``; only the cycle is formatted per entry."""
         around: dict = {}
         for run in self.runs:
             key = run[2:]
             if key not in around:
-                # a '"' inside a JSON string is escaped, so this is the key
-                head, _, tail = LogEntry(0, *key).to_json().partition('"cycle": 0')
-                around[key] = (head + '"cycle": ', tail + "\n")
+                around[key] = ('{"action": %s, "cycle": ' % json.dumps(run.action),
+                               ', "replay": %s, "state": %s, "verdict": %s}\n'
+                               % tuple(map(json.dumps, (run.replay, run.state, run.verdict))))
             head, tail = around[key]
             for cycle in range(run.first, run.first + run.count):
                 yield head + str(cycle) + tail

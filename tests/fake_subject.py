@@ -16,7 +16,9 @@ that has one fault:
 * ``partial-line``: the observation stops before its end and the subject
   stalls for 30 s without writing a newline;
 * ``trickle``: the observation is written one byte every 0.5 s;
-* ``flood``: in place of the first observation, 64 MiB with no newline.
+* ``flood``: in place of the first observation, 64 MiB with no newline;
+* ``eof-mid-line``: two correct observations, then the first half of the
+  third and the end of the stream.
 """
 import json
 import socket
@@ -24,7 +26,7 @@ import sys
 import time
 
 FAULTS = ("no-time", "bad-output", "time-back", "bool-cycle", "float-cycle", "no-state",
-          "partial-line", "trickle", "flood")
+          "partial-line", "trickle", "flood", "eof-mid-line")
 
 
 def serve(fault: str, reader, writer) -> int:
@@ -60,6 +62,10 @@ def serve(fault: str, reader, writer) -> int:
         elif fault == "flood":
             for _ in range(64):
                 write("x" * (1 << 20))
+            return 0
+        elif fault == "eof-mid-line" and cycle == 2:
+            text = json.dumps(obs)
+            write(text[:len(text) // 2])
             return 0
         elif fault == "trickle":
             for char in json.dumps(obs) + "\n":

@@ -17,6 +17,7 @@ splits sets of values by the expression's structure.
 from __future__ import annotations
 
 import itertools
+import json
 import time
 from collections import deque
 
@@ -427,7 +428,15 @@ class ReferenceApply:
         return scenario.state_fn(), None
 
     def json_lines(self) -> str:
-        return "".join(entry.to_json() + "\n" for entry in self.entries)
+        return "".join(entry_json(entry) + "\n" for entry in self.entries)
+
+
+def entry_json(entry: LogEntry) -> str:
+    """One log entry as the ``--log`` line that the campaign writes for it."""
+    state = list(entry.state) if isinstance(entry.state, tuple) else entry.state
+    data = {"cycle": entry.cycle, "state": state, "action": entry.action,
+            "verdict": entry.verdict, "replay": entry.replay}
+    return json.dumps(data, sort_keys=True)
 
 
 class FlickeringStateSystem(ExplicitSystem):

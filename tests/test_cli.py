@@ -331,6 +331,30 @@ EVERY_MODEL_SHA = {
         "8f5c3fe937f6ca89a2504d7469ed1899b68ef113b64c953166efaee65acf31b3",
         "0216c552440616287020854f8094634cfdadb73191d20623f7477fc936ea3c5d",
     ),
+    ("classes-ce4c89bd", "1000ms"): (
+        "6cb12279aef3fb36ecd33a8cba186c5aa7c97224fe13198587a54e4568fecaab",
+        "8a8db5416076d22670bf55c648d57e225d6d57c00c1ae4ea45fe422b1ab38e26",
+        "351d810ec0f4a7ad62ae02cb2d76b8ceb900bf22b5e911e80664c977bfbe6ff8",
+        "0e241c4d980cd0df06342899520944461e11c956cf71e93392f00dd428d83899",
+    ),
+    ("classes-ce4c89bd", "700ms-strict"): (
+        "ed316d0423f01e07f72cedaf27a8dd9960c8a392c5401a256189824b86b93835",
+        "739a8f585a6280bd7c9018d79b75547cab7ae660b051953483460f0c7c6ac9f9",
+        "351d810ec0f4a7ad62ae02cb2d76b8ceb900bf22b5e911e80664c977bfbe6ff8",
+        "0e241c4d980cd0df06342899520944461e11c956cf71e93392f00dd428d83899",
+    ),
+    ("early-9d0d768a", "1000ms"): (
+        "3406224be847bea8d37e45783c3d1682b7ee7b4fbb975d91b736abb2cc870fc7",
+        "f21112ca0d2d9b0f9d58ecd926ee01506403c303f631f5d0e9d73614c319ce50",
+        "61116d845a24cf80d03c39f6588d84673e050d4fdb2384dd585f72a2a1aa7120",
+        "b5e8b65fd67e7efb0097a5d6605c4a0665231d1c7ba90064e356fe7386aae1f7",
+    ),
+    ("early-9d0d768a", "700ms-strict"): (
+        "5feb8cb14b1109aa4263ca27ee229980a1bdb2691265f6ab415e33b6d498f3a2",
+        "c92e816c261a832f35fb7ac2bebb6dee8b73b40e9df624f46e6b64002b8ba5f3",
+        "61116d845a24cf80d03c39f6588d84673e050d4fdb2384dd585f72a2a1aa7120",
+        "b5e8b65fd67e7efb0097a5d6605c4a0665231d1c7ba90064e356fe7386aae1f7",
+    ),
 }
 
 
@@ -433,9 +457,10 @@ class TestAnalysisPinned:
         assert hashlib.sha256(out.encode()).hexdigest() == out_sha
         assert hashlib.sha256(err.encode()).hexdigest() == err_sha
 
-    # the 20- and 24-input models of the CI's wide-input step
+    # the models of the CI's wide-input step: 20 and 24 inputs, and an input
+    # of a million values
     @pytest.mark.parametrize("model, reachable, cells", [
-        ("wide20", 8, 3), ("wide20_state", 16, 5), ("or24", 2, 2)])
+        ("wide20", 8, 3), ("wide20_state", 16, 5), ("or24", 2, 2), ("wideint_state", 6, 3)])
     def test_wide_input_counts(self, capsys, model, reachable, cells):
         argv = ["--model", str(Path(__file__).resolve().parent / "models" / (model + ".ctl")),
                 "--json"]
@@ -971,7 +996,12 @@ FAULTS = {
     "trickle": "no observation within 1.0 s",
     # the model's hello and longest observation, plus the link's slack
     "flood": "line longer than 1048792 bytes",
+    # the stream ends inside the third observation's string
+    "eof-mid-line": "undecodable message: Unterminated string starting at: line 1 column 37"
+                    " (char 36)",
 }
+# the stimuli that pass before each fault's MediatorFailure; none where not given
+FAULT_PASSES = {"time-back": 1, "bool-cycle": 1, "float-cycle": 1, "eof-mid-line": 2}
 
 
 class TestMisbehavingSubject:
@@ -1002,7 +1032,8 @@ class TestMisbehavingSubject:
         # one line that gives the reason
         assert proc.stderr == "error: %s\n" % FAULTS[fault]
         payload = json.loads(proc.stdout)
-        assert payload["verdicts"]["MediatorFailure"] == 1
+        passes = FAULT_PASSES.get(fault, 0)
+        assert payload["verdicts"] == {"MediatorFailure": 1, **({"Pass": passes} if passes else {})}
         assert payload["error"] is None
 
     @pytest.mark.parametrize("cpus", [1, 2], ids=["in-turn", "pool"])

@@ -709,6 +709,27 @@ class TestStepMemo:
             if cap > 2:  # some cycles repeat a step
                 assert tables.count(memo.hold_table) < len(stimuli)
 
+    @pytest.mark.parametrize("model", REFERENCE_MODELS)
+    def test_a_fresh_step_keys_its_cycle_as_reference_does(self, monkeypatch, model):
+        # a step taken afresh hands reference() the admitted values off its
+        # step key; they must be the tuples reference() reads from the inputs
+        # and state itself, also for one input or one state variable
+        extraction = _extraction_at(model, 1000)
+        given = []
+        real = Specification.reference
+
+        def reference(spec, inputs, state_pre, flags, values=None):
+            given.append((values, (spec._inputs_at(inputs), spec._state_at(state_pre))))
+            return real(spec, inputs, state_pre, flags, values)
+
+        monkeypatch.setattr(Specification, "reference", reference)
+        stimuli, script = _scripted_run(extraction, random.Random(0))
+        spec = Specification(extraction, ScriptedLink(extraction, script))
+        for inputs in stimuli:
+            spec.apply_stimulus(inputs)
+        assert given and all(values == read for values, read in given)
+        assert all(type(part) is tuple for values, _ in given for part in values)
+
     @pytest.mark.parametrize("fault_cycle", [0, 5], ids=["step-taken-afresh", "remembered-step"])
     def test_failed_postcondition_leaves_the_observed_state(self, monkeypatch, fault_cycle):
         # the tank reports its readable level one off at one cycle of a hold

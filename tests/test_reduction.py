@@ -153,6 +153,47 @@ model stray {
 }
 """
 
+# two held() literals on one int input of a model with state, and a third
+# outside the input's domain: the breadth-first search steps one class of the
+# input's values per literal value, and one for every other value
+CLASSES_SRC = """
+model classes {
+  input a: int 0..7;
+  input b: bool;
+  output o: int 0..3;
+  state s: int 0..2 readable = 0;
+  logic {
+    if (held(a == 5, 2s)) {
+      if (s == 0) { s = 1; o = 1; } else { s = 2; o = 3; }
+    } else {
+      if (held(a == 0 && b, 3s) || held(a == 2000000, 1s)) { s = 0; o = 2; } else {
+        if (a > 5 && b) { o = 2; } else { o = 0; }
+      }
+    }
+  }
+}
+"""
+
+# the first cycle of a hold on a == 5 takes the last else branch, which
+# clears s, so the held() flag never meets s == 1 and s = 2 is unreachable:
+# a step is entered at a value of its own class of a, never at a value that
+# the literal's class leaves out
+EARLY_SRC = """
+model early {
+  input a: int 0..7;
+  input b: bool;
+  output o: int 0..3;
+  state s: int 0..2 readable = 0;
+  logic {
+    if (held(a == 5, 1s)) {
+      if (s == 1) { s = 2; o = 3; } else { o = 1; }
+    } else {
+      if (a > 5 && b) { s = 1; o = 2; } else { s = 0; o = 0; }
+    }
+  }
+}
+"""
+
 
 # the symbolic walk splits a condition by its structure (dsl._split): each
 # of the models below runs every rule of that split through the
@@ -437,7 +478,7 @@ class TestPrintedReduction:
 
     def test_sources_found(self):
         assert {"tank", "guard", "two", "latch", "gauge", "iron", "u", "heater", "quad", "single",
-                "stray", "order"} <= {
+                "stray", "order", "classes", "early"} <= {
             parse_model(p.values[0]).name for p in _model_sources()}
 
     @pytest.mark.parametrize("source", _model_sources())
