@@ -137,7 +137,8 @@ class Specification:
         self.extraction = extraction
         self.model: ModelAst = extraction.model
         self.link = link
-        self.hold_table = temporal.HoldTable(extraction.predicates, strict_held)
+        self.hold_table = temporal.HoldTable(extraction.predicates, self.model.initial_state(),
+                                             strict_held)
         self.coverage = CoverageReport.for_model(self.model)
         self._inputs_at = _values_at(self.model.input_names)
         self._state_at = _values_at(tuple(d.name for d in self.model.state_vars))
@@ -146,9 +147,8 @@ class Specification:
         self._interned: dict = {}  # (state values, holds) -> the one such state
         self._steps: dict = {}  # (pre number, *inputs, ms) -> (outputs, successor, trace)
         self.sys_time_ms: Optional[int] = None
-        initial = self.hold_table.initial
         self.state = self._intern(SpecificationState(
-            self.model.initial_state(), initial, self.hold_table.flags(initial)))
+            self.model.initial_state(), self.hold_table.initial, self.hold_table.initial_flags))
 
     def _intern(self, state: SpecificationState) -> SpecificationState:
         """The interned state equal to ``state``, which is interned if none

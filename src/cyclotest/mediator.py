@@ -393,17 +393,13 @@ class StdioLink(_StreamLink):
 
 def step_predicates(table: temporal.HoldTable, spec_state, inputs: Mapping,
                     elapsed_ms: int):
-    """Step the hold record with this cycle's literal values (inputs plus the
-    pre-cycle state) by ``elapsed_ms``, the system time elapsed since the
-    previous observation (0 on the first cycle); returns the new record and
-    the cycle's time flags.  When no literal reads a state variable, the
-    inputs alone are the literal values.  The oracle calls this only for a
-    step it takes afresh, and the first call compiles the table's generated
-    step and flags (:class:`temporal.HoldTable`)."""
-    state_vars = spec_state.state_vars
-    env = inputs if table.variables.isdisjoint(state_vars) else {**state_vars, **inputs}
-    holds = table.step(spec_state.holds, env, elapsed_ms)
-    return holds, table.flags(holds)
+    """Step the hold record with this cycle's inputs and the pre-cycle state
+    variables by ``elapsed_ms``, the system time elapsed since the previous
+    observation (0 on the first cycle); returns the new record and the
+    cycle's time flags.  The oracle calls this only for a step it takes
+    afresh, and the first call compiles the table's generated step
+    (:class:`temporal.HoldTable`)."""
+    return table.step(spec_state.holds, inputs, spec_state.state_vars, elapsed_ms)
 
 
 def sync_state(spec_state, obs: CycleObservation, model_state_post: Mapping, stepped: tuple):

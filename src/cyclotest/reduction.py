@@ -179,7 +179,7 @@ def enumerate_reachable_flag_states(extraction: ExtractionResult, cycle_period_m
     any other by breadth-first search (:func:`_breadth_first`).
     """
     model = extraction.model
-    table = HoldTable(extraction.predicates, strict)
+    table = HoldTable(extraction.predicates, model.initial_state(), strict)
     if model.state_vars:
         witnesses, states = _breadth_first(model, table, cycle_period_ms)
     else:
@@ -201,10 +201,13 @@ def _breadth_first(model: ModelAst, table: HoldTable, period_ms: int) -> tuple:
     A node is the state variables plus a hold record.  An outcome takes one
     class of values (:func:`_input_clocks`) per input that literals read,
     which the leaf boxes under the flags stepped to (:attr:`ModelAst.leaf_boxes`)
-    and the inputs that state assignments read split further.  A node steps
-    once per class of valuations with the same (outcome, post-state), entered
-    at the class's least valuation, in that order, so its trail is the least
-    of its shortest ones.  Classes are found once per (state vars, outcome, flags).
+    and the inputs that state assignments read split further.  The table
+    steps a node's record once per outcome, on that outcome's input dict,
+    built once for the search, and the node's state variables, one dict per
+    node.  A node steps once per class of valuations with the same (outcome,
+    post-state), entered at the class's least valuation, in that order, so
+    its trail is the least of its shortest ones.  Classes are found once per
+    (state vars, outcome, flags).
     """
     names = model.input_names
     state_names = {d.name for d in model.state_vars}
@@ -212,12 +215,14 @@ def _breadth_first(model: ModelAst, table: HoldTable, period_ms: int) -> tuple:
     reads = [k for k, name in enumerate(names)
              if any(name in free_vars(a.value) for leaf in model.leaves()
                     for a in leaf.assigns if a.target in state_names)]
-    # each outcome entered at its least values, which the table steps by
+    # each outcome as the one input dict that the table steps by: the clocks'
+    # inputs at the outcome's values, every other input at its least value
     clocks = _input_clocks(model, table, period_ms)
     columns = [names.index(clock.name) for clock in clocks]
     outcomes = list(itertools.product(*(clock.choices for clock in clocks)))
-    settings = [[(c.name, value) for c, value in zip(clocks, outcome)] for outcome in outcomes]
-    base = dict(model.initial_state(), **{d.name: d.domain()[0] for d in model.inputs})
+    lowest = {d.name: d.domain()[0] for d in model.inputs}
+    settings = [dict(lowest, **{c.name: value for c, value in zip(clocks, outcome)})
+                for outcome in outcomes]
 
     initial = (tuple(sorted(model.initial_state().items())), table.initial)
     frontier = deque([initial])
@@ -257,16 +262,14 @@ def _breadth_first(model: ModelAst, table: HoldTable, period_ms: int) -> tuple:
             posts[tuple(sorted(post.items()))] = least
         return {least: post for post, least in posts.items()}
 
-    record(initial, table.flags(table.initial))
+    record(initial, table.initial_flags)
     while frontier:
         state = frontier.popleft()
         state_vars, holds = state
         steps = {}  # least valuation -> (next node, its flags)
-        env = dict(base, **dict(state_vars))
+        pre = dict(state_vars)
         for i, outcome in enumerate(outcomes):
-            env.update(settings[i])
-            stepped = table.step(holds, env, period_ms)
-            flags = table.flags(stepped)
+            stepped, flags = table.step(holds, settings[i], pre, period_ms)
             key = (state_vars, i, tuple(flags.values()))
             if key not in classes:
                 classes[key] = classes_of(state_vars, outcome, flags)

@@ -72,23 +72,27 @@ class WindowOracle:
 
 
 class ReferenceHoldTable:
-    """A :class:`HoldTable`'s step and flags as comprehensions over its
+    """A :class:`HoldTable`'s step as comprehensions over its
     ``(var, expected, cap)`` literals and ``(literal index, need)``
-    thresholds, which ``in_cycles(1)`` gives in ms; the flags in a new dict."""
+    thresholds, which ``in_cycles(1)`` gives in ms, each literal read in the
+    inputs and state merged into one namespace; the flags in a new dict."""
 
     def __init__(self, table: HoldTable):
         self.predicate_ids = table.predicate_ids
+        self.initial = table.initial
         self.literals, self.thresholds = table.in_cycles(1)
 
-    def step(self, record: tuple, env, elapsed_ms: int) -> tuple:
+    def step(self, record: tuple, inputs, state, elapsed_ms: int) -> tuple:
         if elapsed_ms < 0:
             raise TimeRegression("predicates stepped %d ms back in time" % -elapsed_ms)
-        return tuple([
+        env = {**state, **inputs}
+        record = tuple([
             None if env[var] != expected
             else 0 if held is None
             else min(held + elapsed_ms, cap)
             for (var, expected, cap), held in zip(self.literals, record)
         ])
+        return record, self.flags(record)
 
     def flags(self, record: tuple) -> dict:
         return dict(zip(self.predicate_ids, [record[i] is not None and record[i] >= n
@@ -187,9 +191,10 @@ def enumerate_reachable_flag_states_reference(extraction, cycle_period_ms: int =
                                               strict: bool = False) -> ReachabilityReport:
     """The reachability search that ``enumerate_reachable_flag_states``
     replaced: the same breadth-first order, but every (node, valuation) step
-    steps the hold record and runs the whole model for the post-state."""
+    steps the hold record, by :class:`ReferenceHoldTable`, and runs the whole
+    model for the post-state."""
     model = extraction.model
-    table = HoldTable(extraction.predicates, strict)
+    table = ReferenceHoldTable(HoldTable(extraction.predicates, model.initial_state(), strict))
     init_vars = tuple(sorted(model.initial_state().items()))
     initial = (init_vars, table.initial)
 
@@ -214,10 +219,7 @@ def enumerate_reachable_flag_states_reference(extraction, cycle_period_ms: int =
         state = frontier.popleft()
         state_vars, holds = state
         for inputs in _valuations(model.inputs):
-            env = dict(state_vars)
-            env.update(inputs)
-            stepped = table.step(holds, env, cycle_period_ms)
-            flags = table.flags(stepped)
+            stepped, flags = table.step(holds, inputs, dict(state_vars), cycle_period_ms)
             _, state_post, _ = walk_model(model, inputs, dict(state_vars), flags)
             nxt = (tuple(sorted(state_post.items())), stepped)
             if nxt not in parents:

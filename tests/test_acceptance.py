@@ -223,7 +223,7 @@ def test_c07_temporal_semantics_exhaustive(desk_extraction, capsys):
     exactly without replaying each one.
     """
     preds = desk_extraction.predicates
-    table = HoldTable(preds)
+    table = HoldTable(preds, ())
     need = {p.id: cycles_for(p.duration_ms, PERIOD) + 1 for p in preds}
     combos = [{"move": m, "position": p} for m in (0, 1) for p in (0, 1)]
 
@@ -245,8 +245,7 @@ def test_c07_temporal_semantics_exhaustive(desk_extraction, capsys):
         nxt = {}
         for real, hists, count in configs.values():
             for inputs in combos:
-                stepped = table.step(real, inputs, PERIOD)
-                flags_real = table.flags(stepped)
+                stepped, flags_real = table.step(real, inputs, {}, PERIOD)
                 hists2, flags_oracle = window_advance(hists, inputs)
                 assert flags_real == flags_oracle, (depth, inputs)
                 checked += 1

@@ -639,7 +639,7 @@ class ScriptedLink(MediatorLink):
         super().__init__(extraction.model)
         self.script = script
         self.period_ms = period_ms
-        self.table = HoldTable(extraction.predicates)
+        self.table = HoldTable(extraction.predicates, extraction.model.initial_state())
         self.holds = self.table.initial
         self.state_vars = extraction.model.initial_state()
         self.sys_time_ms = 0
@@ -650,11 +650,8 @@ class ScriptedLink(MediatorLink):
         fault, arg = self.script.get(cycle, (None, None))
         elapsed = 0 if cycle == 0 else arg if fault == "time" else self.period_ms
         self.sys_time_ms += elapsed
-        env = dict(self.state_vars)
-        env.update(inputs)
-        self.holds = self.table.step(self.holds, env, elapsed)
-        outputs, self.state_vars, _ = eval_model(model, inputs, self.state_vars,
-                                                 self.table.flags(self.holds))
+        self.holds, flags = self.table.step(self.holds, inputs, self.state_vars, elapsed)
+        outputs, self.state_vars, _ = eval_model(model, inputs, self.state_vars, flags)
         outputs = dict(outputs)
         visible = {name: self.state_vars[name] for name in model.readable_names}
         for part, values in (("output", outputs), ("state", visible)):

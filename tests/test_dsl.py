@@ -5,6 +5,7 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import TANK_SRC
 
 from cyclotest.dsl import (
     And,
@@ -191,6 +192,11 @@ class TestParse:
         assert ast.inputs[0].domain() == range(0, 4)
         held = next(e for e in walk_nodes(ast.body) if not isinstance(e, Leaf)).condition
         assert held.duration_ms == 1500
+
+    def test_paper_tank_is_tank_at_600_and_450_s(self):
+        # the file that CI's paper-scale tank step reads without a remap
+        shipped = parse_model((TESTS / "models" / "tank_paper.ctl").read_text(encoding="utf-8"))
+        assert shipped == rescale_durations(parse_model(TANK_SRC), {2000: 600_000, 1500: 450_000})
 
 
 class TestRoundTrip:

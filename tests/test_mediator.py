@@ -12,7 +12,7 @@ import weakref
 
 import pytest
 from conftest import CLASH_SRC, JUDGE_CLASH_SRC
-from oracles import check_observation_reference
+from oracles import ReferenceHoldTable, check_observation_reference
 
 from cyclotest import mediator
 from cyclotest.contracts import Specification, SpecificationState, VerdictKind
@@ -466,13 +466,13 @@ class TestSyncState:
         return SpecificationState(
             state_vars=model.initial_state(),
             holds=table.initial,
-            flags=table.flags(table.initial),
+            flags=table.initial_flags,
         )
 
     def test_iron_only_predicates_updated(self, iron_extraction):
         # hold entries: !move, !position, position
         model = iron_extraction.model
-        table = HoldTable(iron_extraction.predicates)
+        table = HoldTable(iron_extraction.predicates, model.initial_state())
         state = self._state(table, model)
         obs = CycleObservation(0, 1000, {"heating": 1}, {})
         stepped = step_predicates(table, state, {"move": 0, "position": 0}, 0)
@@ -484,7 +484,7 @@ class TestSyncState:
     def test_hidden_var_from_model_post_readable_from_observation(self):
         ast = parse_model(STATEFUL_SRC)
         ex = extract_predicates(ast)
-        table = HoldTable(ex.predicates)
+        table = HoldTable(ex.predicates, ex.model.initial_state())
         state = self._state(table, ex.model)
         obs = CycleObservation(0, 1000, {"level_out": 1}, {"level": 3})
         stepped = step_predicates(table, state, {"tick": 1}, 0)
@@ -505,14 +505,17 @@ class TestSyncState:
         assert spec.state.state_vars == {"level": 0, "armed": 0}
 
     @pytest.mark.parametrize("source", [None, HELD_STATE_SRC], ids=["iron", "held-state"])
-    def test_step_equals_a_step_over_state_and_inputs(self, desk_extraction, source):
-        # the literal values come from the inputs alone only where no literal
-        # reads a state variable; either way the record and flags are those
-        # of a step over the state variables merged with the inputs
+    def test_step_equals_a_reference_step_over_state_and_inputs(self, desk_extraction, source):
+        # the generated step reads each literal in the inputs or the state,
+        # as the model declares its variable; the record and flags are those
+        # of the reference's step over the state variables merged with the
+        # inputs, whether or not a literal reads a state variable
         ex = desk_extraction if source is None else extract_predicates(parse_model(source))
         model = ex.model
-        table = HoldTable(ex.predicates)
-        assert table.variables.isdisjoint(model.initial_state()) is (source is None)
+        table = HoldTable(ex.predicates, model.initial_state())
+        reference = ReferenceHoldTable(table)
+        assert any(var in model.initial_state() for var, _, _ in reference.literals) is (
+            source is not None)
         rng = random.Random(7)
         state = self._state(table, model)
         holds, state_vars, inputs, fired = table.initial, state.state_vars, {}, 0
@@ -524,8 +527,8 @@ class TestSyncState:
             state = SpecificationState(state_vars, holds, state.flags)
             elapsed = 0 if cycle == 0 else 1000
             stepped = step_predicates(table, state, inputs, elapsed)
-            holds = table.step(holds, {**state_vars, **inputs}, elapsed)
-            assert stepped == (holds, table.flags(holds))
+            assert stepped == reference.step(holds, inputs, state_vars, elapsed)
+            holds = stepped[0]
             state = SpecificationState(state_vars, holds, stepped[1])
             fired += any(stepped[1].values())
         assert fired
@@ -544,7 +547,7 @@ class TestSyncState:
             assert spec.apply_stimulus({"move": 0, "position": 1}).kind is VerdictKind.PASS
         assert spec.sys_time_ms == 123_456
         assert spec.state.holds == (23_456, None, 23_456)
-        assert spec.state.flags == spec.hold_table.flags(spec.state.holds)
+        assert spec.state.flags == ReferenceHoldTable(spec.hold_table).flags(spec.state.holds)
 
 
 class TestReadline:

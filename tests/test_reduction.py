@@ -596,15 +596,14 @@ class TestReachability:
     def test_witnesses_replay_to_their_vectors(self, desk_extraction):
         # replayed as the contract oracle steps the table (0 ms on the first
         # cycle) and through the window oracle
-        table = HoldTable(desk_extraction.predicates)
+        table = HoldTable(desk_extraction.predicates, ())
         report = enumerate_reachable_flag_states(desk_extraction, 1000)
         for vector in report.vectors:
             record, oracle = table.initial, WindowOracle(desk_extraction.predicates, 1000)
-            window = oracle.flags()
+            flags, window = table.initial_flags, oracle.flags()
             for i, inputs in enumerate(report.witnesses[vector]):
-                record = table.step(record, inputs, 1000 if i else 0)
+                record, flags = table.step(record, inputs, {}, 1000 if i else 0)
                 window = oracle.step(inputs)
-            flags = table.flags(record)
             assert tuple(int(flags[p]) for p in report.predicate_ids) == vector
             assert flags == window
 

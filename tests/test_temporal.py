@@ -17,36 +17,44 @@ from oracles import ReferenceHoldTable, WindowOracle
 from test_reduction import _model_sources
 
 MOVE_60 = TemporalPredicateDecl("move_eq_f_t1", "move", 0, 60_000)
-MOVE = HoldTable([MOVE_60])
+MOVE = HoldTable([MOVE_60], ())
 STILL, MOVING = {"move": 0}, {"move": 1}
 
 
 class TestStepPredicate:
     def test_idle_stays_idle(self):
-        assert MOVE.step(MOVE.initial, MOVING, 0) == (None,)
+        assert MOVE.step(MOVE.initial, MOVING, {}, 0)[0] == (None,)
 
     def test_fresh_hold_latches_start_time(self):
-        assert MOVE.step(MOVE.initial, STILL, 5000) == (0,)
+        assert MOVE.step(MOVE.initial, STILL, {}, 5000)[0] == (0,)
 
     def test_persisting_hold_keeps_start_time(self):
-        assert MOVE.step((0,), STILL, 1000) == (1000,)
+        assert MOVE.step((0,), STILL, {}, 1000)[0] == (1000,)
 
     def test_break_resets(self):
-        assert MOVE.step((1000,), MOVING, 1000) == (None,)
+        assert MOVE.step((1000,), MOVING, {}, 1000)[0] == (None,)
 
     def test_time_regression_rejected(self):
         with pytest.raises(TimeRegression):
-            MOVE.step((0,), STILL, -1000)
+            MOVE.step((0,), STILL, {}, -1000)
 
     def test_hold_caps_at_longest_duration(self):
-        assert MOVE.step((59_500,), STILL, 1000) == (60_000,)
-        assert HoldTable([MOVE_60], strict=True).step((59_500,), STILL, 1000) == (60_001,)
+        assert MOVE.step((59_500,), STILL, {}, 1000)[0] == (60_000,)
+        strict = HoldTable([MOVE_60], (), strict=True)
+        assert strict.step((59_500,), STILL, {}, 1000)[0] == (60_001,)
 
     def test_predicates_sharing_a_literal_share_an_entry(self, iron_extraction):
         # four predicates over three literals: !move, !position, position
-        table = HoldTable(iron_extraction.predicates)
+        table = HoldTable(iron_extraction.predicates, ())
         assert len(table.initial) == 3
-        assert table.step(table.initial, {"move": 0, "position": 1}, 0) == (0, None, 0)
+        assert table.step(table.initial, {"move": 0, "position": 1}, {}, 0)[0] == (0, None, 0)
+
+    def test_a_literal_reads_the_inputs_or_the_state_as_the_model_declares(self):
+        # each name is given a breaking value where it must not be read
+        level = TemporalPredicateDecl("level_eq_t_t1", "level", 1, 1000)
+        table = HoldTable([MOVE_60, level], {"level"})
+        stepped, _ = table.step(table.initial, {"move": 0, "level": 0}, {"move": 1, "level": 1}, 0)
+        assert stepped == (0, 0)
 
 
 class TestIsSatisfied:
@@ -56,31 +64,32 @@ class TestIsSatisfied:
         oracle = WindowOracle([MOVE_60], 1000)
         record = MOVE.initial
         for cycle in range(65):
-            record = MOVE.step(record, STILL, 0 if cycle == 0 else 1000)
+            record, flags = MOVE.step(record, STILL, {}, 0 if cycle == 0 else 1000)
             expected = oracle.step(STILL)["move_eq_f_t1"]
-            assert MOVE.flags(record)["move_eq_f_t1"] == expected
+            assert flags["move_eq_f_t1"] == expected
         assert record == (60_000,)
 
     def test_inclusive_threshold(self):
-        assert MOVE.flags((60_000,)) == {"move_eq_f_t1": True}
-        assert MOVE.flags((59_999,)) == {"move_eq_f_t1": False}
+        assert MOVE.step((59_000,), STILL, {}, 1000) == ((60_000,), {"move_eq_f_t1": True})
+        assert MOVE.step((58_999,), STILL, {}, 1000) == ((59_999,), {"move_eq_f_t1": False})
 
     def test_strict_variant(self):
-        strict = HoldTable([MOVE_60], strict=True)
-        assert strict.flags((60_000,)) == {"move_eq_f_t1": False}
-        assert strict.flags(strict.step((60_000,), STILL, 1000)) == {"move_eq_f_t1": True}
+        strict = HoldTable([MOVE_60], (), strict=True)
+        assert strict.step((59_000,), STILL, {}, 1000) == ((60_000,), {"move_eq_f_t1": False})
+        assert strict.step((60_000,), STILL, {}, 1000) == ((60_001,), {"move_eq_f_t1": True})
 
     def test_absent_never_satisfied(self):
-        assert MOVE.flags((None,)) == {"move_eq_f_t1": False}
+        assert MOVE.initial_flags == {"move_eq_f_t1": False}
+        assert MOVE.step((60_000,), MOVING, {}, 1000) == ((None,), {"move_eq_f_t1": False})
 
 
 class TestTimeFlags:
     def _run(self, extraction, seq, period=1000):
-        table = HoldTable(extraction.predicates)
+        table = HoldTable(extraction.predicates, ())
         record = table.initial
         for i, inputs in enumerate(seq):
-            record = table.step(record, inputs, period if i else 0)
-        return table.flags(record)
+            record, flags = table.step(record, inputs, {}, period if i else 0)
+        return flags
 
     def test_first_cycle_all_false(self, iron_extraction):
         flags = self._run(iron_extraction, [{"move": 0, "position": 0}])
@@ -109,10 +118,12 @@ class TestTimeFlags:
         assert set(flags) == {p.id for p in iron_extraction.predicates}
 
     def test_records_with_equal_flags_share_one_vector(self, iron_extraction):
-        table = HoldTable(iron_extraction.predicates)
+        table = HoldTable(iron_extraction.predicates, ())
         # neither literal of move has held long enough in either record
-        first = table.flags(table.step(table.initial, {"move": 0, "position": 1}, 0))
-        second = table.flags((5000, None, 5000))
+        inputs = {"move": 0, "position": 1}
+        _, first = table.step(table.initial, inputs, {}, 0)
+        record, second = table.step((4000, None, 4000), inputs, {}, 1000)
+        assert record == (5000, None, 5000)
         assert first is second
         assert first == dict.fromkeys(table.predicate_ids, False)
 
@@ -125,13 +136,12 @@ class TestProperties:
                 {"move": rng.randint(0, 1), "position": rng.randint(0, 1)}
                 for _ in range(rng.randint(1, 40))
             ]
-            table = HoldTable(desk_extraction.predicates)
+            table = HoldTable(desk_extraction.predicates, ())
             record = table.initial
             oracle = WindowOracle(desk_extraction.predicates, 1000)
             history = {p.id: [] for p in desk_extraction.predicates}
             for i, inputs in enumerate(seq):
-                record = table.step(record, inputs, 1000 if i else 0)
-                flags = table.flags(record)
+                record, flags = table.step(record, inputs, {}, 1000 if i else 0)
                 assert flags == oracle.step(inputs)
                 for pid, value in flags.items():
                     history[pid].append(value)
@@ -155,22 +165,22 @@ class TestProperties:
         assert short.duration_ms <= long_.duration_ms
         for _ in range(200):
             seq = [{"move": rng.randint(0, 1), "position": 0} for _ in range(rng.randint(1, 30))]
-            table = HoldTable(desk_extraction.predicates)
+            table = HoldTable(desk_extraction.predicates, ())
             record = table.initial
             for inputs in seq:
-                record = table.step(record, inputs, 1000)
-                flags = table.flags(record)
+                record, flags = table.step(record, inputs, {}, 1000)
                 if flags["move_eq_f_t2"]:
                     assert flags["move_eq_f_t1"]
 
 
-# a literal on each name of the generated step and flags, and on Python's
-# None; at 1 ms, each literal has few boundary entries, which keeps the
-# product of the six small
+# literals on the names of the generated step: its parameters, locals and
+# globals, and Python's None, split over two models, a readable state
+# variable in one and a hidden one in the other; at 1 ms, each literal has
+# few boundary entries, which keeps the product of each model's small
 NAMES_SRC = """\
 model names {
   input record: bool;
-  input env: bool;
+  input inputs: bool;
   input elapsed_ms: bool;
   input h0: bool;
   input None: bool;
@@ -178,7 +188,7 @@ model names {
   state TimeRegression: bool readable = 0;
 
   logic {
-    if (held(record && env, 1ms) || held(elapsed_ms && !h0, 1ms)) {
+    if (held(record && inputs, 1ms) || held(elapsed_ms && !h0, 1ms)) {
       o = 1;
       TimeRegression = None;
     } else {
@@ -188,10 +198,30 @@ model names {
 }
 """
 
+FLAG_NAMES_SRC = """\
+model flagnames {
+  input bits: bool;
+  input vector: bool;
+  input vectors: bool;
+  input ids: bool;
+  output o: int 0..1;
+  state record: bool hidden = 0;
+
+  logic {
+    if (held(bits && !vector, 1ms) || held(vectors && record, 1ms)) {
+      o = 1;
+      record = ids;
+    } else {
+      if (held(ids, 1ms)) { o = 1; record = bits; } else { o = 0; }
+    }
+  }
+}
+"""
+
 
 def _generated_models():
-    """Every model of ``_model_sources()`` (iron, tank and NAMES_SRC among
-    them), wide20_state and a table of no predicates."""
+    """Every model of ``_model_sources()`` (iron, tank, NAMES_SRC and
+    FLAG_NAMES_SRC among them), wide20_state and a table of no predicates."""
     return _model_sources() + [
         pytest.param((Path(__file__).parent / "models" / "wide20_state.ctl").read_text(),
                      id="wide20_state"),
@@ -200,19 +230,21 @@ def _generated_models():
 
 
 class TestGeneratedHoldTable:
-    """The generated step and flags against the comprehensions of
-    ``oracles``: every record built from each literal's boundary entries,
-    every value of the variables the literals read, and every elapsed time
-    about a period and each cap, under both semantics."""
+    """The generated step against the comprehensions of ``oracles``: every
+    record built from each literal's boundary entries, every value of the
+    variables the literals read, split into inputs and state as the model
+    declares them, and every elapsed time about a period and each cap, under
+    both semantics."""
 
     @pytest.mark.parametrize("strict", [False, True], ids=["inclusive", "strict"])
     @pytest.mark.parametrize("source", _generated_models())
     def test_every_boundary_record(self, source, strict):
-        model, predicates = None, []
+        model, predicates, state_names = None, [], {}
         if source is not None:
             extraction = extract_predicates(parse_model(source))
             model, predicates = extraction.model, extraction.predicates
-        table = HoldTable(predicates, strict)
+            state_names = model.initial_state()
+        table = HoldTable(predicates, state_names, strict)
         reference = ReferenceHoldTable(table)
         literals, thresholds = reference.literals, reference.thresholds
         entries = []  # per literal: None, 0, 1, and one below and at each need and its cap
@@ -220,37 +252,43 @@ class TestGeneratedHoldTable:
             needs = [n for j, n in thresholds if j == i]
             values = {0, 1, cap - 1, cap, *needs, *(n - 1 for n in needs)}
             entries.append([None] + sorted(v for v in values if v >= 0))
-        variables = sorted(table.variables)
-        envs = [dict(zip(variables, values)) for values in itertools.product(
-            *(model.domains[var] for var in variables))]
+        variables = sorted({var for var, _, _ in literals})
+        parts = []  # each valuation of the variables, as (inputs, state)
+        for values in itertools.product(*(model.domains[var] for var in variables)):
+            env = dict(zip(variables, values))
+            parts.append(({k: v for k, v in env.items() if k not in state_names},
+                          {k: v for k, v in env.items() if k in state_names}))
         caps = {cap for _, _, cap in literals}
         elapsed = sorted({0, 1, 1000} | caps | {cap + 1 for cap in caps})
-        cycles = list(itertools.product(envs, elapsed))
+        cycles = list(itertools.product(parts, elapsed))
+        vectors = {}  # every flags dict the step gave, by identity
         for record in itertools.product(*entries):
-            # a tuple's == keeps None apart from 0; repr keeps a bool apart from an int
-            flags = table.flags(record)
-            assert repr(flags) == repr(reference.flags(record))
-            assert ([table.step(record, env, ms) for env, ms in cycles]
-                    == [reference.step(record, env, ms) for env, ms in cycles])
+            # a tuple's == keeps None apart from 0
+            got = [table.step(record, inputs, state, ms) for (inputs, state), ms in cycles]
+            assert got == [reference.step(record, inputs, state, ms)
+                           for (inputs, state), ms in cycles]
+            vectors.update((id(flags), flags) for _, flags in got)
+        # and a flag is a bool, not an int equal to one
+        assert all(type(bit) is bool for flags in vectors.values() for bit in flags.values())
         assert isinstance(vars(table)["step"], types.FunctionType)
 
     @pytest.mark.parametrize("source", [MODEL_PATH, None], ids=["iron", "no-predicates"])
     def test_time_regression(self, source):
         predicates = [] if source is None else extract_predicates(
             parse_model(Path(source).read_text())).predicates
-        table = HoldTable(predicates)
+        table = HoldTable(predicates, ())
         for ms in (-1, -1000):
             with pytest.raises(TimeRegression) as got:
-                table.step(table.initial, {}, ms)
+                table.step(table.initial, {}, {}, ms)
             with pytest.raises(TimeRegression) as want:
-                ReferenceHoldTable(table).step(table.initial, {}, ms)
+                ReferenceHoldTable(table).step(table.initial, {}, {}, ms)
             assert str(got.value) == str(want.value) == "predicates stepped %d ms back in time" % -ms
 
     def test_flags_shared_with_the_initial_records(self, iron_extraction):
-        table = HoldTable(iron_extraction.predicates)
-        initial = table.flags(table.initial)
-        assert table.flags(table.step(table.initial, {"move": 1, "position": 1}, 0)) is initial
-        assert table.flags(table.initial) is initial
+        table = HoldTable(iron_extraction.predicates, ())
+        initial = table.initial_flags
+        assert table.step(table.initial, {"move": 1, "position": 1}, {}, 0)[1] is initial
+        assert table.step(table.initial, {"move": 0, "position": 0}, {}, 0)[1] is initial
 
 
 class TestCompileGuard:
@@ -271,21 +309,24 @@ class TestCompileGuard:
         link = InProcessLink(extraction.model, IronSut(FULL_DURATIONS_MS, 1000), KernelConfig())
         spec = Specification(extraction, link)
         table = spec.hold_table
-        assert table.flags(table.initial) == dict.fromkeys(table.predicate_ids, False)
+        assert spec.state.flags is table.initial_flags
+        assert table.initial_flags == dict.fromkeys(table.predicate_ids, False)
         assert compiles == []
-        assert "step" not in vars(table) and "flags" not in vars(table)
+        assert "step" not in vars(table)
 
     def test_compiled_on_first_step_only(self, compiles, iron_extraction):
-        table = HoldTable(iron_extraction.predicates)
-        record = table.step(table.initial, {"move": 0, "position": 1}, 0)
-        assert compiles == ["step", "flags"]
-        step, flags = vars(table)["step"], vars(table)["flags"]
-        assert step.__module__ == flags.__module__ == "cyclotest.temporal"
-        table.flags(table.step(record, {"move": 0, "position": 1}, 1000))
-        assert compiles == ["step", "flags"]
-        assert vars(table)["step"] is step and vars(table)["flags"] is flags
+        table = HoldTable(iron_extraction.predicates, ())
+        record, _ = table.step(table.initial, {"move": 0, "position": 1}, {}, 0)
+        assert compiles == ["step"]
+        step = vars(table)["step"]
+        assert step.__module__ == "cyclotest.temporal"
+        table.step(record, {"move": 0, "position": 1}, {}, 1000)
+        assert compiles == ["step"]
+        assert vars(table)["step"] is step
 
-    def test_first_flags_of_another_record_compile(self, compiles, iron_extraction):
-        table = HoldTable(iron_extraction.predicates)
-        assert table.flags((0, None, 60_000)) == ReferenceHoldTable(table).flags((0, None, 60_000))
-        assert compiles == ["step", "flags"]
+    def test_first_step_from_another_record_compiles(self, compiles, iron_extraction):
+        table = HoldTable(iron_extraction.predicates, ())
+        inputs = {"move": 0, "position": 1}
+        assert (table.step((0, None, 59_000), inputs, {}, 1000)
+                == ReferenceHoldTable(table).step((0, None, 59_000), inputs, {}, 1000))
+        assert compiles == ["step"]
