@@ -28,7 +28,7 @@ import stat
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from . import iron
@@ -100,6 +100,7 @@ class RunConfig:
     strict_held: bool = False
     timeout_s: float = 5.0
     required: tuple = ()  # ((criterion, ratio), ...)
+    timed: bool = False  # the in-process kernel measures each cycle's time
 
     def __post_init__(self):  # the command line gives lists
         self.parts, self.required = tuple(self.parts), tuple(self.required)
@@ -170,7 +171,8 @@ def load_model(config: RunConfig):
 def build_link(model, extraction, config: RunConfig, period_ms: int):
     spec_str = config.sut
     kind, _, rest = spec_str.partition(":")
-    kcfg = KernelConfig(cycle_period_ms=period_ms, streaming=config.streaming)
+    kcfg = KernelConfig(cycle_period_ms=period_ms, streaming=config.streaming,
+                        timed=config.timed)
     if kind == "inproc":
         name, _, mutant = rest.partition(":")
         if name != "iron":
@@ -367,7 +369,9 @@ def _write_output(fh, chunks) -> None:
 
 
 def cmd_run(args) -> tuple:
-    config = _config_from_args(args)
+    # cycle records carry execution times unless --deterministic leaves them out
+    config = replace(_config_from_args(args),
+                     timed=args.trace_cycles is not None and not args.deterministic)
     check_options(config, args.log, args.trace_cycles, args.dot)
     # the output files are opened before the model is read or the subject
     # started, so that a bad path costs no campaign, and each keeps its bytes

@@ -220,9 +220,11 @@ class Specification:
         model's judge, which refers to no specification, and binds it on
         ``spec`` over this method.  In one frame it admits the call (names as
         ``repr``'d keys, bounds inlined; an ``int`` subclass is converted once
-        inside its domain), exchanges it and, for a step ``_steps`` remembers
-        whose outputs and readable state match, moves to the successor and
-        passes.  Every other case goes to :meth:`_judge_rest`."""
+        inside its domain), exchanges a fresh dict of it, which the subject
+        may write, and, for a step ``_steps`` remembers whose outputs and
+        readable state match, moves to the successor and passes.  Every other
+        case goes to :meth:`_judge_rest`, with the admitted values in a dict
+        built again, which the subject cannot have written."""
         model = spec.model
         names = model.input_names
         local = ["v%d" % i for i in range(len(names))]  # the values, as locals
@@ -238,7 +240,8 @@ class Specification:
                       "  %s = int(%s)" % (v, v),
                       " elif not %d <= %s <= %d:" % (domain.start, v, domain[-1]),
                       "  " + refuse]
-        lines += [" admitted = {%s}" % ", ".join("%r: %s" % nv for nv in zip(names, local)),
+        admitted = "{%s}" % ", ".join("%r: %s" % nv for nv in zip(names, local))
+        lines += [" admitted = " + admitted,
                   " try:",
                   "  obs = spec.link.exchange(admitted)",  # (cycle, time, outputs, state)
                   " except MediatorError as exc:",
@@ -253,7 +256,7 @@ class Specification:
                   "  spec.sys_time_ms = obs[1]",
                   "  spec.state = step[1]",
                   "  return new(Verdict, (PASS, '', obs[0], (), step[2], obs))",
-                  " return rest(spec, admitted, key, obs, step)"]
+                  " return rest(spec, %s, key, obs, step)" % admitted]
         spec._judge = judge = compile_function(lines, "judge", "<judge>", {
             "__name__": __name__, "MediatorError": MediatorError, "Verdict": Verdict,
             "PASS": PASS, "new": tuple.__new__, "rest": type(spec)._judge_rest})

@@ -193,8 +193,8 @@ class MediatorLink:
 
 class InProcessLink(MediatorLink):
     """Run the subject's step function in a local kernel: each cycle steps it
-    on a copy of the inputs, then reads its outputs and state, the only parts
-    of the observation that are checked.  The kernel holds only the bound
+    on the inputs, then reads its outputs and state, the only parts of the
+    observation that are checked.  The kernel holds only the bound
     ``step``, so link and kernel form no reference cycle that would keep a
     spent kernel's cycle times alive."""
 
@@ -203,15 +203,17 @@ class InProcessLink(MediatorLink):
         self.kernel = Kernel(config or KernelConfig(), sut.step)
         self._visible_state = getattr(sut, "visible_state", dict)
 
-    def exchange(self, inputs: Mapping) -> CycleObservation:
+    def exchange(self, inputs: dict) -> CycleObservation:
+        """One cycle of the subject on ``inputs``, a dict that the subject is
+        given as it is and may write: the caller hands over a fresh one, as
+        the generated judge does, and reads nothing of it afterwards."""
         kernel = self.kernel
         try:
-            outputs = kernel.run_cycle(dict(inputs))
+            outputs = kernel.run_cycle(inputs)
             state = self._visible_state()
         except Exception as exc:
             raise MediatorError("subsystem '%s' failed: %s" % (self.model.name, exc)) from exc
-        return self._check_values(self, len(kernel.exec_time_us) - 1, kernel.sys_time_ms,
-                                  outputs, state)
+        return self._check_values(self, kernel.cycles - 1, kernel.sys_time_ms, outputs, state)
 
 
 class _StreamLink(MediatorLink):

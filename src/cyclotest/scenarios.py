@@ -32,15 +32,16 @@ from .traversal import Action, Scenario
 
 def saturation_cycles(extraction: ExtractionResult, cycle_period_ms: int,
                       strict: bool = False) -> int:
-    """Cycles needed to saturate the slowest predicate, plus one.
-
-    Strict (>) semantics delay every firing by one cycle, so saturation
-    takes one more.
+    """Cycles that a held input takes to bring the slowest predicate's hold
+    record to its cap: its first holding cycle, then one per period until
+    the cap is reached.  The cap is the duration, plus 1 ms under strict
+    semantics, which fire only once a hold exceeds its duration.
     """
     if not extraction.predicates:
         return 1
-    worst = max(-(-p.duration_ms // cycle_period_ms) for p in extraction.predicates)
-    return worst + (2 if strict else 1)
+    worst = max(-(-(p.duration_ms + int(strict)) // cycle_period_ms)
+                for p in extraction.predicates)
+    return worst + 1
 
 
 def build_coverage_scenario(spec, extraction: ExtractionResult, cycle_period_ms: int = 1000,

@@ -17,6 +17,8 @@ that has one fault:
   stalls for 30 s without writing a newline;
 * ``trickle``: the observation is written one byte every 0.5 s;
 * ``flood``: in place of the first observation, 64 MiB with no newline;
+* ``flood-after-prefix``: two correct observations, then in place of the
+  third 64 MiB with no newline;
 * ``eof-mid-line``: two correct observations, then the first half of the
   third and the end of the stream.
 """
@@ -26,7 +28,7 @@ import sys
 import time
 
 FAULTS = ("no-time", "bad-output", "time-back", "bool-cycle", "float-cycle", "no-state",
-          "partial-line", "trickle", "flood", "eof-mid-line")
+          "partial-line", "trickle", "flood", "flood-after-prefix", "eof-mid-line")
 
 
 def serve(fault: str, reader, writer) -> int:
@@ -59,7 +61,7 @@ def serve(fault: str, reader, writer) -> int:
             write('{"type": "observation"')
             time.sleep(30)
             return 0
-        elif fault == "flood":
+        elif fault == "flood" or (fault == "flood-after-prefix" and cycle == 2):
             for _ in range(64):
                 write("x" * (1 << 20))
             return 0

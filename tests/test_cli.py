@@ -603,6 +603,39 @@ class TestRun:
         deltas = {b["sys_time_ms"] - a["sys_time_ms"] for a, b in zip(records, records[1:])}
         assert deltas == {1000}
 
+    def test_trace_cycles_without_deterministic_times_every_cycle(self, capsys, tmp_path):
+        cycles = tmp_path / "cycles.jsonl"
+        code, out, _ = _run(capsys, ["run", "--model", MODEL_PATH, "--json",
+                                     "--trace-cycles", str(cycles)] + DESK)
+        assert code == 0
+        records = [json.loads(line) for line in cycles.read_text().splitlines()]
+        # one record per stimulus, each with its measured time
+        stimuli = sum(json.loads(out)["verdicts"].values())
+        assert [r["cycle"] for r in records] == list(range(stimuli))
+        assert all(type(r["exec_time_us"]) is int and r["exec_time_us"] >= 0 for r in records)
+
+    @pytest.mark.parametrize("options", [[], ["--deterministic", "--trace-cycles"]],
+                             ids=["untraced", "deterministic-trace"])
+    def test_untimed_campaign_reads_no_clock(self, capsys, monkeypatch, tmp_path, options):
+        # only cycle records written with their times read the kernel's clock
+        real, kernels = cyclotest.cli.build_link, []
+
+        def no_clock():
+            raise AssertionError("the kernel read its clock")
+
+        def build_link(*args):
+            link = real(*args)
+            link.kernel._monotonic = no_clock
+            kernels.append(link.kernel)
+            return link
+
+        monkeypatch.setattr(cyclotest.cli, "build_link", build_link)
+        paths = [str(tmp_path / "cycles.jsonl")] if options else []
+        code, out, _ = _run(capsys, ["run", "--model", MODEL_PATH, "--json"] + options + paths
+                            + DESK)
+        assert code == 0
+        assert [k.cycles for k in kernels] == [sum(json.loads(out)["verdicts"].values())]
+
     def test_seeded_run_reproducible(self, capsys):
         argv = ["run", "--model", MODEL_PATH, "--seed", "7", "--json", "--deterministic"] + DESK
         outputs = [_run(capsys, argv)[1] for _ in range(2)]
@@ -996,12 +1029,14 @@ FAULTS = {
     "trickle": "no observation within 1.0 s",
     # the model's hello and longest observation, plus the link's slack
     "flood": "line longer than 1048792 bytes",
+    "flood-after-prefix": "line longer than 1048792 bytes",
     # the stream ends inside the third observation's string
     "eof-mid-line": "undecodable message: Unterminated string starting at: line 1 column 37"
                     " (char 36)",
 }
 # the stimuli that pass before each fault's MediatorFailure; none where not given
-FAULT_PASSES = {"time-back": 1, "bool-cycle": 1, "float-cycle": 1, "eof-mid-line": 2}
+FAULT_PASSES = {"time-back": 1, "bool-cycle": 1, "float-cycle": 1, "flood-after-prefix": 2,
+                "eof-mid-line": 2}
 
 
 class TestMisbehavingSubject:

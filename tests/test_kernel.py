@@ -57,7 +57,7 @@ class TestSimulatedTime:
         assert outputs == {"out": 5}
 
     def test_instant_step_cycle_completes(self):
-        kernel, _ = _kernel(KernelConfig(cycle_period_ms=100))
+        kernel, _ = _kernel(KernelConfig(cycle_period_ms=100, timed=True))
         kernel.run_cycle({})
         assert kernel.records[0].overrun is False
         assert kernel.records[0].exec_time_us == 0
@@ -141,10 +141,21 @@ class TestDeterminism:
 
 class TestDerivedRecords:
     """The records derived from the measured times equal those of a kernel
-    that builds each record as its cycle ends."""
+    that builds each record as its cycle ends; an untimed kernel's records
+    differ from them only in carrying no execution time."""
 
     # seconds each successive cycle's step takes, by the scripted clock
     WORK = [0.0, 0.020, 0.150, 0.100, 0.1000011, 0.0, 0.250, 0.001]
+
+    def _run(self, make, config, clock):
+        work = iter(self.WORK)
+
+        def step(inputs, sys_time_ms):
+            clock.work(next(work))
+            return {"t": sys_time_ms}
+
+        kernel = make(config, step, monotonic=clock.monotonic, sleep=clock.sleep)
+        return kernel, [kernel.run_cycle({}) for _ in self.WORK]
 
     @pytest.mark.parametrize("streaming", [True, False])
     @pytest.mark.parametrize("period", [100, 250])
@@ -152,15 +163,8 @@ class TestDerivedRecords:
         runs = []
         for make in (Kernel, ReferenceKernel):
             clock = FakeClock()
-            work = iter(self.WORK)
-
-            def step(inputs, sys_time_ms, clock=clock, work=work):
-                clock.work(next(work))
-                return {"t": sys_time_ms}
-
-            kernel = make(KernelConfig(cycle_period_ms=period, streaming=streaming), step,
-                          monotonic=clock.monotonic, sleep=clock.sleep)
-            outputs = [kernel.run_cycle({}) for _ in self.WORK]
+            kernel, outputs = self._run(make, KernelConfig(
+                cycle_period_ms=period, streaming=streaming, timed=True), clock)
             runs.append((kernel.records, clock.sleeps, outputs))
         (records, sleeps, outputs), (ref_records, ref_sleeps, ref_outputs) = runs
         assert records == ref_records
@@ -168,3 +172,20 @@ class TestDerivedRecords:
         assert sleeps == ref_sleeps
         assert outputs == [out for _, out in ref_outputs]
         assert any(r.overrun for r in records) is (not streaming and period == 100)
+
+    @pytest.mark.parametrize("period", [100, 250])
+    def test_untimed_kernel_never_reads_its_clock(self, period):
+        class NoClock(FakeClock):
+            def monotonic(self):
+                raise AssertionError("an untimed kernel read its clock")
+
+        kernel, outputs = self._run(Kernel, KernelConfig(cycle_period_ms=period), NoClock())
+        reference, ref_outputs = self._run(
+            ReferenceKernel, KernelConfig(cycle_period_ms=period), FakeClock())
+        assert kernel.cycles == len(self.WORK) and len(kernel.exec_time_us) == 0
+        assert outputs == [out for _, out in ref_outputs]
+        assert ([(r.cycle_index, r.sys_time_ms, r.overrun) for r in kernel.records]
+                == [(r.cycle_index, r.sys_time_ms, r.overrun) for r in reference.records])
+        assert [r.exec_time_us for r in kernel.records] == [None] * len(self.WORK)
+        assert ([r.to_json(deterministic=True) for r in kernel.records]
+                == [r.to_json(deterministic=True) for r in reference.records])

@@ -1,3 +1,4 @@
+import pytest
 from conftest import desk_config
 
 from cyclotest.cli import run_campaign
@@ -5,6 +6,17 @@ from cyclotest.contracts import VerdictKind
 from cyclotest.dsl import extract_predicates, parse_model
 from cyclotest.reduction import make_piecemeal
 from cyclotest.scenarios import build_coverage_scenario, saturation_cycles
+from cyclotest.temporal import HoldTable
+
+# the slowest of two holds lasts a given number of ms
+HOLD_SRC = """\
+model hold {
+  input a: bool;
+  input b: bool;
+  output o: bool;
+  logic { if (held(a == 1, %dms) && held(b == 1, 500ms)) { o = 1; } else { o = 0; } }
+}
+"""
 
 # inputs declared out of alphabetical order: a label follows the declaration,
 # a valuation and its stimuli follow the sorted names
@@ -24,6 +36,23 @@ class TestSaturation:
 
     def test_full_scale_needs_901(self, iron_extraction):
         assert saturation_cycles(iron_extraction, 1000) == 901
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["inclusive", "strict"])
+    @pytest.mark.parametrize("period", [250, 300, 700, 1000])
+    def test_equals_the_cycles_a_hold_takes_to_saturate(self, period, strict):
+        # a hold table stepped one period a cycle on held inputs, from the
+        # record where no literal holds, until the record stops changing
+        for duration in (699, 700, 1000, 1399, 1500, 2000, 2100, 3000, 3400, 5000):
+            extraction = extract_predicates(parse_model(HOLD_SRC % duration))
+            table = HoldTable(extraction.predicates, (), strict)
+            record, cycles = table.initial, 0
+            while True:
+                following, flags = table.step(record, {"a": 1, "b": 1}, {}, period)
+                if following == record:
+                    break
+                record, cycles = following, cycles + 1
+            assert all(flags.values())
+            assert saturation_cycles(extraction, period, strict) == cycles, duration
 
 
 class TestFullScenario:
