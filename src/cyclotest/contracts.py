@@ -7,10 +7,10 @@ state synchronization, and finally the postcondition comparing observed
 outputs and visible state against the reference values.  Each check runs
 once per stimulus; only a refused call is checked again, to word its reason.
 One generated function per specification, compiled at the first stimulus,
-judges a stimulus in one frame: it admits the call, exchanges it, and judges a
-step the specification remembers; the link's generated observation check
-(:class:`mediator.MediatorLink`) runs inside the exchange.  Every other case
-is judged by one Python method.
+judges a stimulus in one frame: it admits the call, exchanges it, and judges
+the step, remembered or taken afresh; the link's generated observation check
+(:class:`mediator.MediatorLink`) runs inside the exchange.  A refused call, a
+failed exchange and a failing postcondition are judged by one Python method.
 
 The predicate/flag update, the reference run and, on a passing cycle, the
 synchronized state are together the cycle's step, a function of the inputs,
@@ -29,7 +29,7 @@ from typing import Callable, Mapping, NamedTuple, Optional
 
 from . import mediator, temporal
 from .coverage import CoverageReport
-from .dsl import ExtractionResult, ModelAst, compile_function
+from .dsl import ExtractionResult, ModelAst, compile_function, compiled_lazily
 from .interp import DecisionTrace, eval_model
 from .mediator import CycleObservation, MediatorError, MediatorLink
 
@@ -117,9 +117,10 @@ class Specification:
     pre-state's number (so no hold record is hashed), the admitted input
     values in ``model.input_names`` order and the ms elapsed since the
     previous observation (0 on the first): a remembered step is one lookup,
-    the postcondition, and the move to the successor the table holds, all
-    in the judge.  A step not remembered is taken afresh: the hold-table
-    step, the flags, the reference lookup, :func:`mediator.sync_state` and
+    the postcondition, and the move to the successor the table holds.  A
+    step not remembered is taken afresh, also in the judge:
+    :func:`mediator.step_predicates`, the ``_memo`` lookup (the model runs,
+    in :meth:`reference`, only on a miss), :func:`mediator.sync_state` and
     the postcondition.  If that passes, the synchronized state is interned
     and the step remembered; a failing postcondition leaves the state that
     ``sync_state`` gave, un-interned, and remembers nothing.
@@ -214,21 +215,21 @@ class Specification:
     def apply_stimulus(self, inputs: Mapping) -> Verdict:
         return self._judge(self, inputs)
 
-    @staticmethod
-    def _judge(spec: Specification, inputs: Mapping) -> Verdict:
-        """``spec``'s verdict on ``inputs``.  The first call compiles the
-        model's judge, which refers to no specification, and binds it on
-        ``spec`` over this method.  In one frame it admits the call (names as
-        ``repr``'d keys, bounds inlined; an ``int`` subclass is converted once
-        inside its domain), exchanges a fresh dict of it, which the subject
-        may write, and, for a step ``_steps`` remembers whose outputs and
-        readable state match, moves to the successor and passes.  Every other
-        case goes to :meth:`_judge_rest`, with the admitted values in a dict
-        built again, which the subject cannot have written."""
-        model = spec.model
-        names = model.input_names
+    @compiled_lazily
+    def _judge(self) -> Callable:
+        """``judge(spec, inputs)``, ``spec``'s verdict on ``inputs``, which
+        refers to no specification.  In one frame it admits the call (names
+        as ``repr``'d keys, bounds inlined; an ``int`` subclass is converted
+        once inside its domain), exchanges a fresh dict of it, which the
+        subject may write, and judges the step: a remembered one by one lookup
+        and the postcondition, any other afresh, on the admitted values in a
+        dict built again (:class:`Specification`).  A refused call, a failed
+        exchange and a failing postcondition go to :meth:`_judge_rest`."""
+        model = self.model
+        names, readable = model.input_names, model.readable_names
         local = ["v%d" % i for i in range(len(names))]  # the values, as locals
-        refuse = "return rest(spec, inputs, None, None)"
+        values = "".join(v + ", " for v in local)
+        refuse = "return rest(spec, inputs, None)"
         lines = ["def judge(spec, inputs):", " if len(inputs) != %d: %s" % (len(names), refuse)]
         for v, name in zip(local, names):
             domain = model.domains[name]
@@ -245,63 +246,75 @@ class Specification:
                   " try:",
                   "  obs = spec.link.exchange(admitted)",  # (cycle, time, outputs, state)
                   " except MediatorError as exc:",
-                  "  return rest(spec, admitted, None, exc)",
-                  " last = spec.sys_time_ms",
-                  " key = spec.state.number, %s0 if last is None else obs[1] - last"
-                  % "".join(v + ", " for v in local),
+                  "  return rest(spec, admitted, exc)",
+                  " last, pre = spec.sys_time_ms, spec.state",
+                  " key = pre.number, %s0 if last is None else obs[1] - last" % values,
                   " step = spec._steps.get(key)",
                   " if step is not None and step[0] == obs[2]%s:" % "".join(
                       " and step[1].state_vars[%r] == obs[3][%r]" % (name, name)
-                      for name in model.readable_names),
+                      for name in readable),
                   "  spec.sys_time_ms = obs[1]",
                   "  spec.state = step[1]",
                   "  return new(Verdict, (PASS, '', obs[0], (), step[2], obs))",
-                  " return rest(spec, %s, key, obs, step)" % admitted]
-        spec._judge = judge = compile_function(lines, "judge", "<judge>", {
+                  " if step is not None:",
+                  "  return rest(spec, None, obs, step)",
+                  " call = " + admitted,
+                  " stepped = mediator.step_predicates(spec.hold_table, pre, call, key[-1])",
+                  " flags = stepped[1]",
+                  " ref = spec._memo.get(((%s), pre.values, (%s)))" % (values, "".join(
+                      "flags[%r], " % i for i in self.hold_table.predicate_ids)),
+                  " if ref is None:",
+                  "  ref = reference(spec, call, pre.state_vars, flags, ((%s), pre.values))"
+                  % values,
+                  " post = mediator.sync_state(pre, obs, ref[1], stepped)",
+                  " if ref[0] != obs[2]%s:" % "".join(
+                      " or ref[1][%r] != obs[3][%r]" % (name, name) for name in readable),
+                  "  return rest(spec, None, obs, ref, post)",
+                  " spec.sys_time_ms = obs[1]",
+                  " spec.state = remember(spec, key, pre, ref, post)",
+                  " return new(Verdict, (PASS, '', obs[0], (), ref[2], obs))"]
+        # mediator's functions are read off the module at each call
+        return compile_function(lines, "judge", "<judge>", {
             "__name__": __name__, "MediatorError": MediatorError, "Verdict": Verdict,
-            "PASS": PASS, "new": tuple.__new__, "rest": type(spec)._judge_rest})
-        return judge(spec, inputs)
+            "PASS": PASS, "new": tuple.__new__, "mediator": mediator,
+            "rest": type(self)._judge_rest, "reference": type(self).reference,
+            "remember": type(self)._remember})
 
-    def _judge_rest(self, inputs: Mapping, key: Optional[tuple], outcome,
-                    step: Optional[tuple] = None) -> Verdict:
-        """The verdict on a refused call ``inputs`` (``outcome`` None), or on
-        the admitted call ``inputs`` whose exchange gave ``outcome``: a
-        :class:`MediatorError`, or an observation that the judge does not
-        pass on the step ``key``, which ``_steps`` maps to ``step``."""
+    def _remember(self, key: tuple, pre: SpecificationState, ref: tuple,
+                  post: SpecificationState) -> SpecificationState:
+        """The interned state equal to ``post``; the passing step ``key`` from
+        ``pre``, whose reference run gave ``ref``, is remembered while both
+        states are interned, below the cap."""
+        post = self._intern(post)
+        if len(self._steps) < MEMO_CAP and pre.number is not None and post.number is not None:
+            self._steps[key] = ref[0], post, ref[2]
+        return post
+
+    def _judge_rest(self, inputs: Optional[Mapping], outcome, step: Optional[tuple] = None,
+                    post: Optional[SpecificationState] = None) -> Verdict:
+        """The verdict on a refused call ``inputs`` (``outcome`` None), on a
+        failed exchange (``outcome`` its :class:`MediatorError`), or on the
+        observation ``outcome`` failing the postcondition of a fresh step
+        whose reference run gave ``step`` and state ``post``, or of the
+        remembered ``step`` (``post`` None)."""
         if outcome is None:
             return Verdict(VerdictKind.PRECONDITION_VIOLATION, self.check_precondition(inputs),
                            self.link.next_cycle)
         if isinstance(outcome, MediatorError):
             return Verdict(VerdictKind.MEDIATOR_FAILURE, str(outcome), self.link.next_cycle)
-        obs, pre = outcome, self.state  # the pre-state's variables, holds and flags never change
-        self.sys_time_ms = obs.sys_time_ms
-        if step is None:  # a state not interned has no number, and remembers no step
-            stepped = mediator.step_predicates(self.hold_table, pre, inputs, key[-1])
-            ref_outputs, ref_post, trace = self.reference(inputs, pre.state_vars, stepped[1],
-                                                          (key[1:-1], pre.values))
-            post = mediator.sync_state(pre, obs, ref_post, stepped)
-        else:
-            ref_outputs, post, trace = step
-            ref_post = post.state_vars
-
+        obs, (ref_outputs, ref_post, trace) = outcome, step
+        if post is None:  # the observation's state, not the remembered successor
+            post = mediator.sync_state(self.state, obs, ref_post.state_vars,
+                                       (ref_post.holds, ref_post.flags))
+            ref_post = ref_post.state_vars
         visible, readable = obs.visible_state, self.model.readable_names
-        if ref_outputs != obs.outputs or (readable
-                                          and any(ref_post[n] != visible[n] for n in readable)):
-            mismatches = [Mismatch(n, ref_outputs[n], obs.outputs[n])
-                          for n in self.model.output_names if ref_outputs[n] != obs.outputs[n]]
-            mismatches += [Mismatch(n, ref_post[n], visible[n])
-                           for n in readable if ref_post[n] != visible[n]]
-            if step is not None:  # the observation's state, not the remembered one
-                post = mediator.sync_state(pre, obs, ref_post, (post.holds, post.flags))
-            post.values = self._state_at(post.state_vars)
-            self.state = post
-            detail = "; ".join("%s: expected %d, actual %d" % (m.name, m.expected, m.actual)
-                               for m in mismatches)
-            return Verdict(VerdictKind.POSTCONDITION_FAILURE, detail, obs.cycle,
-                           tuple(mismatches), trace, obs)
-        if step is None:  # remembered while both states are interned, below the cap
-            post = self._intern(post)
-            if len(self._steps) < MEMO_CAP and pre.number is not None and post.number is not None:
-                self._steps[key] = ref_outputs, post, trace
-        self.state = post
-        return tuple.__new__(Verdict, (PASS, "", obs.cycle, (), trace, obs))
+        mismatches = [Mismatch(n, ref_outputs[n], obs.outputs[n])
+                      for n in self.model.output_names if ref_outputs[n] != obs.outputs[n]]
+        mismatches += [Mismatch(n, ref_post[n], visible[n])
+                       for n in readable if ref_post[n] != visible[n]]
+        post.values = self._state_at(post.state_vars)
+        self.sys_time_ms, self.state = obs.sys_time_ms, post
+        detail = "; ".join("%s: expected %d, actual %d" % (m.name, m.expected, m.actual)
+                           for m in mismatches)
+        return Verdict(VerdictKind.POSTCONDITION_FAILURE, detail, obs.cycle,
+                       tuple(mismatches), trace, obs)

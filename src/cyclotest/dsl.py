@@ -39,6 +39,27 @@ class UnsupportedTemporalFormula(SemanticError):
     """held() argument is not a conjunction of variable literals."""
 
 
+def compile_function(lines: list, name: str, filename: str, namespace: dict) -> Callable:
+    """The function ``name`` that the generated source ``lines`` defines,
+    with ``namespace`` as its globals.  Taken out of its globals, the
+    function holds no reference cycle and is freed with its owner, not by
+    the collector."""
+    exec(compile("\n".join(lines), filename, "exec"), namespace)
+    return namespace.pop(name)
+
+
+class compiled_lazily(cached_property):
+    """A ``cached_property`` for a generated function, set on the instance by
+    ``object.__setattr__``: a write to ``__dict__`` slows attribute loads."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        function = self.func(instance)
+        object.__setattr__(instance, self.attrname, function)
+        return function
+
+
 # ---------------------------------------------------------------------------
 # AST
 
@@ -203,7 +224,7 @@ class ModelAst:
         return LeafBoxes(self.body, {d.name: d.domain() for d in self.inputs}, len(self.inputs),
                          lambda dec: self.over_inputs(dec.condition))
 
-    @cached_property
+    @compiled_lazily
     def compiled(self) -> Callable:
         """The rewritten model's reference run, generated and compiled on
         first use: see :func:`cyclotest.interp.compile_model`."""
@@ -678,15 +699,6 @@ def _print_node(node: Node, depth: int) -> str:
 
 # ---------------------------------------------------------------------------
 # Evaluation
-
-def compile_function(lines: list, name: str, filename: str, namespace: dict) -> Callable:
-    """The function ``name`` that the generated source ``lines`` defines,
-    with ``namespace`` as its globals.  Taken out of its globals, the
-    function holds no reference cycle and is freed with its owner, not by
-    the collector."""
-    exec(compile("\n".join(lines), filename, "exec"), namespace)
-    return namespace.pop(name)
-
 
 class LeafBoxes:
     """One symbolic walk of a decision tree: the environments that reach

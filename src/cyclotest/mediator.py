@@ -28,10 +28,10 @@ import socket
 import subprocess
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from . import temporal
-from .dsl import ModelAst, compile_function
+from .dsl import ModelAst, compile_function, compiled_lazily
 from .kernel import Kernel, KernelConfig
 
 
@@ -134,15 +134,14 @@ class MediatorLink:
             self._reject(cycle, sys_time_ms, outputs, state)
         return self._check_values(self, cycle, sys_time_ms, outputs, state)
 
-    @staticmethod
-    def _check_values(link: MediatorLink, cycle, sys_time_ms, outputs, state) -> CycleObservation:
-        """``link``'s observation, with copies of its dicts, and the link
-        advanced, if its outputs and state are each a dict of exactly the
+    @compiled_lazily
+    def _check_values(self) -> Callable:
+        """``check(link, cycle, sys_time_ms, outputs, state)``, which refers
+        to no link: ``link``'s observation, with copies of its dicts, and the
+        link advanced, if its outputs and state are each a dict of exactly the
         model's names, each an ``int`` inside its domain (its cycle and system
-        time are taken as fitting); else :meth:`_reject` names the first
-        misfit.  The first call compiles the model's check, which refers to no
-        link, and binds it on ``link`` over this method."""
-        model = link.model
+        time are taken as fitting); else :meth:`_reject` names the first misfit."""
+        model = self.model
         reject = "  link._reject(cycle, sys_time_ms, outputs, state)"
         lines = ["def check(link, cycle, sys_time_ms, outputs, state):",
                  " if not (isinstance(outputs, dict) and len(outputs) == %d"
@@ -159,9 +158,8 @@ class MediatorLink:
             copies.append("{%s}" % ", ".join("%r: %s" % nv for nv in zip(names, local)))
         lines += [" link._last_sys_time_ms = sys_time_ms", " link.next_cycle += 1",
                   " return new(CycleObservation, (cycle, sys_time_ms, %s, %s))" % tuple(copies)]
-        link._check_values = check = compile_function(lines, "check", "<observation check>", {
+        return compile_function(lines, "check", "<observation check>", {
             "__name__": __name__, "CycleObservation": CycleObservation, "new": tuple.__new__})
-        return check(link, cycle, sys_time_ms, outputs, state)
 
     def _reject(self, cycle, sys_time_ms, outputs, state) -> None:
         """Raise a :class:`ProtocolError` naming the observation's first misfit,

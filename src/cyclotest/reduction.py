@@ -198,7 +198,8 @@ def _breadth_first(model: ModelAst, table: HoldTable, period_ms: int) -> tuple:
     """Witnesses in report order and the reachable (state variables, vector)
     pairs, by breadth-first search.
 
-    A node is the state variables plus a hold record.  An outcome takes one
+    A node is the state variables' values, in ``model.state_vars`` order,
+    plus a hold record.  An outcome takes one
     class of values (:func:`_input_clocks`) per input that literals read,
     which the leaf boxes under the flags stepped to (:attr:`ModelAst.leaf_boxes`)
     and the inputs that state assignments read split further.  The table
@@ -207,10 +208,11 @@ def _breadth_first(model: ModelAst, table: HoldTable, period_ms: int) -> tuple:
     node.  A node steps once per class of valuations with the same (outcome,
     post-state), entered at the class's least valuation, in that order, so
     its trail is the least of its shortest ones.  Classes are found once per
-    (state vars, outcome, flags).
+    (state vars, outcome, flags), the table's one flags dict per vector
+    keyed by identity.
     """
     names = model.input_names
-    state_names = {d.name for d in model.state_vars}
+    state_names = tuple(d.name for d in model.state_vars)
     # the positions of the inputs that some state assignment reads
     reads = [k for k, name in enumerate(names)
              if any(name in free_vars(a.value) for leaf in model.leaves()
@@ -224,12 +226,12 @@ def _breadth_first(model: ModelAst, table: HoldTable, period_ms: int) -> tuple:
     settings = [dict(lowest, **{c.name: value for c, value in zip(clocks, outcome)})
                 for outcome in outcomes]
 
-    initial = (tuple(sorted(model.initial_state().items())), table.initial)
+    initial = (tuple(model.initial_state().values()), table.initial)
     frontier = deque([initial])
     witnesses: dict = {}  # vector -> trail, in discovery order
     state_pairs = set()
     parents = {initial: None}  # every node seen, with its BFS parent and valuation
-    classes: dict = {}  # (state vars, outcome index, flags) -> {least valuation: post-state}
+    classes: dict = {}  # (state values, outcome index, id(flags)) -> {least valuation: post}
 
     def record(state, flags):
         vec = tuple(map(int, flags.values()))
@@ -241,11 +243,11 @@ def _breadth_first(model: ModelAst, table: HoldTable, period_ms: int) -> tuple:
                 trail.insert(0, dict(zip(names, least)))
             witnesses[vec] = trail
 
-    def classes_of(state_vars, outcome, flags) -> dict:
+    def classes_of(pre, outcome, flags) -> dict:
         # the least valuation per (leaf, values of the inputs that state
         # assignments read), a pair that fixes the post-state
         firsts: dict = {}
-        for leaf_id, box in model.leaf_boxes.at(dict(state_vars, **flags)):
+        for leaf_id, box in model.leaf_boxes.at(dict(pre, **flags)):
             box = list(box)
             for k, clock, value in zip(columns, clocks, outcome):  # keep its class's values
                 if value in clock.literal_of:  # a literal's class is its one value
@@ -258,21 +260,21 @@ def _breadth_first(model: ModelAst, table: HoldTable, period_ms: int) -> tuple:
                 firsts[leaf_id, values] = min(firsts.get((leaf_id, values), least), least)
         posts: dict = {}  # post-state -> its least valuation
         for least in sorted(firsts.values(), reverse=True):
-            _, post, _ = eval_model(model, dict(zip(names, least)), dict(state_vars), flags)
-            posts[tuple(sorted(post.items()))] = least
+            _, post, _ = eval_model(model, dict(zip(names, least)), pre, flags)
+            posts[tuple(post[name] for name in state_names)] = least
         return {least: post for post, least in posts.items()}
 
     record(initial, table.initial_flags)
     while frontier:
         state = frontier.popleft()
-        state_vars, holds = state
+        state_values, holds = state
         steps = {}  # least valuation -> (next node, its flags)
-        pre = dict(state_vars)
+        pre = dict(zip(state_names, state_values))
         for i, outcome in enumerate(outcomes):
             stepped, flags = table.step(holds, settings[i], pre, period_ms)
-            key = (state_vars, i, tuple(flags.values()))
+            key = (state_values, i, id(flags))  # the table keeps each flags dict alive
             if key not in classes:
-                classes[key] = classes_of(state_vars, outcome, flags)
+                classes[key] = classes_of(pre, outcome, flags)
             for least, post in classes[key].items():
                 steps[least] = (post, stepped), flags
         for least in sorted(steps):
@@ -281,7 +283,8 @@ def _breadth_first(model: ModelAst, table: HoldTable, period_ms: int) -> tuple:
                 parents[node] = (state, least)
                 record(node, flags)
                 frontier.append(node)
-    return witnesses, state_pairs
+    return witnesses, {(tuple(sorted(zip(state_names, values))), vec)
+                       for values, vec in state_pairs}
 
 
 class _InputClock:

@@ -25,10 +25,9 @@ nothing.
 """
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .dsl import TemporalPredicateDecl, compile_function
+from .dsl import TemporalPredicateDecl, compile_function, compiled_lazily
 
 
 class TimeRegression(Exception):
@@ -59,7 +58,7 @@ class HoldTable:
         # flags in predicate order -> their shared dict, the initial record's first
         self._vectors = {(False,) * len(predicates): self.initial_flags}
 
-    @cached_property
+    @compiled_lazily
     def step(self) -> Callable:
         """``step(record, inputs, state, elapsed_ms)`` advances ``record``
         one cycle ``elapsed_ms`` after the previous one, on the cycle's

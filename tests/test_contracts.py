@@ -7,6 +7,7 @@ import shlex
 import sys
 import types
 import weakref
+from collections import Counter
 
 import pytest
 from conftest import CLASH_SRC, GUARD_SRC, MODEL_PATH, TANK_SRC, desk_config
@@ -23,7 +24,8 @@ from cyclotest.reduction import (
     generalized_state,
 )
 from cyclotest.temporal import HoldTable
-from oracles import PlainSpecification, _valuations
+from cyclotest.traversal import Action, Scenario
+from oracles import PlainSpecification, ReferenceApply, _valuations
 from test_mediator import ScriptedLink as ScriptedStreamLink
 from test_mediator import ScriptedSut, _hello_line
 from test_reduction import REFERENCE_MODELS, _extraction_at, _model_sources
@@ -220,38 +222,54 @@ class TestAdmissionAgainstReference:
 
     @pytest.mark.parametrize("source", ADMISSION_MODELS)
     def test_every_enumerated_stimulus(self, monkeypatch, source):
-        rested = []  # the call, key and outcome the judge leaves to _judge_rest
+        rested = []  # the first two arguments of each call the judge leaves to _judge_rest
         real_rest = Specification._judge_rest
         monkeypatch.setattr(Specification, "_judge_rest", lambda spec, *args: (
-            rested.append(args[:3]) or real_rest(spec, *args)))
+            rested.append(args[:2]) or real_rest(spec, *args)))
+        stepped = []  # the call that each step taken afresh is stepped on
+        real_step = mediator.step_predicates
+        monkeypatch.setattr(mediator, "step_predicates", lambda table, pre, inputs, ms: (
+            stepped.append(inputs) or real_step(table, pre, inputs, ms)))
+        keys = []  # the step key of each admitted call
+
+        class Steps(dict):
+            def get(self, key, default=None):
+                keys.append(key)
+                return super().get(key, default)
+
         ex = extract_predicates(parse_model(source))
         model = ex.model
         sut = RecordingSut(model)
         spec = Specification(ex, InProcessLink(model, sut, KernelConfig()))
+        spec._steps = Steps()
         stimuli = self._stimuli(model.input_names, model.domains)
         admitted = 0
         for stimulus in stimuli:
             reason = spec.check_precondition(stimulus)
             cycle, seen = spec.link.next_cycle, len(sut.seen)
-            spec._steps.clear()  # so that the judge leaves every call to _judge_rest
+            spec._steps.clear()  # so that the judge takes every admitted call afresh
             verdict = spec.apply_stimulus(stimulus)
-            call, key, outcome = rested.pop()
             if reason is not None:
                 assert (verdict.kind, verdict.detail, verdict.cycle_index) == (
                     VerdictKind.PRECONDITION_VIOLATION, reason, cycle)
-                assert (call, key, outcome) == (stimulus, None, None)
+                assert (rested, stepped, keys) == ([(stimulus, None)], [], [])
                 assert (spec.link.next_cycle, len(sut.seen)) == (cycle, seen)
             else:
                 assert verdict.kind is not VerdictKind.PRECONDITION_VIOLATION
                 want = {name: int(stimulus[name]) for name in model.input_names}
-                assert (call, key[1:-1], outcome.cycle) == (want, tuple(want.values()), cycle)
+                [call], [key] = stepped, keys
+                assert (call, key[1:-1], verdict.observation.cycle) == (
+                    want, tuple(want.values()), cycle)
                 assert all(type(value) is int for value in call.values())
                 assert spec.link.next_cycle == cycle + 1
                 [got] = sut.seen[seen:]
                 assert got == want
                 assert all(type(value) is int for value in got.values())
+                # only a failing postcondition leaves the judge, with no call
+                failed = verdict.kind is VerdictKind.POSTCONDITION_FAILURE
+                assert rested == ([(None, verdict.observation)] if failed else [])
                 admitted += 1
-            assert rested == []
+            del rested[:], stepped[:], keys[:]
         # the valid call and each input set to the IntEnum member that its
         # domain holds, or to True where the domain holds 1, both as a dict
         # and as a mapping proxy
@@ -751,6 +769,82 @@ class TestStepMemo:
         # the next cycle expects the level it was told, and the one after
         # that the subject's own again
         assert got.kind is VerdictKind.PASS
+
+
+    @pytest.mark.parametrize("model", REFERENCE_MODELS)
+    @pytest.mark.parametrize("cap", CAPS + [pytest.param(1, id="cap-1")])
+    def test_a_fresh_step_is_stepped_and_synchronized_once(self, monkeypatch, model, cap):
+        # a remembered passing step calls neither; a remembered failing one
+        # synchronizes to the observation's state and steps nothing
+        monkeypatch.setattr(contracts, "MEMO_CAP", cap)
+        calls = []
+        for name in ("step_predicates", "sync_state"):
+            real = getattr(mediator, name)
+            monkeypatch.setattr(mediator, name, lambda *args, real=real, name=name:
+                                calls.append(name) or real(*args))
+        looked_up = []  # whether the judge found the step remembered
+
+        class Steps(dict):
+            def get(self, key, default=None):
+                looked_up.append(key in self)
+                return super().get(key, default)
+
+        extraction = _extraction_at(model, 1000)
+        seen = Counter()  # (remembered, passed) -> stimuli
+        for seed in range(3):
+            stimuli, script = _scripted_run(extraction, random.Random(seed))
+            spec = Specification(extraction, ScriptedLink(extraction, script))
+            spec._steps = Steps()
+            for inputs in stimuli:
+                passed = spec.apply_stimulus(inputs).kind is VerdictKind.PASS
+                [remembered] = looked_up
+                want = [] if passed else ["sync_state"]
+                assert calls == (want if remembered else ["step_predicates", "sync_state"])
+                seen[remembered, passed] += 1
+                del calls[:], looked_up[:]
+        assert seen[False, True] and seen[False, False]
+        if cap > 2:  # some steps are remembered, and some of them fail
+            assert seen[True, True] and seen[True, False]
+
+    # the tank at a 100 ms period: draining empties it in one cycle, then a
+    # hold of fill == 2 steps its record by 100 ms a cycle, under the 1500 ms
+    # that sets its flag, so each of its cycles is a step of its own; the
+    # second round repeats the first round's steps
+    ROUND = [Action("drain", lambda v: [{"fill": 0, "drain": 1}]),
+             Action("fill", lambda v: [{"fill": 2, "drain": 0}] * 12)]
+
+    @pytest.mark.parametrize("fault", ["output", "state"])
+    @pytest.mark.parametrize("at", [1, 6, 12, 14, 19, 25], ids=[
+        "fresh-first", "fresh-middle", "fresh-last",
+        "remembered-first", "remembered-middle", "remembered-last"])
+    def test_a_hold_failing_at_one_cycle_equals_the_reference(self, monkeypatch, fault, at):
+        extraction = extract_predicates(parse_model(TANK_SRC))
+        script = {at: (fault, {"output": "valve", "state": "level"}[fault])}
+        stepped = []  # the cycles that the memoised specification steps afresh
+
+        def campaign(spec, apply):
+            log, scenario = traversal.TestLog(), Scenario("tank", lambda: _by_value(spec), None)
+            return log, [apply(action, spec, scenario, log, 0, False)
+                         for action in self.ROUND * 2]
+
+        real = mediator.step_predicates
+        monkeypatch.setattr(mediator, "step_predicates", lambda table, *args: (
+            table is memo.hold_table and stepped.append(memo.link.next_cycle - 1),
+            real(table, *args))[1])
+        memo = Specification(extraction, ScriptedLink(extraction, script, period_ms=100))
+        log, got = campaign(memo, traversal._apply)
+        reference = ReferenceApply()
+        plain = PlainSpecification(extraction, ScriptedLink(extraction, script, period_ms=100))
+        _, want = campaign(plain, reference)
+        assert got == want
+        assert at in [verdict.cycle_index for _, verdict in got if verdict is not None]
+        assert log.entries == reference.entries
+        assert (memo.coverage, memo.sys_time_ms) == (plain.coverage, plain.sys_time_ms)
+        # a fault in the second round comes after 14 steps taken afresh, the
+        # first round's 13 and the second drain, and the second hold takes none
+        assert (at in stepped) is (at <= 12)
+        if at > 13:
+            assert stepped == list(range(14))
 
 
 def _stepped_tables(monkeypatch) -> list:
