@@ -72,7 +72,7 @@ class Verdict(NamedTuple):
     cycle_index: int = -1
     mismatches: tuple = ()
     trace: Optional[DecisionTrace] = None
-    observation: Optional[CycleObservation] = None
+    observation: Optional[CycleObservation] = None  # None unless the postcondition failed
 
 
 @dataclass(slots=True)
@@ -255,7 +255,7 @@ class Specification:
                       for name in readable),
                   "  spec.sys_time_ms = obs[1]",
                   "  spec.state = step[1]",
-                  "  return new(Verdict, (PASS, '', obs[0], (), step[2], obs))",
+                  "  return new(Verdict, (PASS, '', obs[0], (), step[2], None))",
                   " if step is not None:",
                   "  return rest(spec, None, obs, step)",
                   " call = " + admitted,
@@ -272,7 +272,7 @@ class Specification:
                   "  return rest(spec, None, obs, ref, post)",
                   " spec.sys_time_ms = obs[1]",
                   " spec.state = remember(spec, key, pre, ref, post)",
-                  " return new(Verdict, (PASS, '', obs[0], (), ref[2], obs))"]
+                  " return new(Verdict, (PASS, '', obs[0], (), ref[2], None))"]
         # mediator's functions are read off the module at each call
         return compile_function(lines, "judge", "<judge>", {
             "__name__": __name__, "MediatorError": MediatorError, "Verdict": Verdict,
@@ -294,27 +294,27 @@ class Specification:
                     post: Optional[SpecificationState] = None) -> Verdict:
         """The verdict on a refused call ``inputs`` (``outcome`` None), on a
         failed exchange (``outcome`` its :class:`MediatorError`), or on the
-        observation ``outcome`` failing the postcondition of a fresh step
-        whose reference run gave ``step`` and state ``post``, or of the
-        remembered ``step`` (``post`` None)."""
+        observation ``outcome``, kept as copies, failing the postcondition of
+        a fresh step whose reference run gave ``step`` and state ``post``, or
+        of the remembered ``step`` (``post`` None)."""
         if outcome is None:
             return Verdict(VerdictKind.PRECONDITION_VIOLATION, self.check_precondition(inputs),
                            self.link.next_cycle)
         if isinstance(outcome, MediatorError):
             return Verdict(VerdictKind.MEDIATOR_FAILURE, str(outcome), self.link.next_cycle)
-        obs, (ref_outputs, ref_post, trace) = outcome, step
+        (cycle, sys_time_ms, outputs, visible), (ref_outputs, ref_post, trace) = outcome, step
+        obs = CycleObservation(cycle, sys_time_ms, dict(outputs), dict(visible))
         if post is None:  # the observation's state, not the remembered successor
             post = mediator.sync_state(self.state, obs, ref_post.state_vars,
                                        (ref_post.holds, ref_post.flags))
             ref_post = ref_post.state_vars
-        visible, readable = obs.visible_state, self.model.readable_names
-        mismatches = [Mismatch(n, ref_outputs[n], obs.outputs[n])
-                      for n in self.model.output_names if ref_outputs[n] != obs.outputs[n]]
+        mismatches = [Mismatch(n, ref_outputs[n], outputs[n])
+                      for n in self.model.output_names if ref_outputs[n] != outputs[n]]
         mismatches += [Mismatch(n, ref_post[n], visible[n])
-                       for n in readable if ref_post[n] != visible[n]]
+                       for n in self.model.readable_names if ref_post[n] != visible[n]]
         post.values = self._state_at(post.state_vars)
-        self.sys_time_ms, self.state = obs.sys_time_ms, post
+        self.sys_time_ms, self.state = sys_time_ms, post
         detail = "; ".join("%s: expected %d, actual %d" % (m.name, m.expected, m.actual)
                            for m in mismatches)
-        return Verdict(VerdictKind.POSTCONDITION_FAILURE, detail, obs.cycle,
+        return Verdict(VerdictKind.POSTCONDITION_FAILURE, detail, cycle,
                        tuple(mismatches), trace, obs)

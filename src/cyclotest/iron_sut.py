@@ -59,9 +59,10 @@ def serve(reader, writer, sut: IronSut, period_ms: int) -> int:
             value = values[name]
             if type(value) is not int or value not in link.model.domains[name]:
                 return fail("input '%s' = %r is not an integer in its domain" % (name, value))
-        obs = link.exchange({name: values[name] for name in link.model.input_names})
-        send(WireMessage("observation", obs.cycle, {
-            "sys_time_ms": obs.sys_time_ms, "outputs": obs.outputs, "state": obs.visible_state}))
+        cycle, sys_time_ms, outputs, state = link.exchange(
+            {name: values[name] for name in link.model.input_names})
+        send(WireMessage("observation", cycle, {
+            "sys_time_ms": sys_time_ms, "outputs": outputs, "state": state}))
 
 
 def duration_pair(text: str) -> tuple:

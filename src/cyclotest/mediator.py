@@ -1,10 +1,10 @@
 """Binding between the specification and the system under test.
 
-One exchange = one cycle: hand the subject its inputs, let it run a cycle,
-read back outputs, accessible state and the system time the subject saw.
-The in-process link runs the subject's step function in a local kernel; the
-TCP and stdio links speak a newline-delimited JSON protocol to a remote
-harness:
+One exchange = one cycle: hand the subject its inputs, let it run a cycle and
+return the checked ``(cycle, sys_time_ms, outputs, state)``, dicts uncopied (a
+failing verdict copies them into a :class:`CycleObservation`).  The in-process
+link runs the subject's step function in a local kernel; the TCP and stdio
+links speak a newline-delimited JSON protocol to a remote harness:
 
   hello:       {"type":"hello","model":m,"inputs":[...],"outputs":[...],
                 "state":[...],"cycle_period_ms":N}
@@ -82,7 +82,7 @@ class WireMessage:
         return WireMessage(mtype, cycle, data)
 
 
-class CycleObservation(NamedTuple):
+class CycleObservation(NamedTuple):  # a failing verdict's, with copies of the dicts
     cycle: int
     sys_time_ms: int
     outputs: dict
@@ -104,26 +104,27 @@ def validate_hello(hello: dict, model: ModelAst, cycle_period_ms: int) -> None:
 
 class MediatorLink:
     """Shared per-cycle bookkeeping: alternation, payload validation.  An
-    observation is checked here once; later stages trust it.  A remote
-    subject's whole observation is checked; an in-process subject's cycle and
-    system time are its kernel's, so only the values it returned are.  The
-    check of the values is generated per link and compiled at its first
-    observation (:meth:`_check_values`), so building a link compiles nothing."""
+    observation is checked here once; later stages trust it and read its
+    dicts, uncopied, before the next exchange.  A remote subject's whole
+    observation is checked; an in-process subject's cycle and system time are
+    its kernel's, so only the values it returned are.  The check of the values
+    is generated per link at its first observation (:meth:`_check_values`)."""
 
     def __init__(self, model: ModelAst):
         self.model = model
         self.next_cycle = 0
         self._last_sys_time_ms: Optional[int] = None
 
-    def exchange(self, inputs: Mapping) -> CycleObservation:
+    def exchange(self, inputs: Mapping) -> tuple:
         """Run one cycle on ``inputs``, the ``int`` values of every declared
-        input, and return its checked observation."""
+        input, and return the checked ``(cycle, sys_time_ms, outputs, state)``,
+        the dicts as the subject or the wire decoder gave them."""
         raise NotImplementedError
 
     def close(self) -> None:
         pass
 
-    def _check_observation(self, cycle, sys_time_ms, outputs, state) -> CycleObservation:
+    def _check_observation(self, cycle, sys_time_ms, outputs, state) -> tuple:
         """The observation of the cycle just run, if it fits: its cycle is
         the last set_inputs' and its system time is not before the previous
         one, both ``int``s, and its values fit (:meth:`_check_values`).
@@ -137,34 +138,31 @@ class MediatorLink:
     @compiled_lazily
     def _check_values(self) -> Callable:
         """``check(link, cycle, sys_time_ms, outputs, state)``, which refers
-        to no link: ``link``'s observation, with copies of its dicts, and the
-        link advanced, if its outputs and state are each a dict of exactly the
-        model's names, each an ``int`` inside its domain (its cycle and system
-        time are taken as fitting); else :meth:`_reject` names the first misfit."""
+        to no link: its last four arguments as a tuple, dicts uncopied, and
+        the link advanced, if its outputs and state are each a plain dict of
+        exactly the model's names, each an ``int`` inside its domain (its cycle
+        and system time are taken as fitting); else what :meth:`_reject` gives."""
         model = self.model
-        reject = "  link._reject(cycle, sys_time_ms, outputs, state)"
+        reject = "  return link._reject(cycle, sys_time_ms, outputs, state)"
         lines = ["def check(link, cycle, sys_time_ms, outputs, state):",
-                 " if not (isinstance(outputs, dict) and len(outputs) == %d"
-                 " and isinstance(state, dict) and len(state) == %d):"
+                 " if not (type(outputs) is dict and len(outputs) == %d"
+                 " and type(state) is dict and len(state) == %d):"
                  % (len(model.output_names), len(model.readable_names)), reject]
-        copies = []
         for part, names in (("outputs", model.output_names), ("state", model.readable_names)):
-            local = ["%s%d" % (part[0], i) for i in range(len(names))]
-            for v, name in zip(local, names):
-                domain = model.domains[name]
+            for i, name in enumerate(names):
+                domain, v = model.domains[name], "%s%d" % (part[0], i)
                 lines += [" %s = %s.get(%r)" % (v, part, name),
                           " if type(%s) is not int or not %d <= %s <= %d:"
                           % (v, domain.start, v, domain[-1]), reject]
-            copies.append("{%s}" % ", ".join("%r: %s" % nv for nv in zip(names, local)))
         lines += [" link._last_sys_time_ms = sys_time_ms", " link.next_cycle += 1",
-                  " return new(CycleObservation, (cycle, sys_time_ms, %s, %s))" % tuple(copies)]
-        return compile_function(lines, "check", "<observation check>", {
-            "__name__": __name__, "CycleObservation": CycleObservation, "new": tuple.__new__})
+                  " return cycle, sys_time_ms, outputs, state"]
+        return compile_function(lines, "check", "<observation check>", {"__name__": __name__})
 
-    def _reject(self, cycle, sys_time_ms, outputs, state) -> None:
+    def _reject(self, cycle, sys_time_ms, outputs, state) -> tuple:
         """Raise a :class:`ProtocolError` naming the observation's first misfit,
         in the order: cycle, system time, then outputs and state, each by
-        shape, then value by value."""
+        shape, then value by value.  Outputs and state that fit, in a dict
+        subclass, are returned checked as plain copies, which the judge reads."""
         if cycle != self.next_cycle:
             raise ProtocolError(
                 "observation for cycle %s after set_inputs %d" % (cycle, self.next_cycle)
@@ -187,6 +185,7 @@ class MediatorLink:
                 if value not in self.model.domains[name]:
                     raise ProtocolError("observation %s '%s' = %d is outside its domain"
                                         % (part, name, value))
+        return self._check_values(self, cycle, sys_time_ms, dict(outputs), dict(state))
 
 
 class InProcessLink(MediatorLink):
@@ -201,7 +200,7 @@ class InProcessLink(MediatorLink):
         self.kernel = Kernel(config or KernelConfig(), sut.step)
         self._visible_state = getattr(sut, "visible_state", dict)
 
-    def exchange(self, inputs: dict) -> CycleObservation:
+    def exchange(self, inputs: dict) -> tuple:
         """One cycle of the subject on ``inputs``, a dict that the subject is
         given as it is and may write: the caller hands over a fresh one, as
         the generated judge does, and reads nothing of it afterwards."""
@@ -285,7 +284,7 @@ class _StreamLink(MediatorLink):
             raise ProtocolError("expected hello, got %r" % msg.type)
         validate_hello(msg.payload, self.model, self.cycle_period_ms)
 
-    def exchange(self, inputs: Mapping) -> CycleObservation:
+    def exchange(self, inputs: Mapping) -> tuple:
         self._send(WireMessage("set_inputs", self.next_cycle, {"values": inputs}))
         msg = self._recv()
         if msg.type != "observation":
@@ -402,21 +401,22 @@ def step_predicates(table: temporal.HoldTable, spec_state, inputs: Mapping,
     return table.step(spec_state.holds, inputs, spec_state.state_vars, elapsed_ms)
 
 
-def sync_state(spec_state, obs: CycleObservation, model_state_post: Mapping, stepped: tuple):
+def sync_state(spec_state, obs: tuple, model_state_post: Mapping, stepped: tuple):
     """Synchronize the specification state after one exchange: a new state of
     ``spec_state``'s type.
 
-    Readable state variables are copied from the observation, which the link
-    has already checked against the model; hidden ones are taken from the
-    model's computed post-state (assuming an error-free subject, their model
-    representation is the reference value).  With no visible state, the
-    post-state itself, shared and read-only, is the new state's variables.
+    Readable state variables are copied from the observation ``obs``,
+    ``exchange``'s tuple, which the link has already checked against the
+    model; hidden ones are taken from the model's computed post-state
+    (assuming an error-free subject, their model representation is the
+    reference value).  With no visible state, the post-state itself, shared
+    and read-only, is the new state's variables.
     The hold record and flags are the pair that :func:`step_predicates`
     returned for this exchange.  The specification calls this only for a
     step it takes afresh or whose postcondition fails: a remembered passing
     step moves to the state it synchronized before.
     """
     holds, flags = stepped
-    visible = obs.visible_state
+    visible = obs[3]
     state_vars = {**model_state_post, **visible} if visible else model_state_post
     return type(spec_state)(state_vars, holds, flags)

@@ -208,8 +208,8 @@ def _breadth_first(model: ModelAst, table: HoldTable, period_ms: int) -> tuple:
     node.  A node steps once per class of valuations with the same (outcome,
     post-state), entered at the class's least valuation, in that order, so
     its trail is the least of its shortest ones.  Classes are found once per
-    (state vars, outcome, flags), the table's one flags dict per vector
-    keyed by identity.
+    (state vars, outcome, flags), and a flags dict is made a vector of ints
+    once, the table's one flags dict per vector keyed by identity.
     """
     names = model.input_names
     state_names = tuple(d.name for d in model.state_vars)
@@ -232,9 +232,12 @@ def _breadth_first(model: ModelAst, table: HoldTable, period_ms: int) -> tuple:
     state_pairs = set()
     parents = {initial: None}  # every node seen, with its BFS parent and valuation
     classes: dict = {}  # (state values, outcome index, id(flags)) -> {least valuation: post}
+    vectors: dict = {}  # id(flags) -> its flags as a vector of ints
 
     def record(state, flags):
-        vec = tuple(map(int, flags.values()))
+        vec = vectors.get(id(flags))
+        if vec is None:
+            vec = vectors[id(flags)] = tuple(map(int, flags.values()))
         state_pairs.add((state[0], vec))
         if vec not in witnesses:
             trail, node = [], state

@@ -26,7 +26,7 @@ from cyclotest.dsl import (_CMP_FUNCTIONS, And, Cmp, Const, Decision, Held, Mode
                           Or, PredRef, _map_held, free_vars, print_expr, walk_exprs)
 from cyclotest.interp import DecisionRecord, DecisionTrace
 from cyclotest.kernel import CycleRecord
-from cyclotest.mediator import CycleObservation, ProtocolError
+from cyclotest.mediator import ProtocolError
 from cyclotest.reduction import ReachabilityReport, enumerate_test_cases
 from cyclotest.temporal import HoldTable, TimeRegression
 from cyclotest.traversal import Action, LogEntry, Scenario
@@ -532,11 +532,12 @@ def mcdc_covered_bruteforce(vectors_with_outcomes, n_atoms: int) -> dict:
 
 
 def check_observation_reference(model, next_cycle: int, last_sys_time_ms, cycle, sys_time_ms,
-                                outputs, state) -> CycleObservation:
+                                outputs, state) -> tuple:
     """The observation a link at ``next_cycle``, whose previous observation
-    had ``last_sys_time_ms`` (None before the first), accepts; or the
-    :class:`ProtocolError` of its first misfit.  One check after another,
-    each wording its own fault."""
+    had ``last_sys_time_ms`` (None before the first), accepts, as the plain
+    tuple of its four parts, a dict as given and a dict subclass as a plain
+    copy; or the :class:`ProtocolError` of its first misfit.  One check after
+    another, each wording its own fault."""
     if cycle != next_cycle:
         raise ProtocolError("observation for cycle %s after set_inputs %d" % (cycle, next_cycle))
     if type(cycle) is not int:
@@ -557,7 +558,8 @@ def check_observation_reference(model, next_cycle: int, last_sys_time_ms, cycle,
             if value not in model.domains[name]:
                 raise ProtocolError("observation %s '%s' = %d is outside its domain"
                                     % (part, name, value))
-    return CycleObservation(cycle, sys_time_ms, dict(outputs), dict(state))
+    return (cycle, sys_time_ms, *(values if type(values) is dict else dict(values)
+                                  for values in (outputs, state)))
 
 
 class ReferenceKernel:

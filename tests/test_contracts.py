@@ -96,7 +96,7 @@ class TestApplyStimulus:
             assert (spec.check_precondition({"level": level})
                     == "input 'level' = %d outside its domain" % level)
         link = InProcessLink(ex.model, FixedSut(10000), KernelConfig())
-        assert link.exchange({"level": 10000}).outputs == {"o": 10000}
+        assert link.exchange({"level": 10000})[2] == {"o": 10000}
         link = InProcessLink(ex.model, FixedSut(10001), KernelConfig())
         with pytest.raises(ProtocolError, match="outputs 'o' = 10001 is outside its domain"):
             link.exchange({"level": 10000})
@@ -258,16 +258,18 @@ class TestAdmissionAgainstReference:
                 assert verdict.kind is not VerdictKind.PRECONDITION_VIOLATION
                 want = {name: int(stimulus[name]) for name in model.input_names}
                 [call], [key] = stepped, keys
-                assert (call, key[1:-1], verdict.observation.cycle) == (
+                assert (call, key[1:-1], verdict.cycle_index) == (
                     want, tuple(want.values()), cycle)
                 assert all(type(value) is int for value in call.values())
                 assert spec.link.next_cycle == cycle + 1
                 [got] = sut.seen[seen:]
                 assert got == want
                 assert all(type(value) is int for value in got.values())
-                # only a failing postcondition leaves the judge, with no call
+                # only a failing postcondition leaves the judge, with no call,
+                # and keeps the observation it left with
                 failed = verdict.kind is VerdictKind.POSTCONDITION_FAILURE
-                assert rested == ([(None, verdict.observation)] if failed else [])
+                assert rested == ([(None, tuple(verdict.observation))] if failed else [])
+                assert (verdict.observation is None) is not failed
                 admitted += 1
             del rested[:], stepped[:], keys[:]
         # the valid call and each input set to the IntEnum member that its
@@ -358,7 +360,7 @@ class TestCompileGuard:
         with pytest.raises(ProtocolError, match="^observation outputs 'heating' = 2 is outside"):
             link.exchange({"move": 0, "position": 0})
         assert compiles == ["check"]
-        assert link.exchange({"move": 0, "position": 0}).outputs == {"heating": 1}
+        assert link.exchange({"move": 0, "position": 0})[2] == {"heating": 1}
         assert (compiles, link.next_cycle) == (["check"], 1)
 
     def test_streamed_observation(self, compiles, iron_ast):
@@ -367,7 +369,7 @@ class TestCompileGuard:
         link = ScriptedStreamLink(iron_ast, [_hello_line(iron_ast)] + [
             (json.dumps(dict(observation, cycle=cycle)) + "\n").encode() for cycle in (0, 1)])
         for cycle in (0, 1):
-            assert link.exchange({"move": 0, "position": 0}).cycle == cycle
+            assert link.exchange({"move": 0, "position": 0})[0] == cycle
         assert compiles == ["check"]
 
 
@@ -434,9 +436,14 @@ class LatchSut:
 
 class TestHiddenState:
     def test_hidden_state_checked_through_future_outputs(self):
+        class RecordedLatch(LatchSut):
+            def step(self, inputs, sys_time_ms):
+                self.returned = super().step(inputs, sys_time_ms)
+                return self.returned
+
         ex = extract_predicates(parse_model(STATEFUL_SRC))
-        link = InProcessLink(ex.model, LatchSut(), KernelConfig())
-        spec = Specification(ex, link)
+        sut = RecordedLatch()
+        spec = Specification(ex, InProcessLink(ex.model, sut, KernelConfig()))
         assert spec.apply_stimulus({"set": 0}).kind is VerdictKind.PASS
         assert spec.state.state_vars == {"mem": 0}
         assert spec.apply_stimulus({"set": 1}).kind is VerdictKind.PASS
@@ -444,7 +451,7 @@ class TestHiddenState:
         # latched value now observable indirectly
         verdict = spec.apply_stimulus({"set": 0})
         assert verdict.kind is VerdictKind.PASS
-        assert verdict.observation.outputs == {"out": 1}
+        assert sut.returned == {"out": 1}
 
     def test_broken_latch_detected_one_cycle_later(self):
         class ForgetfulLatch(LatchSut):
@@ -845,6 +852,107 @@ class TestStepMemo:
         assert (at in stepped) is (at <= 12)
         if at > 13:
             assert stepped == list(range(14))
+
+
+class ModelSut:
+    """A subject that runs the model as :class:`ScriptedLink` does, through
+    its output and state faults, and answers every cycle with new dicts or,
+    ``in_place``, with one outputs dict and one visible-state dict that it
+    rewrites every cycle.  ``returned`` keeps a copy of each cycle's answer."""
+
+    def __init__(self, extraction, script: dict, in_place: bool):
+        self.engine = ScriptedLink(extraction, script)
+        self.in_place = in_place
+        self.outputs, self.state = {}, {}
+        self.returned = []
+
+    def step(self, inputs, sys_time_ms):
+        _, _, outputs, state = self.engine.exchange(inputs)
+        self.returned.append((dict(outputs), dict(state)))
+        if not self.in_place:
+            self.state = state
+            return outputs
+        self.outputs.update(outputs)
+        self.state.update(state)
+        return self.outputs
+
+    def visible_state(self):
+        return self.state
+
+
+class TestUncopiedObservation:
+    """The link hands the judge the subject's own dicts and a passing verdict
+    records none of them, so a subject that rewrites one dict in place every
+    cycle is judged as one that answers with new dicts, and a failing
+    verdict's observation keeps its own cycle's values."""
+
+    @pytest.mark.parametrize("model", REFERENCE_MODELS)
+    def test_dicts_rewritten_in_place_are_judged_as_new_ones(self, model):
+        extraction = _extraction_at(model, 1000)
+        for seed in range(3):
+            stimuli, script = _scripted_run(extraction, random.Random(seed))
+            script = {cycle: fault for cycle, fault in script.items() if fault[0] != "time"}
+            runs = []
+            for in_place in (False, True):
+                sut = ModelSut(extraction, script, in_place)
+                spec = Specification(extraction, InProcessLink(
+                    extraction.model, sut, KernelConfig(cycle_period_ms=1000)))
+                log = traversal.TestLog()
+                scenario = Scenario("model", lambda: _by_value(spec), None)
+                verdicts, states = [], []
+                for i, inputs in enumerate(stimuli):
+                    action = Action("s%d" % i, lambda v, inputs=inputs: [inputs])
+                    verdicts.append(traversal._apply(action, spec, scenario, log, i, False)[1])
+                    states.append(_by_value(spec))
+                runs.append((sut, verdicts, log.to_json_lines(), states, spec.coverage))
+            (fresh, *want), (in_place, *got) = runs
+            assert got == want, seed
+            assert fresh.returned == in_place.returned
+            failed = [v for v in got[0] if v is not None]
+            assert set(script) <= {verdict.cycle_index for verdict in failed}
+            for verdict in failed:
+                outputs, state = fresh.returned[verdict.cycle_index]
+                assert verdict.observation == (verdict.cycle_index, 1000 * (
+                    verdict.cycle_index + 1), outputs, state)
+                assert verdict.observation.outputs is not in_place.outputs
+                assert verdict.observation.visible_state is not in_place.state
+
+    def test_a_dict_subclass_is_judged_by_its_plain_copy(self):
+        # a subject's dict subclass that claims to equal any dict and to
+        # differ from none is judged by the values it holds
+        class Agreeable(dict):
+            def __eq__(self, other):
+                return True
+
+            def __ne__(self, other):
+                return False
+
+        class AgreeableSut:  # the dial's o = 1 at every level
+            def step(self, inputs, sys_time_ms):
+                return Agreeable(o=1)
+
+        spec = _dial_spec()
+        spec.link = InProcessLink(spec.model, AgreeableSut(), KernelConfig())
+        verdicts = [spec.apply_stimulus({"level": level}) for level in (0, 3, 0)]
+        assert [v.kind for v in verdicts] == [VerdictKind.POSTCONDITION_FAILURE,
+                                              VerdictKind.PASS,
+                                              VerdictKind.POSTCONDITION_FAILURE]
+        assert type(verdicts[0].observation.outputs) is dict
+
+    @pytest.mark.parametrize("config, built", [
+        pytest.param(desk_config(), 0, id="desk"),
+        pytest.param(cli.RunConfig(model_path=MODEL_PATH), 0, id="paper"),
+        pytest.param(cli.RunConfig(model_path=MODEL_PATH, sut="inproc:iron:M3"), 1, id="M3")])
+    def test_only_a_failing_verdict_builds_an_observation(self, monkeypatch, config, built):
+        observations = []
+        real = contracts.CycleObservation
+        monkeypatch.setattr(contracts, "CycleObservation", lambda *args: (
+            observations.append(real(*args)) or observations[-1]))
+        result = cli.run_campaign(config)
+        assert len(observations) == built
+        assert (result.log.failure is None) is (built == 0)
+        if built:
+            assert result.log.failure.observation is observations[0]
 
 
 def _stepped_tables(monkeypatch) -> list:

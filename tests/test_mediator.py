@@ -20,7 +20,6 @@ from cyclotest.dsl import extract_predicates, parse_model
 from cyclotest.iron import IronSut, DESK_DURATIONS_MS
 from cyclotest.kernel import KernelConfig
 from cyclotest.mediator import (
-    CycleObservation,
     Disconnect,
     HandshakeMismatch,
     InProcessLink,
@@ -86,14 +85,16 @@ class TestInProcessLink:
     def test_exchange_shape(self, iron_desk):
         link = self._link(iron_desk)
         obs = link.exchange({"move": 0, "position": 1})
-        assert obs.cycle == 0
-        assert obs.sys_time_ms == 1000
-        assert set(obs.outputs) == {"heating"}
-        assert obs.visible_state == {}
+        assert type(obs) is tuple
+        cycle, sys_time_ms, outputs, state = obs
+        assert cycle == 0
+        assert sys_time_ms == 1000
+        assert set(outputs) == {"heating"}
+        assert state == {}
 
     def test_cycle_indices_increase_by_one(self, iron_desk):
         link = self._link(iron_desk)
-        cycles = [link.exchange({"move": 0, "position": 0}).cycle for _ in range(5)]
+        cycles = [link.exchange({"move": 0, "position": 0})[0] for _ in range(5)]
         assert cycles == [0, 1, 2, 3, 4]
 
     def test_mediators_bracket_the_subject(self, iron_desk):
@@ -110,11 +111,11 @@ class TestInProcessLink:
 
         link = InProcessLink(iron_desk, RecordingSut(), KernelConfig(cycle_period_ms=1000))
         for move in (1, 0):
-            obs = link.exchange({"move": move, "position": 1})
+            _, _, outputs, _ = link.exchange({"move": move, "position": 1})
             # the subject steps on this exchange's inputs, and the
             # observation is read after the step
             assert calls[-2:] == [("step", {"move": move, "position": 1}), ("read",)]
-            assert obs.outputs == {"heating": move}
+            assert outputs == {"heating": move}
 
     def test_subject_writing_its_inputs_is_still_caught(self, desk_extraction, iron_desk):
         # the subject steps on its own copy of the inputs: one that ignores
@@ -375,6 +376,11 @@ class TestObservationCheckAgainstReference:
                 got = link.exchange(inputs)
                 assert got == want
                 assert [type(v) for v in got] == [type(v) for v in want]
+                # the decoded dicts, uncopied, or, where one is a dict subclass,
+                # plain copies
+                assert type(got[2]) is dict and type(got[3]) is dict
+                if type(out) is dict and type(state) is dict:
+                    assert got[2] is out and got[3] is state
                 assert (link.next_cycle, link._last_sys_time_ms) == (2, sys_time_ms)
                 accepted += 1
         # the valid observation, as a dict or a dict subclass in each part,
@@ -410,10 +416,11 @@ class TestObservationCheckAgainstReference:
                 assert got == want
                 assert [type(v) for v in got] == [type(v) for v in want]
                 assert link.next_cycle == 2
-                for returned, copied in ((out, got.outputs), (state, got.visible_state)):
-                    returned["probe"] = 0  # the subject's dict, not the observation's
-                    assert "probe" not in copied
-                    del returned["probe"]
+                # the subject's own dicts, uncopied, or, where one is a dict subclass,
+                # plain copies
+                assert type(got[2]) is dict and type(got[3]) is dict
+                if type(out) is dict and type(state) is dict:
+                    assert got[2] is out and got[3] is state
                 accepted += 1
         # the valid observation, as a dict or a dict subclass in each part
         assert accepted == 2 * 2
@@ -474,7 +481,7 @@ class TestSyncState:
         model = iron_extraction.model
         table = HoldTable(iron_extraction.predicates, model.initial_state())
         state = self._state(table, model)
-        obs = CycleObservation(0, 1000, {"heating": 1}, {})
+        obs = (0, 1000, {"heating": 1}, {})  # as exchange returns it
         stepped = step_predicates(table, state, {"move": 0, "position": 0}, 0)
         new = sync_state(state, obs, {}, stepped)
         assert new.state_vars == {}
@@ -486,7 +493,7 @@ class TestSyncState:
         ex = extract_predicates(ast)
         table = HoldTable(ex.predicates, ex.model.initial_state())
         state = self._state(table, ex.model)
-        obs = CycleObservation(0, 1000, {"level_out": 1}, {"level": 3})
+        obs = (0, 1000, {"level_out": 1}, {"level": 3})
         stepped = step_predicates(table, state, {"tick": 1}, 0)
         new = sync_state(state, obs, {"level": 1, "armed": 1}, stepped)
         assert new.state_vars["armed"] == 1  # hidden: model value
@@ -693,7 +700,7 @@ class TestStdioTransport:
         link = StdioLink(iron_desk, [sys.executable, "-c", script], 1000, timeout_s=10.0)
         try:
             obs = link.exchange({"move": 0, "position": 0})
-            assert (obs.cycle, obs.sys_time_ms, obs.outputs) == (0, 1000, {"heating": 1})
+            assert obs == (0, 1000, {"heating": 1}, {})
         finally:
             link.close()
 
@@ -707,11 +714,11 @@ class TestStdioTransport:
             timeout_s=10.0,
         )
         try:
-            first = link.exchange({"move": 0, "position": 0})
-            assert first.cycle == 0 and first.outputs == {"heating": 1}
+            cycle, _, outputs, _ = link.exchange({"move": 0, "position": 0})
+            assert cycle == 0 and outputs == {"heating": 1}
             for _ in range(3):
-                obs = link.exchange({"move": 0, "position": 0})
-            assert obs.cycle == 3
-            assert obs.outputs == {"heating": 0}  # short condition fires at 3 cycles
+                cycle, _, outputs, _ = link.exchange({"move": 0, "position": 0})
+            assert cycle == 3
+            assert outputs == {"heating": 0}  # short condition fires at 3 cycles
         finally:
             link.close()

@@ -225,9 +225,9 @@ class TestDiagnostics:
 
 class TestFastBuiltRecords:
     def test_passing_records_equal_their_constructors(self, monkeypatch):
-        # a passing stimulus's verdict and observation are built without
-        # their NamedTuple constructors; each must be what the constructor
-        # builds
+        # a passing stimulus's verdict is built without its NamedTuple
+        # constructor and carries no observation; a failing one's observation
+        # is the record its constructor builds
         from cyclotest.contracts import PASS, Specification
         from cyclotest.mediator import CycleObservation
 
@@ -240,11 +240,17 @@ class TestFastBuiltRecords:
         for v in verdicts:
             assert v.kind is PASS
             assert type(v) is Verdict
-            assert v == Verdict(PASS, "", v.cycle_index, (), v.trace, v.observation)
-            obs = v.observation
-            assert type(obs) is CycleObservation
-            assert obs == CycleObservation(obs.cycle, obs.sys_time_ms, obs.outputs,
-                                           obs.visible_state)
+            assert v == Verdict(PASS, "", v.cycle_index, (), v.trace, None)
+        del verdicts[:]
+        result = run_campaign(desk_config(sut="inproc:iron:M1"))
+        *passed, failed = verdicts
+        assert failed.kind is VerdictKind.POSTCONDITION_FAILURE and failed is result.log.failure
+        assert all(v.observation is None for v in passed)
+        obs = failed.observation
+        assert type(obs) is CycleObservation
+        assert obs == CycleObservation(obs.cycle, obs.sys_time_ms, obs.outputs,
+                                       obs.visible_state)
+        assert obs.cycle == failed.cycle_index
 
 
 def assert_log_equals_reference(log, reference: ReferenceApply) -> None:
