@@ -28,7 +28,7 @@ import stat
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from . import iron
@@ -94,7 +94,7 @@ class RunConfig:
     parts: tuple = ()
     cycle_period_ms: int = 1000
     streaming: bool = True
-    remap: dict = field(default_factory=dict)  # duration_ms -> cycles
+    remap: tuple = ()  # ((duration_ms, cycles), ...); a dict gives its items
     budget: int = 10_000
     seed: Optional[int] = None
     strict_held: bool = False
@@ -104,7 +104,7 @@ class RunConfig:
 
     def __post_init__(self):  # the command line gives lists
         self.parts, self.required = tuple(self.parts), tuple(self.required)
-        self.remap = dict(self.remap)
+        self.remap = tuple(self.remap.items() if isinstance(self.remap, dict) else self.remap)
 
 
 @dataclass
@@ -112,8 +112,7 @@ class CampaignResult:
     log: object
     report: CoverageReport
     automaton: object
-    error: Optional[str] = None
-    error_code: int = EXIT_OK
+    error: Optional[str] = None  # a TraversalError's
     kernel: Optional[Kernel] = None  # an in-process subject's, for its cycle records
     failures: tuple = ()  # piecemeal: (node id, failing verdict) of each failing part
 
@@ -124,7 +123,7 @@ class CampaignResult:
 
     def exit_code(self, required) -> int:
         if self.error is not None:
-            return self.error_code
+            return EXIT_VERDICT
         failure = self.log.failure
         if failure is not None:
             return EXIT_PROTOCOL if failure.kind is VerdictKind.MEDIATOR_FAILURE else EXIT_VERDICT
@@ -135,8 +134,10 @@ class CampaignResult:
 
 
 def load_model(config: RunConfig):
-    """The checked model with its temporal predicates extracted; any model
-    problem is a ``CliError`` with exit 2."""
+    """The checked model with its temporal predicates extracted, once the
+    options pass :func:`check_options`; any option or model problem is a
+    ``CliError`` with exit 2."""
+    check_options(config)
     try:
         with open(config.model_path, encoding="utf-8") as fh:
             source = fh.read()
@@ -150,13 +151,14 @@ def load_model(config: RunConfig):
         raise CliError("%s: %s" % (config.model_path, exc), EXIT_PARSE) from exc
     durations = {e.duration_ms for dec in ast.decisions() for e in walk_exprs(dec.condition)
                  if isinstance(e, Held)}
-    unused = sorted(set(config.remap) - durations)
+    remap = dict(config.remap)
+    unused = sorted(set(remap) - durations)
     if unused:
         raise CliError("--remap-duration: no held() in %s lasts %s" % (
             config.model_path, ", ".join("%d ms" % dur for dur in unused)), EXIT_PARSE)
-    if config.remap:
+    if remap:
         ast = rescale_durations(ast, {dur: cycles * config.cycle_period_ms
-                                      for dur, cycles in config.remap.items()})
+                                      for dur, cycles in remap.items()})
     diagnostics = check_model(ast)
     for diag in diagnostics:
         print(diag.format(config.model_path), file=sys.stderr)
@@ -213,7 +215,6 @@ def run_campaign(config: RunConfig) -> CampaignResult:
     ``stdio:`` subject, each of which starts its own subject, run in a pool
     of one process per part when more than one CPU is usable; any others
     run in turn."""
-    check_options(config)
     extraction = load_model(config)
     model = extraction.model
     # bad parts are rejected before a subject is started
@@ -250,7 +251,7 @@ def run_campaign(config: RunConfig) -> CampaignResult:
     failed = next((r for r in results if r.error is not None), results[0])
     failures = tuple((part.node_id, r.log.failure) for part, r in zip(parts, results)
                      if r.log.failure is not None)
-    return CampaignResult(merged, report, None, failed.error, failed.error_code, failures=failures)
+    return CampaignResult(merged, report, None, failed.error, failures=failures)
 
 
 def _usable_cpus() -> int:
@@ -277,6 +278,11 @@ def check_options(config: RunConfig, log=None, trace_cycles=None, dot=None) -> N
                        EXIT_PARSE)
     if config.scenario not in ("full", "piecemeal") and not config.scenario.startswith("piece:"):
         raise CliError("unknown scenario %r" % config.scenario, EXIT_PARSE)
+    remapped = [duration for duration, _ in config.remap]
+    for duration in remapped:
+        if remapped.count(duration) > 1:
+            raise CliError("--remap-duration: %d ms remapped more than once" % duration,
+                           EXIT_PARSE)
     paths = [(option, path) for option, path in (
         ("--model", config.model_path), ("--log", log), ("--trace-cycles", trace_cycles),
         ("--dot", dot)) if path is not None]
@@ -304,7 +310,7 @@ def run_part(config: RunConfig, extraction, part) -> CampaignResult:
     scenario = build_coverage_scenario(spec, extraction, period, part, strict=config.strict_held)
 
     log.info("running scenario %s against %s (period %d ms)", scenario.name, config.sut, period)
-    error, code = None, EXIT_OK
+    error = None
     # a campaign makes no reference cycle, so the collector would find
     # nothing: it is paused for the traversal and resumed if it was on
     collecting = gc.isenabled()
@@ -315,13 +321,13 @@ def run_part(config: RunConfig, extraction, part) -> CampaignResult:
                  len(automaton.states), len(automaton.transitions), testlog.stimulus_count())
     except TraversalError as exc:
         testlog, automaton = exc.log, exc.automaton
-        error, code = str(exc), EXIT_VERDICT
+        error = str(exc)
     finally:
         if collecting:
             gc.enable()
         link.close()
     kernel = link.kernel if isinstance(link, InProcessLink) else None
-    return CampaignResult(testlog, spec.coverage, automaton, error, code, kernel)
+    return CampaignResult(testlog, spec.coverage, automaton, error, kernel)
 
 
 # ---------------------------------------------------------------------------

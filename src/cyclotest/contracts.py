@@ -1,16 +1,17 @@
 """Design-by-contract oracle around one subject.
 
 ``apply_stimulus`` performs the fixed verdict sequence: precondition, one
-mediator exchange, predicate/flag update, reference run of the model (state
-parameters get pre-values, temporal parameters get the post-exchange flags),
-state synchronization, and finally the postcondition comparing observed
-outputs and visible state against the reference values.  Each check runs
-once per stimulus; only a refused call is checked again, to word its reason.
-One generated function per specification, compiled at the first stimulus,
-judges a stimulus in one frame: it admits the call, exchanges it, and judges
-the step, remembered or taken afresh; the link's generated observation check
-(:class:`mediator.MediatorLink`) runs inside the exchange.  A refused call, a
-failed exchange and a failing postcondition are judged by one Python method.
+mediator exchange, the observation's check, predicate/flag update, reference
+run of the model (state parameters get pre-values, temporal parameters get
+the post-exchange flags), state synchronization, and finally the
+postcondition comparing observed outputs and visible state against the
+reference values.  Each check runs once per stimulus; only a refused call or
+a misfit observation is checked again, to word its reason.  One generated
+function per specification, compiled at the first stimulus, judges a
+stimulus in one frame: it admits the call, exchanges it, checks the
+observation and judges the step, remembered or taken afresh.  A refused
+call, a failed exchange, a misfit and a failing postcondition are judged by
+one Python method.
 
 The predicate/flag update, the reference run and, on a passing cycle, the
 synchronized state are together the cycle's step, a function of the inputs,
@@ -102,10 +103,10 @@ class Specification:
     """One specification function per subject, with verdicts per stimulus.
 
     The precondition admits exactly the declared inputs, each an integer (a
-    bool counts) inside its domain.  The generated judge admits a call and
-    copies its inputs as ``int``s, which the link and the model see
-    (:meth:`_judge`); :meth:`check_precondition` words a refused call's
-    reason.
+    bool counts) inside its domain.  The generated judge (:meth:`_judge`)
+    admits a call, copies its inputs as ``int``s, which the link and the
+    model see, and checks each observation; :meth:`check_precondition` and
+    :meth:`check_observation` word a refused call's and a misfit's reason.
     Every reference run's decision trace accumulates into ``coverage``.
 
     The specification steps its own automaton.  It interns its states: one
@@ -141,9 +142,7 @@ class Specification:
         self.hold_table = temporal.HoldTable(extraction.predicates, self.model.initial_state(),
                                              strict_held)
         self.coverage = CoverageReport.for_model(self.model)
-        self._inputs_at = _values_at(self.model.input_names)
         self._state_at = _values_at(tuple(d.name for d in self.model.state_vars))
-        self._flags_at = _values_at(self.hold_table.predicate_ids)
         self._memo: dict = {}  # cycle -> (outputs, state_post, trace), shared
         self._interned: dict = {}  # (state values, holds) -> the one such state
         self._steps: dict = {}  # (pre number, *inputs, ms) -> (outputs, successor, trace)
@@ -195,21 +194,41 @@ class Specification:
                 return "input '%s' = %d outside its domain" % (name, value)
         return None
 
+    def check_observation(self, obs: tuple) -> Optional[str]:
+        """The reason the observation ``obs``, as ``exchange`` returned it,
+        does not fit, or None: its first misfit of cycle, system time, then
+        outputs and state, each by shape, then value by value."""
+        cycle, sys_time_ms, outputs, state = obs
+        next_cycle, last = self.link.next_cycle, self.sys_time_ms
+        if cycle != next_cycle:
+            return "observation for cycle %s after set_inputs %d" % (cycle, next_cycle)
+        if type(cycle) is not int:
+            return "observation cycle %r is not an integer" % (cycle,)
+        if type(sys_time_ms) is not int:
+            return "observation sys_time_ms %r is not an integer" % (sys_time_ms,)
+        if last is not None and sys_time_ms < last:
+            return "system time went back from %d ms to %d ms" % (last, sys_time_ms)
+        for part, values, names in (("outputs", outputs, self.model.output_names),
+                                    ("state", state, self.model.readable_names)):
+            if not isinstance(values, dict) or values.keys() != set(names):
+                return "observation %s %r do not match the model" % (part, values)
+            for name, value in values.items():
+                if type(value) is not int:
+                    return "observation %s '%s' = %r is not an integer" % (part, name, value)
+                if value not in self.model.domains[name]:
+                    return "observation %s '%s' = %d is outside its domain" % (part, name, value)
+        return None
+
     def reference(self, inputs: Mapping, state_pre: Mapping, flags: Mapping,
-                  values: Optional[tuple] = None) -> tuple:
-        """The model's ``(outputs, state_post, trace)`` for one cycle, shared
-        and read-only when the cycle is remembered.  A cycle not remembered
-        accumulates its trace into ``coverage``.  The values of ``inputs`` and
-        ``state_pre`` are read afresh, or given as the pair ``values``."""
-        if values is None:
-            values = self._inputs_at(inputs), self._state_at(state_pre)
-        key = values[0], values[1], self._flags_at(flags)
-        result = self._memo.get(key)
-        if result is None:
-            result = eval_model(self.model, inputs, state_pre, flags)
-            self.coverage.accumulate(result[2])
-            if len(self._memo) < MEMO_CAP:
-                self._memo[key] = result
+                  key: tuple) -> tuple:
+        """The model's ``(outputs, state_post, trace)`` for a cycle that
+        ``_memo`` does not hold under ``key``, the judge's; its trace is
+        accumulated into ``coverage`` and, below the cap, it is remembered
+        under ``key``, shared and read-only."""
+        result = eval_model(self.model, inputs, state_pre, flags)
+        self.coverage.accumulate(result[2])
+        if len(self._memo) < MEMO_CAP:
+            self._memo[key] = result
         return result
 
     def apply_stimulus(self, inputs: Mapping) -> Verdict:
@@ -221,10 +240,14 @@ class Specification:
         refers to no specification.  In one frame it admits the call (names
         as ``repr``'d keys, bounds inlined; an ``int`` subclass is converted
         once inside its domain), exchanges a fresh dict of it, which the
-        subject may write, and judges the step: a remembered one by one lookup
-        and the postcondition, any other afresh, on the admitted values in a
-        dict built again (:class:`Specification`).  A refused call, a failed
-        exchange and a failing postcondition go to :meth:`_judge_rest`."""
+        subject may write, checks the observation and advances the link, and
+        judges the step: a remembered one by one lookup and the
+        postcondition, any other afresh, on the admitted values in a dict
+        built again (:class:`Specification`).  An observation that fails the
+        inlined check is worded by :meth:`check_observation` or, in dict
+        subclasses that fit, judged as plain copies.  A refused call, a
+        failed exchange, a misfit and a failing postcondition go to
+        :meth:`_judge_rest`."""
         model = self.model
         names, readable = model.input_names, model.readable_names
         local = ["v%d" % i for i in range(len(names))]  # the values, as locals
@@ -241,44 +264,65 @@ class Specification:
                       "  %s = int(%s)" % (v, v),
                       " elif not %d <= %s <= %d:" % (domain.start, v, domain[-1]),
                       "  " + refuse]
+        # the observation fits; check_observation words why one does not
+        fits = ["type(cycle) is int", "cycle == link.next_cycle", "type(now) is int",
+                "(last is None or now >= last)", "type(outputs) is dict",
+                "len(outputs) == %d" % len(model.output_names), "type(state) is dict",
+                "len(state) == %d" % len(readable)]
+        parts = [("outputs", name) for name in model.output_names]
+        for i, (part, name) in enumerate(parts + [("state", name) for name in readable]):
+            domain = model.domains[name]
+            fits += ["type(w%d := %s.get(%r)) is int and %d <= w%d <= %d"
+                     % (i, part, name, domain.start, i, domain[-1])]
         admitted = "{%s}" % ", ".join("%r: %s" % nv for nv in zip(names, local))
         lines += [" admitted = " + admitted,
+                  " link = spec.link",
                   " try:",
-                  "  obs = spec.link.exchange(admitted)",  # (cycle, time, outputs, state)
+                  "  obs = link.exchange(admitted)",
                   " except MediatorError as exc:",
                   "  return rest(spec, admitted, exc)",
+                  " cycle, now, outputs, state = obs",
                   " last, pre = spec.sys_time_ms, spec.state",
-                  " key = pre.number, %s0 if last is None else obs[1] - last" % values,
+                  " if not (%s):" % " and ".join(fits),
+                  "  reason = check(spec, obs)",
+                  "  if reason is None:",
+                  "   obs = cycle, now, outputs, state = cycle, now, dict(outputs), dict(state)",
+                  "   reason = check(spec, obs)",
+                  "  if reason is not None:",
+                  "   return rest(spec, None, reason)",
+                  " link.next_cycle += 1",
+                  " key = pre.number, %s0 if last is None else now - last" % values,
                   " step = spec._steps.get(key)",
-                  " if step is not None and step[0] == obs[2]%s:" % "".join(
-                      " and step[1].state_vars[%r] == obs[3][%r]" % (name, name)
+                  " if step is not None and step[0] == outputs%s:" % "".join(
+                      " and step[1].state_vars[%r] == state[%r]" % (name, name)
                       for name in readable),
-                  "  spec.sys_time_ms = obs[1]",
+                  "  spec.sys_time_ms = now",
                   "  spec.state = step[1]",
-                  "  return new(Verdict, (PASS, '', obs[0], (), step[2], None))",
+                  "  return new(Verdict, (PASS, '', cycle, (), step[2], None))",
                   " if step is not None:",
                   "  return rest(spec, None, obs, step)",
                   " call = " + admitted,
                   " stepped = mediator.step_predicates(spec.hold_table, pre, call, key[-1])",
                   " flags = stepped[1]",
-                  " ref = spec._memo.get(((%s), pre.values, (%s)))" % (values, "".join(
+                  " ran = (%s), pre.values, (%s)" % (values, "".join(
                       "flags[%r], " % i for i in self.hold_table.predicate_ids)),
+                  " ref = spec._memo.get(ran)",
                   " if ref is None:",
-                  "  ref = reference(spec, call, pre.state_vars, flags, ((%s), pre.values))"
-                  % values,
+                  "  ref = reference(spec, call, pre.state_vars, flags, ran)",
                   " post = mediator.sync_state(pre, obs, ref[1], stepped)",
-                  " if ref[0] != obs[2]%s:" % "".join(
-                      " or ref[1][%r] != obs[3][%r]" % (name, name) for name in readable),
+                  " if ref[0] != outputs%s:" % "".join(
+                      " or ref[1][%r] != state[%r]" % (name, name) for name in readable),
                   "  return rest(spec, None, obs, ref, post)",
-                  " spec.sys_time_ms = obs[1]",
+                  " spec.sys_time_ms = now",
                   " spec.state = remember(spec, key, pre, ref, post)",
-                  " return new(Verdict, (PASS, '', obs[0], (), ref[2], None))"]
+                  " return new(Verdict, (PASS, '', cycle, (), ref[2], None))"]
         # mediator's functions are read off the module at each call
+        cls = type(self)
         return compile_function(lines, "judge", "<judge>", {
             "__name__": __name__, "MediatorError": MediatorError, "Verdict": Verdict,
             "PASS": PASS, "new": tuple.__new__, "mediator": mediator,
-            "rest": type(self)._judge_rest, "reference": type(self).reference,
-            "remember": type(self)._remember})
+            "check": cls.check_observation, "rest": cls._judge_rest,
+            "reference": cls.reference, "remember": cls._remember})
 
     def _remember(self, key: tuple, pre: SpecificationState, ref: tuple,
                   post: SpecificationState) -> SpecificationState:
@@ -293,14 +337,14 @@ class Specification:
     def _judge_rest(self, inputs: Optional[Mapping], outcome, step: Optional[tuple] = None,
                     post: Optional[SpecificationState] = None) -> Verdict:
         """The verdict on a refused call ``inputs`` (``outcome`` None), on a
-        failed exchange (``outcome`` its :class:`MediatorError`), or on the
-        observation ``outcome``, kept as copies, failing the postcondition of
-        a fresh step whose reference run gave ``step`` and state ``post``, or
-        of the remembered ``step`` (``post`` None)."""
+        failed exchange or a misfit (``outcome`` its error or reason), or on
+        the observation ``outcome``, kept as copies, failing the postcondition
+        of a fresh step whose reference run gave ``step`` and state ``post``,
+        or of the remembered ``step`` (``post`` None)."""
         if outcome is None:
             return Verdict(VerdictKind.PRECONDITION_VIOLATION, self.check_precondition(inputs),
                            self.link.next_cycle)
-        if isinstance(outcome, MediatorError):
+        if isinstance(outcome, (str, MediatorError)):
             return Verdict(VerdictKind.MEDIATOR_FAILURE, str(outcome), self.link.next_cycle)
         (cycle, sys_time_ms, outputs, visible), (ref_outputs, ref_post, trace) = outcome, step
         obs = CycleObservation(cycle, sys_time_ms, dict(outputs), dict(visible))

@@ -1,10 +1,10 @@
 """Standalone iron shut-off subject speaking the NDJSON mediator protocol.
 
-Steps ``IronSut`` once per cycle in a local kernel, through an in-process
-mediator link that checks each observation, and serves one test session over
-stdio or a single TCP connection: hello first, then a strict
+Steps ``IronSut`` once per cycle in a local kernel and serves one test
+session over stdio or a single TCP connection: hello first, then a strict
 set_inputs/observation alternation until shutdown or EOF.  It loads only the
-model, the kernel and the mediator, which also holds its option converters.
+model, the kernel and the mediator, which holds the wire format and the
+option converters.
 """
 from __future__ import annotations
 
@@ -13,9 +13,8 @@ import socket
 import sys
 
 from .iron import FULL_DURATIONS_MS, IronSut, MUTANT_IDS, iron_model
-from .kernel import KernelConfig
+from .kernel import Kernel, KernelConfig
 from .mediator import (
-    InProcessLink,
     ProtocolError,
     WireMessage,
     hello_for_model,
@@ -33,8 +32,9 @@ def serve(reader, writer, sut: IronSut, period_ms: int) -> int:
         send(WireMessage("error", payload={"message": message}))
         return 1
 
-    link = InProcessLink(iron_model(), sut, KernelConfig(cycle_period_ms=period_ms))
-    hello = hello_for_model(link.model, period_ms)
+    model = iron_model()
+    kernel = Kernel(KernelConfig(cycle_period_ms=period_ms), sut.step)
+    hello = hello_for_model(model, period_ms)
     send(WireMessage(hello.pop("type"), payload=hello))
     while True:
         line = reader.readline()
@@ -48,21 +48,21 @@ def serve(reader, writer, sut: IronSut, period_ms: int) -> int:
             return 0
         if msg.type != "set_inputs":
             return fail("unexpected message type %r" % msg.type)
-        if msg.cycle != link.next_cycle:
-            return fail("cycle %r out of order, expected %d" % (msg.cycle, link.next_cycle))
+        if msg.cycle != kernel.cycles:
+            return fail("cycle %r out of order, expected %d" % (msg.cycle, kernel.cycles))
         values = msg.payload.get("values")
         if not isinstance(values, dict):
             return fail("set_inputs without a values object")
-        for name in link.model.input_names:
+        for name in model.input_names:
             if name not in values:
                 return fail("missing input '%s'" % name)
             value = values[name]
-            if type(value) is not int or value not in link.model.domains[name]:
+            if type(value) is not int or value not in model.domains[name]:
                 return fail("input '%s' = %r is not an integer in its domain" % (name, value))
-        cycle, sys_time_ms, outputs, state = link.exchange(
-            {name: values[name] for name in link.model.input_names})
-        send(WireMessage("observation", cycle, {
-            "sys_time_ms": sys_time_ms, "outputs": outputs, "state": state}))
+        outputs = kernel.run_cycle({name: values[name] for name in model.input_names})
+        send(WireMessage("observation", kernel.cycles - 1, {
+            "sys_time_ms": kernel.sys_time_ms, "outputs": outputs,
+            "state": sut.visible_state()}))
 
 
 def duration_pair(text: str) -> tuple:

@@ -1,10 +1,12 @@
 """Binding between the specification and the system under test.
 
 One exchange = one cycle: hand the subject its inputs, let it run a cycle and
-return the checked ``(cycle, sys_time_ms, outputs, state)``, dicts uncopied (a
-failing verdict copies them into a :class:`CycleObservation`).  The in-process
-link runs the subject's step function in a local kernel; the TCP and stdio
-links speak a newline-delimited JSON protocol to a remote harness:
+return ``(cycle, sys_time_ms, outputs, state)`` as it came, dicts uncopied.  A
+link only carries the messages; the specification's generated judge checks
+the observation (:class:`cyclotest.contracts.Specification`), and a failing
+verdict copies it into a :class:`CycleObservation`.  The in-process link runs
+the subject's step function in a local kernel; the TCP and stdio links speak
+a newline-delimited JSON protocol to a remote harness:
 
   hello:       {"type":"hello","model":m,"inputs":[...],"outputs":[...],
                 "state":[...],"cycle_period_ms":N}
@@ -28,10 +30,10 @@ import socket
 import subprocess
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from . import temporal
-from .dsl import ModelAst, compile_function, compiled_lazily
+from .dsl import ModelAst
 from .kernel import Kernel, KernelConfig
 
 
@@ -103,95 +105,29 @@ def validate_hello(hello: dict, model: ModelAst, cycle_period_ms: int) -> None:
 
 
 class MediatorLink:
-    """Shared per-cycle bookkeeping: alternation, payload validation.  An
-    observation is checked here once; later stages trust it and read its
-    dicts, uncopied, before the next exchange.  A remote subject's whole
-    observation is checked; an in-process subject's cycle and system time are
-    its kernel's, so only the values it returned are.  The check of the values
-    is generated per link at its first observation (:meth:`_check_values`)."""
+    """Carries one cycle's message each way and keeps the protocol's
+    alternation: ``next_cycle`` is the cycle the next set_inputs is for.
+    The link checks nothing of an observation; the specification that
+    reads it does, and advances ``next_cycle`` once it fits."""
 
     def __init__(self, model: ModelAst):
         self.model = model
         self.next_cycle = 0
-        self._last_sys_time_ms: Optional[int] = None
 
     def exchange(self, inputs: Mapping) -> tuple:
         """Run one cycle on ``inputs``, the ``int`` values of every declared
-        input, and return the checked ``(cycle, sys_time_ms, outputs, state)``,
-        the dicts as the subject or the wire decoder gave them."""
+        input, and return ``(cycle, sys_time_ms, outputs, state)`` as the
+        subject or the wire decoder gave them, unchecked."""
         raise NotImplementedError
 
     def close(self) -> None:
         pass
 
-    def _check_observation(self, cycle, sys_time_ms, outputs, state) -> tuple:
-        """The observation of the cycle just run, if it fits: its cycle is
-        the last set_inputs' and its system time is not before the previous
-        one, both ``int``s, and its values fit (:meth:`_check_values`).
-        Otherwise a :class:`ProtocolError` names the first misfit."""
-        last = self._last_sys_time_ms
-        if not (type(cycle) is int and cycle == self.next_cycle and type(sys_time_ms) is int
-                and (last is None or sys_time_ms >= last)):
-            self._reject(cycle, sys_time_ms, outputs, state)
-        return self._check_values(self, cycle, sys_time_ms, outputs, state)
-
-    @compiled_lazily
-    def _check_values(self) -> Callable:
-        """``check(link, cycle, sys_time_ms, outputs, state)``, which refers
-        to no link: its last four arguments as a tuple, dicts uncopied, and
-        the link advanced, if its outputs and state are each a plain dict of
-        exactly the model's names, each an ``int`` inside its domain (its cycle
-        and system time are taken as fitting); else what :meth:`_reject` gives."""
-        model = self.model
-        reject = "  return link._reject(cycle, sys_time_ms, outputs, state)"
-        lines = ["def check(link, cycle, sys_time_ms, outputs, state):",
-                 " if not (type(outputs) is dict and len(outputs) == %d"
-                 " and type(state) is dict and len(state) == %d):"
-                 % (len(model.output_names), len(model.readable_names)), reject]
-        for part, names in (("outputs", model.output_names), ("state", model.readable_names)):
-            for i, name in enumerate(names):
-                domain, v = model.domains[name], "%s%d" % (part[0], i)
-                lines += [" %s = %s.get(%r)" % (v, part, name),
-                          " if type(%s) is not int or not %d <= %s <= %d:"
-                          % (v, domain.start, v, domain[-1]), reject]
-        lines += [" link._last_sys_time_ms = sys_time_ms", " link.next_cycle += 1",
-                  " return cycle, sys_time_ms, outputs, state"]
-        return compile_function(lines, "check", "<observation check>", {"__name__": __name__})
-
-    def _reject(self, cycle, sys_time_ms, outputs, state) -> tuple:
-        """Raise a :class:`ProtocolError` naming the observation's first misfit,
-        in the order: cycle, system time, then outputs and state, each by
-        shape, then value by value.  Outputs and state that fit, in a dict
-        subclass, are returned checked as plain copies, which the judge reads."""
-        if cycle != self.next_cycle:
-            raise ProtocolError(
-                "observation for cycle %s after set_inputs %d" % (cycle, self.next_cycle)
-            )
-        if type(cycle) is not int:
-            raise ProtocolError("observation cycle %r is not an integer" % (cycle,))
-        if type(sys_time_ms) is not int:
-            raise ProtocolError("observation sys_time_ms %r is not an integer" % (sys_time_ms,))
-        if self._last_sys_time_ms is not None and sys_time_ms < self._last_sys_time_ms:
-            raise ProtocolError("system time went back from %d ms to %d ms"
-                                % (self._last_sys_time_ms, sys_time_ms))
-        for part, values, names in (("outputs", outputs, self.model.output_names),
-                                    ("state", state, self.model.readable_names)):
-            if not isinstance(values, dict) or values.keys() != set(names):
-                raise ProtocolError("observation %s %r do not match the model" % (part, values))
-            for name, value in values.items():
-                if type(value) is not int:
-                    raise ProtocolError("observation %s '%s' = %r is not an integer"
-                                        % (part, name, value))
-                if value not in self.model.domains[name]:
-                    raise ProtocolError("observation %s '%s' = %d is outside its domain"
-                                        % (part, name, value))
-        return self._check_values(self, cycle, sys_time_ms, dict(outputs), dict(state))
-
 
 class InProcessLink(MediatorLink):
     """Run the subject's step function in a local kernel: each cycle steps it
-    on the inputs, then reads its outputs and state, the only parts of the
-    observation that are checked.  The kernel holds only the bound
+    on the inputs, then reads its outputs and state; the cycle and system
+    time are the kernel's.  The kernel holds only the bound
     ``step``, so link and kernel form no reference cycle that would keep a
     spent kernel's cycle times alive."""
 
@@ -210,7 +146,7 @@ class InProcessLink(MediatorLink):
             state = self._visible_state()
         except Exception as exc:
             raise MediatorError("subsystem '%s' failed: %s" % (self.model.name, exc)) from exc
-        return self._check_values(self, kernel.cycles - 1, kernel.sys_time_ms, outputs, state)
+        return kernel.cycles - 1, kernel.sys_time_ms, outputs, state
 
 
 class _StreamLink(MediatorLink):
@@ -290,8 +226,7 @@ class _StreamLink(MediatorLink):
         if msg.type != "observation":
             raise ProtocolError("expected observation, got %r" % msg.type)
         payload = msg.payload
-        return self._check_observation(msg.cycle, payload.get("sys_time_ms"),
-                                       payload.get("outputs"), payload.get("state"))
+        return msg.cycle, payload.get("sys_time_ms"), payload.get("outputs"), payload.get("state")
 
     def _send_shutdown(self) -> None:
         try:
@@ -406,7 +341,7 @@ def sync_state(spec_state, obs: tuple, model_state_post: Mapping, stepped: tuple
     ``spec_state``'s type.
 
     Readable state variables are copied from the observation ``obs``,
-    ``exchange``'s tuple, which the link has already checked against the
+    ``exchange``'s tuple, which the judge has already checked against the
     model; hidden ones are taken from the model's computed post-state
     (assuming an error-free subject, their model representation is the
     reference value).  With no visible state, the post-state itself, shared

@@ -359,7 +359,7 @@ class PlainSpecification(Specification):
     def _intern(self, state):
         return state
 
-    def reference(self, inputs, state_pre, flags, values=None) -> tuple:
+    def reference(self, inputs, state_pre, flags, key) -> tuple:
         result = walk_model(self.model, inputs, state_pre, flags)
         self.coverage.accumulate(result[2])
         return result

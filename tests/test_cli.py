@@ -1241,6 +1241,23 @@ class TestBadArguments:
         assert not started.exists()
 
     @pytest.mark.parametrize("command", ["run", "enumerate-states", "reduce"])
+    @pytest.mark.parametrize("remaps, twice", [
+        (["60s=3", "60s=4"], 60_000),
+        (["60s=3", "60000ms=4"], 60_000),
+        (["60s=3", "900s=5", "60000=3"], 60_000),
+        (["900s=5", "60s=3", "60000ms=3", "900000ms=5"], 900_000),  # the first given
+    ], ids=["same-text", "ms", "same-count", "both"])
+    def test_remap_of_one_duration_twice_exit_2(self, capsys, tmp_path, command, remaps, twice):
+        # refused with the other option rules, before the model is read
+        argv = [command, "--model", str(tmp_path / "missing.ctl")]
+        for remap in remaps:
+            argv += ["--remap-duration", remap]
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: --remap-duration: %d ms remapped more than once" % twice]
+
+    @pytest.mark.parametrize("command", ["run", "enumerate-states", "reduce"])
     def test_bool_initializer_outside_0_1_exit_2(self, tmp_path, command):
         model = tmp_path / "init.ctl"
         model.write_text("model m {\n  input a: bool;\n  output o: bool;\n"

@@ -95,11 +95,12 @@ class TestApplyStimulus:
         for level in (-1, 10001):
             assert (spec.check_precondition({"level": level})
                     == "input 'level' = %d outside its domain" % level)
-        link = InProcessLink(ex.model, FixedSut(10000), KernelConfig())
-        assert link.exchange({"level": 10000})[2] == {"o": 10000}
-        link = InProcessLink(ex.model, FixedSut(10001), KernelConfig())
-        with pytest.raises(ProtocolError, match="outputs 'o' = 10001 is outside its domain"):
-            link.exchange({"level": 10000})
+        spec = Specification(ex, InProcessLink(ex.model, FixedSut(10000), KernelConfig()))
+        assert spec.apply_stimulus({"level": 10000}).kind is VerdictKind.PASS
+        spec = Specification(ex, InProcessLink(ex.model, FixedSut(10001), KernelConfig()))
+        verdict = spec.apply_stimulus({"level": 10000})
+        assert (verdict.kind, verdict.detail) == (
+            VerdictKind.MEDIATOR_FAILURE, "observation outputs 'o' = 10001 is outside its domain")
 
     def test_precondition_consumes_no_cycle(self, desk_extraction):
         spec = _spec(desk_extraction)
@@ -280,41 +281,40 @@ class TestAdmissionAgainstReference:
 
 
 class TestCompileGuard:
-    """A specification's judge and its link's observation check are
-    generated at their first call, once, and bound on their owner over the
-    methods, but over none of the names that ``bench/`` wraps; neither refers
-    back to its owner."""
+    """A specification's judge, which checks each observation too, is
+    generated at its first call, once, and bound on the specification over
+    the method, but over none of the names that ``bench/`` wraps; it does
+    not refer back to its owner.  A link only carries, and compiles nothing."""
 
     @pytest.fixture
     def compiles(self, monkeypatch) -> list:
-        """The name of each function that ``contracts`` or ``mediator``
-        compiles."""
+        """The name of each function that ``contracts`` compiles."""
         compiled = []
-        for module in (contracts, mediator):
-            def counted(lines, name, filename, namespace, compile_function=module.compile_function):
-                compiled.append(name)
-                return compile_function(lines, name, filename, namespace)
-            monkeypatch.setattr(module, "compile_function", counted)
+        real = contracts.compile_function
+
+        def counted(lines, name, filename, namespace):
+            compiled.append(name)
+            return real(lines, name, filename, namespace)
+        monkeypatch.setattr(contracts, "compile_function", counted)
         return compiled
 
     def test_set_up_compiles_nothing(self, compiles, desk_extraction, iron_ast):
         spec = _spec(desk_extraction)
-        link = ScriptedStreamLink(iron_ast, [_hello_line(iron_ast)])
+        ScriptedStreamLink(iron_ast, [_hello_line(iron_ast)])
         assert compiles == []
         assert "_judge" not in vars(spec)
-        assert "_check_values" not in vars(spec.link) and "_check_values" not in vars(link)
+        assert not hasattr(mediator, "compile_function")
 
     def test_compiled_on_first_stimulus_only(self, compiles, desk_extraction):
         spec = _spec(desk_extraction)
         assert spec.apply_stimulus({"move": 0, "position": 1}).kind is VerdictKind.PASS
-        assert compiles == ["judge", "check"]
-        judge, check = vars(spec)["_judge"], vars(spec.link)["_check_values"]
+        assert compiles == ["judge"]
+        judge = vars(spec)["_judge"]
         assert judge.__module__ == "cyclotest.contracts"
-        assert check.__module__ == "cyclotest.mediator"
         for move in (1, 0, 1, 1):
             assert spec.apply_stimulus({"move": move, "position": 1}).kind is VerdictKind.PASS
-        assert compiles == ["judge", "check"]
-        assert vars(spec)["_judge"] is judge and vars(spec.link)["_check_values"] is check
+        assert compiles == ["judge"]
+        assert vars(spec)["_judge"] is judge
         # the names that bench/ wraps stay the classes' own
         assert "apply_stimulus" not in vars(spec)
         assert "exchange" not in vars(spec.link)
@@ -341,7 +341,7 @@ class TestCompileGuard:
             VerdictKind.PRECONDITION_VIOLATION, "input 'move' = 2 outside its domain", 0)
         assert compiles == ["judge"]
         assert spec.apply_stimulus({"move": 0, "position": 1}).kind is VerdictKind.PASS
-        assert compiles == ["judge", "check"]
+        assert compiles == ["judge"]
 
     def test_misfit_first_observation(self, compiles, desk_extraction):
         sut = ScriptedSut([({"heating": 2}, {}), ({"heating": 1}, {})])
@@ -350,27 +350,24 @@ class TestCompileGuard:
         assert (verdict.kind, verdict.detail, verdict.cycle_index) == (
             VerdictKind.MEDIATOR_FAILURE, "observation outputs 'heating' = 2 is outside its "
             "domain", 0)
-        assert compiles == ["judge", "check"]
-        assert spec.apply_stimulus({"move": 0, "position": 0}).kind is VerdictKind.PASS
-        assert (compiles, spec.link.next_cycle) == (["judge", "check"], 1)
+        assert (compiles, spec.link.next_cycle) == (["judge"], 0)
+        # the subject ran cycle 0, so its next observation is for cycle 1,
+        # which a link that was not advanced refuses, in process as over a stream
+        verdict = spec.apply_stimulus({"move": 0, "position": 0})
+        assert (verdict.kind, verdict.detail, verdict.cycle_index) == (
+            VerdictKind.MEDIATOR_FAILURE, "observation for cycle 1 after set_inputs 0", 0)
+        assert (compiles, spec.link.next_cycle) == (["judge"], 0)
 
-    def test_refused_first_observation(self, compiles, iron_ast):
-        sut = ScriptedSut([({"heating": 2}, {}), ({"heating": 1}, {})])
+    def test_a_link_carries_a_misfit_unchecked(self, compiles, iron_ast):
+        sut = ScriptedSut([({"heating": 2}, {})])
         link = InProcessLink(iron_ast, sut, KernelConfig())
-        with pytest.raises(ProtocolError, match="^observation outputs 'heating' = 2 is outside"):
-            link.exchange({"move": 0, "position": 0})
-        assert compiles == ["check"]
-        assert link.exchange({"move": 0, "position": 0})[2] == {"heating": 1}
-        assert (compiles, link.next_cycle) == (["check"], 1)
-
-    def test_streamed_observation(self, compiles, iron_ast):
-        observation = {"type": "observation", "sys_time_ms": 0, "outputs": {"heating": 1},
-                       "state": {}}
-        link = ScriptedStreamLink(iron_ast, [_hello_line(iron_ast)] + [
-            (json.dumps(dict(observation, cycle=cycle)) + "\n").encode() for cycle in (0, 1)])
-        for cycle in (0, 1):
-            assert link.exchange({"move": 0, "position": 0})[0] == cycle
-        assert compiles == ["check"]
+        assert link.exchange({"move": 0, "position": 0}) == (0, 1000, {"heating": 2}, {})
+        observation = {"type": "observation", "cycle": 5, "sys_time_ms": "x",
+                       "outputs": {"heating": 1}}
+        stream = ScriptedStreamLink(iron_ast, [_hello_line(iron_ast),
+                                               (json.dumps(observation) + "\n").encode()])
+        assert stream.exchange({"move": 0, "position": 0}) == (5, "x", {"heating": 1}, None)
+        assert (compiles, link.next_cycle, stream.next_cycle) == ([], 0, 0)
 
 
 class TestDerivedOnce:
@@ -511,11 +508,16 @@ class TestOracleMemo:
                   for values in itertools.product(*(d.domain() for d in model.state_vars))]
         cycles = [(inputs, state, flags) for inputs in _valuations(model.inputs)
                   for state in states for flags in _flag_vectors(ids)]
+        # the memo key, as the judge builds it
+        keys = [contracts._values_at(names) for names in (
+            model.input_names, tuple(state_names), ids)]
         for _ in range(2):  # every cycle once unseen, once remembered
             for inputs, state, flags in cycles:
-                assert memo.reference(inputs, state, flags) == eval_model(
-                    model, inputs, state, flags)
-                plain.reference(inputs, state, flags)
+                key = tuple(values_at(values) for values_at, values in zip(
+                    keys, (inputs, state, flags)))
+                ref = memo._memo.get(key) or memo.reference(inputs, state, flags, key)
+                assert ref == eval_model(model, inputs, state, flags)
+                plain.reference(inputs, state, flags, key)
         assert len(memo._memo) == len(cycles)
         assert memo.coverage == plain.coverage
 
@@ -668,10 +670,12 @@ class ScriptedLink(MediatorLink):
         self.holds = self.table.initial
         self.state_vars = extraction.model.initial_state()
         self.sys_time_ms = 0
+        self.cycles = 0
 
     def exchange(self, inputs):
         model = self.model
-        cycle = self.next_cycle
+        cycle = self.cycles
+        self.cycles += 1
         fault, arg = self.script.get(cycle, (None, None))
         elapsed = 0 if cycle == 0 else arg if fault == "time" else self.period_ms
         self.sys_time_ms += elapsed
@@ -683,7 +687,7 @@ class ScriptedLink(MediatorLink):
             if fault == part:
                 domain = model.domains[arg]
                 values[arg] = domain[(domain.index(values[arg]) + 1) % len(domain)]
-        return self._check_observation(cycle, self.sys_time_ms, outputs, visible)
+        return cycle, self.sys_time_ms, outputs, visible
 
 
 def _scripted_run(extraction, rng, cycles: int = 150):
@@ -733,16 +737,20 @@ class TestStepMemo:
 
     @pytest.mark.parametrize("model", REFERENCE_MODELS)
     def test_a_fresh_step_keys_its_cycle_as_reference_does(self, monkeypatch, model):
-        # a step taken afresh hands reference() the admitted values off its
-        # step key; they must be the tuples reference() reads from the inputs
-        # and state itself, also for one input or one state variable
+        # a step taken afresh hands reference() the memo key that it built
+        # off its step key and flags; it must be the tuples of the inputs,
+        # the pre-state and the flags, also for one input or one state
+        # variable
         extraction = _extraction_at(model, 1000)
         given = []
         real = Specification.reference
 
-        def reference(spec, inputs, state_pre, flags, values=None):
-            given.append((values, (spec._inputs_at(inputs), spec._state_at(state_pre))))
-            return real(spec, inputs, state_pre, flags, values)
+        def reference(spec, inputs, state_pre, flags, key):
+            names = (spec.model.input_names, tuple(d.name for d in spec.model.state_vars),
+                     spec.hold_table.predicate_ids)
+            given.append((key, tuple(contracts._values_at(n)(values) for n, values in zip(
+                names, (inputs, state_pre, flags)))))
+            return real(spec, inputs, state_pre, flags, key)
 
         monkeypatch.setattr(Specification, "reference", reference)
         stimuli, script = _scripted_run(extraction, random.Random(0))

@@ -214,13 +214,22 @@ class TestStreamProtocol:
         with pytest.raises(HandshakeMismatch):
             ScriptedLink(iron_ast, [(json.dumps(wrong) + "\n").encode()])
 
-    def test_out_of_order_cycle(self, iron_ast):
-        obs = {"type": "observation", "cycle": 2, "sys_time_ms": 1000,
-               "outputs": {"heating": 1}, "state": {}}
-        link = ScriptedLink(iron_ast, [_hello_line(iron_ast),
-                                       (json.dumps(obs) + "\n").encode()])
-        with pytest.raises(ProtocolError, match="cycle 2 after set_inputs 0"):
-            link.exchange({"move": 0, "position": 0})
+    @staticmethod
+    def _verdicts(extraction, observations) -> list:
+        """The verdicts of one stimulus per observation, each sent as given
+        after the hello, and the link's next cycle after the last."""
+        model = extraction.model
+        link = ScriptedLink(model, [_hello_line(model)] + [
+            (json.dumps(dict({"type": "observation"}, **obs)) + "\n").encode()
+            for obs in observations])
+        spec = Specification(extraction, link)
+        verdicts = [spec.apply_stimulus({"move": 0, "position": 0}) for _ in observations]
+        return [(v.kind, v.detail, v.cycle_index) for v in verdicts], link.next_cycle
+
+    def test_out_of_order_cycle(self, iron_extraction):
+        obs = {"cycle": 2, "sys_time_ms": 1000, "outputs": {"heating": 1}, "state": {}}
+        assert self._verdicts(iron_extraction, [obs]) == ([
+            (VerdictKind.MEDIATOR_FAILURE, "observation for cycle 2 after set_inputs 0", 0)], 0)
 
     def test_disconnect_mid_cycle(self, iron_ast):
         link = ScriptedLink(iron_ast, [_hello_line(iron_ast)])
@@ -234,13 +243,11 @@ class TestStreamProtocol:
         with pytest.raises(Exception, match="kaput"):
             link.exchange({"move": 0, "position": 0})
 
-    def test_wrong_payload_keys(self, iron_ast):
-        obs = {"type": "observation", "cycle": 0, "sys_time_ms": 1000,
-               "outputs": {"boiler": 1}, "state": {}}
-        link = ScriptedLink(iron_ast, [_hello_line(iron_ast),
-                                       (json.dumps(obs) + "\n").encode()])
-        with pytest.raises(ProtocolError, match="outputs"):
-            link.exchange({"move": 0, "position": 0})
+    def test_wrong_payload_keys(self, iron_extraction):
+        obs = {"cycle": 0, "sys_time_ms": 1000, "outputs": {"boiler": 1}, "state": {}}
+        assert self._verdicts(iron_extraction, [obs]) == ([
+            (VerdictKind.MEDIATOR_FAILURE,
+             "observation outputs {'boiler': 1} do not match the model", 0)], 0)
 
     @pytest.mark.parametrize("source, fields, reason", [
         pytest.param(None, {"outputs": {"heating": 1}}, "sys_time_ms None", id="no-time"),
@@ -291,17 +298,14 @@ class TestStreamProtocol:
         assert re.search(reason, verdict.detail)
         assert "\n" not in verdict.detail
 
-    def test_system_time_going_back_is_protocol_error(self, iron_ast):
-        lines = [_hello_line(iron_ast)]
-        for cycle, sys_time_ms in ((0, 2000), (1, 2000), (2, 1000)):
-            obs = {"type": "observation", "cycle": cycle, "sys_time_ms": sys_time_ms,
-                   "outputs": {"heating": 1}, "state": {}}
-            lines.append((json.dumps(obs) + "\n").encode())
-        link = ScriptedLink(iron_ast, lines)
-        link.exchange({"move": 0, "position": 0})
-        link.exchange({"move": 0, "position": 0})  # an unchanged time is allowed
-        with pytest.raises(ProtocolError, match="went back from 2000 ms to 1000 ms"):
-            link.exchange({"move": 0, "position": 0})
+    def test_system_time_going_back_is_mediator_failure(self, iron_extraction):
+        observations = [{"cycle": cycle, "sys_time_ms": sys_time_ms, "outputs": {"heating": 1},
+                         "state": {}} for cycle, sys_time_ms in ((0, 2000), (1, 2000), (2, 1000))]
+        # an unchanged time is allowed
+        assert self._verdicts(iron_extraction, observations) == ([
+            (VerdictKind.PASS, "", 0), (VerdictKind.PASS, "", 1),
+            (VerdictKind.MEDIATOR_FAILURE, "system time went back from 2000 ms to 1000 ms", 2)],
+            2)
 
 
 class DictSubclass(dict):
@@ -329,102 +333,134 @@ OBSERVED_MODELS = [pytest.param(None, id="iron"), pytest.param(STATEFUL_SRC, id=
 
 
 class TestObservationCheckAgainstReference:
-    """The link's generated check accepts exactly what the reference check
+    """The judge accepts exactly the observations that the reference check
     accepts, and words each rejection byte for byte the same, over a stream
-    link and in process."""
+    link and in process: a misfit is a mediator failure at the link's next
+    cycle, which leaves the link and the specification where they were; an
+    observation that fits is judged on plain dicts and advances both."""
 
     @staticmethod
     def _variants(names, domains) -> list:
         """A dict of each name at its domain's low end, the same in a dict
         subclass, and that dict with one fault each: a missing or an extra
         key, not a dict (a mapping proxy is not), or one value of the wrong
-        type or just outside its domain."""
+        type or just outside its domain; and a dict subclass with an extra
+        key or with one value just outside its domain."""
         valid = {name: domains[name].start for name in names}
         variants = [valid, DictSubclass(valid), types.MappingProxyType(valid), [valid], None,
-                    "x", {**valid, "extra": 0}]
+                    "x", {**valid, "extra": 0}, DictSubclass(valid, extra=0)]
         for name in names:
             domain = domains[name]
             variants.append({k: v for k, v in valid.items() if k != name})
             for bad in (True, "1", 1.0, None, domain.start - 1, domain.stop):
                 variants.append({**valid, name: bad})
+            variants.append(DictSubclass(valid, **{name: domain.stop}))
         return variants
 
+    @staticmethod
+    def _judge(spec, link, inputs, synchronized, want_or_error):
+        """Apply ``inputs`` through ``link`` and compare the verdict with the
+        reference's: its misfit, or the observation that the step taken
+        afresh is synchronized to, with the types and identity of its parts."""
+        next_cycle, last = link.next_cycle, spec.sys_time_ms
+        spec.link, spec._steps = link, {}  # so that the step is taken afresh
+        del synchronized[:]
+        verdict = spec.apply_stimulus(inputs)
+        if isinstance(want_or_error, ProtocolError):
+            assert (verdict.kind, verdict.detail, verdict.cycle_index) == (
+                VerdictKind.MEDIATOR_FAILURE, str(want_or_error), next_cycle)
+            assert (link.next_cycle, spec.sys_time_ms, synchronized) == (next_cycle, last, [])
+            return None
+        assert verdict.kind is not VerdictKind.MEDIATOR_FAILURE
+        [got] = synchronized
+        assert got == want_or_error
+        assert [type(v) for v in got] == [type(v) for v in want_or_error]
+        assert (link.next_cycle, spec.sys_time_ms) == (next_cycle + 1, want_or_error[1])
+        return got
+
+    @staticmethod
+    def _reference(model, next_cycle, last, *obs):
+        try:
+            return check_observation_reference(model, next_cycle, last, *obs)
+        except ProtocolError as exc:
+            return exc
+
     @pytest.mark.parametrize("source", OBSERVED_MODELS)
-    def test_every_enumerated_observation(self, iron_ast, source):
-        model = iron_ast if source is None else parse_model(source)
+    def test_every_enumerated_observation(self, iron_extraction, synchronized, source):
+        extraction = iron_extraction if source is None else extract_predicates(parse_model(source))
+        model = extraction.model
         domains = model.domains
         cycles = [1, 0, 2, True, 1.0]
         times = [2000, "2000", 2000.0, None, 500, 1000]
         outputs = self._variants(model.output_names, domains)
         states = self._variants(model.readable_names, domains)
-        inputs = dict.fromkeys(model.input_names, 0)
+        inputs = {name: domains[name].start for name in model.input_names}
+        spec = Specification(extraction, None)
+        initial = spec.state
         accepted = rejected = 0
         for cycle, sys_time_ms, out, state in itertools.product(cycles, times, outputs, states):
             link = HandedLink(model, [WireMessage("observation", cycle, {
                 "sys_time_ms": sys_time_ms, "outputs": out, "state": state})])
-            link.next_cycle, link._last_sys_time_ms = 1, 1000
-            try:
-                want = check_observation_reference(model, 1, 1000, cycle, sys_time_ms,
-                                                   out, state)
-            except ProtocolError as exc:
-                with pytest.raises(ProtocolError) as info:
-                    link.exchange(inputs)
-                assert str(info.value) == str(exc)
-                assert (link.next_cycle, link._last_sys_time_ms) == (1, 1000)
+            link.next_cycle, spec.sys_time_ms, spec.state = 1, 1000, initial
+            want = self._reference(model, 1, 1000, cycle, sys_time_ms, out, state)
+            got = self._judge(spec, link, inputs, synchronized, want)
+            if got is None:
                 rejected += 1
-            else:
-                got = link.exchange(inputs)
-                assert got == want
-                assert [type(v) for v in got] == [type(v) for v in want]
-                # the decoded dicts, uncopied, or, where one is a dict subclass,
-                # plain copies
-                assert type(got[2]) is dict and type(got[3]) is dict
-                if type(out) is dict and type(state) is dict:
-                    assert got[2] is out and got[3] is state
-                assert (link.next_cycle, link._last_sys_time_ms) == (2, sys_time_ms)
-                accepted += 1
+                continue
+            # the decoded dicts, uncopied, or, where one is a dict subclass,
+            # plain copies
+            assert type(got[2]) is dict and type(got[3]) is dict
+            if type(out) is dict and type(state) is dict:
+                assert got[2] is out and got[3] is state
+            accepted += 1
         # the valid observation, as a dict or a dict subclass in each part,
         # at an advanced and at an unchanged time
         assert accepted == 2 * 2 * 2
         assert rejected == len(cycles) * len(times) * len(outputs) * len(states) - accepted
 
     @pytest.mark.parametrize("source", OBSERVED_MODELS)
-    def test_every_in_process_observation(self, iron_ast, source):
-        # an in-process link checks only the values its subject returned: the
-        # cycle and system time are its kernel's
-        model = iron_ast if source is None else parse_model(source)
-        outputs = self._variants(model.output_names, model.domains)
-        states = self._variants(model.readable_names, model.domains)
-        inputs = dict.fromkeys(model.input_names, 0)
+    def test_every_in_process_observation(self, iron_extraction, synchronized, source):
+        # the cycle and system time are the kernel's, checked as a stream's are
+        extraction = iron_extraction if source is None else extract_predicates(parse_model(source))
+        model = extraction.model
+        domains = model.domains
+        outputs = self._variants(model.output_names, domains)
+        states = self._variants(model.readable_names, domains)
+        inputs = {name: domains[name].start for name in model.input_names}
+        spec = Specification(extraction, None)
+        initial = spec.state
         accepted = rejected = 0
         for out, state in itertools.product(outputs, states):
             # a valid first cycle, so that the checked one has a previous time
             sut = ScriptedSut([(outputs[0], states[0]), (out, state)])
             link = InProcessLink(model, sut, KernelConfig(cycle_period_ms=1000))
-            link.exchange(inputs)
-            try:
-                want = check_observation_reference(model, 1, 1000, 1, 2000, out, state)
-            except ProtocolError as exc:
-                with pytest.raises(ProtocolError) as info:
-                    link.exchange(inputs)
-                assert str(info.value) == str(exc)
-                assert link.next_cycle == 1
+            spec.sys_time_ms, spec.state = None, initial
+            self._judge(spec, link, inputs, synchronized, (0, 1000, outputs[0], states[0]))
+            want = self._reference(model, 1, 1000, 1, 2000, out, state)
+            got = self._judge(spec, link, inputs, synchronized, want)
+            assert link.kernel.cycles == 2
+            if got is None:
                 rejected += 1
-            else:
-                got = link.exchange(inputs)
-                assert (link.kernel.cycles - 1, link.kernel.sys_time_ms) == (1, 2000)
-                assert got == want
-                assert [type(v) for v in got] == [type(v) for v in want]
-                assert link.next_cycle == 2
-                # the subject's own dicts, uncopied, or, where one is a dict subclass,
-                # plain copies
-                assert type(got[2]) is dict and type(got[3]) is dict
-                if type(out) is dict and type(state) is dict:
-                    assert got[2] is out and got[3] is state
-                accepted += 1
+                continue
+            # the subject's own dicts, uncopied, or, where one is a dict subclass,
+            # plain copies
+            assert type(got[2]) is dict and type(got[3]) is dict
+            if type(out) is dict and type(state) is dict:
+                assert got[2] is out and got[3] is state
+            accepted += 1
         # the valid observation, as a dict or a dict subclass in each part
         assert accepted == 2 * 2
         assert rejected == len(outputs) * len(states) - accepted
+
+
+@pytest.fixture
+def synchronized(monkeypatch) -> list:
+    """The observation of each step taken afresh, as ``sync_state`` gets it."""
+    seen = []
+    real = mediator.sync_state
+    monkeypatch.setattr(mediator, "sync_state", lambda pre, obs, *args: (
+        seen.append(obs) or real(pre, obs, *args)))
+    return seen
 
 
 class ScriptedSut:
@@ -714,9 +750,11 @@ class TestStdioTransport:
             timeout_s=10.0,
         )
         try:
+            # the link only carries: the test advances it, as the judge does
             cycle, _, outputs, _ = link.exchange({"move": 0, "position": 0})
             assert cycle == 0 and outputs == {"heating": 1}
             for _ in range(3):
+                link.next_cycle += 1
                 cycle, _, outputs, _ = link.exchange({"move": 0, "position": 0})
             assert cycle == 3
             assert outputs == {"heating": 0}  # short condition fires at 3 cycles
