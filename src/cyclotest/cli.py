@@ -134,8 +134,9 @@ class CampaignResult:
 
 
 def load_model(config: RunConfig):
-    """The checked model with its temporal predicates extracted, once the
-    options pass :func:`check_options`; any option or model problem is a
+    """The checked model with its temporal predicates extracted and the
+    command's clock, ``--period-ms`` and ``--strict-held``, once the options
+    pass :func:`check_options`; any option or model problem is a
     ``CliError`` with exit 2."""
     check_options(config)
     try:
@@ -165,9 +166,11 @@ def load_model(config: RunConfig):
     if any(d.severity == "error" for d in diagnostics):
         raise CliError("model has errors", EXIT_PARSE)
     try:
-        return extract_predicates(ast)
+        extraction = extract_predicates(ast)
     except ModelError as exc:
         raise CliError("%s: %s" % (config.model_path, exc), EXIT_PARSE) from exc
+    return replace(extraction, cycle_period_ms=config.cycle_period_ms,
+                   strict_held=config.strict_held)
 
 
 def build_link(model, extraction, config: RunConfig, period_ms: int):
@@ -179,12 +182,14 @@ def build_link(model, extraction, config: RunConfig, period_ms: int):
         name, _, mutant = rest.partition(":")
         if name != "iron":
             raise CliError("unknown in-process subject %r" % name, EXIT_PARSE)
-        durations = sorted({p.duration_ms for p in extraction.predicates})
-        if len(durations) != 2:
-            raise CliError("in-process iron needs a model with two distinct durations",
-                           EXIT_PARSE)
+        # the short timer is held() on position == 0, the long one on position == 1
+        held = {(p.expected, p.duration_ms) for p in extraction.predicates if p.var == "position"}
+        durations = dict(held)
+        if len(held) != 2 or sorted(durations) != [0, 1]:
+            raise CliError("in-process iron needs a model with one held() duration on "
+                           "position == 0 and one on position == 1", EXIT_PARSE)
         try:
-            sut = iron.IronSut(tuple(durations), period_ms, mutant or None)
+            sut = iron.IronSut((durations[0], durations[1]), period_ms, mutant or None)
         except iron.UnknownMutant as exc:
             raise CliError("unknown iron mutant %r" % mutant, EXIT_PARSE) from exc
         return InProcessLink(model, sut, kcfg)
@@ -303,11 +308,11 @@ def _same_file(a: str, b: str) -> bool:
 def run_part(config: RunConfig, extraction, part) -> CampaignResult:
     """One campaign against a fresh subject: the whole model when ``part``
     is ``None``, else one piecemeal part."""
-    period = config.cycle_period_ms
+    period = extraction.cycle_period_ms
     link = build_link(extraction.source, extraction, config, period)
     rng = None if config.seed is None else random.Random(config.seed)
-    spec = Specification(extraction, link, strict_held=config.strict_held)
-    scenario = build_coverage_scenario(spec, extraction, period, part, strict=config.strict_held)
+    spec = Specification(extraction, link)
+    scenario = build_coverage_scenario(spec, part)
 
     log.info("running scenario %s against %s (period %d ms)", scenario.name, config.sut, period)
     error = None
@@ -440,10 +445,8 @@ def _format_witness(witness) -> str:
 
 
 def cmd_enumerate_states(args) -> tuple:
-    config = _config_from_args(args)
-    extraction = load_model(config)
-    report = enumerate_reachable_flag_states(extraction, config.cycle_period_ms,
-                                             config.strict_held)
+    extraction = load_model(_config_from_args(args))
+    report = enumerate_reachable_flag_states(extraction)
     if args.json:
         payload = {
             "model": extraction.source.name,
@@ -470,15 +473,13 @@ def cmd_enumerate_states(args) -> tuple:
 
 
 def cmd_reduce(args) -> tuple:
-    config = _config_from_args(args)
-    extraction = load_model(config)
+    extraction = load_model(_config_from_args(args))
     ast = extraction.source
     cases = enumerate_test_cases(ast)
     # the rewritten model's cases are the source's cases, rewritten
     rewritten = enumerate_test_cases(extraction.model)
     projections = derive_projections(extraction)
-    reach = enumerate_reachable_flag_states(extraction, config.cycle_period_ms,
-                                            config.strict_held)
+    reach = enumerate_reachable_flag_states(extraction)
 
     # a state's membership vector holds one bit per case: whether it is coverable there
     cells: dict = {}

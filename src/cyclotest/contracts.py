@@ -108,6 +108,7 @@ class Specification:
     model see, and checks each observation; :meth:`check_precondition` and
     :meth:`check_observation` word a refused call's and a misfit's reason.
     Every reference run's decision trace accumulates into ``coverage``.
+    ``hold_table`` reads held() by the extraction's ``strict_held``.
 
     The specification steps its own automaton.  It interns its states: one
     object per distinct (state variables, hold record), up to ``MEMO_CAP``
@@ -134,13 +135,12 @@ class Specification:
     interned state is derived once.
     """
 
-    def __init__(self, extraction: ExtractionResult, link: MediatorLink,
-                 strict_held: bool = False):
+    def __init__(self, extraction: ExtractionResult, link: MediatorLink):
         self.extraction = extraction
         self.model: ModelAst = extraction.model
         self.link = link
         self.hold_table = temporal.HoldTable(extraction.predicates, self.model.initial_state(),
-                                             strict_held)
+                                             extraction.strict_held)
         self.coverage = CoverageReport.for_model(self.model)
         self._state_at = _values_at(tuple(d.name for d in self.model.state_vars))
         self._memo: dict = {}  # cycle -> (outputs, state_post, trace), shared

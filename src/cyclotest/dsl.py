@@ -655,48 +655,6 @@ def print_conjunction(factors) -> str:
     return " && ".join(print_expr(f, _PREC[And]) for f in factors) or "true"
 
 
-def print_model(ast: ModelAst) -> str:
-    """Render a model to canonical source; ``parse_model`` round-trips it."""
-    lines = ["model %s {" % ast.name]
-    for decl in ast.inputs:
-        lines.append("  input %s: %s;" % (decl.name, _print_type(decl)))
-    for decl in ast.outputs:
-        lines.append("  output %s: %s;" % (decl.name, _print_type(decl)))
-    for decl in ast.state_vars:
-        lines.append(
-            "  state %s: %s %s = %d;" % (decl.name, _print_type(decl), decl.visibility, decl.init)
-        )
-    lines.append("")
-    lines.append("  logic " + _print_node(ast.body, 1).lstrip())
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _print_type(decl: VarDecl) -> str:
-    if decl.type == "bool":
-        return "bool"
-    return "int %d..%d" % (decl.lo, decl.hi)
-
-
-def _print_node(node: Node, depth: int) -> str:
-    pad = "  " * depth
-    if isinstance(node, Leaf):
-        body = "".join(
-            "%s  %s = %s;\n" % (pad, a.target, print_expr(a.value)) for a in node.assigns
-        )
-        return "%s{\n%s%s}" % (pad, body, pad)
-    then_text = _print_node(node.then_branch, depth + 1).lstrip()
-    else_text = _print_node(node.else_branch, depth + 1).lstrip()
-    return "%s{\n%s  if (%s) %s else %s\n%s}" % (
-        pad,
-        pad,
-        print_expr(node.condition),
-        then_text,
-        else_text,
-        pad,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 
@@ -967,9 +925,15 @@ def _expr_type(expr: Expr, decls: Mapping, diags: list) -> Optional[str]:
 
 @dataclass(frozen=True)
 class ExtractionResult:
+    """A model with its temporal predicates extracted, and the one clock that
+    every analysis and campaign reads held() by: the cycle period, and whether
+    a predicate fires only once its hold exceeds its duration."""
+
     source: ModelAst
     model: ModelAst  # rewritten: held() replaced by predicate references
     predicates: tuple
+    cycle_period_ms: int = 1000
+    strict_held: bool = False
 
 
 def _held_literals(formula: Expr) -> list:

@@ -167,10 +167,10 @@ class ReachabilityReport:
         return len(self.vectors)
 
 
-def enumerate_reachable_flag_states(extraction: ExtractionResult, cycle_period_ms: int = 1000,
-                                    strict: bool = False) -> ReachabilityReport:
+def enumerate_reachable_flag_states(extraction: ExtractionResult) -> ReachabilityReport:
     """Every flag vector that some input sequence reaches, the hold records of
-    a :class:`~.temporal.HoldTable` stepped by one cycle period per cycle.
+    a :class:`~.temporal.HoldTable` under the extraction's ``strict_held``,
+    stepped by its ``cycle_period_ms`` per cycle.
 
     A vector's witness is the lexicographically least sequence of input
     valuations among the shortest sequences that reach it, and the vectors
@@ -179,11 +179,11 @@ def enumerate_reachable_flag_states(extraction: ExtractionResult, cycle_period_m
     any other by breadth-first search (:func:`_breadth_first`).
     """
     model = extraction.model
-    table = HoldTable(extraction.predicates, model.initial_state(), strict)
+    table = HoldTable(extraction.predicates, model.initial_state(), extraction.strict_held)
     if model.state_vars:
-        witnesses, states = _breadth_first(model, table, cycle_period_ms)
+        witnesses, states = _breadth_first(model, table, extraction.cycle_period_ms)
     else:
-        witnesses = _closed_form(model, table, cycle_period_ms)
+        witnesses = _closed_form(model, table, extraction.cycle_period_ms)
         states = {((), vec) for vec in witnesses}
     return ReachabilityReport(
         table.predicate_ids,

@@ -25,41 +25,30 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from .dsl import ExtractionResult
 from .reduction import PiecemealPart, generalized_state
 from .traversal import Action, Scenario
 
 
-def saturation_cycles(extraction: ExtractionResult, cycle_period_ms: int,
-                      strict: bool = False) -> int:
-    """Cycles that a held input takes to bring the slowest predicate's hold
-    record to its cap: its first holding cycle, then one per period until
-    the cap is reached.  The cap is the duration, plus 1 ms under strict
-    semantics, which fire only once a hold exceeds its duration.
+def build_coverage_scenario(spec, part: Optional[PiecemealPart] = None) -> Scenario:
+    """Settle+probe scenario for ``spec``, a
+    :class:`~cyclotest.contracts.Specification`, over the whole model of its
+    extraction or, given a piecemeal ``part``, with the part's inputs pinned
+    and the rest iterated.  The scenario's state is ``generalized_state`` of
+    the specification state, which the specification keeps on its state.
+
+    A hold lasts one cycle more than the slowest predicate of
+    ``spec.hold_table`` needs, counted at the extraction's cycle period: its
+    first holding cycle, then one per period until every predicate holds.
     """
-    if not extraction.predicates:
-        return 1
-    worst = max(-(-(p.duration_ms + int(strict)) // cycle_period_ms)
-                for p in extraction.predicates)
-    return worst + 1
-
-
-def build_coverage_scenario(spec, extraction: ExtractionResult, cycle_period_ms: int = 1000,
-                            part: Optional[PiecemealPart] = None,
-                            strict: bool = False) -> Scenario:
-    """Settle+probe scenario for ``spec`` (anything with ``apply_stimulus``
-    and ``abstract_state``, as a :class:`~cyclotest.contracts.Specification`
-    has), over the whole model or, given a piecemeal ``part``, with the
-    part's inputs pinned and the rest iterated.  The scenario's state is
-    ``generalized_state`` of the specification state, which the
-    specification keeps on its state."""
+    extraction = spec.extraction
     model = extraction.model
     if part is None:
         pinned, iterated = {}, {k: model.domains[k] for k in model.input_names}
     else:
         pinned, iterated = part.pinned, part.iterated
     names = [k for k in model.input_names if k in iterated]
-    hold = saturation_cycles(extraction, cycle_period_ms, strict)
+    _, needs = spec.hold_table.in_cycles(extraction.cycle_period_ms)
+    hold = max((need for _, need in needs), default=0) + 1
     # re-saturation valuation: pinned values, iterated inputs at their maxima
     renorm = {**pinned, **{k: max(v) for k, v in iterated.items()}}
 

@@ -12,7 +12,8 @@ every cycle, a reachability search that walks it on every step, an
 observation check that words every fault as it goes, and a kernel that
 builds each cycle record as the cycle ends.  ``eval_expr`` evaluates an
 expression at one point, where the implementation generates code or
-splits sets of values by the expression's structure.
+splits sets of values by the expression's structure.  ``print_model``
+renders a model to source, the round-trip reference for ``parse_model``.
 """
 from __future__ import annotations
 
@@ -22,8 +23,8 @@ import time
 from collections import deque
 
 from cyclotest.contracts import Specification, Verdict, VerdictKind
-from cyclotest.dsl import (_CMP_FUNCTIONS, And, Cmp, Const, Decision, Held, ModelError, Name, Not,
-                          Or, PredRef, _map_held, free_vars, print_expr, walk_exprs)
+from cyclotest.dsl import (_CMP_FUNCTIONS, And, Cmp, Const, Decision, Held, Leaf, ModelError, Name,
+                          Not, Or, PredRef, _map_held, free_vars, print_expr, walk_exprs)
 from cyclotest.interp import DecisionRecord, DecisionTrace
 from cyclotest.kernel import CycleRecord
 from cyclotest.mediator import ProtocolError
@@ -150,6 +151,48 @@ def walk_model(ast, inputs, state_pre, time_flags) -> tuple:
         else:
             outputs[assign.target] = value
     return outputs, state_post, DecisionTrace(ast.name, tuple(records), node.node_id)
+
+
+def print_model(ast) -> str:
+    """Render a model to canonical source; ``parse_model`` round-trips it."""
+    lines = ["model %s {" % ast.name]
+    for decl in ast.inputs:
+        lines.append("  input %s: %s;" % (decl.name, _print_type(decl)))
+    for decl in ast.outputs:
+        lines.append("  output %s: %s;" % (decl.name, _print_type(decl)))
+    for decl in ast.state_vars:
+        lines.append(
+            "  state %s: %s %s = %d;" % (decl.name, _print_type(decl), decl.visibility, decl.init)
+        )
+    lines.append("")
+    lines.append("  logic " + _print_node(ast.body, 1).lstrip())
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _print_type(decl) -> str:
+    if decl.type == "bool":
+        return "bool"
+    return "int %d..%d" % (decl.lo, decl.hi)
+
+
+def _print_node(node, depth: int) -> str:
+    pad = "  " * depth
+    if isinstance(node, Leaf):
+        body = "".join(
+            "%s  %s = %s;\n" % (pad, a.target, print_expr(a.value)) for a in node.assigns
+        )
+        return "%s{\n%s%s}" % (pad, body, pad)
+    then_text = _print_node(node.then_branch, depth + 1).lstrip()
+    else_text = _print_node(node.else_branch, depth + 1).lstrip()
+    return "%s{\n%s  if (%s) %s else %s\n%s}" % (
+        pad,
+        pad,
+        print_expr(node.condition),
+        then_text,
+        else_text,
+        pad,
+    )
 
 
 def _valuations(decls) -> list:

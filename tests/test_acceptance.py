@@ -48,7 +48,7 @@ def _report(cid: str, ok: bool, detail: str) -> None:
 
 def test_c01_state_arithmetic(desk_extraction, capsys):
     started = time.perf_counter()
-    report = enumerate_reachable_flag_states(desk_extraction, PERIOD)
+    report = enumerate_reachable_flag_states(desk_extraction)
     elapsed = time.perf_counter() - started
     with capsys.disabled():
         _report(
@@ -114,7 +114,7 @@ def test_c03_branch_coverage(capsys):
 
 
 def test_c04_partition_soundness(desk_extraction, capsys):
-    reach = enumerate_reachable_flag_states(desk_extraction, PERIOD)
+    reach = enumerate_reachable_flag_states(desk_extraction)
     rewritten = enumerate_test_cases(desk_extraction.model)
     cells = {}
     for vector in reach.vectors:

@@ -936,6 +936,52 @@ class TestLogRuns:
             assert merged.log.stimulus_count() == 18_028
 
 
+class TestIronDurations:
+    """In-process iron times each condition by its own held(), and the
+    strict reading of held() reaches the scenario and the judge."""
+
+    # sha256 of the logs that iron-sut --durations gives over stdio
+    @pytest.mark.parametrize("remap, sha", [
+        ("60s=10 900s=5", "aa3bc4c9229a21f653950e06b813a7db4516d2f2888ddb592d68c0df52328619"),
+        ("60s=5 900s=5", "2f93ba03921d0dfe609976da8e528245e7682b840fdc38d203369bc1cf39ddec"),
+    ], ids=["short-longer", "equal"])
+    def test_in_process_log_equals_the_stdio_log(self, capsys, tmp_path, remap, sha):
+        log = tmp_path / "log.jsonl"
+        argv = ["run", "--model", MODEL_PATH, "--deterministic", "--log", str(log)]
+        for pair in remap.split():
+            argv += ["--remap-duration", pair]
+        code, _, _ = _run(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(log.read_bytes()).hexdigest() == sha
+
+    def test_in_process_iron_needs_both_position_conditions(self, capsys, tmp_path):
+        # iron whose vertical condition no longer reads position
+        model = tmp_path / "iron.ctl"
+        model.write_text(Path(MODEL_PATH).read_text().replace("held(!move && position, 900s)",
+                                                              "held(!move, 900s)"))
+        code, _, err = _run(capsys, ["run", "--model", str(model)])
+        assert code == 2
+        assert err == ("error: in-process iron needs a model with one held() duration on "
+                       "position == 0 and one on position == 1\n")
+
+    def test_strict_campaign_against_a_one_period_late_subject(self, capsys, tmp_path,
+                                                               subject_env):
+        # iron-sut at 4 s/6 s fires one 1 s period after the desk model's
+        # 3 s/5 s, which is exactly the strict reading
+        log = tmp_path / "log.jsonl"
+        sut = "stdio:" + shlex.join([sys.executable, "-m", "cyclotest.iron_sut",
+                                     "--durations", "4000,6000"])
+        code, out, _ = _run(capsys, ["run", "--model", MODEL_PATH, "--sut", sut, "--strict-held",
+                                     "--json", "--deterministic", "--log", str(log)] + DESK)
+        data = json.loads(out)
+        assert code == 0
+        assert data["verdicts"] == {"Pass": 250}
+        assert (data["states"], data["transitions"]) == (3, 24)
+        assert set(data["coverage"].values()) == {1.0}
+        assert hashlib.sha256(log.read_bytes()).hexdigest() == (
+            "9f676ad1bca231779608a5e35b07c7a30afb473fd715e0f3e2de089cb2a45389")
+
+
 class TestPiecemeal:
     def test_pool_does_not_change_the_output(self, capsys, tmp_path, monkeypatch, subject_env):
         # in process the parts run in turn, over stdio in a pool of two

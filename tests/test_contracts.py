@@ -1002,7 +1002,7 @@ class TestAbstractStateMemo:
                       "guard": extract_predicates(parse_model(GUARD_SRC)),
                       "desk iron": desk_extraction}[name]
         model = extraction.model
-        reach = enumerate_reachable_flag_states(extraction, 1000)
+        reach = enumerate_reachable_flag_states(extraction)
         spec = Specification(extraction, None)
         calls = []
 

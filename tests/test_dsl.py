@@ -20,12 +20,12 @@ from cyclotest.dsl import (
     extract_predicates,
     parse_expression,
     parse_model,
-    print_model,
     rescale_durations,
     tokenize,
     walk_nodes,
 )
-from oracles import CompoundWindowOracle, WindowOracle, eval_expr, unreachable_leaves_bruteforce
+from oracles import (CompoundWindowOracle, WindowOracle, eval_expr, print_model,
+                     unreachable_leaves_bruteforce)
 from test_cli import MODEL_SOURCES
 
 TESTS = Path(__file__).resolve().parent

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -137,8 +138,8 @@ class TestMutants:
 
         late = IronSut((DESK_DURATIONS_MS[0] + PERIOD, DESK_DURATIONS_MS[1] + PERIOD), PERIOD)
         link = InProcessLink(desk_extraction.model, late, KernelConfig(cycle_period_ms=PERIOD))
-        spec = Specification(desk_extraction, link, strict_held=True)
-        scenario = build_coverage_scenario(spec, desk_extraction, PERIOD, strict=True)
+        spec = Specification(replace(desk_extraction, strict_held=True), link)
+        scenario = build_coverage_scenario(spec)
         log, _ = traverse(scenario, spec)
         assert log.outcome == "complete"
         assert all(e.verdict == VerdictKind.PASS.value for e in log.entries)

@@ -21,7 +21,6 @@ PACKAGE = ROOT / "src" / "cyclotest"
 UNREFERENCED = {
     "contracts.Verdict.mismatches": "a failing run's expected against actual (ROADMAP item 6)",
     "dsl.parse_expression": "the tests' round-trip reference for printed conditions",
-    "dsl.print_model": "the tests' round-trip reference for parsed models",
     "interp.DecisionRecord.conditions": "the condition vector, which coverage unpacks by "
                                         "position; the tests read it by name",
     "reduction.PiecemealPart.case_ids": "the test cases inside a part, which the tests check",

@@ -1,6 +1,7 @@
 import ast as pyast
 import hashlib
 import itertools
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -578,14 +579,14 @@ def _extraction_at(model, period):
 
 class TestReachability:
     def test_iron_counts(self, desk_extraction):
-        report = enumerate_reachable_flag_states(desk_extraction, 1000)
+        report = enumerate_reachable_flag_states(desk_extraction)
         assert report.upper_bound == 16
         assert report.reachable_count == 9
 
     def test_reachable_vectors_are_the_consistent_ones(self, desk_extraction):
         # m-pair in {00,10,11} (long hold implies short), p-pair in {00,10,01}
         # (the two position literals cannot both have held)
-        report = enumerate_reachable_flag_states(desk_extraction, 1000)
+        report = enumerate_reachable_flag_states(desk_extraction)
         expected = {
             (m1, p1, m2, p2)
             for (m1, m2) in ((0, 0), (1, 0), (1, 1))
@@ -597,7 +598,7 @@ class TestReachability:
         # replayed as the contract oracle steps the table (0 ms on the first
         # cycle) and through the window oracle
         table = HoldTable(desk_extraction.predicates, ())
-        report = enumerate_reachable_flag_states(desk_extraction, 1000)
+        report = enumerate_reachable_flag_states(desk_extraction)
         for vector in report.vectors:
             record, oracle = table.initial, WindowOracle(desk_extraction.predicates, 1000)
             flags, window = table.initial_flags, oracle.flags()
@@ -617,7 +618,8 @@ class TestReachability:
     ])
     def test_vectors_match_bruteforce_windows(self, desk_extraction, model, period, strict):
         extraction = desk_extraction if model == "iron" else extract_predicates(parse_model(model))
-        report = enumerate_reachable_flag_states(extraction, period, strict)
+        report = enumerate_reachable_flag_states(
+            replace(extraction, cycle_period_ms=period, strict_held=strict))
         assert len(set(report.vectors)) == len(report.vectors)
         assert set(report.vectors) == reachable_flag_vectors(extraction, period, strict)
 
@@ -626,7 +628,8 @@ class TestReachability:
     @pytest.mark.parametrize("model", REFERENCE_MODELS)
     def test_report_equals_the_reference_search(self, model, period, strict):
         extraction = _extraction_at(model, period)
-        report = enumerate_reachable_flag_states(extraction, period, strict)
+        report = enumerate_reachable_flag_states(
+            replace(extraction, cycle_period_ms=period, strict_held=strict))
         reference = enumerate_reachable_flag_states_reference(extraction, period, strict)
         assert report.vectors == reference.vectors
         assert list(report.witnesses.items()) == list(reference.witnesses.items())
@@ -647,12 +650,12 @@ class TestReachability:
 
     def test_stateless_model_is_never_run(self, monkeypatch, desk_extraction):
         calls = self._count_model_runs(monkeypatch)
-        assert enumerate_reachable_flag_states(desk_extraction, 1000).reachable_count == 9
+        assert enumerate_reachable_flag_states(desk_extraction).reachable_count == 9
         assert calls == []
 
     def test_model_runs_once_per_state_inputs_and_flags(self, monkeypatch):
         calls = self._count_model_runs(monkeypatch)
-        enumerate_reachable_flag_states(extract_predicates(parse_model(TANK_SRC)), 1000)
+        enumerate_reachable_flag_states(extract_predicates(parse_model(TANK_SRC)))
         assert calls and len(calls) == len(set(calls))
 
     def test_single_predicate_two_states(self):
@@ -660,7 +663,7 @@ class TestReachability:
             "model m { input a: bool; output o: bool; "
             "logic { if (held(a, 2s)) { o = 1; } else { o = 0; } } }"
         )
-        report = enumerate_reachable_flag_states(extract_predicates(ast), 1000)
+        report = enumerate_reachable_flag_states(extract_predicates(ast))
         assert report.upper_bound == 2
         assert report.reachable_count == 2
 
@@ -669,7 +672,7 @@ class TestReachability:
             "model m { input a: bool; output o: bool; "
             "logic { if (a) { o = 1; } else { o = 0; } } }"
         )
-        report = enumerate_reachable_flag_states(extract_predicates(ast), 1000)
+        report = enumerate_reachable_flag_states(extract_predicates(ast))
         assert report.upper_bound == 1
         assert report.vectors == ((),)
 
@@ -686,7 +689,8 @@ class TestWalkAgainstOracles:
     def test_analyses_equal_their_oracles(self, model, period, strict):
         extraction = _extraction_at(model, period)
         rewritten = extraction.model
-        report = enumerate_reachable_flag_states(extraction, period, strict)
+        report = enumerate_reachable_flag_states(
+            replace(extraction, cycle_period_ms=period, strict_held=strict))
         reference = enumerate_reachable_flag_states_reference(extraction, period, strict)
         assert list(report.witnesses.items()) == list(reference.witnesses.items())
         assert report.states == reference.states

@@ -1,12 +1,13 @@
+from dataclasses import replace
+
 import pytest
 from conftest import desk_config
 
 from cyclotest.cli import run_campaign
-from cyclotest.contracts import VerdictKind
+from cyclotest.contracts import Specification, VerdictKind
 from cyclotest.dsl import extract_predicates, parse_model
 from cyclotest.reduction import make_piecemeal
-from cyclotest.scenarios import build_coverage_scenario, saturation_cycles
-from cyclotest.temporal import HoldTable
+from cyclotest.scenarios import build_coverage_scenario
 
 # the slowest of two holds lasts a given number of ms
 HOLD_SRC = """\
@@ -30,21 +31,29 @@ model za {
 """
 
 
+def _settle_length(spec) -> int:
+    """The stimuli of one settle action of the scenario built for ``spec``."""
+    return len(build_coverage_scenario(spec).actions()[0].stimuli())
+
+
 class TestSaturation:
     def test_desk_scale_needs_six_cycles(self, desk_extraction):
-        assert saturation_cycles(desk_extraction, 1000) == 6
+        assert _settle_length(Specification(desk_extraction, None)) == 6
 
     def test_full_scale_needs_901(self, iron_extraction):
-        assert saturation_cycles(iron_extraction, 1000) == 901
+        assert _settle_length(Specification(iron_extraction, None)) == 901
 
     @pytest.mark.parametrize("strict", [False, True], ids=["inclusive", "strict"])
     @pytest.mark.parametrize("period", [250, 300, 700, 1000])
     def test_equals_the_cycles_a_hold_takes_to_saturate(self, period, strict):
-        # a hold table stepped one period a cycle on held inputs, from the
-        # record where no literal holds, until the record stops changing
+        # the specification's own hold table stepped one period a cycle on
+        # held inputs, from the record where no literal holds, until the
+        # record stops changing
         for duration in (699, 700, 1000, 1399, 1500, 2000, 2100, 3000, 3400, 5000):
-            extraction = extract_predicates(parse_model(HOLD_SRC % duration))
-            table = HoldTable(extraction.predicates, (), strict)
+            extraction = replace(extract_predicates(parse_model(HOLD_SRC % duration)),
+                                 cycle_period_ms=period, strict_held=strict)
+            spec = Specification(extraction, None)
+            table = spec.hold_table
             record, cycles = table.initial, 0
             while True:
                 following, flags = table.step(record, {"a": 1, "b": 1}, {}, period)
@@ -52,7 +61,7 @@ class TestSaturation:
                     break
                 record, cycles = following, cycles + 1
             assert all(flags.values())
-            assert saturation_cycles(extraction, period, strict) == cycles, duration
+            assert _settle_length(spec) == cycles, duration
 
 
 class TestFullScenario:
@@ -76,7 +85,8 @@ class TestFullScenario:
 
 class TestActionTable:
     def test_settle_then_probe_over_the_product(self):
-        scenario = build_coverage_scenario(None, extract_predicates(parse_model(ZA_SRC)))
+        extraction = extract_predicates(parse_model(ZA_SRC))
+        scenario = build_coverage_scenario(Specification(extraction, None))
         table = scenario.actions()
         assert [a.label for a in table] == [
             "%s(z=%d, a=%d)" % (family, z, a)
@@ -90,7 +100,7 @@ class TestActionTable:
     def test_part_pins_its_inputs_first(self):
         extraction = extract_predicates(parse_model(ZA_SRC))
         part, = make_piecemeal(extraction.source, ["t"])
-        table = build_coverage_scenario(None, extraction, 1000, part).actions()
+        table = build_coverage_scenario(Specification(extraction, None), part).actions()
         assert [a.label for a in table] == [
             "%s(a=%d)" % (family, a) for family in ("settle", "probe") for a in (0, 1, 2)]
         assert [list(s.items()) for s in table[3].stimuli()] == (
