@@ -122,11 +122,11 @@ class CampaignResult:
         return dict(self.__dict__, automaton=None, kernel=None)
 
     def exit_code(self, required) -> int:
-        if self.error is not None:
-            return EXIT_VERDICT
         failure = self.log.failure
-        if failure is not None:
-            return EXIT_PROTOCOL if failure.kind is VerdictKind.MEDIATOR_FAILURE else EXIT_VERDICT
+        if failure is not None and failure.kind is VerdictKind.MEDIATOR_FAILURE:
+            return EXIT_PROTOCOL  # also over another piecemeal part's traversal error
+        if self.error is not None or failure is not None:
+            return EXIT_VERDICT
         for criterion, ratio in required:
             if self.report.ratio(criterion) < ratio:
                 return EXIT_COVERAGE
@@ -244,6 +244,10 @@ def run_campaign(config: RunConfig) -> CampaignResult:
             results = list(executor.map(run, parts))
     else:
         results = list(map(run, parts))
+    # each part's own failing verdict, taken before the first part's log
+    # becomes the merged one
+    failures = tuple((part.node_id, r.log.failure) for part, r in zip(parts, results)
+                     if r.log.failure is not None)
     merged, report = results[0].log, results[0].report
     for result in results[1:]:
         merged.runs.extend(result.log.runs)
@@ -251,11 +255,9 @@ def run_campaign(config: RunConfig) -> CampaignResult:
     merged.scenario = "piecemeal"
     # of the parts' failing verdicts, the first that decides the exit code (a
     # mediator failure over a postcondition failure)
-    merged.failure = min((r.log.failure for r in results if r.log.failure is not None),
+    merged.failure = min((failure for _, failure in failures),
                          key=lambda v: v.kind is not VerdictKind.MEDIATOR_FAILURE, default=None)
     failed = next((r for r in results if r.error is not None), results[0])
-    failures = tuple((part.node_id, r.log.failure) for part, r in zip(parts, results)
-                     if r.log.failure is not None)
     return CampaignResult(merged, report, None, failed.error, failures=failures)
 
 

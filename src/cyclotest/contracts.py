@@ -9,9 +9,9 @@ reference values.  Each check runs once per stimulus; only a refused call or
 a misfit observation is checked again, to word its reason.  One generated
 function per specification, compiled at the first stimulus, judges a
 stimulus in one frame: it admits the call, exchanges it, checks the
-observation and judges the step, remembered or taken afresh.  A refused
-call, a failed exchange, a misfit and a failing postcondition are judged by
-one Python method.
+observation and judges the step, a remembered pass or a step taken afresh.
+A refused call, a failed exchange, a misfit and a failing postcondition are
+judged by one Python method.
 
 The predicate/flag update, the reference run and, on a passing cycle, the
 synchronized state are together the cycle's step, a function of the inputs,
@@ -32,7 +32,7 @@ from . import mediator, temporal
 from .coverage import CoverageReport
 from .dsl import ExtractionResult, ModelAst, compile_function, compiled_lazily
 from .interp import DecisionTrace, eval_model
-from .mediator import CycleObservation, MediatorError, MediatorLink
+from .mediator import MediatorError, MediatorLink
 
 # Distinct states a specification interns, distinct steps it remembers, and
 # distinct cycles it remembers the reference run of; past it, each new one is
@@ -65,6 +65,13 @@ class Mismatch:
 # the kind of almost every verdict; the per-stimulus path reads it here, since
 # looking a member up on its Enum class goes through the metaclass
 PASS = VerdictKind.PASS
+
+
+class CycleObservation(NamedTuple):  # a failing verdict's, with copies of the dicts
+    cycle: int
+    sys_time_ms: int
+    outputs: dict
+    visible_state: dict
 
 
 class Verdict(NamedTuple):
@@ -118,14 +125,16 @@ class Specification:
     remembered passing step between interned states, keyed by the
     pre-state's number (so no hold record is hashed), the admitted input
     values in ``model.input_names`` order and the ms elapsed since the
-    previous observation (0 on the first): a remembered step is one lookup,
-    the postcondition, and the move to the successor the table holds.  A
-    step not remembered is taken afresh, also in the judge:
-    :func:`mediator.step_predicates`, the ``_memo`` lookup (the model runs,
-    in :meth:`reference`, only on a miss), :func:`mediator.sync_state` and
-    the postcondition.  If that passes, the synchronized state is interned
-    and the step remembered; a failing postcondition leaves the state that
-    ``sync_state`` gave, un-interned, and remembers nothing.
+    previous observation (0 on the first): a remembered step that passes is
+    one lookup, the postcondition, and the move to the successor the table
+    holds.  Every other step, remembered or not, is taken afresh, also in
+    the judge: :func:`mediator.step_predicates`, the ``_memo`` lookup (the
+    model runs, in :meth:`reference`, only on a miss),
+    :func:`mediator.sync_state` and the postcondition.  If that passes, the
+    synchronized state is interned and the step remembered; a failing
+    postcondition leaves the state that ``sync_state`` gave, un-interned,
+    and remembers nothing.  So the table only caches passing steps, and a
+    failing postcondition always comes from a step taken afresh.
 
     A reference run is remembered by its cycle, the input values with the
     pre-state's ``values`` and flags in ``hold_table.predicate_ids`` order; a
@@ -241,13 +250,13 @@ class Specification:
         as ``repr``'d keys, bounds inlined; an ``int`` subclass is converted
         once inside its domain), exchanges a fresh dict of it, which the
         subject may write, checks the observation and advances the link, and
-        judges the step: a remembered one by one lookup and the
+        judges the step: a remembered one that passes by one lookup and the
         postcondition, any other afresh, on the admitted values in a dict
         built again (:class:`Specification`).  An observation that fails the
         inlined check is worded by :meth:`check_observation` or, in dict
         subclasses that fit, judged as plain copies.  A refused call, a
-        failed exchange, a misfit and a failing postcondition go to
-        :meth:`_judge_rest`."""
+        failed exchange, a misfit and a fresh step's failing postcondition
+        go to :meth:`_judge_rest`."""
         model = self.model
         names, readable = model.input_names, model.readable_names
         local = ["v%d" % i for i in range(len(names))]  # the values, as locals
@@ -299,8 +308,6 @@ class Specification:
                   "  spec.sys_time_ms = now",
                   "  spec.state = step[1]",
                   "  return new(Verdict, (PASS, '', cycle, (), step[2], None))",
-                  " if step is not None:",
-                  "  return rest(spec, None, obs, step)",
                   " call = " + admitted,
                   " stepped = mediator.step_predicates(spec.hold_table, pre, call, key[-1])",
                   " flags = stepped[1]",
@@ -334,24 +341,20 @@ class Specification:
             self._steps[key] = ref[0], post, ref[2]
         return post
 
-    def _judge_rest(self, inputs: Optional[Mapping], outcome, step: Optional[tuple] = None,
+    def _judge_rest(self, inputs: Optional[Mapping], outcome, ref: Optional[tuple] = None,
                     post: Optional[SpecificationState] = None) -> Verdict:
         """The verdict on a refused call ``inputs`` (``outcome`` None), on a
         failed exchange or a misfit (``outcome`` its error or reason), or on
         the observation ``outcome``, kept as copies, failing the postcondition
-        of a fresh step whose reference run gave ``step`` and state ``post``,
-        or of the remembered ``step`` (``post`` None)."""
+        of the step taken afresh whose reference run gave ``ref`` and whose
+        synchronized state is ``post``."""
         if outcome is None:
             return Verdict(VerdictKind.PRECONDITION_VIOLATION, self.check_precondition(inputs),
                            self.link.next_cycle)
         if isinstance(outcome, (str, MediatorError)):
             return Verdict(VerdictKind.MEDIATOR_FAILURE, str(outcome), self.link.next_cycle)
-        (cycle, sys_time_ms, outputs, visible), (ref_outputs, ref_post, trace) = outcome, step
+        (cycle, sys_time_ms, outputs, visible), (ref_outputs, ref_post, trace) = outcome, ref
         obs = CycleObservation(cycle, sys_time_ms, dict(outputs), dict(visible))
-        if post is None:  # the observation's state, not the remembered successor
-            post = mediator.sync_state(self.state, obs, ref_post.state_vars,
-                                       (ref_post.holds, ref_post.flags))
-            ref_post = ref_post.state_vars
         mismatches = [Mismatch(n, ref_outputs[n], outputs[n])
                       for n in self.model.output_names if ref_outputs[n] != outputs[n]]
         mismatches += [Mismatch(n, ref_post[n], visible[n])

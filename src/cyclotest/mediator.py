@@ -3,10 +3,11 @@
 One exchange = one cycle: hand the subject its inputs, let it run a cycle and
 return ``(cycle, sys_time_ms, outputs, state)`` as it came, dicts uncopied.  A
 link only carries the messages; the specification's generated judge checks
-the observation (:class:`cyclotest.contracts.Specification`), and a failing
-verdict copies it into a :class:`CycleObservation`.  The in-process link runs
-the subject's step function in a local kernel; the TCP and stdio links speak
-a newline-delimited JSON protocol to a remote harness:
+the observation and, for a step taken afresh, steps the predicates and
+synchronizes the state with this module's :func:`step_predicates` and
+:func:`sync_state` (:class:`cyclotest.contracts.Specification`).  The
+in-process link runs the subject's step function in a local kernel; the TCP
+and stdio links speak a newline-delimited JSON protocol to a remote harness:
 
   hello:       {"type":"hello","model":m,"inputs":[...],"outputs":[...],
                 "state":[...],"cycle_period_ms":N}
@@ -30,7 +31,7 @@ import socket
 import subprocess
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Optional
+from typing import Mapping, Optional
 
 from . import temporal
 from .dsl import ModelAst
@@ -82,13 +83,6 @@ class WireMessage:
         cycle = data.pop("cycle", None)
         mtype = data.pop("type")
         return WireMessage(mtype, cycle, data)
-
-
-class CycleObservation(NamedTuple):  # a failing verdict's, with copies of the dicts
-    cycle: int
-    sys_time_ms: int
-    outputs: dict
-    visible_state: dict
 
 
 def hello_for_model(model: ModelAst, cycle_period_ms: int) -> dict:
@@ -348,8 +342,8 @@ def sync_state(spec_state, obs: tuple, model_state_post: Mapping, stepped: tuple
     and read-only, is the new state's variables.
     The hold record and flags are the pair that :func:`step_predicates`
     returned for this exchange.  The specification calls this only for a
-    step it takes afresh or whose postcondition fails: a remembered passing
-    step moves to the state it synchronized before.
+    step it takes afresh, whether its postcondition passes or fails: a
+    remembered passing step moves to the state it synchronized before.
     """
     holds, flags = stepped
     visible = obs[3]

@@ -30,7 +30,6 @@ from cyclotest.temporal import HoldTable
 from cyclotest.traversal import NondeterminismDetected, traverse
 from oracles import (
     ExplicitSystem,
-    WindowOracle,
     cycles_for,
     explicit_scenario,
     make_nondeterministic,

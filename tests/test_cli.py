@@ -1,4 +1,3 @@
-import functools
 import gc
 import hashlib
 import json
@@ -1142,6 +1141,66 @@ class TestMisbehavingSubject:
         assert code == 3
         assert json.loads(out)["verdicts"] == {"MediatorFailure": 1}
         assert err == "error: subsystem 'iron' failed: actuator fault\n"
+
+    @pytest.mark.parametrize("budget, traversal_error", [
+        ([], ""),
+        (["--budget", "1"], "traversal error: budget of 1 actions exhausted with 2 state(s) "
+                            "discovered and 7 action(s) pending\n"),
+    ], ids=["part-t-passes", "part-t-out-of-budget"])
+    def test_piecemeal_reports_a_protocol_failure_once_by_its_part(
+            self, capsys, monkeypatch, budget, traversal_error):
+        # the subject fails whenever iron lies flat, which only part 'e' asks
+        # of it; a traversal error in part 't' does not hide that failure
+        class FlatFault(cyclotest.iron.IronSut):
+            def step(self, inputs, sys_time_ms):
+                if inputs["position"] == 0:
+                    raise RuntimeError("actuator fault")
+                return super().step(inputs, sys_time_ms)
+
+        monkeypatch.setattr(cyclotest.iron, "IronSut", FlatFault)
+        code, out, err = _run(capsys, ["run", "--model", MODEL_PATH, "--scenario", "piecemeal",
+                                       "--json", "--deterministic"] + budget + DESK)
+        assert code == 3
+        assert err == "error: part e: subsystem 'iron' failed: actuator fault\n" + traversal_error
+        assert json.loads(out)["verdicts"]["MediatorFailure"] == 1
+
+    def test_piecemeal_protocol_failure_in_the_pool(self, capsys, monkeypatch, tmp_path,
+                                                    subject_env):
+        # correct desk iron whose system time goes back at cycle 3 when it
+        # lies flat, which only part 'e' asks of it
+        monkeypatch.setattr(cyclotest.cli, "_usable_cpus", lambda: 2)
+        script = tmp_path / "flat_time_back.py"
+        script.write_text(FLAT_TIME_BACK)
+        code, out, err = _run(capsys, ["run", "--model", MODEL_PATH, "--scenario", "piecemeal",
+                                       "--sut", "stdio:" + shlex.join([sys.executable,
+                                                                      str(script)]),
+                                       "--json", "--deterministic"] + DESK)
+        assert code == 3
+        assert err == "error: part e: system time went back from 3000 ms to 500 ms\n"
+        assert json.loads(out)["verdicts"]["MediatorFailure"] == 1
+
+
+FLAT_TIME_BACK = """\
+import json
+import sys
+
+from cyclotest.iron import IronSut, iron_model
+from cyclotest.mediator import hello_for_model
+
+sut = IronSut((3000, 5000))
+print(json.dumps(hello_for_model(iron_model(), 1000)), flush=True)
+for line in sys.stdin:
+    msg = json.loads(line)
+    if msg["type"] != "set_inputs":
+        break
+    cycle, values = msg["cycle"], msg["values"]
+    now = (cycle + 1) * 1000
+    outputs = sut.step(values, now)
+    if cycle == 3 and values["position"] == 0:
+        now = 500
+    print(json.dumps({"type": "observation", "cycle": cycle, "sys_time_ms": now,
+                      "outputs": outputs, "state": {}}), flush=True)
+"""
 
 
 class TestRunConfigFromArguments:

@@ -10,7 +10,7 @@ import weakref
 from collections import Counter
 
 import pytest
-from conftest import CLASH_SRC, GUARD_SRC, MODEL_PATH, TANK_SRC, desk_config
+from conftest import GUARD_SRC, MODEL_PATH, TANK_SRC, desk_config
 
 from cyclotest import cli, contracts, mediator, scenarios, traversal
 from cyclotest.contracts import Specification, SpecificationState, VerdictKind
@@ -18,7 +18,7 @@ from cyclotest.dsl import extract_predicates, parse_model
 from cyclotest.interp import eval_model
 from cyclotest.iron import DESK_DURATIONS_MS, MUTANT_IDS, IronSut
 from cyclotest.kernel import KernelConfig
-from cyclotest.mediator import InProcessLink, MediatorLink, ProtocolError
+from cyclotest.mediator import InProcessLink, MediatorLink
 from cyclotest.reduction import (
     enumerate_reachable_flag_states,
     generalized_state,
@@ -777,7 +777,7 @@ class TestStepMemo:
             assert _by_value(memo) == _by_value(plain), cycle
             if cycle == fault_cycle:
                 assert got.kind is VerdictKind.POSTCONDITION_FAILURE
-                assert (tables.count(memo.hold_table) > taken) is (fault_cycle == 0)
+                assert tables.count(memo.hold_table) == taken + 1
                 expected, actual = got.mismatches[0].expected, got.mismatches[0].actual
                 assert memo.state.state_vars["level"] == actual != expected
                 assert memo.state.number is None  # not interned
@@ -789,8 +789,8 @@ class TestStepMemo:
     @pytest.mark.parametrize("model", REFERENCE_MODELS)
     @pytest.mark.parametrize("cap", CAPS + [pytest.param(1, id="cap-1")])
     def test_a_fresh_step_is_stepped_and_synchronized_once(self, monkeypatch, model, cap):
-        # a remembered passing step calls neither; a remembered failing one
-        # synchronizes to the observation's state and steps nothing
+        # a remembered passing step calls neither; every other step, a
+        # remembered failing one too, is taken afresh and calls each once
         monkeypatch.setattr(contracts, "MEMO_CAP", cap)
         calls = []
         for name in ("step_predicates", "sync_state"):
@@ -813,8 +813,8 @@ class TestStepMemo:
             for inputs in stimuli:
                 passed = spec.apply_stimulus(inputs).kind is VerdictKind.PASS
                 [remembered] = looked_up
-                want = [] if passed else ["sync_state"]
-                assert calls == (want if remembered else ["step_predicates", "sync_state"])
+                fresh = not (remembered and passed)
+                assert calls == (["step_predicates", "sync_state"] if fresh else [])
                 seen[remembered, passed] += 1
                 del calls[:], looked_up[:]
         assert seen[False, True] and seen[False, False]
@@ -856,10 +856,11 @@ class TestStepMemo:
         assert log.entries == reference.entries
         assert (memo.coverage, memo.sys_time_ms) == (plain.coverage, plain.sys_time_ms)
         # a fault in the second round comes after 14 steps taken afresh, the
-        # first round's 13 and the second drain, and the second hold takes none
-        assert (at in stepped) is (at <= 12)
+        # first round's 13 and the second drain; the second hold takes afresh
+        # only its failing step
+        assert at in stepped
         if at > 13:
-            assert stepped == list(range(14))
+            assert stepped == list(range(14)) + [at]
 
 
 class ModelSut:

@@ -1,6 +1,7 @@
 """No API that nothing calls: every function, class, method and dataclass or
 NamedTuple field of ``src/cyclotest`` that nothing in ``src/`` or ``bench/``
-reads is on an explicit list, each with the reason it stays.
+reads is on an explicit list, each with the reason it stays; and no import
+that its module does not read.
 
 A module-level name counts as read where it is loaded as a name or an
 attribute, a method or field only where it is loaded as an attribute, and
@@ -94,3 +95,22 @@ def test_package_root_holds_only_its_docstring():
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     assert ast.get_docstring(tree)
     assert len(tree.body) == 1, "the package root imports or defines nothing"
+
+
+def test_every_import_is_used():
+    # each name that an import binds in src/cyclotest or tests/ is loaded
+    # somewhere in its module; ``from __future__`` only sets compiler flags
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += ["%s:%d %s" % (path.relative_to(ROOT), node.lineno, bound)
+                           for bound in (alias.asname or alias.name.partition(".")[0]
+                                         for alias in node.names)
+                           if bound not in loaded]
+    assert unused == []

@@ -228,8 +228,7 @@ class TestFastBuiltRecords:
         # a passing stimulus's verdict is built without its NamedTuple
         # constructor and carries no observation; a failing one's observation
         # is the record its constructor builds
-        from cyclotest.contracts import PASS, Specification
-        from cyclotest.mediator import CycleObservation
+        from cyclotest.contracts import PASS, CycleObservation, Specification
 
         verdicts = []
         real_apply = Specification.apply_stimulus
