@@ -112,9 +112,10 @@ class CampaignResult:
     log: object
     report: CoverageReport
     automaton: object
-    error: Optional[str] = None  # a TraversalError's
+    error: Optional[str] = None  # a TraversalError's; piecemeal: the parts' errors, joined
     kernel: Optional[Kernel] = None  # an in-process subject's, for its cycle records
     failures: tuple = ()  # piecemeal: (node id, failing verdict) of each failing part
+    errors: tuple = ()  # piecemeal: "part NODE: MESSAGE" of each part whose traversal failed
 
     def __getstate__(self):
         # the automaton holds scenario closures, which do not pickle: a pool
@@ -257,8 +258,10 @@ def run_campaign(config: RunConfig) -> CampaignResult:
     # mediator failure over a postcondition failure)
     merged.failure = min((failure for _, failure in failures),
                          key=lambda v: v.kind is not VerdictKind.MEDIATOR_FAILURE, default=None)
-    failed = next((r for r in results if r.error is not None), results[0])
-    return CampaignResult(merged, report, None, failed.error, failures=failures)
+    errors = tuple("part %s: %s" % (part.node_id, r.error) for part, r in zip(parts, results)
+                   if r.error is not None)
+    return CampaignResult(merged, report, None, "; ".join(errors) or None, failures=failures,
+                          errors=errors)
 
 
 def _usable_cpus() -> int:
@@ -434,8 +437,8 @@ def cmd_run(args) -> tuple:
         if failure is not None and failure.kind is VerdictKind.MEDIATOR_FAILURE:
             part = "" if node is None else "part %s: " % node
             print("error: %s%s" % (part, failure.detail), file=sys.stderr)
-    if result.error:
-        print("traversal error: %s" % result.error, file=sys.stderr)
+    for error in result.errors or filter(None, [result.error]):
+        print("traversal error: %s" % error, file=sys.stderr)
     return result.exit_code(config.required), lines
 
 

@@ -16,10 +16,10 @@ judged by one Python method.
 The predicate/flag update, the reference run and, on a passing cycle, the
 synchronized state are together the cycle's step, a function of the inputs,
 the pre-state's variables and hold record, and the system time elapsed since
-the previous observation.  A specification interns its states, one object per
-distinct (variables, hold record), and keeps one table of the passing steps
-taken from them (up to ``MEMO_CAP`` in all), so a cycle that repeats a step,
-as the hold cycles of a scenario do, is one lookup and the postcondition.
+the previous observation.  A specification keeps one table of the passing
+steps it has taken (up to ``MEMO_CAP`` of them), keyed by these, so a cycle
+that repeats a step, as the hold cycles of a scenario do, is one lookup and
+the postcondition.
 """
 from __future__ import annotations
 
@@ -34,10 +34,9 @@ from .dsl import ExtractionResult, ModelAst, compile_function, compiled_lazily
 from .interp import DecisionTrace, eval_model
 from .mediator import MediatorError, MediatorLink
 
-# Distinct states a specification interns, distinct steps it remembers, and
-# distinct cycles it remembers the reference run of; past it, each new one is
-# computed afresh every time.  The paper-scale iron campaign takes 4,641
-# distinct steps between 4,625 distinct states.
+# Distinct steps a specification remembers, and distinct cycles it remembers
+# the reference run of; past it, each new one is computed afresh every time.
+# The paper-scale iron campaign takes 4,641 distinct steps.
 MEMO_CAP = 8192
 
 
@@ -89,16 +88,14 @@ class SpecificationState:
     :class:`temporal.HoldTable` and the time flags read from it; two states
     are equal when these three are.  What the specification derives from a
     state is attached to it: ``values``, its variables in ``model.state_vars``
-    order; its ``number`` among the specification's interned states (None
-    if it is not interned); and ``abstract``, its abstract state.  A state
-    refers to no other, so interned states hold no reference cycle: they are
-    freed with their specification, not by the collector."""
+    order, and ``abstract``, its abstract state.  A state refers to no other,
+    so the states that remembered steps move to hold no reference cycle: they
+    are freed with their specification, not by the collector."""
 
     state_vars: dict
     holds: tuple
     flags: dict
     values: Optional[tuple] = field(default=None, compare=False)
-    number: Optional[int] = field(default=None, compare=False)
     abstract: object = field(default=None, compare=False, repr=False)
 
     def env(self) -> dict:
@@ -117,31 +114,28 @@ class Specification:
     Every reference run's decision trace accumulates into ``coverage``.
     ``hold_table`` reads held() by the extraction's ``strict_held``.
 
-    The specification steps its own automaton.  It interns its states: one
-    object per distinct (state variables, hold record), up to ``MEMO_CAP``
-    of them, keyed by its ``values`` and hold record and numbered in the
-    order interned.  ``sys_time_ms`` is the previous observation's system
-    time (None before the first).  One table, ``_steps``, holds every
-    remembered passing step between interned states, keyed by the
-    pre-state's number (so no hold record is hashed), the admitted input
-    values in ``model.input_names`` order and the ms elapsed since the
-    previous observation (0 on the first): a remembered step that passes is
-    one lookup, the postcondition, and the move to the successor the table
-    holds.  Every other step, remembered or not, is taken afresh, also in
-    the judge: :func:`mediator.step_predicates`, the ``_memo`` lookup (the
-    model runs, in :meth:`reference`, only on a miss),
-    :func:`mediator.sync_state` and the postcondition.  If that passes, the
-    synchronized state is interned and the step remembered; a failing
-    postcondition leaves the state that ``sync_state`` gave, un-interned,
-    and remembers nothing.  So the table only caches passing steps, and a
-    failing postcondition always comes from a step taken afresh.
+    The specification steps its own automaton.  ``sys_time_ms`` is the
+    previous observation's system time (None before the first).  One table,
+    ``_steps``, holds every remembered passing step, up to ``MEMO_CAP`` of
+    them, keyed by the pre-state's ``values`` and hold record, the admitted
+    input values in ``model.input_names`` order and the ms elapsed since the
+    previous observation (0 on the first), and holds the state the step
+    moves to: a remembered step that passes is one lookup, the
+    postcondition, and the move to that state.  Every other step,
+    remembered or not, is taken afresh, also in the judge:
+    :func:`mediator.step_predicates`, the ``_memo`` lookup (the model runs,
+    in :meth:`reference`, only on a miss), :func:`mediator.sync_state` and
+    the postcondition.  If that passes, the step and its synchronized state
+    are remembered; a failing postcondition leaves the state that
+    ``sync_state`` gave and remembers nothing.  So the table only caches
+    passing steps, and a failing postcondition always comes from a step
+    taken afresh.
 
     A reference run is remembered by its cycle, the input values with the
     pre-state's ``values`` and flags in ``hold_table.predicate_ids`` order; a
     remembered cycle skips the model and coverage, whose accumulation of one
     trace is idempotent.  The abstract state is derived once per state
-    object and read off the state after that (:meth:`abstract_state`); an
-    interned state is derived once.
+    object and read off the state after that (:meth:`abstract_state`).
     """
 
     def __init__(self, extraction: ExtractionResult, link: MediatorLink):
@@ -153,23 +147,11 @@ class Specification:
         self.coverage = CoverageReport.for_model(self.model)
         self._state_at = _values_at(tuple(d.name for d in self.model.state_vars))
         self._memo: dict = {}  # cycle -> (outputs, state_post, trace), shared
-        self._interned: dict = {}  # (state values, holds) -> the one such state
-        self._steps: dict = {}  # (pre number, *inputs, ms) -> (outputs, successor, trace)
+        self._steps: dict = {}  # (pre values, pre holds, *inputs, ms) -> (outputs, post, trace)
         self.sys_time_ms: Optional[int] = None
-        self.state = self._intern(SpecificationState(
-            self.model.initial_state(), self.hold_table.initial, self.hold_table.initial_flags))
-
-    def _intern(self, state: SpecificationState) -> SpecificationState:
-        """The interned state equal to ``state``, which is interned if none
-        is; past the cap, ``state`` itself, not interned.  Sets ``state``'s
-        values."""
-        state.values = values = self._state_at(state.state_vars)
-        if len(self._interned) >= MEMO_CAP:
-            return self._interned.get((values, state.holds), state)
-        interned = self._interned.setdefault((values, state.holds), state)
-        if interned is state:
-            state.number = len(self._interned) - 1
-        return interned
+        initial = self.model.initial_state()
+        self.state = SpecificationState(initial, self.hold_table.initial,
+                                        self.hold_table.initial_flags, self._state_at(initial))
 
     def abstract_state(self, derive: Callable[[Mapping], object]):
         """``derive(self.state.env())``, derived once per state object and
@@ -300,7 +282,7 @@ class Specification:
                   "  if reason is not None:",
                   "   return rest(spec, None, reason)",
                   " link.next_cycle += 1",
-                  " key = pre.number, %s0 if last is None else now - last" % values,
+                  " key = pre.values, pre.holds, %s0 if last is None else now - last" % values,
                   " step = spec._steps.get(key)",
                   " if step is not None and step[0] == outputs%s:" % "".join(
                       " and step[1].state_vars[%r] == state[%r]" % (name, name)
@@ -321,7 +303,7 @@ class Specification:
                       " or ref[1][%r] != state[%r]" % (name, name) for name in readable),
                   "  return rest(spec, None, obs, ref, post)",
                   " spec.sys_time_ms = now",
-                  " spec.state = remember(spec, key, pre, ref, post)",
+                  " spec.state = remember(spec, key, ref, post)",
                   " return new(Verdict, (PASS, '', cycle, (), ref[2], None))"]
         # mediator's functions are read off the module at each call
         cls = type(self)
@@ -331,13 +313,11 @@ class Specification:
             "check": cls.check_observation, "rest": cls._judge_rest,
             "reference": cls.reference, "remember": cls._remember})
 
-    def _remember(self, key: tuple, pre: SpecificationState, ref: tuple,
-                  post: SpecificationState) -> SpecificationState:
-        """The interned state equal to ``post``; the passing step ``key`` from
-        ``pre``, whose reference run gave ``ref``, is remembered while both
-        states are interned, below the cap."""
-        post = self._intern(post)
-        if len(self._steps) < MEMO_CAP and pre.number is not None and post.number is not None:
+    def _remember(self, key: tuple, ref: tuple, post: SpecificationState) -> SpecificationState:
+        """``post``, with its values set; the passing step ``key`` that moves
+        to it, whose reference run gave ``ref``, is remembered below the cap."""
+        post.values = self._state_at(post.state_vars)
+        if len(self._steps) < MEMO_CAP:
             self._steps[key] = ref[0], post, ref[2]
         return post
 

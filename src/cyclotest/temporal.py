@@ -30,10 +30,6 @@ from typing import Callable, Iterable, Sequence
 from .dsl import TemporalPredicateDecl, compile_function, compiled_lazily
 
 
-class TimeRegression(Exception):
-    """System time moved backwards between successive predicate steps."""
-
-
 class HoldTable:
     """The hold record of ``predicates`` over a model whose state variables
     are ``state_names``; a literal on any other name reads an input."""
@@ -65,15 +61,12 @@ class HoldTable:
         ``inputs`` and the pre-cycle ``state`` variables: it resets a broken
         literal, starts a fresh hold at 0 and extends a persisting one.  It
         returns the next record and its per-predicate flags, one dict shared
-        by every record with the same flags, which callers must not mutate,
-        and raises :class:`TimeRegression` when ``elapsed_ms`` is negative.
-        Generated and compiled at its first use."""
+        by every record with the same flags, which callers must not mutate.
+        ``elapsed_ms`` is never negative.  Generated and compiled at its
+        first use."""
         held = ["h%d" % i for i in range(len(self._literals))]  # the entries, as locals
         unpack = [" %s= record" % "".join(h + ", " for h in held)] if held else []
-        lines = ["def step(record, inputs, state, elapsed_ms):",
-                 " if elapsed_ms < 0:",
-                 "  raise TimeRegression('predicates stepped %d ms back in time' % -elapsed_ms)",
-                 *unpack]
+        lines = ["def step(record, inputs, state, elapsed_ms):", *unpack]
         for h, (var, expected, cap) in zip(held, self._literals):
             part = "state" if var in self._state_names else "inputs"
             lines += [" if %s[%r] != %d:" % (part, var, expected), "  %s = None" % h,
@@ -88,8 +81,7 @@ class HoldTable:
                   "  vector = vectors[bits] = dict(zip(ids, bits))",
                   " return (%s), vector" % "".join(h + ", " for h in held)]
         return compile_function(lines, "step", "<hold table step>", {
-            "__name__": __name__, "TimeRegression": TimeRegression,
-            "vectors": self._vectors, "ids": self.predicate_ids})
+            "__name__": __name__, "vectors": self._vectors, "ids": self.predicate_ids})
 
     def in_cycles(self, period_ms: int) -> tuple:
         """The table stepped one ``period_ms`` per cycle, counted in cycles:

@@ -29,7 +29,7 @@ from cyclotest.interp import DecisionRecord, DecisionTrace
 from cyclotest.kernel import CycleRecord
 from cyclotest.mediator import ProtocolError
 from cyclotest.reduction import ReachabilityReport, enumerate_test_cases
-from cyclotest.temporal import HoldTable, TimeRegression
+from cyclotest.temporal import HoldTable
 from cyclotest.traversal import Action, LogEntry, Scenario
 
 
@@ -84,8 +84,6 @@ class ReferenceHoldTable:
         self.literals, self.thresholds = table.in_cycles(1)
 
     def step(self, record: tuple, inputs, state, elapsed_ms: int) -> tuple:
-        if elapsed_ms < 0:
-            raise TimeRegression("predicates stepped %d ms back in time" % -elapsed_ms)
         env = {**state, **inputs}
         record = tuple([
             None if env[var] != expected
@@ -394,13 +392,14 @@ class CompoundWindowOracle:
 
 
 class PlainSpecification(Specification):
-    """The contract oracle without its memos: it interns no state, so no
-    step is remembered, and every cycle steps the hold table, runs the model,
-    accumulates the trace into coverage and synchronizes the state; every
-    abstract state is derived afresh."""
+    """The contract oracle without its memos: it remembers no step, so every
+    cycle steps the hold table, runs the model, accumulates the trace into
+    coverage and synchronizes the state; every abstract state is derived
+    afresh."""
 
-    def _intern(self, state):
-        return state
+    def _remember(self, key, ref, post):
+        post.values = self._state_at(post.state_vars)
+        return post
 
     def reference(self, inputs, state_pre, flags, key) -> tuple:
         result = walk_model(self.model, inputs, state_pre, flags)

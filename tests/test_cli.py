@@ -1014,6 +1014,21 @@ class TestPiecemeal:
         assert code == 0
         assert _InlinePool.sizes == sizes
 
+    @pytest.mark.parametrize("sut", ["inproc:iron", DESK_STDIO], ids=["inproc", "stdio-pool"])
+    def test_each_part_reports_its_traversal_error(self, capsys, monkeypatch, subject_env, sut):
+        # both parts run out of budget: in process in turn, over stdio in a pool of two
+        monkeypatch.setattr(cyclotest.cli, "_usable_cpus", lambda: 2)
+        code, out, err = _run(capsys, ["run", "--model", MODEL_PATH, "--scenario", "piecemeal",
+                                       "--sut", sut, "--budget", "1", "--json",
+                                       "--deterministic"] + DESK)
+        reason = "budget of 1 actions exhausted with 2 state(s) discovered and 7 action(s) pending"
+        assert code == 4
+        assert err == "".join("traversal error: part %s: %s\n" % (node, reason)
+                              for node in ("t", "e"))
+        payload = json.loads(out)
+        assert payload["error"] == "part t: %s; part e: %s" % (reason, reason)
+        assert payload["verdicts"] == {"Pass": 12}
+
     def test_usable_cpus_are_those_this_process_may_run_on(self):
         cpus = cyclotest.cli._usable_cpus()
         assert 1 <= cpus <= (os.cpu_count() or 1)
@@ -1144,8 +1159,8 @@ class TestMisbehavingSubject:
 
     @pytest.mark.parametrize("budget, traversal_error", [
         ([], ""),
-        (["--budget", "1"], "traversal error: budget of 1 actions exhausted with 2 state(s) "
-                            "discovered and 7 action(s) pending\n"),
+        (["--budget", "1"], "traversal error: part t: budget of 1 actions exhausted with 2 "
+                            "state(s) discovered and 7 action(s) pending\n"),
     ], ids=["part-t-passes", "part-t-out-of-budget"])
     def test_piecemeal_reports_a_protocol_failure_once_by_its_part(
             self, capsys, monkeypatch, budget, traversal_error):

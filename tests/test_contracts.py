@@ -259,7 +259,7 @@ class TestAdmissionAgainstReference:
                 assert verdict.kind is not VerdictKind.PRECONDITION_VIOLATION
                 want = {name: int(stimulus[name]) for name in model.input_names}
                 [call], [key] = stepped, keys
-                assert (call, key[1:-1], verdict.cycle_index) == (
+                assert (call, key[2:-1], verdict.cycle_index) == (
                     want, tuple(want.values()), cycle)
                 assert all(type(value) is int for value in call.values())
                 assert spec.link.next_cycle == cycle + 1
@@ -551,20 +551,21 @@ class TestOracleMemo:
         assert [_by_value(spec) for spec in memo_specs] == [
             _by_value(spec) for spec in plain_specs]
 
-    def test_paper_campaign_interns_each_state_once(self, monkeypatch):
+    def test_paper_campaign_keeps_one_state_per_remembered_step(self, monkeypatch):
         # 30,646 stimuli take 4,641 distinct steps between 4,625 distinct
         # (state variables, hold record); only a step taken afresh steps the
-        # hold table and synchronizes the state, and each distinct state is
-        # one object
+        # hold table and synchronizes the state, and the states are the
+        # initial one and the one stored with each remembered step
         calls = []
         for name in ("step_predicates", "sync_state"):
             real = getattr(mediator, name)
             monkeypatch.setattr(mediator, name, lambda *args, real=real, name=name:
                                 calls.append(name) or real(*args))
-        states = []  # each stimulus's pre- and post-state, kept alive
+        specs, states = {}, []  # each stimulus's pre- and post-state, kept alive
         real_apply = contracts.Specification.apply_stimulus
 
         def apply_stimulus(spec, inputs):
+            specs[id(spec)] = spec
             states.append(spec.state)
             verdict = real_apply(spec, inputs)
             states.append(spec.state)
@@ -575,29 +576,35 @@ class TestOracleMemo:
         assert len(result.log.entries) == len(states) // 2 == 30_646
         assert calls.count("step_predicates") == calls.count("sync_state") == 4_641
         distinct = {(tuple(s.state_vars.items()), s.holds) for s in states}
-        assert len({id(s) for s in states}) == len(distinct) == 4_625
+        assert len(distinct) == 4_625
+        (spec,) = specs.values()
+        kept = {id(states[0])} | {id(post) for _, post, _ in spec._steps.values()}
+        assert {id(s) for s in states} == kept
+        assert len(kept) == len(spec._steps) + 1 == 4_642
+        # a step is keyed by its pre-state's values and hold record
+        assert all(s.values == tuple(s.state_vars.values()) for s in states)
+        assert {key[:2] for key in spec._steps} <= {(s.values, s.holds) for s in states}
 
     def test_states_and_steps_past_the_cap_are_not_kept(self, monkeypatch):
         monkeypatch.setattr(contracts, "MEMO_CAP", 2)
-        specs, states = {}, []
+        specs, states, sizes = {}, [], []
         real_apply = contracts.Specification.apply_stimulus
 
         def apply_stimulus(spec, inputs):
             specs[id(spec)] = spec
             states.append(spec.state)
-            return real_apply(spec, inputs)
+            verdict = real_apply(spec, inputs)
+            sizes.append(len(spec._steps))
+            return verdict
 
         monkeypatch.setattr(contracts.Specification, "apply_stimulus", apply_stimulus)
         result = cli.run_campaign(desk_config())
-        assert len(result.log.entries) == len(states) == 216
+        assert len(result.log.entries) == len(states) == len(sizes) == 216
         (spec,) = specs.values()
-        interned = {id(s): s for s in states if s.number is not None}.values()
-        assert sorted(s.number for s in interned) == [0, 1]
-        assert len(spec._steps) <= 2
-        # a state not interned remembers no step, and no step leads to one
-        assert any(s.number is None for s in states)
-        assert all(pre in (0, 1) and successor.number is not None
-                   for (pre, *_), (_, successor, _) in spec._steps.items())
+        assert max(sizes) == len(spec._steps) == 2
+        # past the cap, a step taken afresh moves to a state that no step keeps
+        kept = {id(post) for _, post, _ in spec._steps.values()}
+        assert any(id(s) not in kept for s in states[1:])
 
     def test_each_distinct_cycle_evaluated_once(self, monkeypatch):
         seen = []
@@ -780,7 +787,8 @@ class TestStepMemo:
                 assert tables.count(memo.hold_table) == taken + 1
                 expected, actual = got.mismatches[0].expected, got.mismatches[0].actual
                 assert memo.state.state_vars["level"] == actual != expected
-                assert memo.state.number is None  # not interned
+                # and no remembered step moves to it
+                assert all(post is not memo.state for _, post, _ in memo._steps.values())
         # the next cycle expects the level it was told, and the one after
         # that the subject's own again
         assert got.kind is VerdictKind.PASS
@@ -805,9 +813,16 @@ class TestStepMemo:
                 return super().get(key, default)
 
         extraction = _extraction_at(model, 1000)
+        domains = extraction.model.domains
+        # a value sent wrong at cycle 1, whose step no earlier one repeats,
+        # since cycle 0's took 0 ms: so a step taken at first sight fails
+        wrong = next((part, name) for part, names in (
+            ("output", extraction.model.output_names), ("state", extraction.model.readable_names))
+            for name in names if len(domains[name]) > 1)
         seen = Counter()  # (remembered, passed) -> stimuli
         for seed in range(3):
             stimuli, script = _scripted_run(extraction, random.Random(seed))
+            script[1] = wrong
             spec = Specification(extraction, ScriptedLink(extraction, script))
             spec._steps = Steps()
             for inputs in stimuli:
@@ -1025,12 +1040,16 @@ class TestAbstractStateMemo:
                 assert len(calls) == derived
         assert len(calls) == 2 * len(reach.states)
 
-    def test_one_derivation_per_distinct_state(self, monkeypatch):
-        keys, calls = [], []
+    def test_one_derivation_per_state_object(self, monkeypatch):
+        # the states are the initial one and those stored with remembered
+        # steps, and each is derived once, however often its values recur
+        specs, states, keys, calls = {}, [], [], []
         real_abstract = contracts.Specification.abstract_state
         real_derive = scenarios.generalized_state
 
         def abstract_state(spec, derive):
+            specs[id(spec)] = spec
+            states.append(spec.state)
             keys.append((tuple(spec.state.state_vars.items()), tuple(spec.state.flags.items())))
             return real_abstract(spec, derive)
 
@@ -1039,4 +1058,7 @@ class TestAbstractStateMemo:
                             lambda *args: calls.append(1) or real_derive(*args))
         result = cli.run_campaign(desk_config())
         assert len(result.log.entries) == 216
-        assert len(calls) == len(set(keys)) < len(keys)
+        (spec,) = specs.values()
+        objects = {id(s) for s in states}
+        assert len(calls) == len(objects) <= len(spec._steps) + 1
+        assert len(set(keys)) <= len(objects) < len(keys)

@@ -12,7 +12,7 @@ from cyclotest.dsl import TemporalPredicateDecl, extract_predicates, parse_model
 from cyclotest.iron import FULL_DURATIONS_MS, IronSut
 from cyclotest.kernel import KernelConfig
 from cyclotest.mediator import InProcessLink
-from cyclotest.temporal import HoldTable, TimeRegression
+from cyclotest.temporal import HoldTable
 from oracles import ReferenceHoldTable, WindowOracle
 from test_reduction import _model_sources
 
@@ -33,10 +33,6 @@ class TestStepPredicate:
 
     def test_break_resets(self):
         assert MOVE.step((1000,), MOVING, {}, 1000)[0] == (None,)
-
-    def test_time_regression_rejected(self):
-        with pytest.raises(TimeRegression):
-            MOVE.step((0,), STILL, {}, -1000)
 
     def test_hold_caps_at_longest_duration(self):
         assert MOVE.step((59_500,), STILL, {}, 1000)[0] == (60_000,)
@@ -271,18 +267,6 @@ class TestGeneratedHoldTable:
         # and a flag is a bool, not an int equal to one
         assert all(type(bit) is bool for flags in vectors.values() for bit in flags.values())
         assert isinstance(vars(table)["step"], types.FunctionType)
-
-    @pytest.mark.parametrize("source", [MODEL_PATH, None], ids=["iron", "no-predicates"])
-    def test_time_regression(self, source):
-        predicates = [] if source is None else extract_predicates(
-            parse_model(Path(source).read_text())).predicates
-        table = HoldTable(predicates, ())
-        for ms in (-1, -1000):
-            with pytest.raises(TimeRegression) as got:
-                table.step(table.initial, {}, {}, ms)
-            with pytest.raises(TimeRegression) as want:
-                ReferenceHoldTable(table).step(table.initial, {}, {}, ms)
-            assert str(got.value) == str(want.value) == "predicates stepped %d ms back in time" % -ms
 
     def test_flags_shared_with_the_initial_records(self, iron_extraction):
         table = HoldTable(iron_extraction.predicates, ())
