@@ -7,11 +7,11 @@ import pytest
 from conftest import MODEL_PATH
 
 from cyclotest import cli, interp, temporal
-from cyclotest.contracts import Specification
+from cyclotest.contracts import Specification, VerdictKind
 from cyclotest.dsl import TemporalPredicateDecl, extract_predicates, parse_model
 from cyclotest.iron import FULL_DURATIONS_MS, IronSut
 from cyclotest.kernel import KernelConfig
-from cyclotest.mediator import InProcessLink
+from cyclotest.mediator import InProcessLink, MediatorLink
 from cyclotest.temporal import HoldTable
 from oracles import ReferenceHoldTable, WindowOracle
 from test_reduction import _model_sources
@@ -19,6 +19,34 @@ from test_reduction import _model_sources
 MOVE_60 = TemporalPredicateDecl("move_eq_f_t1", "move", 0, 60_000)
 MOVE = HoldTable([MOVE_60], ())
 STILL, MOVING = {"move": 0}, {"move": 1}
+
+# a model of no predicates, the text of one that test_coverage runs, so the
+# models that _model_sources() sweeps stay as they were
+PLAIN_SRC = ("model other { input a: bool; output o: bool; "
+             "logic { if (a) { o = 1; } else { o = 0; } } }")
+
+
+class PlainSut:
+    def step(self, inputs, sys_time_ms):
+        return {"o": inputs["a"]}
+
+
+class RewoundLink(MediatorLink):
+    """Answers each cycle as ``link`` does, but at the system time that
+    ``times`` gives for it, which may go back."""
+
+    def __init__(self, link, times):
+        super().__init__(link.model)
+        self.link, self.times = link, times
+
+    def exchange(self, inputs):
+        cycle, _, outputs, state = self.link.exchange(inputs)
+        return cycle, self.times[cycle], outputs, state
+
+
+def _rewound_spec(extraction, sut, times) -> Specification:
+    link = InProcessLink(extraction.model, sut, KernelConfig())
+    return Specification(extraction, RewoundLink(link, times))
 
 
 class TestStepPredicate:
@@ -33,6 +61,19 @@ class TestStepPredicate:
 
     def test_break_resets(self):
         assert MOVE.step((1000,), MOVING, {}, 1000)[0] == (None,)
+
+    def test_time_regression_rejected(self, iron_extraction):
+        # the judge refuses a system time that goes back before it steps the
+        # hold record, which keeps the record of the last cycle that fitted
+        spec = _rewound_spec(iron_extraction, IronSut(FULL_DURATIONS_MS, 1000), (1000, 2000, 1000))
+        inputs = {"move": 0, "position": 0}
+        assert [spec.apply_stimulus(inputs).kind for _ in range(2)] == [VerdictKind.PASS] * 2
+        before = spec.state
+        verdict = spec.apply_stimulus(inputs)
+        assert (verdict.kind, verdict.detail) == (
+            VerdictKind.MEDIATOR_FAILURE, "system time went back from 2000 ms to 1000 ms")
+        assert spec.state is before and spec.sys_time_ms == 2000
+        assert before.holds == (1000, 1000, None)  # !move, !position, position
 
     def test_hold_caps_at_longest_duration(self):
         assert MOVE.step((59_500,), STILL, {}, 1000)[0] == (60_000,)
@@ -267,6 +308,31 @@ class TestGeneratedHoldTable:
         # and a flag is a bool, not an int equal to one
         assert all(type(bit) is bool for flags in vectors.values() for bit in flags.values())
         assert isinstance(vars(table)["step"], types.FunctionType)
+
+    @pytest.mark.parametrize("source", [MODEL_PATH, None], ids=["iron", "no-predicates"])
+    def test_time_regression(self, source):
+        # the generated step is never given a negative elapsed time: the
+        # judge refuses the observation first
+        if source is None:
+            extraction = extract_predicates(parse_model(PLAIN_SRC))
+            sut, inputs = PlainSut(), {"a": 1}
+        else:
+            extraction = extract_predicates(parse_model(Path(source).read_text()))
+            sut, inputs = IronSut(FULL_DURATIONS_MS, 1000), {"move": 0, "position": 0}
+        for ms in (1, 1000):
+            spec = _rewound_spec(extraction, sut, (1000, 2000, 2000 - ms))
+            table, elapsed = spec.hold_table, []
+            step = table.step
+
+            def recorded(record, inputs, state, elapsed_ms):
+                elapsed.append(elapsed_ms)
+                return step(record, inputs, state, elapsed_ms)
+            table.step = recorded
+            verdicts = [spec.apply_stimulus(inputs) for _ in range(3)]
+            assert [(v.kind, v.detail) for v in verdicts] == [(VerdictKind.PASS, "")] * 2 + [
+                (VerdictKind.MEDIATOR_FAILURE,
+                 "system time went back from 2000 ms to %d ms" % (2000 - ms))]
+            assert elapsed == [0, 1000]
 
     def test_flags_shared_with_the_initial_records(self, iron_extraction):
         table = HoldTable(iron_extraction.predicates, ())
