@@ -112,15 +112,22 @@ class CampaignResult:
     log: object
     report: CoverageReport
     automaton: object
-    error: Optional[str] = None  # a TraversalError's; piecemeal: the parts' errors, joined
     kernel: Optional[Kernel] = None  # an in-process subject's, for its cycle records
-    failures: tuple = ()  # piecemeal: (node id, failing verdict) of each failing part
-    errors: tuple = ()  # piecemeal: "part NODE: MESSAGE" of each part whose traversal failed
+    # per part, (node id, failing verdict) of a failing one and the message
+    # of a TraversalError; a full or piece: run is one part, of node None
+    # and messages without "part NODE: "
+    failures: tuple = ()
+    errors: tuple = ()
 
     def __getstate__(self):
         # the automaton holds scenario closures, which do not pickle: a pool
-        # worker sends back the log, the report and the error
+        # worker sends back the log, the report and the errors
         return dict(self.__dict__, automaton=None, kernel=None)
+
+    @property
+    def error(self) -> Optional[str]:
+        """The parts' traversal errors, joined, or None."""
+        return "; ".join(self.errors) or None
 
     def exit_code(self, required) -> int:
         failure = self.log.failure
@@ -245,10 +252,10 @@ def run_campaign(config: RunConfig) -> CampaignResult:
             results = list(executor.map(run, parts))
     else:
         results = list(map(run, parts))
-    # each part's own failing verdict, taken before the first part's log
-    # becomes the merged one
-    failures = tuple((part.node_id, r.log.failure) for part, r in zip(parts, results)
-                     if r.log.failure is not None)
+    failures = tuple((part.node_id, failure) for part, r in zip(parts, results)
+                     for _, failure in r.failures)
+    errors = tuple("part %s: %s" % (part.node_id, error) for part, r in zip(parts, results)
+                   for error in r.errors)
     merged, report = results[0].log, results[0].report
     for result in results[1:]:
         merged.runs.extend(result.log.runs)
@@ -258,10 +265,7 @@ def run_campaign(config: RunConfig) -> CampaignResult:
     # mediator failure over a postcondition failure)
     merged.failure = min((failure for _, failure in failures),
                          key=lambda v: v.kind is not VerdictKind.MEDIATOR_FAILURE, default=None)
-    errors = tuple("part %s: %s" % (part.node_id, r.error) for part, r in zip(parts, results)
-                   if r.error is not None)
-    return CampaignResult(merged, report, None, "; ".join(errors) or None, failures=failures,
-                          errors=errors)
+    return CampaignResult(merged, report, None, failures=failures, errors=errors)
 
 
 def _usable_cpus() -> int:
@@ -320,7 +324,7 @@ def run_part(config: RunConfig, extraction, part) -> CampaignResult:
     scenario = build_coverage_scenario(spec, part)
 
     log.info("running scenario %s against %s (period %d ms)", scenario.name, config.sut, period)
-    error = None
+    errors = ()
     # a campaign makes no reference cycle, so the collector would find
     # nothing: it is paused for the traversal and resumed if it was on
     collecting = gc.isenabled()
@@ -331,13 +335,14 @@ def run_part(config: RunConfig, extraction, part) -> CampaignResult:
                  len(automaton.states), len(automaton.transitions), testlog.stimulus_count())
     except TraversalError as exc:
         testlog, automaton = exc.log, exc.automaton
-        error = str(exc)
+        errors = (str(exc),)
     finally:
         if collecting:
             gc.enable()
         link.close()
     kernel = link.kernel if isinstance(link, InProcessLink) else None
-    return CampaignResult(testlog, spec.coverage, automaton, error, kernel)
+    failures = () if testlog.failure is None else ((None, testlog.failure),)
+    return CampaignResult(testlog, spec.coverage, automaton, kernel, failures, errors)
 
 
 # ---------------------------------------------------------------------------
@@ -433,11 +438,11 @@ def cmd_run(args) -> tuple:
         if result.error:
             lines.append("  error: %s" % result.error)
         lines.append(result.report.to_text())
-    for node, failure in result.failures or [(None, result.log.failure)]:
-        if failure is not None and failure.kind is VerdictKind.MEDIATOR_FAILURE:
+    for node, failure in result.failures:
+        if failure.kind is VerdictKind.MEDIATOR_FAILURE:
             part = "" if node is None else "part %s: " % node
             print("error: %s%s" % (part, failure.detail), file=sys.stderr)
-    for error in result.errors or filter(None, [result.error]):
+    for error in result.errors:
         print("traversal error: %s" % error, file=sys.stderr)
     return result.exit_code(config.required), lines
 

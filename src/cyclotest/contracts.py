@@ -24,7 +24,6 @@ the postcondition.
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Optional
 
@@ -38,13 +37,6 @@ from .mediator import MediatorError, MediatorLink
 # the reference run of; past it, each new one is computed afresh every time.
 # The paper-scale iron campaign takes 4,641 distinct steps.
 MEMO_CAP = 8192
-
-
-def _values_at(names: tuple) -> Callable[[Mapping], tuple]:
-    """A mapping's values at ``names``, in that order, as a tuple."""
-    if len(names) == 1:  # an itemgetter of one name gives the value itself
-        return lambda mapping, name=names[0]: (mapping[name],)
-    return operator.itemgetter(*names) if names else (lambda mapping: ())
 
 
 class VerdictKind(enum.Enum):
@@ -84,23 +76,19 @@ class Verdict(NamedTuple):
 
 @dataclass(slots=True)
 class SpecificationState:
-    """State variables, the hold record of the specification's
-    :class:`temporal.HoldTable` and the time flags read from it; two states
-    are equal when these three are.  What the specification derives from a
-    state is attached to it: ``values``, its variables in ``model.state_vars``
-    order, and ``abstract``, its abstract state.  A state refers to no other,
+    """Three tuples: ``values``, the state variables in ``model.state_vars``
+    order, ``holds``, the hold record of the specification's
+    :class:`temporal.HoldTable`, and ``flags``, the time flags read from it,
+    the ``int`` 0 or 1 in ``predicate_ids`` order; two states are equal when
+    these three are.  The abstract state that the specification derives from
+    a state is attached to it as ``abstract``.  A state refers to no other,
     so the states that remembered steps move to hold no reference cycle: they
     are freed with their specification, not by the collector."""
 
-    state_vars: dict
+    values: tuple
     holds: tuple
-    flags: dict
-    values: Optional[tuple] = field(default=None, compare=False)
+    flags: tuple
     abstract: object = field(default=None, compare=False, repr=False)
-
-    def env(self) -> dict:
-        """State variables and time flags in one namespace."""
-        return {**self.state_vars, **self.flags}
 
 
 class Specification:
@@ -132,37 +120,46 @@ class Specification:
     taken afresh.
 
     A reference run is remembered by its cycle, the input values with the
-    pre-state's ``values`` and flags in ``hold_table.predicate_ids`` order; a
-    remembered cycle skips the model and coverage, whose accumulation of one
-    trace is idempotent.  The abstract state is derived once per state
-    object and read off the state after that (:meth:`abstract_state`).
+    pre-state's ``values`` and the stepped flags; a remembered cycle skips
+    the model and coverage, whose accumulation of one trace is idempotent.
+    Only a reference run and an abstract-state derivation read a state by
+    name, in dicts built for them; the abstract state is derived once per
+    state object and read off the state after that (:meth:`abstract_state`).
     """
 
     def __init__(self, extraction: ExtractionResult, link: MediatorLink):
         self.extraction = extraction
         self.model: ModelAst = extraction.model
         self.link = link
-        self.hold_table = temporal.HoldTable(extraction.predicates, self.model.initial_state(),
+        initial = self.model.initial_state()
+        self._state_names = tuple(initial)
+        self.hold_table = temporal.HoldTable(extraction.predicates, self._state_names,
                                              extraction.strict_held)
         self.coverage = CoverageReport.for_model(self.model)
-        self._state_at = _values_at(tuple(d.name for d in self.model.state_vars))
-        self._memo: dict = {}  # cycle -> (outputs, state_post, trace), shared
+        self._memo: dict = {}  # (inputs, pre values, flags) -> (outputs, state_post, trace), shared
         self._steps: dict = {}  # (pre values, pre holds, *inputs, ms) -> (outputs, post, trace)
         self.sys_time_ms: Optional[int] = None
-        initial = self.model.initial_state()
-        self.state = SpecificationState(initial, self.hold_table.initial,
-                                        self.hold_table.initial_flags, self._state_at(initial))
+        self.state = SpecificationState(tuple(initial.values()), self.hold_table.initial,
+                                        self.hold_table.initial_flags)
+
+    def named(self, values: tuple, flags: tuple) -> tuple:
+        """A state's ``values`` and ``flags`` as the dicts that a reference
+        run reads, keyed by state variable and by predicate id."""
+        return (dict(zip(self._state_names, values)),
+                dict(zip(self.hold_table.predicate_ids, flags)))
 
     def abstract_state(self, derive: Callable[[Mapping], object]):
-        """``derive(self.state.env())``, derived once per state object and
-        read off the state after that.
+        """``derive`` of the state variables and time flags of ``self.state``
+        in one namespace, derived once per state object and read off the
+        state after that.
 
         ``derive`` must be a function of the state variables and flags alone,
         and the same one on every call: one scenario's abstraction per
         specification."""
         state = self.state
         if state.abstract is None:
-            state.abstract = derive(state.env())
+            state_vars, flags = self.named(state.values, state.flags)
+            state.abstract = derive({**state_vars, **flags})
         return state.abstract
 
     # stimulus --------------------------------------------------------------
@@ -210,13 +207,13 @@ class Specification:
                     return "observation %s '%s' = %d is outside its domain" % (part, name, value)
         return None
 
-    def reference(self, inputs: Mapping, state_pre: Mapping, flags: Mapping,
-                  key: tuple) -> tuple:
-        """The model's ``(outputs, state_post, trace)`` for a cycle that
-        ``_memo`` does not hold under ``key``, the judge's; its trace is
-        accumulated into ``coverage`` and, below the cap, it is remembered
-        under ``key``, shared and read-only."""
-        result = eval_model(self.model, inputs, state_pre, flags)
+    def reference(self, inputs: Mapping, values: tuple, flags: tuple, key: tuple) -> tuple:
+        """The model's ``(outputs, state_post, trace)`` on ``inputs`` from the
+        pre-state ``values`` under ``flags``, for a cycle that ``_memo`` does
+        not hold under ``key``, the judge's; its trace is accumulated into
+        ``coverage`` and, below the cap, it is remembered under ``key``,
+        shared and read-only."""
+        result = eval_model(self.model, inputs, *self.named(values, flags))
         self.coverage.accumulate(result[2])
         if len(self._memo) < MEMO_CAP:
             self._memo[key] = result
@@ -241,6 +238,8 @@ class Specification:
         go to :meth:`_judge_rest`."""
         model = self.model
         names, readable = model.input_names, model.readable_names
+        # each readable variable's position in a state's values
+        state_at = [(k, d.name) for k, d in enumerate(model.state_vars) if d.name in readable]
         local = ["v%d" % i for i in range(len(names))]  # the values, as locals
         values = "".join(v + ", " for v in local)
         refuse = "return rest(spec, inputs, None)"
@@ -285,19 +284,17 @@ class Specification:
                   " key = pre.values, pre.holds, %s0 if last is None else now - last" % values,
                   " step = spec._steps.get(key)",
                   " if step is not None and step[0] == outputs%s:" % "".join(
-                      " and step[1].state_vars[%r] == state[%r]" % (name, name)
-                      for name in readable),
+                      " and step[1].values[%d] == state[%r]" % (k, name)
+                      for k, name in state_at),
                   "  spec.sys_time_ms = now",
                   "  spec.state = step[1]",
                   "  return new(Verdict, (PASS, '', cycle, (), step[2], None))",
                   " call = " + admitted,
                   " stepped = mediator.step_predicates(spec.hold_table, pre, call, key[-1])",
-                  " flags = stepped[1]",
-                  " ran = (%s), pre.values, (%s)" % (values, "".join(
-                      "flags[%r], " % i for i in self.hold_table.predicate_ids)),
+                  " ran = (%s), pre.values, stepped[1]" % values,
                   " ref = spec._memo.get(ran)",
                   " if ref is None:",
-                  "  ref = reference(spec, call, pre.state_vars, flags, ran)",
+                  "  ref = reference(spec, call, pre.values, stepped[1], ran)",
                   " post = mediator.sync_state(pre, obs, ref[1], stepped)",
                   " if ref[0] != outputs%s:" % "".join(
                       " or ref[1][%r] != state[%r]" % (name, name) for name in readable),
@@ -314,9 +311,8 @@ class Specification:
             "reference": cls.reference, "remember": cls._remember})
 
     def _remember(self, key: tuple, ref: tuple, post: SpecificationState) -> SpecificationState:
-        """``post``, with its values set; the passing step ``key`` that moves
-        to it, whose reference run gave ``ref``, is remembered below the cap."""
-        post.values = self._state_at(post.state_vars)
+        """``post``; the passing step ``key`` that moves to it, whose
+        reference run gave ``ref``, is remembered below the cap."""
         if len(self._steps) < MEMO_CAP:
             self._steps[key] = ref[0], post, ref[2]
         return post
@@ -339,7 +335,6 @@ class Specification:
                       for n in self.model.output_names if ref_outputs[n] != outputs[n]]
         mismatches += [Mismatch(n, ref_post[n], visible[n])
                        for n in self.model.readable_names if ref_post[n] != visible[n]]
-        post.values = self._state_at(post.state_vars)
         self.sys_time_ms, self.state = sys_time_ms, post
         detail = "; ".join("%s: expected %d, actual %d" % (m.name, m.expected, m.actual)
                            for m in mismatches)

@@ -322,12 +322,12 @@ class StdioLink(_StreamLink):
 def step_predicates(table: temporal.HoldTable, spec_state, inputs: Mapping,
                     elapsed_ms: int):
     """Step the hold record with this cycle's inputs and the pre-cycle state
-    variables by ``elapsed_ms``, the system time elapsed since the previous
-    observation (0 on the first cycle); returns the new record and the
-    cycle's time flags.  The oracle calls this only for a step it takes
-    afresh, and the first call compiles the table's generated step
-    (:class:`temporal.HoldTable`)."""
-    return table.step(spec_state.holds, inputs, spec_state.state_vars, elapsed_ms)
+    variables' ``values`` by ``elapsed_ms``, the system time elapsed since
+    the previous observation (0 on the first cycle); returns the new record
+    and the cycle's time flags, a tuple of ``int``s.  The oracle calls this
+    only for a step it takes afresh, and the first call compiles the table's
+    generated step (:class:`temporal.HoldTable`)."""
+    return table.step(spec_state.holds, inputs, spec_state.values, elapsed_ms)
 
 
 def sync_state(spec_state, obs: tuple, model_state_post: Mapping, stepped: tuple):
@@ -338,14 +338,13 @@ def sync_state(spec_state, obs: tuple, model_state_post: Mapping, stepped: tuple
     ``exchange``'s tuple, which the judge has already checked against the
     model; hidden ones are taken from the model's computed post-state
     (assuming an error-free subject, their model representation is the
-    reference value).  With no visible state, the post-state itself, shared
-    and read-only, is the new state's variables.
+    reference value).  The new state's ``values`` are read in the
+    post-state's order, which is the model's declaration order, whatever
+    order the observation lists its names in.
     The hold record and flags are the pair that :func:`step_predicates`
     returned for this exchange.  The specification calls this only for a
     step it takes afresh, whether its postcondition passes or fails: a
     remembered passing step moves to the state it synchronized before.
     """
     holds, flags = stepped
-    visible = obs[3]
-    state_vars = {**model_state_post, **visible} if visible else model_state_post
-    return type(spec_state)(state_vars, holds, flags)
+    return type(spec_state)(tuple({**model_state_post, **obs[3]}.values()), holds, flags)

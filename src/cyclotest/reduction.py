@@ -204,12 +204,13 @@ def _breadth_first(model: ModelAst, table: HoldTable, period_ms: int) -> tuple:
     which the leaf boxes under the flags stepped to (:attr:`ModelAst.leaf_boxes`)
     and the inputs that state assignments read split further.  The table
     steps a node's record once per outcome, on that outcome's input dict,
-    built once for the search, and the node's state variables, one dict per
-    node.  A node steps once per class of valuations with the same (outcome,
-    post-state), entered at the class's least valuation, in that order, so
-    its trail is the least of its shortest ones.  Classes are found once per
-    (state vars, outcome, flags), and a flags dict is made a vector of ints
-    once, the table's one flags dict per vector keyed by identity.
+    built once for the search, and the node's value tuple; the flags it
+    returns are the node's vector as they are.  A node steps once per class
+    of valuations with the same (outcome, post-state), entered at the
+    class's least valuation, in that order, so its trail is the least of its
+    shortest ones.  Classes are found once per (state values, outcome,
+    flags), and only finding one builds the dicts that the leaf boxes and
+    the model read by name.
     """
     names = model.input_names
     state_names = tuple(d.name for d in model.state_vars)
@@ -231,13 +232,9 @@ def _breadth_first(model: ModelAst, table: HoldTable, period_ms: int) -> tuple:
     witnesses: dict = {}  # vector -> trail, in discovery order
     state_pairs = set()
     parents = {initial: None}  # every node seen, with its BFS parent and valuation
-    classes: dict = {}  # (state values, outcome index, id(flags)) -> {least valuation: post}
-    vectors: dict = {}  # id(flags) -> its flags as a vector of ints
+    classes: dict = {}  # (state values, outcome index, flags) -> {least valuation: post}
 
-    def record(state, flags):
-        vec = vectors.get(id(flags))
-        if vec is None:
-            vec = vectors[id(flags)] = tuple(map(int, flags.values()))
+    def record(state, vec):
         state_pairs.add((state[0], vec))
         if vec not in witnesses:
             trail, node = [], state
@@ -246,11 +243,12 @@ def _breadth_first(model: ModelAst, table: HoldTable, period_ms: int) -> tuple:
                 trail.insert(0, dict(zip(names, least)))
             witnesses[vec] = trail
 
-    def classes_of(pre, outcome, flags) -> dict:
+    def classes_of(state_values, outcome, vec) -> dict:
         # the least valuation per (leaf, values of the inputs that state
         # assignments read), a pair that fixes the post-state
+        pre, flags = dict(zip(state_names, state_values)), dict(zip(table.predicate_ids, vec))
         firsts: dict = {}
-        for leaf_id, box in model.leaf_boxes.at(dict(pre, **flags)):
+        for leaf_id, box in model.leaf_boxes.at({**pre, **flags}):
             box = list(box)
             for k, clock, value in zip(columns, clocks, outcome):  # keep its class's values
                 if value in clock.literal_of:  # a literal's class is its one value
@@ -272,12 +270,11 @@ def _breadth_first(model: ModelAst, table: HoldTable, period_ms: int) -> tuple:
         state = frontier.popleft()
         state_values, holds = state
         steps = {}  # least valuation -> (next node, its flags)
-        pre = dict(zip(state_names, state_values))
         for i, outcome in enumerate(outcomes):
-            stepped, flags = table.step(holds, settings[i], pre, period_ms)
-            key = (state_values, i, id(flags))  # the table keeps each flags dict alive
+            stepped, flags = table.step(holds, settings[i], state_values, period_ms)
+            key = (state_values, i, flags)
             if key not in classes:
-                classes[key] = classes_of(pre, outcome, flags)
+                classes[key] = classes_of(state_values, outcome, flags)
             for least, post in classes[key].items():
                 steps[least] = (post, stepped), flags
         for least in sorted(steps):

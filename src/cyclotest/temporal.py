@@ -16,12 +16,14 @@ same table by one cycle period.
 
 A table's step is generated, as :func:`cyclotest.interp.compile_model`
 generates a model's reference run, and compiled at its first use: one
-statement per literal, which reads the cycle's inputs or the pre-cycle state
-as the model declares its variable, and one comparison per predicate, with
-each literal's value, cap and each predicate's need inlined as an ``int`` and
-each variable only as a ``repr``'d dict key.  The initial record's flags, all
-False, need no compile, so building a table or a specification compiles
-nothing.
+statement per literal, which reads the cycle's inputs by name or the
+pre-cycle state variables by position, as the model declares its variable,
+and one comparison per predicate, with each literal's value, cap and each
+predicate's need inlined as an ``int``.  Its flags are a tuple of ``int``
+0s and 1s in ``predicate_ids`` order, the same form that the specification
+and the reachability search key their tables by.  The initial record's
+flags, all 0, need no compile, so building a table or a specification
+compiles nothing.
 """
 from __future__ import annotations
 
@@ -32,7 +34,8 @@ from .dsl import TemporalPredicateDecl, compile_function, compiled_lazily
 
 class HoldTable:
     """The hold record of ``predicates`` over a model whose state variables
-    are ``state_names``; a literal on any other name reads an input."""
+    are ``state_names``, in declaration order; a literal on any other name
+    reads an input."""
 
     def __init__(self, predicates: Sequence[TemporalPredicateDecl], state_names: Iterable[str],
                  strict: bool = False):
@@ -44,44 +47,38 @@ class HoldTable:
             caps[key] = max(caps.get(key, 0), n)
         index = {key: i for i, key in enumerate(caps)}
         self.predicate_ids = tuple(p.id for p in predicates)
-        self._state_names = frozenset(state_names)
+        self._state_index = {name: k for k, name in enumerate(state_names)}
         self._literals = tuple((var, expected, cap) for (var, expected), cap in caps.items())
         self._thresholds = tuple((index[(p.var, p.expected)], n)
                                  for p, n in zip(predicates, need))
         self.initial = (None,) * len(caps)
         # nothing holds in the initial record, so no flag is set
-        self.initial_flags = dict.fromkeys(self.predicate_ids, False)
-        # flags in predicate order -> their shared dict, the initial record's first
-        self._vectors = {(False,) * len(predicates): self.initial_flags}
+        self.initial_flags = (0,) * len(predicates)
 
     @compiled_lazily
     def step(self) -> Callable:
         """``step(record, inputs, state, elapsed_ms)`` advances ``record``
         one cycle ``elapsed_ms`` after the previous one, on the cycle's
-        ``inputs`` and the pre-cycle ``state`` variables: it resets a broken
+        ``inputs``, a mapping of the input names, and the pre-cycle ``state``,
+        the state variables' values in declaration order: it resets a broken
         literal, starts a fresh hold at 0 and extends a persisting one.  It
-        returns the next record and its per-predicate flags, one dict shared
-        by every record with the same flags, which callers must not mutate.
-        ``elapsed_ms`` is never negative.  Generated and compiled at its
-        first use."""
+        returns the next record and its flags, the ``int`` 0 or 1 per
+        predicate in ``predicate_ids`` order.  ``elapsed_ms`` is never
+        negative.  Generated and compiled at its first use."""
         held = ["h%d" % i for i in range(len(self._literals))]  # the entries, as locals
         unpack = [" %s= record" % "".join(h + ", " for h in held)] if held else []
         lines = ["def step(record, inputs, state, elapsed_ms):", *unpack]
         for h, (var, expected, cap) in zip(held, self._literals):
-            part = "state" if var in self._state_names else "inputs"
-            lines += [" if %s[%r] != %d:" % (part, var, expected), "  %s = None" % h,
+            k = self._state_index.get(var)
+            read = "inputs[%r]" % var if k is None else "state[%d]" % k
+            lines += [" if %s != %d:" % (read, expected), "  %s = None" % h,
                       " elif %s is None:" % h, "  %s = 0" % h,
                       " else:", "  %s += elapsed_ms" % h,
                       "  if %s > %d:" % (h, cap), "   %s = %d" % (h, cap)]
-        bits = "".join("%s is not None and %s >= %d, " % (held[i], held[i], n)
-                       for i, n in self._thresholds)
-        lines += [" bits = (%s)" % bits,
-                  " vector = vectors.get(bits)",
-                  " if vector is None:",
-                  "  vector = vectors[bits] = dict(zip(ids, bits))",
-                  " return (%s), vector" % "".join(h + ", " for h in held)]
-        return compile_function(lines, "step", "<hold table step>", {
-            "__name__": __name__, "vectors": self._vectors, "ids": self.predicate_ids})
+        flags = "".join("1 if %s is not None and %s >= %d else 0, " % (held[i], held[i], n)
+                        for i, n in self._thresholds)
+        lines += [" return (%s), (%s)" % ("".join(h + ", " for h in held), flags)]
+        return compile_function(lines, "step", "<hold table step>", {"__name__": __name__})
 
     def in_cycles(self, period_ms: int) -> tuple:
         """The table stepped one ``period_ms`` per cycle, counted in cycles:

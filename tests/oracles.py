@@ -76,15 +76,17 @@ class ReferenceHoldTable:
     """A :class:`HoldTable`'s step as comprehensions over its
     ``(var, expected, cap)`` literals and ``(literal index, need)``
     thresholds, which ``in_cycles(1)`` gives in ms, each literal read in the
-    inputs and state merged into one namespace; the flags in a new dict."""
+    inputs and the state, its values named by ``state_names``, merged into
+    one namespace; the flags as a tuple of ``int``s in predicate order."""
 
-    def __init__(self, table: HoldTable):
+    def __init__(self, table: HoldTable, state_names=()):
         self.predicate_ids = table.predicate_ids
         self.initial = table.initial
+        self.state_names = tuple(state_names)
         self.literals, self.thresholds = table.in_cycles(1)
 
-    def step(self, record: tuple, inputs, state, elapsed_ms: int) -> tuple:
-        env = {**state, **inputs}
+    def step(self, record: tuple, inputs, state: tuple, elapsed_ms: int) -> tuple:
+        env = {**dict(zip(self.state_names, state)), **inputs}
         record = tuple([
             None if env[var] != expected
             else 0 if held is None
@@ -93,9 +95,8 @@ class ReferenceHoldTable:
         ])
         return record, self.flags(record)
 
-    def flags(self, record: tuple) -> dict:
-        return dict(zip(self.predicate_ids, [record[i] is not None and record[i] >= n
-                                             for i, n in self.thresholds]))
+    def flags(self, record: tuple) -> tuple:
+        return tuple([int(record[i] is not None and record[i] >= n) for i, n in self.thresholds])
 
 
 def eval_expr(expr, env) -> int:
@@ -235,7 +236,8 @@ def enumerate_reachable_flag_states_reference(extraction, cycle_period_ms: int =
     steps the hold record, by :class:`ReferenceHoldTable`, and runs the whole
     model for the post-state."""
     model = extraction.model
-    table = ReferenceHoldTable(HoldTable(extraction.predicates, model.initial_state(), strict))
+    state_names = tuple(model.initial_state())
+    table = ReferenceHoldTable(HoldTable(extraction.predicates, state_names, strict), state_names)
     init_vars = tuple(sorted(model.initial_state().items()))
     initial = (init_vars, table.initial)
 
@@ -244,8 +246,7 @@ def enumerate_reachable_flag_states_reference(extraction, cycle_period_ms: int =
     state_pairs = set()
     parents = {initial: None}  # every node seen, with its BFS parent
 
-    def record(state, flags):
-        vec = tuple(map(int, flags.values()))
+    def record(state, vec):
         state_pairs.add((state[0], vec))
         if vec not in witnesses:
             trail = []
@@ -260,12 +261,15 @@ def enumerate_reachable_flag_states_reference(extraction, cycle_period_ms: int =
         state = frontier.popleft()
         state_vars, holds = state
         for inputs in _valuations(model.inputs):
-            stepped, flags = table.step(holds, inputs, dict(state_vars), cycle_period_ms)
-            _, state_post, _ = walk_model(model, inputs, dict(state_vars), flags)
+            state_pre = dict(state_vars)
+            stepped, vec = table.step(holds, inputs, tuple(state_pre[name] for name in state_names),
+                                      cycle_period_ms)
+            flags = dict(zip(table.predicate_ids, vec))
+            _, state_post, _ = walk_model(model, inputs, state_pre, flags)
             nxt = (tuple(sorted(state_post.items())), stepped)
             if nxt not in parents:
                 parents[nxt] = (state, dict(inputs))
-                record(nxt, flags)
+                record(nxt, vec)
                 frontier.append(nxt)
 
     return ReachabilityReport(
@@ -398,16 +402,16 @@ class PlainSpecification(Specification):
     afresh."""
 
     def _remember(self, key, ref, post):
-        post.values = self._state_at(post.state_vars)
         return post
 
-    def reference(self, inputs, state_pre, flags, key) -> tuple:
-        result = walk_model(self.model, inputs, state_pre, flags)
+    def reference(self, inputs, values, flags, key) -> tuple:
+        result = walk_model(self.model, inputs, *self.named(values, flags))
         self.coverage.accumulate(result[2])
         return result
 
     def abstract_state(self, derive):
-        return derive(self.state.env())
+        state_vars, flags = self.named(self.state.values, self.state.flags)
+        return derive({**state_vars, **flags})
 
 
 # ---------------------------------------------------------------------------

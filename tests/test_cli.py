@@ -457,16 +457,32 @@ class TestAnalysisPinned:
         assert hashlib.sha256(err.encode()).hexdigest() == err_sha
 
     # the models of the CI's wide-input step: 20 and 24 inputs, and an input
-    # of a million values
-    @pytest.mark.parametrize("model, reachable, cells", [
-        ("wide20", 8, 3), ("wide20_state", 16, 5), ("or24", 2, 2), ("wideint_state", 6, 3)])
-    def test_wide_input_counts(self, capsys, model, reachable, cells):
+    # of a million values; the sha256 of each command's --json output was
+    # taken before the search stepped the hold table on tuples of values,
+    # which the two _state models are the wide inputs to exercise
+    @pytest.mark.parametrize("model, reachable, cells, enumerate_sha, reduce_sha", [
+        ("wide20", 8, 3,
+         "415095593658251f62db751ffaa7a9aff04f379c79cd3af59146f8d7ed357c4b",
+         "eaf9436fae917ca2d4160679d71f691e27e7af14e220e4e24a8fec0383b4d1e4"),
+        ("wide20_state", 16, 5,
+         "cf90cf3f393ccd144f740fa053f78de7dc8c2682c2f62e5e513b8e300a510e98",
+         "fbb053637b151907e7cc64bbe8b58e22d977524fb79fc14497de2c8b3c4a5b0a"),
+        ("or24", 2, 2,
+         "2a1b968be9cb42547d35c11a40a26c330387078fc14d7ec055c8621f9168bc21",
+         "83e41e221810c8e1cffea487518c6bc5a05f4245fe467a88976c69d699ed0496"),
+        ("wideint_state", 6, 3,
+         "08136bb46fab72de9a7c9c1aabcf4042f75dfa8933927498a0fcba3b6629c844",
+         "431cbf8285e69a63d45aa8dfc1cac61f983c314cb976741d3a853d683e804c9a")],
+        ids=["wide20-8-3", "wide20_state-16-5", "or24-2-2", "wideint_state-6-3"])
+    def test_wide_input_counts(self, capsys, model, reachable, cells, enumerate_sha, reduce_sha):
         argv = ["--model", str(Path(__file__).resolve().parent / "models" / (model + ".ctl")),
                 "--json"]
         code, out, err = _run(capsys, ["enumerate-states"] + argv)
         assert (code, err, json.loads(out)["reachable"]) == (0, "", reachable)
+        assert hashlib.sha256(out.encode()).hexdigest() == enumerate_sha
         code, out, err = _run(capsys, ["reduce"] + argv)
         assert (code, err, len(json.loads(out)["partition"])) == (0, "", cells)
+        assert hashlib.sha256(out.encode()).hexdigest() == reduce_sha
 
     # iron at its own 60 s/900 s; taken from the breadth-first search that
     # the closed form for models without state variables replaced

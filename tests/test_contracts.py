@@ -25,7 +25,8 @@ from cyclotest.reduction import (
 )
 from cyclotest.temporal import HoldTable
 from cyclotest.traversal import Action, Scenario
-from oracles import PlainSpecification, ReferenceApply, _valuations
+from oracles import (PlainSpecification, ReferenceApply, ReferenceHoldTable, _valuations,
+                     walk_model)
 from test_mediator import ScriptedLink as ScriptedStreamLink
 from test_mediator import ScriptedSut, _hello_line
 from test_reduction import REFERENCE_MODELS, _extraction_at, _model_sources
@@ -141,11 +142,11 @@ class TestApplyStimulus:
         spec = _spec(desk_extraction)
         spec.apply_stimulus({"move": 0, "position": 1})
         snapshot = spec.state  # the pre-state of the next call, not a copy
-        before_vars = dict(snapshot.state_vars)
-        before_holds, before_flags = snapshot.holds, dict(snapshot.flags)
+        before_values = snapshot.values
+        before_holds, before_flags = snapshot.holds, snapshot.flags
         spec.apply_stimulus({"move": 1, "position": 0})
         assert spec.state.holds != before_holds
-        assert snapshot.state_vars == before_vars
+        assert snapshot.values == before_values
         assert snapshot.holds == before_holds
         assert snapshot.flags == before_flags
 
@@ -442,9 +443,9 @@ class TestHiddenState:
         sut = RecordedLatch()
         spec = Specification(ex, InProcessLink(ex.model, sut, KernelConfig()))
         assert spec.apply_stimulus({"set": 0}).kind is VerdictKind.PASS
-        assert spec.state.state_vars == {"mem": 0}
+        assert spec.state.values == (0,)  # mem
         assert spec.apply_stimulus({"set": 1}).kind is VerdictKind.PASS
-        assert spec.state.state_vars == {"mem": 1}  # model post-state, not observed
+        assert spec.state.values == (1,)  # model post-state, not observed
         # latched value now observable indirectly
         verdict = spec.apply_stimulus({"set": 0})
         assert verdict.kind is VerdictKind.PASS
@@ -473,7 +474,13 @@ CAPS = [pytest.param(contracts.MEMO_CAP, id="memo-cap"), pytest.param(2, id="cap
 def _by_value(spec):
     """What a specification's state is, as opposed to which object holds it."""
     state = spec.state
-    return state.state_vars, state.holds, state.flags, spec.sys_time_ms
+    return state.values, state.holds, state.flags, spec.sys_time_ms
+
+
+def _env(spec) -> dict:
+    """The state variables and flags of ``spec``'s state in one namespace."""
+    names = [d.name for d in spec.model.state_vars] + list(spec.hold_table.predicate_ids)
+    return dict(zip(names, spec.state.values + spec.state.flags))
 
 
 def _recording(monkeypatch, cls):
@@ -484,9 +491,6 @@ def _recording(monkeypatch, cls):
     return specs
 
 
-def _flag_vectors(predicate_ids):
-    for bits in itertools.product((False, True), repeat=len(predicate_ids)):
-        yield dict(zip(predicate_ids, bits))
 
 
 class TestOracleMemo:
@@ -504,20 +508,17 @@ class TestOracleMemo:
         plain = PlainSpecification(extraction, None)
         ids = memo.hold_table.predicate_ids
         state_names = [d.name for d in model.state_vars]
-        states = [dict(zip(state_names, values))
-                  for values in itertools.product(*(d.domain() for d in model.state_vars))]
-        cycles = [(inputs, state, flags) for inputs in _valuations(model.inputs)
-                  for state in states for flags in _flag_vectors(ids)]
-        # the memo key, as the judge builds it
-        keys = [contracts._values_at(names) for names in (
-            model.input_names, tuple(state_names), ids)]
+        states = list(itertools.product(*(d.domain() for d in model.state_vars)))
+        cycles = [(inputs, values, flags) for inputs in _valuations(model.inputs)
+                  for values in states for flags in itertools.product((0, 1), repeat=len(ids))]
         for _ in range(2):  # every cycle once unseen, once remembered
-            for inputs, state, flags in cycles:
-                key = tuple(values_at(values) for values_at, values in zip(
-                    keys, (inputs, state, flags)))
-                ref = memo._memo.get(key) or memo.reference(inputs, state, flags, key)
-                assert ref == eval_model(model, inputs, state, flags)
-                plain.reference(inputs, state, flags, key)
+            for inputs, values, flags in cycles:
+                # the memo key, as the judge builds it
+                key = tuple(inputs[name] for name in model.input_names), values, flags
+                ref = memo._memo.get(key) or memo.reference(inputs, values, flags, key)
+                assert ref == eval_model(model, inputs, dict(zip(state_names, values)),
+                                         dict(zip(ids, flags)))
+                plain.reference(inputs, values, flags, key)
         assert len(memo._memo) == len(cycles)
         assert memo.coverage == plain.coverage
 
@@ -575,14 +576,16 @@ class TestOracleMemo:
         result = cli.run_campaign(cli.RunConfig(model_path=MODEL_PATH))
         assert len(result.log.entries) == len(states) // 2 == 30_646
         assert calls.count("step_predicates") == calls.count("sync_state") == 4_641
-        distinct = {(tuple(s.state_vars.items()), s.holds) for s in states}
+        distinct = {(s.values, s.holds) for s in states}
         assert len(distinct) == 4_625
         (spec,) = specs.values()
         kept = {id(states[0])} | {id(post) for _, post, _ in spec._steps.values()}
         assert {id(s) for s in states} == kept
         assert len(kept) == len(spec._steps) + 1 == 4_642
-        # a step is keyed by its pre-state's values and hold record
-        assert all(s.values == tuple(s.state_vars.values()) for s in states)
+        # a state's flags are its hold record's, and a step is keyed by its
+        # pre-state's values and hold record
+        reference = ReferenceHoldTable(spec.hold_table)
+        assert all(s.flags == reference.flags(s.holds) for s in states)
         assert {key[:2] for key in spec._steps} <= {(s.values, s.holds) for s in states}
 
     def test_states_and_steps_past_the_cap_are_not_kept(self, monkeypatch):
@@ -626,8 +629,7 @@ class TestOracleMemo:
         real = mediator.step_predicates
 
         def counted(table, pre, inputs, elapsed_ms):
-            steps.append((tuple(inputs.items()), tuple(pre.state_vars.items()), pre.holds,
-                          elapsed_ms))
+            steps.append((tuple(inputs.items()), pre.values, pre.holds, elapsed_ms))
             return real(table, pre, inputs, elapsed_ms)
 
         monkeypatch.setattr(mediator, "step_predicates", counted)
@@ -686,7 +688,9 @@ class ScriptedLink(MediatorLink):
         fault, arg = self.script.get(cycle, (None, None))
         elapsed = 0 if cycle == 0 else arg if fault == "time" else self.period_ms
         self.sys_time_ms += elapsed
-        self.holds, flags = self.table.step(self.holds, inputs, self.state_vars, elapsed)
+        self.holds, flags = self.table.step(self.holds, inputs, tuple(self.state_vars.values()),
+                                            elapsed)
+        flags = dict(zip(self.table.predicate_ids, flags))
         outputs, self.state_vars, _ = eval_model(model, inputs, self.state_vars, flags)
         outputs = dict(outputs)
         visible = {name: self.state_vars[name] for name in model.readable_names}
@@ -752,12 +756,10 @@ class TestStepMemo:
         given = []
         real = Specification.reference
 
-        def reference(spec, inputs, state_pre, flags, key):
-            names = (spec.model.input_names, tuple(d.name for d in spec.model.state_vars),
-                     spec.hold_table.predicate_ids)
-            given.append((key, tuple(contracts._values_at(n)(values) for n, values in zip(
-                names, (inputs, state_pre, flags)))))
-            return real(spec, inputs, state_pre, flags, key)
+        def reference(spec, inputs, values, flags, key):
+            given.append((key, (tuple(inputs[name] for name in spec.model.input_names),
+                                values, flags)))
+            return real(spec, inputs, values, flags, key)
 
         monkeypatch.setattr(Specification, "reference", reference)
         stimuli, script = _scripted_run(extraction, random.Random(0))
@@ -786,7 +788,7 @@ class TestStepMemo:
                 assert got.kind is VerdictKind.POSTCONDITION_FAILURE
                 assert tables.count(memo.hold_table) == taken + 1
                 expected, actual = got.mismatches[0].expected, got.mismatches[0].actual
-                assert memo.state.state_vars["level"] == actual != expected
+                assert _env(memo)["level"] == actual != expected
                 # and no remembered step moves to it
                 assert all(post is not memo.state for _, post, _ in memo._steps.values())
         # the next cycle expects the level it was told, and the one after
@@ -876,6 +878,93 @@ class TestStepMemo:
         assert at in stepped
         if at > 13:
             assert stepped == list(range(14)) + [at]
+
+
+# a hidden state variable declared between two readable ones, and held()
+# literals on the state, so that a value read from the wrong position of a
+# state's values changes the flags, the reference run or the next state
+ORDER_SRC = """\
+model declared {
+  input a: int 0..3;
+  input b: bool;
+  output o: int 0..3;
+  state first: int 0..3 readable = 1;
+  state mid: int 0..3 hidden = 2;
+  state last: int 0..3 readable = 3;
+
+  logic {
+    if (held(first == 0, 2s) || held(last == 2, 1s)) {
+      o = mid;
+      first = a;
+      mid = last;
+    } else {
+      if (b) { o = first; first = a; last = mid; } else { o = last; mid = a; last = first; }
+    }
+  }
+}
+"""
+
+
+class ReversedStateSut:
+    """Runs the model as the plain oracle does, on the flags of
+    :class:`ReferenceHoldTable` stepped by the system time it is given, and
+    lists its readable state variables in reverse declaration order."""
+
+    def __init__(self, extraction):
+        self.model = extraction.model
+        self.state = self.model.initial_state()
+        names = tuple(self.state)
+        self.table = ReferenceHoldTable(HoldTable(extraction.predicates, names), names)
+        self.holds, self.sys_time_ms = self.table.initial, None
+
+    def step(self, inputs, sys_time_ms):
+        elapsed = 0 if self.sys_time_ms is None else sys_time_ms - self.sys_time_ms
+        self.sys_time_ms = sys_time_ms
+        self.holds, flags = self.table.step(self.holds, inputs, tuple(self.state.values()),
+                                            elapsed)
+        outputs, self.state, _ = walk_model(self.model, inputs, self.state,
+                                            dict(zip(self.table.predicate_ids, flags)))
+        return outputs
+
+    def visible_state(self):
+        return {name: self.state[name] for name in reversed(self.model.readable_names)}
+
+
+class TestDeclarationOrder:
+    def test_values_follow_the_declarations_not_the_observation(self):
+        extraction = extract_predicates(parse_model(ORDER_SRC))
+        model = extraction.model
+        assert [d.name for d in model.state_vars] == ["first", "mid", "last"]
+        assert list(ReversedStateSut(extraction).visible_state()) == ["last", "first"]
+        rng = random.Random(3)
+        stimuli = []
+        while len(stimuli) < 200:
+            stimuli += [{"a": rng.randrange(4), "b": rng.randrange(2)}] * rng.randint(1, 5)
+        remembered = []  # the step keys that the plain oracle would remember
+
+        class Plain(PlainSpecification):
+            def _remember(self, key, ref, post):
+                remembered.append(key)
+                return super()._remember(key, ref, post)
+
+        runs = []
+        for cls in (Specification, Plain):
+            sut = ReversedStateSut(extraction)
+            spec = cls(extraction, InProcessLink(model, sut, KernelConfig()))
+            run = []
+            for inputs in stimuli:
+                verdict = spec.apply_stimulus(inputs)
+                run.append((verdict.kind, verdict.detail, spec.state.values, spec.state.flags))
+                # the subject's post-state, read in declaration order
+                assert spec.state.values == tuple(sut.state[d.name] for d in model.state_vars)
+            runs.append((spec, run))
+        (memo, got), (_, want) = runs
+        assert got == want
+        assert {kind for kind, *_ in got} == {VerdictKind.PASS}
+        assert set(memo._steps) == set(remembered)
+        assert len(memo._steps) < len(remembered) == len(stimuli)
+        assert len({values for _, _, values, _ in got}) > 4
+        assert {flags for *_, flags in got} >= {(0, 1), (1, 0)}
 
 
 class ModelSut:
@@ -1001,7 +1090,7 @@ class TestAbstractStateMemo:
 
         def apply(action, spec, scenario, log, source, replay):
             # the action starts from the specification state its source came from
-            expected = generalized_state(spec.state.env(), spec.model)
+            expected = generalized_state(_env(spec), spec.model)
             start = len(log.entries)
             result = real(action, spec, scenario, log, source, replay)
             checked.extend((entry.state, expected) for entry in log.entries[start:])
@@ -1029,11 +1118,11 @@ class TestAbstractStateMemo:
         for _ in range(2):  # every state twice
             for state_vars, vector in reach.states:
                 state_vars = dict(state_vars)
-                flags = {pid: bool(bit) for pid, bit in zip(reach.predicate_ids, vector)}
                 values = tuple(state_vars[d.name] for d in model.state_vars)
                 # a new object, derived afresh however often its values recur
-                spec.state = SpecificationState(state_vars, (), flags, values)
-                expected = generalized_state(spec.state.env(), model)
+                spec.state = SpecificationState(values, (), vector)
+                expected = generalized_state(
+                    {**state_vars, **dict(zip(reach.predicate_ids, vector))}, model)
                 assert spec.abstract_state(derive) == expected
                 derived = len(calls)
                 assert spec.abstract_state(derive) == expected  # read off the state
@@ -1050,7 +1139,7 @@ class TestAbstractStateMemo:
         def abstract_state(spec, derive):
             specs[id(spec)] = spec
             states.append(spec.state)
-            keys.append((tuple(spec.state.state_vars.items()), tuple(spec.state.flags.items())))
+            keys.append((spec.state.values, spec.state.flags))
             return real_abstract(spec, derive)
 
         monkeypatch.setattr(contracts.Specification, "abstract_state", abstract_state)

@@ -507,7 +507,7 @@ class TestRaisingSubject:
 class TestSyncState:
     def _state(self, table, model):
         return SpecificationState(
-            state_vars=model.initial_state(),
+            values=tuple(model.initial_state().values()),
             holds=table.initial,
             flags=table.initial_flags,
         )
@@ -520,9 +520,9 @@ class TestSyncState:
         obs = (0, 1000, {"heating": 1}, {})  # as exchange returns it
         stepped = step_predicates(table, state, {"move": 0, "position": 0}, 0)
         new = sync_state(state, obs, {}, stepped)
-        assert new.state_vars == {}
+        assert new.values == ()
         assert new.holds == (0, 0, None)
-        assert new.flags["move_eq_f_t1"] is False
+        assert new.flags == (0, 0, 0, 0)
 
     def test_hidden_var_from_model_post_readable_from_observation(self):
         ast = parse_model(STATEFUL_SRC)
@@ -532,8 +532,7 @@ class TestSyncState:
         obs = (0, 1000, {"level_out": 1}, {"level": 3})
         stepped = step_predicates(table, state, {"tick": 1}, 0)
         new = sync_state(state, obs, {"level": 1, "armed": 1}, stepped)
-        assert new.state_vars["armed"] == 1  # hidden: model value
-        assert new.state_vars["level"] == 3  # readable: observation wins
+        assert new.values == (3, 1)  # level readable: observation wins; armed hidden: model value
 
     def test_missing_readable_var_rejected(self):
         # the link rejects the observation before the state is synchronized
@@ -545,7 +544,7 @@ class TestSyncState:
         verdict = spec.apply_stimulus({"tick": 1})
         assert verdict.kind is VerdictKind.MEDIATOR_FAILURE
         assert re.search(r"observation state \{\} do not match the model", verdict.detail)
-        assert spec.state.state_vars == {"level": 0, "armed": 0}
+        assert spec.state.values == (0, 0)  # level, armed
 
     @pytest.mark.parametrize("source", [None, HELD_STATE_SRC], ids=["iron", "held-state"])
     def test_step_equals_a_reference_step_over_state_and_inputs(self, desk_extraction, source):
@@ -555,25 +554,26 @@ class TestSyncState:
         # inputs, whether or not a literal reads a state variable
         ex = desk_extraction if source is None else extract_predicates(parse_model(source))
         model = ex.model
-        table = HoldTable(ex.predicates, model.initial_state())
-        reference = ReferenceHoldTable(table)
+        names = tuple(model.initial_state())
+        table = HoldTable(ex.predicates, names)
+        reference = ReferenceHoldTable(table, names)
         assert any(var in model.initial_state() for var, _, _ in reference.literals) is (
             source is not None)
         rng = random.Random(7)
         state = self._state(table, model)
-        holds, state_vars, inputs, fired = table.initial, state.state_vars, {}, 0
+        holds, values, inputs, fired = table.initial, state.values, {}, 0
         for cycle in range(200):
             # values that persist for a few cycles let the literals hold
             if cycle == 0 or rng.random() < 0.3:
-                state_vars = {d.name: rng.choice(model.domains[d.name]) for d in model.state_vars}
+                values = tuple(rng.choice(model.domains[name]) for name in names)
                 inputs = {name: rng.choice(model.domains[name]) for name in model.input_names}
-            state = SpecificationState(state_vars, holds, state.flags)
+            state = SpecificationState(values, holds, state.flags)
             elapsed = 0 if cycle == 0 else 1000
             stepped = step_predicates(table, state, inputs, elapsed)
-            assert stepped == reference.step(holds, inputs, state_vars, elapsed)
+            assert stepped == reference.step(holds, inputs, values, elapsed)
             holds = stepped[0]
-            state = SpecificationState(state_vars, holds, stepped[1])
-            fired += any(stepped[1].values())
+            state = SpecificationState(values, holds, stepped[1])
+            fired += any(stepped[1])
         assert fired
 
     def test_predicates_step_at_observed_time(self, iron_extraction):

@@ -603,10 +603,11 @@ class TestReachability:
             record, oracle = table.initial, WindowOracle(desk_extraction.predicates, 1000)
             flags, window = table.initial_flags, oracle.flags()
             for i, inputs in enumerate(report.witnesses[vector]):
-                record, flags = table.step(record, inputs, {}, 1000 if i else 0)
+                record, flags = table.step(record, inputs, (), 1000 if i else 0)
                 window = oracle.step(inputs)
-            assert tuple(int(flags[p]) for p in report.predicate_ids) == vector
-            assert flags == window
+            assert table.predicate_ids == report.predicate_ids
+            assert flags == vector
+            assert flags == tuple(int(window[p]) for p in report.predicate_ids)
 
     @pytest.mark.parametrize("strict", [False, True])
     @pytest.mark.parametrize("model, period", [

@@ -51,16 +51,16 @@ def _rewound_spec(extraction, sut, times) -> Specification:
 
 class TestStepPredicate:
     def test_idle_stays_idle(self):
-        assert MOVE.step(MOVE.initial, MOVING, {}, 0)[0] == (None,)
+        assert MOVE.step(MOVE.initial, MOVING, (), 0)[0] == (None,)
 
     def test_fresh_hold_latches_start_time(self):
-        assert MOVE.step(MOVE.initial, STILL, {}, 5000)[0] == (0,)
+        assert MOVE.step(MOVE.initial, STILL, (), 5000)[0] == (0,)
 
     def test_persisting_hold_keeps_start_time(self):
-        assert MOVE.step((0,), STILL, {}, 1000)[0] == (1000,)
+        assert MOVE.step((0,), STILL, (), 1000)[0] == (1000,)
 
     def test_break_resets(self):
-        assert MOVE.step((1000,), MOVING, {}, 1000)[0] == (None,)
+        assert MOVE.step((1000,), MOVING, (), 1000)[0] == (None,)
 
     def test_time_regression_rejected(self, iron_extraction):
         # the judge refuses a system time that goes back before it steps the
@@ -76,21 +76,22 @@ class TestStepPredicate:
         assert before.holds == (1000, 1000, None)  # !move, !position, position
 
     def test_hold_caps_at_longest_duration(self):
-        assert MOVE.step((59_500,), STILL, {}, 1000)[0] == (60_000,)
+        assert MOVE.step((59_500,), STILL, (), 1000)[0] == (60_000,)
         strict = HoldTable([MOVE_60], (), strict=True)
-        assert strict.step((59_500,), STILL, {}, 1000)[0] == (60_001,)
+        assert strict.step((59_500,), STILL, (), 1000)[0] == (60_001,)
 
     def test_predicates_sharing_a_literal_share_an_entry(self, iron_extraction):
         # four predicates over three literals: !move, !position, position
         table = HoldTable(iron_extraction.predicates, ())
         assert len(table.initial) == 3
-        assert table.step(table.initial, {"move": 0, "position": 1}, {}, 0)[0] == (0, None, 0)
+        assert table.step(table.initial, {"move": 0, "position": 1}, (), 0)[0] == (0, None, 0)
 
     def test_a_literal_reads_the_inputs_or_the_state_as_the_model_declares(self):
-        # each name is given a breaking value where it must not be read
+        # each name is given a breaking value where it must not be read, and
+        # the state its values by position: level is the second variable
         level = TemporalPredicateDecl("level_eq_t_t1", "level", 1, 1000)
-        table = HoldTable([MOVE_60, level], {"level"})
-        stepped, _ = table.step(table.initial, {"move": 0, "level": 0}, {"move": 1, "level": 1}, 0)
+        table = HoldTable([MOVE_60, level], ("move", "level"))
+        stepped, _ = table.step(table.initial, {"move": 0, "level": 0}, (0, 1), 0)
         assert stepped == (0, 0)
 
 
@@ -101,68 +102,71 @@ class TestIsSatisfied:
         oracle = WindowOracle([MOVE_60], 1000)
         record = MOVE.initial
         for cycle in range(65):
-            record, flags = MOVE.step(record, STILL, {}, 0 if cycle == 0 else 1000)
+            record, flags = MOVE.step(record, STILL, (), 0 if cycle == 0 else 1000)
             expected = oracle.step(STILL)["move_eq_f_t1"]
-            assert flags["move_eq_f_t1"] == expected
+            assert flags == (int(expected),)
         assert record == (60_000,)
 
     def test_inclusive_threshold(self):
-        assert MOVE.step((59_000,), STILL, {}, 1000) == ((60_000,), {"move_eq_f_t1": True})
-        assert MOVE.step((58_999,), STILL, {}, 1000) == ((59_999,), {"move_eq_f_t1": False})
+        assert MOVE.step((59_000,), STILL, (), 1000) == ((60_000,), (1,))
+        assert MOVE.step((58_999,), STILL, (), 1000) == ((59_999,), (0,))
 
     def test_strict_variant(self):
         strict = HoldTable([MOVE_60], (), strict=True)
-        assert strict.step((59_000,), STILL, {}, 1000) == ((60_000,), {"move_eq_f_t1": False})
-        assert strict.step((60_000,), STILL, {}, 1000) == ((60_001,), {"move_eq_f_t1": True})
+        assert strict.step((59_000,), STILL, (), 1000) == ((60_000,), (0,))
+        assert strict.step((60_000,), STILL, (), 1000) == ((60_001,), (1,))
 
     def test_absent_never_satisfied(self):
-        assert MOVE.initial_flags == {"move_eq_f_t1": False}
-        assert MOVE.step((60_000,), MOVING, {}, 1000) == ((None,), {"move_eq_f_t1": False})
+        assert MOVE.initial_flags == (0,)
+        assert MOVE.step((60_000,), MOVING, (), 1000) == ((None,), (0,))
 
 
 class TestTimeFlags:
     def _run(self, extraction, seq, period=1000):
+        """The flags after ``seq``, by predicate id."""
         table = HoldTable(extraction.predicates, ())
         record = table.initial
         for i, inputs in enumerate(seq):
-            record, flags = table.step(record, inputs, {}, period if i else 0)
-        return flags
+            record, flags = table.step(record, inputs, (), period if i else 0)
+        assert len(flags) == len(table.predicate_ids)
+        return dict(zip(table.predicate_ids, flags))
 
     def test_first_cycle_all_false(self, iron_extraction):
         flags = self._run(iron_extraction, [{"move": 0, "position": 0}])
-        assert flags == {pid: False for pid in flags}
+        assert flags == {pid: 0 for pid in flags}
 
     def test_long_hold_vertical(self, iron_extraction):
         # !move and position held for 900 cycles at 1 s
         seq = [{"move": 0, "position": 1}] * 901
         flags = self._run(iron_extraction, seq)
         assert flags == {
-            "move_eq_f_t1": True,
-            "move_eq_f_t2": True,
-            "position_eq_f_t1": False,
-            "position_eq_t_t2": True,
+            "move_eq_f_t1": 1,
+            "move_eq_f_t2": 1,
+            "position_eq_f_t1": 0,
+            "position_eq_t_t2": 1,
         }
 
     def test_move_breaks_move_flags(self, iron_extraction):
         seq = [{"move": 0, "position": 0}] * 100 + [{"move": 1, "position": 0}]
         flags = self._run(iron_extraction, seq)
-        assert flags["move_eq_f_t1"] is False
-        assert flags["move_eq_f_t2"] is False
-        assert flags["position_eq_f_t1"] is True
+        assert flags["move_eq_f_t1"] == 0
+        assert flags["move_eq_f_t2"] == 0
+        assert flags["position_eq_f_t1"] == 1
 
     def test_flag_keys_exactly_the_predicates(self, iron_extraction):
         flags = self._run(iron_extraction, [{"move": 1, "position": 1}])
-        assert set(flags) == {p.id for p in iron_extraction.predicates}
+        assert list(flags) == [p.id for p in iron_extraction.predicates]
 
-    def test_records_with_equal_flags_share_one_vector(self, iron_extraction):
+    def test_records_with_equal_flags_give_equal_tuples(self, iron_extraction):
         table = HoldTable(iron_extraction.predicates, ())
+        reference = ReferenceHoldTable(table)
         # neither literal of move has held long enough in either record
         inputs = {"move": 0, "position": 1}
-        _, first = table.step(table.initial, inputs, {}, 0)
-        record, second = table.step((4000, None, 4000), inputs, {}, 1000)
+        _, first = table.step(table.initial, inputs, (), 0)
+        record, second = table.step((4000, None, 4000), inputs, (), 1000)
         assert record == (5000, None, 5000)
-        assert first is second
-        assert first == dict.fromkeys(table.predicate_ids, False)
+        assert first == second == reference.flags(table.initial) == reference.flags(record)
+        assert first == (0,) * len(table.predicate_ids)
 
 
 class TestProperties:
@@ -178,7 +182,8 @@ class TestProperties:
             oracle = WindowOracle(desk_extraction.predicates, 1000)
             history = {p.id: [] for p in desk_extraction.predicates}
             for i, inputs in enumerate(seq):
-                record, flags = table.step(record, inputs, {}, 1000 if i else 0)
+                record, flags = table.step(record, inputs, (), 1000 if i else 0)
+                flags = dict(zip(table.predicate_ids, map(bool, flags)))
                 assert flags == oracle.step(inputs)
                 for pid, value in flags.items():
                     history[pid].append(value)
@@ -205,7 +210,8 @@ class TestProperties:
             table = HoldTable(desk_extraction.predicates, ())
             record = table.initial
             for inputs in seq:
-                record, flags = table.step(record, inputs, {}, 1000)
+                record, flags = table.step(record, inputs, (), 1000)
+                flags = dict(zip(table.predicate_ids, flags))
                 if flags["move_eq_f_t2"]:
                     assert flags["move_eq_f_t1"]
 
@@ -276,13 +282,13 @@ class TestGeneratedHoldTable:
     @pytest.mark.parametrize("strict", [False, True], ids=["inclusive", "strict"])
     @pytest.mark.parametrize("source", _generated_models())
     def test_every_boundary_record(self, source, strict):
-        model, predicates, state_names = None, [], {}
+        model, predicates, initial = None, [], {}
         if source is not None:
             extraction = extract_predicates(parse_model(source))
             model, predicates = extraction.model, extraction.predicates
-            state_names = model.initial_state()
-        table = HoldTable(predicates, state_names, strict)
-        reference = ReferenceHoldTable(table)
+            initial = model.initial_state()
+        table = HoldTable(predicates, tuple(initial), strict)
+        reference = ReferenceHoldTable(table, tuple(initial))
         literals, thresholds = reference.literals, reference.thresholds
         entries = []  # per literal: None, 0, 1, and one below and at each need and its cap
         for i, (_, _, cap) in enumerate(literals):
@@ -290,23 +296,23 @@ class TestGeneratedHoldTable:
             values = {0, 1, cap - 1, cap, *needs, *(n - 1 for n in needs)}
             entries.append([None] + sorted(v for v in values if v >= 0))
         variables = sorted({var for var, _, _ in literals})
-        parts = []  # each valuation of the variables, as (inputs, state)
+        parts = []  # each valuation of the variables, as (inputs, state values)
         for values in itertools.product(*(model.domains[var] for var in variables)):
             env = dict(zip(variables, values))
-            parts.append(({k: v for k, v in env.items() if k not in state_names},
-                          {k: v for k, v in env.items() if k in state_names}))
+            parts.append(({k: v for k, v in env.items() if k not in initial},
+                          tuple(env.get(k, v) for k, v in initial.items())))
         caps = {cap for _, _, cap in literals}
         elapsed = sorted({0, 1, 1000} | caps | {cap + 1 for cap in caps})
         cycles = list(itertools.product(parts, elapsed))
-        vectors = {}  # every flags dict the step gave, by identity
+        vectors = set()  # every flags tuple the step gave
         for record in itertools.product(*entries):
             # a tuple's == keeps None apart from 0
             got = [table.step(record, inputs, state, ms) for (inputs, state), ms in cycles]
             assert got == [reference.step(record, inputs, state, ms)
                            for (inputs, state), ms in cycles]
-            vectors.update((id(flags), flags) for _, flags in got)
-        # and a flag is a bool, not an int equal to one
-        assert all(type(bit) is bool for flags in vectors.values() for bit in flags.values())
+            vectors.update(flags for _, flags in got)
+        # and a flag is the int 0 or 1, not a bool equal to one
+        assert all(type(bit) is int and bit in (0, 1) for flags in vectors for bit in flags)
         assert isinstance(vars(table)["step"], types.FunctionType)
 
     @pytest.mark.parametrize("source", [MODEL_PATH, None], ids=["iron", "no-predicates"])
@@ -334,11 +340,15 @@ class TestGeneratedHoldTable:
                  "system time went back from 2000 ms to %d ms" % (2000 - ms))]
             assert elapsed == [0, 1000]
 
-    def test_flags_shared_with_the_initial_records(self, iron_extraction):
+    def test_first_cycle_flags_equal_the_initial_flags(self, iron_extraction):
         table = HoldTable(iron_extraction.predicates, ())
+        reference = ReferenceHoldTable(table)
         initial = table.initial_flags
-        assert table.step(table.initial, {"move": 1, "position": 1}, {}, 0)[1] is initial
-        assert table.step(table.initial, {"move": 0, "position": 0}, {}, 0)[1] is initial
+        assert initial == reference.flags(table.initial) == (0,) * len(table.predicate_ids)
+        for inputs in ({"move": 1, "position": 1}, {"move": 0, "position": 0}):
+            assert table.step(table.initial, inputs, (), 0) == reference.step(
+                table.initial, inputs, (), 0)
+            assert table.step(table.initial, inputs, (), 0)[1] == initial
 
 
 class TestCompileGuard:
@@ -360,23 +370,23 @@ class TestCompileGuard:
         spec = Specification(extraction, link)
         table = spec.hold_table
         assert spec.state.flags is table.initial_flags
-        assert table.initial_flags == dict.fromkeys(table.predicate_ids, False)
+        assert table.initial_flags == (0,) * len(table.predicate_ids)
         assert compiles == []
         assert "step" not in vars(table)
 
     def test_compiled_on_first_step_only(self, compiles, iron_extraction):
         table = HoldTable(iron_extraction.predicates, ())
-        record, _ = table.step(table.initial, {"move": 0, "position": 1}, {}, 0)
+        record, _ = table.step(table.initial, {"move": 0, "position": 1}, (), 0)
         assert compiles == ["step"]
         step = vars(table)["step"]
         assert step.__module__ == "cyclotest.temporal"
-        table.step(record, {"move": 0, "position": 1}, {}, 1000)
+        table.step(record, {"move": 0, "position": 1}, (), 1000)
         assert compiles == ["step"]
         assert vars(table)["step"] is step
 
     def test_first_step_from_another_record_compiles(self, compiles, iron_extraction):
         table = HoldTable(iron_extraction.predicates, ())
         inputs = {"move": 0, "position": 1}
-        assert (table.step((0, None, 59_000), inputs, {}, 1000)
-                == ReferenceHoldTable(table).step((0, None, 59_000), inputs, {}, 1000))
+        assert (table.step((0, None, 59_000), inputs, (), 1000)
+                == ReferenceHoldTable(table).step((0, None, 59_000), inputs, (), 1000))
         assert compiles == ["step"]
